@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: help test conformance bench bench-streaming bench-inpainting bench-figure6 bench-scenarios bench-warmstart bench-sharding bench-substrates gateway-smoke scoreboard-smoke bench-all docs-check smoke ci
+.PHONY: help test conformance bench bench-streaming bench-figure6 bench-scenarios bench-warmstart bench-sharding bench-substrates gateway-smoke scoreboard-smoke bench-all docs-check smoke ci
 
 help:
 	@echo "make test            - tier-1 test suite (pytest -x -q)"
@@ -13,7 +13,6 @@ help:
 	@echo "                       method x offline/batch/stream, smoke preset)"
 	@echo "make bench           - batched-pipeline speedup benchmark (asserts >= 3x)"
 	@echo "make bench-streaming - streaming latency/throughput benchmark"
-	@echo "make bench-inpainting- batched deep-prior fit benchmark (asserts >= 2x)"
 	@echo "make bench-figure6   - batched in-vivo cohort benchmark (asserts >= 2x)"
 	@echo "make bench-scenarios - degradation scenario-grid benchmark (coverage +"
 	@echo "                       zero-severity==clean asserted)"
@@ -30,8 +29,8 @@ help:
 	@echo "make scoreboard-smoke- robustness scoreboard artefact, smoke preset"
 	@echo "make bench-all       - all paper-artefact benchmarks (pytest-benchmark)"
 	@echo "make docs-check      - docs exist + documented names import + registry documented"
-	@echo "make smoke           - CI-style smoke: tests + conformance + docs-check + bench --smoke suite"
-	@echo "make ci              - full gate: pytest + conformance + smoke script + docs check"
+	@echo "make smoke           - CI-style smoke: tests + docs-check + bench --smoke suite"
+	@echo "make ci              - full gate: full-scale bench gates + smoke script"
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,9 +43,6 @@ bench:
 
 bench-streaming:
 	$(PYTHON) benchmarks/bench_streaming.py
-
-bench-inpainting:
-	$(PYTHON) benchmarks/bench_inpainting.py
 
 bench-figure6:
 	$(PYTHON) benchmarks/bench_figure6_spo2.py
@@ -78,22 +74,16 @@ docs-check:
 smoke:
 	bash scripts/smoke.sh
 
-# The conformance suite reaches ci twice already — collected by the
-# tier-1 pytest run and explicitly inside scripts/smoke.sh — so no
-# third invocation here.  bench-inpainting runs at full scale (the >= 2x
-# hot-path assertion) and bench-warmstart gates the prior-zoo warm-start
-# targets (>= 1.5x fewer iterations at equal quality); their --smoke
-# variants also run inside smoke.sh, as do bench_figure6_spo2 --smoke
-# (the batched in-vivo cohort gate) and bench_scenarios --smoke (the
-# degradation-grid gate).  scoreboard-smoke regenerates the robustness
-# artefact over the full separator line-up, and bench-sharding gates
-# the process fan-out path at full scale (>= 2x vs the per-record loop
-# with 1e-8 parity and zero per-record separator pickling).
-# bench-substrates gates the array-backend substrate: every available
-# backend fits the same batch, parity against the float64 golden fit is
-# asserted per backend, and the numpy-f32 fast path must be >= 1.3x
-# faster than the reference on the DHF fit loop.
-ci: bench-inpainting bench-warmstart bench-sharding bench-substrates gateway-smoke scoreboard-smoke
-	$(PYTHON) -m pytest -x -q
+# scripts/smoke.sh runs the tier-1 suite once (which collects the
+# conformance suite), the docs check once, and every bench --smoke
+# variant, gateway-smoke's command included; ci adds only the
+# full-scale gates on top.  bench-warmstart gates the prior-zoo
+# warm-start targets (>= 1.5x fewer iterations at equal quality),
+# bench-sharding the process fan-out path (>= 2x vs the per-record loop
+# with 1e-8 parity and zero per-record separator pickling), and
+# bench-substrates the array-backend substrate (per-backend parity
+# against the float64 fit, numpy-f32 >= 1.3x faster on the DHF fit
+# loop).  scoreboard-smoke regenerates the robustness artefact over the
+# full separator line-up.
+ci: bench-warmstart bench-sharding bench-substrates scoreboard-smoke
 	bash scripts/smoke.sh
-	$(PYTHON) scripts/check_docs.py

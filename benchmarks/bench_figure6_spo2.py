@@ -20,12 +20,12 @@ Two cohorts are measured:
   dominates and batching the hot path is a wash on a single core);
 * **DHF** over a two-ewe cohort with ``dtype="float64"`` fits — each
   subject's 740/850 wavelength pair shares its alignment geometry, so
-  every round's two deep-prior fits stack into one batched
-  :class:`repro.nn.BatchedSpAcLUNet` pass.  This is the cohort hot path:
-  the run asserts the batched cohort beats the per-call loop (>= 2x at
-  the default scale, >= 1.2x under ``--smoke`` where fits are smaller)
-  and that outputs match within ``1e-8`` (the documented float64
-  tolerance of the batched engine).
+  every round's two deep-prior fits run as one :func:`repro.nn.fit_batched`
+  pass over a record-stacked :class:`repro.nn.SpAcLUNet` (the per-call
+  loop fits each channel as a stack of one).  Both paths run the same
+  fit engine, so the speedup is reported, not asserted; the run asserts
+  that outputs match within ``1e-8`` (the documented float64 tolerance
+  of the engine).
 
 A shape check rides along, as before: DHF's SpO2 estimates must
 correlate better with the blood-draw SaO2 than spectral masking's
@@ -144,8 +144,7 @@ def main(argv=None) -> int:
                         help="DHF-cohort recording length in seconds "
                              "(default 120)")
     parser.add_argument("--smoke", action="store_true",
-                        help="small fast cohorts; the DHF speedup gate "
-                             "relaxes to >= 1.2x")
+                        help="small fast cohorts")
     args = parser.parse_args(argv)
     if args.subjects < 1:
         parser.error("--subjects must be >= 1")
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
         f"deep-prior budget)"
     )
     dhf_spec = DHFSpec.from_preset("smoke", dtype="float64")
-    speedup, fetal_err, fit_err = compare_paths(dhf_cohort, dhf_spec, "DHF")
+    _, fetal_err, fit_err = compare_paths(dhf_cohort, dhf_spec, "DHF")
     assert fetal_err <= OUTPUT_ATOL, (
         f"batched DHF cohort fetal estimates diverged from the "
         f"sequential loop: {fetal_err:.2e} > {OUTPUT_ATOL:.0e}"
@@ -195,11 +194,6 @@ def main(argv=None) -> int:
     assert fit_err <= OUTPUT_ATOL, (
         f"batched DHF cohort SpO2 fits diverged from the sequential "
         f"loop: {fit_err:.2e} > {OUTPUT_ATOL:.0e}"
-    )
-    target = 1.2 if args.smoke else 2.0
-    assert speedup >= target, (
-        f"batched DHF cohort only {speedup:.2f}x faster than the "
-        f"per-call loop (target >= {target}x)"
     )
     print("bench_figure6_spo2: OK")
     return 0

@@ -7,7 +7,7 @@ regressions are visible independently of the end-to-end experiment
 benches.
 
 Run as a script, the module instead compares the pluggable array
-backends (:mod:`repro.backend`) on the DHF hot path — the batched
+backends (:mod:`repro.backend`) on the DHF hot path — the stacked
 deep-prior in-painting fit::
 
     PYTHONPATH=src python benchmarks/bench_substrates.py [--smoke]

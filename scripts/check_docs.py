@@ -48,7 +48,7 @@ PUBLIC_PACKAGES = [
 REQUIRED_DOC_NAMES = [
     ("repro.core", "inpaint_spectrograms"),
     ("repro.core", "EarlyStopConfig"),
-    ("repro.nn", "BatchedSpAcLUNet"),
+    ("repro.nn", "stack_networks"),
     ("repro.nn", "fit_batched"),
     ("repro.core", "DHFSeparator"),
     ("repro.tfo", "run_in_vivo_batch"),

@@ -1,13 +1,13 @@
 """The :class:`ArrayBackend` protocol — the array-ops seam of the hot paths.
 
 Every heavy contraction in the deep-prior fitting engine
-(:mod:`repro.nn.functional`, :mod:`repro.nn.batchfit`), the fused Adam
-update (:mod:`repro.nn.optim`) and the batch STFT transforms
+(:mod:`repro.nn.functional`), the fused Adam update
+(:mod:`repro.nn.optim`) and the batch STFT transforms
 (:mod:`repro.dsp.stft`) routes through the methods declared here instead
 of calling numpy directly.  A backend bundles
 
 * the **ops**: ``einsum``, ``matmul`` (with ``out=``), ``rfft``/``irfft``,
-  ``scatter_add``/``index_add``, the fused ``adam_step_`` and the
+  ``index_add``, the fused ``adam_step_`` and the
   ``to_device``/``from_device`` transport pair;
 * the **dtype policy**: :meth:`resolve_dtype` maps a requested compute
   dtype to the dtype the backend actually runs at, :meth:`prepare`
@@ -110,12 +110,8 @@ class ArrayBackend:
         return np.fft.irfft(x, n=n, axis=axis)
 
     # ------------------------------------------------------------------ #
-    # Gather / scatter
+    # Scatter
     # ------------------------------------------------------------------ #
-    def scatter_add(self, target: np.ndarray, indices, source) -> None:
-        """Unbuffered ``target[indices] += source`` (duplicate-safe)."""
-        np.add.at(target, indices, source)
-
     def index_add(self, target: np.ndarray, indices, source,
                   unique: bool = False) -> None:
         """Scatter-add with a duplicate-free fast path.
@@ -140,7 +136,7 @@ class ArrayBackend:
 
         The elementwise operation order is load-bearing: it reproduces
         the historical in-place formulation bit for bit, which the
-        batched-vs-sequential fit equivalence (and every golden fixture
+        stacked-vs-one-record fit equivalence (and every golden fixture
         downstream of a deep-prior fit) is anchored on.  Backends that
         cannot guarantee this exact order must not override it.
         """

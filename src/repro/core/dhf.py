@@ -6,7 +6,7 @@ Each round extracts one source from the current residual:
 2. an STFT whose window spans an integer number of target periods puts the
    target harmonics exactly on frequency bins;
 3. :mod:`repro.core.masking` conceals the other sources' harmonic ridges;
-4. :func:`repro.core.inpainting.inpaint_spectrogram` fits the SpAc LU-Net
+4. :func:`repro.core.inpainting.inpaint_spectrograms` fits the SpAc LU-Net
    deep prior to the visible cells (Eq. 9) and fills the concealed ones;
 5. the separated magnitude (target ridge only; in-painted where concealed)
    joins cyclically-interpolated phase, is inverted, re-warped, and
@@ -14,6 +14,11 @@ Each round extracts one source from the current residual:
 
 Sources are processed in decreasing ridge-energy order (respiration →
 maternal → fetal in the TFO application).
+
+A single record is a batch of one: :meth:`DHFSeparator.separate_detailed`
+runs :meth:`DHFSeparator.separate_batch_detailed` on it, so every fit —
+single or stacked — goes through the same engine with the same
+early-stop, warm-start and geometry semantics.
 
 Batch processing: a :class:`DHFSeparator` is a plain picklable object,
 so record sets route through :class:`repro.pipeline.SeparationPipeline`
@@ -38,9 +43,10 @@ from repro.core.inpainting import (
     InpaintingConfig,
     InpaintingResult,
     auto_time_dilation,
-    inpaint_spectrogram,
     inpaint_spectrograms,
 )
+# Not called here; perfbench/layers.py wraps this name in traced runs.
+from repro.core.inpainting import inpaint_spectrogram  # noqa: F401
 from repro.nn.batchfit import EarlyStopConfig
 from repro.nn.zoo import FitCache, PriorGeometry, shared_fit_cache
 from repro.core.masking import (
@@ -77,15 +83,10 @@ class DHFConfig:
     phase_policy: str = "auto"
     inpainting: InpaintingConfig = field(default_factory=InpaintingConfig)
     seed: int = 20240623  # DAC'24 opening day
-    #: Route multi-record ``separate_batch`` calls through the batched
-    #: deep-prior engine (:func:`repro.core.inpainting.inpaint_spectrograms`),
-    #: grouping same-geometry rounds into one stacked fit.  Single-record
-    #: batches always take the sequential path, which keeps them bitwise
-    #: identical to ``separate``.
-    batch_fit: bool = True
-    #: Early-stopping patience for batched fits; ``0`` disables early
-    #: stopping (every record runs the full iteration budget, keeping
-    #: batched results equivalent to sequential fits).
+    #: Early-stopping patience of every deep-prior fit (``separate``,
+    #: ``separate_batch``, and the streaming and monitor paths built on
+    #: them); ``0`` disables early stopping, so every fit runs the full
+    #: iteration budget.
     early_stop_patience: int = 0
     #: Relative loss improvement that resets the patience counter.
     early_stop_rel_tol: float = 1e-3
@@ -132,10 +133,6 @@ class DHFConfig:
                 f"phase_policy must be 'auto', 'cyclic' or 'observed', got "
                 f"{self.phase_policy!r}"
             )
-        if not isinstance(self.batch_fit, bool):
-            raise ConfigurationError(
-                f"batch_fit must be a bool, got {self.batch_fit!r}"
-            )
         if not isinstance(self.early_stop_patience, int) \
                 or self.early_stop_patience < 0:
             raise ConfigurationError(
@@ -163,7 +160,7 @@ class DHFConfig:
         return 1.0 / self.periods_per_window
 
     def early_stop(self) -> Optional[EarlyStopConfig]:
-        """The batched-fit early-stop criterion, or ``None`` (disabled)."""
+        """The deep-prior fits' early-stop criterion, or ``None`` (disabled)."""
         if not self.early_stop_patience:
             return None
         return EarlyStopConfig(
@@ -270,25 +267,15 @@ class DHFSeparator(Separator):
 
         ``reference_sources`` (ground truth, when available) enables the
         masked-energy-ratio diagnostic of Fig. 5a; it never influences the
-        separation itself.
+        separation itself.  This is the one-record case of
+        :meth:`separate_batch_detailed`.
         """
-        mixed = self._validate(mixed, sampling_hz, f0_tracks)
-        order = self._extraction_order(mixed, sampling_hz, f0_tracks)
-        rngs = spawn_generators(self.config.seed, len(order))
-
-        residual = mixed.copy()
-        estimates: Dict[str, np.ndarray] = {}
-        rounds: List[DHFRound] = []
-        for round_index, (target, rng) in enumerate(zip(order, rngs)):
-            round_result = self._separate_round(
-                residual, sampling_hz, f0_tracks, target, rng,
-                reference_sources, round_index=round_index,
-            )
-            estimates[target] = round_result.estimate
-            rounds.append(round_result)
-            residual = residual - round_result.estimate
-        ordered = {name: estimates[name] for name in f0_tracks}
-        return DHFResult(estimates=ordered, rounds=rounds, residual=residual)
+        return self.separate_batch_detailed(
+            [mixed], sampling_hz, [f0_tracks],
+            reference_sources_batch=(
+                None if reference_sources is None else [reference_sources]
+            ),
+        )[0]
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -387,23 +374,6 @@ class DHFSeparator(Separator):
             ),
         )
 
-    def _fit_round(self, prep: "_RoundPrep") -> Optional[InpaintingResult]:
-        """Stage 4, sequential: fit the deep prior to the visible cells.
-
-        When the round conceals nothing (no interfering ridge crosses the
-        target's spectrogram) there is nothing to in-paint and the fit is
-        skipped entirely — the observed magnitude passes through.
-        """
-        if prep.masks.visibility.all():
-            return None
-        return inpaint_spectrogram(
-            prep.spec.magnitude, prep.masks.visibility, prep.inpaint_cfg,
-            rng=prep.rng,
-            cache=self.config.fit_cache(),
-            geometry=prep.geometry,
-            backend=self.config.backend,
-        )
-
     def _finish_round(
         self,
         prep: "_RoundPrep",
@@ -480,25 +450,6 @@ class DHFSeparator(Separator):
             masked_energy_ratio=mer,
         )
 
-    def _separate_round(
-        self,
-        residual: np.ndarray,
-        sampling_hz: float,
-        f0_tracks: Mapping[str, np.ndarray],
-        target: str,
-        rng,
-        reference_sources: Optional[Mapping[str, np.ndarray]] = None,
-        round_index: int = 0,
-    ) -> DHFRound:
-        prep = self._prepare_round(
-            residual, sampling_hz, f0_tracks, target, rng
-        )
-        fit = self._fit_round(prep)
-        return self._finish_round(
-            prep, fit, sampling_hz, f0_tracks, reference_sources,
-            round_index=round_index,
-        )
-
     # ------------------------------------------------------------------ #
     # Batched separation: sibling rounds share one stacked deep-prior fit
     # ------------------------------------------------------------------ #
@@ -513,22 +464,10 @@ class DHFSeparator(Separator):
         Round ``k`` of every record is independent of the other records,
         so the per-round fits of records sharing one spectrogram
         geometry and fit configuration are stacked into a single
-        :func:`repro.core.inpainting.inpaint_spectrograms` pass — the
-        hot-path win the batched engine exists for.  Records whose
-        geometry differs (or a batch of one) fall back to the sequential
-        fit, which keeps single-record batches bitwise identical to
-        :meth:`separate`.  Set ``config.batch_fit=False`` to force the
-        sequential path throughout.
+        :func:`repro.core.inpainting.inpaint_spectrograms` pass; a record
+        whose geometry matches no other fits as a stack of one, exactly
+        as :meth:`separate` does.
         """
-        if len(mixed_batch) != len(f0_tracks_batch):
-            raise ConfigurationError(
-                f"{len(mixed_batch)} mixed records but "
-                f"{len(f0_tracks_batch)} f0-track mappings"
-            )
-        if len(mixed_batch) < 2 or not self.config.batch_fit:
-            return super().separate_batch(
-                mixed_batch, sampling_hz, f0_tracks_batch
-            )
         results = self.separate_batch_detailed(
             mixed_batch, sampling_hz, f0_tracks_batch
         )
@@ -545,11 +484,11 @@ class DHFSeparator(Separator):
 
         Rounds advance in lockstep across records: each record's round
         ``k`` is prepared (alignment, STFT, masks), the prepared fits are
-        grouped by ``(spectrogram shape, fit config)``, and every group
-        of two or more runs as one stacked batched fit (with the
-        config's early-stop criterion, when enabled).  Seeding matches
-        the sequential path record-for-record, so a batched result is a
-        drop-in replacement for its sequential counterpart.
+        grouped by ``(spectrogram shape, fit config)``, and every group —
+        singletons included — runs as one stacked fit carrying the
+        config's early stop, fit cache and geometry.  Seeding is
+        per record, so a record's result does not depend on the batch it
+        rode in beyond floating-point summation order.
         """
         if len(mixed_batch) != len(f0_tracks_batch):
             raise ConfigurationError(
@@ -587,22 +526,19 @@ class DHFSeparator(Separator):
                 for state in active
             ]
 
-            # Group fit-needing rounds by geometry + configuration.
-            # With batch_fit disabled every round stays a singleton, so
-            # the whole run is bitwise identical to the sequential path.
+            # Group fit-needing rounds by geometry + configuration.  When a
+            # round conceals nothing (no interfering ridge crosses the
+            # target's spectrogram) there is nothing to in-paint: the fit
+            # is skipped and the observed magnitude passes through.
             groups: Dict[tuple, List[int]] = {}
             for i, prep in enumerate(preps):
                 if prep.masks.visibility.all():
-                    continue  # nothing concealed: no fit this round
-                key = (prep.spec.magnitude.shape, prep.inpaint_cfg) \
-                    if self.config.batch_fit else ("sequential", i)
+                    continue
+                key = (prep.spec.magnitude.shape, prep.inpaint_cfg)
                 groups.setdefault(key, []).append(i)
 
             fits: List[Optional[InpaintingResult]] = [None] * len(preps)
             for indices in groups.values():
-                if len(indices) == 1:
-                    fits[indices[0]] = self._fit_round(preps[indices[0]])
-                    continue
                 batched = inpaint_spectrograms(
                     [preps[i].spec.magnitude for i in indices],
                     [preps[i].masks.visibility for i in indices],

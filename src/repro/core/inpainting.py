@@ -6,21 +6,25 @@ harmonic/periodic bias fills the concealed interference regions with
 target-consistent values, exactly as Deep Image Prior fills masked image
 regions.  No training data is involved — the optimisation *is* the
 inference.
+
+Every fit runs on one engine, :func:`repro.nn.batchfit.fit_batched` over a
+record-stacked network: :func:`inpaint_spectrograms` stacks K same-geometry
+fits, and :func:`inpaint_spectrogram` is its one-record case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend import use_backend
 from repro.errors import ConfigurationError, DataError, ShapeError
-from repro.nn.batchfit import BatchedSpAcLUNet, EarlyStopConfig, fit_batched
-from repro.nn.loss import masked_mse_loss
-from repro.nn.optim import Adam
-from repro.nn.unet import SpAcLUNet, UNetConfig
+from repro.nn.batchfit import EarlyStopConfig, fit_batched
+# Not called here; perfbench/layers.py wraps this name in traced runs.
+from repro.nn.loss import masked_mse_loss  # noqa: F401
+from repro.nn.unet import SpAcLUNet, UNetConfig, stack_networks
 from repro.nn.zoo import FitCache, PriorGeometry, checkpoint_from_fit
 from repro.utils.seeding import as_generator, spawn_generators
 from repro.utils.validation import as_2d_float_array
@@ -110,9 +114,9 @@ class InpaintingResult:
     concealed_errors: Optional[np.ndarray]
     network: SpAcLUNet
     scale: float
-    #: Best-loss iteration a batched fit rolled back to when per-record
-    #: early stopping triggered; ``None`` when the fit ran its full
-    #: iteration budget (always the case for the sequential path).
+    #: Best-loss iteration the fit rolled back to when early stopping
+    #: triggered; ``None`` when the fit ran its full iteration budget
+    #: (always the case without an early-stop criterion).
     stop_iteration: Optional[int] = None
 
 
@@ -219,11 +223,15 @@ def inpaint_spectrogram(
     config: InpaintingConfig,
     rng=None,
     reference: Optional[np.ndarray] = None,
+    early_stop: Optional[EarlyStopConfig] = None,
     cache: Optional[FitCache] = None,
     geometry: Optional[PriorGeometry] = None,
     backend=None,
 ) -> InpaintingResult:
     """Fit a deep prior to the visible cells and in-paint the rest.
+
+    The one-record case of :func:`inpaint_spectrograms`: the same engine,
+    seeding, early stopping and cache semantics on a stack of one.
 
     Parameters
     ----------
@@ -238,6 +246,9 @@ def inpaint_spectrogram(
     reference:
         Optional ground-truth magnitude for tracking concealed-region error
         per iteration (Fig. 3 experiment).
+    early_stop:
+        Optional :class:`repro.nn.batchfit.EarlyStopConfig`; the fit then
+        rolls back to its best-loss iteration once it stops improving.
     cache:
         Optional :class:`repro.nn.zoo.FitCache`.  The network and input
         code are seeded exactly as without a cache; a cache hit then
@@ -251,76 +262,14 @@ def inpaint_spectrogram(
         A :mod:`repro.backend` name/instance the fit runs on, or
         ``None`` for the ambient backend.  The backend's dtype policy
         resolves the fit's compute dtype (``numpy-f32`` runs a
-        float64-configured fit in single precision); the ``numpy``
-        reference leaves the fit bitwise identical to the pre-backend
-        code.
+        float64-configured fit in single precision).
     """
-    magnitude, visibility_arr = _validated_pair(magnitude, visibility)
-    rng_init, rng_code = spawn_generators(as_generator(rng), 2)
-    if reference is not None:
-        reference = _validated_reference(reference, magnitude)
-
-    with use_backend(backend) as be:
-        dtype = be.resolve_dtype(config.dtype)
-        n_freq, n_frames = magnitude.shape
-        normalized, scale = _normalize(magnitude, config, dtype)
-
-        from dataclasses import replace
-        dilation = _clamp_dilation(config.time_dilation, n_frames)
-        net_cfg = replace(config, time_dilation=dilation).network_config()
-        network = SpAcLUNet(net_cfg, rng=rng_init, dtype=dtype)
-        code = network.make_input_code(
-            n_freq, n_frames, rng=rng_code, scale=config.input_scale,
-            dtype=dtype,
-        )
-
-        if cache is not None:
-            if geometry is None:
-                geometry = PriorGeometry(n_freq=n_freq, n_frames=n_frames)
-            cached = cache.lookup(geometry, config)
-            if cached is not None:
-                network.load_state_dict(cached.state_copy())
-
-        target = normalized[None, None]
-        mask = visibility_arr.astype(dtype)[None, None]
-        optimizer = Adam(network.parameters(), lr=config.learning_rate)
-
-        losses = np.empty(config.iterations)
-        concealed_errors = (
-            np.empty(config.iterations) if reference is not None else None
-        )
-        if reference is not None:
-            ref_norm = (reference ** config.compression) / scale
-            concealed = ~visibility_arr
-
-        output_data = normalized
-        for it in range(config.iterations):
-            optimizer.zero_grad()
-            prediction = network(code)
-            loss = masked_mse_loss(prediction, target, mask)
-            loss.backward()
-            optimizer.step()
-            losses[it] = float(loss.data)
-            output_data = prediction.data[0, 0]
-            if concealed_errors is not None:
-                if concealed.any():
-                    diff = output_data[concealed] - ref_norm[concealed]
-                    concealed_errors[it] = float(np.mean(diff ** 2))
-                else:
-                    concealed_errors[it] = 0.0
-
-    if cache is not None:
-        cache.store(checkpoint_from_fit(
-            geometry, config, network.state_dict(), losses
-        ))
-
-    return InpaintingResult(
-        output=_restore(output_data, scale, config),
-        losses=losses,
-        concealed_errors=concealed_errors,
-        network=network,
-        scale=scale,
-    )
+    return inpaint_spectrograms(
+        [magnitude], [visibility], config, rngs=[rng],
+        references=None if reference is None else [reference],
+        early_stop=early_stop, cache=cache, geometry=geometry,
+        backend=backend,
+    )[0]
 
 
 def inpaint_spectrograms(
@@ -334,20 +283,19 @@ def inpaint_spectrograms(
     geometry: Optional[PriorGeometry] = None,
     backend=None,
 ) -> List[InpaintingResult]:
-    """Fit K deep priors in one batched pass (the hot-path batch API).
+    """Fit K deep priors in one stacked pass (the engine's entry point).
 
     Every record keeps its own network, weights and optimiser trajectory;
-    the records merely share one autograd graph per iteration via
-    :class:`repro.nn.batchfit.BatchedSpAcLUNet`, which is what makes the
-    batch faster than K sequential :func:`inpaint_spectrogram` calls.
-    With ``early_stop=None`` (the default) every record runs the full
+    the records merely share one autograd graph per iteration through a
+    network stacked by :func:`repro.nn.unet.stack_networks`.  With
+    ``early_stop=None`` (the default) every record runs the full
     iteration budget and each :class:`InpaintingResult` matches the
-    sequential fit for the same ``rngs[k]`` up to floating-point
+    one-record fit for the same ``rngs[k]`` up to floating-point
     summation order (see the "Deep-prior fitting engine" section of
     ``docs/architecture.md`` for the documented tolerance); with an
     :class:`repro.nn.batchfit.EarlyStopConfig`, converged records roll
     back to their best-loss iteration (``stop_iteration``) and drop out
-    of the running batch.
+    of the running stack.
 
     Parameters
     ----------
@@ -462,9 +410,8 @@ def inpaint_spectrograms(
         mask = np.stack(
             [vis for _, vis in pairs]
         ).astype(dtype)[:, None]
-        batched = BatchedSpAcLUNet.from_networks(networks)
         fit = fit_batched(
-            batched,
+            stack_networks(networks),
             code=np.concatenate(codes, axis=0),
             target=normalized,
             mask=mask,

@@ -26,16 +26,14 @@ from repro.nn.layers import (
 )
 from repro.nn.loss import l1_loss, masked_mse_loss, mse_loss
 from repro.nn.optim import SGD, Adam, CosineAnnealingLR, Optimizer, RMSprop, StepLR
-from repro.nn.unet import PRIOR_KINDS, SpAcLUNet, UNetConfig, build_prior_network
-from repro.nn.batchfit import (
-    BatchedSpAcLUNet,
-    BatchFitResult,
-    EarlyStopConfig,
-    batched_conv2d,
-    batched_harmonic_conv2d,
-    batched_instance_norm,
-    fit_batched,
+from repro.nn.unet import (
+    PRIOR_KINDS,
+    SpAcLUNet,
+    UNetConfig,
+    build_prior_network,
+    stack_networks,
 )
+from repro.nn.batchfit import BatchFitResult, EarlyStopConfig, fit_batched
 from repro.nn.serialization import (
     load_arrays,
     load_state,
@@ -65,9 +63,7 @@ __all__ = [
     "l1_loss", "masked_mse_loss", "mse_loss",
     "SGD", "Adam", "CosineAnnealingLR", "Optimizer", "RMSprop", "StepLR",
     "PRIOR_KINDS", "SpAcLUNet", "UNetConfig", "build_prior_network",
-    "BatchedSpAcLUNet", "BatchFitResult", "EarlyStopConfig",
-    "batched_conv2d", "batched_harmonic_conv2d", "batched_instance_norm",
-    "fit_batched",
+    "stack_networks", "BatchFitResult", "EarlyStopConfig", "fit_batched",
     "load_arrays", "load_state", "normalize_state_path", "save_arrays",
     "save_state",
     "FitCache", "FitMetadata", "PriorCheckpoint", "PriorGeometry",

@@ -9,6 +9,12 @@ Standard 2-D convolution (used by the "conventional CNN" variant of Fig. 3),
 pooling and nearest-neighbour upsampling are also provided.  All operators
 register hand-written backward closures on the autograd graph — cheaper and
 far more memory-friendly than composing them from primitive ops.
+
+Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
+K2)`` holds one kernel per record and contracts only against record ``r``
+of an ``(R, C_in, ...)`` input, which is how one stacked deep-prior fit
+advances R independent networks at once (:mod:`repro.nn.batchfit`).  A
+plain 4-D kernel is a stack of one record.
 """
 
 from __future__ import annotations
@@ -35,16 +41,13 @@ def _pair(value) -> Tuple[int, int]:
 # Cached kernel-tap plans
 #
 # Like repro.dsp.plan.StftPlan caches a geometry's window and frame grid,
-# these memoise the per-(shape, kernel, stride, dilation) slicing plans
-# the convolutions walk on every call.  Deep-prior fits re-run the same
+# these memoise the per-(shape, kernel) slicing and gather plans the
+# convolutions walk on every call.  Deep-prior fits re-run the same
 # few layer shapes hundreds of times per record, so the plan for a given
 # geometry is computed exactly once per process.
 # --------------------------------------------------------------------- #
 @lru_cache(maxsize=512)
-def conv_tap_plan(
-    h_pad: int, w_pad: int, kh: int, kw: int,
-    sh: int, sw: int, dh: int, dw: int,
-) -> tuple:
+def conv_tap_plan(h_pad: int, w_pad: int, kh: int, kw: int) -> tuple:
     """Output extents and per-tap input slices of a 2-D convolution.
 
     Returns ``(oh, ow, taps)`` where ``taps`` is a tuple of
@@ -52,16 +55,10 @@ def conv_tap_plan(
     input already padded to ``(h_pad, w_pad)``.  ``oh``/``ow`` may be
     non-positive for kernels larger than the input; callers raise.
     """
-    oh = (h_pad - (kh - 1) * dh - 1) // sh + 1
-    ow = (w_pad - (kw - 1) * dw - 1) // sw + 1
+    oh = h_pad - kh + 1
+    ow = w_pad - kw + 1
     taps = tuple(
-        (
-            (di, dj),
-            (
-                slice(di * dh, di * dh + (oh - 1) * sh + 1, sh),
-                slice(dj * dw, dj * dw + (ow - 1) * sw + 1, sw),
-            ),
-        )
+        ((di, dj), (slice(di, di + oh), slice(dj, dj + ow)))
         for di in range(kh) for dj in range(kw)
     )
     return oh, ow, taps
@@ -126,101 +123,106 @@ def harmonic_scatter_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
     return tuple(plan)
 
 
-@lru_cache(maxsize=512)
-def harmonic_tap_plan(n_time: int, kt: int, time_dilation: int) -> tuple:
-    """Per-time-tap slices of a dilated harmonic convolution.
+# --------------------------------------------------------------------- #
+# Per-record convolutions
+# --------------------------------------------------------------------- #
+def _per_record(x: Tensor, weight: Tensor, bias: Optional[Tensor], op: str):
+    """Check a convolution's operands and give its kernels a record axis.
 
-    One ``slice`` per time tap ``dt``, selecting the ``n_time``-frame
-    window starting at ``dt * time_dilation`` of the padded time axis.
+    Returns the kernels as ``(R, C_out, C_in, K1, K2)`` and the bias (or
+    ``None``) as ``(R, C_out)``.  A 4-D ``weight`` is a stack of one
+    record; either way record ``r`` of ``x`` is the one sample record
+    ``r``'s kernels see.
     """
-    return tuple(
-        slice(dt * time_dilation, dt * time_dilation + n_time)
-        for dt in range(kt)
-    )
+    if x.ndim != 4:
+        raise ShapeError(f"{op} input must be 4-D, got {x.shape}")
+    if weight.ndim not in (4, 5):
+        raise ShapeError(
+            f"{op} weight must be 4-D (O, C, K1, K2) or 5-D "
+            f"(R, O, C, K1, K2), got {weight.shape}"
+        )
+    w = weight.data if weight.ndim == 5 else weight.data[None]
+    if x.shape[0] != w.shape[0]:
+        raise ShapeError(
+            f"{op} input has {x.shape[0]} records but the weight holds "
+            f"{w.shape[0]}"
+        )
+    if x.shape[1] != w.shape[2]:
+        raise ShapeError(
+            f"input has {x.shape[1]} channels but weight expects {w.shape[2]}"
+        )
+    b = None if bias is None else bias.data.reshape(w.shape[:2])
+    return w, b
 
 
-# --------------------------------------------------------------------- #
-# Standard 2-D convolution
-# --------------------------------------------------------------------- #
 def conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride=1,
     padding=0,
-    dilation=1,
 ) -> Tensor:
-    """2-D cross-correlation, NCHW layout.
+    """Per-record 2-D cross-correlation (stride 1), NCHW layout.
 
     Parameters
     ----------
     x:
-        Input tensor of shape ``(N, C_in, H, W)``.
+        Input of shape ``(R, C_in, H, W)`` — one sample per record.
     weight:
-        Kernel of shape ``(C_out, C_in, KH, KW)``.
+        Per-record kernels ``(R, C_out, C_in, KH, KW)``, or one kernel
+        ``(C_out, C_in, KH, KW)`` (a stack of one record).
     bias:
-        Optional per-output-channel bias of shape ``(C_out,)``.
-    stride, padding, dilation:
-        Ints or pairs, applied to the two spatial axes.
+        Optional bias ``(R, C_out)`` (``(C_out,)`` for one kernel).
+    padding:
+        Int or pair, symmetric zero-padding of the two spatial axes.
+
+    Record ``r`` of the output depends only on record ``r`` of the input
+    and kernels: ``R`` independent convolutions fused into one graph node.
     """
     x = astensor(x)
     weight = astensor(weight)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d input must be 4-D (NCHW), got {x.shape}")
-    if weight.ndim != 4:
-        raise ShapeError(f"conv2d weight must be 4-D, got {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but weight expects {weight.shape[1]}"
-        )
-    sh, sw = _pair(stride)
+    w, b = _per_record(x, weight, bias, "conv2d")
     ph, pw = _pair(padding)
-    dh, dw = _pair(dilation)
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
+    n_rec, _, h, width = x.shape
+    c_out, kh, kw = w.shape[1], w.shape[3], w.shape[4]
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh, ow, taps = conv_tap_plan(xp.shape[2], xp.shape[3], kh, kw,
-                                 sh, sw, dh, dw)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
+        if (ph or pw) else x.data
+    oh, ow, taps = conv_tap_plan(xp.shape[2], xp.shape[3], kh, kw)
     if oh <= 0 or ow <= 0:
         raise ShapeError(
             f"conv2d output would be empty: input {x.shape}, kernel "
-            f"{weight.shape}, stride {(sh, sw)}, padding {(ph, pw)}"
+            f"{weight.shape}, padding {(ph, pw)}"
         )
 
     backend = active_backend()
-    out_data = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
-    # Loop over kernel taps; each tap is one big GEMM.  kh*kw is small
-    # (<= 25) so this beats materialising a full im2col buffer.
+    out_data = np.zeros((n_rec, c_out, oh, ow), dtype=x.dtype)
+    # Loop over kernel taps; each tap is one batched GEMM.  kh*kw is
+    # small (<= 9 here) so this beats materialising an im2col buffer.
     for (di, dj), (sl_h, sl_w) in taps:
-        patch = xp[:, :, sl_h, sl_w]
         out_data += backend.einsum(
-            "oc,nchw->nohw", weight.data[:, :, di, dj], patch
+            "roc,rchw->rohw", w[:, :, :, di, dj], xp[:, :, sl_h, sl_w]
         )
-    if bias is not None:
-        out_data += bias.data.reshape(1, c_out, 1, 1)
+    if b is not None:
+        out_data += b.reshape(n_rec, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make(out_data, parents, "conv2d")
 
-    x_data_padded = xp
-    w_data = weight.data
-
     def backward(grad):
-        grad_xp = np.zeros_like(x_data_padded)
-        grad_w = np.zeros_like(w_data)
+        grad_xp = np.zeros(xp.shape, dtype=x.dtype)
+        grad_w = np.zeros_like(w)
         for (di, dj), (sl_h, sl_w) in taps:
-            patch = x_data_padded[:, :, sl_h, sl_w]
-            grad_w[:, :, di, dj] = backend.einsum(
-                "nohw,nchw->oc", grad, patch
+            grad_w[:, :, :, di, dj] = backend.einsum(
+                "rohw,rchw->roc", grad, xp[:, :, sl_h, sl_w]
             )
             grad_xp[:, :, sl_h, sl_w] += backend.einsum(
-                "oc,nohw->nchw", w_data[:, :, di, dj], grad
+                "roc,rohw->rchw", w[:, :, :, di, dj], grad
             )
-        grad_x = grad_xp[:, :, ph: ph + h, pw: pw + w]
-        grads = [grad_x, grad_w]
+        grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width] if (ph or pw) \
+            else grad_xp
+        grads = [grad_x, grad_w.reshape(weight.shape)]
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)))
+            grads.append(grad.sum(axis=(2, 3)).reshape(bias.shape))
         return tuple(grads)
 
     Tensor._attach(out, parents, backward, "conv2d")
@@ -266,7 +268,7 @@ def harmonic_conv2d(
     anchor: int = 1,
     time_dilation: int = 1,
 ) -> Tensor:
-    """Dilated harmonic convolution over a (frequency, time) map.
+    """Per-record dilated harmonic convolution over (frequency, time) maps.
 
     Implements Eq. 8 of the paper::
 
@@ -276,12 +278,13 @@ def harmonic_conv2d(
     Parameters
     ----------
     x:
-        Input of shape ``(N, C_in, F, T)``.
+        Input of shape ``(R, C_in, F, T)`` — one sample per record.
     weight:
-        Kernel of shape ``(C_out, C_in, H, KT)`` — ``H`` harmonics tall,
-        ``KT`` (odd) time taps wide.
+        Per-record kernels ``(R, C_out, C_in, H, KT)``, or one kernel
+        ``(C_out, C_in, H, KT)`` (a stack of one record) — ``H``
+        harmonics tall, ``KT`` (odd) time taps wide.
     bias:
-        Optional ``(C_out,)`` bias.
+        Optional bias ``(R, C_out)`` (``(C_out,)`` for one kernel).
     anchor:
         Harmonic anchor ``n`` from Eq. 2.  ``anchor=1`` restricts access to
         forward integral multiples only (the paper's spectrally-accurate
@@ -289,79 +292,88 @@ def harmonic_conv2d(
     time_dilation:
         Spacing ``D_conv`` between time taps (Eq. 8).
 
-    Output has the same ``F`` and ``T`` as the input (time is zero-padded).
+    Output has the same ``F`` and ``T`` as the input (time is
+    zero-padded); record ``r`` depends only on record ``r`` of the input
+    and kernels.
     """
     x = astensor(x)
     weight = astensor(weight)
-    if x.ndim != 4:
-        raise ShapeError(f"harmonic_conv2d input must be 4-D, got {x.shape}")
-    if weight.ndim != 4:
-        raise ShapeError(f"harmonic_conv2d weight must be 4-D, got {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but weight expects {weight.shape[1]}"
-        )
+    w, b = _per_record(x, weight, bias, "harmonic_conv2d")
     if time_dilation < 1:
         raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
-    n, c_in, n_freq, n_time = x.shape
-    c_out, _, n_harm, kt = weight.shape
+    n_rec, c_in, n_freq, n_time = x.shape
+    c_out, n_harm, kt = w.shape[1], w.shape[3], w.shape[4]
     if kt % 2 == 0:
         raise ConfigurationError(f"time kernel size must be odd, got {kt}")
 
-    indices, valid = harmonic_index_map(n_freq, n_harm, anchor)
-    half = kt // 2
-    pad_t = half * time_dilation
-    taps = harmonic_tap_plan(n_time, kt, time_dilation)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad_t, pad_t)))
+    gather_plan = harmonic_gather_plan(n_freq, n_harm, anchor)
+    scatter_plan = harmonic_scatter_plan(n_freq, n_harm, anchor)
+    pad_t = (kt // 2) * time_dilation
+    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad_t, pad_t))) \
+        if pad_t else x.data
+    n_tp = xp.shape[-1]
 
-    # Gather per-harmonic frequency-remapped copies once: (H, N, C, F, Tp).
+    # One frequency gather per call: (R, C, H, F, Tp).  Each harmonic
+    # lane is a strided slice copy (or a fancy gather of its in-band
+    # prefix) with the out-of-band tail zero-filled.
+    gather_shape = (n_rec, c_in, n_harm, n_freq, n_tp)
+    gathered = np.empty(gather_shape, dtype=x.dtype)
+    for k, (n_valid, row_slice, rows) in enumerate(gather_plan):
+        lane = gathered[:, :, k]
+        lane[:, :, :n_valid] = xp[:, :, row_slice if rows is None else rows]
+        lane[:, :, n_valid:] = 0
+
+    # One batched GEMM contracts the whole (channel, harmonic) axis
+    # against the un-duplicated gather buffer:
+    #     tmp[r, (o, dt), (f, tp)] = sum_(c,h) w[r, o, c, h, dt] * g[r, (c,h), (f,tp)]
+    # and the KT tap outputs are then overlap-added at their dilated time
+    # offsets, so each input cell is touched once per layer.
     backend = active_backend()
-    gathered = xp[:, :, indices, :]          # (N, C, H, F, Tp)
-    gathered *= valid[None, None, :, :, None]
-
-    out_data = np.zeros((n, c_out, n_freq, n_time), dtype=x.dtype)
-    for k in range(n_harm):
-        for dt, sl_t in enumerate(taps):
-            patch = gathered[:, :, k, :, sl_t]
-            out_data += backend.einsum(
-                "oc,ncft->noft", weight.data[:, :, k, dt], patch
-            )
-    if bias is not None:
-        out_data += bias.data.reshape(1, c_out, 1, 1)
+    w_fold = np.ascontiguousarray(w.transpose(0, 1, 4, 2, 3)).reshape(
+        n_rec, c_out * kt, c_in * n_harm
+    )
+    g_flat = gathered.reshape(n_rec, c_in * n_harm, n_freq * n_tp)
+    tmp_taps = backend.matmul(w_fold, g_flat).reshape(
+        n_rec, c_out, kt, n_freq, n_tp
+    )
+    out_data = np.zeros((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
+    for dt in range(kt):
+        t0 = dt * time_dilation
+        out_data += tmp_taps[:, :, dt, :, t0: t0 + n_time]
+    if b is not None:
+        out_data += b.reshape(n_rec, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make(out_data, parents, "harmonic_conv2d")
 
-    w_data = weight.data
-    xp_shape = xp.shape
-    x_dtype = x.dtype
-
     def backward(grad):
-        grad_w = np.zeros_like(w_data)
-        grad_gathered = np.zeros(
-            (n, c_in, n_harm, n_freq, xp_shape[-1]), dtype=x_dtype
-        )
-        for k in range(n_harm):
-            for dt, sl_t in enumerate(taps):
-                patch = gathered[:, :, k, :, sl_t]
-                grad_w[:, :, k, dt] = backend.einsum(
-                    "noft,ncft->oc", grad, patch
-                )
-                grad_gathered[:, :, k, :, sl_t] += backend.einsum(
-                    "oc,noft->ncft", w_data[:, :, k, dt], grad
-                )
-        grad_gathered *= valid[None, None, :, :, None]
-        # Adjoint of the frequency gather: scatter-add back per harmonic.
-        grad_xp = np.zeros(xp_shape, dtype=x_dtype)
-        moved = np.moveaxis(grad_xp, 2, 0)   # (F, N, C, Tp) view
-        for k in range(n_harm):
-            backend.scatter_add(
-                moved, indices[k], np.moveaxis(grad_gathered[:, :, k], 2, 0)
-            )
+        # Adjoint of the overlap-add: each tap sees ``grad`` in its own
+        # dilated window and zero elsewhere.
+        grad_tmp = np.zeros((n_rec, c_out, kt, n_freq, n_tp), dtype=x.dtype)
+        for dt in range(kt):
+            t0 = dt * time_dilation
+            grad_tmp[:, :, dt, :, t0: t0 + n_time] = grad
+        gt_flat = grad_tmp.reshape(n_rec, c_out * kt, n_freq * n_tp)
+        # Weight gradient: contract the taps against the gather buffer.
+        grad_w = backend.matmul(gt_flat, g_flat.transpose(0, 2, 1)).reshape(
+            n_rec, c_out, kt, c_in, n_harm
+        ).transpose(0, 1, 3, 4, 2)
+        # Input gradient back through the gather: a scatter-add per
+        # harmonic along the cached plan.  Only in-band rows scatter, and
+        # duplicate-free targets (always the case for anchor = 1) take the
+        # plain fancy-index ``+=``.
+        grad_gathered = backend.matmul(
+            w_fold.transpose(0, 2, 1), gt_flat
+        ).reshape(gather_shape)
+        grad_xp = np.zeros(xp.shape, dtype=x.dtype)
+        moved = np.moveaxis(grad_xp, 2, 0)   # (F, R, C, Tp) view
+        for k, (rows, targets, is_unique) in enumerate(scatter_plan):
+            source = np.moveaxis(grad_gathered[:, :, k], 2, 0)[rows]
+            backend.index_add(moved, targets, source, unique=is_unique)
         grad_x = grad_xp[:, :, :, pad_t: pad_t + n_time] if pad_t else grad_xp
-        grads = [grad_x, grad_w]
+        grads = [grad_x, grad_w.reshape(weight.shape)]
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)))
+            grads.append(grad.sum(axis=(2, 3)).reshape(bias.shape))
         return tuple(grads)
 
     Tensor._attach(out, parents, backward, "harmonic_conv2d")

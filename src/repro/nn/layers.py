@@ -19,16 +19,19 @@ from repro.utils.seeding import as_generator
 
 
 class Conv2d(Module):
-    """Standard 2-D convolution layer (NCHW)."""
+    """Standard 2-D convolution layer (NCHW, stride 1).
+
+    Runs :func:`repro.nn.functional.conv2d`, so in a record-stacked
+    network (:func:`repro.nn.unet.stack_networks`) every record is
+    convolved with its own kernel.
+    """
 
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
         kernel_size,
-        stride=1,
         padding=0,
-        dilation=1,
         bias: bool = True,
         rng=None,
         dtype=np.float32,
@@ -39,9 +42,7 @@ class Conv2d(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = (kh, kw)
-        self.stride = F._pair(stride)
         self.padding = F._pair(padding)
-        self.dilation = F._pair(dilation)
         self.weight = Parameter(
             init.kaiming_uniform((out_channels, in_channels, kh, kw), rng, dtype=dtype)
         )
@@ -51,16 +52,12 @@ class Conv2d(Module):
             self.register_parameter("bias", None)
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(
-            x, self.weight, self.bias,
-            stride=self.stride, padding=self.padding, dilation=self.dilation,
-        )
+        return F.conv2d(x, self.weight, self.bias, padding=self.padding)
 
     def __repr__(self) -> str:
         return (
             f"Conv2d({self.in_channels}, {self.out_channels}, "
-            f"kernel_size={self.kernel_size}, stride={self.stride}, "
-            f"padding={self.padding}, dilation={self.dilation})"
+            f"kernel_size={self.kernel_size}, padding={self.padding})"
         )
 
 
@@ -71,6 +68,8 @@ class HarmonicConv2d(Module):
     ``kernel_time`` taps in time, spaced ``time_dilation`` frames apart.
     ``anchor=1`` gives the paper's spectrally-accurate variant; larger
     anchors reproduce the baseline harmonic convolution of Zhang et al.
+    Like :class:`Conv2d`, it convolves each record of a record-stacked
+    network with that record's own kernel.
     """
 
     def __init__(
@@ -125,8 +124,10 @@ class HarmonicConv2d(Module):
 class InstanceNorm2d(Module):
     """Per-sample, per-channel normalisation over the spatial axes.
 
-    Deep-prior fits run with batch size 1, so instance norm is the natural
-    normalisation (batch norm would be identical here anyway).
+    Deep-prior fits run one sample per record, so instance norm is the
+    natural normalisation (batch norm would be identical here anyway).  In
+    a record-stacked network the affine ``weight``/``bias`` are ``(R, C)``:
+    one scale and shift per record.
     """
 
     def __init__(self, num_channels: int, eps: float = 1e-5, affine: bool = True,
@@ -154,8 +155,9 @@ class InstanceNorm2d(Module):
         var = (centered * centered).mean(axis=(2, 3), keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         if self.weight is not None:
-            normed = normed * self.weight.reshape(1, -1, 1, 1) \
-                + self.bias.reshape(1, -1, 1, 1)
+            shape = (-1, self.num_channels, 1, 1)
+            normed = normed * self.weight.reshape(shape) \
+                + self.bias.reshape(shape)
         return normed
 
 

@@ -17,12 +17,13 @@ folding").
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, SerializationError, ShapeError
 from repro.nn import functional as F
 from repro.nn.layers import (
     Conv2d,
@@ -150,6 +151,13 @@ class SpAcLUNet(Module):
     Downsampling acts on the time axis only (frequency pooling is prohibited
     unless ``cfg.freq_pooling`` deliberately re-enables it for the Fig. 3
     baseline variant).
+
+    :func:`stack_networks` fuses R same-config networks into one whose
+    parameters carry a leading *record* axis.  The stack maps codes
+    ``(R, C_in, F, T)`` to estimates ``(R, 1, F, T)``, record ``r`` seeing
+    only its own weights, so one forward/backward pass advances R
+    independent fits.  An unstacked network is the one-record case of the
+    same kernels.
     """
 
     def __init__(self, cfg: UNetConfig, rng=None, dtype=np.float32):
@@ -189,9 +197,79 @@ class SpAcLUNet(Module):
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
         self.out_activation = Sigmoid()
 
+    # ------------------------------------------------------------------ #
+    # Record stacking
+    # ------------------------------------------------------------------ #
+    @property
+    def stacked(self) -> bool:
+        """True when the parameters carry a leading record axis."""
+        return self.head.weight.ndim == 5
+
+    @property
+    def n_records(self) -> int:
+        """Records fitted at once: the stack size, 1 when unstacked."""
+        return self.head.weight.shape[0] if self.stacked else 1
+
+    def _record_views(self, record: int) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(name, view)`` of every parameter's slice for ``record``."""
+        if not 0 <= record < self.n_records:
+            raise ShapeError(
+                f"record {record} out of range for a stack of "
+                f"{self.n_records}"
+            )
+        stacked = self.stacked
+        for name, param in self.named_parameters():
+            yield name, param.data[record] if stacked else param.data
+
+    def record_state(self, record: int) -> Dict[str, np.ndarray]:
+        """Record ``record``'s parameters as an unstacked state dict."""
+        return {name: view.copy() for name, view in self._record_views(record)}
+
+    def load_record_state(self, record: int,
+                          state: Mapping[str, np.ndarray]) -> None:
+        """Load one record's parameters from an unstacked state dict.
+
+        The inverse of :meth:`record_state` — how a warm start from the
+        prior zoo's :class:`repro.nn.zoo.FitCache` reaches one record of
+        a stacked fit.  Names and per-record shapes must match exactly.
+        """
+        own = dict(self._record_views(record))
+        missing = sorted(set(own) - set(state))
+        unexpected = sorted(set(state) - set(own))
+        if missing or unexpected:
+            raise SerializationError(
+                f"state dict mismatch for record {record}: "
+                f"missing={missing}, unexpected={unexpected}"
+            )
+        for name, view in own.items():
+            value = np.asarray(state[name])
+            if value.shape != view.shape:
+                raise ShapeError(
+                    f"parameter {name!r}: state shape {value.shape} does "
+                    f"not match record shape {view.shape}"
+                )
+            view[...] = value
+
+    def compact(self, keep) -> None:
+        """Keep only the records ``keep`` (in order), dropping the rest."""
+        keep = np.asarray(keep, dtype=np.intp)
+        stacked = self.stacked
+        for param in self.parameters():
+            data = param.data if stacked else param.data[None]
+            param.data = np.ascontiguousarray(data[keep])
+            param.grad = None
+
+    # ------------------------------------------------------------------ #
+    # Forward
+    # ------------------------------------------------------------------ #
     def forward(self, z: Tensor) -> Tensor:
         if z.ndim != 4:
             raise ShapeError(f"SpAcLUNet expects 4-D input, got {z.shape}")
+        if z.shape[0] != self.n_records:
+            raise ShapeError(
+                f"input has {z.shape[0]} records but the network holds "
+                f"{self.n_records}"
+            )
         if z.shape[1] != self.cfg.in_channels:
             raise ShapeError(
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
@@ -225,6 +303,33 @@ class SpAcLUNet(Module):
             )
         data = rng.uniform(0, scale, size=(1, self.cfg.in_channels, n_freq, n_time))
         return Tensor(data.astype(dtype))
+
+
+def stack_networks(networks: Sequence[SpAcLUNet]) -> SpAcLUNet:
+    """Fuse same-config networks into one record-stacked :class:`SpAcLUNet`.
+
+    Every parameter of the result is the record-wise stack of the
+    networks' parameters under the same dotted name, copied bit for bit,
+    so :meth:`SpAcLUNet.record_state` hands record ``r`` straight back to
+    ``networks[r].load_state_dict``.  The inputs are left untouched.
+    """
+    networks = list(networks)
+    if not networks:
+        raise ConfigurationError("stack_networks needs at least one network")
+    cfg = networks[0].cfg
+    for net in networks:
+        if net.cfg != cfg:
+            raise ConfigurationError(
+                f"all networks must share one UNetConfig; got {net.cfg} "
+                f"vs {cfg}"
+            )
+        if net.stacked:
+            raise ConfigurationError("stack_networks takes unstacked networks")
+    params = [dict(net.named_parameters()) for net in networks]
+    stacked = copy.deepcopy(networks[0])
+    for name, param in stacked.named_parameters():
+        param.data = np.stack([p[name].data for p in params])
+    return stacked
 
 
 def build_prior_network(kind: str, rng=None, in_channels: int = 8,

@@ -280,17 +280,15 @@ class DHFSpec(SeparatorSpec):
     depth: int = 3
     prior_time_dilation: int = 13
     seed: int = 20240623
-    #: Batched deep-prior engine knobs (see :class:`repro.core.DHFConfig`):
-    #: ``batch_fit`` routes multi-record ``separate_batch`` calls through
-    #: one stacked fit per same-geometry round group;
-    #: ``early_stop_patience`` > 0 lets converged records drop out of the
-    #: batch (0 keeps batched fits equivalent to sequential ones).
-    batch_fit: bool = True
+    #: Early stopping of every deep-prior fit (see
+    #: :class:`repro.core.DHFConfig`): ``early_stop_patience`` > 0 lets a
+    #: converged fit roll back to its best iteration and stop, on every
+    #: path; 0 runs the full iteration budget.
     early_stop_patience: int = 0
     early_stop_rel_tol: float = 1e-3
     #: Deep-prior fit dtype, as a JSON-able name.  ``"float32"``
     #: (default) is the speed-oriented production setting;
-    #: ``"float64"`` tightens the batched-vs-sequential fit equivalence
+    #: ``"float64"`` tightens the stacked-vs-one-record fit equivalence
     #: to the documented <= 1e-8 (see docs/architecture.md, "Deep-prior
     #: fitting engine") at roughly twice the fit cost.
     dtype: str = "float32"
@@ -373,7 +371,6 @@ class DHFSpec(SeparatorSpec):
                 dtype=np.dtype(self.dtype).type,
             ),
             seed=self.seed,
-            batch_fit=self.batch_fit,
             early_stop_patience=self.early_stop_patience,
             early_stop_rel_tol=self.early_stop_rel_tol,
             warm_start=self.warm_start,

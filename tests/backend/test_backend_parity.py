@@ -11,8 +11,9 @@ Pins the documented bounds (docs/architecture.md, "Backend substrate"):
   backends track the float64 fit within ``5e-2`` relative — long fits
   legitimately diverge (chaotic optimisation), which is why the bound
   is short-horizon;
-* gradcheck and batched-vs-sequential equivalence hold on every
-  available backend (torch auto-skips when not installed).
+* gradcheck of the per-record convolution kernels and
+  stack-vs-one-record fit equivalence hold on every available backend
+  (torch auto-skips when not installed).
 """
 
 import numpy as np
@@ -36,8 +37,8 @@ STFT_F32_ATOL = 1e-4
 #: Max relative output deviation of a short float32-policy fit from the
 #: float64 reference fit (matches benchmarks/bench_substrates.py).
 FIT_F32_RTOL = 5e-2
-#: Batched-vs-sequential equivalence per backend (numpy float64 keeps
-#: the historical 1e-8 bound; float32 trajectories drift faster).
+#: Stack-vs-one-record equivalence per backend (numpy float64 keeps the
+#: documented 1e-8 bound; float32 trajectories drift faster).
 BATCH_EQUIV_ATOL = {"numpy": 1e-8, "numpy-f32": 5e-2, "torch": 5e-2}
 
 
@@ -110,8 +111,8 @@ class TestNumpyBitwiseIdentity:
 
 class TestF32OpParity:
     def test_harmonic_conv_matches_f64(self, rng):
-        x64 = rng.standard_normal((1, 3, 33, 16))
-        w64 = rng.standard_normal((3, 3, 3, 3)) * 0.2
+        x64 = rng.standard_normal((2, 3, 33, 16))
+        w64 = rng.standard_normal((2, 3, 3, 3, 3)) * 0.2  # one per record
         out64 = F.harmonic_conv2d(
             Tensor(x64), Tensor(w64), anchor=1, time_dilation=2
         ).data
@@ -126,7 +127,7 @@ class TestF32OpParity:
 
     def test_conv2d_matches_f64(self, rng):
         x64 = rng.standard_normal((2, 3, 9, 11))
-        w64 = rng.standard_normal((4, 3, 3, 3)) * 0.2
+        w64 = rng.standard_normal((2, 4, 3, 3, 3)) * 0.2  # one per record
         out64 = F.conv2d(Tensor(x64), Tensor(w64), padding=1).data
         with use_backend("numpy-f32"):
             out32 = F.conv2d(
@@ -190,8 +191,8 @@ class TestCrossBackendSweep:
         # Tensors are built at float64 OUTSIDE the context (ops preserve
         # dtype mid-graph), so finite differences stay valid even on
         # float32-policy backends.
-        x = Tensor(rng.standard_normal((1, 2, 17, 8)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 2, 3, 3)) * 0.3,
+        x = Tensor(rng.standard_normal((2, 2, 17, 8)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 2, 3, 3)) * 0.3,
                    requires_grad=True)
         with use_backend(backend):
             ok, worst = check_gradients(

@@ -1,13 +1,15 @@
-"""Property tests for the batched in-painting API and its edge cases.
+"""Property tests for the stacked in-painting API and its edge cases.
 
-The contracts pinned here are the ones the batched engine documents
+The contracts pinned here are the ones the fit engine documents
 (docs/architecture.md, "Deep-prior fitting engine"):
 
-* seeded determinism — same rngs, same results, sequential or batched;
-* batched-vs-sequential equivalence at a fixed iteration count (float64
+* seeded determinism — same rngs, same results, one record or a stack;
+* stack-vs-one-record equivalence at a fixed iteration count (float64
   fits agree to ``<= 1e-8`` max absolute output deviation);
 * early stopping rolls each record back to its recorded loss minimum, so
-  no recorded loss after ``stop_iteration`` is below it;
+  no recorded loss after ``stop_iteration`` is below it, and the DHF
+  config's early stop reaches every path (offline, batch, stream,
+  monitor);
 * degenerate inputs (all-visible and all-concealed masks, zero-length or
   single-frame spectrograms) raise :class:`repro.errors.DataError`
   instead of silently fitting noise.
@@ -25,17 +27,19 @@ from repro.core import (
     inpaint_spectrograms,
 )
 from repro.errors import ConfigurationError, DataError, ShapeError
+from repro.streaming import stream_record
 from repro.synth import make_mixture
+from repro.tfo import SpO2Monitor
 
-#: float64 keeps the sequential and batched trajectories numerically
-#: locked for the whole fit (float32 fits decorrelate after ~50
-#: iterations; see the architecture docs).
+#: float64 keeps a record's one-record and stacked trajectories
+#: numerically locked for the whole fit (float32 fits decorrelate after
+#: ~50 iterations; see the architecture docs).
 TINY64 = InpaintingConfig(
     iterations=30, learning_rate=1e-2, base_channels=4, depth=2,
     in_channels=4, time_dilation=3, dtype=np.float64,
 )
 
-#: Documented batched-vs-sequential output tolerance for float64 fits.
+#: Documented stack-vs-one-record output tolerance for float64 fits.
 BATCH_ATOL = 1e-8
 
 
@@ -236,17 +240,6 @@ class TestDHFBatchedSeparation:
         for source in direct:
             np.testing.assert_array_equal(batch[0][source], direct[source])
 
-    def test_batch_fit_disabled_is_bitwise_sequential(self, mixtures):
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke", batch_fit=False))
-        fs = mixtures[0].sampling_hz
-        mixed = [m.mixed for m in mixtures]
-        tracks = [m.f0_tracks for m in mixtures]
-        sequential = [dhf.separate(x, fs, t) for x, t in zip(mixed, tracks)]
-        batched = dhf.separate_batch(mixed, fs, tracks)
-        for seq, bat in zip(sequential, batched):
-            for source in seq:
-                np.testing.assert_array_equal(bat[source], seq[source])
-
     def test_detailed_batch_carries_diagnostics(self, mixtures):
         dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
         fs = mixtures[0].sampling_hz
@@ -266,11 +259,88 @@ class TestDHFBatchedSeparation:
 
     def test_config_knobs_validated(self):
         with pytest.raises(ConfigurationError):
-            DHFConfig(batch_fit="yes")
-        with pytest.raises(ConfigurationError):
             DHFConfig(early_stop_patience=-1)
         with pytest.raises(ConfigurationError):
             DHFConfig(early_stop_patience=5, early_stop_rel_tol=2.0)
         cfg = DHFConfig(early_stop_patience=5)
         assert cfg.early_stop() == EarlyStopConfig(patience=5, rel_tol=1e-3)
         assert DHFConfig().early_stop() is None
+
+
+class TestEarlyStopOnEveryPath:
+    """``early_stop_patience`` means the same on every DHF path.
+
+    A criterion demanding a 50% loss drop per iteration stops every fit
+    soon after ``min_iterations``, well inside the smoke budget.
+    """
+
+    CONFIG = DHFConfig.from_preset(
+        "smoke", early_stop_patience=1, early_stop_rel_tol=0.5,
+    )
+
+    @pytest.fixture(scope="class")
+    def mixtures(self):
+        return [
+            make_mixture("msig1", duration_s=10.0, seed=s) for s in (1, 2)
+        ]
+
+    @pytest.fixture
+    def fit_calls(self, monkeypatch):
+        """Spy on DHF's fit entry point: ``(early_stop, results)`` per call."""
+        import repro.core.dhf as dhf_module
+
+        calls = []
+        real = dhf_module.inpaint_spectrograms
+
+        def spy(*args, **kwargs):
+            results = real(*args, **kwargs)
+            calls.append((kwargs.get("early_stop"), results))
+            return results
+
+        monkeypatch.setattr(dhf_module, "inpaint_spectrograms", spy)
+        return calls
+
+    def assert_fits_stopped_early(self, calls):
+        assert calls, "no deep-prior fit went through inpaint_spectrograms"
+        for early_stop, results in calls:
+            assert early_stop == self.CONFIG.early_stop()
+            for fit in results:
+                assert fit.stop_iteration is not None
+
+    def test_separate_and_batch_run_equal_iterations(self, mixtures):
+        dhf = DHFSeparator(self.CONFIG)
+        m = mixtures[0]
+        single = dhf.separate_detailed(m.mixed, m.sampling_hz, m.f0_tracks)
+        # Same tracks, so every round of the two records shares one
+        # geometry and runs as one stacked fit.
+        batch = dhf.separate_batch_detailed(
+            [m.mixed, 1.1 * m.mixed], m.sampling_hz,
+            [m.f0_tracks, m.f0_tracks],
+        )[0]
+        counts = [r.losses.size for r in single.rounds]
+        assert counts == [r.losses.size for r in batch.rounds]
+        assert max(counts) < self.CONFIG.inpainting.iterations
+
+    def test_separate(self, mixtures, fit_calls):
+        m = mixtures[0]
+        DHFSeparator(self.CONFIG).separate(m.mixed, m.sampling_hz, m.f0_tracks)
+        self.assert_fits_stopped_early(fit_calls)
+
+    def test_streaming_segments(self, mixtures, fit_calls):
+        m = mixtures[0]
+        n = m.mixed.size
+        stream_record(
+            DHFSeparator(self.CONFIG), m.mixed, m.sampling_hz, m.f0_tracks,
+            segment_samples=n, overlap_samples=n // 4, chunk_samples=n // 3,
+        )
+        self.assert_fits_stopped_early(fit_calls)
+
+    def test_spo2_monitor(self, mixtures, fit_calls):
+        m = mixtures[0]
+        n = m.mixed.size
+        dc = np.full(n, 10.0)
+        with SpO2Monitor(DHFSeparator(self.CONFIG), m.sampling_hz,
+                         segment_samples=n, overlap_samples=n // 4) as monitor:
+            monitor.push({740: m.mixed + dc, 850: m.mixed + dc},
+                         {740: dc, 850: dc}, m.f0_tracks)
+        self.assert_fits_stopped_early(fit_calls)

@@ -1,24 +1,20 @@
-"""Tests for the batched deep-prior fitting engine (:mod:`repro.nn.batchfit`)."""
+"""Tests for the deep-prior fit engine (:mod:`repro.nn.batchfit`) and the
+record-stacked :class:`repro.nn.SpAcLUNet` it runs on."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError, SerializationError, ShapeError
 from repro.nn import (
     Adam,
     SpAcLUNet,
     Tensor,
     UNetConfig,
-    check_gradients,
+    stack_networks,
 )
 from repro.nn.batchfit import (
-    BatchedSpAcLUNet,
     EarlyStopConfig,
-    Workspace,
     _StackedAdam,
-    batched_conv2d,
-    batched_harmonic_conv2d,
-    batched_instance_norm,
     fit_batched,
 )
 from repro.nn.module import Parameter
@@ -33,121 +29,13 @@ def make_networks(n, cfg=TINY_CFG, dtype=np.float64):
     return [SpAcLUNet(cfg, rng=100 + i, dtype=dtype) for i in range(n)]
 
 
-class TestBatchedOps:
-    """Gradchecks and record-independence of the per-record-weight ops."""
-
-    @pytest.mark.parametrize("anchor,dilation", [(1, 1), (1, 3), (2, 1), (3, 2)])
-    def test_harmonic_gradcheck(self, rng, anchor, dilation):
-        x = Tensor(rng.standard_normal((2, 2, 7, 9)), requires_grad=True)
-        w = Parameter(0.3 * rng.standard_normal((2, 3, 2, 2, 3)))
-        b = Parameter(0.1 * rng.standard_normal((2, 3)))
-        ok, worst = check_gradients(
-            lambda: batched_harmonic_conv2d(
-                x, w, b, anchor=anchor, time_dilation=dilation
-            ).sum(),
-            [x, w, b],
-        )
-        assert ok, f"worst gradient error {worst:.3e}"
-
-    @pytest.mark.parametrize("padding,kernel", [(1, 3), (0, 1)])
-    def test_conv_gradcheck(self, rng, padding, kernel):
-        x = Tensor(rng.standard_normal((2, 2, 5, 7)), requires_grad=True)
-        w = Parameter(0.3 * rng.standard_normal((2, 3, 2, kernel, kernel)))
-        b = Parameter(0.1 * rng.standard_normal((2, 3)))
-        ok, worst = check_gradients(
-            lambda: batched_conv2d(x, w, b, padding=padding).sum(),
-            [x, w, b],
-        )
-        assert ok, f"worst gradient error {worst:.3e}"
-
-    def test_instance_norm_gradcheck(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-        w = Parameter(1.0 + 0.1 * rng.standard_normal((2, 3)))
-        b = Parameter(0.1 * rng.standard_normal((2, 3)))
-        ok, worst = check_gradients(
-            lambda: batched_instance_norm(x, w, b).sum(), [x, w, b],
-        )
-        assert ok, f"worst gradient error {worst:.3e}"
-
-    def test_records_do_not_mix(self, rng):
-        """Record r of the output depends only on record r of the input."""
-        x1 = rng.standard_normal((2, 2, 7, 9))
-        w = 0.3 * rng.standard_normal((2, 3, 2, 2, 3))
-        out1 = batched_harmonic_conv2d(Tensor(x1), Tensor(w)).data
-        x2 = x1.copy()
-        x2[1] = rng.standard_normal((2, 7, 9))  # perturb record 1 only
-        out2 = batched_harmonic_conv2d(Tensor(x2), Tensor(w)).data
-        np.testing.assert_array_equal(out1[0], out2[0])
-        assert np.abs(out1[1] - out2[1]).max() > 0
-
-    def test_harmonic_matches_sequential_op(self, rng):
-        """Stacked op vs repro.nn.functional.harmonic_conv2d per record."""
-        from repro.nn import functional as F
-
-        x = rng.standard_normal((3, 2, 9, 8))
-        w = 0.3 * rng.standard_normal((3, 2, 2, 3, 3))
-        b = 0.1 * rng.standard_normal((3, 2))
-        batched = batched_harmonic_conv2d(
-            Tensor(x), Tensor(w), Tensor(b), anchor=1, time_dilation=2
-        ).data
-        for r in range(3):
-            single = F.harmonic_conv2d(
-                Tensor(x[r: r + 1]), Tensor(w[r]), Tensor(b[r]),
-                anchor=1, time_dilation=2,
-            ).data[0]
-            np.testing.assert_allclose(batched[r], single, atol=1e-12)
-
-    def test_shape_errors(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 7, 9)))
-        with pytest.raises(ShapeError):
-            batched_harmonic_conv2d(
-                x, Tensor(rng.standard_normal((3, 3, 2, 2, 3)))
-            )  # record mismatch
-        with pytest.raises(ShapeError):
-            batched_harmonic_conv2d(
-                x, Tensor(rng.standard_normal((2, 3, 4, 2, 3)))
-            )  # channel mismatch
-        with pytest.raises(ConfigurationError):
-            batched_harmonic_conv2d(
-                x, Tensor(rng.standard_normal((2, 3, 2, 2, 2)))
-            )  # even time kernel
-
-
-class TestWorkspace:
-    def test_reuse_and_reshape(self):
-        ws = Workspace()
-        a = ws.get("a", (2, 3), np.float64)
-        assert ws.get("a", (2, 3), np.float64) is a
-        b = ws.get("a", (4, 3), np.float64)
-        assert b.shape == (4, 3) and b is not a
-        z = ws.zeros("z", (5,), np.float32)
-        assert z.dtype == np.float32 and not z.any()
-
-    def test_workspace_path_matches_fresh_allocation(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 7, 9)), requires_grad=True)
-        w = Parameter(0.3 * rng.standard_normal((2, 3, 2, 2, 3)))
-        plain = batched_harmonic_conv2d(x, w, time_dilation=2)
-        plain.backward(np.ones_like(plain.data))
-        gx_plain, gw_plain = x.grad.copy(), w.grad.copy()
-        x.zero_grad(), w.zero_grad()
-        ws = Workspace()
-        for _ in range(2):  # second pass reuses the buffers
-            x.zero_grad(), w.zero_grad()
-            cached = batched_harmonic_conv2d(
-                x, w, time_dilation=2, workspace=ws, key="layer"
-            )
-            cached.backward(np.ones_like(cached.data))
-        np.testing.assert_array_equal(plain.data, cached.data)
-        np.testing.assert_allclose(x.grad, gx_plain, atol=1e-14)
-        np.testing.assert_allclose(w.grad, gw_plain, atol=1e-14)
-
-
-class TestBatchedSpAcLUNet:
+class TestStackedSpAcLUNet:
     def test_forward_matches_per_record_networks(self, rng):
         nets = make_networks(3)
-        batched = BatchedSpAcLUNet.from_networks(nets)
+        stacked = stack_networks(nets)
+        assert stacked.stacked and stacked.n_records == 3
         code = rng.uniform(0, 0.1, size=(3, 2, 9, 8))
-        out = batched(Tensor(code)).data
+        out = stacked(Tensor(code)).data
         for r, net in enumerate(nets):
             single = net(Tensor(code[r: r + 1])).data[0]
             np.testing.assert_allclose(out[r], single, atol=1e-12)
@@ -156,52 +44,90 @@ class TestBatchedSpAcLUNet:
         cfg = UNetConfig(in_channels=2, base_channels=2, depth=1,
                          conv_kind="standard")
         nets = [SpAcLUNet(cfg, rng=i, dtype=np.float64) for i in range(2)]
-        batched = BatchedSpAcLUNet.from_networks(nets)
+        stacked = stack_networks(nets)
         code = rng.uniform(0, 0.1, size=(2, 2, 6, 6))
-        out = batched(Tensor(code)).data
+        out = stacked(Tensor(code)).data
         for r, net in enumerate(nets):
             single = net(Tensor(code[r: r + 1])).data[0]
             np.testing.assert_allclose(out[r], single, atol=1e-12)
 
-    def test_state_for_round_trips(self):
+    def test_record_state_round_trips(self):
         nets = make_networks(2)
-        batched = BatchedSpAcLUNet.from_networks(nets)
-        state = batched.state_for(1)
+        stacked = stack_networks(nets)
+        state = stacked.record_state(1)
         assert set(state) == set(nets[1].state_dict())
         for name, value in nets[1].state_dict().items():
             np.testing.assert_array_equal(state[name], value)
+        # An unstacked network is its own record 0.
+        for name, value in nets[0].record_state(0).items():
+            np.testing.assert_array_equal(value, nets[0].state_dict()[name])
         with pytest.raises(ShapeError):
-            batched.state_for(5)
+            stacked.record_state(5)
+
+    def test_load_record_state(self):
+        nets = make_networks(2)
+        stacked = stack_networks(nets)
+        stacked.load_record_state(0, nets[1].state_dict())
+        for name, value in nets[1].state_dict().items():
+            np.testing.assert_array_equal(stacked.record_state(0)[name], value)
+
+    def test_warm_start_load_errors(self):
+        stacked = stack_networks(make_networks(2))
+        state = make_networks(1)[0].state_dict()
+        missing = dict(state)
+        missing.pop("head.bias")
+        with pytest.raises(SerializationError, match="missing"):
+            stacked.load_record_state(0, missing)
+        with pytest.raises(SerializationError, match="unexpected"):
+            stacked.load_record_state(0, {**state, "extra": np.zeros(1)})
+        wrong = dict(state)
+        wrong["head.bias"] = np.zeros(3)
+        with pytest.raises(ShapeError, match="head.bias"):
+            stacked.load_record_state(0, wrong)
+        with pytest.raises(ShapeError):
+            stacked.load_record_state(2, state)
 
     def test_compact_keeps_selected_records(self, rng):
         nets = make_networks(3)
-        batched = BatchedSpAcLUNet.from_networks(nets)
-        batched.compact(np.array([0, 2]))
-        assert batched.n_records == 2
+        stacked = stack_networks(nets)
+        stacked.compact(np.array([0, 2]))
+        assert stacked.n_records == 2
         code = rng.uniform(0, 0.1, size=(2, 2, 9, 8))
-        out = batched(Tensor(code)).data
+        out = stacked(Tensor(code)).data
         for local, original in enumerate((0, 2)):
             single = nets[original](Tensor(code[local: local + 1])).data[0]
             np.testing.assert_allclose(out[local], single, atol=1e-12)
 
-    def test_mismatched_configs_rejected(self):
+    def test_stacking_leaves_inputs_untouched(self):
+        nets = make_networks(2)
+        before = nets[0].state_dict()
+        stack_networks(nets).compact(np.array([1]))
+        assert not nets[0].stacked
+        for name, value in nets[0].state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_stack_rejections(self):
         other = UNetConfig(in_channels=2, base_channels=4, depth=2,
                            n_harmonics=2, time_dilation=3)
         with pytest.raises(ConfigurationError):
-            BatchedSpAcLUNet.from_networks(
+            stack_networks(
                 [SpAcLUNet(TINY_CFG, rng=0), SpAcLUNet(other, rng=1)]
             )
         with pytest.raises(ConfigurationError):
-            BatchedSpAcLUNet.from_networks([])
+            stack_networks([])
+        with pytest.raises(ConfigurationError):
+            stack_networks([stack_networks(make_networks(2))])
 
     def test_input_validation(self, rng):
-        batched = BatchedSpAcLUNet.from_networks(make_networks(2))
+        stacked = stack_networks(make_networks(2))
         with pytest.raises(ShapeError):
-            batched(Tensor(rng.uniform(size=(3, 2, 9, 8))))   # record count
+            stacked(Tensor(rng.uniform(size=(3, 2, 9, 8))))   # record count
         with pytest.raises(ShapeError):
-            batched(Tensor(rng.uniform(size=(2, 4, 9, 8))))   # channels
+            stacked(Tensor(rng.uniform(size=(2, 4, 9, 8))))   # channels
         with pytest.raises(ShapeError):
-            batched(Tensor(rng.uniform(size=(2, 2, 9))))      # ndim
+            stacked(Tensor(rng.uniform(size=(2, 2, 9))))      # ndim
+        with pytest.raises(ShapeError):                      # unstacked: 1
+            make_networks(1)[0](Tensor(rng.uniform(size=(2, 2, 9, 8))))
 
 
 class TestStackedAdam:
@@ -242,17 +168,16 @@ class TestEarlyStopConfig:
 
 class TestFitBatched:
     def _problem(self, n, rng, dtype=np.float64):
-        nets = make_networks(n, dtype=dtype)
-        batched = BatchedSpAcLUNet.from_networks(nets)
+        stacked = stack_networks(make_networks(n, dtype=dtype))
         code = rng.uniform(0, 0.1, size=(n, 2, 9, 8)).astype(dtype)
         target = rng.uniform(0.2, 0.8, size=(n, 1, 9, 8)).astype(dtype)
         mask = np.ones((n, 1, 9, 8), dtype=dtype)
         mask[:, :, :, 3:5] = 0
-        return batched, code, target, mask
+        return stacked, code, target, mask
 
     def test_losses_decrease(self, rng):
-        batched, code, target, mask = self._problem(2, rng)
-        fit = fit_batched(batched, code, target, mask,
+        stacked, code, target, mask = self._problem(2, rng)
+        fit = fit_batched(stacked, code, target, mask,
                           iterations=20, learning_rate=1e-2)
         for losses in fit.losses:
             assert losses.size == 20
@@ -260,12 +185,22 @@ class TestFitBatched:
         assert fit.stop_iterations == [None, None]
         assert fit.outputs.shape == (2, 9, 8)
 
+    def test_unstacked_network_is_a_stack_of_one(self, rng):
+        stacked, code, target, mask = self._problem(1, rng)
+        plain = make_networks(1)[0]
+        a = fit_batched(stacked, code, target, mask,
+                        iterations=5, learning_rate=1e-2)
+        b = fit_batched(plain, code, target, mask,
+                        iterations=5, learning_rate=1e-2)
+        np.testing.assert_array_equal(a.outputs, b.outputs)
+        np.testing.assert_array_equal(a.losses[0], b.losses[0])
+
     def test_early_stop_rolls_back_to_argmin(self, rng):
-        batched, code, target, mask = self._problem(3, rng)
+        stacked, code, target, mask = self._problem(3, rng)
         # A criterion demanding 60% improvement per iteration trips almost
         # immediately, exercising retirement + compaction.
         early = EarlyStopConfig(patience=2, rel_tol=0.6, min_iterations=1)
-        fit = fit_batched(batched, code, target, mask,
+        fit = fit_batched(stacked, code, target, mask,
                           iterations=50, learning_rate=1e-2,
                           early_stop=early)
         for r in range(3):
@@ -277,17 +212,17 @@ class TestFitBatched:
             assert losses[stop:].min() >= losses[stop]
 
     def test_shape_validation(self, rng):
-        batched, code, target, mask = self._problem(2, rng)
+        stacked, code, target, mask = self._problem(2, rng)
         with pytest.raises(ShapeError):
-            fit_batched(batched, code[:1], target, mask,
+            fit_batched(stacked, code[:1], target, mask,
                         iterations=1, learning_rate=1e-2)
         with pytest.raises(ConfigurationError):
-            fit_batched(batched, code, target, np.zeros_like(mask),
+            fit_batched(stacked, code, target, np.zeros_like(mask),
                         iterations=1, learning_rate=1e-2)
         with pytest.raises(ConfigurationError):
-            fit_batched(batched, code, target, mask,
+            fit_batched(stacked, code, target, mask,
                         iterations=0, learning_rate=1e-2)
         with pytest.raises(ShapeError):
-            fit_batched(batched, code, target, mask, iterations=1,
+            fit_batched(stacked, code, target, mask, iterations=1,
                         learning_rate=1e-2,
                         reference=np.zeros((2, 9, 7)))

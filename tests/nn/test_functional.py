@@ -28,17 +28,6 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((3, 2, 3, 3)))
         assert F.conv2d(x, w, padding=1).shape == (1, 3, 8, 8)
 
-    def test_stride(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 8, 8)))
-        w = Tensor(rng.standard_normal((1, 1, 2, 2)))
-        assert F.conv2d(x, w, stride=2).shape == (1, 1, 4, 4)
-
-    def test_dilation(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 9, 9)))
-        w = Tensor(rng.standard_normal((1, 1, 3, 3)))
-        # Effective kernel 5x5 with dilation 2.
-        assert F.conv2d(x, w, dilation=2).shape == (1, 1, 5, 5)
-
     def test_bias_added(self, rng):
         x = Tensor(np.zeros((1, 1, 4, 4)))
         w = Tensor(np.zeros((2, 1, 1, 1)))
@@ -47,15 +36,24 @@ class TestConv2d:
         assert np.allclose(out.data[0, 0], 1.5)
         assert np.allclose(out.data[0, 1], -2.0)
 
-    def test_gradcheck_full(self, rng):
-        x = t64(rng.standard_normal((2, 2, 6, 5)))
-        w = t64(rng.standard_normal((3, 2, 3, 3)) * 0.4)
-        b = t64(rng.standard_normal(3))
-        ok, err = check_gradients(
-            lambda: (F.conv2d(x, w, b, stride=(2, 1), padding=1) ** 2).sum(),
-            [x, w, b],
-        )
-        assert ok, err
+    def test_stacked_records_match_one_kernel_each(self, rng):
+        x = rng.standard_normal((2, 2, 5, 6))
+        w = rng.standard_normal((2, 3, 2, 3, 3))
+        b = rng.standard_normal((2, 3))
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+        for r in range(2):
+            single = F.conv2d(
+                Tensor(x[r: r + 1]), Tensor(w[r]), Tensor(b[r]), padding=1
+            ).data[0]
+            np.testing.assert_allclose(out[r], single, atol=1e-12)
+
+    def test_record_count_mismatch_raises(self, rng):
+        with pytest.raises(ShapeError, match="records"):
+            F.conv2d(Tensor(np.zeros((2, 1, 4, 4))),
+                     Tensor(np.zeros((1, 1, 3, 3))))
+        with pytest.raises(ShapeError, match="records"):
+            F.conv2d(Tensor(np.zeros((2, 1, 4, 4))),
+                     Tensor(np.zeros((3, 1, 1, 3, 3))))
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
@@ -133,24 +131,25 @@ class TestHarmonicConv2d:
         out = F.harmonic_conv2d(Tensor(x), Tensor(w), time_dilation=4)
         assert out.data[0, 0, 1, 4] == 1.0
 
-    def test_gradcheck_anchor1(self, rng):
-        x = t64(rng.standard_normal((1, 2, 9, 6)))
-        w = t64(rng.standard_normal((2, 2, 3, 3)) * 0.4)
-        b = t64(rng.standard_normal(2))
-        ok, err = check_gradients(
-            lambda: (F.harmonic_conv2d(x, w, b, anchor=1,
-                                       time_dilation=2) ** 2).sum(),
-            [x, w, b],
-        )
-        assert ok, err
+    def test_records_do_not_mix(self, rng):
+        """Record r of the output depends only on record r of the input."""
+        x1 = rng.standard_normal((2, 2, 7, 9))
+        w = 0.3 * rng.standard_normal((2, 3, 2, 2, 3))
+        out1 = F.harmonic_conv2d(Tensor(x1), Tensor(w)).data
+        x2 = x1.copy()
+        x2[1] = rng.standard_normal((2, 7, 9))  # perturb record 1 only
+        out2 = F.harmonic_conv2d(Tensor(x2), Tensor(w)).data
+        np.testing.assert_array_equal(out1[0], out2[0])
+        assert np.abs(out1[1] - out2[1]).max() > 0
 
-    def test_gradcheck_anchor2(self, rng):
-        x = t64(rng.standard_normal((1, 1, 7, 5)))
-        w = t64(rng.standard_normal((2, 1, 4, 3)) * 0.4)
-        ok, err = check_gradients(
-            lambda: (F.harmonic_conv2d(x, w, anchor=2) ** 2).sum(), [x, w]
-        )
-        assert ok, err
+    def test_record_and_channel_mismatch_raise(self, rng):
+        x = Tensor(rng.standard_normal((2, 2, 7, 9)))
+        with pytest.raises(ShapeError):
+            F.harmonic_conv2d(x, Tensor(rng.standard_normal((3, 3, 2, 2, 3))))
+        with pytest.raises(ShapeError):
+            F.harmonic_conv2d(x, Tensor(rng.standard_normal((2, 3, 4, 2, 3))))
+        with pytest.raises(ShapeError):
+            F.harmonic_conv2d(x, Tensor(rng.standard_normal((3, 2, 2, 3))))
 
     def test_even_kernel_time_raises(self, rng):
         with pytest.raises(ConfigurationError):
@@ -165,6 +164,47 @@ class TestHarmonicConv2d:
                 Tensor(np.zeros((1, 1, 2, 3))),
                 time_dilation=0,
             )
+
+
+class TestConvGradcheckSweep:
+    """Finite-difference gradchecks of the two convolution kernels.
+
+    Each kernel is swept on per-record weights stacked for two records
+    (``records=2``) and on a plain kernel, which is a stack of one.
+    """
+
+    @staticmethod
+    def _operands(rng, records, weight_shape, x_shape):
+        stack = () if records is None else (records,)
+        x = t64(rng.standard_normal((records or 1, *x_shape)))
+        w = t64(0.3 * rng.standard_normal((*stack, *weight_shape)))
+        b = t64(0.1 * rng.standard_normal((*stack, weight_shape[0])))
+        return x, w, b
+
+    @pytest.mark.parametrize("records", [2, None])
+    @pytest.mark.parametrize("anchor", [1, 2, 3])
+    @pytest.mark.parametrize("dilation", [1, 2, 5])
+    def test_harmonic_conv2d(self, rng, records, anchor, dilation):
+        x, w, b = self._operands(rng, records, (3, 2, 3, 3), (2, 7, 9))
+        ok, err = check_gradients(
+            lambda: (F.harmonic_conv2d(
+                x, w, b, anchor=anchor, time_dilation=dilation
+            ) ** 2).sum(),
+            [x, w, b],
+        )
+        assert ok, err
+
+    @pytest.mark.parametrize("records", [2, None])
+    @pytest.mark.parametrize("kernel,padding", [(3, 1), (3, 0), (1, 0)])
+    def test_conv2d(self, rng, records, kernel, padding):
+        x, w, b = self._operands(
+            rng, records, (3, 2, kernel, kernel), (2, 5, 7)
+        )
+        ok, err = check_gradients(
+            lambda: (F.conv2d(x, w, b, padding=padding) ** 2).sum(),
+            [x, w, b],
+        )
+        assert ok, err
 
 
 class TestPoolingUpsample:

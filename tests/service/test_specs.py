@@ -93,6 +93,9 @@ class TestFromDictErrors:
     def test_unknown_field_suggests(self):
         with pytest.raises(ConfigurationError, match="max_imfs"):
             SeparatorSpec.from_dict({"method": "emd", "max_imf": 3})
+        with pytest.raises(ConfigurationError,
+                           match="unknown DHFSpec field 'batch_fit'"):
+            SeparatorSpec.from_dict({"method": "dhf", "batch_fit": True})
 
     def test_method_mismatch_on_subclass(self):
         with pytest.raises(ConfigurationError, match="does not match"):
