@@ -33,7 +33,12 @@ Asserted invariants (both modes):
 
 The full run additionally asserts the process-shard path sustains at
 least 2x the serial-loop records/sec on a 12-record DHF batch — the
-in-worker batch stacking the old path threw away.  ``--smoke`` runs a
+in-worker batch stacking the old path threw away.  The gate relies on
+each worker's BLAS being pinned to its share of the cores (the pool
+initializer does this, see docs/architecture.md "Sharded execution"):
+with every worker running one OpenBLAS thread per core, the deep-prior
+fits oversubscribe the machine and the process path falls below the
+serial loop on a 2-core box.  ``--smoke`` runs a
 small batch and reports throughput without asserting speedups (tiny
 fits are timing-noise-dominated).
 

@@ -6,9 +6,20 @@ frequency ``f`` the kernel reads input bins ``round(k * f / anchor)`` for
 harmonics ``k = 1..H`` and time offsets spaced ``dilation`` frames apart.
 
 Standard 2-D convolution (used by the "conventional CNN" variant of Fig. 3),
-pooling and nearest-neighbour upsampling are also provided.  All operators
-register hand-written backward closures on the autograd graph — cheaper and
-far more memory-friendly than composing them from primitive ops.
+instance normalisation, pooling and nearest-neighbour upsampling are also
+provided.
+
+Every network operator exists once, as a **raw-array kernel pair**:
+``<op>_forward(...)`` returns ``(out, ctx)`` where ``ctx`` holds exactly
+what the adjoint needs (``None`` when ``save`` is false), and
+``<op>_backward(ctx, grad, ...)`` returns the input and parameter
+gradients.  The public :class:`Tensor` ops (:func:`conv2d`,
+:func:`harmonic_conv2d`, :func:`instance_norm`, :func:`max_pool2d`,
+:func:`upsample_nearest`) wrap those pairs as one graph node each, and
+:class:`repro.nn.unet.SpAcLUNet` walks the same pairs inside its single
+whole-network node — so the gradchecks of the public ops test exactly the
+code a deep-prior fit runs.  Backward kernels never write into the
+``grad`` they are handed.
 
 Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
 K2)`` holds one kernel per record and contracts only against record ``r``
@@ -26,7 +37,7 @@ import numpy as np
 
 from repro.backend import active_backend
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.tensor import Tensor, astensor
+from repro.nn.tensor import Tensor, _unbroadcast, astensor
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -66,17 +77,21 @@ def conv_tap_plan(h_pad: int, w_pad: int, kh: int, kw: int) -> tuple:
 
 @lru_cache(maxsize=256)
 def harmonic_gather_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
-    """Per-harmonic gather plan of the frequency remap.
+    """Per-harmonic gather plan of the frequency remap, and its adjoint.
 
     The in-band rows of :func:`harmonic_index_map` are always a prefix
     (the index ``round(k f / anchor)`` is non-decreasing), so each
     harmonic gathers ``n_valid`` rows and zero-fills the rest.  When the
     row indices form an arithmetic progression (always true for
     ``anchor = 1``, where harmonic ``k`` reads rows ``0, k, 2k, ...``)
-    the gather is a strided slice copy instead of fancy indexing.
+    the gather is a strided slice copy, and its adjoint a strided slice
+    ``+=``.  Otherwise the rows are fancy-indexed; ``unique`` records
+    whether they are duplicate-free, so the adjoint scatter can skip the
+    much slower ``np.add.at`` (duplicates occur when ``anchor > k``,
+    e.g. the Zhang-baseline ``anchor = 2``).
 
-    Returns one ``(n_valid, row_slice_or_None, rows_or_None)`` triple per
-    harmonic: exactly one of the last two is set.
+    Returns one ``(n_valid, row_slice_or_None, rows_or_None, unique)``
+    tuple per harmonic: exactly one of the middle two is set.
     """
     indices, valid = harmonic_index_map(n_freq, n_harmonics, anchor)
     plan = []
@@ -92,47 +107,37 @@ def harmonic_gather_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
             step = int(rows[1] - rows[0]) if n_valid >= 2 else 1
             start = int(rows[0]) if n_valid else 0
             plan.append(
-                (n_valid, slice(start, start + step * n_valid, step), None)
+                (n_valid, slice(start, start + step * n_valid, step), None,
+                 True)
             )
         else:
             rows = np.ascontiguousarray(rows)
             rows.setflags(write=False)
-            plan.append((n_valid, None, rows))
-    return tuple(plan)
-
-
-@lru_cache(maxsize=256)
-def harmonic_scatter_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
-    """Per-harmonic adjoint-scatter plan of the frequency gather.
-
-    For each harmonic row of :func:`harmonic_index_map`, precomputes the
-    in-band source rows, their target input bins, and whether those bins
-    are duplicate-free.  Unique rows scatter with a plain fancy-index
-    ``+=`` (one vectorised add); only rows with duplicate targets (which
-    occur when ``anchor > k``, e.g. the Zhang-baseline ``anchor=2``) need
-    the much slower ``np.add.at``.
-    """
-    indices, valid = harmonic_index_map(n_freq, n_harmonics, anchor)
-    plan = []
-    for k in range(n_harmonics):
-        rows = np.flatnonzero(valid[k])
-        targets = indices[k][rows]
-        rows.setflags(write=False)
-        targets.setflags(write=False)
-        plan.append((rows, targets, np.unique(targets).size == targets.size))
+            plan.append(
+                (n_valid, None, rows, np.unique(rows).size == rows.size)
+            )
     return tuple(plan)
 
 
 # --------------------------------------------------------------------- #
 # Per-record convolutions
 # --------------------------------------------------------------------- #
+def record_kernels(weight: np.ndarray, bias: Optional[np.ndarray]):
+    """Give a convolution's kernels (and bias) their record axis.
+
+    A 4-D ``weight`` ``(C_out, C_in, K1, K2)`` is a stack of one record;
+    returns the kernels as ``(R, C_out, C_in, K1, K2)`` and the bias (or
+    ``None``) as ``(R, C_out)``, both views of the inputs.
+    """
+    w = weight if weight.ndim == 5 else weight[None]
+    b = None if bias is None else bias.reshape(w.shape[:2])
+    return w, b
+
+
 def _per_record(x: Tensor, weight: Tensor, bias: Optional[Tensor], op: str):
     """Check a convolution's operands and give its kernels a record axis.
 
-    Returns the kernels as ``(R, C_out, C_in, K1, K2)`` and the bias (or
-    ``None``) as ``(R, C_out)``.  A 4-D ``weight`` is a stack of one
-    record; either way record ``r`` of ``x`` is the one sample record
-    ``r``'s kernels see.
+    Record ``r`` of ``x`` is the one sample record ``r``'s kernels see.
     """
     if x.ndim != 4:
         raise ShapeError(f"{op} input must be 4-D, got {x.shape}")
@@ -141,7 +146,7 @@ def _per_record(x: Tensor, weight: Tensor, bias: Optional[Tensor], op: str):
             f"{op} weight must be 4-D (O, C, K1, K2) or 5-D "
             f"(R, O, C, K1, K2), got {weight.shape}"
         )
-    w = weight.data if weight.ndim == 5 else weight.data[None]
+    w, b = record_kernels(weight.data, None if bias is None else bias.data)
     if x.shape[0] != w.shape[0]:
         raise ShapeError(
             f"{op} input has {x.shape[0]} records but the weight holds "
@@ -151,8 +156,93 @@ def _per_record(x: Tensor, weight: Tensor, bias: Optional[Tensor], op: str):
         raise ShapeError(
             f"input has {x.shape[1]} channels but weight expects {w.shape[2]}"
         )
-    b = None if bias is None else bias.data.reshape(w.shape[:2])
     return w, b
+
+
+def _conv_node(op: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
+               out_data: np.ndarray, ctx, backward_fn) -> Tensor:
+    """Wrap a convolution kernel pair as one graph node."""
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = x._make(out_data, parents, op)
+
+    def backward(grad):
+        grad_x, grad_w, grad_b = backward_fn(ctx, grad, x.requires_grad)
+        grads = [grad_x, grad_w.reshape(weight.shape)]
+        if bias is not None:
+            grads.append(grad_b.reshape(bias.shape))
+        return tuple(grads)
+
+    Tensor._attach(out, parents, backward, op)
+    return out
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+                   padding=(0, 0), save: bool = True):
+    """Per-record stride-1 cross-correlation over raw arrays.
+
+    ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
+    ``b`` ``(R, C_out)`` or ``None``.  The input is unfolded once into an
+    ``(R, C_in*KH*KW, OH*OW)`` column buffer (a free view for a 1x1
+    kernel without padding) and contracted in one batched GEMM; the
+    buffer is what the adjoint keeps.
+    """
+    ph, pw = padding
+    n_rec, c_in, h, width = x.shape
+    c_out, kh, kw = w.shape[1], w.shape[3], w.shape[4]
+    oh, ow, taps = conv_tap_plan(h + 2 * ph, width + 2 * pw, kh, kw)
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(
+            f"conv2d output would be empty: input {x.shape}, kernel "
+            f"{w.shape[1:]}, padding {(ph, pw)}"
+        )
+    if kh == kw == 1 and not (ph or pw):
+        cols = x.reshape(n_rec, c_in, h * width)
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
+            if (ph or pw) else x
+        cols = np.empty((n_rec, c_in, kh, kw, oh, ow), dtype=x.dtype)
+        for (di, dj), (sl_h, sl_w) in taps:
+            cols[:, :, di, dj] = xp[:, :, sl_h, sl_w]
+        cols = cols.reshape(n_rec, c_in * kh * kw, oh * ow)
+    w_flat = w.reshape(n_rec, c_out, c_in * kh * kw)
+    out = active_backend().matmul(w_flat, cols)
+    if b is not None:
+        out += b[:, :, None]
+    out = out.reshape(n_rec, c_out, oh, ow)
+    ctx = (cols, w_flat, padding, x.shape, w.shape, b is not None) \
+        if save else None
+    return out, ctx
+
+
+def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
+    """Adjoint of :func:`conv2d_forward`: ``(grad_x, grad_w, grad_b)``.
+
+    ``grad_x`` is ``None`` unless ``need_input``; ``grad_b`` is ``None``
+    for a bias-free convolution.
+    """
+    cols, w_flat, (ph, pw), x_shape, w_shape, has_bias = ctx
+    n_rec, c_out, oh, ow = grad.shape
+    backend = active_backend()
+    g = grad.reshape(n_rec, c_out, oh * ow)
+    grad_w = backend.matmul(g, cols.transpose(0, 2, 1)).reshape(w_shape)
+    grad_b = grad.sum(axis=(2, 3)) if has_bias else None
+    grad_x = None
+    if need_input:
+        grad_cols = backend.matmul(w_flat.transpose(0, 2, 1), g)
+        _, c_in, h, width = x_shape
+        kh, kw = w_shape[3], w_shape[4]
+        if kh == kw == 1 and not (ph or pw):
+            grad_x = grad_cols.reshape(x_shape)
+        else:
+            grad_cols = grad_cols.reshape(n_rec, c_in, kh, kw, oh, ow)
+            _, _, taps = conv_tap_plan(h + 2 * ph, width + 2 * pw, kh, kw)
+            grad_xp = np.zeros(
+                (n_rec, c_in, h + 2 * ph, width + 2 * pw), dtype=grad.dtype
+            )
+            for (di, dj), (sl_h, sl_w) in taps:
+                grad_xp[:, :, sl_h, sl_w] += grad_cols[:, :, di, dj]
+            grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width]
+    return grad_x, grad_w, grad_b
 
 
 def conv2d(
@@ -181,52 +271,9 @@ def conv2d(
     x = astensor(x)
     weight = astensor(weight)
     w, b = _per_record(x, weight, bias, "conv2d")
-    ph, pw = _pair(padding)
-    n_rec, _, h, width = x.shape
-    c_out, kh, kw = w.shape[1], w.shape[3], w.shape[4]
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
-        if (ph or pw) else x.data
-    oh, ow, taps = conv_tap_plan(xp.shape[2], xp.shape[3], kh, kw)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"conv2d output would be empty: input {x.shape}, kernel "
-            f"{weight.shape}, padding {(ph, pw)}"
-        )
-
-    backend = active_backend()
-    out_data = np.zeros((n_rec, c_out, oh, ow), dtype=x.dtype)
-    # Loop over kernel taps; each tap is one batched GEMM.  kh*kw is
-    # small (<= 9 here) so this beats materialising an im2col buffer.
-    for (di, dj), (sl_h, sl_w) in taps:
-        out_data += backend.einsum(
-            "roc,rchw->rohw", w[:, :, :, di, dj], xp[:, :, sl_h, sl_w]
-        )
-    if b is not None:
-        out_data += b.reshape(n_rec, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = x._make(out_data, parents, "conv2d")
-
-    def backward(grad):
-        grad_xp = np.zeros(xp.shape, dtype=x.dtype)
-        grad_w = np.zeros_like(w)
-        for (di, dj), (sl_h, sl_w) in taps:
-            grad_w[:, :, :, di, dj] = backend.einsum(
-                "rohw,rchw->roc", grad, xp[:, :, sl_h, sl_w]
-            )
-            grad_xp[:, :, sl_h, sl_w] += backend.einsum(
-                "roc,rohw->rchw", w[:, :, :, di, dj], grad
-            )
-        grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width] if (ph or pw) \
-            else grad_xp
-        grads = [grad_x, grad_w.reshape(weight.shape)]
-        if bias is not None:
-            grads.append(grad.sum(axis=(2, 3)).reshape(bias.shape))
-        return tuple(grads)
-
-    Tensor._attach(out, parents, backward, "conv2d")
-    return out
+    out_data, ctx = conv2d_forward(x.data, w, b, _pair(padding))
+    return _conv_node("conv2d", x, weight, bias, out_data, ctx,
+                      conv2d_backward)
 
 
 # --------------------------------------------------------------------- #
@@ -259,6 +306,143 @@ def harmonic_index_map(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
     indices.setflags(write=False)
     valid.setflags(write=False)
     return indices, valid
+
+
+def _tap_shifts(kt: int, time_dilation: int) -> range:
+    """Frame shift of each time tap: tap ``dt`` reads frame ``t + shift``."""
+    pad = (kt // 2) * time_dilation
+    return range(-pad, pad + 1, time_dilation)
+
+
+def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
+                            b: Optional[np.ndarray], anchor: int = 1,
+                            time_dilation: int = 1, save: bool = True):
+    """Per-record dilated harmonic convolution over raw arrays (Eq. 8).
+
+    ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` and
+    ``b`` ``(R, C_out)`` or ``None``; the output is ``(R, C_out, F, T)``.
+    """
+    if time_dilation < 1:
+        raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
+    n_rec, c_in, n_freq, n_time = x.shape
+    c_out, n_harm, kt = w.shape[1], w.shape[3], w.shape[4]
+    if kt % 2 == 0:
+        raise ConfigurationError(f"time kernel size must be odd, got {kt}")
+    plan = harmonic_gather_plan(n_freq, n_harm, anchor)
+
+    # One frequency gather per call into an (R, C, H, F, T) buffer.  Each
+    # harmonic lane is a strided slice copy (or a fancy gather of its
+    # in-band prefix) with the out-of-band tail zero-filled.
+    gathered = np.empty((n_rec, c_in, n_harm, n_freq, n_time), dtype=x.dtype)
+    for k, (n_valid, row_slice, rows, _) in enumerate(plan):
+        lane = gathered[:, :, k]
+        lane[:, :, :n_valid] = x[:, :, row_slice if rows is None else rows]
+        lane[:, :, n_valid:] = 0
+
+    # One batched GEMM contracts the whole (channel, harmonic) axis
+    # against the un-duplicated gather buffer:
+    #     tmp[r, (o, dt), (f, t)] = sum_(c,h) w[r, o, c, h, dt] * g[r, (c,h), (f,t)]
+    # and the KT tap outputs are then overlap-added at their dilated time
+    # shifts.  Each add runs over the flattened (f, t) axis in one pass:
+    # the frames a tap would carry across a row boundary are the ones
+    # that read zero padding, so they are zeroed first.
+    n_flat = n_freq * n_time
+    w_fold = np.ascontiguousarray(w.transpose(0, 1, 4, 2, 3)).reshape(
+        n_rec, c_out * kt, c_in * n_harm
+    )
+    g_flat = gathered.reshape(n_rec, c_in * n_harm, n_flat)
+    taps = active_backend().matmul(w_fold, g_flat).reshape(
+        n_rec, c_out, kt, n_freq, n_time
+    )
+    out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
+    out_flat = out.reshape(n_rec, c_out, n_flat)
+    started = False
+    for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
+        if abs(shift) >= n_time:
+            continue
+        tap = taps[:, :, dt]
+        if shift > 0:
+            tap[..., :shift] = 0
+        else:
+            tap[..., n_time + shift:] = 0
+        lo, hi = max(-shift, 0), n_flat - max(shift, 0)
+        window = tap.reshape(n_rec, c_out, n_flat)[..., lo + shift: hi + shift]
+        if started:
+            out_flat[..., lo:hi] += window
+        else:
+            out_flat[..., :lo] = 0
+            out_flat[..., hi:] = 0
+            out_flat[..., lo:hi] = window
+            started = True
+    if not started:
+        out.fill(0)
+    if b is not None:
+        out += b[:, :, None, None]
+    ctx = (g_flat, w_fold, plan, time_dilation, x.shape, w.shape,
+           b is not None) if save else None
+    return out, ctx
+
+
+def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
+    """Adjoint of :func:`harmonic_conv2d_forward`.
+
+    Returns ``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` unless
+    ``need_input`` (a fit's code needs no gradient, so its first layer
+    skips the input GEMM and scatter), ``grad_b`` is ``None`` for a
+    bias-free convolution.
+    """
+    g_flat, w_fold, plan, time_dilation, x_shape, w_shape, has_bias = ctx
+    n_rec, c_out, n_freq, n_time = grad.shape
+    c_in, n_harm, kt = w_shape[2], w_shape[3], w_shape[4]
+    backend = active_backend()
+    # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted back
+    # onto the input frames it read (one flat copy), zero where it read
+    # padding.
+    n_flat = n_freq * n_time
+    grad_flat = grad.reshape(n_rec, c_out, n_flat)
+    shifted = np.empty((n_rec, c_out, kt, n_freq, n_time), dtype=grad.dtype)
+    for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
+        lane = shifted[:, :, dt]
+        if abs(shift) >= n_time:
+            lane[...] = 0
+        elif shift > 0:
+            lane.reshape(n_rec, c_out, n_flat)[..., shift:] = \
+                grad_flat[..., :n_flat - shift]
+            lane[..., :shift] = 0
+        else:
+            lane.reshape(n_rec, c_out, n_flat)[..., :n_flat + shift] = \
+                grad_flat[..., -shift:]
+            lane[..., n_time + shift:] = 0
+    s_flat = shifted.reshape(n_rec, c_out * kt, n_flat)
+    # Weight gradient: contract the taps against the gather buffer.
+    grad_w = backend.matmul(s_flat, g_flat.transpose(0, 2, 1)).reshape(
+        n_rec, c_out, kt, c_in, n_harm
+    ).transpose(0, 1, 3, 4, 2)
+    grad_b = grad.sum(axis=(2, 3)) if has_bias else None
+    grad_x = None
+    if need_input:
+        # Input gradient back through the gather: the adjoint of each
+        # harmonic lane's copy.
+        grad_g = backend.matmul(w_fold.transpose(0, 2, 1), s_flat).reshape(
+            n_rec, c_in, n_harm, n_freq, n_time
+        )
+        lanes = list(enumerate(plan))
+        if plan[0][1] == slice(0, n_freq, 1):
+            # Harmonic 1 at anchor 1 reads every bin once: start from it.
+            grad_x = grad_g[:, :, 0].copy()
+            lanes = lanes[1:]
+        else:
+            grad_x = np.zeros(x_shape, dtype=grad.dtype)
+        for k, (n_valid, row_slice, rows, unique) in lanes:
+            source = grad_g[:, :, k, :n_valid]
+            if rows is None:
+                grad_x[:, :, row_slice] += source
+            else:
+                backend.index_add(
+                    np.moveaxis(grad_x, 2, 0), rows,
+                    np.moveaxis(source, 2, 0), unique=unique,
+                )
+    return grad_x, grad_w, grad_b
 
 
 def harmonic_conv2d(
@@ -299,84 +483,105 @@ def harmonic_conv2d(
     x = astensor(x)
     weight = astensor(weight)
     w, b = _per_record(x, weight, bias, "harmonic_conv2d")
-    if time_dilation < 1:
-        raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
-    n_rec, c_in, n_freq, n_time = x.shape
-    c_out, n_harm, kt = w.shape[1], w.shape[3], w.shape[4]
-    if kt % 2 == 0:
-        raise ConfigurationError(f"time kernel size must be odd, got {kt}")
-
-    gather_plan = harmonic_gather_plan(n_freq, n_harm, anchor)
-    scatter_plan = harmonic_scatter_plan(n_freq, n_harm, anchor)
-    pad_t = (kt // 2) * time_dilation
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad_t, pad_t))) \
-        if pad_t else x.data
-    n_tp = xp.shape[-1]
-
-    # One frequency gather per call: (R, C, H, F, Tp).  Each harmonic
-    # lane is a strided slice copy (or a fancy gather of its in-band
-    # prefix) with the out-of-band tail zero-filled.
-    gather_shape = (n_rec, c_in, n_harm, n_freq, n_tp)
-    gathered = np.empty(gather_shape, dtype=x.dtype)
-    for k, (n_valid, row_slice, rows) in enumerate(gather_plan):
-        lane = gathered[:, :, k]
-        lane[:, :, :n_valid] = xp[:, :, row_slice if rows is None else rows]
-        lane[:, :, n_valid:] = 0
-
-    # One batched GEMM contracts the whole (channel, harmonic) axis
-    # against the un-duplicated gather buffer:
-    #     tmp[r, (o, dt), (f, tp)] = sum_(c,h) w[r, o, c, h, dt] * g[r, (c,h), (f,tp)]
-    # and the KT tap outputs are then overlap-added at their dilated time
-    # offsets, so each input cell is touched once per layer.
-    backend = active_backend()
-    w_fold = np.ascontiguousarray(w.transpose(0, 1, 4, 2, 3)).reshape(
-        n_rec, c_out * kt, c_in * n_harm
+    out_data, ctx = harmonic_conv2d_forward(
+        x.data, w, b, anchor=anchor, time_dilation=time_dilation
     )
-    g_flat = gathered.reshape(n_rec, c_in * n_harm, n_freq * n_tp)
-    tmp_taps = backend.matmul(w_fold, g_flat).reshape(
-        n_rec, c_out, kt, n_freq, n_tp
-    )
-    out_data = np.zeros((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
-    for dt in range(kt):
-        t0 = dt * time_dilation
-        out_data += tmp_taps[:, :, dt, :, t0: t0 + n_time]
-    if b is not None:
-        out_data += b.reshape(n_rec, c_out, 1, 1)
+    return _conv_node("harmonic_conv2d", x, weight, bias, out_data, ctx,
+                      harmonic_conv2d_backward)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = x._make(out_data, parents, "harmonic_conv2d")
+
+# --------------------------------------------------------------------- #
+# Instance normalisation (+ optional fused leaky ReLU)
+# --------------------------------------------------------------------- #
+def instance_norm_forward(x: np.ndarray, weight: Optional[np.ndarray],
+                          bias: Optional[np.ndarray], eps: float = 1e-5,
+                          negative_slope: Optional[float] = None,
+                          save: bool = True):
+    """Per-sample, per-channel normalisation over the spatial axes.
+
+    ``x`` is ``(N, C, H, W)``; the optional affine ``weight``/``bias``
+    reshape to ``(N, C)`` or ``(1, C)`` (one scale and shift per record,
+    or one shared).  A ``negative_slope`` fuses a leaky ReLU onto the
+    output, the conv block's norm-then-activate stage.
+    """
+    n, c = x.shape[:2]
+    mean = x.mean(axis=(2, 3), keepdims=True)
+    xhat = x - mean
+    var = np.einsum("nchw,nchw->nc", xhat, xhat) * (1.0 / (x[0, 0].size))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[:, :, None, None]
+    scale = None
+    if weight is not None:
+        scale = weight.reshape(-1, c)[:, :, None, None]
+        out = xhat * scale
+        out += bias.reshape(-1, c)[:, :, None, None]
+    elif negative_slope is not None:
+        out = xhat.copy()
+    else:
+        out = xhat
+    positive = None
+    if negative_slope is not None:
+        if save:
+            positive = out > 0
+        # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
+        np.maximum(out, negative_slope * out, out=out)
+    ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
+    return out, ctx
+
+
+def instance_norm_backward(ctx, grad: np.ndarray):
+    """Adjoint of :func:`instance_norm_forward`.
+
+    Returns ``(grad_x, grad_weight, grad_bias)``; the affine gradients
+    are ``(N, C)`` (callers sum them to a shared weight's shape) and
+    ``None`` without an affine.
+    """
+    xhat, inv_std, scale, positive, negative_slope = ctx
+    if negative_slope is not None:
+        slope = positive.astype(grad.dtype)
+        np.maximum(slope, negative_slope, out=slope)
+        grad = grad * slope
+    count = xhat[0, 0].size
+    grad_b = grad.sum(axis=(2, 3))
+    grad_w = np.einsum("nchw,nchw->nc", grad, xhat)
+    # d/dx of (x - mean) * inv_std, through both the mean and the
+    # variance:  inv_std * (g - mean(g) - xhat * mean(g * xhat)).
+    grad_x = xhat * (grad_w * (-1.0 / count))[:, :, None, None]
+    grad_x += grad
+    grad_x -= (grad_b * (1.0 / count))[:, :, None, None]
+    gain = inv_std if scale is None else scale[:, :, 0, 0] * inv_std
+    grad_x *= gain[:, :, None, None]
+    if scale is None:
+        return grad_x, None, None
+    return grad_x, grad_w, grad_b
+
+
+def instance_norm(x: Tensor, weight: Optional[Tensor] = None,
+                  bias: Optional[Tensor] = None, eps: float = 1e-5) -> Tensor:
+    """Instance normalisation as one graph node.
+
+    ``weight``/``bias`` are ``(C,)`` (shared by every sample) or
+    ``(N, C)`` (one pair per record of a record-stacked layer).
+    """
+    x = astensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"instance_norm expects 4-D input, got {x.shape}")
+    affine = weight is not None
+    out_data, ctx = instance_norm_forward(
+        x.data, weight.data if affine else None,
+        bias.data if affine else None, eps,
+    )
+    parents = (x, weight, bias) if affine else (x,)
+    out = x._make(out_data, parents, "instance_norm")
 
     def backward(grad):
-        # Adjoint of the overlap-add: each tap sees ``grad`` in its own
-        # dilated window and zero elsewhere.
-        grad_tmp = np.zeros((n_rec, c_out, kt, n_freq, n_tp), dtype=x.dtype)
-        for dt in range(kt):
-            t0 = dt * time_dilation
-            grad_tmp[:, :, dt, :, t0: t0 + n_time] = grad
-        gt_flat = grad_tmp.reshape(n_rec, c_out * kt, n_freq * n_tp)
-        # Weight gradient: contract the taps against the gather buffer.
-        grad_w = backend.matmul(gt_flat, g_flat.transpose(0, 2, 1)).reshape(
-            n_rec, c_out, kt, c_in, n_harm
-        ).transpose(0, 1, 3, 4, 2)
-        # Input gradient back through the gather: a scatter-add per
-        # harmonic along the cached plan.  Only in-band rows scatter, and
-        # duplicate-free targets (always the case for anchor = 1) take the
-        # plain fancy-index ``+=``.
-        grad_gathered = backend.matmul(
-            w_fold.transpose(0, 2, 1), gt_flat
-        ).reshape(gather_shape)
-        grad_xp = np.zeros(xp.shape, dtype=x.dtype)
-        moved = np.moveaxis(grad_xp, 2, 0)   # (F, R, C, Tp) view
-        for k, (rows, targets, is_unique) in enumerate(scatter_plan):
-            source = np.moveaxis(grad_gathered[:, :, k], 2, 0)[rows]
-            backend.index_add(moved, targets, source, unique=is_unique)
-        grad_x = grad_xp[:, :, :, pad_t: pad_t + n_time] if pad_t else grad_xp
-        grads = [grad_x, grad_w.reshape(weight.shape)]
-        if bias is not None:
-            grads.append(grad.sum(axis=(2, 3)).reshape(bias.shape))
-        return tuple(grads)
+        grad_x, grad_w, grad_b = instance_norm_backward(ctx, grad)
+        if not affine:
+            return (grad_x,)
+        return (grad_x, _unbroadcast(grad_w, weight.shape),
+                _unbroadcast(grad_b, bias.shape))
 
-    Tensor._attach(out, parents, backward, "harmonic_conv2d")
+    Tensor._attach(out, parents, backward, "instance_norm")
     return out
 
 
@@ -409,31 +614,94 @@ def avg_pool2d(x: Tensor, kernel) -> Tensor:
     return out
 
 
+def _window_taps(kh: int, kw: int, oh: int, ow: int) -> tuple:
+    """Strided ``(rows, cols)`` slices of each tap of a pooling window."""
+    return tuple(
+        (slice(di, di + kh * oh, kh), slice(dj, dj + kw * ow, kw))
+        for di in range(kh) for dj in range(kw)
+    )
+
+
+def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True):
+    """Non-overlapping max pooling over raw arrays; remainder dropped.
+
+    Walks the ``kh * kw`` window taps as strided views, keeping the
+    first maximum of each window (the ``argmax`` tie rule).
+    """
+    kh, kw = kernel
+    n, c, h, w = x.shape
+    oh, ow = h // kh, w // kw
+    if oh == 0 or ow == 0:
+        raise ShapeError(f"max_pool2d kernel {kernel} larger than input {x.shape}")
+    taps = _window_taps(kh, kw, oh, ow)
+    out = x[:, :, taps[0][0], taps[0][1]].copy()
+    arg = np.zeros(out.shape, dtype=np.int8) if save else None
+    for j, (rows, cols) in enumerate(taps[1:], start=1):
+        tap = x[:, :, rows, cols]
+        if save:
+            arg += (tap > out) * (j - arg)
+        np.maximum(out, tap, out=out)
+    return out, ((arg, x.shape, kernel) if save else None)
+
+
+def max_pool2d_backward(ctx, grad: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`max_pool2d_forward`: route to each window's max."""
+    arg, in_shape, (kh, kw) = ctx
+    full = np.zeros(in_shape, dtype=grad.dtype)
+    for j, (rows, cols) in enumerate(
+            _window_taps(kh, kw, grad.shape[2], grad.shape[3])):
+        full[:, :, rows, cols] = grad * (arg == j)
+    return full
+
+
 def max_pool2d(x: Tensor, kernel) -> Tensor:
     """Non-overlapping max pooling; trailing remainder is dropped."""
     x = astensor(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d input must be 4-D, got {x.shape}")
-    kh, kw = _pair(kernel)
-    n, c, h, w = x.shape
-    oh, ow = h // kh, w // kw
-    if oh == 0 or ow == 0:
-        raise ShapeError(f"max_pool2d kernel {kernel} larger than input {x.shape}")
-    windows = x.data[:, :, : oh * kh, : ow * kw].reshape(n, c, oh, kh, ow, kw)
-    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kh * kw)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out_data, ctx = max_pool2d_forward(x.data, _pair(kernel))
     out = x._make(out_data, (x,), "max_pool2d")
+    Tensor._attach(out, (x,), lambda g: (max_pool2d_backward(ctx, g),),
+                   "max_pool2d")
+    return out
 
-    def backward(grad):
-        grad_flat = np.zeros_like(flat)
-        np.put_along_axis(grad_flat, arg[..., None], grad[..., None], axis=-1)
-        g = grad_flat.reshape(n, c, oh, ow, kh, kw).transpose(0, 1, 2, 4, 3, 5)
-        full = np.zeros((n, c, h, w), dtype=grad.dtype)
-        full[:, :, : oh * kh, : ow * kw] = g.reshape(n, c, oh * kh, ow * kw)
-        return (full,)
 
-    Tensor._attach(out, (x,), backward, "max_pool2d")
+def upsample_nearest_forward(x: np.ndarray, scale, size=None,
+                             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nearest-neighbour upsampling of the two spatial axes.
+
+    ``size`` crops or zero-pads the result to exactly ``(H, W)`` (the
+    U-Net decoder matching a skip connection); ``out`` receives the
+    result in place (the decoder's concatenation buffer).
+    """
+    sh, sw = scale
+    n, c, h, w = x.shape
+    size = (h * sh, w * sw) if size is None else tuple(size)
+    if out is None:
+        out = np.empty((n, c) + size, dtype=x.dtype)
+    for i in range(sh):
+        rows = min(h, len(range(i, size[0], sh)))
+        for j in range(sw):
+            cols = min(w, len(range(j, size[1], sw)))
+            out[:, :, i: i + sh * rows: sh, j: j + sw * cols: sw] = \
+                x[:, :, :rows, :cols]
+    out[:, :, sh * h:] = 0
+    out[:, :, :, sw * w:] = 0
+    return out
+
+
+def upsample_nearest_backward(grad: np.ndarray, scale, in_shape) -> np.ndarray:
+    """Adjoint of :func:`upsample_nearest_forward`: sum each cell's copies."""
+    sh, sw = scale
+    h, w = in_shape[2], in_shape[3]
+    size = grad.shape[2:]
+    out = np.zeros(in_shape, dtype=grad.dtype)
+    for i in range(sh):
+        rows = min(h, len(range(i, size[0], sh)))
+        for j in range(sw):
+            cols = min(w, len(range(j, size[1], sw)))
+            out[:, :, :rows, :cols] += \
+                grad[:, :, i: i + sh * rows: sh, j: j + sw * cols: sw]
     return out
 
 
@@ -442,34 +710,16 @@ def upsample_nearest(x: Tensor, scale) -> Tensor:
     x = astensor(x)
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest input must be 4-D, got {x.shape}")
-    sh, sw = _pair(scale)
-    n, c, h, w = x.shape
-    out_data = np.repeat(np.repeat(x.data, sh, axis=2), sw, axis=3)
-    out = x._make(out_data, (x,), "upsample_nearest")
-
-    def backward(grad):
-        g = grad.reshape(n, c, h, sh, w, sw).sum(axis=(3, 5))
-        return (g,)
-
-    Tensor._attach(out, (x,), backward, "upsample_nearest")
+    scale = _pair(scale)
+    out = x._make(upsample_nearest_forward(x.data, scale), (x,),
+                  "upsample_nearest")
+    in_shape = x.shape
+    Tensor._attach(
+        out, (x,),
+        lambda g: (upsample_nearest_backward(g, scale, in_shape),),
+        "upsample_nearest",
+    )
     return out
-
-
-def crop_or_pad_time(x: Tensor, target_len: int) -> Tensor:
-    """Crop or zero-pad the last (time) axis to exactly ``target_len``.
-
-    Used by the U-Net decoder to match skip-connection lengths when the
-    input time extent is not a power-of-two multiple.
-    """
-    x = astensor(x)
-    current = x.shape[-1]
-    if current == target_len:
-        return x
-    if current > target_len:
-        index = (slice(None),) * (x.ndim - 1) + (slice(0, target_len),)
-        return x[index]
-    pad_width = [(0, 0)] * (x.ndim - 1) + [(0, target_len - current)]
-    return x.pad(pad_width)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

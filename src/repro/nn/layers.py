@@ -150,15 +150,7 @@ class InstanceNorm2d(Module):
                 f"InstanceNorm2d configured for {self.num_channels} channels, "
                 f"got {x.shape[1]}"
             )
-        mean = x.mean(axis=(2, 3), keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=(2, 3), keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        if self.weight is not None:
-            shape = (-1, self.num_channels, 1, 1)
-            normed = normed * self.weight.reshape(shape) \
-                + self.bias.reshape(shape)
-        return normed
+        return F.instance_norm(x, self.weight, self.bias, eps=self.eps)
 
 
 class LeakyReLU(Module):

@@ -23,7 +23,12 @@ from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SerializationError, ShapeError
+from repro.errors import (
+    ConfigurationError,
+    GraphError,
+    SerializationError,
+    ShapeError,
+)
 from repro.nn import functional as F
 from repro.nn.layers import (
     Conv2d,
@@ -31,11 +36,10 @@ from repro.nn.layers import (
     InstanceNorm2d,
     LeakyReLU,
     MaxPool2d,
-    Sigmoid,
     UpsampleNearest,
 )
 from repro.nn.module import Module, ModuleList, Sequential
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.tensor import Tensor, astensor, is_grad_enabled
 from repro.utils.seeding import as_generator, spawn_generators
 
 #: Network variants compared in Fig. 3 of the paper.
@@ -45,20 +49,6 @@ PRIOR_KINDS = (
     "spac",                # spectrally accurate: anchor 1, no freq pooling
     "spac_dilated",        # + time dilation aligned with unwarped patterns
 )
-
-
-def _crop_or_pad(x: Tensor, axis: int, target: int) -> Tensor:
-    """Crop or zero-pad ``axis`` of ``x`` to exactly ``target`` entries."""
-    current = x.shape[axis]
-    if current == target:
-        return x
-    if current > target:
-        index = [slice(None)] * x.ndim
-        index[axis] = slice(0, target)
-        return x[tuple(index)]
-    pad_width = [(0, 0)] * x.ndim
-    pad_width[axis] = (0, target - current)
-    return x.pad(pad_width)
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,11 @@ class UNetConfig:
 
 
 class ConvBlock(Module):
-    """Two (conv -> instance-norm -> leaky-ReLU) stages."""
+    """Two (conv -> instance-norm -> leaky-ReLU) stages.
+
+    A parameter container: :class:`SpAcLUNet` runs its :meth:`stages`
+    inside the network's single autograd node.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, cfg: UNetConfig,
                  rng, dtype=np.float32):
@@ -139,8 +133,99 @@ class ConvBlock(Module):
             channels = out_channels
         self.body = Sequential(*stages)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.body(x)
+    def stages(self) -> List[Tuple[Module, InstanceNorm2d, LeakyReLU]]:
+        """The ``(conv, norm, activation)`` triples, in forward order."""
+        body = list(self.body)
+        return list(zip(body[0::3], body[1::3], body[2::3]))
+
+
+def _param_data(param):
+    return None if param is None else param.data
+
+
+def _forward_layers(layers: Sequence[tuple], x: np.ndarray, save: bool):
+    """Run a :meth:`SpAcLUNet.layers` list over raw arrays.
+
+    Returns the sigmoid output and the tape: one kernel context per
+    layer when ``save``, else an empty list.
+    """
+    tape: list = []
+    skips: List[np.ndarray] = []
+    for step in layers:
+        kind = step[0]
+        if kind == "conv":
+            layer = step[1]
+            w, b = F.record_kernels(layer.weight.data, _param_data(layer.bias))
+            if isinstance(layer, HarmonicConv2d):
+                x, ctx = F.harmonic_conv2d_forward(
+                    x, w, b, layer.anchor, layer.time_dilation, save
+                )
+            else:
+                x, ctx = F.conv2d_forward(x, w, b, layer.padding, save)
+        elif kind == "norm":
+            norm = step[1]
+            x, ctx = F.instance_norm_forward(
+                x, _param_data(norm.weight), _param_data(norm.bias),
+                norm.eps, step[2], save,
+            )
+        elif kind == "down":
+            skips.append(x)
+            x, ctx = F.max_pool2d_forward(x, step[1], save)
+        else:  # "up"
+            skip = skips.pop()
+            n_skip = skip.shape[1]
+            joined = np.empty(
+                (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:],
+                dtype=x.dtype,
+            )
+            joined[:, :n_skip] = skip
+            F.upsample_nearest_forward(
+                x, step[1], size=skip.shape[2:], out=joined[:, n_skip:]
+            )
+            ctx = (n_skip, x.shape)
+            x = joined
+        if save:
+            tape.append(ctx)
+    return 1.0 / (1.0 + np.exp(-x)), tape
+
+
+def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
+                     grad: np.ndarray, need_input: bool):
+    """Replay :func:`_forward_layers` in reverse.
+
+    Returns the input gradient (``None`` unless ``need_input``) and a
+    ``{id(parameter): gradient}`` map shaped like the parameters.
+    """
+    grads = {}
+    skip_grads: List[np.ndarray] = []
+    g = grad * out * (1.0 - out)
+    for index in range(len(layers) - 1, -1, -1):
+        step, ctx = layers[index], tape[index]
+        kind = step[0]
+        if kind == "conv":
+            layer = step[1]
+            kernel_backward = F.harmonic_conv2d_backward \
+                if isinstance(layer, HarmonicConv2d) else F.conv2d_backward
+            g, grad_w, grad_b = kernel_backward(
+                ctx, g, need_input or index > 0
+            )
+            grads[id(layer.weight)] = grad_w.reshape(layer.weight.shape)
+            if grad_b is not None:
+                grads[id(layer.bias)] = grad_b.reshape(layer.bias.shape)
+        elif kind == "norm":
+            norm = step[1]
+            g, grad_w, grad_b = F.instance_norm_backward(ctx, g)
+            if grad_w is not None:
+                grads[id(norm.weight)] = grad_w.reshape(norm.weight.shape)
+                grads[id(norm.bias)] = grad_b.reshape(norm.bias.shape)
+        elif kind == "down":
+            g = F.max_pool2d_backward(ctx, g)
+            g += skip_grads.pop()
+        else:  # "up"
+            n_skip, x_shape = ctx
+            skip_grads.append(g[:, :n_skip])
+            g = F.upsample_nearest_backward(g[:, n_skip:], step[1], x_shape)
+    return g, grads
 
 
 class SpAcLUNet(Module):
@@ -195,7 +280,6 @@ class SpAcLUNet(Module):
             channels = skip_ch
 
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
-        self.out_activation = Sigmoid()
 
     # ------------------------------------------------------------------ #
     # Record stacking
@@ -260,9 +344,50 @@ class SpAcLUNet(Module):
             param.grad = None
 
     # ------------------------------------------------------------------ #
-    # Forward
+    # Forward: one autograd node for the whole network
     # ------------------------------------------------------------------ #
+    def layers(self) -> List[tuple]:
+        """The network as a flat layer list, in forward order.
+
+        Entries are ``("conv", layer)``, ``("norm", norm, slope)`` (an
+        instance norm fused with its leaky ReLU), ``("down", kernel)``
+        (keep the skip, then max-pool), ``("up", scale)`` (upsample onto
+        the newest skip's extent and concatenate ``[skip, x]``), closed
+        by the head convolution; the output sigmoid is implicit.
+        """
+        steps: List[tuple] = []
+
+        def block(conv_block: ConvBlock) -> None:
+            for conv, norm, act in conv_block.stages():
+                steps.append(("conv", conv))
+                steps.append(("norm", norm, act.negative_slope))
+
+        for encoder in self.encoders:
+            block(encoder)
+            steps.append(("down", self.pool.kernel))
+        block(self.bottleneck)
+        for decoder in self.decoders:
+            steps.append(("up", self.upsample.scale))
+            block(decoder)
+        steps.append(("conv", self.head))
+        return steps
+
     def forward(self, z: Tensor) -> Tensor:
+        """Map codes ``(R, C_in, F, T)`` to estimates ``(R, 1, F, T)``.
+
+        The whole network is **one** graph node whose parents are the
+        code and every parameter.  Its forward walks :meth:`layers` over
+        raw arrays through the kernel pairs of :mod:`repro.nn.functional`,
+        saving only what the adjoint needs — and nothing at all under
+        :func:`repro.nn.no_grad` or when nothing requires grad.  Its
+        backward replays the list in reverse and returns every
+        parameter's gradient; the code's gradient is computed only when
+        the code requires grad, so a fit skips the first convolution's
+        input-gradient GEMM and scatter.  The saved activations are
+        released once backpropagated, so a fit iteration's forward never
+        runs while the previous iteration's are still held.
+        """
+        z = astensor(z)
         if z.ndim != 4:
             raise ShapeError(f"SpAcLUNet expects 4-D input, got {z.shape}")
         if z.shape[0] != self.n_records:
@@ -275,20 +400,27 @@ class SpAcLUNet(Module):
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
                 f"channels, got {z.shape[1]}"
             )
-        skips: List[Tensor] = []
-        x = z
-        for encoder in self.encoders:
-            x = encoder(x)
-            skips.append(x)
-            x = self.pool(x)
-        x = self.bottleneck(x)
-        for decoder, skip in zip(self.decoders, reversed(skips)):
-            x = self.upsample(x)
-            x = _crop_or_pad(x, 2, skip.shape[2])
-            x = _crop_or_pad(x, 3, skip.shape[3])
-            x = concatenate([skip, x], axis=1)
-            x = decoder(x)
-        return self.out_activation(self.head(x))
+        params = self.parameters()
+        parents = (z, *params)
+        record = is_grad_enabled() and any(p.requires_grad for p in parents)
+        layers = self.layers()
+        out_data, tape = _forward_layers(layers, z.data, save=record)
+        out = z._make(out_data, parents, "spac_lunet")
+
+        def backward(grad):
+            if not tape:
+                raise GraphError(
+                    "SpAcLUNet graph already backpropagated; its saved "
+                    "activations are released, so run the forward again"
+                )
+            grad_z, grads = _backward_layers(
+                layers, tape, out_data, grad, z.requires_grad
+            )
+            tape.clear()
+            return (grad_z, *(grads.get(id(p)) for p in params))
+
+        Tensor._attach(out, parents, backward, "spac_lunet")
+        return out
 
     def make_input_code(self, n_freq: int, n_time: int,
                         rng=None, scale: float = 0.1,

@@ -50,7 +50,10 @@ keeps one engine alive across calls.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -261,11 +264,36 @@ class ShmBlock:
 _WORKER_SEPARATOR: Optional[Separator] = None
 
 
-def _init_worker(payload: Tuple[str, Any, str, str]) -> None:
+def _pin_blas_threads(workers: int) -> None:
+    """Give this worker its share of the usable cores for OpenBLAS.
+
+    Every worker's BLAS would otherwise start one thread per core, so
+    ``workers`` processes oversubscribe the machine ``workers``-fold —
+    and a deep-prior fit spends most of its time inside BLAS.  Sets
+    numpy's bundled OpenBLAS to ``max(1, usable cores // workers)``
+    threads; does nothing when that library is not loaded.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else (os.cpu_count() or 1)
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(max(1, cores // workers))
+
+
+def _init_worker(payload: Tuple[str, Any, str, str, int]) -> None:
     """Build this worker's separator once, from spec JSON or pickle bytes.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
-    time separator configuration crosses the process boundary.  A
+    time separator configuration crosses the process boundary.  It
+    first pins the worker's BLAS threads to its share of the cores
+    (:func:`_pin_blas_threads`, from the pool's ``workers`` count).  A
     non-empty ``zoo_path`` additionally resolves the process-wide
     :func:`repro.nn.zoo.shared_fit_cache`, so a warm-start separator's
     first fit already sees the on-disk prior zoo.  A non-empty
@@ -275,7 +303,8 @@ def _init_worker(payload: Tuple[str, Any, str, str]) -> None:
     construction rather than the first job.
     """
     global _WORKER_SEPARATOR
-    kind, data, zoo_path, backend = payload
+    kind, data, zoo_path, backend, workers = payload
+    _pin_blas_threads(workers)
     if backend:
         from repro.backend import set_process_backend
 
@@ -400,7 +429,8 @@ class ShardedExecutor:
                     f"{type(spec).__name__}"
                 )
             self._payload = (
-                "spec", json.dumps(spec.to_dict()), zoo_path, backend
+                "spec", json.dumps(spec.to_dict()), zoo_path, backend,
+                workers,
             )
         else:
             try:
@@ -411,7 +441,7 @@ class ShardedExecutor:
                     f"spec was given; pass spec= (or register the method) "
                     f"so workers can rebuild it ({exc})"
                 ) from exc
-            self._payload = ("pickle", data, zoo_path, backend)
+            self._payload = ("pickle", data, zoo_path, backend, workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 

@@ -131,6 +131,14 @@ class TestHarmonicConv2d:
         out = F.harmonic_conv2d(Tensor(x), Tensor(w), time_dilation=4)
         assert out.data[0, 0, 1, 4] == 1.0
 
+    def test_dilation_past_both_ends_leaves_the_centre_tap(self, rng):
+        # Side taps shifted by >= T frames read only zero padding.
+        x = Tensor(rng.standard_normal((1, 2, 7, 5)))
+        w = rng.standard_normal((3, 2, 2, 3))
+        wide = F.harmonic_conv2d(x, Tensor(w), time_dilation=5).data
+        centre = F.harmonic_conv2d(x, Tensor(w[..., 1:2])).data
+        np.testing.assert_allclose(wide, centre, atol=1e-12)
+
     def test_records_do_not_mix(self, rng):
         """Record r of the output depends only on record r of the input."""
         x1 = rng.standard_normal((2, 2, 7, 9))
@@ -183,7 +191,7 @@ class TestConvGradcheckSweep:
 
     @pytest.mark.parametrize("records", [2, None])
     @pytest.mark.parametrize("anchor", [1, 2, 3])
-    @pytest.mark.parametrize("dilation", [1, 2, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 5, 9])
     def test_harmonic_conv2d(self, rng, records, anchor, dilation):
         x, w, b = self._operands(rng, records, (3, 2, 3, 3), (2, 7, 9))
         ok, err = check_gradients(
@@ -267,9 +275,3 @@ class TestDropoutAndCrop:
     def test_dropout_bad_p(self, rng):
         with pytest.raises(ConfigurationError):
             F.dropout(Tensor(np.ones(3)), 1.0, rng)
-
-    def test_crop_or_pad_time(self):
-        x = Tensor(np.ones((1, 1, 2, 5)))
-        assert F.crop_or_pad_time(x, 3).shape[-1] == 3
-        assert F.crop_or_pad_time(x, 8).shape[-1] == 8
-        assert F.crop_or_pad_time(x, 5) is x

@@ -9,6 +9,8 @@ every registered separator, the service facade's persistent engine, and
 the one-serialization-per-worker guarantee (counting ``__reduce__``).
 """
 
+import ctypes
+import glob
 import os
 import pickle
 
@@ -94,6 +96,32 @@ class DyingSeparator(Separator):
         if mixed.size == DEATH_SAMPLES:
             os._exit(1)
         return {name: np.array(mixed) for name in f0_tracks}
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count (numpy's bundled copy), or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        return get_threads()
+    return None
+
+
+class BlasThreadsSeparator(Separator):
+    """Every estimate is the worker's OpenBLAS thread count."""
+
+    name = "blas-threads"
+
+    def separate(self, mixed, sampling_hz, f0_tracks):
+        mixed = self._validate(mixed, sampling_hz, f0_tracks)
+        threads = float(_blas_threads())
+        return {name: np.full(mixed.size, threads) for name in f0_tracks}
 
 
 class CountingMasking(SpectralMaskingSeparator):
@@ -263,6 +291,16 @@ class TestShardedExecutor:
         for a, b in zip(expected, out):
             for source in a:
                 np.testing.assert_allclose(a[source], b[source], atol=1e-12)
+
+    def test_workers_pin_blas_threads(self):
+        parent_threads = _blas_threads()
+        if parent_threads is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        usable = len(os.sched_getaffinity(0))
+        with ShardedExecutor(BlasThreadsSeparator(), workers=2) as engine:
+            out = engine.separate_records(_records(4))
+        assert {float(est["a"][0]) for est in out} == {max(1, usable // 2)}
+        assert _blas_threads() == parent_threads  # the parent is untouched
 
     def test_worker_death_is_structured_and_recoverable(self):
         bad = _records(2, n_samples=DEATH_SAMPLES)
