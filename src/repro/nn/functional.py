@@ -81,14 +81,15 @@ def harmonic_gather_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
 
     The in-band rows of :func:`harmonic_index_map` are always a prefix
     (the index ``round(k f / anchor)`` is non-decreasing), so each
-    harmonic gathers ``n_valid`` rows and zero-fills the rest.  When the
-    row indices form an arithmetic progression (always true for
-    ``anchor = 1``, where harmonic ``k`` reads rows ``0, k, 2k, ...``)
-    the gather is a strided slice copy, and its adjoint a strided slice
-    ``+=``.  Otherwise the rows are fancy-indexed; ``unique`` records
-    whether they are duplicate-free, so the adjoint scatter can skip the
-    much slower ``np.add.at`` (duplicates occur when ``anchor > k``,
-    e.g. the Zhang-baseline ``anchor = 2``).
+    harmonic gathers its first ``n_valid`` rows and nothing else (see
+    :func:`harmonic_band_plan`).  When the row indices form an arithmetic
+    progression (always true for ``anchor = 1``, where harmonic ``k``
+    reads rows ``0, k, 2k, ...``) the gather is a strided slice copy, and
+    its adjoint a strided slice ``+=``.  Otherwise the rows are
+    fancy-indexed; ``unique`` records whether they are duplicate-free, so
+    the adjoint scatter can skip the much slower ``np.add.at``
+    (duplicates occur when ``anchor > k``, e.g. the Zhang-baseline
+    ``anchor = 2``).
 
     Returns one ``(n_valid, row_slice_or_None, rows_or_None, unique)``
     tuple per harmonic: exactly one of the middle two is set.
@@ -117,6 +118,45 @@ def harmonic_gather_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
                 (n_valid, None, rows, np.unique(rows).size == rows.size)
             )
     return tuple(plan)
+
+
+@lru_cache(maxsize=256)
+def harmonic_band_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
+    """Output-row bands of the harmonic convolution, by harmonics in band.
+
+    Harmonic ``k``'s in-band rows are a prefix of length ``n_valid[k]``
+    (:func:`harmonic_gather_plan`), and ``n_valid`` never grows with
+    ``k``, so output rows ``[n_valid[j], n_valid[j - 1])`` read exactly
+    the first ``j`` harmonics.  Returns one ``(j, lo, hi)`` per non-empty
+    band, in row order, partitioning ``[0, n_freq)``.  The convolution's
+    forward and input-gradient GEMMs run once per band, over the band's
+    rows and the leading ``j`` harmonics, and its weight-gradient GEMMs
+    once per harmonic over the bands that read it, so no out-of-band
+    lane is ever written, read or multiplied.
+    """
+    counts = [lane[0] for lane in
+              harmonic_gather_plan(n_freq, n_harmonics, anchor)] + [0]
+    return tuple(
+        (j, counts[j], counts[j - 1])
+        for j in range(n_harmonics, 0, -1) if counts[j] < counts[j - 1]
+    )
+
+
+def saved_array(saved: Optional[dict], name: str, shape: tuple,
+                dtype) -> np.ndarray:
+    """An uninitialised array for a forward kernel to save into.
+
+    ``saved`` is one layer's slot of a network's saved activations:
+    ``saved[name]`` is handed back while its shape and dtype still hold,
+    so a fit's iterations keep writing into the same memory.  Without
+    ``saved`` (the public ops) every call gets a fresh array.
+    """
+    if saved is None:
+        return np.empty(shape, dtype=dtype)
+    array = saved.get(name)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = saved[name] = np.empty(shape, dtype=dtype)
+    return array
 
 
 # --------------------------------------------------------------------- #
@@ -177,14 +217,16 @@ def _conv_node(op: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                   padding=(0, 0), save: bool = True):
+                   padding=(0, 0), save: bool = True,
+                   saved: Optional[dict] = None):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
     ``b`` ``(R, C_out)`` or ``None``.  The input is unfolded once into an
     ``(R, C_in*KH*KW, OH*OW)`` column buffer (a free view for a 1x1
     kernel without padding) and contracted in one batched GEMM; the
-    buffer is what the adjoint keeps.
+    buffer is what the adjoint keeps (in ``saved``, see
+    :func:`saved_array`).
     """
     ph, pw = padding
     n_rec, c_in, h, width = x.shape
@@ -200,7 +242,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
     else:
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
             if (ph or pw) else x
-        cols = np.empty((n_rec, c_in, kh, kw, oh, ow), dtype=x.dtype)
+        cols = saved_array(saved, "cols", (n_rec, c_in, kh, kw, oh, ow),
+                           x.dtype)
         for (di, dj), (sl_h, sl_w) in taps:
             cols[:, :, di, dj] = xp[:, :, sl_h, sl_w]
         cols = cols.reshape(n_rec, c_in * kh * kw, oh * ow)
@@ -316,11 +359,14 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
 
 def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
                             b: Optional[np.ndarray], anchor: int = 1,
-                            time_dilation: int = 1, save: bool = True):
+                            time_dilation: int = 1, save: bool = True,
+                            saved: Optional[dict] = None):
     """Per-record dilated harmonic convolution over raw arrays (Eq. 8).
 
     ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` and
     ``b`` ``(R, C_out)`` or ``None``; the output is ``(R, C_out, F, T)``.
+    ``saved`` is the layer's slot of reused saved activations (see
+    :func:`saved_array`).
     """
     if time_dilation < 1:
         raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
@@ -328,32 +374,40 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
     c_out, n_harm, kt = w.shape[1], w.shape[3], w.shape[4]
     if kt % 2 == 0:
         raise ConfigurationError(f"time kernel size must be odd, got {kt}")
-    plan = harmonic_gather_plan(n_freq, n_harm, anchor)
+    lanes = harmonic_gather_plan(n_freq, n_harm, anchor)
+    bands = harmonic_band_plan(n_freq, n_harm, anchor)
 
-    # One frequency gather per call into an (R, C, H, F, T) buffer.  Each
-    # harmonic lane is a strided slice copy (or a fancy gather of its
-    # in-band prefix) with the out-of-band tail zero-filled.
-    gathered = np.empty((n_rec, c_in, n_harm, n_freq, n_time), dtype=x.dtype)
-    for k, (n_valid, row_slice, rows, _) in enumerate(plan):
-        lane = gathered[:, :, k]
-        lane[:, :, :n_valid] = x[:, :, row_slice if rows is None else rows]
-        lane[:, :, n_valid:] = 0
+    # One frequency gather per call into a harmonic-major (R, H, C, F, T)
+    # buffer.  Each harmonic lane is a strided slice copy (or a fancy
+    # gather) of its in-band prefix only: the bands below never read the
+    # out-of-band tail, so it is left unwritten.
+    n_flat = n_freq * n_time
+    gathered = saved_array(saved, "gather",
+                           (n_rec, n_harm, c_in, n_freq, n_time), x.dtype)
+    for k, (n_valid, row_slice, rows, _) in enumerate(lanes):
+        gathered[:, k, :, :n_valid] = \
+            x[:, :, row_slice if rows is None else rows]
+    g_flat = gathered.reshape(n_rec, n_harm * c_in, n_flat)
+    w_fold = saved_array(saved, "weight", (n_rec, c_out * kt, n_harm * c_in),
+                         w.dtype)
+    np.copyto(w_fold.reshape(n_rec, c_out, kt, n_harm, c_in),
+              w.transpose(0, 1, 4, 3, 2))
 
-    # One batched GEMM contracts the whole (channel, harmonic) axis
-    # against the un-duplicated gather buffer:
-    #     tmp[r, (o, dt), (f, t)] = sum_(c,h) w[r, o, c, h, dt] * g[r, (c,h), (f,t)]
+    # One batched GEMM per band contracts the band's leading (harmonic,
+    # channel) rows against its contiguous (f, t) columns:
+    #     tmp[r, (o, dt), (f, t)] = sum_(h<j,c) w[r, o, c, h, dt] * g[r, (h,c), (f,t)]
     # and the KT tap outputs are then overlap-added at their dilated time
     # shifts.  Each add runs over the flattened (f, t) axis in one pass:
     # the frames a tap would carry across a row boundary are the ones
     # that read zero padding, so they are zeroed first.
-    n_flat = n_freq * n_time
-    w_fold = np.ascontiguousarray(w.transpose(0, 1, 4, 2, 3)).reshape(
-        n_rec, c_out * kt, c_in * n_harm
-    )
-    g_flat = gathered.reshape(n_rec, c_in * n_harm, n_flat)
-    taps = active_backend().matmul(w_fold, g_flat).reshape(
-        n_rec, c_out, kt, n_freq, n_time
-    )
+    matmul = active_backend().matmul
+    taps = np.empty((n_rec, c_out * kt, n_flat),
+                    dtype=np.result_type(w_fold, g_flat))
+    for j, lo, hi in bands:
+        cols = slice(lo * n_time, hi * n_time)
+        matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
+               out=taps[:, :, cols])
+    taps = taps.reshape(n_rec, c_out, kt, n_freq, n_time)
     out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
     out_flat = out.reshape(n_rec, c_out, n_flat)
     started = False
@@ -374,11 +428,9 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
             out_flat[..., hi:] = 0
             out_flat[..., lo:hi] = window
             started = True
-    if not started:
-        out.fill(0)
     if b is not None:
         out += b[:, :, None, None]
-    ctx = (g_flat, w_fold, plan, time_dilation, x.shape, w.shape,
+    ctx = (g_flat, w_fold, lanes, bands, time_dilation, x.shape, w.shape,
            b is not None) if save else None
     return out, ctx
 
@@ -391,7 +443,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     skips the input GEMM and scatter), ``grad_b`` is ``None`` for a
     bias-free convolution.
     """
-    g_flat, w_fold, plan, time_dilation, x_shape, w_shape, has_bias = ctx
+    g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape, \
+        has_bias = ctx
     n_rec, c_out, n_freq, n_time = grad.shape
     c_in, n_harm, kt = w_shape[2], w_shape[3], w_shape[4]
     backend = active_backend()
@@ -414,27 +467,43 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
                 grad_flat[..., -shift:]
             lane[..., n_time + shift:] = 0
     s_flat = shifted.reshape(n_rec, c_out * kt, n_flat)
-    # Weight gradient: contract the taps against the gather buffer.
-    grad_w = backend.matmul(s_flat, g_flat.transpose(0, 2, 1)).reshape(
-        n_rec, c_out, kt, c_in, n_harm
-    ).transpose(0, 1, 3, 4, 2)
+    # Weight gradient: harmonic ``k``'s kernels contract the taps against
+    # its in-band prefix (the union of the bands that read it), one GEMM
+    # per harmonic into its own columns.
+    grad_w = np.empty((n_rec, c_out * kt, n_harm * c_in),
+                      dtype=np.result_type(s_flat, g_flat))
+    for k, (n_valid, _, _, _) in enumerate(lanes):
+        cols = slice(0, n_valid * n_time)
+        chans = slice(k * c_in, (k + 1) * c_in)
+        backend.matmul(s_flat[:, :, cols],
+                       g_flat[:, chans, cols].transpose(0, 2, 1),
+                       out=grad_w[:, :, chans])
+    grad_w = grad_w.reshape(n_rec, c_out, kt, n_harm, c_in).transpose(
+        0, 1, 4, 3, 2
+    )
     grad_b = grad.sum(axis=(2, 3)) if has_bias else None
     grad_x = None
     if need_input:
-        # Input gradient back through the gather: the adjoint of each
-        # harmonic lane's copy.
-        grad_g = backend.matmul(w_fold.transpose(0, 2, 1), s_flat).reshape(
-            n_rec, c_in, n_harm, n_freq, n_time
-        )
-        lanes = list(enumerate(plan))
-        if plan[0][1] == slice(0, n_freq, 1):
+        # Input gradient back through the gather, band by band (only
+        # in-band lanes are computed), then the adjoint of each harmonic
+        # lane's copy.
+        grad_g = np.empty((n_rec, n_harm * c_in, n_flat),
+                          dtype=np.result_type(w_fold, s_flat))
+        w_t = w_fold.transpose(0, 2, 1)
+        for j, lo, hi in bands:
+            cols = slice(lo * n_time, hi * n_time)
+            backend.matmul(w_t[:, :j * c_in], s_flat[:, :, cols],
+                           out=grad_g[:, :j * c_in, cols])
+        grad_g = grad_g.reshape(n_rec, n_harm, c_in, n_freq, n_time)
+        scatter = list(enumerate(lanes))
+        if lanes[0][1] == slice(0, n_freq, 1):
             # Harmonic 1 at anchor 1 reads every bin once: start from it.
-            grad_x = grad_g[:, :, 0].copy()
-            lanes = lanes[1:]
+            grad_x = grad_g[:, 0].copy()
+            scatter = scatter[1:]
         else:
             grad_x = np.zeros(x_shape, dtype=grad.dtype)
-        for k, (n_valid, row_slice, rows, unique) in lanes:
-            source = grad_g[:, :, k, :n_valid]
+        for k, (n_valid, row_slice, rows, unique) in scatter:
+            source = grad_g[:, k, :, :n_valid]
             if rows is None:
                 grad_x[:, :, row_slice] += source
             else:
@@ -496,17 +565,20 @@ def harmonic_conv2d(
 def instance_norm_forward(x: np.ndarray, weight: Optional[np.ndarray],
                           bias: Optional[np.ndarray], eps: float = 1e-5,
                           negative_slope: Optional[float] = None,
-                          save: bool = True):
+                          save: bool = True, saved: Optional[dict] = None):
     """Per-sample, per-channel normalisation over the spatial axes.
 
     ``x`` is ``(N, C, H, W)``; the optional affine ``weight``/``bias``
     reshape to ``(N, C)`` or ``(1, C)`` (one scale and shift per record,
     or one shared).  A ``negative_slope`` fuses a leaky ReLU onto the
-    output, the conv block's norm-then-activate stage.
+    output, the conv block's norm-then-activate stage.  The normalised
+    activations and the ReLU mask are written into ``saved`` (see
+    :func:`saved_array`).
     """
     n, c = x.shape[:2]
     mean = x.mean(axis=(2, 3), keepdims=True)
-    xhat = x - mean
+    xhat = np.subtract(x, mean,
+                       out=saved_array(saved, "xhat", x.shape, x.dtype))
     var = np.einsum("nchw,nchw->nc", xhat, xhat) * (1.0 / (x[0, 0].size))
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[:, :, None, None]
@@ -522,7 +594,9 @@ def instance_norm_forward(x: np.ndarray, weight: Optional[np.ndarray],
     positive = None
     if negative_slope is not None:
         if save:
-            positive = out > 0
+            positive = np.greater(
+                out, 0, out=saved_array(saved, "positive", out.shape, bool)
+            )
         # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
         np.maximum(out, negative_slope * out, out=out)
     ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
@@ -622,11 +696,13 @@ def _window_taps(kh: int, kw: int, oh: int, ow: int) -> tuple:
     )
 
 
-def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True):
+def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True,
+                       saved: Optional[dict] = None):
     """Non-overlapping max pooling over raw arrays; remainder dropped.
 
     Walks the ``kh * kw`` window taps as strided views, keeping the
-    first maximum of each window (the ``argmax`` tie rule).
+    first maximum of each window (the ``argmax`` tie rule) in an arg-max
+    map written into ``saved`` (see :func:`saved_array`).
     """
     kh, kw = kernel
     n, c, h, w = x.shape
@@ -635,7 +711,10 @@ def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True):
         raise ShapeError(f"max_pool2d kernel {kernel} larger than input {x.shape}")
     taps = _window_taps(kh, kw, oh, ow)
     out = x[:, :, taps[0][0], taps[0][1]].copy()
-    arg = np.zeros(out.shape, dtype=np.int8) if save else None
+    arg = None
+    if save:
+        arg = saved_array(saved, "arg", out.shape, np.int8)
+        arg.fill(0)
     for j, (rows, cols) in enumerate(taps[1:], start=1):
         tap = x[:, :, rows, cols]
         if save:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,40 +143,45 @@ def _param_data(param):
     return None if param is None else param.data
 
 
-def _forward_layers(layers: Sequence[tuple], x: np.ndarray, save: bool):
+def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
+                    saved: Optional[List[dict]]):
     """Run a :meth:`SpAcLUNet.layers` list over raw arrays.
 
-    Returns the sigmoid output and the tape: one kernel context per
-    layer when ``save``, else an empty list.
+    ``saved`` holds one slot of reused saved activations per layer
+    (:func:`repro.nn.functional.saved_array`); with ``saved`` the
+    forward records.  Returns the sigmoid output and the tape: one
+    kernel context per layer when recording, else an empty list.
     """
+    save = saved is not None
     tape: list = []
     skips: List[np.ndarray] = []
-    for step in layers:
+    for index, step in enumerate(layers):
         kind = step[0]
+        slot = saved[index] if save else None
         if kind == "conv":
             layer = step[1]
             w, b = F.record_kernels(layer.weight.data, _param_data(layer.bias))
             if isinstance(layer, HarmonicConv2d):
                 x, ctx = F.harmonic_conv2d_forward(
-                    x, w, b, layer.anchor, layer.time_dilation, save
+                    x, w, b, layer.anchor, layer.time_dilation, save, slot
                 )
             else:
-                x, ctx = F.conv2d_forward(x, w, b, layer.padding, save)
+                x, ctx = F.conv2d_forward(x, w, b, layer.padding, save, slot)
         elif kind == "norm":
             norm = step[1]
             x, ctx = F.instance_norm_forward(
                 x, _param_data(norm.weight), _param_data(norm.bias),
-                norm.eps, step[2], save,
+                norm.eps, step[2], save, slot,
             )
         elif kind == "down":
             skips.append(x)
-            x, ctx = F.max_pool2d_forward(x, step[1], save)
+            x, ctx = F.max_pool2d_forward(x, step[1], save, slot)
         else:  # "up"
             skip = skips.pop()
             n_skip = skip.shape[1]
-            joined = np.empty(
-                (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:],
-                dtype=x.dtype,
+            joined = F.saved_array(
+                slot, "concat",
+                (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:], x.dtype,
             )
             joined[:, :n_skip] = skip
             F.upsample_nearest_forward(
@@ -280,6 +285,15 @@ class SpAcLUNet(Module):
             channels = skip_ch
 
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
+        # The saved-activation set while no graph node owns it (see
+        # :meth:`forward`).  Scratch memory, not state.
+        self._idle = {}
+
+    def __getstate__(self):
+        # Copies and pickles start without saved-activation buffers.
+        state = dict(self.__dict__)
+        state["_idle"] = {}
+        return state
 
     # ------------------------------------------------------------------ #
     # Record stacking
@@ -335,8 +349,13 @@ class SpAcLUNet(Module):
             view[...] = value
 
     def compact(self, keep) -> None:
-        """Keep only the records ``keep`` (in order), dropping the rest."""
+        """Keep only the records ``keep`` (in order), dropping the rest.
+
+        Also drops the idle saved-activation buffers, which are sized for
+        the old stack.
+        """
         keep = np.asarray(keep, dtype=np.intp)
+        self._idle.clear()
         stacked = self.stacked
         for param in self.parameters():
             data = param.data if stacked else param.data[None]
@@ -383,9 +402,15 @@ class SpAcLUNet(Module):
         backward replays the list in reverse and returns every
         parameter's gradient; the code's gradient is computed only when
         the code requires grad, so a fit skips the first convolution's
-        input-gradient GEMM and scatter.  The saved activations are
-        released once backpropagated, so a fit iteration's forward never
-        runs while the previous iteration's are still held.
+        input-gradient GEMM and scatter.
+
+        The saved activations go into a set of per-layer arrays that
+        persists across a fit's iterations while shapes and dtypes hold.
+        The set belongs to the network while idle or to exactly one
+        node: a recording forward pops it (or starts a new one) and the
+        node's backward hands it back, so two live nodes, or two threads
+        on one network, never share an array.  The output and every
+        gradient are fresh arrays.
         """
         z = astensor(z)
         if z.ndim != 4:
@@ -404,7 +429,12 @@ class SpAcLUNet(Module):
         parents = (z, *params)
         record = is_grad_enabled() and any(p.requires_grad for p in parents)
         layers = self.layers()
-        out_data, tape = _forward_layers(layers, z.data, save=record)
+        saved = None
+        if record:
+            saved = self._idle.pop("saved", None)
+            if saved is None:
+                saved = [{} for _ in layers]
+        out_data, tape = _forward_layers(layers, z.data, saved)
         out = z._make(out_data, parents, "spac_lunet")
 
         def backward(grad):
@@ -417,6 +447,7 @@ class SpAcLUNet(Module):
                 layers, tape, out_data, grad, z.requires_grad
             )
             tape.clear()
+            self._idle["saved"] = saved
             return (grad_z, *(grads.get(id(p)) for p in params))
 
         Tensor._attach(out, parents, backward, "spac_lunet")

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    # Marks the minutes-scale end-to-end tests; they still run in the
+    # default suite.
+    config.addinivalue_line(
+        "markers", "slow: minutes-scale end-to-end test (runs by default)"
+    )
+
+
 @pytest.fixture
 def rng():
     """A fresh deterministic generator per test."""

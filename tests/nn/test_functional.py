@@ -98,6 +98,25 @@ class TestHarmonicIndexMap:
             harmonic_index_map(8, 2, 0)
 
 
+class TestHarmonicBandPlan:
+    @pytest.mark.parametrize("anchor", [1, 2, 3])
+    @pytest.mark.parametrize("n_freq", [1, 2, 5, 33, 129])
+    @pytest.mark.parametrize("n_harmonics", range(1, 7))
+    def test_bands_partition_rows_by_harmonics_in_band(
+            self, anchor, n_freq, n_harmonics):
+        bands = F.harmonic_band_plan(n_freq, n_harmonics, anchor)
+        _, valid = harmonic_index_map(n_freq, n_harmonics, anchor)
+        edge = 0
+        for j, lo, hi in bands:
+            assert lo == edge and hi > lo
+            edge = hi
+            # Harmonics 1..j are in band on every row of band j, and no
+            # later harmonic is on any of them.
+            assert valid[:j, lo:hi].all()
+            assert not valid[j:, lo:hi].any()
+        assert edge == n_freq
+
+
 class TestHarmonicConv2d:
     def test_output_shape_preserved(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 16, 10)))
@@ -192,8 +211,12 @@ class TestConvGradcheckSweep:
     @pytest.mark.parametrize("records", [2, None])
     @pytest.mark.parametrize("anchor", [1, 2, 3])
     @pytest.mark.parametrize("dilation", [1, 2, 5, 9])
-    def test_harmonic_conv2d(self, rng, records, anchor, dilation):
-        x, w, b = self._operands(rng, records, (3, 2, 3, 3), (2, 7, 9))
+    # One bin is a single band; 7 and 12 split into several.
+    @pytest.mark.parametrize("n_freq", [1, 7, 12])
+    def test_harmonic_conv2d(self, rng, records, anchor, dilation, n_freq):
+        x, w, b = self._operands(
+            rng, records, (3, 2, 3, 3), (2, n_freq, 9)
+        )
         ok, err = check_gradients(
             lambda: (F.harmonic_conv2d(
                 x, w, b, anchor=anchor, time_dilation=dilation

@@ -8,6 +8,9 @@ spelled out in primitive ops, so the generic autograd derives every
 gradient independently of the node's hand-written backward.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -182,6 +185,74 @@ class TestGraphShape:
         net(code).sum().backward()
         assert code.grad is None
         assert all(p.grad is not None for p in net.parameters())
+
+
+def _idle_arrays(net):
+    """The arrays of the network's idle saved-activation set."""
+    return [a for slot in net._idle["saved"] for a in slot.values()]
+
+
+class TestSavedActivationOwnership:
+    def test_two_live_forwards_keep_separate_activations(self, rng):
+        # Both nodes hold their tapes at once, so neither may write into
+        # the other's saved arrays, even with an idle set on offer.
+        net = _network("spac_dilated", 2)
+        codes = [
+            Tensor(rng.uniform(0, 0.1, size=(2, 3, 11, 13)),
+                   requires_grad=True)
+            for _ in range(2)
+        ]
+        net(codes[0]).sum().backward()
+
+        def both(forward):
+            net.zero_grad()
+            for code in codes:
+                code.grad = None
+            outs = [forward(net, code) for code in codes]
+            loss = sum(
+                (out * np.linspace(-1.0, k + 1.0, out.size).reshape(out.shape))
+                .sum() for k, out in enumerate(outs)
+            )
+            loss.backward()
+            return ([out.data for out in outs], [c.grad for c in codes],
+                    [p.grad.copy() for p in net.parameters()])
+
+        outs, code_grads, grads = both(lambda n, z: n(z))
+        ref_outs, ref_code_grads, ref_grads = both(reference_forward)
+        for got, ref in zip(outs, ref_outs):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=OUT_ATOL)
+        for got, ref in zip(code_grads + grads, ref_code_grads + ref_grads):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=GRAD_ATOL)
+
+    def test_output_survives_the_next_forward(self, rng):
+        net = _network("spac", 2)
+        code = rng.uniform(0, 0.1, size=(2, 3, 11, 13))
+        first = net(Tensor(code))
+        kept = first.data.copy()
+        first.sum().backward()
+        net(Tensor(code[::-1].copy())).sum().backward()
+        np.testing.assert_array_equal(first.data, kept)
+
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    def test_steady_state_iterations_reuse_saved_arrays(self, rng, kind):
+        net = _network(kind, 2)
+        code = Tensor(rng.uniform(0, 0.1, size=(2, 3, 11, 13)))
+        net(code).sum().backward()
+        first = _idle_arrays(net)
+        net(code).sum().backward()
+        second = _idle_arrays(net)
+        assert first and len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_buffers_are_not_state(self, rng):
+        net = _network("spac", 2)
+        net(Tensor(rng.uniform(0, 0.1, size=(2, 3, 11, 13)))).sum().backward()
+        assert _idle_arrays(net)
+        assert set(net.state_dict()) == {n for n, _ in net.named_parameters()}
+        assert copy.deepcopy(net)._idle == {}
+        assert pickle.loads(pickle.dumps(net))._idle == {}
+        net.compact([1])
+        assert net._idle == {}
 
 
 class TestNoGrad:
