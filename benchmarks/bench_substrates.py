@@ -6,23 +6,19 @@ LU-Net, pattern alignment, and the analytic baselines) so performance
 regressions are visible independently of the end-to-end experiment
 benches.
 
-Run as a script, the module instead compares the pluggable array
-backends (:mod:`repro.backend`) on the DHF hot path — the stacked
-deep-prior in-painting fit::
+Run as a script, the module instead compares the deep-prior fit's two
+precisions (``InpaintingConfig.dtype``) on the DHF hot path — the
+stacked in-painting fit::
 
     PYTHONPATH=src python benchmarks/bench_substrates.py [--smoke]
 
-Every :func:`repro.backend.available_backends` name fits the same batch
-from the same seeds.  The ``numpy`` reference (float64) is the golden
-row: its outputs must be *bitwise identical* to a fit with no backend
-configured.  Accelerated rows must match the golden outputs within the
-documented per-backend parity tolerance (``PARITY_RTOL``, mirrored in
-docs/architecture.md "Backend substrate"), and the default run asserts
-the ``numpy-f32`` fast path is at least ``SPEEDUP_TARGET``x faster than
-the reference on the fit loop.  ``torch`` rows appear when torch is
-installed and are skipped (with a note) when it is not; ``--smoke``
-runs a small batch, checks parity only, and reports speedups without
-asserting them (timing on tiny fits is noise-dominated).
+Both rows fit the same batch from the same seeds.  The float64 fit is
+the reference row.  The float32 row must match it within
+``PARITY_RTOL`` after ``PARITY_ITERATIONS`` iterations, and the default
+run asserts the float32 fit loop is at least ``SPEEDUP_TARGET``x faster
+than the float64 one.  ``--smoke`` runs a small batch, checks parity
+only, and reports the speedup without asserting it (timing on tiny fits
+is noise-dominated).
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.backend import TORCH_AVAILABLE, available_backends
 from repro.baselines import emd, nmf_kl, vmd
 from repro.core.alignment import rewarp, unwarp
 from repro.core.inpainting import InpaintingConfig, inpaint_spectrograms
@@ -44,35 +39,26 @@ from repro.nn import functional as F
 
 N_FREQ = 33
 N_FRAMES = 40
-#: The reference backend; its fit IS the golden output (float64, bitwise
-#: identical to running with no backend configured).
-REFERENCE_BACKEND = "numpy"
-#: Required fit-loop speedup of numpy-f32 over the float64 reference.
+#: Required fit-loop speedup of float32 over the float64 reference.
 SPEEDUP_TARGET = 1.3
-#: Iteration count of the parity fit.  Parity against the float64
-#: golden fit is a short-horizon contract: per-step numerics agree to
-#: the compute precision, but a deep-prior fit is a chaotic optimisation
-#: — over many Adam steps rounding differences grow into genuinely
-#: different (equally converged) fits, so long-horizon trajectory
-#: equality is not a meaningful bound (docs/architecture.md, "Backend
-#: substrate").
-PARITY_ITERATIONS = 12
-#: Documented max relative output deviation of each backend's
-#: PARITY_ITERATIONS-step fit from the float64 golden fit.  The numpy
-#: reference must be exactly bitwise identical.
-PARITY_RTOL = {"numpy": 0.0, "numpy-f32": 5e-2, "torch": 5e-2}
+#: Iteration count of the parity fit: the output after exactly one Adam
+#: step.  Per-step numerics agree to single precision, but a deep-prior
+#: fit is a chaotic optimisation, so over many steps rounding
+#: differences grow into different (equally converged) fits; a longer
+#: horizon would measure that chaos, not float32 parity.
+PARITY_ITERATIONS = 2
+#: Max relative output deviation of the float32 parity fit from the
+#: float64 one.  Over input seeds 0-19 of the default 8-record batch
+#: the reading has median 3.8e-5 and worst 7.8e-4; a float32 defect
+#: reads far above it.
+PARITY_RTOL = 5e-3
 
 
-def fit_config(iterations: int) -> InpaintingConfig:
-    """The float64 reference fit configuration.
-
-    Accelerated backends receive the *same* config; their dtype policy
-    resolves the compute dtype (numpy-f32/torch fit in float32), which
-    is exactly the speed-for-parity trade the comparison measures.
-    """
+def fit_config(iterations: int, dtype=np.float64) -> InpaintingConfig:
+    """The bench's fit configuration at ``dtype``."""
     return InpaintingConfig(
         iterations=iterations, learning_rate=8e-3, base_channels=6,
-        depth=2, in_channels=8, time_dilation=5, dtype=np.float64,
+        depth=2, in_channels=8, time_dilation=5, dtype=dtype,
     )
 
 
@@ -100,12 +86,12 @@ def build_batch(
     return magnitudes, visibilities
 
 
-def run_fit(backend, magnitudes, visibilities, config):
-    """One timed batched fit on ``backend``; returns (fits, seconds)."""
+def run_fit(magnitudes, visibilities, config):
+    """One timed batched fit; returns (fits, seconds)."""
     start = time.perf_counter()
     fits = inpaint_spectrograms(
         magnitudes, visibilities, config,
-        rngs=list(range(len(magnitudes))), backend=backend,
+        rngs=list(range(len(magnitudes))),
     )
     return list(fits), time.perf_counter() - start
 
@@ -123,14 +109,14 @@ def max_relative_deviation(golden, fits) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Cross-backend comparison of the DHF fit loop"
+        description="float64 vs float32 comparison of the DHF fit loop"
     )
     parser.add_argument("--records", type=int, default=8,
                         help="batch size (default 8)")
     parser.add_argument("--iterations", type=int, default=60,
                         help="fit iterations per record (default 60)")
     parser.add_argument("--smoke", action="store_true",
-                        help="small fast run: parity checks + report, no "
+                        help="small fast run: parity check + report, no "
                              "speedup assertion")
     args = parser.parse_args(argv)
     if args.records < 1:
@@ -141,54 +127,45 @@ def main(argv=None) -> int:
         args.records = min(args.records, 4)
         args.iterations = min(args.iterations, 12)
 
-    config = fit_config(args.iterations)
     magnitudes, visibilities = build_batch(args.records)
-    backends = available_backends()
     print(
         f"bench_substrates: DHF fit loop, {args.records} records x "
         f"{N_FREQ}x{N_FRAMES} cells, {args.iterations} iterations "
-        f"(parity at {PARITY_ITERATIONS}); backends: {', '.join(backends)}"
+        f"(parity at {PARITY_ITERATIONS}); float64 vs float32"
     )
 
-    # Parity pass: short-horizon fits against the float64 golden fit
-    # (see PARITY_ITERATIONS on why trajectory parity is short-horizon).
-    parity_config = fit_config(PARITY_ITERATIONS)
-    golden, _ = run_fit(
-        REFERENCE_BACKEND, magnitudes, visibilities, parity_config
+    # Parity pass (see PARITY_ITERATIONS on why parity is one step).
+    reference, _ = run_fit(
+        magnitudes, visibilities, fit_config(PARITY_ITERATIONS, np.float64)
     )
-    deviations = {}
-    for name in backends:
-        fits, _ = run_fit(name, magnitudes, visibilities, parity_config)
-        deviations[name] = max_relative_deviation(golden, fits)
+    fast, _ = run_fit(
+        magnitudes, visibilities, fit_config(PARITY_ITERATIONS, np.float32)
+    )
+    deviation = max_relative_deviation(reference, fast)
 
-    # Timing pass: caches (gather/tap plans, dtype-cast windows) are warm
-    # from the parity pass, so each row times steady-state fitting.
-    times = {}
-    for name in backends:
-        _, times[name] = run_fit(name, magnitudes, visibilities, config)
-    t_ref = times[REFERENCE_BACKEND]
+    # Timing pass: the gather/tap plans are warm from the parity pass,
+    # so each row times steady-state fitting.
+    _, t64 = run_fit(
+        magnitudes, visibilities, fit_config(args.iterations, np.float64)
+    )
+    _, t32 = run_fit(
+        magnitudes, visibilities, fit_config(args.iterations, np.float32)
+    )
+    speedup = t64 / t32
+    print(f"  float64: {t64 * 1e3:8.1f} ms  (reference)")
+    print(
+        f"  float32: {t32 * 1e3:8.1f} ms  {speedup:6.2f}x  "
+        f"max rel dev {deviation:.2e} (tol {PARITY_RTOL:.0e})"
+    )
 
-    for name in backends:
-        speedup = t_ref / times[name]
-        print(
-            f"  {name:<10}: {times[name] * 1e3:8.1f} ms  "
-            f"{speedup:6.2f}x vs {REFERENCE_BACKEND}  "
-            f"max rel dev {deviations[name]:.2e} "
-            f"(tol {PARITY_RTOL[name]:.0e})"
-        )
-    if not TORCH_AVAILABLE:
-        print("  torch     : skipped (torch is not installed)")
-
-    for name in backends:
-        assert deviations[name] <= PARITY_RTOL[name], (
-            f"backend {name!r} diverged from the {REFERENCE_BACKEND} "
-            f"reference: {deviations[name]:.2e} > {PARITY_RTOL[name]:.0e}"
-        )
+    assert deviation <= PARITY_RTOL, (
+        f"the float32 fit diverged from the float64 reference: "
+        f"{deviation:.2e} > {PARITY_RTOL:.0e}"
+    )
     if not args.smoke:
-        speedup = t_ref / times["numpy-f32"]
         assert speedup >= SPEEDUP_TARGET, (
-            f"numpy-f32 only {speedup:.2f}x faster than the float64 "
-            f"reference (target >= {SPEEDUP_TARGET}x)"
+            f"the float32 fit is only {speedup:.2f}x faster than float64 "
+            f"(target >= {SPEEDUP_TARGET}x)"
         )
     print("bench_substrates: OK")
     return 0

@@ -26,7 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "docs" / "architecture.md"]
 PUBLIC_PACKAGES = [
     "repro",
-    "repro.backend",
     "repro.dsp",
     "repro.core",
     "repro.pipeline",
@@ -83,13 +82,6 @@ REQUIRED_DOC_NAMES = [
     ("repro.pipeline", "plan_shards"),
     ("repro.pipeline", "shard_key"),
     ("repro.errors", "WorkerPoolError"),
-    ("repro.backend", "ArrayBackend"),
-    ("repro.backend", "get_backend"),
-    ("repro.backend", "available_backends"),
-    ("repro.backend", "use_backend"),
-    ("repro.backend", "set_process_backend"),
-    ("repro.backend", "backend_info"),
-    ("repro.backend", "TORCH_AVAILABLE"),
 ]
 
 

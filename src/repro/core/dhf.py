@@ -102,13 +102,6 @@ class DHFConfig:
     #: keeps the cache purely in-memory.  Only meaningful with
     #: ``warm_start=True``.
     zoo_path: Optional[str] = None
-    #: Array backend the deep-prior fits run on (a
-    #: :func:`repro.backend.available_backends` name).  ``None`` defers
-    #: to the ambient backend (thread-local override, process default,
-    #: ``REPRO_BACKEND`` env var, else the bitwise-reference ``numpy``).
-    #: ``"numpy-f32"`` trades the documented parity tolerance for
-    #: roughly half the fit cost; ``"torch"`` requires torch installed.
-    backend: Optional[str] = None
 
     def __post_init__(self):
         if self.samples_per_period < 4:
@@ -149,10 +142,6 @@ class DHFConfig:
             raise ConfigurationError(
                 f"zoo_path must be None or a str, got {self.zoo_path!r}"
             )
-        if self.backend is not None:
-            from repro.backend import validate_backend_name
-
-            validate_backend_name(self.backend, "DHFConfig.backend")
 
     @property
     def bin_spacing_hz(self) -> float:
@@ -547,7 +536,6 @@ class DHFSeparator(Separator):
                     early_stop=early_stop,
                     cache=self.config.fit_cache(),
                     geometry=preps[indices[0]].geometry,
-                    backend=self.config.backend,
                 )
                 for i, fit in zip(indices, batched):
                     fits[i] = fit

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import use_backend
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.nn.batchfit import EarlyStopConfig, fit_batched
 # Not called here; perfbench/layers.py wraps this name in traced runs.
@@ -38,6 +37,15 @@ class InpaintingConfig:
     full paper design.  ``compression`` applies a magnitude-compressing
     power law before fitting (0.5 = square-root compression) which
     equalises the dynamic range between strong and weak harmonics.
+
+    ``dtype`` is the fit's one precision knob: the network, its input
+    code, the normalised target and the mask are built at it, so every
+    parameter, optimiser moment and zoo checkpoint of the fit carries it.
+    ``float32`` (default) is the fast setting; ``float64`` holds the
+    stacked-vs-one-record equivalence to ``<= 1e-8``.  Anything
+    :func:`numpy.dtype` maps to one of the two is accepted and stored as
+    that numpy scalar type; any other value raises
+    :class:`repro.errors.ConfigurationError`.
     """
 
     iterations: int = 300
@@ -54,6 +62,18 @@ class InpaintingConfig:
     compression: float = 1.0
     input_scale: float = 0.1
     dtype: object = np.float32
+
+    def __post_init__(self):
+        try:
+            dtype = np.dtype(self.dtype)
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype not in (np.float32, np.float64):
+            raise ConfigurationError(
+                f"InpaintingConfig.dtype must be float32 or float64, got "
+                f"{self.dtype!r}"
+            )
+        object.__setattr__(self, "dtype", dtype.type)
 
     def network_config(self) -> UNetConfig:
         """The corresponding :class:`UNetConfig`."""
@@ -197,17 +217,13 @@ def _validated_reference(reference, magnitude) -> np.ndarray:
     return reference
 
 
-def _normalize(magnitude: np.ndarray, config: InpaintingConfig, dtype=None):
-    """Compress and scale one magnitude map into network space.
-
-    ``dtype`` is the backend-resolved compute dtype; ``None`` falls back
-    to ``config.dtype`` (the reference behaviour).
-    """
+def _normalize(magnitude: np.ndarray, config: InpaintingConfig):
+    """Compress and scale one magnitude map into network space."""
     compressed = magnitude ** config.compression
     scale = float(compressed.max())
     if scale <= 0:
         raise DataError("magnitude spectrogram is identically zero")
-    return (compressed / scale).astype(dtype or config.dtype), scale
+    return (compressed / scale).astype(config.dtype), scale
 
 
 def _restore(output: np.ndarray, scale: float,
@@ -226,7 +242,6 @@ def inpaint_spectrogram(
     early_stop: Optional[EarlyStopConfig] = None,
     cache: Optional[FitCache] = None,
     geometry: Optional[PriorGeometry] = None,
-    backend=None,
 ) -> InpaintingResult:
     """Fit a deep prior to the visible cells and in-paint the rest.
 
@@ -258,17 +273,11 @@ def inpaint_spectrogram(
     geometry:
         The :class:`repro.nn.zoo.PriorGeometry` identifying this fit's
         cache key; defaults to the bare spectrogram cell grid.
-    backend:
-        A :mod:`repro.backend` name/instance the fit runs on, or
-        ``None`` for the ambient backend.  The backend's dtype policy
-        resolves the fit's compute dtype (``numpy-f32`` runs a
-        float64-configured fit in single precision).
     """
     return inpaint_spectrograms(
         [magnitude], [visibility], config, rngs=[rng],
         references=None if reference is None else [reference],
         early_stop=early_stop, cache=cache, geometry=geometry,
-        backend=backend,
     )[0]
 
 
@@ -281,7 +290,6 @@ def inpaint_spectrograms(
     early_stop: Optional[EarlyStopConfig] = None,
     cache: Optional[FitCache] = None,
     geometry: Optional[PriorGeometry] = None,
-    backend=None,
 ) -> List[InpaintingResult]:
     """Fit K deep priors in one stacked pass (the engine's entry point).
 
@@ -325,10 +333,6 @@ def inpaint_spectrograms(
     geometry:
         The :class:`repro.nn.zoo.PriorGeometry` identifying the batch's
         cache key; defaults to the bare spectrogram cell grid.
-    backend:
-        A :mod:`repro.backend` name/instance the stacked fit runs on, or
-        ``None`` for the ambient backend — see
-        :func:`inpaint_spectrogram`.
     """
     magnitudes = list(magnitudes)
     visibilities = list(visibilities)
@@ -372,55 +376,54 @@ def inpaint_spectrograms(
     dilation = _clamp_dilation(config.time_dilation, n_frames)
     net_cfg = replace(config, time_dilation=dilation).network_config()
 
-    with use_backend(backend) as be:
-        dtype = be.resolve_dtype(config.dtype)
-        networks: List[SpAcLUNet] = []
-        codes: List[np.ndarray] = []
-        normalized = np.empty((len(pairs), 1, n_freq, n_frames),
-                              dtype=dtype)
-        scales: List[float] = []
-        for k, ((mag, _), rng) in enumerate(zip(pairs, rngs)):
-            rng_init, rng_code = spawn_generators(as_generator(rng), 2)
-            net = SpAcLUNet(net_cfg, rng=rng_init, dtype=dtype)
-            code = net.make_input_code(
-                n_freq, n_frames, rng=rng_code, scale=config.input_scale,
-                dtype=dtype,
-            )
-            networks.append(net)
-            codes.append(code.data)
-            norm, scale = _normalize(mag, config, dtype)
-            normalized[k, 0] = norm
-            scales.append(scale)
-
-        ref_stack = None
-        if references is not None:
-            ref_stack = np.empty((len(pairs), n_freq, n_frames))
-            for k, ((mag, _), ref) in enumerate(zip(pairs, references)):
-                ref = _validated_reference(ref, mag)
-                ref_stack[k] = (ref ** config.compression) / scales[k]
-
-        warm_states = None
-        if cache is not None:
-            if geometry is None:
-                geometry = PriorGeometry(n_freq=n_freq, n_frames=n_frames)
-            cached = cache.lookup(geometry, config)
-            if cached is not None:
-                warm_states = [cached.state_copy()] * len(pairs)
-
-        mask = np.stack(
-            [vis for _, vis in pairs]
-        ).astype(dtype)[:, None]
-        fit = fit_batched(
-            stack_networks(networks),
-            code=np.concatenate(codes, axis=0),
-            target=normalized,
-            mask=mask,
-            iterations=config.iterations,
-            learning_rate=config.learning_rate,
-            early_stop=early_stop,
-            reference=ref_stack,
-            warm_start=warm_states,
+    dtype = config.dtype
+    networks: List[SpAcLUNet] = []
+    codes: List[np.ndarray] = []
+    normalized = np.empty((len(pairs), 1, n_freq, n_frames),
+                          dtype=dtype)
+    scales: List[float] = []
+    for k, ((mag, _), rng) in enumerate(zip(pairs, rngs)):
+        rng_init, rng_code = spawn_generators(as_generator(rng), 2)
+        net = SpAcLUNet(net_cfg, rng=rng_init, dtype=dtype)
+        code = net.make_input_code(
+            n_freq, n_frames, rng=rng_code, scale=config.input_scale,
+            dtype=dtype,
         )
+        networks.append(net)
+        codes.append(code.data)
+        norm, scale = _normalize(mag, config)
+        normalized[k, 0] = norm
+        scales.append(scale)
+
+    ref_stack = None
+    if references is not None:
+        ref_stack = np.empty((len(pairs), n_freq, n_frames))
+        for k, ((mag, _), ref) in enumerate(zip(pairs, references)):
+            ref = _validated_reference(ref, mag)
+            ref_stack[k] = (ref ** config.compression) / scales[k]
+
+    warm_states = None
+    if cache is not None:
+        if geometry is None:
+            geometry = PriorGeometry(n_freq=n_freq, n_frames=n_frames)
+        cached = cache.lookup(geometry, config)
+        if cached is not None:
+            warm_states = [cached.state_copy()] * len(pairs)
+
+    mask = np.stack(
+        [vis for _, vis in pairs]
+    ).astype(dtype)[:, None]
+    fit = fit_batched(
+        stack_networks(networks),
+        code=np.concatenate(codes, axis=0),
+        target=normalized,
+        mask=mask,
+        iterations=config.iterations,
+        learning_rate=config.learning_rate,
+        early_stop=early_stop,
+        reference=ref_stack,
+        warm_start=warm_states,
+    )
 
     if cache is not None:
         # One checkpoint represents the whole batch at this key: the

@@ -132,27 +132,7 @@ class StftPlan:
         self.n_freq = n_fft // 2 + 1
         self._normalizers: Dict[int, np.ndarray] = {}
         self._ola_window_sq: Dict[int, np.ndarray] = {}
-        self._windows_cast: Dict[np.dtype, np.ndarray] = {}
         self._normalizer_lock = threading.Lock()
-
-    def window_as(self, dtype) -> np.ndarray:
-        """The analysis window cast to ``dtype`` (cached per dtype).
-
-        Float32-policy backends frame signals in single precision; the
-        cast window keeps the windowing multiply from silently promoting
-        each frame batch back to float64.  ``float64`` returns the
-        canonical :attr:`window` object itself.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == self.window.dtype:
-            return self.window
-        cached = self._windows_cast.get(dtype)
-        if cached is None:
-            cached = self.window.astype(dtype)
-            cached.setflags(write=False)
-            with self._normalizer_lock:
-                cached = self._windows_cast.setdefault(dtype, cached)
-        return cached
 
     # ------------------------------------------------------------------ #
     # Frame grid
@@ -175,17 +155,14 @@ class StftPlan:
         """Padded overlap-add buffer length for ``n_frames`` frames."""
         return self.pad + (n_frames - 1) * self.hop + self.n_fft
 
-    def frame_signal(self, x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    def frame_signal(self, x: np.ndarray) -> np.ndarray:
         """Zero-pad, centre, and frame ``x`` into strided windows.
 
         ``x`` may be 1-D ``(n,)`` or 2-D ``(batch, n)``; the result has
         shape ``(..., n_frames, n_fft)`` and is a **read-only view** of
         the padded copy (stride-trick framing — no per-frame copies).
-        ``dtype`` is the real dtype the frames are materialised at —
-        ``float64`` (the default and the reference), or ``float32`` when
-        a float32-policy backend drives the batch STFT.
         """
-        x = np.asarray(x, dtype=dtype)
+        x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
@@ -193,7 +170,7 @@ class StftPlan:
             raise ShapeError(f"signal must be 1-D or 2-D, got {x.shape}")
         b, n = x.shape
         n_frames = self.n_frames(n)
-        padded = np.zeros((b, n + 2 * self.pad), dtype=dtype)
+        padded = np.zeros((b, n + 2 * self.pad))
         padded[:, self.pad:self.pad + n] = x
         s0, s1 = padded.strides
         frames = np.lib.stride_tricks.as_strided(

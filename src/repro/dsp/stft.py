@@ -26,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.dsp.plan import StftPlan, get_stft_plan
 from repro.dsp.windows import get_window
@@ -291,7 +290,6 @@ def stft_batch(
     n_fft: int,
     hop: Optional[int] = None,
     window: str = "hann",
-    backend=None,
 ) -> BatchStft:
     """STFT a 2-D batch ``(n_records, n_samples)`` in one vectorized pass.
 
@@ -299,16 +297,8 @@ def stft_batch(
     the overlap-add normalizer for later inversion.  The framing is a
     stride-trick view over the zero-padded batch, and one 3-D batched
     real FFT transforms every frame of every record.
-
-    ``backend`` — a :mod:`repro.backend` name/instance or ``None`` for
-    the ambient backend — supplies the FFT kernel and the real dtype the
-    frames are materialised at (:attr:`ArrayBackend.fft_dtype`): the
-    numpy reference keeps the historical float64 path bit for bit, the
-    float32-policy backends frame and transform in single precision.
     """
-    backend = get_backend(backend)
-    dtype = backend.fft_dtype
-    xs = np.asarray(xs, dtype=dtype)
+    xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ShapeError(f"batch must be 2-D (records, samples), got {xs.shape}")
     if xs.shape[0] == 0:
@@ -317,8 +307,8 @@ def stft_batch(
         raise DataError("batch records must be non-empty (got 0 samples)")
     hop = _check_geometry(sampling_hz, n_fft, hop)
     plan = get_stft_plan(n_fft, hop, window)
-    frames = plan.frame_signal(xs, dtype=dtype)  # (B, n_frames, n_fft) view
-    values = backend.rfft(frames * plan.window_as(dtype), axis=2)  # (B, T, F)
+    frames = plan.frame_signal(xs)  # (B, n_frames, n_fft) view
+    values = np.fft.rfft(frames * plan.window, axis=2)  # (B, T, F)
     return BatchStft(
         values=values, n_fft=n_fft, hop=hop, sampling_hz=float(sampling_hz),
         n_samples=xs.shape[1], window_name=window,
@@ -329,7 +319,6 @@ def istft_batch(
     batch: BatchStft,
     values: Optional[np.ndarray] = None,
     length: Optional[int] = None,
-    backend=None,
 ) -> np.ndarray:
     """Invert a :class:`BatchStft` back to ``(n_records, length)`` signals.
 
@@ -344,14 +333,7 @@ def istft_batch(
         analysed batch (one batch analysis can drive many syntheses).
     length:
         Output length per record; defaults to ``batch.n_samples``.
-    backend:
-        A :mod:`repro.backend` name/instance supplying the inverse FFT
-        kernel, or ``None`` for the ambient backend.  The synthesis
-        dtype follows the coefficient dtype (``complex64`` inverts in
-        single precision), so a float32 analysis round-trips without a
-        promotion to float64.
     """
-    backend = get_backend(backend)
     if values is None:
         values = batch.values
     values = np.asarray(values)
@@ -375,8 +357,8 @@ def istft_batch(
     if length is None:
         length = batch.n_samples
     plan = batch.plan()
-    frames = backend.irfft(values, n=batch.n_fft, axis=2)  # (B, T, n_fft)
-    frames *= plan.window_as(frames.dtype)
+    frames = np.fft.irfft(values, n=batch.n_fft, axis=2)  # (B, T, n_fft)
+    frames *= plan.window
     signals = plan.overlap_add(frames)[:, :length]
     if signals.shape[1] < length:
         signals = np.pad(signals, ((0, 0), (0, length - signals.shape[1])))

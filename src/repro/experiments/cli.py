@@ -28,7 +28,6 @@ from dataclasses import MISSING, fields
 from typing import Callable, Dict
 
 from repro import errors
-from repro.backend import available_backends, backend_info
 from repro.config import available_presets
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentContext, display_method_name
@@ -108,13 +107,6 @@ def render_methods() -> str:
         entry = separator_entry(name)
         if entry.description:
             lines.append(f"{name}: {entry.description}")
-    lines.append("")
-    info = backend_info()
-    lines.append(
-        f"Active array backend: {info['name']} "
-        f"(device={info['device']}, dtype_policy={info['dtype_policy']}; "
-        f"available: {', '.join(available_backends())})"
-    )
     lines.append("")
     lines.append(
         "Run one with: python -m repro.experiments.cli table2 "

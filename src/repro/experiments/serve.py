@@ -26,7 +26,6 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.backend import backend_info
 from repro.gateway import Gateway, GatewayClient, GatewayConfig
 
 
@@ -129,15 +128,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = load_config(args)
     gateway = Gateway(config)
     print(f"gateway listening on {gateway.url}", flush=True)
-    info = backend_info()
     print(
         f"  workers={config.workers} queue_depth={config.queue_depth} "
         f"artifact_root={gateway.store.root}",
-        flush=True,
-    )
-    print(
-        f"  backend={info['name']} device={info['device']} "
-        f"dtype_policy={info['dtype_policy']}",
         flush=True,
     )
     gateway.serve_forever()

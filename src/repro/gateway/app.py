@@ -211,13 +211,6 @@ class Gateway:
         callback_transport: Optional[Transport] = None,
     ):
         self.config = config if config is not None else GatewayConfig()
-        if self.config.backend:
-            # Install the configured array backend as the process default
-            # before any worker thread (or sharded worker pool) spins up,
-            # so every fit in this deployment runs on it.
-            from repro.backend import set_process_backend
-
-            set_process_backend(self.config.backend)
         self.store: ArtifactStore = make_store(self.config.artifact_root)
         callbacks = None
         if callback_transport is not None:
@@ -328,14 +321,11 @@ class Gateway:
         package's exception types onto their HTTP statuses.
         """
         if parts == ["health"] and method == "GET":
-            from repro.backend import backend_info
-
             return 200, {
                 "status": "ok",
                 "jobs": self.jobs.counts(),
                 "live_sessions": len(self.sessions.session_ids()),
                 "store_root": self.store.root,
-                "backend": backend_info(),
             }
         if parts == ["methods"] and method == "GET":
             return 200, {"methods": available_separators()}

@@ -56,17 +56,6 @@ class GatewayConfig(FrozenSpec):
         worker tier amortises deep-prior fits through one
         :func:`repro.nn.zoo.shared_fit_cache`.  Empty string disables
         the shared zoo.
-    backend:
-        Array backend of the worker tier, as a
-        :func:`repro.backend.available_backends` name.  A non-empty
-        value is installed as the process default at gateway startup
-        (:func:`repro.backend.set_process_backend`), so every worker
-        thread — and, through the sharded executor's worker
-        initialiser, every worker *process* — runs the nn/DSP hot
-        paths on it.  Empty string keeps the ambient default
-        (``REPRO_BACKEND`` env var, else the bitwise-reference
-        ``numpy``).  Unknown or unavailable names fail config
-        validation, before any server binds.
     executor:
         Execution substrate of the worker tier's separation services:
         ``"thread"`` (default) or ``"process"`` — the latter routes
@@ -103,7 +92,6 @@ class GatewayConfig(FrozenSpec):
     callback_backoff_factor: float = 2.0
     callback_timeout_s: float = 5.0
     zoo_path: str = ""
-    backend: str = ""
     executor: str = "thread"
     service_workers: int = 0
     session_idle_timeout_s: float = 300.0
@@ -131,16 +119,12 @@ class GatewayConfig(FrozenSpec):
             "artifact_ttl_s", "callback_backoff_s", "callback_backoff_factor",
             "callback_timeout_s", "session_idle_timeout_s", "reap_interval_s",
         )
-        for name in ("artifact_root", "zoo_path", "backend"):
+        for name in ("artifact_root", "zoo_path"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigurationError(
                     f"GatewayConfig.{name} must be a str, got "
                     f"{getattr(self, name)!r}"
                 )
-        if self.backend:
-            from repro.backend import validate_backend_name
-
-            validate_backend_name(self.backend, "GatewayConfig.backend")
         if self.executor not in ("thread", "process"):
             raise ConfigurationError(
                 f"GatewayConfig.executor must be 'thread' or 'process', "

@@ -86,9 +86,6 @@ class JobRecord:
     record_summaries: List[Dict[str, Any]] = field(default_factory=list)
     #: Callback delivery outcome (:meth:`CallbackDelivery.to_dict`).
     callback: Optional[Dict[str, Any]] = None
-    #: Array backend the worker tier runs this job on (stamped at
-    #: submission from the active backend; see :mod:`repro.backend`).
-    backend: str = ""
 
     @property
     def method(self) -> str:
@@ -115,7 +112,6 @@ class JobRecord:
             "error": self.error,
             "record_summaries": self.record_summaries,
             "callback": self.callback,
-            "backend": self.backend,
         }
 
 
@@ -191,8 +187,6 @@ class JobRegistry:
         with self._lock:
             if self._closed:
                 raise RuntimeError("JobRegistry is closed")
-            from repro.backend import active_backend_name
-
             job_id = f"job-{self._next_id:06d}"
             stamped = self._stamp_zoo(spec)
             job = JobRecord(
@@ -203,8 +197,6 @@ class JobRegistry:
                 n_records=len(records),
                 callback_url=callback_url,
                 created_at=time.time(),
-                backend=getattr(stamped, "backend", "")
-                or active_backend_name(),
             )
             # Persist the queued record BEFORE enqueueing: once a worker
             # can see the job it may finish (and write "done") at any

@@ -35,7 +35,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.tensor import Tensor, _unbroadcast, astensor
 
@@ -248,7 +247,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
             cols[:, :, di, dj] = xp[:, :, sl_h, sl_w]
         cols = cols.reshape(n_rec, c_in * kh * kw, oh * ow)
     w_flat = w.reshape(n_rec, c_out, c_in * kh * kw)
-    out = active_backend().matmul(w_flat, cols)
+    out = np.matmul(w_flat, cols)
     if b is not None:
         out += b[:, :, None]
     out = out.reshape(n_rec, c_out, oh, ow)
@@ -265,13 +264,12 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     """
     cols, w_flat, (ph, pw), x_shape, w_shape, has_bias = ctx
     n_rec, c_out, oh, ow = grad.shape
-    backend = active_backend()
     g = grad.reshape(n_rec, c_out, oh * ow)
-    grad_w = backend.matmul(g, cols.transpose(0, 2, 1)).reshape(w_shape)
+    grad_w = np.matmul(g, cols.transpose(0, 2, 1)).reshape(w_shape)
     grad_b = grad.sum(axis=(2, 3)) if has_bias else None
     grad_x = None
     if need_input:
-        grad_cols = backend.matmul(w_flat.transpose(0, 2, 1), g)
+        grad_cols = np.matmul(w_flat.transpose(0, 2, 1), g)
         _, c_in, h, width = x_shape
         kh, kw = w_shape[3], w_shape[4]
         if kh == kw == 1 and not (ph or pw):
@@ -400,13 +398,12 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
     # shifts.  Each add runs over the flattened (f, t) axis in one pass:
     # the frames a tap would carry across a row boundary are the ones
     # that read zero padding, so they are zeroed first.
-    matmul = active_backend().matmul
     taps = np.empty((n_rec, c_out * kt, n_flat),
                     dtype=np.result_type(w_fold, g_flat))
     for j, lo, hi in bands:
         cols = slice(lo * n_time, hi * n_time)
-        matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
-               out=taps[:, :, cols])
+        np.matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
+                  out=taps[:, :, cols])
     taps = taps.reshape(n_rec, c_out, kt, n_freq, n_time)
     out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
     out_flat = out.reshape(n_rec, c_out, n_flat)
@@ -447,7 +444,6 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
         has_bias = ctx
     n_rec, c_out, n_freq, n_time = grad.shape
     c_in, n_harm, kt = w_shape[2], w_shape[3], w_shape[4]
-    backend = active_backend()
     # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted back
     # onto the input frames it read (one flat copy), zero where it read
     # padding.
@@ -475,9 +471,9 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     for k, (n_valid, _, _, _) in enumerate(lanes):
         cols = slice(0, n_valid * n_time)
         chans = slice(k * c_in, (k + 1) * c_in)
-        backend.matmul(s_flat[:, :, cols],
-                       g_flat[:, chans, cols].transpose(0, 2, 1),
-                       out=grad_w[:, :, chans])
+        np.matmul(s_flat[:, :, cols],
+                  g_flat[:, chans, cols].transpose(0, 2, 1),
+                  out=grad_w[:, :, chans])
     grad_w = grad_w.reshape(n_rec, c_out, kt, n_harm, c_in).transpose(
         0, 1, 4, 3, 2
     )
@@ -492,8 +488,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
         w_t = w_fold.transpose(0, 2, 1)
         for j, lo, hi in bands:
             cols = slice(lo * n_time, hi * n_time)
-            backend.matmul(w_t[:, :j * c_in], s_flat[:, :, cols],
-                           out=grad_g[:, :j * c_in, cols])
+            np.matmul(w_t[:, :j * c_in], s_flat[:, :, cols],
+                      out=grad_g[:, :j * c_in, cols])
         grad_g = grad_g.reshape(n_rec, n_harm, c_in, n_freq, n_time)
         scatter = list(enumerate(lanes))
         if lanes[0][1] == slice(0, n_freq, 1):
@@ -506,11 +502,13 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
             source = grad_g[:, k, :, :n_valid]
             if rows is None:
                 grad_x[:, :, row_slice] += source
+                continue
+            target = np.moveaxis(grad_x, 2, 0)
+            source = np.moveaxis(source, 2, 0)
+            if unique:
+                target[rows] += source
             else:
-                backend.index_add(
-                    np.moveaxis(grad_x, 2, 0), rows,
-                    np.moveaxis(source, 2, 0), unique=unique,
-                )
+                np.add.at(target, rows, source)
     return grad_x, grad_w, grad_b
 
 

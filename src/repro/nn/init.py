@@ -3,13 +3,7 @@
 All initialisers take an explicit :class:`numpy.random.Generator` so model
 construction is fully deterministic given a seed — essential for the
 deep-prior experiments where the random initialisation *is* the prior.
-
-``dtype`` defaults to ``None``, which resolves through the active
-:mod:`repro.backend` dtype policy (:func:`resolve_init_dtype`): the
-numpy reference preserves the historical ``float32`` default, while
-float32-policy backends force single precision.  This closes the
-hard-coded-``float32`` class of dtype leak at the source — an explicit
-``dtype=`` still always wins under a ``"preserve"``-policy backend.
+Every initialiser returns ``float32`` unless given an explicit ``dtype``.
 """
 
 from __future__ import annotations
@@ -19,18 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.errors import ConfigurationError
-
-
-def resolve_init_dtype(dtype=None):
-    """The dtype a new parameter array should use.
-
-    ``None`` asks the active backend for its default; anything else is
-    passed through the backend's dtype policy (identity for the numpy
-    reference, forced ``float32`` for float32-policy backends).
-    """
-    return active_backend().resolve_dtype(dtype)
 
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -45,40 +28,40 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
 
 
 def kaiming_uniform(shape, rng: np.random.Generator, gain: float = math.sqrt(2.0),
-                    dtype=None) -> np.ndarray:
+                    dtype=np.float32) -> np.ndarray:
     """He/Kaiming uniform initialisation (fan-in mode)."""
     fan_in, _ = _fan_in_out(tuple(shape))
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(resolve_init_dtype(dtype))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0,
-                   dtype=None) -> np.ndarray:
+                   dtype=np.float32) -> np.ndarray:
     """Glorot/Xavier uniform initialisation."""
     fan_in, fan_out = _fan_in_out(tuple(shape))
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(resolve_init_dtype(dtype))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def normal(shape, rng: np.random.Generator, std: float = 0.02,
-           dtype=None) -> np.ndarray:
+           dtype=np.float32) -> np.ndarray:
     """Zero-mean Gaussian initialisation."""
-    return (rng.standard_normal(size=shape) * std).astype(resolve_init_dtype(dtype))
+    return (rng.standard_normal(size=shape) * std).astype(dtype)
 
 
 def uniform(shape, rng: np.random.Generator, low: float = -0.05,
-            high: float = 0.05, dtype=None) -> np.ndarray:
+            high: float = 0.05, dtype=np.float32) -> np.ndarray:
     """Uniform initialisation on ``[low, high)``."""
     if low >= high:
         raise ConfigurationError(f"low must be < high, got [{low}, {high})")
-    return rng.uniform(low, high, size=shape).astype(resolve_init_dtype(dtype))
+    return rng.uniform(low, high, size=shape).astype(dtype)
 
 
-def zeros(shape, dtype=None) -> np.ndarray:
+def zeros(shape, dtype=np.float32) -> np.ndarray:
     """All-zeros array (bias default)."""
-    return np.zeros(shape, dtype=resolve_init_dtype(dtype))
+    return np.zeros(shape, dtype=dtype)
 
 
-def ones(shape, dtype=None) -> np.ndarray:
+def ones(shape, dtype=np.float32) -> np.ndarray:
     """All-ones array (norm scale default)."""
-    return np.ones(shape, dtype=resolve_init_dtype(dtype))
+    return np.ones(shape, dtype=dtype)

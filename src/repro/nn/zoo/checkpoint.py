@@ -174,17 +174,9 @@ def config_from_dict(data: Mapping[str, Any]):
         raise SerializationError(
             f"unknown InpaintingConfig field {unknown[0]!r} in checkpoint"
         )
-    kwargs = dict(data)
-    if "dtype" in kwargs:
-        try:
-            kwargs["dtype"] = np.dtype(kwargs["dtype"]).type
-        except TypeError as exc:
-            raise SerializationError(
-                f"malformed checkpoint dtype {kwargs['dtype']!r} ({exc})"
-            ) from exc
     try:
-        return InpaintingConfig(**kwargs)
-    except TypeError as exc:
+        return InpaintingConfig(**data)
+    except (TypeError, ConfigurationError) as exc:
         raise SerializationError(
             f"malformed InpaintingConfig in checkpoint ({exc})"
         ) from exc

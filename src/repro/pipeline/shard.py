@@ -287,7 +287,7 @@ def _pin_blas_threads(workers: int) -> None:
         set_threads(max(1, cores // workers))
 
 
-def _init_worker(payload: Tuple[str, Any, str, str, int]) -> None:
+def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
     """Build this worker's separator once, from spec JSON or pickle bytes.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
@@ -296,19 +296,11 @@ def _init_worker(payload: Tuple[str, Any, str, str, int]) -> None:
     (:func:`_pin_blas_threads`, from the pool's ``workers`` count).  A
     non-empty ``zoo_path`` additionally resolves the process-wide
     :func:`repro.nn.zoo.shared_fit_cache`, so a warm-start separator's
-    first fit already sees the on-disk prior zoo.  A non-empty
-    ``backend`` installs that array backend as this worker's process
-    default (:func:`repro.backend.set_process_backend`), mirroring the
-    parent's explicit backend selection; a bad name kills pool
-    construction rather than the first job.
+    first fit already sees the on-disk prior zoo.
     """
     global _WORKER_SEPARATOR
-    kind, data, zoo_path, backend, workers = payload
+    kind, data, zoo_path, workers = payload
     _pin_blas_threads(workers)
-    if backend:
-        from repro.backend import set_process_backend
-
-        set_process_backend(backend)
     if kind == "spec":
         from repro.service.registry import build_separator
 
@@ -412,14 +404,6 @@ class ShardedExecutor:
         config = getattr(separator, "config", None)
         if getattr(config, "warm_start", False):
             zoo_path = getattr(config, "zoo_path", None) or ""
-        # Workers mirror the parent's explicit backend selection: the
-        # separator's own config wins, else a parent-wide
-        # set_process_backend() default; the REPRO_BACKEND env var needs
-        # no forwarding (child processes inherit the environment).
-        from repro.backend import process_backend_name
-
-        backend = getattr(config, "backend", None) or \
-            process_backend_name() or ""
         if spec is not None:
             from repro.service.specs import SeparatorSpec
 
@@ -429,8 +413,7 @@ class ShardedExecutor:
                     f"{type(spec).__name__}"
                 )
             self._payload = (
-                "spec", json.dumps(spec.to_dict()), zoo_path, backend,
-                workers,
+                "spec", json.dumps(spec.to_dict()), zoo_path, workers,
             )
         else:
             try:
@@ -441,7 +424,7 @@ class ShardedExecutor:
                     f"spec was given; pass spec= (or register the method) "
                     f"so workers can rebuild it ({exc})"
                 ) from exc
-            self._payload = ("pickle", data, zoo_path, backend, workers)
+            self._payload = ("pickle", data, zoo_path, workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 

@@ -286,11 +286,13 @@ class DHFSpec(SeparatorSpec):
     #: path; 0 runs the full iteration budget.
     early_stop_patience: int = 0
     early_stop_rel_tol: float = 1e-3
-    #: Deep-prior fit dtype, as a JSON-able name.  ``"float32"``
-    #: (default) is the speed-oriented production setting;
-    #: ``"float64"`` tightens the stacked-vs-one-record fit equivalence
-    #: to the documented <= 1e-8 (see docs/architecture.md, "Deep-prior
-    #: fitting engine") at roughly twice the fit cost.
+    #: Deep-prior fit dtype, as a JSON-able name (the nested
+    #: :class:`repro.core.inpainting.InpaintingConfig` ``dtype``, which
+    #: validates it).  ``"float32"`` (default) is the speed-oriented
+    #: production setting; ``"float64"`` tightens the
+    #: stacked-vs-one-record fit equivalence to the documented <= 1e-8
+    #: (see docs/architecture.md, "Deep-prior fitting engine") at
+    #: roughly twice the fit cost.
     dtype: str = "float32"
     #: Warm-start deep-prior fits from the process-wide
     #: :func:`repro.nn.zoo.shared_fit_cache`.  The cache is shared
@@ -304,13 +306,6 @@ class DHFSpec(SeparatorSpec):
     #: Empty string keeps the cache purely in-memory.  Only meaningful
     #: with ``warm_start=True``.
     zoo_path: str = ""
-    #: Array backend the deep-prior fits run on, as a
-    #: :func:`repro.backend.available_backends` name.  Empty string
-    #: (default) defers to the ambient backend — thread-local override,
-    #: process default, ``REPRO_BACKEND`` env var, else the
-    #: bitwise-reference ``"numpy"``.  Unknown or unavailable names
-    #: (``"torch"`` without torch installed) fail spec validation.
-    backend: str = ""
 
     def __post_init__(self):
         self._check_positive_int(
@@ -319,37 +314,24 @@ class DHFSpec(SeparatorSpec):
             "prior_time_dilation",
         )
         self._check_positive("learning_rate", "bandwidth_bins")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigurationError(
-                f"DHFSpec.dtype must be 'float32' or 'float64', got "
-                f"{self.dtype!r}"
-            )
         if not isinstance(self.warm_start, bool):
             raise ConfigurationError(
                 f"DHFSpec.warm_start must be a bool, got {self.warm_start!r}"
             )
-        if not isinstance(self.zoo_path, str):
-            raise ConfigurationError(
-                f"DHFSpec.zoo_path must be a str, got {self.zoo_path!r}"
-            )
-        if self.backend:
-            from repro.backend import validate_backend_name
-
-            validate_backend_name(self.backend, "DHFSpec.backend")
-        elif not isinstance(self.backend, str):
-            raise ConfigurationError(
-                f"DHFSpec.backend must be a str, got {self.backend!r}"
-            )
+        for name in ("dtype", "zoo_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(
+                    f"DHFSpec.{name} must be a str, got "
+                    f"{getattr(self, name)!r}"
+                )
         # Cross-field constraints (hop vs window, phase policy, the
-        # 'auto' dilation sentinel) are enforced by DHFConfig itself;
-        # trigger that validation now so a bad spec fails at build-spec
-        # time, not at first use.
+        # 'auto' dilation sentinel) and the fit dtype are enforced by
+        # DHFConfig and its InpaintingConfig; trigger that validation now
+        # so a bad spec fails at build-spec time, not at first use.
         self.build_config()
 
     def build_config(self):
         """The equivalent :class:`repro.core.DHFConfig`."""
-        import numpy as np
-
         from repro.core import DHFConfig
         from repro.core.inpainting import InpaintingConfig
 
@@ -368,14 +350,13 @@ class DHFSpec(SeparatorSpec):
                 base_channels=self.base_channels,
                 depth=self.depth,
                 time_dilation=self.prior_time_dilation,
-                dtype=np.dtype(self.dtype).type,
+                dtype=self.dtype,
             ),
             seed=self.seed,
             early_stop_patience=self.early_stop_patience,
             early_stop_rel_tol=self.early_stop_rel_tol,
             warm_start=self.warm_start,
             zoo_path=self.zoo_path or None,
-            backend=self.backend or None,
         )
 
     @classmethod

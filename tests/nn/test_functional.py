@@ -238,6 +238,41 @@ class TestConvGradcheckSweep:
         assert ok, err
 
 
+class TestFloat32Parity:
+    """float32 operands run each convolution at single precision and
+    match the float64 result to single-precision relative accuracy."""
+
+    RTOL = 1e-5
+
+    @staticmethod
+    def _relative_deviation(ref, out):
+        return float(np.abs(out - ref).max()) / float(np.abs(ref).max())
+
+    def test_harmonic_conv2d(self, rng):
+        x64 = rng.standard_normal((2, 3, 33, 16))
+        w64 = rng.standard_normal((2, 3, 3, 3, 3)) * 0.2  # one per record
+        out64 = F.harmonic_conv2d(
+            Tensor(x64), Tensor(w64), anchor=1, time_dilation=2
+        ).data
+        out32 = F.harmonic_conv2d(
+            Tensor(x64.astype(np.float32)), Tensor(w64.astype(np.float32)),
+            anchor=1, time_dilation=2,
+        ).data
+        assert out32.dtype == np.float32
+        assert self._relative_deviation(out64, out32) <= self.RTOL
+
+    def test_conv2d(self, rng):
+        x64 = rng.standard_normal((2, 3, 9, 11))
+        w64 = rng.standard_normal((2, 4, 3, 3, 3)) * 0.2  # one per record
+        out64 = F.conv2d(Tensor(x64), Tensor(w64), padding=1).data
+        out32 = F.conv2d(
+            Tensor(x64.astype(np.float32)), Tensor(w64.astype(np.float32)),
+            padding=1,
+        ).data
+        assert out32.dtype == np.float32
+        assert self._relative_deviation(out64, out32) <= self.RTOL
+
+
 class TestPoolingUpsample:
     def test_avg_pool(self):
         x = Tensor(np.arange(16, dtype=float).reshape(1, 1, 4, 4))

@@ -23,6 +23,7 @@ from repro.nn import (
     Tensor,
     UpsampleNearest,
 )
+from repro.nn import init
 
 
 class TinyNet(Module):
@@ -171,3 +172,28 @@ class TestLayers:
         layer = Linear(3, 2, bias=False, rng=rng)
         assert layer.bias is None
         assert len(list(layer.named_parameters())) == 1
+
+
+#: Every initialiser, called on a (3, 3) shape with any extra keywords.
+INITIALISERS = {
+    "kaiming_uniform": lambda **kw: init.kaiming_uniform(
+        (3, 3), np.random.default_rng(0), **kw),
+    "xavier_uniform": lambda **kw: init.xavier_uniform(
+        (3, 3), np.random.default_rng(0), **kw),
+    "normal": lambda **kw: init.normal(
+        (3, 3), np.random.default_rng(0), **kw),
+    "uniform": lambda **kw: init.uniform(
+        (3, 3), np.random.default_rng(0), **kw),
+    "zeros": lambda **kw: init.zeros((3, 3), **kw),
+    "ones": lambda **kw: init.ones((3, 3), **kw),
+}
+
+
+class TestInitDtype:
+    @pytest.mark.parametrize("name", sorted(INITIALISERS))
+    def test_default_is_float32(self, name):
+        assert INITIALISERS[name]().dtype == np.float32
+
+    @pytest.mark.parametrize("name", sorted(INITIALISERS))
+    def test_explicit_dtype_preserved(self, name):
+        assert INITIALISERS[name](dtype=np.float64).dtype == np.float64

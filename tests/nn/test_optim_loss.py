@@ -75,6 +75,30 @@ class TestOptimizers:
         opt.step()  # no backward happened; must not crash
         assert np.allclose(p.data, 1.0)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_step_is_the_textbook_update(self, dtype, weight_decay):
+        # The in-place update reproduces the out-of-place formulation
+        # bit for bit at the parameter's own dtype.
+        rng = np.random.default_rng(3)
+        p = Parameter(rng.standard_normal((4, 5)).astype(dtype))
+        opt = Adam([p], lr=1e-2, weight_decay=weight_decay)
+        beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
+        data = p.data.copy()
+        m = np.zeros_like(data)
+        v = np.zeros_like(data)
+        for t in range(1, 4):
+            p.grad = rng.standard_normal((4, 5)).astype(dtype)
+            grad = p.grad + weight_decay * data if weight_decay else p.grad
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            data = data - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, data)
+
 
 class TestSchedulers:
     def test_step_lr(self):

@@ -88,6 +88,24 @@ class TestFactory:
             z = net.make_input_code(16, 12, rng=rng)
             assert net(z).shape == (1, 1, 16, 12), kind
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    def test_forward_and_gradients_keep_the_network_dtype(
+        self, rng, kind, dtype
+    ):
+        # A fit runs at its config's dtype only if no layer casts.
+        net = build_prior_network(
+            kind, rng=rng, base_channels=4, depth=2, time_dilation=3,
+            dtype=dtype,
+        )
+        z = net.make_input_code(16, 12, rng=rng, dtype=dtype)
+        out = net(z)
+        out.sum().backward()
+        assert out.data.dtype == dtype
+        for name, p in net.named_parameters():
+            assert p.data.dtype == dtype, name
+            assert p.grad.dtype == dtype, name
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
             build_prior_network("magic")
