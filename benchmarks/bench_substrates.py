@@ -34,7 +34,7 @@ from repro.baselines import emd, nmf_kl, vmd
 from repro.core.alignment import rewarp, unwarp
 from repro.core.inpainting import InpaintingConfig, inpaint_spectrograms
 from repro.dsp import istft, stft
-from repro.nn import Adam, Tensor, build_prior_network, masked_mse_loss
+from repro.nn import Adam, build_prior_network, masked_mse_loss
 from repro.nn import functional as F
 
 N_FREQ = 33
@@ -190,18 +190,18 @@ def test_bench_stft_roundtrip(benchmark, rng):
 
 
 def test_bench_harmonic_conv_forward_backward(benchmark, rng):
-    x = Tensor(rng.standard_normal((1, 8, 65, 64)).astype(np.float32),
-               requires_grad=True)
-    w = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32) * 0.1,
-               requires_grad=True)
+    x = rng.standard_normal((1, 8, 65, 64)).astype(np.float32)
+    w, b = F.record_kernels(
+        rng.standard_normal((8, 8, 3, 3)).astype(np.float32) * 0.1,
+        np.zeros(8, dtype=np.float32),
+    )
 
     def step():
-        x.zero_grad()
-        w.zero_grad()
-        out = F.harmonic_conv2d(x, w, anchor=1, time_dilation=5)
-        loss = (out * out).sum()
-        loss.backward()
-        return float(loss.data)
+        # The gradients of sum(out ** 2), input gradient included.
+        out, ctx = F.harmonic_conv2d_forward(x, w, b, anchor=1,
+                                             time_dilation=5)
+        F.harmonic_conv2d_backward(ctx, 2 * out)
+        return float((out * out).sum())
 
     benchmark(step)
 
@@ -216,10 +216,11 @@ def test_bench_deep_prior_adam_step(benchmark, rng):
 
     def step():
         optimizer.zero_grad()
-        loss = masked_mse_loss(net(z), target, mask)
-        loss.backward()
+        prediction = net(z)
+        losses, grad = masked_mse_loss(prediction.data, target, mask)
+        prediction.backward(grad)
         optimizer.step()
-        return float(loss.data)
+        return float(losses.sum())
 
     benchmark(step)
 

@@ -194,7 +194,7 @@ def test_bench_warmstart(benchmark):
     iters_cold, sdr_cold, _ = run_fit(
         magnitude, visibility, config, early, cache,
     )
-    iters_warm, sdr_warm, _ = benchmark.pedantic(
+    iters_warm, sdr_warm = benchmark.pedantic(
         run_fit, args=(magnitude, visibility, config, early, cache),
         rounds=1, iterations=1,
     )[:2]

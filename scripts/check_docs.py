@@ -28,6 +28,7 @@ PUBLIC_PACKAGES = [
     "repro",
     "repro.dsp",
     "repro.core",
+    "repro.nn",
     "repro.pipeline",
     "repro.streaming",
     "repro.service",

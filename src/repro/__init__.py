@@ -21,7 +21,8 @@ Subpackages
     live stream into overlapping segments, runs any separator per
     segment, and cross-fades outputs with bounded latency.
 ``repro.nn``
-    From-scratch NumPy autograd + harmonic-convolution networks.
+    The deep prior: the SpAc LU-Net (one graph node over raw-array
+    harmonic-convolution kernels), its Eq. 9 fit with Adam, the prior zoo.
 ``repro.dsp``
     STFT/ISTFT (single-record and batched), filters, interpolation,
     resampling.

@@ -33,10 +33,13 @@ from repro.utils.validation import as_2d_float_array
 class InpaintingConfig:
     """Hyper-parameters of one deep-prior fit.
 
-    ``network_kind`` selects a Fig. 3 variant; ``"spac_dilated"`` is the
-    full paper design.  ``compression`` applies a magnitude-compressing
-    power law before fitting (0.5 = square-root compression) which
-    equalises the dynamic range between strong and weak harmonics.
+    The defaults are the full paper design (``"spac_dilated"``); the
+    Fig. 3 variants come from :func:`config_for_prior_kind`, which sets
+    ``conv_kind``, ``anchor`` and ``freq_pooling`` (and, for the
+    undilated kinds, ``time_dilation=1``).  ``compression`` applies a
+    magnitude-compressing power law before fitting (0.5 = square-root
+    compression) which equalises the dynamic range between strong and
+    weak harmonics.
 
     ``dtype`` is the fit's one precision knob: the network, its input
     code, the normalised target and the mask are built at it, so every

@@ -160,7 +160,8 @@ class CallbackClient:
             return self._inflight
 
     def drain(self, timeout_s: float = 30.0) -> bool:
-        """Block until every queued delivery is terminal (True) or timeout."""
+        """Block until every queued delivery is terminal and its
+        ``on_finished`` hook has run (True), or timeout."""
         deadline = time.monotonic() + timeout_s
         with self._cv:
             while self._inflight > 0:
@@ -230,13 +231,8 @@ class CallbackClient:
         self._finish(delivery, dead=False)
 
     def _finish(self, delivery: CallbackDelivery, dead: bool) -> None:
-        with self._cv:
-            if dead:
-                self.dead_letters.append(delivery)
-            else:
-                self.n_delivered += 1
-            self._inflight -= 1
-            self._cv.notify_all()
+        # The hook runs while the delivery still counts as in flight, so
+        # drain() returning means every outcome has been recorded.
         if self.on_finished is not None:
             try:
                 self.on_finished(delivery)
@@ -245,3 +241,10 @@ class CallbackClient:
                     "callback on_finished hook failed for job %s",
                     delivery.job_id,
                 )
+        with self._cv:
+            if dead:
+                self.dead_letters.append(delivery)
+            else:
+                self.n_delivered += 1
+            self._inflight -= 1
+            self._cv.notify_all()

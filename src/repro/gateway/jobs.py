@@ -336,9 +336,9 @@ class JobRegistry:
     def _worker(self) -> None:
         while True:
             job_id = self._queue.get()
-            if job_id is None:  # shutdown sentinel
-                return
             try:
+                if job_id is None:  # shutdown sentinel
+                    return
                 self._execute(job_id)
             except Exception:  # never let a worker die
                 _LOG.exception("worker crashed executing job %s", job_id)
@@ -422,15 +422,25 @@ class JobRegistry:
     # Shutdown
     # ------------------------------------------------------------------ #
     def drain(self, timeout_s: float = 60.0) -> bool:
-        """Block until every submitted job is terminal (True) or timeout."""
+        """Block until every submitted job is settled (True) or timeout.
+
+        A job is settled when it is terminal, its terminal record is
+        written and its callback is handed to the client.  A worker does
+        the last two after it marks the job terminal, and marks its
+        queue task done only after them.
+        """
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            with self._lock:
-                if all(job.terminal for job in self._jobs.values()):
-                    return True
+            if self._settled():
+                return True
             time.sleep(0.01)
+        return self._settled()
+
+    def _settled(self) -> bool:
         with self._lock:
-            return all(job.terminal for job in self._jobs.values())
+            return self._queue.unfinished_tasks == 0 and all(
+                job.terminal for job in self._jobs.values()
+            )
 
     def close(self) -> None:
         """Stop workers (after in-flight jobs finish) and shared services."""

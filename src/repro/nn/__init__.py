@@ -1,31 +1,23 @@
-"""repro.nn — a from-scratch NumPy deep-learning substrate.
+"""repro.nn — the paper's deep prior: the SpAc LU-Net and its fit.
 
-The grading environment provides no PyTorch, so this package implements the
-minimum viable deep-learning stack the paper's deep-prior method needs:
-reverse-mode autograd (:mod:`repro.nn.tensor`), convolution operators
-including the paper's dilated harmonic convolution
-(:mod:`repro.nn.functional`), a module system, optimisers, and the
-SpAc LU-Net architecture (:mod:`repro.nn.unet`).
+Without a deep-learning framework as a dependency, this package
+implements exactly what the deep-prior in-painting of Sec. 3.3 runs, in
+NumPy: the SpAc LU-Net of Sec. 3.2 and its Fig. 3 variants
+(:mod:`repro.nn.unet`), whose harmonic/standard convolutions, instance
+norms, pooling and upsampling are raw-array kernel pairs
+(:mod:`repro.nn.functional`) walked inside one graph node with a
+hand-derived backward (:mod:`repro.nn.tensor`); the masked MSE of Eq. 9
+and its gradient (:mod:`repro.nn.loss`); Adam (:mod:`repro.nn.optim`);
+the record-stacked fit loop (:mod:`repro.nn.batchfit`); and the
+warm-start prior zoo with its serialization (:mod:`repro.nn.zoo`,
+:mod:`repro.nn.serialization`).
 """
 
-from repro.nn.tensor import Tensor, astensor, concatenate, is_grad_enabled, no_grad, stack, where
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Dropout,
-    HarmonicConv2d,
-    InstanceNorm2d,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Tanh,
-    UpsampleNearest,
-)
-from repro.nn.loss import l1_loss, masked_mse_loss, mse_loss
-from repro.nn.optim import SGD, Adam, CosineAnnealingLR, Optimizer, RMSprop, StepLR
+from repro.nn.tensor import Tensor
+from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.layers import Conv2d, HarmonicConv2d, InstanceNorm2d, LeakyReLU
+from repro.nn.loss import masked_mse_loss
+from repro.nn.optim import Adam
 from repro.nn.unet import (
     PRIOR_KINDS,
     SpAcLUNet,
@@ -51,17 +43,12 @@ from repro.nn.zoo import (
     shared_fit_cache,
 )
 from repro.nn import functional, init, zoo
-from repro.nn.gradcheck import check_gradients, numerical_gradient
 
 __all__ = [
-    "Tensor", "astensor", "concatenate", "stack", "where", "no_grad",
-    "is_grad_enabled",
-    "Module", "ModuleList", "Parameter", "Sequential",
-    "AvgPool2d", "Conv2d", "Dropout", "HarmonicConv2d", "InstanceNorm2d",
-    "LeakyReLU", "Linear", "MaxPool2d", "ReLU", "Sigmoid", "Tanh",
-    "UpsampleNearest",
-    "l1_loss", "masked_mse_loss", "mse_loss",
-    "SGD", "Adam", "CosineAnnealingLR", "Optimizer", "RMSprop", "StepLR",
+    "Tensor",
+    "Module", "ModuleList", "Parameter",
+    "Conv2d", "HarmonicConv2d", "InstanceNorm2d", "LeakyReLU",
+    "masked_mse_loss", "Adam",
     "PRIOR_KINDS", "SpAcLUNet", "UNetConfig", "build_prior_network",
     "stack_networks", "BatchFitResult", "EarlyStopConfig", "fit_batched",
     "load_arrays", "load_state", "normalize_state_path", "save_arrays",
@@ -69,5 +56,4 @@ __all__ = [
     "FitCache", "FitMetadata", "PriorCheckpoint", "PriorGeometry",
     "PriorZoo", "checkpoint_from_fit", "shared_fit_cache",
     "functional", "init", "zoo",
-    "check_gradients", "numerical_gradient",
 ]

@@ -5,9 +5,11 @@ initialised :class:`repro.nn.unet.SpAcLUNet` per spectrogram.
 :func:`fit_batched` is the package's one fit loop.  It runs on a network
 stacked by :func:`repro.nn.unet.stack_networks`, whose parameters carry a
 leading *record* axis, so a single forward/backward/Adam step advances
-every record's fit; a single fit is a stack of one.  The autograd graph
-has the node count of one fit, while each contraction spans all records
-at once.
+every record's fit; a single fit is a stack of one.  An iteration's graph
+is the network's one node: the loop computes the masked MSE and its
+gradient on raw arrays (:func:`repro.nn.loss.masked_mse_loss`) and hands
+the gradient to that node's backward, while each contraction spans all
+records at once.
 
 Per-record semantics are preserved exactly:
 
@@ -37,8 +39,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
+from repro.nn.loss import masked_mse_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.nn.unet import SpAcLUNet
 
 
@@ -90,23 +92,6 @@ class BatchFitResult:
     stop_iterations: List[Optional[int]]
     state_dicts: List[Dict[str, np.ndarray]]
     concealed_errors: Optional[List[np.ndarray]] = None
-
-
-class _StackedAdam(Adam):
-    """:class:`repro.nn.optim.Adam` plus record-axis compaction.
-
-    Inheriting (rather than re-implementing) the fused in-place update
-    keeps every record's trajectory elementwise-identical to a plain
-    Adam over that record alone — the equivalence tolerance documented
-    in ``docs/architecture.md`` depends on the two never drifting apart.
-    The moment buffers live for the whole fit and are sliced here when
-    records drop out of the stack.
-    """
-
-    def compact(self, keep: np.ndarray) -> None:
-        keep = np.asarray(keep, dtype=np.intp)
-        self._m = [np.ascontiguousarray(m[keep]) for m in self._m]
-        self._v = [np.ascontiguousarray(v[keep]) for v in self._v]
 
 
 def fit_batched(
@@ -171,10 +156,6 @@ def fit_batched(
 
     dtype = code.dtype
     n_freq, n_time = target.shape[2], target.shape[3]
-    counts = mask.reshape(n_total, -1).sum(axis=1)
-    if np.any(counts == 0):
-        raise ConfigurationError("mask is all-zero for at least one record")
-    inv_counts_all = (1.0 / counts).astype(dtype)
 
     concealed = None
     if reference is not None:
@@ -204,8 +185,7 @@ def fit_batched(
 
     active = np.arange(n_total)
     code_a, target_a, mask_a = code, target, mask
-    inv_counts_a = inv_counts_all
-    adam = _StackedAdam(network.parameters(), lr=learning_rate)
+    adam = Adam(network.parameters(), lr=learning_rate)
 
     def retire(original: int) -> None:
         """Freeze a record's result at its best iteration.
@@ -220,17 +200,12 @@ def fit_batched(
 
     for it in range(iterations):
         adam.zero_grad()
-        code_t = Tensor(code_a)
-        prediction = network(code_t)
-        diff = prediction - target_a
-        masked_sq = diff * diff * mask_a
-        per_record = masked_sq.sum(axis=(1, 2, 3))
-        total = (per_record * inv_counts_a).sum()
-        total.backward()
+        prediction = network(code_a)
+        loss_values, grad = masked_mse_loss(prediction.data, target_a, mask_a)
+        prediction.backward(grad)
         adam.step()
 
         pred_maps = prediction.data[:, 0]
-        loss_values = per_record.data * inv_counts_a
         to_drop: List[int] = []
         for local, original in enumerate(active):
             loss = float(loss_values[local])
@@ -279,7 +254,6 @@ def fit_batched(
             code_a = np.ascontiguousarray(code_a[keep])
             target_a = np.ascontiguousarray(target_a[keep])
             mask_a = np.ascontiguousarray(mask_a[keep])
-            inv_counts_a = np.ascontiguousarray(inv_counts_a[keep])
 
     # Records still running when the budget ran out keep their LAST
     # prediction (``stop_iterations`` stays None for them).

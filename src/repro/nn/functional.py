@@ -1,4 +1,4 @@
-"""Neural-network operators built on the :class:`repro.nn.tensor.Tensor` autograd.
+"""The SpAc LU-Net's kernels, as raw-array forward/backward pairs.
 
 Implements the operators the SpAc LU-Net needs, most importantly the
 *dilated harmonic convolution* of the paper (Eqs. 1, 2 and 8): at output
@@ -6,45 +6,33 @@ frequency ``f`` the kernel reads input bins ``round(k * f / anchor)`` for
 harmonics ``k = 1..H`` and time offsets spaced ``dilation`` frames apart.
 
 Standard 2-D convolution (used by the "conventional CNN" variant of Fig. 3),
-instance normalisation, pooling and nearest-neighbour upsampling are also
-provided.
+instance normalisation fused with its leaky ReLU, max pooling and
+nearest-neighbour upsampling are also provided.
 
-Every network operator exists once, as a **raw-array kernel pair**:
+Every operator exists once, as a **raw-array kernel pair**:
 ``<op>_forward(...)`` returns ``(out, ctx)`` where ``ctx`` holds exactly
 what the adjoint needs (``None`` when ``save`` is false), and
 ``<op>_backward(ctx, grad, ...)`` returns the input and parameter
-gradients.  The public :class:`Tensor` ops (:func:`conv2d`,
-:func:`harmonic_conv2d`, :func:`instance_norm`, :func:`max_pool2d`,
-:func:`upsample_nearest`) wrap those pairs as one graph node each, and
-:class:`repro.nn.unet.SpAcLUNet` walks the same pairs inside its single
-whole-network node — so the gradchecks of the public ops test exactly the
-code a deep-prior fit runs.  Backward kernels never write into the
-``grad`` they are handed.
+gradients.  Their one caller is :class:`repro.nn.unet.SpAcLUNet`, which
+walks them inside its single whole-network graph node.  Backward kernels
+never write into the ``grad`` they are handed.
 
 Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
 K2)`` holds one kernel per record and contracts only against record ``r``
 of an ``(R, C_in, ...)`` input, which is how one stacked deep-prior fit
-advances R independent networks at once (:mod:`repro.nn.batchfit`).  A
-plain 4-D kernel is a stack of one record.
+advances R independent networks at once (:mod:`repro.nn.batchfit`).
+:func:`record_kernels` gives a plain 4-D kernel its record axis, as a
+stack of one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.tensor import Tensor, _unbroadcast, astensor
-
-
-def _pair(value) -> Tuple[int, int]:
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ConfigurationError(f"expected a pair, got {value!r}")
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +136,7 @@ def saved_array(saved: Optional[dict], name: str, shape: tuple,
     ``saved`` is one layer's slot of a network's saved activations:
     ``saved[name]`` is handed back while its shape and dtype still hold,
     so a fit's iterations keep writing into the same memory.  Without
-    ``saved`` (the public ops) every call gets a fresh array.
+    ``saved`` every call gets a fresh array.
     """
     if saved is None:
         return np.empty(shape, dtype=dtype)
@@ -161,67 +149,25 @@ def saved_array(saved: Optional[dict], name: str, shape: tuple,
 # --------------------------------------------------------------------- #
 # Per-record convolutions
 # --------------------------------------------------------------------- #
-def record_kernels(weight: np.ndarray, bias: Optional[np.ndarray]):
-    """Give a convolution's kernels (and bias) their record axis.
+def record_kernels(weight: np.ndarray, bias: np.ndarray):
+    """Give a convolution's kernels and bias their record axis.
 
     A 4-D ``weight`` ``(C_out, C_in, K1, K2)`` is a stack of one record;
-    returns the kernels as ``(R, C_out, C_in, K1, K2)`` and the bias (or
-    ``None``) as ``(R, C_out)``, both views of the inputs.
+    returns the kernels as ``(R, C_out, C_in, K1, K2)`` and the bias as
+    ``(R, C_out)``, both views of the inputs.
     """
     w = weight if weight.ndim == 5 else weight[None]
-    b = None if bias is None else bias.reshape(w.shape[:2])
-    return w, b
+    return w, bias.reshape(w.shape[:2])
 
 
-def _per_record(x: Tensor, weight: Tensor, bias: Optional[Tensor], op: str):
-    """Check a convolution's operands and give its kernels a record axis.
-
-    Record ``r`` of ``x`` is the one sample record ``r``'s kernels see.
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"{op} input must be 4-D, got {x.shape}")
-    if weight.ndim not in (4, 5):
-        raise ShapeError(
-            f"{op} weight must be 4-D (O, C, K1, K2) or 5-D "
-            f"(R, O, C, K1, K2), got {weight.shape}"
-        )
-    w, b = record_kernels(weight.data, None if bias is None else bias.data)
-    if x.shape[0] != w.shape[0]:
-        raise ShapeError(
-            f"{op} input has {x.shape[0]} records but the weight holds "
-            f"{w.shape[0]}"
-        )
-    if x.shape[1] != w.shape[2]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but weight expects {w.shape[2]}"
-        )
-    return w, b
-
-
-def _conv_node(op: str, x: Tensor, weight: Tensor, bias: Optional[Tensor],
-               out_data: np.ndarray, ctx, backward_fn) -> Tensor:
-    """Wrap a convolution kernel pair as one graph node."""
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = x._make(out_data, parents, op)
-
-    def backward(grad):
-        grad_x, grad_w, grad_b = backward_fn(ctx, grad, x.requires_grad)
-        grads = [grad_x, grad_w.reshape(weight.shape)]
-        if bias is not None:
-            grads.append(grad_b.reshape(bias.shape))
-        return tuple(grads)
-
-    Tensor._attach(out, parents, backward, op)
-    return out
-
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    padding=(0, 0), save: bool = True,
                    saved: Optional[dict] = None):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
-    ``b`` ``(R, C_out)`` or ``None``.  The input is unfolded once into an
+    ``b`` ``(R, C_out)``; ``padding`` zero-pads ``(H, W)`` by ``(PH,
+    PW)`` on both sides.  The input is unfolded once into an
     ``(R, C_in*KH*KW, OH*OW)`` column buffer (a free view for a 1x1
     kernel without padding) and contracted in one batched GEMM; the
     buffer is what the adjoint keeps (in ``saved``, see
@@ -248,25 +194,22 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         cols = cols.reshape(n_rec, c_in * kh * kw, oh * ow)
     w_flat = w.reshape(n_rec, c_out, c_in * kh * kw)
     out = np.matmul(w_flat, cols)
-    if b is not None:
-        out += b[:, :, None]
+    out += b[:, :, None]
     out = out.reshape(n_rec, c_out, oh, ow)
-    ctx = (cols, w_flat, padding, x.shape, w.shape, b is not None) \
-        if save else None
+    ctx = (cols, w_flat, padding, x.shape, w.shape) if save else None
     return out, ctx
 
 
 def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     """Adjoint of :func:`conv2d_forward`: ``(grad_x, grad_w, grad_b)``.
 
-    ``grad_x`` is ``None`` unless ``need_input``; ``grad_b`` is ``None``
-    for a bias-free convolution.
+    ``grad_x`` is ``None`` unless ``need_input``.
     """
-    cols, w_flat, (ph, pw), x_shape, w_shape, has_bias = ctx
+    cols, w_flat, (ph, pw), x_shape, w_shape = ctx
     n_rec, c_out, oh, ow = grad.shape
     g = grad.reshape(n_rec, c_out, oh * ow)
     grad_w = np.matmul(g, cols.transpose(0, 2, 1)).reshape(w_shape)
-    grad_b = grad.sum(axis=(2, 3)) if has_bias else None
+    grad_b = grad.sum(axis=(2, 3))
     grad_x = None
     if need_input:
         grad_cols = np.matmul(w_flat.transpose(0, 2, 1), g)
@@ -284,37 +227,6 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
                 grad_xp[:, :, sl_h, sl_w] += grad_cols[:, :, di, dj]
             grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width]
     return grad_x, grad_w, grad_b
-
-
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    padding=0,
-) -> Tensor:
-    """Per-record 2-D cross-correlation (stride 1), NCHW layout.
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(R, C_in, H, W)`` — one sample per record.
-    weight:
-        Per-record kernels ``(R, C_out, C_in, KH, KW)``, or one kernel
-        ``(C_out, C_in, KH, KW)`` (a stack of one record).
-    bias:
-        Optional bias ``(R, C_out)`` (``(C_out,)`` for one kernel).
-    padding:
-        Int or pair, symmetric zero-padding of the two spatial axes.
-
-    Record ``r`` of the output depends only on record ``r`` of the input
-    and kernels: ``R`` independent convolutions fused into one graph node.
-    """
-    x = astensor(x)
-    weight = astensor(weight)
-    w, b = _per_record(x, weight, bias, "conv2d")
-    out_data, ctx = conv2d_forward(x.data, w, b, _pair(padding))
-    return _conv_node("conv2d", x, weight, bias, out_data, ctx,
-                      conv2d_backward)
 
 
 # --------------------------------------------------------------------- #
@@ -355,14 +267,20 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
     return range(-pad, pad + 1, time_dilation)
 
 
-def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
-                            b: Optional[np.ndarray], anchor: int = 1,
-                            time_dilation: int = 1, save: bool = True,
-                            saved: Optional[dict] = None):
-    """Per-record dilated harmonic convolution over raw arrays (Eq. 8).
+def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                            anchor: int = 1, time_dilation: int = 1,
+                            save: bool = True, saved: Optional[dict] = None):
+    """Per-record dilated harmonic convolution over raw arrays (Eq. 8)::
 
-    ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` and
-    ``b`` ``(R, C_out)`` or ``None``; the output is ``(R, C_out, F, T)``.
+        out[r, o, f, t] = b[r, o] + sum_{c, k=1..H, dt}
+            w[r, o, c, k - 1, dt] * x[r, c, round(k f / anchor), t + s(dt)]
+
+    with tap shifts ``s(dt) = (dt - KT // 2) * time_dilation``.  Input
+    bins outside ``[0, F)`` and frames outside ``[0, T)`` read zero.
+    ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` (odd
+    ``KT``) and ``b`` ``(R, C_out)``; the output is ``(R, C_out, F, T)``.
+    ``anchor = 1`` accesses forward integral harmonics only (the paper's
+    spectrally accurate choice); larger anchors permit fractional ones.
     ``saved`` is the layer's slot of reused saved activations (see
     :func:`saved_array`).
     """
@@ -425,10 +343,9 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray,
             out_flat[..., hi:] = 0
             out_flat[..., lo:hi] = window
             started = True
-    if b is not None:
-        out += b[:, :, None, None]
-    ctx = (g_flat, w_fold, lanes, bands, time_dilation, x.shape, w.shape,
-           b is not None) if save else None
+    out += b[:, :, None, None]
+    ctx = (g_flat, w_fold, lanes, bands, time_dilation, x.shape, w.shape) \
+        if save else None
     return out, ctx
 
 
@@ -437,11 +354,9 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
 
     Returns ``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` unless
     ``need_input`` (a fit's code needs no gradient, so its first layer
-    skips the input GEMM and scatter), ``grad_b`` is ``None`` for a
-    bias-free convolution.
+    skips the input GEMM and scatter).
     """
-    g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape, \
-        has_bias = ctx
+    g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape = ctx
     n_rec, c_out, n_freq, n_time = grad.shape
     c_in, n_harm, kt = w_shape[2], w_shape[3], w_shape[4]
     # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted back
@@ -477,7 +392,7 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     grad_w = grad_w.reshape(n_rec, c_out, kt, n_harm, c_in).transpose(
         0, 1, 4, 3, 2
     )
-    grad_b = grad.sum(axis=(2, 3)) if has_bias else None
+    grad_b = grad.sum(axis=(2, 3))
     grad_x = None
     if need_input:
         # Input gradient back through the gather, band by band (only
@@ -512,66 +427,22 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def harmonic_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Optional[Tensor] = None,
-    anchor: int = 1,
-    time_dilation: int = 1,
-) -> Tensor:
-    """Per-record dilated harmonic convolution over (frequency, time) maps.
-
-    Implements Eq. 8 of the paper::
-
-        (X * K)[f, t] = sum_{k=1..H} sum_{dt=-T..T}
-                        X[round(k f / anchor), t - time_dilation * dt] K[k, dt]
-
-    Parameters
-    ----------
-    x:
-        Input of shape ``(R, C_in, F, T)`` — one sample per record.
-    weight:
-        Per-record kernels ``(R, C_out, C_in, H, KT)``, or one kernel
-        ``(C_out, C_in, H, KT)`` (a stack of one record) — ``H``
-        harmonics tall, ``KT`` (odd) time taps wide.
-    bias:
-        Optional bias ``(R, C_out)`` (``(C_out,)`` for one kernel).
-    anchor:
-        Harmonic anchor ``n`` from Eq. 2.  ``anchor=1`` restricts access to
-        forward integral multiples only (the paper's spectrally-accurate
-        choice); larger anchors permit backward/fractional harmonics.
-    time_dilation:
-        Spacing ``D_conv`` between time taps (Eq. 8).
-
-    Output has the same ``F`` and ``T`` as the input (time is
-    zero-padded); record ``r`` depends only on record ``r`` of the input
-    and kernels.
-    """
-    x = astensor(x)
-    weight = astensor(weight)
-    w, b = _per_record(x, weight, bias, "harmonic_conv2d")
-    out_data, ctx = harmonic_conv2d_forward(
-        x.data, w, b, anchor=anchor, time_dilation=time_dilation
-    )
-    return _conv_node("harmonic_conv2d", x, weight, bias, out_data, ctx,
-                      harmonic_conv2d_backward)
-
-
 # --------------------------------------------------------------------- #
-# Instance normalisation (+ optional fused leaky ReLU)
+# Instance normalisation fused with its leaky ReLU
 # --------------------------------------------------------------------- #
-def instance_norm_forward(x: np.ndarray, weight: Optional[np.ndarray],
-                          bias: Optional[np.ndarray], eps: float = 1e-5,
-                          negative_slope: Optional[float] = None,
-                          save: bool = True, saved: Optional[dict] = None):
-    """Per-sample, per-channel normalisation over the spatial axes.
+def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
+                          bias: np.ndarray, eps: float,
+                          negative_slope: float, save: bool = True,
+                          saved: Optional[dict] = None):
+    """Per-sample, per-channel normalisation, then a leaky ReLU.
 
-    ``x`` is ``(N, C, H, W)``; the optional affine ``weight``/``bias``
-    reshape to ``(N, C)`` or ``(1, C)`` (one scale and shift per record,
-    or one shared).  A ``negative_slope`` fuses a leaky ReLU onto the
-    output, the conv block's norm-then-activate stage.  The normalised
-    activations and the ReLU mask are written into ``saved`` (see
-    :func:`saved_array`).
+    ``x`` is ``(N, C, H, W)``; each ``(n, c)`` map is normalised over its
+    ``H * W`` cells (biased variance, ``eps`` inside the square root),
+    scaled and shifted by the affine ``weight``/``bias`` — ``(N, C)``
+    (one pair per record) or ``(C,)`` (shared) — and rectified with
+    slope ``negative_slope`` in ``[0, 1)``: the conv block's
+    norm-then-activate stage.  The normalised activations and the ReLU
+    mask are written into ``saved`` (see :func:`saved_array`).
     """
     n, c = x.shape[:2]
     mean = x.mean(axis=(2, 3), keepdims=True)
@@ -580,23 +451,16 @@ def instance_norm_forward(x: np.ndarray, weight: Optional[np.ndarray],
     var = np.einsum("nchw,nchw->nc", xhat, xhat) * (1.0 / (x[0, 0].size))
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std[:, :, None, None]
-    scale = None
-    if weight is not None:
-        scale = weight.reshape(-1, c)[:, :, None, None]
-        out = xhat * scale
-        out += bias.reshape(-1, c)[:, :, None, None]
-    elif negative_slope is not None:
-        out = xhat.copy()
-    else:
-        out = xhat
+    scale = weight.reshape(-1, c)[:, :, None, None]
+    out = xhat * scale
+    out += bias.reshape(-1, c)[:, :, None, None]
     positive = None
-    if negative_slope is not None:
-        if save:
-            positive = np.greater(
-                out, 0, out=saved_array(saved, "positive", out.shape, bool)
-            )
-        # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
-        np.maximum(out, negative_slope * out, out=out)
+    if save:
+        positive = np.greater(
+            out, 0, out=saved_array(saved, "positive", out.shape, bool)
+        )
+    # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
+    np.maximum(out, negative_slope * out, out=out)
     ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
     return out, ctx
 
@@ -605,14 +469,12 @@ def instance_norm_backward(ctx, grad: np.ndarray):
     """Adjoint of :func:`instance_norm_forward`.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; the affine gradients
-    are ``(N, C)`` (callers sum them to a shared weight's shape) and
-    ``None`` without an affine.
+    are ``(N, C)`` (callers sum them to a shared weight's shape).
     """
     xhat, inv_std, scale, positive, negative_slope = ctx
-    if negative_slope is not None:
-        slope = positive.astype(grad.dtype)
-        np.maximum(slope, negative_slope, out=slope)
-        grad = grad * slope
+    slope = positive.astype(grad.dtype)
+    np.maximum(slope, negative_slope, out=slope)
+    grad = grad * slope
     count = xhat[0, 0].size
     grad_b = grad.sum(axis=(2, 3))
     grad_w = np.einsum("nchw,nchw->nc", grad, xhat)
@@ -621,71 +483,13 @@ def instance_norm_backward(ctx, grad: np.ndarray):
     grad_x = xhat * (grad_w * (-1.0 / count))[:, :, None, None]
     grad_x += grad
     grad_x -= (grad_b * (1.0 / count))[:, :, None, None]
-    gain = inv_std if scale is None else scale[:, :, 0, 0] * inv_std
-    grad_x *= gain[:, :, None, None]
-    if scale is None:
-        return grad_x, None, None
+    grad_x *= (scale[:, :, 0, 0] * inv_std)[:, :, None, None]
     return grad_x, grad_w, grad_b
-
-
-def instance_norm(x: Tensor, weight: Optional[Tensor] = None,
-                  bias: Optional[Tensor] = None, eps: float = 1e-5) -> Tensor:
-    """Instance normalisation as one graph node.
-
-    ``weight``/``bias`` are ``(C,)`` (shared by every sample) or
-    ``(N, C)`` (one pair per record of a record-stacked layer).
-    """
-    x = astensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"instance_norm expects 4-D input, got {x.shape}")
-    affine = weight is not None
-    out_data, ctx = instance_norm_forward(
-        x.data, weight.data if affine else None,
-        bias.data if affine else None, eps,
-    )
-    parents = (x, weight, bias) if affine else (x,)
-    out = x._make(out_data, parents, "instance_norm")
-
-    def backward(grad):
-        grad_x, grad_w, grad_b = instance_norm_backward(ctx, grad)
-        if not affine:
-            return (grad_x,)
-        return (grad_x, _unbroadcast(grad_w, weight.shape),
-                _unbroadcast(grad_b, bias.shape))
-
-    Tensor._attach(out, parents, backward, "instance_norm")
-    return out
 
 
 # --------------------------------------------------------------------- #
 # Pooling and upsampling
 # --------------------------------------------------------------------- #
-def avg_pool2d(x: Tensor, kernel) -> Tensor:
-    """Non-overlapping average pooling; trailing remainder is dropped."""
-    x = astensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"avg_pool2d input must be 4-D, got {x.shape}")
-    kh, kw = _pair(kernel)
-    n, c, h, w = x.shape
-    oh, ow = h // kh, w // kw
-    if oh == 0 or ow == 0:
-        raise ShapeError(f"avg_pool2d kernel {kernel} larger than input {x.shape}")
-    trimmed = x.data[:, :, : oh * kh, : ow * kw]
-    out_data = trimmed.reshape(n, c, oh, kh, ow, kw).mean(axis=(3, 5))
-    out = x._make(out_data, (x,), "avg_pool2d")
-
-    def backward(grad):
-        g = np.broadcast_to(
-            grad[:, :, :, None, :, None], (n, c, oh, kh, ow, kw)
-        ).reshape(n, c, oh * kh, ow * kw) / (kh * kw)
-        full = np.zeros((n, c, h, w), dtype=grad.dtype)
-        full[:, :, : oh * kh, : ow * kw] = g
-        return (full,)
-
-    Tensor._attach(out, (x,), backward, "avg_pool2d")
-    return out
-
-
 def _window_taps(kh: int, kw: int, oh: int, ow: int) -> tuple:
     """Strided ``(rows, cols)`` slices of each tap of a pooling window."""
     return tuple(
@@ -731,18 +535,6 @@ def max_pool2d_backward(ctx, grad: np.ndarray) -> np.ndarray:
     return full
 
 
-def max_pool2d(x: Tensor, kernel) -> Tensor:
-    """Non-overlapping max pooling; trailing remainder is dropped."""
-    x = astensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d input must be 4-D, got {x.shape}")
-    out_data, ctx = max_pool2d_forward(x.data, _pair(kernel))
-    out = x._make(out_data, (x,), "max_pool2d")
-    Tensor._attach(out, (x,), lambda g: (max_pool2d_backward(ctx, g),),
-                   "max_pool2d")
-    return out
-
-
 def upsample_nearest_forward(x: np.ndarray, scale, size=None,
                              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Nearest-neighbour upsampling of the two spatial axes.
@@ -781,33 +573,3 @@ def upsample_nearest_backward(grad: np.ndarray, scale, in_shape) -> np.ndarray:
                 grad[:, :, i: i + sh * rows: sh, j: j + sw * cols: sw]
     return out
 
-
-def upsample_nearest(x: Tensor, scale) -> Tensor:
-    """Nearest-neighbour upsampling of the two spatial axes."""
-    x = astensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"upsample_nearest input must be 4-D, got {x.shape}")
-    scale = _pair(scale)
-    out = x._make(upsample_nearest_forward(x.data, scale), (x,),
-                  "upsample_nearest")
-    in_shape = x.shape
-    Tensor._attach(
-        out, (x,),
-        lambda g: (upsample_nearest_backward(g, scale, in_shape),),
-        "upsample_nearest",
-    )
-    return out
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is false or ``p == 0``."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout p must be in [0, 1), got {p}")
-    x = astensor(x)
-    if not training or p == 0.0:
-        return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    keep = keep.astype(x.dtype)
-    out = x._make(x.data * keep, (x,), "dropout")
-    Tensor._attach(out, (x,), lambda g: (g * keep,), "dropout")
-    return out

@@ -1,8 +1,10 @@
-"""Loss functions for deep-prior fitting.
+"""The deep prior's fitting cost, on raw arrays.
 
-The central one is :func:`masked_mse_loss`, the in-painting objective of the
-paper (Eq. 9): the squared error is evaluated only where the binary mask is
-1, so the optimiser never sees the concealed interference regions.
+:func:`masked_mse_loss` is the in-painting objective of the paper
+(Eq. 9): the squared error is evaluated only where the binary mask is
+1, so the optimiser never sees the concealed interference regions.  It
+returns the gradient with the loss, which the fit hands to the
+network's graph node (:meth:`repro.nn.tensor.Tensor.backward`).
 """
 
 from __future__ import annotations
@@ -10,82 +12,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.tensor import Tensor, astensor
 
 
-def mse_loss(prediction: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean (or summed) squared error."""
-    prediction = astensor(prediction)
-    target = astensor(target)
-    if prediction.shape != target.shape:
-        raise ShapeError(
-            f"prediction shape {prediction.shape} != target shape {target.shape}"
-        )
-    diff = prediction - target
-    sq = diff * diff
-    if reduction == "mean":
-        return sq.mean()
-    if reduction == "sum":
-        return sq.sum()
-    raise ConfigurationError(f"unknown reduction {reduction!r}")
+def masked_mse_loss(prediction: np.ndarray, target: np.ndarray,
+                    mask: np.ndarray):
+    """Eq. 9 per record, ``||mask * (S_out - S_mixed)||^2 / count``.
 
+    ``prediction`` (the network output ``S_out``), ``target`` (the
+    observed ``S_mixed``) and ``mask`` (1 = visible to the cost, 0 =
+    concealed) are ``(R, 1, F, T)``.  Dividing by each record's count of
+    visible cells makes the learning rate independent of mask density.
 
-def l1_loss(prediction: Tensor, target, reduction: str = "mean") -> Tensor:
-    """Mean (or summed) absolute error."""
-    prediction = astensor(prediction)
-    target = astensor(target)
-    if prediction.shape != target.shape:
-        raise ShapeError(
-            f"prediction shape {prediction.shape} != target shape {target.shape}"
-        )
-    diff = (prediction - target).abs()
-    if reduction == "mean":
-        return diff.mean()
-    if reduction == "sum":
-        return diff.sum()
-    raise ConfigurationError(f"unknown reduction {reduction!r}")
-
-
-def masked_mse_loss(
-    prediction: Tensor,
-    target,
-    mask,
-    reduction: str = "mask_mean",
-) -> Tensor:
-    """In-painting cost of the paper, Eq. 9: ``||mask * (S_out - S_mixed)||^2``.
-
-    Parameters
-    ----------
-    prediction:
-        Network output spectrogram ``S_out``.
-    target:
-        Observed mixed spectrogram ``S_mixed`` (constant).
-    mask:
-        Binary visibility mask (1 = visible to the cost, 0 = concealed).
-    reduction:
-        ``"sum"`` is the literal Eq. 9; ``"mask_mean"`` (default) divides by
-        the number of visible cells, which makes the learning rate
-        independent of mask density.
+    Returns ``(losses, grad)``: the ``(R,)`` per-record losses and the
+    gradient of their sum w.r.t. ``prediction``, evaluated in the fixed
+    elementwise order ``(((1 / count) * mask) * diff) * 2`` that fits
+    are bitwise reproducible in.
     """
-    prediction = astensor(prediction)
-    target_arr = np.asarray(target.data if isinstance(target, Tensor) else target)
-    mask_arr = np.asarray(mask.data if isinstance(mask, Tensor) else mask)
-    mask_arr = mask_arr.astype(prediction.dtype)
-    if prediction.shape != target_arr.shape:
+    if prediction.shape != target.shape or mask.shape != target.shape:
         raise ShapeError(
-            f"prediction shape {prediction.shape} != target shape {target_arr.shape}"
+            f"prediction {prediction.shape}, target {target.shape} and mask "
+            f"{mask.shape} must share one shape"
         )
-    if mask_arr.shape != target_arr.shape:
-        raise ShapeError(
-            f"mask shape {mask_arr.shape} != target shape {target_arr.shape}"
-        )
-    diff = prediction - target_arr
-    masked_sq = diff * diff * mask_arr
-    if reduction == "sum":
-        return masked_sq.sum()
-    if reduction == "mask_mean":
-        count = float(mask_arr.sum())
-        if count == 0:
-            raise ConfigurationError("mask is all-zero; nothing is visible")
-        return masked_sq.sum() * (1.0 / count)
-    raise ConfigurationError(f"unknown reduction {reduction!r}")
+    counts = mask.reshape(len(mask), -1).sum(axis=1)
+    if np.any(counts == 0):
+        raise ConfigurationError("mask is all-zero for at least one record")
+    inv_counts = 1.0 / counts
+    diff = prediction - target
+    losses = (diff * diff * mask).sum(axis=(1, 2, 3)) * inv_counts
+    grad = inv_counts[:, None, None, None] * mask * diff
+    grad *= 2
+    return losses, grad

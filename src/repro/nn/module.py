@@ -1,15 +1,14 @@
-"""Module/Parameter system — the organisational layer of :mod:`repro.nn`.
+"""Parameter registry of the deep prior's network.
 
-Mirrors the familiar ``torch.nn.Module`` contract at the scale this
-reproduction needs: automatic registration of parameters and sub-modules via
-attribute assignment, recursive iteration, train/eval switching, and
-state-dict export/import.
+:class:`Module` registers :class:`Parameter` and :class:`Module`
+attributes on assignment, so a network's parameters and their dotted
+state-dict names (``encoders.0.body.0.weight``, ...) follow from how it
+is built; the names are what prior-zoo checkpoints are keyed by.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -25,49 +24,27 @@ class Parameter(Tensor):
 
 
 class Module:
-    """Base class for all neural-network modules.
+    """A container of parameters and sub-modules.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; those are picked up automatically by :meth:`parameters`,
-    :meth:`state_dict` and friends.
+    attributes; those are picked up automatically by :meth:`parameters`
+    and :meth:`state_dict`.
     """
 
     def __init__(self):
-        object.__setattr__(self, "_parameters", OrderedDict())
-        object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_parameters", {})
+        object.__setattr__(self, "_modules", {})
 
-    # ------------------------------------------------------------------ #
-    # Registration
-    # ------------------------------------------------------------------ #
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
-            object.__setattr__(self, name, value)
         elif isinstance(value, Module):
             self._modules[name] = value
-            object.__setattr__(self, name, value)
         else:
             self._parameters.pop(name, None)
             self._modules.pop(name, None)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Optional[Parameter]) -> None:
-        """Explicitly register (or clear, with ``None``) a parameter."""
-        if param is None:
-            self._parameters.pop(name, None)
-            object.__setattr__(self, name, None)
-        else:
-            setattr(self, name, param)
-
-    def add_module(self, name: str, module: "Module") -> None:
-        """Register a sub-module under a dynamic name."""
-        self._modules[name] = module
-        object.__setattr__(self, name, module)
-
-    # ------------------------------------------------------------------ #
-    # Iteration
-    # ------------------------------------------------------------------ #
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():
             yield (f"{prefix}{name}", param)
@@ -77,38 +54,10 @@ class Module:
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
-
-    def modules(self) -> Iterator["Module"]:
-        for _, module in self.named_modules():
-            yield module
-
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return sum(p.size for p in self.parameters())
-
-    # ------------------------------------------------------------------ #
-    # Mode and gradients
-    # ------------------------------------------------------------------ #
-    def train(self, mode: bool = True) -> "Module":
-        object.__setattr__(self, "training", mode)
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def zero_grad(self) -> None:
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = None
 
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of every parameter keyed by its dotted path."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -131,56 +80,18 @@ class Module:
                 )
             param.data = value.astype(param.data.dtype, copy=True)
 
-    # ------------------------------------------------------------------ #
-    # Call protocol
-    # ------------------------------------------------------------------ #
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-
-class Sequential(Module):
-    """Run sub-modules in order, feeding each output into the next."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        for i, module in enumerate(modules):
-            self.add_module(str(i), module)
-
-    def __len__(self) -> int:
-        return len(self._modules)
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]
-
-    def forward(self, x):
-        for module in self._modules.values():
-            x = module(x)
-        return x
-
 
 class ModuleList(Module):
-    """Hold sub-modules in an indexable list (no implicit forward)."""
+    """Sub-modules in order, registered under their indices ``0, 1, ...``."""
 
-    def __init__(self, modules=()):
+    def __init__(self, modules: Iterable[Module] = ()):
         super().__init__()
         for module in modules:
             self.append(module)
 
     def append(self, module: Module) -> "ModuleList":
-        self.add_module(str(len(self._modules)), module)
+        setattr(self, str(len(self._modules)), module)
         return self
-
-    def __len__(self) -> int:
-        return len(self._modules)
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._modules.values())
-
-    def __getitem__(self, index: int) -> Module:
-        return list(self._modules.values())[index]

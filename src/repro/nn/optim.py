@@ -1,13 +1,8 @@
-"""First-order optimisers and learning-rate schedulers.
-
-The deep-prior in-painting loop uses :class:`Adam` (as in the Deep Image
-Prior line of work); :class:`SGD` and :class:`RMSprop` are provided for
-completeness and ablations.
-"""
+"""Adam, the deep prior's optimiser (as in the Deep Image Prior line of work)."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -15,67 +10,35 @@ from repro.errors import ConfigurationError
 from repro.nn.module import Parameter
 
 
-class Optimizer:
-    """Base optimiser holding a flat parameter list."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba, 2015).
 
-    def __init__(self, params: Iterable[Parameter], lr: float):
+    In a record-stacked fit the moment buffers carry the parameters'
+    leading record axis; :meth:`compact` slices them when records drop
+    out of the stack, so every record's trajectory stays
+    elementwise-identical to a plain Adam over that record alone.
+    """
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8):
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ConfigurationError("optimizer received no parameters")
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if momentum < 0:
-            raise ConfigurationError(f"momentum must be >= 0, got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.params)
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
-            p.data = p.data - self.lr * grad
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        super().__init__(params, lr)
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigurationError(f"betas must be in [0, 1), got {betas}")
+        self.lr = float(lr)
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
 
     def step(self) -> None:
         # The update is fused into in-place buffer arithmetic: the moment
@@ -94,65 +57,14 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= beta1
             m += (1 - beta1) * grad
             v *= beta2
             v += (1 - beta2) * grad * grad
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
-
-class RMSprop(Optimizer):
-    """RMSprop with exponential moving average of squared gradients."""
-
-    def __init__(self, params, lr: float = 1e-3, alpha: float = 0.99,
-                 eps: float = 1e-8):
-        super().__init__(params, lr)
-        if not 0.0 <= alpha < 1.0:
-            raise ConfigurationError(f"alpha must be in [0, 1), got {alpha}")
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            self._sq[i] = self.alpha * self._sq[i] + (1 - self.alpha) * p.grad ** 2
-            p.data = p.data - self.lr * p.grad / (np.sqrt(self._sq[i]) + self.eps)
-
-
-class StepLR:
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        if step_size <= 0:
-            raise ConfigurationError(f"step_size must be positive, got {step_size}")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-
-class CosineAnnealingLR:
-    """Cosine-decay schedule from the initial LR down to ``eta_min``."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        if t_max <= 0:
-            raise ConfigurationError(f"t_max must be positive, got {t_max}")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.eta_min = eta_min
-        self._base_lr = optimizer.lr
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch = min(self._epoch + 1, self.t_max)
-        cos = 0.5 * (1 + np.cos(np.pi * self._epoch / self.t_max))
-        self.optimizer.lr = self.eta_min + (self._base_lr - self.eta_min) * cos
+    def compact(self, keep) -> None:
+        """Keep only the records ``keep`` (in order) of every moment."""
+        keep = np.asarray(keep, dtype=np.intp)
+        self._m = [np.ascontiguousarray(m[keep]) for m in self._m]
+        self._v = [np.ascontiguousarray(v[keep]) for v in self._v]

@@ -1,633 +1,56 @@
-"""Reverse-mode automatic differentiation on NumPy arrays.
+"""The deep prior's graph: leaves and the network's one node.
 
-This module is the heart of the :mod:`repro.nn` substrate that replaces
-PyTorch in this reproduction.  A :class:`Tensor` wraps a ``numpy.ndarray``
-and records the operations applied to it in a dynamic computation graph;
-:meth:`Tensor.backward` walks the graph in reverse topological order and
-accumulates gradients.
-
-Design notes
-------------
-* Gradients are plain ``numpy.ndarray`` objects stored on ``tensor.grad``.
-* Each non-leaf tensor holds a :class:`_Context` with its parents and a
-  backward callable returning one gradient (or ``None``) per parent.
-* Broadcasting follows NumPy semantics; :func:`_unbroadcast` sums gradients
-  over broadcast axes so shapes always match the forward inputs.
-* ``float32`` and ``float64`` are both supported; deep-prior fits default to
-  ``float32`` for speed while the numerical gradient checker uses
-  ``float64``.
+A :class:`Tensor` holds an array, its gradient and whether it wants one.
+The leaves are the input code and the network's
+:class:`repro.nn.module.Parameter` arrays; the one non-leaf is what a
+:class:`repro.nn.unet.SpAcLUNet` call returns, whose node context holds
+its parents (the code and every parameter) and the network's
+hand-derived backward.  The fit computes the gradient of its loss with
+respect to that output itself (:func:`repro.nn.loss.masked_mse_loss`)
+and hands it to :meth:`Tensor.backward`, which sends it through the
+network into every parent's ``grad``.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError, ShapeError
 
-ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
-
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager that disables graph recording (like torch.no_grad)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
-
-
-class _Context:
-    """Backward closure plus the parent tensors it differentiates w.r.t."""
-
-    __slots__ = ("parents", "backward_fn", "op_name")
-
-    def __init__(
-        self,
-        parents: Sequence["Tensor"],
-        backward_fn: Callable[[np.ndarray], Tuple[Optional[np.ndarray], ...]],
-        op_name: str,
-    ):
-        self.parents = tuple(parents)
-        self.backward_fn = backward_fn
-        self.op_name = op_name
-
-
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over axes that were broadcast relative to ``shape``."""
-    if grad.shape == shape:
-        return grad
-    # Sum leading axes added by broadcasting.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum axes that were size-1 in the original shape.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _coerce_array(value: ArrayLike, dtype=None) -> np.ndarray:
-    if isinstance(value, Tensor):
-        raise TypeError("internal: _coerce_array received a Tensor")
-    arr = np.asarray(value)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float64)
-    if dtype is not None and arr.dtype != dtype:
-        arr = arr.astype(dtype)
-    return arr
-
-
-def astensor(value: ArrayLike, dtype=None) -> "Tensor":
-    """Coerce a value to a :class:`Tensor` (no copy if already one)."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(_coerce_array(value, dtype))
-
 
 class Tensor:
-    """A NumPy-backed array with reverse-mode autodiff support."""
+    """An array in the deep prior's graph, with a gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad", "_ctx")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
-        self.data = _coerce_array(data)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._ctx: Optional[_Context] = None
+        #: ``(parents, backward_fn)`` of a recorded node, ``None`` on a
+        #: leaf; ``backward_fn(grad)`` returns one gradient (or ``None``)
+        #: per parent.
+        self._ctx: Optional[Tuple[Sequence["Tensor"], Callable]] = None
 
-    # ------------------------------------------------------------------ #
-    # Basic properties
-    # ------------------------------------------------------------------ #
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
+    def backward(self, grad: np.ndarray) -> None:
+        """Backpropagate ``grad``, the loss gradient w.r.t. this node.
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._ctx is None
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared memory, do not mutate)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else \
-            (_ for _ in ()).throw(ShapeError("item() requires a 1-element tensor"))
-
-    def detach(self) -> "Tensor":
-        """Return a new leaf tensor sharing data but outside the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        """Cast to ``dtype``; differentiable (gradient is cast back)."""
-        out = self._make(self.data.astype(dtype), (self,), "astype")
-        src_dtype = self.data.dtype
-
-        def backward(grad):
-            return (grad.astype(src_dtype),)
-
-        self._attach(out, (self,), backward, "astype")
-        return out
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
-
-    # ------------------------------------------------------------------ #
-    # Graph plumbing
-    # ------------------------------------------------------------------ #
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"], op: str) -> "Tensor":
-        out = Tensor(data)
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        return out
-
-    @staticmethod
-    def _attach(out: "Tensor", parents: Sequence["Tensor"], backward_fn, op: str) -> None:
-        if out.requires_grad:
-            out._ctx = _Context(parents, backward_fn, op)
-
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Accumulate gradients of ``self`` w.r.t. every graph leaf.
-
-        Parameters
-        ----------
-        grad:
-            Upstream gradient.  Defaults to ``1`` and therefore requires
-            ``self`` to be a scalar tensor.
+        Each parent that requires grad receives its gradient in
+        ``parent.grad`` (added to what is already there).
         """
-        if not self.requires_grad:
-            raise GraphError("backward() on a tensor that does not require grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise GraphError(
-                    "backward() without a gradient argument requires a scalar "
-                    f"output, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
-        else:
-            grad = np.asarray(grad, dtype=self.data.dtype)
-            if grad.shape != self.data.shape:
-                raise ShapeError(
-                    f"gradient shape {grad.shape} does not match tensor shape "
-                    f"{self.shape}"
-                )
-
-        topo: List[Tensor] = []
-        visited = set()
-        stack: List[Tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            if node._ctx is not None:
-                for parent in node._ctx.parents:
-                    if id(parent) not in visited and parent.requires_grad:
-                        stack.append((parent, False))
-
-        grads = {id(self): grad}
-        for node in reversed(topo):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node._ctx is None or node.is_leaf:
-                node.grad = node_grad if node.grad is None else node.grad + node_grad
-                continue
-            parent_grads = node._ctx.backward_fn(node_grad)
-            if len(parent_grads) != len(node._ctx.parents):
-                raise GraphError(
-                    f"op {node._ctx.op_name!r} returned {len(parent_grads)} "
-                    f"gradients for {len(node._ctx.parents)} parents"
-                )
-            for parent, pgrad in zip(node._ctx.parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
-                    continue
-                pgrad = np.asarray(pgrad)
-                if pgrad.shape != parent.data.shape:
-                    raise ShapeError(
-                        f"op {node._ctx.op_name!r} produced gradient of shape "
-                        f"{pgrad.shape} for parent of shape {parent.data.shape}"
-                    )
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pgrad
-                else:
-                    grads[id(parent)] = pgrad
-
-    # ------------------------------------------------------------------ #
-    # Elementwise arithmetic
-    # ------------------------------------------------------------------ #
-    def _coerce_operand(self, other: ArrayLike) -> "Tensor":
-        """Weak scalar promotion: python numbers adopt this tensor's dtype.
-
-        ``astensor(0.5)`` alone would produce a float64 tensor, and one
-        stray scalar (a loss normaliser, an ``eps``) would silently
-        promote a float32 computation — activations, gradients and, via
-        the optimiser, the parameters themselves — to float64.  Matching
-        NumPy's own NEP-50 semantics keeps the configured dtype in
-        charge.
-        """
-        # Exact type check: np.float64 subclasses float but is a STRONG
-        # scalar under NEP 50 — demoting it would drop precision a caller
-        # asked for by passing a NumPy scalar.
-        if type(other) in (int, float) \
-                and np.issubdtype(self.data.dtype, np.floating):
-            return Tensor(np.asarray(other, dtype=self.data.dtype))
-        return astensor(other)
-
-    def __add__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce_operand(other)
-        out = self._make(self.data + other.data, (self, other), "add")
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(grad, other.data.shape),
-            )
-
-        self._attach(out, (self, other), backward, "add")
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        out = self._make(-self.data, (self,), "neg")
-        self._attach(out, (self,), lambda g: (-g,), "neg")
-        return out
-
-    def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce_operand(other)
-        out = self._make(self.data - other.data, (self, other), "sub")
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(-grad, other.data.shape),
-            )
-
-        self._attach(out, (self, other), backward, "sub")
-        return out
-
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce_operand(other).__sub__(self)
-
-    def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce_operand(other)
-        out = self._make(self.data * other.data, (self, other), "mul")
-        a_data, b_data = self.data, other.data
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad * b_data, a_data.shape),
-                _unbroadcast(grad * a_data, b_data.shape),
-            )
-
-        self._attach(out, (self, other), backward, "mul")
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = self._coerce_operand(other)
-        out = self._make(self.data / other.data, (self, other), "div")
-        a_data, b_data = self.data, other.data
-
-        def backward(grad):
-            return (
-                _unbroadcast(grad / b_data, a_data.shape),
-                _unbroadcast(-grad * a_data / (b_data * b_data), b_data.shape),
-            )
-
-        self._attach(out, (self, other), backward, "div")
-        return out
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._coerce_operand(other).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("Tensor ** only supports scalar exponents")
-        out = self._make(self.data ** exponent, (self,), "pow")
-        base = self.data
-
-        def backward(grad):
-            return (grad * exponent * base ** (exponent - 1),)
-
-        self._attach(out, (self,), backward, "pow")
-        return out
-
-    def __matmul__(self, other: ArrayLike) -> "Tensor":
-        other = astensor(other)
-        out = self._make(self.data @ other.data, (self, other), "matmul")
-        a_data, b_data = self.data, other.data
-
-        def backward(grad):
-            if b_data.ndim == 1 and a_data.ndim == 1:
-                ga = grad * b_data
-                gb = grad * a_data
-            elif b_data.ndim == 1:
-                ga = np.expand_dims(grad, -1) * b_data
-                gb = np.tensordot(grad, a_data, axes=(range(grad.ndim), range(grad.ndim)))
-            elif a_data.ndim == 1:
-                ga = (np.expand_dims(grad, -2) @ np.swapaxes(b_data, -1, -2)).reshape(a_data.shape) \
-                    if b_data.ndim > 2 else grad @ b_data.T
-                ga = _unbroadcast(np.asarray(ga), a_data.shape)
-                gb = np.expand_dims(a_data, -1) @ np.expand_dims(grad, -2)
-                gb = _unbroadcast(gb, b_data.shape)
-            else:
-                ga = grad @ np.swapaxes(b_data, -1, -2)
-                gb = np.swapaxes(a_data, -1, -2) @ grad
-                ga = _unbroadcast(ga, a_data.shape)
-                gb = _unbroadcast(gb, b_data.shape)
-            return ga, gb
-
-        self._attach(out, (self, other), backward, "matmul")
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Elementwise nonlinearities
-    # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        result = np.exp(self.data)
-        out = self._make(result, (self,), "exp")
-        self._attach(out, (self,), lambda g: (g * result,), "exp")
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,), "log")
-        base = self.data
-        self._attach(out, (self,), lambda g: (g / base,), "log")
-        return out
-
-    def sqrt(self) -> "Tensor":
-        result = np.sqrt(self.data)
-        out = self._make(result, (self,), "sqrt")
-        self._attach(out, (self,), lambda g: (g * 0.5 / result,), "sqrt")
-        return out
-
-    def abs(self) -> "Tensor":
-        out = self._make(np.abs(self.data), (self,), "abs")
-        sign = np.sign(self.data)
-        self._attach(out, (self,), lambda g: (g * sign,), "abs")
-        return out
-
-    def tanh(self) -> "Tensor":
-        result = np.tanh(self.data)
-        out = self._make(result, (self,), "tanh")
-        self._attach(out, (self,), lambda g: (g * (1.0 - result * result),), "tanh")
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        result = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(result, (self,), "sigmoid")
-        self._attach(out, (self,), lambda g: (g * result * (1.0 - result),), "sigmoid")
-        return out
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = self._make(np.where(mask, self.data, 0.0), (self,), "relu")
-        self._attach(out, (self,), lambda g: (g * mask,), "relu")
-        return out
-
-    def leaky_relu(self, negative_slope: float = 0.1) -> "Tensor":
-        mask = self.data > 0
-        out = self._make(
-            np.where(mask, self.data, negative_slope * self.data), (self,), "leaky_relu"
-        )
-        # The gradient multiplier must stay in g's dtype: np.where(mask,
-        # 1.0, slope) would be float64 and silently promote every float32
-        # gradient (and, through the optimiser, every parameter) upstream.
-        self._attach(
-            out, (self,),
-            lambda g: (np.where(mask, g, negative_slope * g),),
-            "leaky_relu",
-        )
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Reductions
-    # ------------------------------------------------------------------ #
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-        in_shape = self.data.shape
-
-        def backward(grad):
-            if axis is None:
-                return (np.broadcast_to(grad, in_shape).copy(),)
-            axes = (axis,) if np.isscalar(axis) else tuple(axis)
-            g = grad
-            if not keepdims:
-                for ax in sorted(a % len(in_shape) for a in axes):
-                    g = np.expand_dims(g, ax)
-            return (np.broadcast_to(g, in_shape).copy(),)
-
-        self._attach(out, (self,), backward, "sum")
-        return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if np.isscalar(axis) else tuple(axis)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        result = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(result, (self,), "max")
-        in_data = self.data
-        in_shape = self.data.shape
-
-        def backward(grad):
-            if axis is None:
-                mask = (in_data == result).astype(grad.dtype)
-                mask /= mask.sum()
-                return (mask * grad,)
-            axes = (axis,) if np.isscalar(axis) else tuple(axis)
-            res = result if keepdims else np.expand_dims(
-                result, tuple(sorted(a % len(in_shape) for a in axes))
-            )
-            g = grad if keepdims else np.expand_dims(
-                grad, tuple(sorted(a % len(in_shape) for a in axes))
-            )
-            mask = (in_data == res).astype(grad.dtype)
-            mask /= mask.sum(axis=axes, keepdims=True)
-            return (mask * g,)
-
-        self._attach(out, (self,), backward, "max")
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Shape ops
-    # ------------------------------------------------------------------ #
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,), "reshape")
-        in_shape = self.data.shape
-        self._attach(out, (self,), lambda g: (g.reshape(in_shape),), "reshape")
-        return out
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.data.ndim)))
-        out = self._make(self.data.transpose(axes), (self,), "transpose")
-        inverse = tuple(np.argsort(axes))
-        self._attach(out, (self,), lambda g: (g.transpose(inverse),), "transpose")
-        return out
-
-    def __getitem__(self, key) -> "Tensor":
-        out = self._make(self.data[key], (self,), "getitem")
-        in_shape = self.data.shape
-        in_dtype = self.data.dtype
-
-        def backward(grad):
-            full = np.zeros(in_shape, dtype=in_dtype)
-            np.add.at(full, key, grad)
-            return (full,)
-
-        self._attach(out, (self,), backward, "getitem")
-        return out
-
-    def pad(self, pad_width) -> "Tensor":
-        """Zero-pad; ``pad_width`` follows :func:`numpy.pad` conventions."""
-        widths = tuple(
-            (int(lo), int(hi)) for lo, hi in np.broadcast_to(
-                np.asarray(pad_width, dtype=np.int64).reshape(-1, 2)
-                if np.asarray(pad_width).ndim > 1
-                else np.asarray([pad_width] * self.data.ndim, dtype=np.int64).reshape(-1, 2),
-                (self.data.ndim, 2),
-            )
-        )
-        out = self._make(np.pad(self.data, widths), (self,), "pad")
-        slices = tuple(
-            slice(lo, lo + n) for (lo, _), n in zip(widths, self.data.shape)
-        )
-        self._attach(out, (self,), lambda g: (g[slices],), "pad")
-        return out
-
-    def take(self, indices: np.ndarray, axis: int) -> "Tensor":
-        """Gather along ``axis`` with an integer index array.
-
-        The adjoint is a scatter-add, so repeated indices are handled
-        correctly.  Negative indices are *not* supported (they would make the
-        scatter ambiguous); use explicit non-negative indices.
-        """
-        indices = np.asarray(indices)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.data.shape[axis]):
+        if self._ctx is None:
+            raise GraphError("backward() on a tensor that is not a graph node")
+        grad = np.asarray(grad, dtype=self.data.dtype)
+        if grad.shape != self.data.shape:
             raise ShapeError(
-                f"take indices out of range for axis {axis} of length "
-                f"{self.data.shape[axis]}"
+                f"gradient shape {grad.shape} does not match tensor shape "
+                f"{self.data.shape}"
             )
-        out = self._make(np.take(self.data, indices, axis=axis), (self,), "take")
-        in_shape = self.data.shape
-        in_dtype = self.data.dtype
-
-        def backward(grad):
-            full = np.zeros(in_shape, dtype=in_dtype)
-            moved = np.moveaxis(full, axis, 0)
-            grad_moved = np.moveaxis(
-                grad.reshape(
-                    in_shape[:axis] + indices.shape + in_shape[axis + 1:]
-                ),
-                tuple(range(axis, axis + indices.ndim)),
-                tuple(range(indices.ndim)),
-            )
-            np.add.at(moved, indices, grad_moved)
-            return (full,)
-
-        self._attach(out, (self,), backward, "take")
-        return out
-
-    def clip_min(self, minimum: float) -> "Tensor":
-        """Clamp below at ``minimum`` (gradient is zero where clipped)."""
-        mask = self.data >= minimum
-        out = self._make(np.where(mask, self.data, minimum), (self,), "clip_min")
-        self._attach(out, (self,), lambda g: (g * mask,), "clip_min")
-        return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
-    tensors = [astensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make(data, tensors, "concat")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        grads = []
-        for i in range(len(tensors)):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            grads.append(grad[tuple(index)])
-        return tuple(grads)
-
-    Tensor._attach(out, tensors, backward, "concat")
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new ``axis``."""
-    tensors = [astensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make(data, tensors, "stack")
-
-    def backward(grad):
-        pieces = np.moveaxis(grad, axis, 0)
-        return tuple(pieces[i] for i in range(len(tensors)))
-
-    Tensor._attach(out, tensors, backward, "stack")
-    return out
-
-
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Differentiable selection: ``condition`` is a constant boolean array."""
-    a, b = astensor(a), astensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out = a._make(np.where(cond, a.data, b.data), (a, b), "where")
-
-    def backward(grad):
-        return (
-            _unbroadcast(np.where(cond, grad, 0.0), a.data.shape),
-            _unbroadcast(np.where(cond, 0.0, grad), b.data.shape),
-        )
-
-    Tensor._attach(out, (a, b), backward, "where")
-    return out
+        parents, backward_fn = self._ctx
+        for parent, parent_grad in zip(parents, backward_fn(grad)):
+            if parent_grad is None or not parent.requires_grad:
+                continue
+            parent.grad = parent_grad if parent.grad is None \
+                else parent.grad + parent_grad

@@ -30,16 +30,9 @@ from repro.errors import (
     ShapeError,
 )
 from repro.nn import functional as F
-from repro.nn.layers import (
-    Conv2d,
-    HarmonicConv2d,
-    InstanceNorm2d,
-    LeakyReLU,
-    MaxPool2d,
-    UpsampleNearest,
-)
-from repro.nn.module import Module, ModuleList, Sequential
-from repro.nn.tensor import Tensor, astensor, is_grad_enabled
+from repro.nn.layers import Conv2d, HarmonicConv2d, InstanceNorm2d, LeakyReLU
+from repro.nn.module import Module, ModuleList
+from repro.nn.tensor import Tensor
 from repro.utils.seeding import as_generator, spawn_generators
 
 #: Network variants compared in Fig. 3 of the paper.
@@ -105,7 +98,7 @@ class ConvBlock(Module):
     """Two (conv -> instance-norm -> leaky-ReLU) stages.
 
     A parameter container: :class:`SpAcLUNet` runs its :meth:`stages`
-    inside the network's single autograd node.
+    inside the network's single graph node.
     """
 
     def __init__(self, in_channels: int, out_channels: int, cfg: UNetConfig,
@@ -131,16 +124,12 @@ class ConvBlock(Module):
                 )
             stages += [conv, InstanceNorm2d(out_channels, dtype=dtype), LeakyReLU(0.1)]
             channels = out_channels
-        self.body = Sequential(*stages)
+        self.body = ModuleList(stages)
 
     def stages(self) -> List[Tuple[Module, InstanceNorm2d, LeakyReLU]]:
         """The ``(conv, norm, activation)`` triples, in forward order."""
         body = list(self.body)
         return list(zip(body[0::3], body[1::3], body[2::3]))
-
-
-def _param_data(param):
-    return None if param is None else param.data
 
 
 def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
@@ -160,7 +149,7 @@ def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
         slot = saved[index] if save else None
         if kind == "conv":
             layer = step[1]
-            w, b = F.record_kernels(layer.weight.data, _param_data(layer.bias))
+            w, b = F.record_kernels(layer.weight.data, layer.bias.data)
             if isinstance(layer, HarmonicConv2d):
                 x, ctx = F.harmonic_conv2d_forward(
                     x, w, b, layer.anchor, layer.time_dilation, save, slot
@@ -170,8 +159,8 @@ def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
         elif kind == "norm":
             norm = step[1]
             x, ctx = F.instance_norm_forward(
-                x, _param_data(norm.weight), _param_data(norm.bias),
-                norm.eps, step[2], save, slot,
+                x, norm.weight.data, norm.bias.data, norm.eps, step[2], save,
+                slot,
             )
         elif kind == "down":
             skips.append(x)
@@ -214,15 +203,13 @@ def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
             g, grad_w, grad_b = kernel_backward(
                 ctx, g, need_input or index > 0
             )
-            grads[id(layer.weight)] = grad_w.reshape(layer.weight.shape)
-            if grad_b is not None:
-                grads[id(layer.bias)] = grad_b.reshape(layer.bias.shape)
+            grads[id(layer.weight)] = grad_w.reshape(layer.weight.data.shape)
+            grads[id(layer.bias)] = grad_b.reshape(layer.bias.data.shape)
         elif kind == "norm":
             norm = step[1]
             g, grad_w, grad_b = F.instance_norm_backward(ctx, g)
-            if grad_w is not None:
-                grads[id(norm.weight)] = grad_w.reshape(norm.weight.shape)
-                grads[id(norm.bias)] = grad_b.reshape(norm.bias.shape)
+            grads[id(norm.weight)] = grad_w.reshape(norm.weight.data.shape)
+            grads[id(norm.bias)] = grad_b.reshape(norm.bias.data.shape)
         elif kind == "down":
             g = F.max_pool2d_backward(ctx, g)
             g += skip_grads.pop()
@@ -257,7 +244,9 @@ class SpAcLUNet(Module):
         n_blocks = 2 * cfg.depth + 1
         rngs = spawn_generators(rng, n_blocks + 1)
 
-        pool_kernel = (2, 2) if cfg.freq_pooling else (1, 2)
+        #: Max-pool kernel of each "down" step, and the scale of the
+        #: nearest upsampling of each "up" step.
+        self.pool_kernel = (2, 2) if cfg.freq_pooling else (1, 2)
 
         self.encoders = ModuleList()
         channels = cfg.in_channels
@@ -267,13 +256,11 @@ class SpAcLUNet(Module):
             self.encoders.append(ConvBlock(channels, out_ch, cfg, rngs[level], dtype))
             enc_channels.append(out_ch)
             channels = out_ch
-        self.pool = MaxPool2d(pool_kernel)
         self.bottleneck = ConvBlock(
             channels, channels * 2, cfg, rngs[cfg.depth], dtype
         )
         channels *= 2
 
-        self.upsample = UpsampleNearest(pool_kernel)
         self.decoders = ModuleList()
         for level in reversed(range(cfg.depth)):
             skip_ch = enc_channels[level]
@@ -286,7 +273,7 @@ class SpAcLUNet(Module):
 
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
         # The saved-activation set while no graph node owns it (see
-        # :meth:`forward`).  Scratch memory, not state.
+        # :meth:`__call__`).  Scratch memory, not state.
         self._idle = {}
 
     def __getstate__(self):
@@ -301,12 +288,12 @@ class SpAcLUNet(Module):
     @property
     def stacked(self) -> bool:
         """True when the parameters carry a leading record axis."""
-        return self.head.weight.ndim == 5
+        return self.head.weight.data.ndim == 5
 
     @property
     def n_records(self) -> int:
         """Records fitted at once: the stack size, 1 when unstacked."""
-        return self.head.weight.shape[0] if self.stacked else 1
+        return self.head.weight.data.shape[0] if self.stacked else 1
 
     def _record_views(self, record: int) -> Iterator[Tuple[str, np.ndarray]]:
         """``(name, view)`` of every parameter's slice for ``record``."""
@@ -383,25 +370,26 @@ class SpAcLUNet(Module):
 
         for encoder in self.encoders:
             block(encoder)
-            steps.append(("down", self.pool.kernel))
+            steps.append(("down", self.pool_kernel))
         block(self.bottleneck)
         for decoder in self.decoders:
-            steps.append(("up", self.upsample.scale))
+            steps.append(("up", self.pool_kernel))
             block(decoder)
         steps.append(("conv", self.head))
         return steps
 
-    def forward(self, z: Tensor) -> Tensor:
+    def __call__(self, z) -> Tensor:
         """Map codes ``(R, C_in, F, T)`` to estimates ``(R, 1, F, T)``.
 
-        The whole network is **one** graph node whose parents are the
-        code and every parameter.  Its forward walks :meth:`layers` over
-        raw arrays through the kernel pairs of :mod:`repro.nn.functional`,
-        saving only what the adjoint needs — and nothing at all under
-        :func:`repro.nn.no_grad` or when nothing requires grad.  Its
-        backward replays the list in reverse and returns every
-        parameter's gradient; the code's gradient is computed only when
-        the code requires grad, so a fit skips the first convolution's
+        ``z`` is an array, or a :class:`Tensor` whose gradient is wanted
+        when it requires grad.  The whole network is **one** graph node
+        whose parents are the code and every parameter.  Its forward
+        walks :meth:`layers` over raw arrays through the kernel pairs of
+        :mod:`repro.nn.functional`, saving only what the adjoint needs —
+        and nothing at all when nothing requires grad.  Its backward
+        replays the list in reverse and returns every parameter's
+        gradient; the code's gradient is computed only when the code
+        requires grad, so a fit skips the first convolution's
         input-gradient GEMM and scatter.
 
         The saved activations go into a set of per-layer arrays that
@@ -412,22 +400,24 @@ class SpAcLUNet(Module):
         on one network, never share an array.  The output and every
         gradient are fresh arrays.
         """
-        z = astensor(z)
-        if z.ndim != 4:
-            raise ShapeError(f"SpAcLUNet expects 4-D input, got {z.shape}")
-        if z.shape[0] != self.n_records:
+        if not isinstance(z, Tensor):
+            z = Tensor(z)
+        shape = z.data.shape
+        if len(shape) != 4:
+            raise ShapeError(f"SpAcLUNet expects 4-D input, got {shape}")
+        if shape[0] != self.n_records:
             raise ShapeError(
-                f"input has {z.shape[0]} records but the network holds "
+                f"input has {shape[0]} records but the network holds "
                 f"{self.n_records}"
             )
-        if z.shape[1] != self.cfg.in_channels:
+        if shape[1] != self.cfg.in_channels:
             raise ShapeError(
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
-                f"channels, got {z.shape[1]}"
+                f"channels, got {shape[1]}"
             )
         params = self.parameters()
         parents = (z, *params)
-        record = is_grad_enabled() and any(p.requires_grad for p in parents)
+        record = any(p.requires_grad for p in parents)
         layers = self.layers()
         saved = None
         if record:
@@ -435,7 +425,9 @@ class SpAcLUNet(Module):
             if saved is None:
                 saved = [{} for _ in layers]
         out_data, tape = _forward_layers(layers, z.data, saved)
-        out = z._make(out_data, parents, "spac_lunet")
+        out = Tensor(out_data, requires_grad=record)
+        if not record:
+            return out
 
         def backward(grad):
             if not tape:
@@ -448,9 +440,9 @@ class SpAcLUNet(Module):
             )
             tape.clear()
             self._idle["saved"] = saved
-            return (grad_z, *(grads.get(id(p)) for p in params))
+            return (grad_z, *(grads[id(p)] for p in params))
 
-        Tensor._attach(out, parents, backward, "spac_lunet")
+        out._ctx = (parents, backward)
         return out
 
     def make_input_code(self, n_freq: int, n_time: int,

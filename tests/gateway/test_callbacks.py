@@ -106,6 +106,24 @@ class TestCallbackClient:
         assert [d.job_id for d in seen] == ["job-ok", "job-dead"]
         assert seen[0].delivered and seen[1].dead_lettered
 
+    def test_drain_waits_for_the_on_finished_hook(self):
+        # drain() returning means every outcome is recorded: the gateway
+        # persists it on the job record from this hook.
+        recorded = []
+
+        def slow_record(delivery):
+            time.sleep(0.2)
+            recorded.append(delivery.job_id)
+
+        client = CallbackClient(retries=1, transport=FlakyTransport(),
+                                on_finished=slow_record)
+        try:
+            client.submit("job-1", "http://x", {})
+            assert client.drain(timeout_s=5.0)
+            assert recorded == ["job-1"]
+        finally:
+            client.close()
+
     def test_slow_endpoint_does_not_block_submit(self):
         release = threading.Event()
 

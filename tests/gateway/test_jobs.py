@@ -99,6 +99,23 @@ class TestLifecycle:
                 local.estimates[source],
             )
 
+    def test_drain_waits_for_the_terminal_record(self, registry,
+                                                 monkeypatch):
+        # A worker marks its job terminal before it writes the terminal
+        # record and hands off the callback; drain() returning means
+        # both are done.
+        write_job = registry.store.write_job
+
+        def slow_terminal_write(job_id, payload):
+            if payload["state"] == "done":
+                time.sleep(0.2)
+            return write_job(job_id, payload)
+
+        monkeypatch.setattr(registry.store, "write_job", slow_terminal_write)
+        job = registry.submit(SPEC, "separate", [make_record()])
+        assert registry.drain(timeout_s=30.0)
+        assert registry.store.read_job(job.job_id)["state"] == "done"
+
     def test_result_before_done_conflicts(self, registry):
         job = registry.submit(SPEC, "separate", [make_record()])
         registry.drain(timeout_s=30.0)

@@ -1,77 +1,131 @@
-"""Tests for the convolution/pooling operators (repro.nn.functional)."""
+"""Tests for the raw-array kernel pairs (repro.nn.functional).
+
+Every forward is checked against a direct implementation that shares no
+code with it: a loop over Eq. 8 for the harmonic convolution, scipy for
+the standard convolution, plain numpy for instance norm with leaky ReLU,
+pooling and upsampling.  Every backward is checked against float64
+central differences of its forward, which are independent of the
+hand-written adjoints.
+"""
 
 import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.functional import harmonic_index_map
-from repro.nn.gradcheck import check_gradients
 
 
-def t64(data):
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+def numerical_gradient(fn, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of scalar ``fn()`` w.r.t. ``array``.
+
+    ``array`` (contiguous float64) is perturbed in place, one entry at a
+    time, so ``fn`` must read it afresh on every call.
+    """
+    grad = np.zeros_like(array)
+    flat, grad_flat = array.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + eps
+        f_plus = fn()
+        flat[i] = original - eps
+        f_minus = fn()
+        flat[i] = original
+        grad_flat[i] = (f_plus - f_minus) / (2 * eps)
+    return grad
 
 
-class TestConv2d:
-    def test_matches_scipy_valid(self, rng):
-        x = rng.standard_normal((1, 1, 8, 9))
-        w = rng.standard_normal((1, 1, 3, 3))
-        out = F.conv2d(Tensor(x), Tensor(w)).data[0, 0]
-        ref = correlate2d(x[0, 0], w[0, 0], mode="valid")
-        assert np.allclose(out, ref, atol=1e-10)
-
-    def test_padding_same_shape(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 8, 8)))
-        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
-        assert F.conv2d(x, w, padding=1).shape == (1, 3, 8, 8)
-
-    def test_bias_added(self, rng):
-        x = Tensor(np.zeros((1, 1, 4, 4)))
-        w = Tensor(np.zeros((2, 1, 1, 1)))
-        b = Tensor(np.array([1.5, -2.0]))
-        out = F.conv2d(x, w, b)
-        assert np.allclose(out.data[0, 0], 1.5)
-        assert np.allclose(out.data[0, 1], -2.0)
-
-    def test_stacked_records_match_one_kernel_each(self, rng):
-        x = rng.standard_normal((2, 2, 5, 6))
-        w = rng.standard_normal((2, 3, 2, 3, 3))
-        b = rng.standard_normal((2, 3))
-        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
-        for r in range(2):
-            single = F.conv2d(
-                Tensor(x[r: r + 1]), Tensor(w[r]), Tensor(b[r]), padding=1
-            ).data[0]
-            np.testing.assert_allclose(out[r], single, atol=1e-12)
-
-    def test_record_count_mismatch_raises(self, rng):
-        with pytest.raises(ShapeError, match="records"):
-            F.conv2d(Tensor(np.zeros((2, 1, 4, 4))),
-                     Tensor(np.zeros((1, 1, 3, 3))))
-        with pytest.raises(ShapeError, match="records"):
-            F.conv2d(Tensor(np.zeros((2, 1, 4, 4))),
-                     Tensor(np.zeros((3, 1, 1, 3, 3))))
-
-    def test_channel_mismatch_raises(self, rng):
-        with pytest.raises(ShapeError):
-            F.conv2d(
-                Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3)))
-            )
-
-    def test_wrong_ndim_raises(self):
-        with pytest.raises(ShapeError):
-            F.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3))))
-
-    def test_empty_output_raises(self):
-        with pytest.raises(ShapeError):
-            F.conv2d(
-                Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5)))
-            )
+def assert_gradients(fn, pairs) -> None:
+    """Each ``(array, analytic)`` pair matches the central differences."""
+    for array, analytic in pairs:
+        np.testing.assert_allclose(
+            analytic, numerical_gradient(fn, array), rtol=1e-5, atol=1e-7
+        )
 
 
+def _operands(rng, records, weight_shape, x_shape):
+    """float64 input, kernels and bias; ``records=None`` is a plain 4-D
+    kernel, given its record axis by :func:`F.record_kernels`."""
+    stack = () if records is None else (records,)
+    x = rng.standard_normal((records or 1, *x_shape))
+    weight = 0.3 * rng.standard_normal((*stack, *weight_shape))
+    bias = 0.1 * rng.standard_normal((*stack, weight_shape[0]))
+    w, b = F.record_kernels(weight, bias)
+    return x, weight, bias, w, b
+
+
+# --------------------------------------------------------------------- #
+# Direct references
+# --------------------------------------------------------------------- #
+def harmonic_reference(x, w, b, anchor, dilation):
+    """Eq. 8 written out: harmonic ``k`` of output bin ``f`` reads input
+    bin ``round(k f / anchor)``, tap ``dt`` reads frame
+    ``t + (dt - KT // 2) * dilation``; out-of-range bins and frames read
+    zero."""
+    n_rec, c_in, n_freq, n_time = x.shape
+    _, c_out, _, n_harm, kt = w.shape
+    out = np.repeat(b[:, :, None, None], n_freq, axis=2)
+    out = np.repeat(out, n_time, axis=3)
+    for k in range(1, n_harm + 1):
+        for f in range(n_freq):
+            source = round(k * f / anchor)
+            if source >= n_freq:
+                continue
+            for dt in range(kt):
+                shift = (dt - kt // 2) * dilation
+                for t in range(n_time):
+                    if 0 <= t + shift < n_time:
+                        out[:, :, f, t] += np.einsum(
+                            "roc,rc->ro", w[:, :, :, k - 1, dt],
+                            x[:, :, source, t + shift],
+                        )
+    return out
+
+
+def conv2d_reference(x, w, b, padding):
+    ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n_rec, c_out, c_in = w.shape[:3]
+    return np.stack([
+        np.stack([
+            b[r, o] + sum(correlate2d(xp[r, c], w[r, o, c], mode="valid")
+                          for c in range(c_in))
+            for o in range(c_out)
+        ])
+        for r in range(n_rec)
+    ])
+
+
+def instance_norm_reference(x, weight, bias, eps, slope):
+    c = x.shape[1]
+    mean = x.mean(axis=(2, 3), keepdims=True)
+    var = x.var(axis=(2, 3), keepdims=True)
+    u = (x - mean) / np.sqrt(var + eps)
+    u = u * weight.reshape(-1, c, 1, 1) + bias.reshape(-1, c, 1, 1)
+    return np.where(u > 0, u, slope * u)
+
+
+def max_pool_reference(x, kernel):
+    kh, kw = kernel
+    n, c, h, w = x.shape
+    oh, ow = h // kh, w // kw
+    windows = x[:, :, :oh * kh, :ow * kw].reshape(n, c, oh, kh, ow, kw)
+    return windows.max(axis=(3, 5))
+
+
+def upsample_reference(x, scale, size):
+    """Repeat each cell, then crop or zero-pad to ``size``."""
+    up = np.repeat(np.repeat(x, scale[0], axis=2), scale[1], axis=3)
+    out = np.zeros(x.shape[:2] + tuple(size))
+    h, w = min(size[0], up.shape[2]), min(size[1], up.shape[3])
+    out[:, :, :h, :w] = up[:, :, :h, :w]
+    return out
+
+
+# --------------------------------------------------------------------- #
+# Plans
+# --------------------------------------------------------------------- #
 class TestHarmonicIndexMap:
     def test_anchor_one_forward_multiples(self):
         indices, valid = harmonic_index_map(8, 3, 1)
@@ -117,125 +171,192 @@ class TestHarmonicBandPlan:
         assert edge == n_freq
 
 
+# --------------------------------------------------------------------- #
+# Convolutions
+# --------------------------------------------------------------------- #
+#: The harmonic sweep: stacked (2 records) and plain kernels, anchors
+#: 1-3, dilations from inside the 9-frame axis to past both of its ends,
+#: and one bin (a single band) or 7 and 12 bins (several bands).
+HARMONIC_SWEEP = pytest.mark.parametrize(
+    "records,anchor,dilation,n_freq",
+    [(records, anchor, dilation, n_freq)
+     for records in (2, None) for anchor in (1, 2, 3)
+     for dilation in (1, 2, 5, 9) for n_freq in (1, 7, 12)],
+)
+#: The standard-convolution sweep: kernel size and padding.
+CONV_SWEEP = pytest.mark.parametrize(
+    "records,kernel,padding",
+    [(records, kernel, padding) for records in (2, None)
+     for kernel, padding in ((3, 1), (3, 0), (1, 0))],
+)
+
+
 class TestHarmonicConv2d:
+    @HARMONIC_SWEEP
+    def test_forward_is_eq8(self, rng, records, anchor, dilation, n_freq):
+        x, _, _, w, b = _operands(rng, records, (3, 2, 3, 3), (2, n_freq, 9))
+        out, _ = F.harmonic_conv2d_forward(x, w, b, anchor, dilation)
+        np.testing.assert_allclose(
+            out, harmonic_reference(x, w, b, anchor, dilation),
+            rtol=0, atol=1e-12,
+        )
+
+    @HARMONIC_SWEEP
+    def test_backward_matches_central_differences(
+            self, rng, records, anchor, dilation, n_freq):
+        x, weight, bias, w, b = _operands(
+            rng, records, (3, 2, 3, 3), (2, n_freq, 9)
+        )
+        probe = rng.standard_normal((x.shape[0], 3, n_freq, 9))
+
+        def loss():
+            out, _ = F.harmonic_conv2d_forward(x, w, b, anchor, dilation,
+                                               save=False)
+            return float((out * probe).sum())
+
+        _, ctx = F.harmonic_conv2d_forward(x, w, b, anchor, dilation)
+        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(ctx, probe)
+        assert_gradients(loss, [
+            (x, grad_x),
+            (weight, grad_w.reshape(weight.shape)),
+            (bias, grad_b.reshape(bias.shape)),
+        ])
+
     def test_output_shape_preserved(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 16, 10)))
-        w = Tensor(rng.standard_normal((4, 2, 3, 3)))
-        out = F.harmonic_conv2d(x, w, anchor=1, time_dilation=2)
+        x, _, _, w, b = _operands(rng, None, (4, 2, 3, 3), (2, 16, 10))
+        out, _ = F.harmonic_conv2d_forward(x, w, b, 1, 2)
         assert out.shape == (1, 4, 16, 10)
 
     def test_manual_single_harmonic(self, rng):
         # One harmonic, one time tap: output = w * x exactly.
         x = rng.standard_normal((1, 1, 6, 5))
-        w = np.full((1, 1, 1, 1), 2.0)
-        out = F.harmonic_conv2d(Tensor(x), Tensor(w))
-        assert np.allclose(out.data, 2.0 * x)
+        w, b = F.record_kernels(np.full((1, 1, 1, 1), 2.0), np.zeros(1))
+        out, _ = F.harmonic_conv2d_forward(x, w, b)
+        np.testing.assert_array_equal(out, 2.0 * x)
 
     def test_second_harmonic_reads_double_frequency(self):
-        # Input is one-hot at frequency 4; with 2 harmonics and anchor 1,
-        # output at f=2 must include the k=2 reading of bin 4.
+        # Input is one-hot at bin 4; with 2 harmonics and anchor 1, the
+        # output at bin 2 includes the k=2 reading of bin 4.
         x = np.zeros((1, 1, 8, 3))
         x[0, 0, 4, 1] = 1.0
-        w = np.zeros((1, 1, 2, 1))
-        w[0, 0, 1, 0] = 1.0  # only the k=2 tap
-        out = F.harmonic_conv2d(Tensor(x), Tensor(w))
-        assert out.data[0, 0, 2, 1] == 1.0  # 2*2=4 read the hot bin
-        assert out.data[0, 0, 4, 1] == 0.0  # 2*4=8 out of band
+        weight = np.zeros((1, 1, 2, 1))
+        weight[0, 0, 1, 0] = 1.0  # only the k=2 tap
+        out, _ = F.harmonic_conv2d_forward(
+            x, *F.record_kernels(weight, np.zeros(1))
+        )
+        assert out[0, 0, 2, 1] == 1.0  # 2*2=4 reads the hot bin
+        assert out[0, 0, 4, 1] == 0.0  # 2*4=8 is out of band
 
     def test_time_dilation_reaches_far_frames(self):
         x = np.zeros((1, 1, 4, 9))
         x[0, 0, 1, 0] = 1.0
-        w = np.zeros((1, 1, 1, 3))
-        w[0, 0, 0, 0] = 1.0  # tap at t - D
-        out = F.harmonic_conv2d(Tensor(x), Tensor(w), time_dilation=4)
-        assert out.data[0, 0, 1, 4] == 1.0
+        weight = np.zeros((1, 1, 1, 3))
+        weight[0, 0, 0, 0] = 1.0  # the tap at t - D
+        out, _ = F.harmonic_conv2d_forward(
+            x, *F.record_kernels(weight, np.zeros(1)), time_dilation=4
+        )
+        assert out[0, 0, 1, 4] == 1.0
 
     def test_dilation_past_both_ends_leaves_the_centre_tap(self, rng):
         # Side taps shifted by >= T frames read only zero padding.
-        x = Tensor(rng.standard_normal((1, 2, 7, 5)))
-        w = rng.standard_normal((3, 2, 2, 3))
-        wide = F.harmonic_conv2d(x, Tensor(w), time_dilation=5).data
-        centre = F.harmonic_conv2d(x, Tensor(w[..., 1:2])).data
-        np.testing.assert_allclose(wide, centre, atol=1e-12)
+        x, weight, bias, w, b = _operands(rng, None, (3, 2, 2, 3), (2, 7, 5))
+        wide, _ = F.harmonic_conv2d_forward(x, w, b, time_dilation=5)
+        centre, _ = F.harmonic_conv2d_forward(
+            x, *F.record_kernels(weight[..., 1:2], bias)
+        )
+        np.testing.assert_allclose(wide, centre, rtol=0, atol=1e-12)
 
     def test_records_do_not_mix(self, rng):
         """Record r of the output depends only on record r of the input."""
-        x1 = rng.standard_normal((2, 2, 7, 9))
-        w = 0.3 * rng.standard_normal((2, 3, 2, 2, 3))
-        out1 = F.harmonic_conv2d(Tensor(x1), Tensor(w)).data
+        x1, _, _, w, b = _operands(rng, 2, (3, 2, 2, 3), (2, 7, 9))
+        out1, _ = F.harmonic_conv2d_forward(x1, w, b)
         x2 = x1.copy()
         x2[1] = rng.standard_normal((2, 7, 9))  # perturb record 1 only
-        out2 = F.harmonic_conv2d(Tensor(x2), Tensor(w)).data
+        out2, _ = F.harmonic_conv2d_forward(x2, w, b)
         np.testing.assert_array_equal(out1[0], out2[0])
         assert np.abs(out1[1] - out2[1]).max() > 0
 
-    def test_record_and_channel_mismatch_raise(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 7, 9)))
-        with pytest.raises(ShapeError):
-            F.harmonic_conv2d(x, Tensor(rng.standard_normal((3, 3, 2, 2, 3))))
-        with pytest.raises(ShapeError):
-            F.harmonic_conv2d(x, Tensor(rng.standard_normal((2, 3, 4, 2, 3))))
-        with pytest.raises(ShapeError):
-            F.harmonic_conv2d(x, Tensor(rng.standard_normal((3, 2, 2, 3))))
+    def test_backward_without_input_gradient(self, rng):
+        x, _, _, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 7, 9))
+        _, ctx = F.harmonic_conv2d_forward(x, w, b, 1, 2)
+        probe = rng.standard_normal((2, 3, 7, 9))
+        full = F.harmonic_conv2d_backward(ctx, probe)
+        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(
+            ctx, probe, need_input=False
+        )
+        assert grad_x is None
+        np.testing.assert_array_equal(grad_w, full[1])
+        np.testing.assert_array_equal(grad_b, full[2])
 
-    def test_even_kernel_time_raises(self, rng):
+    def test_even_kernel_time_raises(self):
+        w, b = F.record_kernels(np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ConfigurationError):
-            F.harmonic_conv2d(
-                Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2)))
-            )
+            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b)
 
     def test_bad_dilation_raises(self):
+        w, b = F.record_kernels(np.zeros((1, 1, 2, 3)), np.zeros(1))
         with pytest.raises(ConfigurationError):
-            F.harmonic_conv2d(
-                Tensor(np.zeros((1, 1, 4, 4))),
-                Tensor(np.zeros((1, 1, 2, 3))),
-                time_dilation=0,
-            )
+            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
+                                      time_dilation=0)
 
 
-class TestConvGradcheckSweep:
-    """Finite-difference gradchecks of the two convolution kernels.
-
-    Each kernel is swept on per-record weights stacked for two records
-    (``records=2``) and on a plain kernel, which is a stack of one.
-    """
-
-    @staticmethod
-    def _operands(rng, records, weight_shape, x_shape):
-        stack = () if records is None else (records,)
-        x = t64(rng.standard_normal((records or 1, *x_shape)))
-        w = t64(0.3 * rng.standard_normal((*stack, *weight_shape)))
-        b = t64(0.1 * rng.standard_normal((*stack, weight_shape[0])))
-        return x, w, b
-
-    @pytest.mark.parametrize("records", [2, None])
-    @pytest.mark.parametrize("anchor", [1, 2, 3])
-    @pytest.mark.parametrize("dilation", [1, 2, 5, 9])
-    # One bin is a single band; 7 and 12 split into several.
-    @pytest.mark.parametrize("n_freq", [1, 7, 12])
-    def test_harmonic_conv2d(self, rng, records, anchor, dilation, n_freq):
-        x, w, b = self._operands(
-            rng, records, (3, 2, 3, 3), (2, n_freq, 9)
-        )
-        ok, err = check_gradients(
-            lambda: (F.harmonic_conv2d(
-                x, w, b, anchor=anchor, time_dilation=dilation
-            ) ** 2).sum(),
-            [x, w, b],
-        )
-        assert ok, err
-
-    @pytest.mark.parametrize("records", [2, None])
-    @pytest.mark.parametrize("kernel,padding", [(3, 1), (3, 0), (1, 0)])
-    def test_conv2d(self, rng, records, kernel, padding):
-        x, w, b = self._operands(
+class TestConv2d:
+    @CONV_SWEEP
+    def test_forward_matches_scipy(self, rng, records, kernel, padding):
+        x, _, _, w, b = _operands(
             rng, records, (3, 2, kernel, kernel), (2, 5, 7)
         )
-        ok, err = check_gradients(
-            lambda: (F.conv2d(x, w, b, padding=padding) ** 2).sum(),
-            [x, w, b],
+        out, _ = F.conv2d_forward(x, w, b, (padding, padding))
+        np.testing.assert_allclose(
+            out, conv2d_reference(x, w, b, (padding, padding)),
+            rtol=0, atol=1e-12,
         )
-        assert ok, err
+
+    @CONV_SWEEP
+    def test_backward_matches_central_differences(
+            self, rng, records, kernel, padding):
+        x, weight, bias, w, b = _operands(
+            rng, records, (3, 2, kernel, kernel), (2, 5, 7)
+        )
+        pad = (padding, padding)
+        out, ctx = F.conv2d_forward(x, w, b, pad)
+        probe = rng.standard_normal(out.shape)
+
+        def loss():
+            return float((F.conv2d_forward(x, w, b, pad, save=False)[0]
+                          * probe).sum())
+
+        grad_x, grad_w, grad_b = F.conv2d_backward(ctx, probe)
+        assert_gradients(loss, [
+            (x, grad_x),
+            (weight, grad_w.reshape(weight.shape)),
+            (bias, grad_b.reshape(bias.shape)),
+        ])
+
+    def test_padding_same_shape(self, rng):
+        x, _, _, w, b = _operands(rng, None, (3, 2, 3, 3), (2, 8, 8))
+        out, _ = F.conv2d_forward(x, w, b, (1, 1))
+        assert out.shape == (1, 3, 8, 8)
+
+    def test_bias_added(self):
+        w, b = F.record_kernels(np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]))
+        out, _ = F.conv2d_forward(np.zeros((1, 1, 4, 4)), w, b)
+        np.testing.assert_array_equal(out[0, 0], np.full((4, 4), 1.5))
+        np.testing.assert_array_equal(out[0, 1], np.full((4, 4), -2.0))
+
+    def test_stacked_records_match_one_kernel_each(self, rng):
+        x, weight, bias, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 5, 6))
+        out, _ = F.conv2d_forward(x, w, b, (1, 1))
+        for r in range(2):
+            single, _ = F.conv2d_forward(
+                x[r: r + 1], *F.record_kernels(weight[r], bias[r]), (1, 1)
+            )
+            np.testing.assert_allclose(out[r], single[0], rtol=0, atol=1e-12)
+
+    def test_empty_output_raises(self):
+        w, b = F.record_kernels(np.zeros((1, 1, 5, 5)), np.zeros(1))
+        with pytest.raises(ShapeError):
+            F.conv2d_forward(np.zeros((1, 1, 2, 2)), w, b)
 
 
 class TestFloat32Parity:
@@ -248,88 +369,126 @@ class TestFloat32Parity:
     def _relative_deviation(ref, out):
         return float(np.abs(out - ref).max()) / float(np.abs(ref).max())
 
-    def test_harmonic_conv2d(self, rng):
-        x64 = rng.standard_normal((2, 3, 33, 16))
-        w64 = rng.standard_normal((2, 3, 3, 3, 3)) * 0.2  # one per record
-        out64 = F.harmonic_conv2d(
-            Tensor(x64), Tensor(w64), anchor=1, time_dilation=2
-        ).data
-        out32 = F.harmonic_conv2d(
-            Tensor(x64.astype(np.float32)), Tensor(w64.astype(np.float32)),
-            anchor=1, time_dilation=2,
-        ).data
-        assert out32.dtype == np.float32
-        assert self._relative_deviation(out64, out32) <= self.RTOL
-
-    def test_conv2d(self, rng):
-        x64 = rng.standard_normal((2, 3, 9, 11))
-        w64 = rng.standard_normal((2, 4, 3, 3, 3)) * 0.2  # one per record
-        out64 = F.conv2d(Tensor(x64), Tensor(w64), padding=1).data
-        out32 = F.conv2d(
-            Tensor(x64.astype(np.float32)), Tensor(w64.astype(np.float32)),
-            padding=1,
-        ).data
+    @pytest.mark.parametrize("op,weight_shape,x_shape,kwargs", [
+        (F.harmonic_conv2d_forward, (2, 3, 3, 3, 3), (2, 3, 33, 16),
+         dict(anchor=1, time_dilation=2)),
+        (F.conv2d_forward, (2, 4, 3, 3, 3), (2, 3, 9, 11),
+         dict(padding=(1, 1))),
+    ])
+    def test_convolution(self, rng, op, weight_shape, x_shape, kwargs):
+        x64 = rng.standard_normal(x_shape)
+        w64 = rng.standard_normal(weight_shape) * 0.2  # one per record
+        b64 = rng.standard_normal(weight_shape[:2]) * 0.1
+        out64, _ = op(x64, w64, b64, **kwargs)
+        out32, _ = op(*(a.astype(np.float32) for a in (x64, w64, b64)),
+                      **kwargs)
         assert out32.dtype == np.float32
         assert self._relative_deviation(out64, out32) <= self.RTOL
 
 
-class TestPoolingUpsample:
-    def test_avg_pool(self):
-        x = Tensor(np.arange(16, dtype=float).reshape(1, 1, 4, 4))
-        out = F.avg_pool2d(x, (2, 2))
-        assert out.shape == (1, 1, 2, 2)
-        assert out.data[0, 0, 0, 0] == (0 + 1 + 4 + 5) / 4
-
-    def test_avg_pool_gradcheck(self, rng):
-        x = t64(rng.standard_normal((1, 2, 5, 6)))
-        ok, err = check_gradients(
-            lambda: (F.avg_pool2d(x, (2, 2)) ** 2).sum(), [x]
+# --------------------------------------------------------------------- #
+# Instance norm (fused leaky ReLU), pooling, upsampling
+# --------------------------------------------------------------------- #
+class TestInstanceNorm:
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_forward_and_backward(self, rng, stacked):
+        # Stacked: one (scale, shift) pair per record; else one shared.
+        x = rng.standard_normal((3, 2, 7, 9)) * 2.0 + 0.5
+        affine = (3, 2) if stacked else (2,)
+        weight = 1.0 + 0.3 * rng.standard_normal(affine)
+        bias = 0.2 * rng.standard_normal(affine)
+        out, ctx = F.instance_norm_forward(x, weight, bias, 1e-5, 0.1)
+        np.testing.assert_allclose(
+            out, instance_norm_reference(x, weight, bias, 1e-5, 0.1),
+            rtol=0, atol=1e-12,
         )
-        assert ok, err
+        probe = rng.standard_normal(out.shape)
 
-    def test_max_pool_value_and_grad(self):
-        x = t64([[1.0, 2.0], [3.0, 4.0]])
-        x4 = x.reshape(1, 1, 2, 2)
-        out = F.max_pool2d(x4, (2, 2))
-        assert out.data[0, 0, 0, 0] == 4.0
-        out.sum().backward()
-        assert np.allclose(x.grad, [[0, 0], [0, 1.0]])
+        def loss():
+            return float((F.instance_norm_forward(
+                x, weight, bias, 1e-5, 0.1, save=False
+            )[0] * probe).sum())
 
-    def test_pool_too_large_raises(self):
+        grad_x, grad_w, grad_b = F.instance_norm_backward(ctx, probe)
+        # The affine gradients come per record; a shared pair sums them.
+        assert_gradients(loss, [
+            (x, grad_x),
+            (weight, grad_w.reshape((-1,) + affine).sum(axis=0)),
+            (bias, grad_b.reshape((-1,) + affine).sum(axis=0)),
+        ])
+
+    def test_identity_affine_normalises_each_map(self, rng):
+        # Unit scale, zero shift and slope 1 (no rectification) leave
+        # each (record, channel) map at zero mean and unit variance.
+        x = rng.standard_normal((3, 2, 7, 9)) * 4.0 - 1.5
+        out, _ = F.instance_norm_forward(x, np.ones(2), np.zeros(2), 1e-5,
+                                         1.0, save=False)
+        np.testing.assert_allclose(out.mean(axis=(2, 3)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(out.var(axis=(2, 3)), 1.0, atol=1e-5)
+
+
+class TestMaxPool:
+    @pytest.mark.parametrize("kernel", [(1, 2), (2, 2), (2, 3)])
+    def test_forward_and_backward(self, rng, kernel):
+        # Distinct values, so every window's arg-max (hence the
+        # subgradient) is unambiguous under the perturbation.
+        x = rng.permutation(126).astype(np.float64).reshape(1, 2, 7, 9) / 126
+        out, ctx = F.max_pool2d_forward(x, kernel)
+        np.testing.assert_array_equal(out, max_pool_reference(x, kernel))
+        probe = rng.standard_normal(out.shape)
+
+        def loss():
+            return float((F.max_pool2d_forward(x, kernel, save=False)[0]
+                          * probe).sum())
+
+        assert_gradients(loss, [(x, F.max_pool2d_backward(ctx, probe))])
+
+    def test_ties_route_to_the_first_maximum(self):
+        x = np.ones((1, 1, 2, 2))
+        _, ctx = F.max_pool2d_forward(x, (2, 2))
+        grad = F.max_pool2d_backward(ctx, np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_kernel_larger_than_input_raises(self):
         with pytest.raises(ShapeError):
-            F.max_pool2d(Tensor(np.zeros((1, 1, 2, 2))), (4, 4))
+            F.max_pool2d_forward(np.zeros((1, 1, 2, 2)), (4, 4))
 
-    def test_upsample_nearest_values(self):
-        x = Tensor(np.array([[1.0, 2.0]]).reshape(1, 1, 1, 2))
-        out = F.upsample_nearest(x, (2, 2))
-        assert out.shape == (1, 1, 2, 4)
-        assert np.allclose(out.data[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2]])
 
-    def test_upsample_gradcheck(self, rng):
-        x = t64(rng.standard_normal((1, 1, 3, 4)))
-        ok, err = check_gradients(
-            lambda: (F.upsample_nearest(x, (1, 2)) ** 2).sum(), [x]
+class TestUpsampleNearest:
+    @pytest.mark.parametrize("scale", [(1, 2), (2, 3)])
+    # The decoder's skip extents: exact, cropped and zero-padded.
+    @pytest.mark.parametrize("extra", [(0, 0), (-1, -1), (1, 2)])
+    def test_forward_and_backward(self, rng, scale, extra):
+        x = rng.standard_normal((2, 2, 3, 4))
+        size = (3 * scale[0] + extra[0], 4 * scale[1] + extra[1])
+        out = F.upsample_nearest_forward(x, scale, size=size)
+        np.testing.assert_array_equal(out, upsample_reference(x, scale, size))
+        probe = rng.standard_normal(out.shape)
+
+        def loss():
+            return float((F.upsample_nearest_forward(x, scale, size=size)
+                          * probe).sum())
+
+        assert_gradients(
+            loss, [(x, F.upsample_nearest_backward(probe, scale, x.shape))]
         )
-        assert ok, err
+
+    def test_values(self):
+        x = np.array([1.0, 2.0]).reshape(1, 1, 1, 2)
+        out = F.upsample_nearest_forward(x, (2, 2))
+        np.testing.assert_array_equal(out[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2]])
 
     def test_pool_upsample_inverse_on_constant(self):
-        x = Tensor(np.ones((1, 1, 4, 4)))
-        down = F.avg_pool2d(x, (2, 2))
-        up = F.upsample_nearest(down, (2, 2))
-        assert np.allclose(up.data, 1.0)
+        down, _ = F.max_pool2d_forward(np.ones((1, 1, 4, 4)), (2, 2))
+        np.testing.assert_array_equal(
+            F.upsample_nearest_forward(down, (2, 2)), np.ones((1, 1, 4, 4))
+        )
 
-
-class TestDropoutAndCrop:
-    def test_dropout_eval_identity(self, rng):
-        x = Tensor(np.ones(100))
-        out = F.dropout(x, 0.5, rng, training=False)
-        assert out is x
-
-    def test_dropout_scales(self, rng):
-        x = Tensor(np.ones(10_000))
-        out = F.dropout(x, 0.5, rng, training=True)
-        assert abs(out.data.mean() - 1.0) < 0.05
-
-    def test_dropout_bad_p(self, rng):
-        with pytest.raises(ConfigurationError):
-            F.dropout(Tensor(np.ones(3)), 1.0, rng)
+    def test_writes_into_a_given_buffer(self, rng):
+        x = rng.standard_normal((1, 2, 3, 4))
+        joined = np.full((1, 5, 3, 9), np.nan)
+        F.upsample_nearest_forward(x, (1, 2), size=(3, 9), out=joined[:, 3:])
+        np.testing.assert_array_equal(
+            joined[:, 3:], upsample_reference(x, (1, 2), (3, 9))
+        )
+        assert np.isnan(joined[:, :3]).all()

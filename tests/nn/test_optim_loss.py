@@ -1,65 +1,33 @@
-"""Tests for optimisers, schedulers and loss functions."""
+"""Tests for Adam and the Eq. 9 loss."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn import (
-    SGD,
-    Adam,
-    CosineAnnealingLR,
-    Parameter,
-    RMSprop,
-    StepLR,
-    Tensor,
-    l1_loss,
-    masked_mse_loss,
-    mse_loss,
-)
+from repro.nn import Adam, Parameter, masked_mse_loss
 
 
-def quadratic_minimise(optimizer_cls, steps=200, **kwargs):
-    """Minimise ||x - 3||^2 from x=0; return the final parameter."""
-    p = Parameter(np.zeros(4))
-    opt = optimizer_cls([p], **kwargs)
-    for _ in range(steps):
-        opt.zero_grad()
-        loss = ((p - 3.0) ** 2).sum()
-        loss.backward()
-        opt.step()
-    return p.data
-
-
-class TestOptimizers:
-    def test_sgd_converges(self):
-        assert np.allclose(quadratic_minimise(SGD, lr=0.1), 3.0, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        final = quadratic_minimise(SGD, lr=0.05, momentum=0.9)
-        assert np.allclose(final, 3.0, atol=1e-3)
-
-    def test_adam_converges(self):
-        assert np.allclose(
-            quadratic_minimise(Adam, steps=400, lr=0.1), 3.0, atol=1e-2
-        )
-
-    def test_rmsprop_converges(self):
-        assert np.allclose(
-            quadratic_minimise(RMSprop, steps=400, lr=0.05), 3.0, atol=1e-2
-        )
-
-    def test_weight_decay_shrinks(self):
-        p = Parameter(np.full(3, 10.0))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        for _ in range(50):
+class TestAdam:
+    def test_converges_on_a_quadratic(self):
+        # Minimise ||x - 3||^2 from x = 0.
+        p = Parameter(np.zeros(4))
+        opt = Adam([p], lr=0.1)
+        for _ in range(400):
             opt.zero_grad()
-            (p * 0.0).sum().backward()  # zero data gradient
+            p.grad = 2 * (p.data - 3.0)
             opt.step()
-        assert np.all(np.abs(p.data) < 1.0)
+        np.testing.assert_allclose(p.data, 3.0, atol=1e-2)
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = [Parameter(np.zeros(2)), Parameter(np.zeros(3))]
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        Adam(params).zero_grad()
+        assert all(p.grad is None for p in params)
 
     def test_empty_params_raise(self):
         with pytest.raises(ConfigurationError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_bad_lr_raises(self):
         with pytest.raises(ConfigurationError):
@@ -75,23 +43,21 @@ class TestOptimizers:
         opt.step()  # no backward happened; must not crash
         assert np.allclose(p.data, 1.0)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_adam_step_is_the_textbook_update(self, dtype, weight_decay):
+    def test_step_is_the_textbook_update(self, dtype):
         # The in-place update reproduces the out-of-place formulation
         # bit for bit at the parameter's own dtype.
         rng = np.random.default_rng(3)
         p = Parameter(rng.standard_normal((4, 5)).astype(dtype))
-        opt = Adam([p], lr=1e-2, weight_decay=weight_decay)
+        opt = Adam([p], lr=1e-2)
         beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
         data = p.data.copy()
         m = np.zeros_like(data)
         v = np.zeros_like(data)
         for t in range(1, 4):
             p.grad = rng.standard_normal((4, 5)).astype(dtype)
-            grad = p.grad + weight_decay * data if weight_decay else p.grad
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad * grad
+            m = beta1 * m + (1 - beta1) * p.grad
+            v = beta2 * v + (1 - beta2) * p.grad * p.grad
             m_hat = m / (1.0 - beta1 ** t)
             v_hat = v / (1.0 - beta2 ** t)
             data = data - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
@@ -99,76 +65,80 @@ class TestOptimizers:
             assert p.data.dtype == dtype
             assert np.array_equal(p.data, data)
 
-
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
-
-    def test_cosine_decays_to_min(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.1)
-        for _ in range(10):
-            sched.step()
-        assert abs(opt.lr - 0.1) < 1e-9
-
-    def test_bad_params(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ConfigurationError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ConfigurationError):
-            CosineAnnealingLR(opt, t_max=0)
+    def test_compact_keeps_each_records_trajectory(self, rng):
+        # Records 0 and 2 of a stacked parameter, compacted after one
+        # step, go on exactly as an Adam over those two records alone.
+        grads = [rng.standard_normal((3, 2)) for _ in range(3)]
+        p = Parameter(rng.standard_normal((3, 2)))
+        ref = Parameter(p.data[[0, 2]].copy())
+        adam, ref_adam = Adam([p], lr=1e-2), Adam([ref], lr=1e-2)
+        p.grad, ref.grad = grads[0], grads[0][[0, 2]]
+        adam.step()
+        ref_adam.step()
+        p.data = p.data[[0, 2]]
+        adam.compact(np.array([0, 2]))
+        for grad in grads[1:]:
+            p.grad = ref.grad = grad[[0, 2]]
+            adam.step()
+            ref_adam.step()
+            np.testing.assert_array_equal(p.data, ref.data)
 
 
-class TestLosses:
-    def test_mse_loss_value(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = mse_loss(pred, np.array([0.0, 0.0]))
-        assert np.isclose(float(loss.data), 2.5)
+def _problem(rng, shape=(2, 1, 5, 6)):
+    prediction = rng.uniform(0.0, 1.0, size=shape)
+    target = rng.uniform(0.0, 1.0, size=shape)
+    mask = (rng.random(shape) < 0.6).astype(np.float64)
+    mask[:, 0, 0, 0] = 1.0  # every record shows something
+    return prediction, target, mask
 
-    def test_mse_loss_sum_reduction(self):
-        pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        assert np.isclose(
-            float(mse_loss(pred, np.zeros(2), reduction="sum").data), 5.0
+
+class TestMaskedMseLoss:
+    def test_value_is_eq9_over_the_visible_count(self, rng):
+        prediction, target, mask = _problem(rng)
+        losses, _ = masked_mse_loss(prediction, target, mask)
+        for r in range(2):
+            visible = mask[r] == 1
+            expected = np.sum((prediction[r] - target[r])[visible] ** 2) \
+                / visible.sum()
+            assert np.isclose(losses[r], expected, rtol=1e-12)
+
+    def test_gradient_matches_central_differences(self, rng):
+        prediction, target, mask = _problem(rng)
+        _, grad = masked_mse_loss(prediction, target, mask)
+        numeric = np.zeros_like(prediction)
+        eps = 1e-6
+        for index in np.ndindex(prediction.shape):
+            bumped = prediction.copy()
+            bumped[index] += eps
+            f_plus = masked_mse_loss(bumped, target, mask)[0].sum()
+            bumped[index] -= 2 * eps
+            f_minus = masked_mse_loss(bumped, target, mask)[0].sum()
+            numeric[index] = (f_plus - f_minus) / (2 * eps)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_concealed_cells_cost_and_pull_nothing(self, rng):
+        prediction, target, mask = _problem(rng)
+        moved = prediction + 5.0 * (mask == 0)
+        np.testing.assert_array_equal(
+            masked_mse_loss(moved, target, mask)[0],
+            masked_mse_loss(prediction, target, mask)[0],
         )
+        assert not masked_mse_loss(prediction, target, mask)[1][mask == 0].any()
 
-    def test_l1_loss(self):
-        pred = Tensor(np.array([1.0, -3.0]), requires_grad=True)
-        assert np.isclose(float(l1_loss(pred, np.zeros(2)).data), 2.0)
+    def test_float32_stays_float32(self, rng):
+        arrays = [a.astype(np.float32) for a in _problem(rng)]
+        losses, grad = masked_mse_loss(*arrays)
+        assert losses.dtype == grad.dtype == np.float32
 
-    def test_shape_mismatch_raises(self):
+    def test_all_zero_record_raises(self, rng):
+        prediction, target, mask = _problem(rng)
+        mask[1] = 0
+        with pytest.raises(ConfigurationError):
+            masked_mse_loss(prediction, target, mask)
+
+    def test_shape_mismatch_raises(self, rng):
+        prediction, target, mask = _problem(rng)
         with pytest.raises(ShapeError):
-            mse_loss(Tensor(np.zeros(2)), np.zeros(3))
-
-    def test_unknown_reduction_raises(self):
-        with pytest.raises(ConfigurationError):
-            mse_loss(Tensor(np.zeros(2)), np.zeros(2), reduction="bogus")
-
-    def test_masked_mse_ignores_concealed(self):
-        pred = Tensor(np.array([5.0, 1.0]), requires_grad=True)
-        target = np.array([0.0, 1.0])
-        mask = np.array([0.0, 1.0])
-        loss = masked_mse_loss(pred, target, mask)
-        assert np.isclose(float(loss.data), 0.0)
-
-    def test_masked_mse_grad_zero_at_concealed(self):
-        pred = Tensor(np.array([5.0, 1.0]), requires_grad=True)
-        loss = masked_mse_loss(pred, np.zeros(2), np.array([0.0, 1.0]))
-        loss.backward()
-        assert pred.grad[0] == 0.0
-        assert pred.grad[1] != 0.0
-
-    def test_masked_mse_sum_matches_eq9(self):
-        pred = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        loss = masked_mse_loss(
-            pred, np.zeros(2), np.ones(2), reduction="sum"
-        )
-        assert np.isclose(float(loss.data), 13.0)
-
-    def test_all_zero_mask_raises(self):
-        with pytest.raises(ConfigurationError):
-            masked_mse_loss(Tensor(np.zeros(2)), np.zeros(2), np.zeros(2))
+            masked_mse_loss(prediction[:, :, :4], target, mask)
+        with pytest.raises(ShapeError):
+            masked_mse_loss(prediction, target, mask[:, :, :4])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SerializationError
-from repro.nn import Linear, Sequential, load_state, save_state
+from repro.nn import Conv2d, ModuleList, load_state, save_state
 from repro.nn.serialization import (
     load_arrays,
     normalize_state_path,
@@ -15,7 +15,7 @@ from repro.nn.serialization import (
 
 
 def make_net(seed):
-    return Sequential(Linear(3, 4, rng=seed), Linear(4, 2, rng=seed + 1))
+    return ModuleList([Conv2d(3, 4, 1, rng=seed), Conv2d(4, 2, 1, rng=seed + 1)])
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -44,7 +44,7 @@ def test_load_non_archive_raises(tmp_path):
 def test_load_wrong_architecture_raises(tmp_path):
     path = str(tmp_path / "model.npz")
     save_state(make_net(0), path)
-    wrong = Sequential(Linear(3, 4, rng=0))
+    wrong = ModuleList([Conv2d(3, 4, 1, rng=0)])
     with pytest.raises(SerializationError):
         load_state(wrong, path)
 

@@ -1,10 +1,18 @@
 """Tests for the SpAc LU-Net and its Fig. 3 variants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn import PRIOR_KINDS, SpAcLUNet, UNetConfig, build_prior_network
+from repro.nn import (
+    PRIOR_KINDS,
+    SpAcLUNet,
+    UNetConfig,
+    build_prior_network,
+    stack_networks,
+)
 
 
 @pytest.fixture
@@ -32,19 +40,19 @@ class TestForward:
         net = SpAcLUNet(small_cfg, rng=rng)
         z = net.make_input_code(17, 12, rng=rng)
         out = net(z)
-        assert out.shape == (1, 1, 17, 12)
+        assert out.data.shape == (1, 1, 17, 12)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     def test_frequency_size_preserved_odd(self, small_cfg, rng):
         # Frequency pooling is prohibited: odd freq sizes must survive.
         net = SpAcLUNet(small_cfg, rng=rng)
         z = net.make_input_code(33, 16, rng=rng)
-        assert net(z).shape[2] == 33
+        assert net(z).data.shape[2] == 33
 
     def test_non_power_of_two_time(self, small_cfg, rng):
         net = SpAcLUNet(small_cfg, rng=rng)
         z = net.make_input_code(9, 13, rng=rng)
-        assert net(z).shape[3] == 13
+        assert net(z).data.shape[3] == 13
 
     def test_too_short_time_raises(self, small_cfg, rng):
         net = SpAcLUNet(small_cfg, rng=rng)
@@ -53,9 +61,8 @@ class TestForward:
 
     def test_wrong_channels_raises(self, small_cfg, rng):
         net = SpAcLUNet(small_cfg, rng=rng)
-        from repro.nn import Tensor
         with pytest.raises(ShapeError):
-            net(Tensor(np.zeros((1, 7, 8, 8), dtype=np.float32)))
+            net(np.zeros((1, 7, 8, 8), dtype=np.float32))
 
     def test_deterministic_given_seed(self, small_cfg):
         a = SpAcLUNet(small_cfg, rng=5)
@@ -69,12 +76,13 @@ class TestForward:
                          freq_pooling=True)
         net = SpAcLUNet(cfg, rng=rng)
         z = net.make_input_code(16, 12, rng=rng)
-        assert net(z).shape == (1, 1, 16, 12)
+        assert net(z).data.shape == (1, 1, 16, 12)
 
     def test_gradients_flow_to_all_parameters(self, small_cfg, rng):
         net = SpAcLUNet(small_cfg, rng=rng)
         z = net.make_input_code(9, 8, rng=rng)
-        net(z).sum().backward()
+        out = net(z)
+        out.backward(np.ones_like(out.data))
         for name, p in net.named_parameters():
             assert p.grad is not None, f"no grad for {name}"
 
@@ -86,7 +94,7 @@ class TestFactory:
                 kind, rng=rng, base_channels=4, depth=2, time_dilation=3,
             )
             z = net.make_input_code(16, 12, rng=rng)
-            assert net(z).shape == (1, 1, 16, 12), kind
+            assert net(z).data.shape == (1, 1, 16, 12), kind
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", PRIOR_KINDS)
@@ -100,7 +108,7 @@ class TestFactory:
         )
         z = net.make_input_code(16, 12, rng=rng, dtype=dtype)
         out = net(z)
-        out.sum().backward()
+        out.backward(np.ones_like(out.data))
         assert out.data.dtype == dtype
         for name, p in net.named_parameters():
             assert p.data.dtype == dtype, name
@@ -120,3 +128,39 @@ class TestFactory:
         dilated = build_prior_network("spac_dilated", rng=rng,
                                       time_dilation=7)
         assert dilated.cfg.time_dilation == 7
+
+
+#: SHA-256 over the sorted state-dict names, dtypes, shapes and bytes of
+#: ``build_prior_network(kind, rng=7, dtype=dtype)`` followed by the
+#: stack of the rng=7 and rng=8 networks.  Zoo checkpoints are keyed and
+#: loaded by exactly this table, so a change here orphans stored fits.
+#: At the default geometry (three harmonics, three time taps) all four
+#: kinds share one parameter layout and one seeded initialisation.
+STATE_DIGESTS = {
+    "float32": "abae60437f22d6cc88101f1073fbdc241e822f89cc0d50c725860e190bd7e300",
+    "float64": "e520044da099b60e6a83f4ed4fb51f63993e2e470df5f8f22cf7a6302ebd7fb3",
+}
+
+
+class TestStateDictContract:
+    @staticmethod
+    def _update(digest, state):
+        for name in sorted(state):
+            value = state[name]
+            digest.update(name.encode())
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", PRIOR_KINDS)
+    def test_names_shapes_dtypes_and_init_bytes(self, kind, dtype):
+        digest = hashlib.sha256()
+        self._update(
+            digest, build_prior_network(kind, rng=7, dtype=dtype).state_dict()
+        )
+        stacked = stack_networks(
+            [build_prior_network(kind, rng=seed, dtype=dtype)
+             for seed in (7, 8)]
+        )
+        self._update(digest, stacked.state_dict())
+        assert digest.hexdigest() == STATE_DIGESTS[np.dtype(dtype).name]
