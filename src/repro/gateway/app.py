@@ -37,7 +37,14 @@ registry's did-you-mean suggestions), malformed records — are
 :class:`repro.errors.ReproError` subclasses and map to **400**; unknown
 ids to **404**; invalid state transitions to **409**; an over-long body
 to **413** (refused before it is read); a full job queue to **429**.
+Errors the stdlib raises before routing follow the same contract: a
+malformed request line is a **400** and an unsupported method a **501**,
+each with the HTTP reason as ``error`` and the connection closed.
 Nothing a client sends can produce a 500 short of a genuine server bug.
+
+Every accepted connection runs with ``TCP_NODELAY``: each response goes
+out as two writes (headers, then body), and with Nagle on the body would
+wait ~40 ms for a keep-alive client's delayed ACK of the headers.
 """
 
 from __future__ import annotations
@@ -91,6 +98,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     gateway: "Gateway"  # injected by Gateway._make_server
     protocol_version = "HTTP/1.1"
+    # A request line without a version is answered as HTTP/1.1 as well,
+    # so its error response keeps its status line and headers.
+    default_request_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see the module docstring
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -139,7 +150,24 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(
+        self,
+        code: int,
+        message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """Answer the stdlib's own errors with the JSON error contract."""
+        reason, description = self.responses.get(code, ("Error", ""))
+        self.log_error("code %d, message %s", code, message or reason)
+        self.close_connection = True
+        self._send_json(code, {
+            "error": reason,
+            "message": message or explain or description,
+            "repro_error": False,
+        })
 
     def _dispatch(self, method: str) -> None:
         split = urlsplit(self.path)

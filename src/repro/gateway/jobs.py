@@ -30,7 +30,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -156,7 +156,6 @@ class JobRegistry:
         )
         self._services: Dict[str, SeparationService] = {}
         self._closed = False
-        self.n_executed = 0
         self._workers = [
             threading.Thread(
                 target=self._worker, name=f"gateway-worker-{i}", daemon=True,
@@ -275,10 +274,9 @@ class JobRegistry:
                     f"job {job_id} is {job.state!r}; only queued jobs can "
                     f"be cancelled"
                 )
-            job.state = "cancelled"
-            job.finished_at = time.time()
-            self._records.pop(job_id, None)
-        self.store.write_job(job_id, job.to_dict())
+            # Finish under the lock, so no worker starts the job between
+            # the state check and the cancellation.
+            self._finish(job, state="cancelled", finished_at=time.time())
         self._fire_callback(job)
         return job
 
@@ -373,24 +371,34 @@ class JobRegistry:
                 for result in results
             ]
         except Exception as exc:
-            with self._lock:
-                job.state = "error"
-                job.finished_at = time.time()
-                job.error = {
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                }
-                self._records.pop(job_id, None)
             _LOG.warning("job %s failed: %s", job_id, exc)
+            self._finish(
+                job, state="error", finished_at=time.time(),
+                error={"error": type(exc).__name__, "message": str(exc)},
+            )
         else:
-            with self._lock:
-                job.state = "done"
-                job.finished_at = time.time()
-                job.record_summaries = summaries
-                self._records.pop(job_id, None)
-                self.n_executed += 1
-        self.store.write_job(job_id, job.to_dict())
+            self._finish(
+                job, state="done", finished_at=time.time(),
+                record_summaries=summaries,
+            )
         self._fire_callback(job)
+
+    def _finish(self, job: JobRecord, **terminal: Any) -> None:
+        """Write a job's terminal record, then apply it in memory.
+
+        In that order, whoever reads the terminal state from the registry
+        (``GET /jobs/<id>``) finds it in ``job.json`` too.  If the write
+        raises, the job still ends terminal in memory, so pollers never
+        hang.
+        """
+        try:
+            record = replace(job, **terminal)
+            self.store.write_job(job.job_id, record.to_dict())
+        finally:
+            with self._lock:
+                for name, value in terminal.items():
+                    setattr(job, name, value)
+                self._records.pop(job.job_id, None)
 
     # ------------------------------------------------------------------ #
     # Callbacks
@@ -425,9 +433,10 @@ class JobRegistry:
         """Block until every submitted job is settled (True) or timeout.
 
         A job is settled when it is terminal, its terminal record is
-        written and its callback is handed to the client.  A worker does
-        the last two after it marks the job terminal, and marks its
-        queue task done only after them.
+        written and its callback is handed to the client.  A worker
+        writes the record before it marks the job terminal, hands off
+        the callback after, and marks its queue task done only after
+        both.
         """
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:

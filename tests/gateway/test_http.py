@@ -1,6 +1,7 @@
 """The HTTP surface end to end: wire round-trips and the 4xx contract."""
 
 import json
+import socket
 import threading
 
 import numpy as np
@@ -13,8 +14,15 @@ from repro.gateway import (
     GatewayError,
     record_to_wire,
 )
+from repro.gateway.app import _Handler
 from repro.pipeline.batch import SeparationRecord
 from repro.service import available_separators, separator_entry
+
+CONTRACT_KEYS = {"error", "message", "repro_error"}
+HEALTH_THEN_CLOSE = (
+    b"GET /health HTTP/1.1\r\nHost: gw\r\nConnection: close\r\n\r\n"
+)
+GARBAGE = b"GARBAGE\r\n\r\n"
 
 
 def make_record(n=200, seed=0):
@@ -29,6 +37,28 @@ def make_record(n=200, seed=0):
         name=f"rec{seed}",
         references={"a": a, "b": b},
     )
+
+
+def raw_exchange(gateway, data):
+    """Send raw bytes on a fresh connection and read until the server
+    closes it (a socket timeout fails the test if it does not).
+
+    Returns ``(status, headers, body, port)``, where ``body`` is every
+    byte after the headers and ``port`` is the local port the server
+    sees as the client's.
+    """
+    with socket.create_connection(
+        (gateway.host, gateway.port), timeout=5.0
+    ) as sock:
+        port = sock.getsockname()[1]
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, body, port
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +97,59 @@ class TestServiceEndpoints:
         with pytest.raises(GatewayError) as err:
             client.request("GET", "/nope")
         assert err.value.status == 404
+
+
+class TestConnections:
+    @pytest.mark.parametrize("request_bytes", [HEALTH_THEN_CLOSE, GARBAGE],
+                             ids=["request", "stdlib-error"])
+    def test_accepted_connections_run_with_nodelay(
+        self, gateway, monkeypatch, request_bytes
+    ):
+        nodelay = {}
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            sock = handler.connection
+            nodelay[handler.client_address[1]] = sock.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        *_, port = raw_exchange(gateway, request_bytes)
+        assert nodelay[port] != 0
+
+    # Each stdlib error closes the connection: raw_exchange reads to EOF.
+    def test_unsupported_method_is_501_json(self, gateway):
+        status, headers, body, _ = raw_exchange(
+            gateway, b"PUT /jobs HTTP/1.1\r\nHost: gw\r\n\r\n"
+        )
+        assert status == 501
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        payload = json.loads(body)
+        assert set(payload) == CONTRACT_KEYS
+        assert payload["error"] == "Not Implemented"
+        assert "PUT" in payload["message"]
+        assert payload["repro_error"] is False
+
+    def test_garbage_request_line_is_400_json(self, gateway):
+        status, headers, body, _ = raw_exchange(gateway, GARBAGE)
+        assert status == 400
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        payload = json.loads(body)
+        assert set(payload) == CONTRACT_KEYS
+        assert payload["error"] == "Bad Request"
+        assert "GARBAGE" in payload["message"]
+
+    def test_head_error_has_no_body(self, gateway):
+        status, headers, body, _ = raw_exchange(
+            gateway, b"HEAD /health HTTP/1.1\r\nHost: gw\r\n\r\n"
+        )
+        assert status == 501
+        assert int(headers["Content-Length"]) > 0
+        assert body == b""
 
 
 class TestJobsOverHTTP:

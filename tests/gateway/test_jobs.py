@@ -16,6 +16,7 @@ from repro.gateway import (
     JobConflict,
     JobQueueFull,
     JobRegistry,
+    TERMINAL_STATES,
     UnknownJob,
 )
 from repro.pipeline.batch import SeparationRecord
@@ -45,6 +46,56 @@ def registry(tmp_path):
     reg = JobRegistry(config, ArtifactStore(config.artifact_root))
     yield reg
     reg.close()
+
+
+@pytest.fixture()
+def stalled(tmp_path):
+    """A one-worker registry whose worker is held on ``gate`` by a first
+    job, so every later job stays queued until the gate is set."""
+    config = GatewayConfig(
+        workers=1, queue_depth=8, artifact_root=str(tmp_path / "store"),
+    )
+    registry = JobRegistry(config, ArtifactStore(config.artifact_root))
+    gate = threading.Event()
+    execute = registry._execute
+
+    def gated_execute(job_id):
+        gate.wait(timeout=10.0)
+        execute(job_id)
+
+    registry._execute = gated_execute
+    blocker = SeparationRecord(
+        mixed=np.ones(8), sampling_hz=100.0,
+        f0_tracks={"a": np.full(8, 1.0)},
+    )
+    registry.submit(SPEC, "separate", [blocker])
+    yield registry, gate
+    gate.set()
+    registry.close()
+
+
+def slow_terminal_writes(monkeypatch, registry, delay_s=0.3):
+    """Delay every terminal ``job.json`` write by ``delay_s``."""
+    write_job = registry.store.write_job
+
+    def slow_write(job_id, payload):
+        if payload["state"] in TERMINAL_STATES:
+            time.sleep(delay_s)
+        return write_job(job_id, payload)
+
+    monkeypatch.setattr(registry.store, "write_job", slow_write)
+
+
+def first_terminal_read(registry, job_id, timeout_s=30.0):
+    """Poll the registry as ``GET /jobs/<id>`` does until the job is
+    terminal; return that state and the one ``job.json`` holds then."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        state = registry.get(job_id).state
+        if state in TERMINAL_STATES:
+            return state, registry.store.read_job(job_id)["state"]
+        time.sleep(0.001)
+    raise AssertionError(f"job {job_id} never became terminal")
 
 
 SPEC = resolve_spec("spectral-masking")
@@ -101,20 +152,30 @@ class TestLifecycle:
 
     def test_drain_waits_for_the_terminal_record(self, registry,
                                                  monkeypatch):
-        # A worker marks its job terminal before it writes the terminal
-        # record and hands off the callback; drain() returning means
-        # both are done.
-        write_job = registry.store.write_job
-
-        def slow_terminal_write(job_id, payload):
-            if payload["state"] == "done":
-                time.sleep(0.2)
-            return write_job(job_id, payload)
-
-        monkeypatch.setattr(registry.store, "write_job", slow_terminal_write)
+        slow_terminal_writes(monkeypatch, registry, delay_s=0.2)
         job = registry.submit(SPEC, "separate", [make_record()])
         assert registry.drain(timeout_s=30.0)
         assert registry.store.read_job(job.job_id)["state"] == "done"
+
+    def test_first_done_read_finds_done_on_disk(self, registry, monkeypatch):
+        slow_terminal_writes(monkeypatch, registry)
+        job = registry.submit(SPEC, "separate", [make_record()])
+        assert first_terminal_read(registry, job.job_id) == ("done", "done")
+
+    def test_failed_terminal_write_still_ends_terminal(self, registry,
+                                                       monkeypatch):
+        write_job = registry.store.write_job
+
+        def failing_write(job_id, payload):
+            if payload["state"] == "done":
+                raise OSError("disk full")
+            return write_job(job_id, payload)
+
+        monkeypatch.setattr(registry.store, "write_job", failing_write)
+        job = registry.submit(SPEC, "separate", [make_record()])
+        assert registry.drain(timeout_s=30.0)
+        assert job.state == "done"
+        assert registry.store.read_job(job.job_id)["state"] == "running"
 
     def test_result_before_done_conflicts(self, registry):
         job = registry.submit(SPEC, "separate", [make_record()])
@@ -142,38 +203,30 @@ class TestLifecycle:
 
 
 class TestCancellation:
-    def test_cancel_queued(self, tmp_path):
-        config = GatewayConfig(
-            workers=1, queue_depth=8,
-            artifact_root=str(tmp_path / "store"),
+    def test_cancel_queued(self, stalled):
+        registry, gate = stalled
+        victim = registry.submit(SPEC, "separate", [make_record()])
+        cancelled = registry.cancel(victim.job_id)
+        gate.set()
+        assert cancelled.state == "cancelled"
+        assert registry.drain(timeout_s=30.0)
+        assert registry.get(victim.job_id).state == "cancelled"
+        assert registry.store.read_job(victim.job_id)["state"] == \
+            "cancelled"
+
+    def test_first_cancelled_read_finds_cancelled_on_disk(self, stalled,
+                                                          monkeypatch):
+        registry, _ = stalled
+        victim = registry.submit(SPEC, "separate", [make_record()])
+        slow_terminal_writes(monkeypatch, registry)
+        canceller = threading.Thread(
+            target=registry.cancel, args=(victim.job_id,), daemon=True,
         )
-        registry = JobRegistry(config, ArtifactStore(config.artifact_root))
-        try:
-            gate = threading.Event()
-            blocker = SeparationRecord(
-                mixed=np.ones(8), sampling_hz=100.0,
-                f0_tracks={"a": np.full(8, 1.0)},
-            )
-            # Stall the single worker so the next job stays queued.
-            original = registry._execute
-
-            def slow_execute(job_id):
-                gate.wait(timeout=10.0)
-                original(job_id)
-
-            registry._execute = slow_execute
-            registry.submit(SPEC, "separate", [blocker])
-            victim = registry.submit(SPEC, "separate", [make_record()])
-            cancelled = registry.cancel(victim.job_id)
-            gate.set()
-            assert cancelled.state == "cancelled"
-            assert registry.drain(timeout_s=30.0)
-            assert registry.get(victim.job_id).state == "cancelled"
-            assert registry.store.read_job(victim.job_id)["state"] == \
-                "cancelled"
-        finally:
-            gate.set()
-            registry.close()
+        canceller.start()
+        seen = first_terminal_read(registry, victim.job_id)
+        canceller.join(timeout=10.0)
+        assert not canceller.is_alive()
+        assert seen == ("cancelled", "cancelled")
 
     def test_cancel_terminal_conflicts(self, registry):
         job = registry.submit(SPEC, "separate", [make_record()])
