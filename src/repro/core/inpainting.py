@@ -28,6 +28,10 @@ from repro.nn.zoo import FitCache, PriorGeometry, checkpoint_from_fit
 from repro.utils.seeding import as_generator, spawn_generators
 from repro.utils.validation import as_2d_float_array
 
+#: Upper bound of the uniform random code ``z`` each prior is
+#: conditioned on (:meth:`repro.nn.unet.SpAcLUNet.make_input_code`).
+_INPUT_CODE_SCALE = 0.1
+
 
 @dataclass(frozen=True)
 class InpaintingConfig:
@@ -36,10 +40,7 @@ class InpaintingConfig:
     The defaults are the full paper design (``"spac_dilated"``); the
     Fig. 3 variants come from :func:`config_for_prior_kind`, which sets
     ``conv_kind``, ``anchor`` and ``freq_pooling`` (and, for the
-    undilated kinds, ``time_dilation=1``).  ``compression`` applies a
-    magnitude-compressing power law before fitting (0.5 = square-root
-    compression) which equalises the dynamic range between strong and
-    weak harmonics.
+    undilated kinds, ``time_dilation=1``).
 
     ``dtype`` is the fit's one precision knob: the network, its input
     code, the normalised target and the mask are built at it, so every
@@ -62,8 +63,6 @@ class InpaintingConfig:
     time_dilation: int = 13
     freq_pooling: bool = False
     conv_kind: str = "harmonic"
-    compression: float = 1.0
-    input_scale: float = 0.1
     dtype: object = np.float32
 
     def __post_init__(self):
@@ -220,20 +219,17 @@ def _validated_reference(reference, magnitude) -> np.ndarray:
     return reference
 
 
-def _normalize(magnitude: np.ndarray, config: InpaintingConfig):
-    """Compress and scale one magnitude map into network space."""
-    compressed = magnitude ** config.compression
-    scale = float(compressed.max())
+def _normalize(magnitude: np.ndarray, dtype):
+    """Scale one magnitude map into network space (peak 1)."""
+    scale = float(magnitude.max())
     if scale <= 0:
         raise DataError("magnitude spectrogram is identically zero")
-    return (compressed / scale).astype(config.dtype), scale
+    return (magnitude / scale).astype(dtype), scale
 
 
-def _restore(output: np.ndarray, scale: float,
-             config: InpaintingConfig) -> np.ndarray:
+def _restore(output: np.ndarray, scale: float) -> np.ndarray:
     """Undo :func:`_normalize` on a fitted network-space map."""
-    restored = np.clip(output.astype(np.float64), 0.0, None) * scale
-    return restored ** (1.0 / config.compression)
+    return np.clip(output.astype(np.float64), 0.0, None) * scale
 
 
 def inpaint_spectrogram(
@@ -389,12 +385,12 @@ def inpaint_spectrograms(
         rng_init, rng_code = spawn_generators(as_generator(rng), 2)
         net = SpAcLUNet(net_cfg, rng=rng_init, dtype=dtype)
         code = net.make_input_code(
-            n_freq, n_frames, rng=rng_code, scale=config.input_scale,
+            n_freq, n_frames, rng=rng_code, scale=_INPUT_CODE_SCALE,
             dtype=dtype,
         )
         networks.append(net)
         codes.append(code.data)
-        norm, scale = _normalize(mag, config)
+        norm, scale = _normalize(mag, dtype)
         normalized[k, 0] = norm
         scales.append(scale)
 
@@ -403,7 +399,7 @@ def inpaint_spectrograms(
         ref_stack = np.empty((len(pairs), n_freq, n_frames))
         for k, ((mag, _), ref) in enumerate(zip(pairs, references)):
             ref = _validated_reference(ref, mag)
-            ref_stack[k] = (ref ** config.compression) / scales[k]
+            ref_stack[k] = ref / scales[k]
 
     warm_states = None
     if cache is not None:
@@ -446,7 +442,7 @@ def inpaint_spectrograms(
     for k, net in enumerate(networks):
         net.load_state_dict(fit.state_dicts[k])
         results.append(InpaintingResult(
-            output=_restore(fit.outputs[k], scales[k], config),
+            output=_restore(fit.outputs[k], scales[k]),
             losses=fit.losses[k],
             concealed_errors=(
                 fit.concealed_errors[k] if fit.concealed_errors is not None

@@ -147,10 +147,6 @@ class StftPlan:
             )
         return 1 + (padded - self.n_fft) // self.hop
 
-    def frame_starts(self, n_samples: int) -> np.ndarray:
-        """Start offset of each frame inside the padded signal."""
-        return np.arange(self.n_frames(n_samples)) * self.hop
-
     def total_length(self, n_frames: int) -> int:
         """Padded overlap-add buffer length for ``n_frames`` frames."""
         return self.pad + (n_frames - 1) * self.hop + self.n_fft

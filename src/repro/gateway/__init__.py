@@ -56,7 +56,6 @@ from repro.gateway.wire import (
     JOB_MODES,
     array_from_wire,
     array_to_wire,
-    batch_result_to_wire,
     error_to_wire,
     monitor_result_to_wire,
     monitor_update_to_wire,
@@ -64,7 +63,6 @@ from repro.gateway.wire import (
     record_from_wire,
     record_result_to_wire,
     record_to_wire,
-    spec_to_wire,
 )
 
 __all__ = [
@@ -88,7 +86,6 @@ __all__ = [
     "UnknownSession",
     "array_from_wire",
     "array_to_wire",
-    "batch_result_to_wire",
     "error_to_wire",
     "make_store",
     "monitor_result_to_wire",
@@ -97,6 +94,5 @@ __all__ = [
     "record_from_wire",
     "record_result_to_wire",
     "record_to_wire",
-    "spec_to_wire",
     "urllib_transport",
 ]

@@ -22,7 +22,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -75,12 +75,6 @@ class CallbackDelivery:
             "dead_lettered": self.dead_lettered,
             "last_error": self.last_error,
         }
-
-
-@dataclass
-class _Scheduled:
-    due: float
-    delivery: CallbackDelivery = field(compare=False)
 
 
 class CallbackClient:

@@ -2,7 +2,9 @@
 
 One :class:`JobRegistry` owns the whole batch-job lifecycle:
 
-* **submission** mints a monotonic job id (``job-000001``, …), persists
+* **submission** mints a monotonic job id (``job-000001``, …, numbered
+  past every job already in the store, so a registry restarted over an
+  existing root never reuses an id), persists
   the ``queued`` record through the :class:`~repro.gateway.storage.ArtifactStore`,
   and enqueues it on a bounded ``queue.Queue`` — a full queue raises
   :class:`JobQueueFull` (HTTP 429), never blocks the HTTP thread;
@@ -150,7 +152,11 @@ class JobRegistry:
         self._lock = threading.RLock()
         self._jobs: Dict[str, JobRecord] = {}
         self._records: Dict[str, List[SeparationRecord]] = {}
-        self._next_id = 1
+        self._next_id = 1 + max(
+            (int(job_id[4:]) for job_id in store.job_ids()
+             if job_id.startswith("job-") and job_id[4:].isdecimal()),
+            default=0,
+        )
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue(
             maxsize=config.queue_depth
         )

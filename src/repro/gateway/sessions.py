@@ -33,6 +33,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 from repro.errors import ConfigurationError, DataError
 from repro.gateway.config import GatewayConfig
 from repro.gateway.wire import (
+    _tracks_from_wire,
     array_from_wire,
     monitor_result_to_wire,
     monitor_update_to_wire,
@@ -72,18 +73,6 @@ def _channels_from_wire(data: Any, name: str) -> Dict[int, Any]:
             ) from None
         out[wl] = array_from_wire(values, f"{name}[{wl}]")
     return out
-
-
-def _tracks_from_wire(data: Any, name: str) -> Dict[str, Any]:
-    if not isinstance(data, Mapping) or not data:
-        raise DataError(
-            f"{name} must be a non-empty mapping of source name to "
-            f"sample list"
-        )
-    return {
-        str(source): array_from_wire(track, f"{name}[{source!r}]")
-        for source, track in data.items()
-    }
 
 
 class _MonitorSession:

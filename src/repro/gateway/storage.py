@@ -9,10 +9,11 @@ Every job owns one directory under the store root:
   through :func:`repro.nn.serialization.save_arrays` so they carry the
   format marker and land atomically.
 
-The store never caches: reads always come from disk, so a gateway
-restarted over an existing root serves the jobs its predecessor
-finished.  TTL expiry (:meth:`ArtifactStore.expire`) deletes a job's
-directory wholesale.
+The store never caches: reads always come from disk.  A gateway
+restarted over an existing root leaves its predecessor's jobs on disk
+untouched (its registry numbers new jobs past them) but neither serves
+nor expires them.  Expiry (:meth:`ArtifactStore.delete`) removes a
+job's directory wholesale.
 """
 
 from __future__ import annotations

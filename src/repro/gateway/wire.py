@@ -16,14 +16,13 @@ submission can never take a worker down.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError, ReproError
-from repro.pipeline.batch import BatchResult, RecordResult, SeparationRecord
+from repro.pipeline.batch import RecordResult, SeparationRecord
 from repro.service.registry import resolve_spec
-from repro.service.specs import SeparatorSpec
 from repro.tfo.monitor import DrawEstimate, MonitorUpdate, SpO2MonitorResult
 
 #: Job execution modes the gateway accepts.
@@ -215,11 +214,6 @@ def parse_job_submission(data: Any) -> Dict[str, Any]:
     }
 
 
-def spec_to_wire(spec: Optional[SeparatorSpec]) -> Optional[Dict[str, Any]]:
-    """A spec's canonical wire dict (``None`` passes through)."""
-    return None if spec is None else spec.to_dict()
-
-
 # --------------------------------------------------------------------- #
 # Results
 # --------------------------------------------------------------------- #
@@ -240,19 +234,6 @@ def record_result_to_wire(
             for source, est in result.estimates.items()
         }
     return payload
-
-
-def batch_result_to_wire(
-    batch: BatchResult, estimates: bool = True,
-) -> Dict[str, Any]:
-    """A scored batch as its wire dict."""
-    return {
-        "separator_name": batch.separator_name,
-        "records": [
-            record_result_to_wire(result, estimates=estimates)
-            for result in batch.results
-        ],
-    }
 
 
 # --------------------------------------------------------------------- #

@@ -11,8 +11,9 @@ layers that amortise them:
     idiom), prior kind, :class:`PriorGeometry`, and
     :class:`FitMetadata`.
 :class:`PriorZoo`
-    A manifest-backed on-disk store of checkpoints with SHA-256
-    integrity checking on every read.
+    An on-disk store of checkpoints, one self-describing archive
+    each (the directory is the index), with SHA-256 integrity checking
+    on every read.
 :class:`FitCache` / :func:`shared_fit_cache`
     The in-process LRU that answers warm-start lookups (exact key hit,
     else same-geometry nearest config) and is threaded through

@@ -37,9 +37,9 @@ import numpy as np
 from repro.errors import ConfigurationError, SerializationError
 from repro.utils.seeding import stable_hash_seed
 
-#: On-disk format version shared by checkpoint sidecars and the zoo
-#: manifest (bumped together; readers reject unknown versions).
-ZOO_FORMAT_VERSION = 1
+#: On-disk format version of zoo checkpoints, recorded in the sidecar
+#: each checkpoint archive embeds; readers reject any other version.
+ZOO_FORMAT_VERSION = 2
 
 #: Config fields that determine the network's parameter names, shapes
 #: and dtype — i.e. whether one fit's state dict loads into another
@@ -288,16 +288,6 @@ class PriorCheckpoint:
         """A deep copy of the fitted parameters."""
         return {name: np.asarray(value).copy()
                 for name, value in self.state.items()}
-
-    def build_network(self, rng=None):
-        """A fresh :class:`repro.nn.unet.SpAcLUNet` carrying this state."""
-        from repro.nn.unet import SpAcLUNet
-
-        network = SpAcLUNet(
-            self.config.network_config(), rng=rng, dtype=self.config.dtype
-        )
-        network.load_state_dict(self.state_copy())
-        return network
 
 
 def checkpoint_from_fit(

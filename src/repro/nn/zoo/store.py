@@ -1,17 +1,20 @@
-"""Manifest-backed on-disk store of prior checkpoints.
+"""On-disk store of prior checkpoints: one archive per checkpoint.
 
-A :class:`PriorZoo` is one directory::
+A :class:`PriorZoo` is one directory, and the directory is its index::
 
-    <root>/manifest.json    {"format": 1, "entries": {<id>: {...}}}
-    <root>/<id>.json        geometry/config/metadata/spec sidecar
-    <root>/<id>.npz         fitted parameters (``save_arrays`` format)
+    <root>/<id>.npz    fitted parameters (``save_arrays`` format) plus
+                       one reserved entry holding the sidecar JSON
 
-The manifest records each parameter archive's SHA-256 at write time;
-:meth:`PriorZoo.get` re-hashes on read, so a bit-rotted or tampered
-archive — and any malformed manifest or sidecar — surfaces as a clear
+The sidecar carries the format version, geometry, config, metadata and
+spec, and a SHA-256 over the parameters and the rest of the sidecar.
+Every put writes the whole archive through
+:func:`repro.nn.serialization.save_arrays`, so one ``os.replace``
+publishes a whole checkpoint: writers in different processes cannot lose
+each other's entries, and no reader can pair one writer's parameters
+with another writer's hash.  :meth:`PriorZoo.get` re-hashes on read, so
+a bit-rotted, tampered or unreadable archive, a malformed sidecar, or an
+archive of another format surfaces as a clear
 :class:`repro.errors.SerializationError` instead of a wrong warm-start.
-All JSON writes are atomic (temp file + ``os.replace``), matching the
-parameter archives.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import threading
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Mapping
+
+import numpy as np
 
 from repro.errors import SerializationError
 from repro.nn.serialization import load_arrays, save_arrays
@@ -34,121 +37,62 @@ from repro.nn.zoo.checkpoint import (
     config_to_dict,
 )
 
-_MANIFEST_NAME = "manifest.json"
+_SUFFIX = ".npz"
+_SIDECAR_ENTRY = "__zoo_sidecar__"
 _SIDECAR_KEYS = {"format", "id", "prior_kind", "geometry", "config",
-                 "metadata", "spec"}
+                 "metadata", "spec", "sha256"}
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+def _digest(sidecar: Mapping[str, Any],
+            state: Mapping[str, np.ndarray]) -> str:
+    """SHA-256 over a sidecar (without its hash) and the parameters."""
+    digest = hashlib.sha256(json.dumps(sidecar, sort_keys=True).encode())
+    for name in sorted(state):
+        value = np.asarray(state[name])
+        digest.update(
+            json.dumps([name, value.dtype.str, value.shape]).encode()
+        )
+        digest.update(value.tobytes())
     return digest.hexdigest()
-
-
-def _write_json_atomic(path: str, data) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
 
 
 class PriorZoo:
     """On-disk checkpoint store with integrity-checked reads.
 
-    Thread-safe; ids are deterministic
+    Safe to share between threads and processes: nothing is cached in
+    memory, and each put is one atomic rename.  Ids are deterministic
     (:meth:`PriorCheckpoint.checkpoint_id`), so re-putting the same
-    ``(geometry, config)`` overwrites in place — the zoo holds the most
+    ``(geometry, config)`` overwrites in place: the zoo holds the most
     recent fit per key.
     """
 
     def __init__(self, root):
         self._root = os.fspath(root)
-        self._lock = threading.RLock()
         os.makedirs(self._root, exist_ok=True)
-        self._entries = self._read_manifest()
 
     @property
     def root(self) -> str:
         return self._root
 
-    # ------------------------------------------------------------------ #
-    # Manifest
-    # ------------------------------------------------------------------ #
-    def _manifest_path(self) -> str:
-        return os.path.join(self._root, _MANIFEST_NAME)
+    def _path(self, checkpoint_id: str) -> str:
+        return os.path.join(self._root, checkpoint_id + _SUFFIX)
 
-    def _read_manifest(self) -> Dict[str, Dict[str, str]]:
-        path = self._manifest_path()
-        if not os.path.exists(path):
-            return {}
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SerializationError(
-                f"zoo manifest {path} is not valid JSON ({exc})"
-            ) from exc
-        if not isinstance(data, dict) or "format" not in data:
-            raise SerializationError(
-                f"zoo manifest {path} has no format marker"
-            )
-        if data["format"] != ZOO_FORMAT_VERSION:
-            raise SerializationError(
-                f"zoo manifest {path} has unsupported format "
-                f"{data['format']!r} (this build reads "
-                f"{ZOO_FORMAT_VERSION})"
-            )
-        entries = data.get("entries")
-        if not isinstance(entries, dict):
-            raise SerializationError(
-                f"zoo manifest {path} has no entry table"
-            )
-        for checkpoint_id, entry in entries.items():
-            if not isinstance(entry, dict) \
-                    or not {"params", "config", "sha256"} <= set(entry):
-                raise SerializationError(
-                    f"zoo manifest {path}: entry {checkpoint_id!r} is "
-                    f"malformed (needs params/config/sha256)"
-                )
-        return entries
-
-    def _write_manifest(self) -> None:
-        _write_json_atomic(
-            self._manifest_path(),
-            {"format": ZOO_FORMAT_VERSION, "entries": self._entries},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Store / fetch
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self.ids())
 
     def __contains__(self, checkpoint_id: str) -> bool:
-        with self._lock:
-            return checkpoint_id in self._entries
+        return os.path.isfile(self._path(checkpoint_id))
 
     def ids(self) -> List[str]:
         """All stored checkpoint ids, sorted."""
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(
+            name[:-len(_SUFFIX)] for name in os.listdir(self._root)
+            if name.endswith(_SUFFIX)
+        )
 
     def put(self, checkpoint: PriorCheckpoint) -> str:
         """Persist a checkpoint; returns its deterministic id."""
         checkpoint_id = checkpoint.checkpoint_id()
-        params_name = checkpoint_id + ".npz"
-        sidecar_name = checkpoint_id + ".json"
         sidecar: Dict[str, Any] = {
             "format": ZOO_FORMAT_VERSION,
             "id": checkpoint_id,
@@ -159,64 +103,59 @@ class PriorZoo:
             "spec": dict(checkpoint.spec)
                     if checkpoint.spec is not None else None,
         }
-        with self._lock:
-            params_path = save_arrays(
-                checkpoint.state, os.path.join(self._root, params_name)
-            )
-            _write_json_atomic(
-                os.path.join(self._root, sidecar_name), sidecar
-            )
-            self._entries[checkpoint_id] = {
-                "params": params_name,
-                "config": sidecar_name,
-                "sha256": _sha256(params_path),
-            }
-            self._write_manifest()
+        sidecar["sha256"] = _digest(sidecar, checkpoint.state)
+        text = json.dumps(sidecar, sort_keys=True).encode()
+        save_arrays(
+            {**checkpoint.state,
+             _SIDECAR_ENTRY: np.frombuffer(text, dtype=np.uint8)},
+            self._path(checkpoint_id),
+        )
         return checkpoint_id
 
     def get(self, checkpoint_id: str) -> PriorCheckpoint:
-        """Load a checkpoint, verifying the parameter archive's hash."""
-        with self._lock:
-            entry = self._entries.get(checkpoint_id)
-            if entry is None:
-                raise SerializationError(
-                    f"zoo at {self._root} has no checkpoint "
-                    f"{checkpoint_id!r} (available: {self.ids() or 'none'})"
-                )
-            params_path = os.path.join(self._root, entry["params"])
-            sidecar_path = os.path.join(self._root, entry["config"])
-            if not os.path.exists(params_path):
-                raise SerializationError(
-                    f"checkpoint {checkpoint_id!r}: parameter archive "
-                    f"{params_path} is missing"
-                )
-            actual = _sha256(params_path)
-            if actual != entry["sha256"]:
-                raise SerializationError(
-                    f"checkpoint {checkpoint_id!r} failed its integrity "
-                    f"check: archive hash {actual[:12]}... != manifest "
-                    f"{entry['sha256'][:12]}..."
-                )
-            try:
-                with open(sidecar_path) as handle:
-                    sidecar = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise SerializationError(
-                    f"checkpoint sidecar {sidecar_path} is unreadable "
-                    f"({exc})"
-                ) from exc
-            if not isinstance(sidecar, dict) \
-                    or not _SIDECAR_KEYS <= set(sidecar):
-                raise SerializationError(
-                    f"checkpoint sidecar {sidecar_path} is malformed "
-                    f"(needs {sorted(_SIDECAR_KEYS)})"
-                )
-            if sidecar["format"] != ZOO_FORMAT_VERSION:
-                raise SerializationError(
-                    f"checkpoint sidecar {sidecar_path} has unsupported "
-                    f"format {sidecar['format']!r}"
-                )
-            state = load_arrays(params_path)
+        """Load a checkpoint, verifying its hash."""
+        path = self._path(checkpoint_id)
+        if not os.path.isfile(path):
+            raise SerializationError(
+                f"zoo at {self._root} has no checkpoint "
+                f"{checkpoint_id!r} (available: {self.ids() or 'none'})"
+            )
+        try:
+            state = load_arrays(path)
+            raw = state.pop(_SIDECAR_ENTRY, None)
+            sidecar = None if raw is None else json.loads(raw.tobytes())
+        except (SerializationError, ValueError) as exc:
+            raise SerializationError(
+                f"checkpoint {checkpoint_id!r} failed its integrity "
+                f"check: {exc}"
+            ) from exc
+        if sidecar is None:
+            raise SerializationError(
+                f"checkpoint archive {path} has no embedded sidecar, so "
+                f"it was written in zoo format 1; this build reads format "
+                f"{ZOO_FORMAT_VERSION}.  Delete the zoo directory and let "
+                f"fits repopulate it"
+            )
+        if not isinstance(sidecar, dict) \
+                or not _SIDECAR_KEYS <= set(sidecar):
+            raise SerializationError(
+                f"checkpoint sidecar in {path} is malformed "
+                f"(needs {sorted(_SIDECAR_KEYS)})"
+            )
+        if sidecar["format"] != ZOO_FORMAT_VERSION:
+            raise SerializationError(
+                f"checkpoint sidecar in {path} has unsupported format "
+                f"{sidecar['format']!r} (this build reads "
+                f"{ZOO_FORMAT_VERSION})"
+            )
+        expected = sidecar.pop("sha256")
+        actual = _digest(sidecar, state)
+        if actual != expected:
+            raise SerializationError(
+                f"checkpoint {checkpoint_id!r} failed its integrity "
+                f"check: hash {actual[:12]}... != recorded "
+                f"{str(expected)[:12]}..."
+            )
         return PriorCheckpoint(
             geometry=PriorGeometry.from_dict(sidecar["geometry"]),
             config=config_from_dict(sidecar["config"]),

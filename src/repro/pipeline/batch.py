@@ -225,12 +225,6 @@ def _identity_postprocess(estimate: np.ndarray, record: SeparationRecord) -> np.
     return estimate
 
 
-def _separate_one(
-    separator: Separator, record: SeparationRecord
-) -> Dict[str, np.ndarray]:
-    return separator.separate(record.mixed, record.sampling_hz, record.f0_tracks)
-
-
 def finalize_record(
     separator_name: str,
     record: SeparationRecord,

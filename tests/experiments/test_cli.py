@@ -128,7 +128,7 @@ class TestZooFlag:
                   "--zoo", str(tmp_path / "zoo")])
 
     def test_zoo_flag_populates_zoo(self, capsys, tmp_path):
-        from repro.nn.zoo import clear_shared_fit_caches
+        from repro.nn.zoo import PriorZoo, clear_shared_fit_caches
 
         clear_shared_fit_caches()
         try:
@@ -137,7 +137,9 @@ class TestZooFlag:
                 "table2", "--preset", "smoke", "--method", "dhf",
                 "--zoo", str(zoo_dir),
             ]) == 0
-            assert (zoo_dir / "manifest.json").exists()
+            zoo = PriorZoo(str(zoo_dir))
+            assert len(zoo) > 0
+            assert zoo.verify() == []
         finally:
             clear_shared_fit_caches()
 

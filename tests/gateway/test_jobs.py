@@ -202,6 +202,35 @@ class TestLifecycle:
             registry.get("job-424242")
 
 
+class TestRestart:
+    def test_restart_numbers_jobs_past_its_predecessor(self, tmp_path):
+        config = GatewayConfig(
+            workers=1, queue_depth=8, artifact_root=str(tmp_path / "store"),
+        )
+        first = JobRegistry(config, ArtifactStore(config.artifact_root))
+        try:
+            old = first.submit(SPEC, "separate_batch",
+                               [make_record(seed=i) for i in range(2)])
+            assert first.drain(timeout_s=30.0)
+        finally:
+            first.close()
+        job_dir = tmp_path / "store" / old.job_id
+        before = {path.name: path.read_bytes()
+                  for path in job_dir.iterdir()}
+        assert set(before) == {"job.json", "estimates_0.npz",
+                               "estimates_1.npz"}
+
+        second = JobRegistry(config, ArtifactStore(config.artifact_root))
+        try:
+            new = second.submit(SPEC, "separate", [make_record(seed=9)])
+            assert second.drain(timeout_s=30.0)
+        finally:
+            second.close()
+        assert new.job_id != old.job_id
+        assert {path.name: path.read_bytes()
+                for path in job_dir.iterdir()} == before
+
+
 class TestCancellation:
     def test_cancel_queued(self, stalled):
         registry, gate = stalled

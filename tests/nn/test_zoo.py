@@ -1,13 +1,23 @@
 """Tests for the warm-start prior zoo (checkpoint, store, fit-cache)."""
 
+import dataclasses
+import glob
+import hashlib
+import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.inpainting import InpaintingConfig
 from repro.errors import ConfigurationError, SerializationError
+from repro.nn.serialization import load_arrays, save_arrays
 from repro.nn.zoo import (
     FitCache,
     PriorCheckpoint,
@@ -22,6 +32,7 @@ from repro.nn.zoo import (
     shared_fit_cache,
     structure_signature,
 )
+from repro.nn.zoo.store import _SIDECAR_ENTRY
 
 GEOMETRY = PriorGeometry(n_freq=17, n_frames=24, n_fft=32, hop=8,
                          samples_per_period=32)
@@ -39,7 +50,7 @@ def make_checkpoint(config=None, geometry=GEOMETRY, fill=1.0):
     return checkpoint_from_fit(
         geometry, config,
         state={"net.weight": np.full((3, 2), fill),
-               "net.bias": np.zeros(3)},
+               "net.bias": np.full(3, -fill)},
         losses=[0.5, 0.3, 0.2],
     )
 
@@ -221,8 +232,11 @@ def test_cache_thread_safety():
 # PriorZoo: persistence + integrity
 # --------------------------------------------------------------------- #
 def test_zoo_roundtrip(tmp_path):
+    from repro.service import DHFSpec
+
     zoo = PriorZoo(str(tmp_path))
-    checkpoint = make_checkpoint()
+    spec = DHFSpec.from_preset("smoke", warm_start=True, zoo_path="zoo")
+    checkpoint = dataclasses.replace(make_checkpoint(), spec=spec.to_dict())
     zoo_id = zoo.put(checkpoint)
     assert zoo_id == checkpoint.checkpoint_id()
     assert zoo_id in zoo
@@ -235,6 +249,8 @@ def test_zoo_roundtrip(tmp_path):
         config_signature(checkpoint.config)
     assert loaded.prior_kind == checkpoint.prior_kind
     assert loaded.metadata == checkpoint.metadata
+    assert json.dumps(loaded.spec, sort_keys=True) == \
+        json.dumps(checkpoint.spec, sort_keys=True)
     assert sorted(loaded.state) == sorted(checkpoint.state)
     for name in checkpoint.state:
         np.testing.assert_array_equal(loaded.state[name],
@@ -246,22 +262,76 @@ def test_zoo_unknown_id(tmp_path):
         PriorZoo(str(tmp_path)).get("nope")
 
 
-def test_zoo_manifest_corruption(tmp_path):
+def test_zoo_is_one_archive_per_checkpoint(tmp_path):
     zoo = PriorZoo(str(tmp_path))
-    zoo.put(make_checkpoint())
-    (tmp_path / "manifest.json").write_text("{ not json")
-    with pytest.raises(SerializationError):
-        PriorZoo(str(tmp_path)).ids()
+    first = zoo.put(make_checkpoint())
+    second = zoo.put(make_checkpoint(config=make_config(learning_rate=1e-2)))
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [first + ".npz", second + ".npz"])
 
 
-def test_zoo_manifest_bad_version(tmp_path):
+def _edit_sidecar(archive, edit):
+    """Rewrite the sidecar JSON a zoo archive embeds, keeping its hash."""
+    arrays = load_arrays(archive)
+    sidecar = json.loads(arrays[_SIDECAR_ENTRY].tobytes())
+    edit(sidecar)
+    arrays[_SIDECAR_ENTRY] = np.frombuffer(json.dumps(sidecar).encode(),
+                                           dtype=np.uint8)
+    save_arrays(arrays, archive)
+
+
+def test_zoo_unreadable_archive_fails_integrity(tmp_path):
+    zoo_id = PriorZoo(str(tmp_path)).put(make_checkpoint())
+    (tmp_path / f"{zoo_id}.npz").write_text("{ not an archive")
     zoo = PriorZoo(str(tmp_path))
-    zoo.put(make_checkpoint())
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["format"] = 999
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(SerializationError, match="format"):
-        PriorZoo(str(tmp_path)).ids()
+    with pytest.raises(SerializationError, match="integrity"):
+        zoo.get(zoo_id)
+    assert len(zoo.verify()) == 1
+
+
+def test_zoo_sidecar_bad_version(tmp_path):
+    zoo_id = PriorZoo(str(tmp_path)).put(make_checkpoint())
+    _edit_sidecar(tmp_path / f"{zoo_id}.npz",
+                  lambda sidecar: sidecar.update(format=999))
+    with pytest.raises(SerializationError, match="format 999"):
+        PriorZoo(str(tmp_path)).get(zoo_id)
+
+
+def test_zoo_edited_sidecar_fails_integrity(tmp_path):
+    zoo_id = PriorZoo(str(tmp_path)).put(make_checkpoint())
+    _edit_sidecar(tmp_path / f"{zoo_id}.npz",
+                  lambda sidecar: sidecar["metadata"].update(final_loss=0.0))
+    with pytest.raises(SerializationError, match="integrity"):
+        PriorZoo(str(tmp_path)).get(zoo_id)
+
+
+def _write_format_1_zoo(root, checkpoint):
+    """A zoo in format 1's layout: manifest, JSON sidecar, bare archive."""
+    zoo_id = checkpoint.checkpoint_id()
+    save_arrays(checkpoint.state, os.path.join(root, zoo_id + ".npz"))
+    sidecar = {
+        "format": 1, "id": zoo_id, "prior_kind": checkpoint.prior_kind,
+        "geometry": checkpoint.geometry.to_dict(),
+        "config": config_to_dict(checkpoint.config),
+        "metadata": checkpoint.metadata.to_dict(), "spec": None,
+    }
+    with open(os.path.join(root, zoo_id + ".json"), "w") as handle:
+        json.dump(sidecar, handle)
+    with open(os.path.join(root, zoo_id + ".npz"), "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    entry = {"params": zoo_id + ".npz", "config": zoo_id + ".json",
+             "sha256": digest}
+    with open(os.path.join(root, "manifest.json"), "w") as handle:
+        json.dump({"format": 1, "entries": {zoo_id: entry}}, handle)
+    return zoo_id
+
+
+def test_zoo_rejects_format_1(tmp_path):
+    zoo_id = _write_format_1_zoo(str(tmp_path), make_checkpoint())
+    with pytest.raises(SerializationError, match="zoo format 1"):
+        PriorZoo(str(tmp_path)).get(zoo_id)
+    with pytest.raises(SerializationError, match="zoo format 1"):
+        FitCache(capacity=4, zoo=PriorZoo(str(tmp_path)))
 
 
 def test_zoo_tampered_archive_fails_integrity(tmp_path):
@@ -278,10 +348,14 @@ def test_zoo_tampered_archive_fails_integrity(tmp_path):
 def test_zoo_missing_archive(tmp_path):
     zoo = PriorZoo(str(tmp_path))
     zoo_id = zoo.put(make_checkpoint())
+    kept = zoo.put(make_checkpoint(config=make_config(learning_rate=1e-2)))
     (tmp_path / f"{zoo_id}.npz").unlink()
     with pytest.raises(SerializationError):
         zoo.get(zoo_id)
-    assert PriorZoo(str(tmp_path)).verify() != []
+    reopened = PriorZoo(str(tmp_path))
+    assert zoo_id not in reopened
+    assert reopened.ids() == [kept]
+    assert reopened.verify() == []
 
 
 def test_zoo_write_through_warms_new_cache(tmp_path):
@@ -298,8 +372,8 @@ def test_zoo_write_through_warms_new_cache(tmp_path):
 
 def test_corrupt_zoo_surfaces_on_cache_construction(tmp_path):
     zoo = PriorZoo(str(tmp_path))
-    zoo.put(make_checkpoint())
-    (tmp_path / "manifest.json").write_text("[]")
+    zoo_id = zoo.put(make_checkpoint())
+    (tmp_path / f"{zoo_id}.npz").write_bytes(b"PK garbage")
     with pytest.raises(SerializationError):
         FitCache(capacity=4, zoo=PriorZoo(str(tmp_path)))
 
@@ -372,14 +446,13 @@ class TestConcurrentWorkers:
         assert stats["misses"] == 0
         assert stats["size"] == n_stores  # all keys distinct
 
-    def test_zoo_manifest_survives_concurrent_write_through(self, tmp_path):
+    def test_zoo_survives_concurrent_write_through(self, tmp_path):
         cache = shared_fit_cache(str(tmp_path),
                                  capacity=2 * self.N_THREADS * self.N_ROUNDS)
         self._run_tier(cache)
         zoo = PriorZoo(str(tmp_path))
         assert zoo.verify() == []
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert len(manifest["entries"]) == self.N_THREADS * self.N_ROUNDS
+        assert len(zoo.ids()) == self.N_THREADS * self.N_ROUNDS
         # A fresh cache (fresh process, in effect) can preload all of it.
         reloaded = FitCache(
             capacity=2 * self.N_THREADS * self.N_ROUNDS,
@@ -406,3 +479,143 @@ class TestConcurrentWorkers:
             thread.join(timeout=30.0)
         assert len(seen) == self.N_THREADS
         assert all(cache is seen[0] for cache in seen)
+
+
+# --------------------------------------------------------------------- #
+# Processes sharing one zoo (sharded workers, several gateways)
+# --------------------------------------------------------------------- #
+def _put_from_child(argv):
+    """Body of a child process: ``root writer n_puts same_id kill_at``.
+
+    Put ``i`` of writer ``w`` stores parameters filled with
+    ``100 * w + i``, under one id shared by every writer when
+    ``same_id`` is 1, else under an id of its own.  With ``kill_at = k``
+    above 0 the process SIGKILLs itself in place of its k-th
+    ``os.replace``.  Puts start once a line arrives on stdin, so
+    concurrent writers overlap.
+    """
+    root, writer, n_puts, same_id, kill_at = argv[0], *map(int, argv[1:])
+    if kill_at:
+        calls = itertools.count(1)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if next(calls) == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_replace(src, dst)
+
+        os.replace = replace
+    zoo = PriorZoo(root)
+    print("ready", flush=True)
+    sys.stdin.readline()
+    for i in range(n_puts):
+        fill = 100 * writer + i
+        config = make_config() if same_id else \
+            make_config(iterations=20 + fill)
+        zoo.put(make_checkpoint(config=config, fill=float(fill)))
+
+
+def _run_children(root, argvs):
+    """One child per argument list, released together; their exit codes."""
+    paths = [os.path.dirname(__file__),
+             os.path.dirname(os.path.dirname(repro.__file__))]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    code = "import sys, test_zoo; test_zoo._put_from_child(sys.argv[1:])"
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code, str(root), *map(str, argv)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True,
+        )
+        for argv in argvs
+    ]
+    try:
+        for child in children:
+            assert child.stdout.readline() == "ready\n"
+        for child in children:
+            child.stdin.write("go\n")
+            child.stdin.flush()
+        for child in children:
+            child.communicate(timeout=120.0)
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    return [child.returncode for child in children]
+
+
+class TestProcessesSharingAZoo:
+    def test_two_instances_keep_each_others_puts(self, tmp_path):
+        first, second = PriorZoo(str(tmp_path)), PriorZoo(str(tmp_path))
+        a = first.put(make_checkpoint())
+        b = second.put(
+            make_checkpoint(config=make_config(learning_rate=1e-2)))
+        assert PriorZoo(str(tmp_path)).ids() == sorted([a, b])
+
+    def test_concurrent_processes_keep_every_put(self, tmp_path):
+        codes = _run_children(tmp_path, [[w, 5, 0, 0] for w in range(4)])
+        assert codes == [0] * 4
+        zoo = PriorZoo(str(tmp_path))
+        assert len(zoo.ids()) == 4 * 5
+        assert zoo.verify() == []
+
+    def test_concurrent_puts_of_one_id_leave_one_writers_state(
+            self, tmp_path):
+        codes = _run_children(tmp_path, [[w, 20, 1, 0] for w in range(3)])
+        assert codes == [0] * 3
+        zoo = PriorZoo(str(tmp_path))
+        assert zoo.ids() == [make_checkpoint().checkpoint_id()]
+        assert zoo.verify() == []
+        state = zoo.get(zoo.ids()[0]).state
+        fill = float(state["net.weight"][0, 0])
+        assert fill in {100.0 * w + i for w in range(3) for i in range(20)}
+        expected = make_checkpoint(fill=fill).state
+        assert sorted(state) == sorted(expected)
+        for name, value in expected.items():
+            assert state[name].dtype == value.dtype
+            assert state[name].tobytes() == value.tobytes()
+
+    def test_kill_mid_put_leaves_no_torn_entry(self, tmp_path):
+        killed = 0
+        for kill_at in range(1, 10):
+            root = tmp_path / f"kill-at-{kill_at}"
+            seeded = PriorZoo(str(root)).put(
+                make_checkpoint(config=make_config(learning_rate=1e-2)))
+            (code,) = _run_children(root, [[0, 1, 0, kill_at]])
+            if code == 0:  # the put needs fewer than kill_at replaces
+                break
+            assert code == -signal.SIGKILL
+            killed += 1
+            zoo = PriorZoo(str(root))
+            assert zoo.ids() == [seeded]
+            assert zoo.verify() == []
+            assert glob.glob(str(root / "*.tmp"))  # the write it cut off
+        else:
+            pytest.fail("every put was killed")
+        assert killed >= 1
+
+    def test_sharded_service_workers_share_one_zoo(self, tmp_path):
+        from repro.pipeline import SeparationRecord
+        from repro.service import DHFSpec, SeparationService
+        from repro.synth import make_mixture
+
+        records = []
+        for seconds in (20.0, 30.0):
+            mixture = make_mixture("msig1", duration_s=seconds)
+            records.append(SeparationRecord(
+                mixed=mixture.mixed, sampling_hz=mixture.sampling_hz,
+                f0_tracks=mixture.f0_tracks, name=f"msig1-{seconds:g}s",
+            ))
+        spec = DHFSpec.from_preset("smoke", iterations=3, warm_start=True,
+                                   zoo_path=str(tmp_path))
+        with SeparationService(spec, workers=2, executor="process") \
+                as service:
+            service.separate_batch(records)
+        # Two records of different lengths, two DHF rounds each.
+        zoo = PriorZoo(str(tmp_path))
+        assert len(zoo.ids()) == 4
+        assert zoo.verify() == []
+        assert len(FitCache(capacity=8, zoo=zoo)) == 4
