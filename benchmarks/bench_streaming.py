@@ -20,9 +20,9 @@ The streamed output is asserted equal to the offline separation to
 ``repro.streaming`` for why the match is exact there), and the
 steady-state per-chunk latency is asserted below the chunk duration.
 
-A multi-subject section pushes several records through a
-:class:`repro.pipeline.StreamSession` serially and with a thread pool,
-reporting aggregate throughput.
+A multi-subject section streams several records through
+:func:`repro.pipeline.stream_records` serially and with one thread per
+subject, reporting the wall time of each.
 
 Run:  PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke]
 """
@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.pipeline import StreamSession
+from repro.pipeline import SeparationRecord, stream_records
 from repro.service import SpectralMaskingSpec, build_separator
 from repro.streaming import StreamingSeparator
 
@@ -121,26 +121,17 @@ def run_session_demo(
     sep, duration_s: float, segment: int, overlap: int, chunk: int,
     n_subjects: int, workers: int,
 ) -> float:
-    """Push ``n_subjects`` parallel streams; return total wall time."""
-    records = [build_record(duration_s, seed=i) for i in range(n_subjects)]
-    with StreamSession(
-        sep, FS, segment, overlap, workers=workers,
-    ) as session:
-        for i in range(n_subjects):
-            session.add_subject(f"subject{i}")
-        n = records[0][0].size
-        start_t = time.perf_counter()
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            session.push_many({
-                f"subject{i}": (
-                    records[i][0][start:stop],
-                    {k: t[start:stop] for k, t in records[i][1].items()},
-                )
-                for i in range(n_subjects)
-            })
-        session.flush_all()
-        return time.perf_counter() - start_t
+    """Stream ``n_subjects`` records; return total wall time."""
+    records = []
+    for i in range(n_subjects):
+        mixed, tracks = build_record(duration_s, seed=i)
+        records.append(SeparationRecord(
+            mixed=mixed, sampling_hz=FS, f0_tracks=tracks,
+            name=f"subject{i}",
+        ))
+    start_t = time.perf_counter()
+    stream_records(sep, records, segment, overlap, chunk, workers=workers)
+    return time.perf_counter() - start_t
 
 
 def main(argv=None) -> int:
@@ -222,7 +213,7 @@ def main(argv=None) -> int:
         args.subjects, workers=args.subjects,
     )
     print(
-        f"  StreamSession x{args.subjects} subjects: serial "
+        f"  stream_records x{args.subjects} subjects: serial "
         f"{t_serial * 1e3:.2f} ms, {args.subjects} threads "
         f"{t_pool * 1e3:.2f} ms ({t_serial / t_pool:.2f}x)"
     )

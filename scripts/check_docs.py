@@ -10,7 +10,10 @@ Verifies that
    docs — registering a method without documenting it fails CI;
 5. the public batch-fitting API (the deep-prior hot path) is documented:
    every name in ``REQUIRED_DOC_NAMES`` must both resolve as an
-   attribute of its package and appear in the docs.
+   attribute of its package and appear in the docs;
+6. the README's "Public API" table and ``repro.__all__`` name the same
+   set: every backticked name in the table's first column is exported,
+   and every export except ``errors`` and ``__version__`` is listed.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 """
@@ -177,12 +180,46 @@ def check_required_names_documented() -> list:
     return problems
 
 
+def check_public_api_table() -> list:
+    """The README's Public API table must match ``repro.__all__``.
+
+    The table writes root names without a ``repro.`` prefix, so the
+    dotted-path check above cannot see a removed name left in it.
+    """
+    import repro
+
+    readme = DOCS[0]
+    if not readme.exists():
+        return []  # check_doc_references reports the missing file
+    sections = readme.read_text().split("\n## Public API\n", 1)
+    if len(sections) < 2:
+        return [f"{readme.name} has no '## Public API' section"]
+    table = sections[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in table.splitlines():
+        if line.startswith("|"):
+            listed.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    exported = set(repro.__all__)
+    problems = [
+        f"{readme.name} Public API table lists {name!r}, which is not "
+        f"in repro.__all__"
+        for name in sorted(listed - exported)
+    ]
+    problems += [
+        f"repro.__all__ exports {name!r}, which the {readme.name} "
+        f"Public API table does not list"
+        for name in sorted(exported - listed - {"errors", "__version__"})
+    ]
+    return problems
+
+
 def main() -> int:
     problems = (
         check_exports()
         + check_doc_references()
         + check_registered_separators_documented()
         + check_required_names_documented()
+        + check_public_api_table()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)

@@ -15,7 +15,7 @@ Subpackages
 ``repro.pipeline``
     Batched separation over record sets: cached STFT plans, vectorized
     batch STFT/iSTFT, the worker-pooled :class:`SeparationPipeline`, and
-    the multi-subject :class:`StreamSession`.
+    :func:`stream_records` for streaming a scored record set.
 ``repro.streaming``
     Stateful chunked separation: :class:`StreamingSeparator` windows a
     live stream into overlapping segments, runs any separator per
@@ -57,8 +57,6 @@ from repro.dsp import (
     BatchStft,
     StftPlan,
     StftResult,
-    StreamingIstft,
-    StreamingStft,
     get_stft_plan,
     istft,
     istft_batch,
@@ -68,11 +66,9 @@ from repro.dsp import (
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline import (
     BatchResult,
-    ChunkResult,
     SeparationPipeline,
     SeparationRecord,
     ShardedExecutor,
-    StreamSession,
     records_from_arrays,
     stream_records,
 )
@@ -102,11 +98,9 @@ __all__ = [
     "DHFConfig", "DHFResult", "DHFSeparator",
     "BatchStft", "StftPlan", "StftResult", "get_stft_plan",
     "istft", "istft_batch", "stft", "stft_batch",
-    "StreamingIstft", "StreamingStft",
     "average_mse", "average_sdr_db", "mse", "sdr_db",
     "BatchResult", "SeparationPipeline", "SeparationRecord",
-    "ShardedExecutor", "records_from_arrays",
-    "ChunkResult", "StreamSession", "stream_records",
+    "ShardedExecutor", "records_from_arrays", "stream_records",
     "StreamingSeparator", "stream_record",
     "DegradationSpec", "Scenario", "ScenarioGrid", "Scoreboard",
     "available_degradations", "default_degradation", "run_scenario_grid",

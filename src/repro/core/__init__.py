@@ -6,8 +6,7 @@ Public surface
 stage modules (``alignment``, ``masking``, ``inpainting``, ``phase``)
 export the building blocks in pipeline order, and ``results`` the
 :class:`DHFResult` / :class:`DHFRound` diagnostics.  For batches of
-records, wrap a separator in :class:`repro.pipeline.SeparationPipeline`
-or call its inherited ``separate_many``.
+records, wrap a separator in :class:`repro.pipeline.SeparationPipeline`.
 """
 
 from repro.core.alignment import (

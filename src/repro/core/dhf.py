@@ -22,8 +22,7 @@ early-stop, warm-start and geometry semantics.
 
 Batch processing: a :class:`DHFSeparator` is a plain picklable object,
 so record sets route through :class:`repro.pipeline.SeparationPipeline`
-(or the inherited :meth:`repro.separation.Separator.separate_many`
-convenience) — serially or across a thread/process pool.  Every STFT in
+— serially or across a thread/process pool.  Every STFT in
 a batch run shares the cached plans of :mod:`repro.dsp.plan`, so the
 window and overlap-add normalizer of each alignment geometry are built
 once per batch instead of once per record.

@@ -4,8 +4,7 @@ Public surface
 --------------
 Windows and COLA checks (:mod:`repro.dsp.windows`), the vectorized
 STFT/iSTFT pair plus batched variants (:mod:`repro.dsp.stft`), cached
-STFT plans and grouped overlap-add (:mod:`repro.dsp.plan`), the
-stateful streaming STFT/iSTFT pair (:mod:`repro.dsp.streaming`),
+STFT plans and grouped overlap-add (:mod:`repro.dsp.plan`),
 interpolation, IIR/FIR filtering, resampling, analytic-signal tools, and
 spectrum estimates.
 """
@@ -37,7 +36,6 @@ from repro.dsp.stft import (
     stft,
     stft_batch,
 )
-from repro.dsp.streaming import StreamingIstft, StreamingStft
 from repro.dsp.interpolate import (
     Interp1d,
     cubic_spline_interp,
@@ -80,7 +78,6 @@ __all__ = [
     "overlap_add",
     "BatchStft", "StftResult", "istft", "istft_batch", "istft_loop",
     "spectrogram_db", "stft", "stft_batch",
-    "StreamingIstft", "StreamingStft",
     "Interp1d", "cubic_spline_interp", "linear_interp",
     "natural_cubic_spline_coeffs", "pchip_interp", "pchip_slopes",
     "bandpass_filter", "butterworth_lowpass_sos", "convolve_same",

@@ -31,19 +31,6 @@ from repro.utils.validation import check_positive_int
 #: guard the per-frame reference implementation always used).
 NORMALIZER_FLOOR = 1e-12
 
-
-def apply_normalizer_floor(norm: np.ndarray) -> np.ndarray:
-    """WOLA normalizer with uncovered positions replaced by 1.
-
-    Positions whose summed squared-window coverage is at or below
-    :data:`NORMALIZER_FLOOR` would blow up the division; they carry no
-    signal energy either, so dividing by 1 leaves them (near) zero.  Both
-    the offline :meth:`StftPlan.ola_normalizer` and the streaming
-    synthesis in :mod:`repro.dsp.streaming` share this rule, which keeps
-    their outputs bitwise comparable.
-    """
-    return np.where(norm > NORMALIZER_FLOOR, norm, 1.0)
-
 #: Working-set budget (bytes) used by :func:`cache_friendly_chunk`: 1 MiB
 #: per lane, i.e. about half a typical 2 MiB L2 cache, leaving the other
 #: half for the FFT output and overlap-add scratch.
@@ -131,7 +118,6 @@ class StftPlan:
         self.pad = n_fft // 2
         self.n_freq = n_fft // 2 + 1
         self._normalizers: Dict[int, np.ndarray] = {}
-        self._ola_window_sq: Dict[int, np.ndarray] = {}
         self._normalizer_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -183,8 +169,11 @@ class StftPlan:
     def ola_normalizer(self, n_frames: int) -> np.ndarray:
         """Summed squared window over the overlap-add grid, floored at 1.
 
-        Cached per frame count: a batch of same-length records shares a
-        single normalizer instead of re-accumulating it per record.
+        Positions whose coverage is at or below :data:`NORMALIZER_FLOOR`
+        would blow up the division; they carry no signal energy either,
+        so dividing by 1 leaves them (near) zero.  Cached per frame
+        count: a batch of same-length records shares a single normalizer
+        instead of re-accumulating it per record.
         """
         cached = self._normalizers.get(n_frames)
         if cached is None:
@@ -193,38 +182,12 @@ class StftPlan:
                 self.window_sq, (1, n_frames, self.n_fft)
             )
             norm = overlap_add(tiled, self.hop, total)[0]
-            cached = apply_normalizer_floor(norm)
+            cached = np.where(norm > NORMALIZER_FLOOR, norm, 1.0)
             cached.setflags(write=False)
             with self._normalizer_lock:
                 cached = self._normalizers.setdefault(n_frames, cached)
                 while len(self._normalizers) > _NORMALIZERS_PER_PLAN:
                     self._normalizers.pop(next(iter(self._normalizers)))
-        return cached
-
-    def ola_window_sq(self, n_frames: int) -> np.ndarray:
-        """Raw (unfloored) squared-window overlap-add of ``n_frames`` frames.
-
-        The per-push normalizer contribution of the streaming synthesis
-        (:class:`repro.dsp.streaming.StreamingIstft`): the array spans
-        ``(n_frames - 1) * hop + n_fft`` samples from the first frame's
-        start, with **no** centring pad and no floor — partial edge
-        coverage must stay raw so contributions from adjacent pushes sum
-        to the complete normalizer.  Cached per frame count like
-        :meth:`ola_normalizer`, so a fleet of same-geometry streams
-        computes each chunk shape once.
-        """
-        cached = self._ola_window_sq.get(n_frames)
-        if cached is None:
-            span = (n_frames - 1) * self.hop + self.n_fft
-            tiled = np.broadcast_to(
-                self.window_sq, (1, n_frames, self.n_fft)
-            )
-            cached = overlap_add(tiled, self.hop, span)[0]
-            cached.setflags(write=False)
-            with self._normalizer_lock:
-                cached = self._ola_window_sq.setdefault(n_frames, cached)
-                while len(self._ola_window_sq) > _NORMALIZERS_PER_PLAN:
-                    self._ola_window_sq.pop(next(iter(self._ola_window_sq)))
         return cached
 
     def overlap_add(self, frames: np.ndarray, normalize: bool = True) -> np.ndarray:

@@ -9,7 +9,6 @@ from repro.experiments.common import (
     display_method_name,
     method_service,
     run_separation_batch,
-    run_streaming_batch,
     table2_specs,
     with_zoo,
 )
@@ -49,7 +48,7 @@ from repro.experiments.ablations import (
 __all__ = [
     "ExperimentContext", "TABLE2_METHOD_ORDER", "TABLE2_REGISTRY_NAMES",
     "build_dhf", "build_separators", "display_method_name",
-    "method_service", "run_separation_batch", "run_streaming_batch",
+    "method_service", "run_separation_batch",
     "table2_specs", "with_zoo",
     "PAPER_CLAIMS", "PAPER_FIG6_CORRELATION", "PAPER_LOW_POWER_CASES",
     "PAPER_TABLE2", "PAPER_TABLE2_AVERAGE",

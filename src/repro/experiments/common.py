@@ -9,9 +9,8 @@ side-by-side comparison in its rendered output.
 Methods are named, never hand-constructed: every separator the runners
 touch comes out of the :mod:`repro.service` registry as a
 :class:`repro.service.SeparatorSpec` (see :func:`table2_specs`), and
-execution goes through a :class:`repro.service.SeparationService` —
-:func:`run_separation_batch` for the offline batch pipeline,
-:func:`run_streaming_batch` for the chunked live-feed path — so every
+execution goes through a :class:`repro.service.SeparationService`
+(:func:`run_separation_batch` for the offline batch pipeline) — so every
 runner benefits from vectorized ``separate_batch`` implementations,
 shared STFT plans, and optional worker pools, and any separator
 registered by a plugin is runnable by name.
@@ -271,49 +270,6 @@ def run_separation_batch(
         method, workers=workers, executor=executor, postprocess=postprocess,
     ) as service:
         return service.separate_batch(records).batch
-
-
-def run_streaming_batch(
-    method: MethodLike,
-    records: Sequence[SeparationRecord],
-    segment_seconds: float,
-    overlap_seconds: float,
-    chunk_seconds: float,
-    workers: int = 0,
-    postprocess: Optional[Callable] = None,
-) -> BatchResult:
-    """Stream a record set chunk by chunk (the live-feed scenario).
-
-    Thin seconds-based wrapper over
-    :meth:`SeparationService.stream_batch`: every record becomes one
-    subject of a :class:`repro.pipeline.StreamSession`, chunks of
-    ``chunk_seconds`` are pushed round-robin, and the stitched estimates
-    are scored with the same rules as :func:`run_separation_batch` — so
-    offline and streaming numbers are directly comparable.
-    """
-    records = list(records)
-
-    def run(service: SeparationService) -> BatchResult:
-        if not records:
-            return BatchResult(
-                results=[], separator_name=service.separator.name
-            )
-        rate = records[0].sampling_hz
-        outcome = service.stream_batch(
-            records,
-            segment_samples=max(1, int(round(segment_seconds * rate))),
-            overlap_samples=max(1, int(round(overlap_seconds * rate))),
-            chunk_samples=max(1, int(round(chunk_seconds * rate))),
-        )
-        return outcome.batch
-
-    if isinstance(method, SeparationService):
-        _reject_service_overrides(workers=workers, postprocess=postprocess)
-        return run(method)
-    with method_service(
-        method, workers=workers, postprocess=postprocess,
-    ) as service:
-        return run(service)
 
 
 @dataclass

@@ -13,7 +13,7 @@ fetal-estimate samples) plus:
 * an **idle clock** — sessions untouched for
   ``session_idle_timeout_s`` are reaped (monitor closed, session
   dropped) by the gateway's housekeeping sweep, so abandoned feeds
-  cannot pin worker pools forever.
+  cannot hold their buffers forever.
 
 Because the monitor's streamed outputs are bitwise-identical to the
 offline separation outside cross-fade spans (and the wire format
@@ -110,7 +110,7 @@ class MonitorSessionManager:
     """Registry of live :class:`SpO2Monitor` sessions."""
 
     #: Session-create keys forwarded to :class:`SpO2Monitor` verbatim.
-    _OPTIONAL_KEYS = ("window_s", "min_draws", "flag_dropouts_s", "workers")
+    _OPTIONAL_KEYS = ("window_s", "min_draws", "flag_dropouts_s")
 
     def __init__(self, config: GatewayConfig):
         self.config = config
@@ -130,9 +130,9 @@ class MonitorSessionManager:
         Required keys: one of ``method``/``spec``, plus ``sampling_hz``,
         ``segment_samples``, ``overlap_samples``.  Optional:
         ``ac_mean`` (number or ``{wavelength: number}``), ``window_s``,
-        ``min_draws``, ``flag_dropouts_s``, ``workers``,
-        ``emit_estimates`` (default true — the gateway's
-        streamed-equals-offline story needs the estimate feed).
+        ``min_draws``, ``flag_dropouts_s``, ``emit_estimates`` (default
+        true — the gateway's streamed-equals-offline story needs the
+        estimate feed).
         """
         if not isinstance(data, Mapping):
             raise DataError(
@@ -348,15 +348,20 @@ class MonitorSessionManager:
             session.cv.notify_all()
             return session.result
 
+    @staticmethod
+    def _end(session: _MonitorSession) -> None:
+        """Mark a dropped session finished, wake its waiters, close it."""
+        with session.cv:
+            session.finished = True
+            session.cv.notify_all()
+        session.monitor.close()
+
     def delete(self, session_id: str) -> Dict[str, Any]:
         """Close a session's monitor and drop it."""
         with self._lock:
             session = self._get(session_id)
             del self._sessions[session_id]
-        with session.cv:
-            session.finished = True
-            session.cv.notify_all()
-        session.monitor.close()
+        self._end(session)
         return {"session_id": session_id, "deleted": True}
 
     def reap_idle(self, now: Optional[float] = None) -> List[str]:
@@ -364,16 +369,17 @@ class MonitorSessionManager:
         now = time.monotonic() if now is None else now
         cutoff = now - self.config.session_idle_timeout_s
         with self._lock:
-            stale = [
-                sid for sid, session in self._sessions.items()
+            stale = {
+                sid: session for sid, session in self._sessions.items()
                 if session.last_touch <= cutoff
-            ]
+            }
             for sid in stale:
                 del self._sessions[sid]
                 self.n_reaped += 1
-        for sid in stale:
+        for sid, session in stale.items():
+            self._end(session)
             _LOG.info("reaped idle monitor session %s", sid)
-        return stale
+        return list(stale)
 
     def close(self) -> None:
         with self._lock:
@@ -383,10 +389,7 @@ class MonitorSessionManager:
             sessions = list(self._sessions.values())
             self._sessions.clear()
         for session in sessions:
-            with session.cv:
-                session.finished = True
-                session.cv.notify_all()
-            session.monitor.close()
+            self._end(session)
 
     def __repr__(self) -> str:
         with self._lock:

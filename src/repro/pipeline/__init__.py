@@ -20,12 +20,10 @@ serialization per worker; a worker death raises
 pool.
 
 Live feeds go through the streaming side instead:
-:class:`StreamSession` holds one stateful
-:class:`repro.streaming.StreamingSeparator` per subject, fans chunked
-pushes across a thread pool, and reports per-chunk
-:class:`ChunkResult` objects; :func:`stream_records` drives a whole
-record set through a session and returns the same scored
-:class:`BatchResult` as the offline pipeline.
+:func:`stream_records` streams every record of a set chunk by chunk
+through its own :class:`repro.streaming.StreamingSeparator` (records
+fanned across a thread pool when ``workers > 1``) and returns the same
+scored :class:`BatchResult` as the offline pipeline.
 
 The DSP substrate it leans on — cached :class:`repro.dsp.StftPlan`
 objects, the vectorized grouped overlap-add, and the batched
@@ -57,18 +55,16 @@ from repro.pipeline.shard import (
     plan_shards,
     shard_key,
 )
-from repro.pipeline.stream import ChunkResult, StreamSession, stream_records
+from repro.pipeline.stream import stream_records
 
 __all__ = [
     "BatchResult",
-    "ChunkResult",
     "RecordResult",
     "SeparationPipeline",
     "SeparationRecord",
     "Shard",
     "ShardedExecutor",
     "ShmBlock",
-    "StreamSession",
     "finalize_record",
     "plan_shards",
     "records_from_arrays",

@@ -235,7 +235,7 @@ def finalize_record(
     """Post-process and score one record's raw estimates.
 
     The shared back half of every separation path — the batch pipeline
-    and the streaming :class:`repro.pipeline.StreamSession` both route
+    and the streaming :func:`repro.pipeline.stream_records` both route
     their raw estimates through here, so post-processing and scoring
     conventions cannot drift between the offline and streaming paths.
     """

@@ -1,34 +1,22 @@
-"""Multi-subject streaming sessions: chunked pushes fanned across a pool.
+"""Streaming a record set: :func:`repro.streaming.stream_record` per record.
 
-A :class:`StreamSession` manages one stateful
-:class:`repro.streaming.StreamingSeparator` per subject (a bedside
-monitor serves many beds at once) and fans concurrent pushes across the
-same thread-pool machinery the batch pipeline uses.  Each push returns a
-:class:`ChunkResult` carrying the newly finalized per-source samples,
-their absolute offset in the subject's stream, and the wall-clock cost
-of the push — the quantity ``benchmarks/bench_streaming.py`` tracks as
-per-chunk latency.
+:func:`stream_records` is the offline-compatible entry point for live
+feeds: it streams every :class:`repro.pipeline.SeparationRecord` chunk
+by chunk through its own :class:`repro.streaming.StreamingSeparator`
+and returns the same scored :class:`repro.pipeline.BatchResult` the
+batch pipeline produces, via the shared
+:func:`repro.pipeline.batch.finalize_record`.
 
-Streams are stateful, so only the ``"thread"`` executor is supported: a
-process pool would separate each worker's copy of the engine state from
-the session's.  NumPy's FFT and ufunc kernels release the GIL, which is
-the same reason ``"thread"`` is the batch pipeline's default.
-
-:func:`stream_records` is the offline-compatible entry point: it drives
-a whole list of :class:`repro.pipeline.SeparationRecord` objects through
-a session in fixed-size chunks and returns the same scored
-:class:`repro.pipeline.BatchResult` the batch pipeline produces, via the
-shared :func:`repro.pipeline.batch.finalize_record`.
+Streams are stateful, so fan-out is thread-only: with ``workers > 1``
+whole records stream concurrently on a thread pool.  NumPy's FFT and
+ufunc kernels release the GIL, which is the same reason ``"thread"`` is
+the batch pipeline's default.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.pipeline.batch import (
@@ -37,280 +25,8 @@ from repro.pipeline.batch import (
     finalize_record,
 )
 from repro.separation import Separator
+from repro.streaming.engine import stream_record
 from repro.utils.validation import check_positive_int
-
-
-@dataclass
-class ChunkResult:
-    """Output of one streaming push (or flush) for one subject.
-
-    Attributes
-    ----------
-    subject:
-        The subject the chunk belongs to.
-    index:
-        0-based push counter within the subject's stream.
-    start:
-        Absolute sample offset of ``estimates`` in the subject's stream.
-    estimates:
-        Newly finalized samples per source (empty arrays while the
-        engine buffers toward a full segment).
-    n_pushed:
-        Samples pushed in this chunk (0 for a flush).
-    elapsed_s:
-        Wall-clock time the push spent inside the engine.
-    final:
-        True for the chunk emitted by a flush.
-    """
-
-    subject: str
-    index: int
-    start: int
-    estimates: Dict[str, np.ndarray]
-    n_pushed: int
-    elapsed_s: float
-    final: bool = False
-
-    @property
-    def n_emitted(self) -> int:
-        """Finalized samples in this chunk (identical for every source)."""
-        for est in self.estimates.values():
-            return int(est.size)
-        return 0
-
-
-class StreamSession:
-    """Per-subject streaming engines behind one push/flush interface.
-
-    Parameters
-    ----------
-    separator:
-        The (stateless) separator shared by every subject's engine.
-    sampling_hz:
-        Sampling rate shared by all subjects.
-    segment_samples / overlap_samples:
-        Forwarded to each :class:`repro.streaming.StreamingSeparator`.
-    workers:
-        ``<= 1`` → pushes run serially.  ``> 1`` → :meth:`push_many` and
-        :meth:`flush_all` fan subjects out across a thread pool (clamped
-        to the number of subjects addressed).
-    executor:
-        Only ``"thread"`` is valid; see the module docstring.
-    record_spans:
-        Forwarded to every subject's engine; pass ``False`` on
-        indefinitely-lived sessions so per-segment span bookkeeping does
-        not grow without bound.
-    pool:
-        Optional externally owned
-        :class:`concurrent.futures.ThreadPoolExecutor` used for fan-out
-        instead of building one (shared-pool mode of
-        :class:`repro.service.SeparationService`).  Never shut down by
-        the session; ignored when ``workers <= 1``.
-
-    The session is a context manager; leaving the ``with`` block shuts
-    the pool down (external pools excepted).
-    """
-
-    def __init__(
-        self,
-        separator: Separator,
-        sampling_hz: float,
-        segment_samples: int,
-        overlap_samples: int,
-        workers: int = 0,
-        executor: str = "thread",
-        record_spans: bool = True,
-        pool: Optional[ThreadPoolExecutor] = None,
-    ):
-        if not isinstance(separator, Separator):
-            raise ConfigurationError(
-                f"separator must be a Separator, got {type(separator).__name__}"
-            )
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if executor != "thread":
-            raise ConfigurationError(
-                f"streaming sessions are stateful and support only the "
-                f"'thread' executor (a process pool cannot share engine "
-                f"state), got {executor!r}"
-            )
-        self.separator = separator
-        self.sampling_hz = float(sampling_hz)
-        self.segment_samples = int(segment_samples)
-        self.overlap_samples = int(overlap_samples)
-        self.workers = int(workers)
-        self.executor = executor
-        self.record_spans = bool(record_spans)
-        if pool is not None and not isinstance(pool, ThreadPoolExecutor):
-            raise ConfigurationError(
-                f"pool must be a ThreadPoolExecutor, got "
-                f"{type(pool).__name__}"
-            )
-        self._engines: Dict[str, "StreamingSeparator"] = {}
-        self._indices: Dict[str, int] = {}
-        self._external_pool = pool
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    # Subject management
-    # ------------------------------------------------------------------ #
-    def add_subject(self, name: str) -> None:
-        """Register a new stream; raises on duplicates."""
-        from repro.streaming import StreamingSeparator
-
-        self._check_open()
-        if name in self._engines:
-            raise ConfigurationError(f"subject {name!r} already exists")
-        self._engines[name] = StreamingSeparator(
-            self.separator, self.sampling_hz,
-            self.segment_samples, self.overlap_samples,
-            record_spans=self.record_spans,
-        )
-        self._indices[name] = 0
-
-    def subjects(self) -> List[str]:
-        return list(self._engines)
-
-    def engine(self, name: str) -> "StreamingSeparator":
-        """The underlying engine of one subject (for introspection)."""
-        return self._engine(name)
-
-    def _engine(self, name: str) -> "StreamingSeparator":
-        try:
-            return self._engines[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown subject {name!r}; add_subject() it first "
-                f"(known: {sorted(self._engines)})"
-            ) from None
-
-    # ------------------------------------------------------------------ #
-    # Streaming
-    # ------------------------------------------------------------------ #
-    def push(
-        self, subject: str, samples, f0_tracks: Mapping[str, np.ndarray]
-    ) -> ChunkResult:
-        """Push one chunk for one subject; returns its :class:`ChunkResult`."""
-        self._check_open()
-        engine = self._engine(subject)
-        start = engine.n_emitted
-        n_in = np.asarray(samples).size
-        t0 = time.perf_counter()
-        estimates = engine.push(samples, f0_tracks)
-        elapsed = time.perf_counter() - t0
-        index = self._indices[subject]
-        self._indices[subject] = index + 1
-        return ChunkResult(
-            subject=subject, index=index, start=start, estimates=estimates,
-            n_pushed=int(n_in), elapsed_s=elapsed,
-        )
-
-    def push_many(
-        self,
-        chunks: Mapping[str, Tuple],
-    ) -> Dict[str, ChunkResult]:
-        """Push ``{subject: (samples, f0_tracks)}`` chunks, fanned out.
-
-        With ``workers > 1`` the per-subject pushes run concurrently on
-        the session's thread pool; engine state stays per-subject, so no
-        two tasks touch the same engine.
-        """
-        self._check_open()
-        items = list(chunks.items())
-        for subject, _ in items:  # fail fast before any state mutates
-            self._engine(subject)
-        if self.workers > 1 and len(items) > 1:
-            pool = self._ensure_pool()
-            futures = [
-                (subject, pool.submit(self.push, subject, samples, tracks))
-                for subject, (samples, tracks) in items
-            ]
-            return {subject: f.result() for subject, f in futures}
-        return {
-            subject: self.push(subject, samples, tracks)
-            for subject, (samples, tracks) in items
-        }
-
-    def flush(self, subject: str) -> ChunkResult:
-        """Flush one subject's engine; returns the final chunk."""
-        self._check_open()
-        engine = self._engine(subject)
-        start = engine.n_emitted
-        t0 = time.perf_counter()
-        estimates = engine.flush()
-        elapsed = time.perf_counter() - t0
-        index = self._indices[subject]
-        self._indices[subject] = index + 1
-        return ChunkResult(
-            subject=subject, index=index, start=start, estimates=estimates,
-            n_pushed=0, elapsed_s=elapsed, final=True,
-        )
-
-    def flush_all(self) -> Dict[str, ChunkResult]:
-        """Flush every subject (fanned out like :meth:`push_many`)."""
-        self._check_open()
-        names = self.subjects()
-        if self.workers > 1 and len(names) > 1:
-            pool = self._ensure_pool()
-            futures = [(n, pool.submit(self.flush, n)) for n in names]
-            return {n: f.result() for n, f in futures}
-        return {n: self.flush(n) for n in names}
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run; closed sessions refuse work."""
-        return self._closed
-
-    def _check_open(self) -> None:
-        """Refuse pushes/flushes on a closed session, loudly.
-
-        Historically :meth:`_ensure_pool` silently recreated a worker
-        pool after ``close()``, so a reaped session kept accepting
-        chunks while leaking the recreated pool.  Session reapers (the
-        gateway's idle-timeout sweep in particular) depend on closed
-        sessions failing fast.
-        """
-        if self._closed:
-            raise RuntimeError(
-                f"StreamSession({self.separator.name!r}) is closed; "
-                f"create a new session instead of reusing a closed one"
-            )
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        self._check_open()
-        if self._external_pool is not None:
-            return self._external_pool
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the session-owned pool (external pools are left up).
-
-        Idempotent: closing twice is a no-op.  Any later push, flush, or
-        ``add_subject`` raises :class:`RuntimeError`.
-        """
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "StreamSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamSession(separator={self.separator.name!r}, "
-            f"subjects={len(self._engines)}, workers={self.workers}, "
-            f"segment={self.segment_samples}, overlap={self.overlap_samples})"
-        )
 
 
 def stream_records(
@@ -326,14 +42,25 @@ def stream_records(
 ) -> BatchResult:
     """Stream a record set chunk by chunk and score like the batch pipeline.
 
-    Every record becomes one subject of a :class:`StreamSession`; chunks
-    of ``chunk_samples`` are pushed round-robin (all subjects advance
-    together, as simultaneous live feeds would), engines are flushed, and
-    the stitched estimates run through the same post-processing/scoring
+    Every record is fed to its own streaming engine in chunks of
+    ``chunk_samples`` (:func:`repro.streaming.stream_record`), and the
+    stitched estimates run through the same post-processing/scoring
     back end as :class:`repro.pipeline.SeparationPipeline`.  All records
-    must share one sampling rate.
+    must share one sampling rate and have distinct names.
+
+    ``workers <= 1`` streams the records one after another; ``> 1``
+    streams them concurrently on ``pool`` (an externally owned
+    :class:`concurrent.futures.ThreadPoolExecutor`, never shut down
+    here — the :class:`repro.service.SeparationService` facade shares
+    its pool this way) or on a pool owned for the call.
     """
     check_positive_int(chunk_samples, "chunk_samples")
+    if workers < 0:
+        raise ConfigurationError(f"workers must be >= 0, got {workers}")
+    if pool is not None and not isinstance(pool, ThreadPoolExecutor):
+        raise ConfigurationError(
+            f"pool must be a ThreadPoolExecutor, got {type(pool).__name__}"
+        )
     records = list(records)
     if not records:
         return BatchResult(results=[], separator_name=separator.name)
@@ -342,52 +69,31 @@ def stream_records(
         raise ConfigurationError(
             f"stream_records needs one shared sampling rate, got {sorted(rates)}"
         )
-    names = []
-    for i, record in enumerate(records):
-        names.append(record.name or f"record{i}")
+    names = [record.name or f"record{i}" for i, record in enumerate(records)]
     if len(set(names)) != len(names):
         raise ConfigurationError(
-            "records must have distinct names for streaming sessions"
+            "records must have distinct names for streaming"
         )
-    parts: Dict[str, Dict[str, List[np.ndarray]]] = {n: {} for n in names}
 
-    def collect(chunk: ChunkResult) -> None:
-        for source, est in chunk.estimates.items():
-            parts[chunk.subject].setdefault(source, []).append(est)
+    def stream(record: SeparationRecord):
+        estimates, _ = stream_record(
+            separator, record.mixed, record.sampling_hz, record.f0_tracks,
+            segment_samples, overlap_samples, chunk_samples,
+        )
+        return estimates
 
-    with StreamSession(
-        separator, records[0].sampling_hz, segment_samples, overlap_samples,
-        workers=workers, pool=pool,
-    ) as session:
-        for name in names:
-            session.add_subject(name)
-        longest = max(r.n_samples for r in records)
-        for start in range(0, longest, chunk_samples):
-            batch = {}
-            for name, record in zip(names, records):
-                stop = min(record.n_samples, start + chunk_samples)
-                if start >= stop:
-                    continue
-                batch[name] = (
-                    record.mixed[start:stop],
-                    {
-                        s: np.asarray(t)[start:stop]
-                        for s, t in record.f0_tracks.items()
-                    },
-                )
-            for chunk in session.push_many(batch).values():
-                collect(chunk)
-        for chunk in session.flush_all().values():
-            collect(chunk)
-
-    results = []
-    for name, record in zip(names, records):
-        estimates = {
-            source: np.concatenate(chunks)
-            for source, chunks in parts[name].items()
-        }
-        results.append(finalize_record(
+    if workers <= 1 or len(records) == 1:
+        streamed = [stream(record) for record in records]
+    elif pool is not None:
+        streamed = list(pool.map(stream, records))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as own:
+            streamed = list(own.map(stream, records))
+    results = [
+        finalize_record(
             separator.name, record, estimates,
             postprocess=postprocess, score=score,
-        ))
+        )
+        for record, estimates in zip(records, streamed)
+    ]
     return BatchResult(results=results, separator_name=separator.name)

@@ -5,7 +5,7 @@ scenario and mixture through **one** :class:`repro.service.
 SeparationService` per method — all cells of a method share the
 service's worker pool and STFT-plan cache, exactly like a production
 deployment would.  Batch cells go through ``separate_batch``; stream
-cells go through ``stream_batch`` (round-robin live feeds).
+cells go through ``stream_batch`` (one streaming engine per record).
 
 The result is a :class:`Scoreboard`: per-cell SDR/MSE for every source
 plus deltas against the method's *clean* cell on the same mixture, a

@@ -84,43 +84,6 @@ class Separator(abc.ABC):
             for mixed, tracks in zip(mixed_batch, f0_tracks_batch)
         ]
 
-    def separate_many(self, records, workers: int = 0, executor: str = "thread"):
-        """Run this separator over :class:`repro.pipeline.SeparationRecord` s.
-
-        Convenience wrapper building a
-        :class:`repro.pipeline.SeparationPipeline`; returns its
-        :class:`repro.pipeline.BatchResult`.  ``workers``/``executor``
-        are forwarded verbatim (imported lazily to keep this module at
-        the bottom of the dependency graph).
-        """
-        from repro.pipeline import SeparationPipeline
-
-        pipeline = SeparationPipeline(self, workers=workers, executor=executor)
-        return pipeline.run(records)
-
-    def stream(
-        self,
-        sampling_hz: float,
-        segment_samples: int,
-        overlap_samples: int,
-        record_spans: bool = True,
-    ):
-        """A :class:`repro.streaming.StreamingSeparator` wrapping this method.
-
-        The returned engine accepts incremental sample blocks via
-        ``push(samples, f0_tracks)`` and emits separated sources with
-        latency bounded by ``segment_samples``; see
-        :mod:`repro.streaming` for the segmentation and cross-fade
-        rules.  Imported lazily to keep this module at the bottom of the
-        dependency graph.
-        """
-        from repro.streaming import StreamingSeparator
-
-        return StreamingSeparator(
-            self, sampling_hz, segment_samples, overlap_samples,
-            record_spans=record_spans,
-        )
-
     def _validate(self, mixed, sampling_hz, f0_tracks) -> np.ndarray:
         mixed = as_1d_float_array(mixed, "mixed")
         if sampling_hz <= 0:

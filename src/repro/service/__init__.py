@@ -14,9 +14,10 @@ execution paths that grew underneath it:
   :class:`SeparationService` configured with one spec executes it in any
   mode — ``separate`` (offline, :mod:`repro.core` / baselines),
   ``separate_batch`` (:class:`repro.pipeline.SeparationPipeline`),
-  ``stream`` / ``stream_batch`` (:class:`repro.pipeline.StreamSession`)
-  — behind the shared STFT-plan cache and one service-owned worker
-  pool, returning a unified :class:`SeparationOutcome`.
+  ``stream`` / ``stream_batch`` (:func:`repro.streaming.stream_record`
+  per record) — behind the shared STFT-plan cache and one
+  service-owned worker pool, returning a unified
+  :class:`SeparationOutcome`.
 """
 
 from repro.service.facade import (

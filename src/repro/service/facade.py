@@ -3,11 +3,10 @@
 The repo grew three parallel entry points — per-record
 ``Separator.separate``, the batched
 :class:`repro.pipeline.SeparationPipeline`, and the streaming
-:class:`repro.streaming.StreamingSeparator` /
-:class:`repro.pipeline.StreamSession`.  The service puts one declarative
-API in front of all of them: configure a method once (by registry name,
-:class:`repro.service.SeparatorSpec`, or spec dict) and execute it in
-any mode::
+:class:`repro.streaming.StreamingSeparator`.  The service puts one
+declarative API in front of all of them: configure a method once (by
+registry name, :class:`repro.service.SeparatorSpec`, or spec dict) and
+execute it in any mode::
 
     with SeparationService("spectral-masking", workers=4) as service:
         one   = service.separate(record)               # offline
@@ -16,9 +15,8 @@ any mode::
                                segment_samples=1000, overlap_samples=450)
 
 Every mode returns a :class:`SeparationOutcome` wrapping the layer's
-native result (``RecordResult`` / :class:`repro.pipeline.BatchResult` /
-:class:`repro.pipeline.ChunkResult` list, plus
-:class:`repro.core.DHFResult` diagnostics when the method provides
+native result (``RecordResult`` / :class:`repro.pipeline.BatchResult`,
+plus :class:`repro.core.DHFResult` diagnostics when the method provides
 them), and every mode shares the same substrate: the process-wide
 :mod:`repro.dsp.plan` STFT-plan cache and one lazily created worker pool
 owned by the service (so batch and streaming fan-out reuse threads
@@ -26,16 +24,17 @@ instead of rebuilding pools per call).
 
 Routing is thin by design — ``separate`` calls the separator directly,
 ``separate_batch`` builds on :class:`repro.pipeline.SeparationPipeline`,
-``stream`` on :class:`repro.pipeline.StreamSession` — so service results
-are *identical* to the direct APIs, and all scoring goes through the
+``stream`` on :func:`repro.streaming.stream_record` and ``stream_batch``
+on :func:`repro.pipeline.stream_records` — so service results are
+*identical* to the direct APIs, and all scoring goes through the
 shared :func:`repro.pipeline.batch.finalize_record`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,11 +48,11 @@ from repro.pipeline.batch import (
     finalize_record,
 )
 from repro.pipeline.shard import ShardedExecutor
-from repro.pipeline.stream import ChunkResult, StreamSession, stream_records
+from repro.pipeline.stream import stream_records
 from repro.separation import Separator
 from repro.service.registry import SpecLike, build_separator, resolve_spec
 from repro.service.specs import SeparatorSpec
-from repro.utils.validation import check_positive_int
+from repro.streaming.engine import stream_record
 
 #: Modes a :class:`SeparationOutcome` can report.
 MODES = ("offline", "batch", "stream")
@@ -65,9 +64,7 @@ class SeparationOutcome:
 
     Exactly one of ``record`` (offline / single-record stream) or
     ``batch`` (batch / multi-record stream) carries the estimates;
-    ``chunks`` additionally holds the per-push
-    :class:`repro.pipeline.ChunkResult` trail of streaming calls and
-    ``detail`` method-specific diagnostics (a
+    ``detail`` holds method-specific diagnostics (a
     :class:`repro.core.DHFResult` for DHF offline runs).
     """
 
@@ -76,7 +73,6 @@ class SeparationOutcome:
     mode: str
     record: Optional[RecordResult] = None
     batch: Optional[BatchResult] = None
-    chunks: List[ChunkResult] = field(default_factory=list)
     detail: Any = None
 
     def __post_init__(self):
@@ -327,15 +323,14 @@ class SeparationService:
         **record_fields,
     ) -> SeparationOutcome:
         """Streaming mode: one record chunked through a
-        :class:`repro.pipeline.StreamSession`.
+        :class:`repro.streaming.StreamingSeparator`
+        (:func:`repro.streaming.stream_record`).
 
         Defaults make streaming degenerate *exactly* to the offline
         path: ``segment_samples`` defaults to the whole record (a single
         analysis segment, no cross-fades), ``overlap_samples`` to a
         quarter segment, and ``chunk_samples`` to one second of signal.
-        Pass explicit values for genuine bounded-latency operation; the
-        per-push :class:`repro.pipeline.ChunkResult` trail is kept on
-        the outcome either way.
+        Pass explicit values for genuine bounded-latency operation.
 
         Streaming is thread-only; on a ``workers > 1`` process service
         this raises :class:`repro.errors.ConfigurationError` (see
@@ -355,44 +350,19 @@ class SeparationService:
         )
         chunk = (
             max(1, round(rec.sampling_hz)) if chunk_samples is None
-            else check_positive_int(chunk_samples, "chunk_samples")
+            else chunk_samples
         )
-        subject = rec.name or "record0"
-        chunks: List[ChunkResult] = []
-        parts: Dict[str, List[np.ndarray]] = {}
-        # workers/pool are forwarded for consistency with the other
-        # modes; with a single subject the session runs its pushes
-        # serially either way.
-        with StreamSession(
-            self.separator, rec.sampling_hz, segment, overlap,
-            workers=self.workers,
-            pool=self._shared_pool(),
-        ) as session:
-            session.add_subject(subject)
-            for start in range(0, rec.n_samples, chunk):
-                stop = min(rec.n_samples, start + chunk)
-                result = session.push(
-                    subject, rec.mixed[start:stop],
-                    {
-                        s: np.asarray(t)[start:stop]
-                        for s, t in rec.f0_tracks.items()
-                    },
-                )
-                chunks.append(result)
-            chunks.append(session.flush(subject))
-        for chunk_result in chunks:
-            for source, est in chunk_result.estimates.items():
-                parts.setdefault(source, []).append(est)
-        estimates = {
-            source: np.concatenate(pieces) for source, pieces in parts.items()
-        }
+        estimates, _ = stream_record(
+            self.separator, rec.mixed, rec.sampling_hz, rec.f0_tracks,
+            segment, overlap, chunk,
+        )
         result = finalize_record(
             self.separator.name, rec, estimates,
             postprocess=self.postprocess, score=self.score,
         )
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
-            mode="stream", record=result, chunks=chunks,
+            mode="stream", record=result,
         )
 
     def stream_batch(
@@ -402,8 +372,9 @@ class SeparationService:
         overlap_samples: int,
         chunk_samples: int,
     ) -> SeparationOutcome:
-        """Streaming mode over a record set (round-robin live feeds),
-        via :func:`repro.pipeline.stream_records`.
+        """Streaming mode over a record set, via
+        :func:`repro.pipeline.stream_records` (records streamed
+        concurrently on the service's pool when ``workers > 1``).
 
         Thread-only, like :meth:`stream`: a ``workers > 1`` process
         service raises :class:`repro.errors.ConfigurationError`.

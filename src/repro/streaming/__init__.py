@@ -7,15 +7,11 @@ analysis segments, separates each segment with sliding f0-track slices,
 and cross-fades segment outputs, emitting per-source samples with
 latency bounded by one segment length.
 
-The frame-level substrate — :class:`repro.dsp.StreamingStft` /
-:class:`repro.dsp.StreamingIstft`, which carry partial frames and
-overlap-add tails across chunk boundaries on top of the cached
-:class:`repro.dsp.StftPlan` machinery — is re-exported here for
-separators that stream at STFT-frame granularity.  Multi-subject
-fan-out lives in :class:`repro.pipeline.StreamSession`.
+:func:`stream_record` drives one whole record through an engine chunk
+by chunk; :func:`repro.pipeline.stream_records` maps it over a record
+set and scores the results like the batch pipeline.
 """
 
-from repro.dsp.streaming import StreamingIstft, StreamingStft
 from repro.streaming.engine import (
     StreamingSeparator,
     crossfade_ramp,
@@ -23,9 +19,7 @@ from repro.streaming.engine import (
 )
 
 __all__ = [
-    "StreamingIstft",
     "StreamingSeparator",
-    "StreamingStft",
     "crossfade_ramp",
     "stream_record",
 ]

@@ -82,22 +82,15 @@ class StreamingSeparator:
     overlap_samples:
         Overlap between consecutive segments, cross-faded on emission.
         Must be positive and smaller than ``segment_samples``.
-    record_spans:
-        If true (default), the engine records every segment it ran
-        (:attr:`segments_run`) and every cross-faded span
-        (:attr:`crossfade_spans`) so callers can reason about — or
-        exclude — the blended regions.  The lists grow by one entry per
-        segment, so pass ``False`` on indefinitely-lived streams to keep
-        the engine's state strictly bounded (the buffered samples and
-        pending tail never exceed one segment plus one overlap).
 
     Notes
     -----
     ``push`` accepts arbitrary block sizes (including empty blocks) and
     returns the newly finalized samples per source; ``flush`` runs the
-    final partial segment and emits everything left.
-    :attr:`n_segments_run` counts segments regardless of
-    ``record_spans``.
+    final partial segment and emits everything left.  The engine records
+    every segment it ran (:attr:`segments_run`) and every cross-faded
+    span (:attr:`crossfade_spans`) so callers can reason about — or
+    exclude — the blended regions.
     """
 
     def __init__(
@@ -106,7 +99,6 @@ class StreamingSeparator:
         sampling_hz: float,
         segment_samples: int,
         overlap_samples: int,
-        record_spans: bool = True,
     ):
         if not isinstance(separator, Separator):
             raise ConfigurationError(
@@ -134,9 +126,6 @@ class StreamingSeparator:
         #: Samples finalized (per source) so far.
         self.n_emitted = 0
         self.closed = False
-        self.record_spans = bool(record_spans)
-        #: Segments run so far (counted even when ``record_spans=False``).
-        self.n_segments_run = 0
         #: ``(start, stop)`` of every segment the separator ran.
         self.segments_run: List[Tuple[int, int]] = []
         #: ``(start, stop)`` of every cross-faded span, in sample coords.
@@ -170,6 +159,30 @@ class StreamingSeparator:
         Returns the newly finalized samples per source (possibly empty
         arrays while the engine waits for a full segment).
         """
+        samples, chunks = self.check_push(samples, f0_tracks)
+        if self._sources is None:
+            self._sources = list(chunks)
+            self._tracks = {name: np.zeros(0) for name in self._sources}
+            self._pending = {name: np.zeros(0) for name in self._sources}
+        self.n_pushed += samples.size
+        if samples.size:
+            self._signal = np.concatenate([self._signal, samples])
+            for name in self._sources:
+                self._tracks[name] = np.concatenate(
+                    [self._tracks[name], chunks[name]]
+                )
+        return self._drain(flush=False)
+
+    def check_push(
+        self, samples, f0_tracks: Mapping[str, np.ndarray]
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Raise what :meth:`push` would reject, changing no state.
+
+        Returns the samples and the f0-track slices as float arrays.
+        Callers that transform a chunk before pushing it (such as
+        :class:`repro.tfo.SpO2Monitor`) call this first, so a rejected
+        chunk leaves their own state untouched too.
+        """
         if self.closed:
             raise ConfigurationError(
                 "cannot push into a finished StreamingSeparator"
@@ -183,17 +196,14 @@ class StreamingSeparator:
             raise ConfigurationError(
                 "f0_tracks must contain at least one source"
             )
-        if self._sources is None:
-            self._sources = list(f0_tracks)
-            self._tracks = {name: np.zeros(0) for name in self._sources}
-            self._pending = {name: np.zeros(0) for name in self._sources}
-        elif set(f0_tracks) != set(self._sources):
+        if self._sources is not None \
+                and set(f0_tracks) != set(self._sources):
             raise ConfigurationError(
                 f"f0 track sources {sorted(f0_tracks)} do not match the "
                 f"stream's sources {sorted(self._sources)}"
             )
         chunks = {}
-        for name in self._sources:
+        for name in self._sources or f0_tracks:
             track = np.asarray(f0_tracks[name], dtype=np.float64)
             if track.shape != samples.shape:
                 raise DataError(
@@ -203,14 +213,7 @@ class StreamingSeparator:
             if track.size and np.any(track <= 0):
                 raise DataError(f"f0 track for {name!r} must be positive")
             chunks[name] = track
-        self.n_pushed += samples.size
-        if samples.size:
-            self._signal = np.concatenate([self._signal, samples])
-            for name in self._sources:
-                self._tracks[name] = np.concatenate(
-                    [self._tracks[name], chunks[name]]
-                )
-        return self._drain(flush=False)
+        return samples, chunks
 
     def flush(self) -> Dict[str, np.ndarray]:
         """Run the final (possibly partial) segment and emit everything."""
@@ -276,11 +279,9 @@ class StreamingSeparator:
         estimates = self.separator.separate(
             segment, self.sampling_hz, tracks
         )
-        self.n_segments_run += 1
-        if self.record_spans:
-            self.segments_run.append((start, stop))
+        self.segments_run.append((start, stop))
         fade_len = self._pending_end - start  # overlap with pending tail
-        if fade_len > 0 and self.record_spans:
+        if fade_len > 0:
             self.crossfade_spans.append((start, self._pending_end))
         # Next finalization horizon: everything before the next segment's
         # start is final; the rest stays pending for the next cross-fade.

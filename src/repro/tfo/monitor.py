@@ -21,14 +21,14 @@ Batched cohort runs
 Streaming monitoring
     :class:`SpO2Monitor` is the deployment mode: chunked two-wavelength
     PPG is DC-stripped by stateful :class:`repro.tfo.ppg.AcExtractor`
-    instances, separated through one two-subject
-    :class:`repro.pipeline.StreamSession`, accumulated in sliding
-    windows, and turned into an incremental SpO2 estimate whose
-    calibration is refitted as blood draws arrive.  With the extractor
-    mean calibrated and an offline-exact streaming geometry, the
-    monitor's draw ratios and final calibration equal the offline
-    :func:`repro.tfo.spo2.fit_spo2` path exactly outside the engines'
-    recorded cross-fade spans.
+    instances, separated by one
+    :class:`repro.streaming.StreamingSeparator` per wavelength,
+    accumulated in sliding windows, and turned into an incremental SpO2
+    estimate whose calibration is refitted as blood draws arrive.  With
+    the extractor mean calibrated and an offline-exact streaming
+    geometry, the monitor's draw ratios and final calibration equal the
+    offline :func:`repro.tfo.spo2.fit_spo2` path exactly outside the
+    engines' recorded cross-fade spans.
 
 :mod:`repro.tfo.experiment` re-exports the public names so existing
 imports keep working.
@@ -38,16 +38,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.pipeline.batch import SeparationRecord
-from repro.pipeline.stream import StreamSession
 from repro.separation import Separator
 from repro.service.facade import SeparationService
 from repro.service.registry import SpecLike
+from repro.streaming.engine import StreamingSeparator
 from repro.tfo.dataset import SheepRecording
 from repro.tfo.ppg import AcExtractor, WAVELENGTHS, ac_component
 from repro.tfo.sao2 import CALIBRATION_K
@@ -404,11 +404,10 @@ def _calibrated_spo2(ratio: float, fit: SpO2Fit) -> float:
 class SpO2Monitor:
     """Streaming fetal-SpO2 estimation from chunked two-wavelength PPG.
 
-    The monitor owns one :class:`repro.pipeline.StreamSession` with a
-    subject per wavelength, a stateful
-    :class:`repro.tfo.ppg.AcExtractor` per wavelength, sliding buffers
-    of raw PPG and finalized fetal estimates, and the blood-draw
-    bookkeeping of the Eq. 10/11 pipeline:
+    The monitor owns one :class:`repro.streaming.StreamingSeparator`
+    and one stateful :class:`repro.tfo.ppg.AcExtractor` per wavelength,
+    sliding buffers of raw PPG and finalized fetal estimates, and the
+    blood-draw bookkeeping of the Eq. 10/11 pipeline:
 
     * :meth:`push` feeds aligned 740/850 chunks (raw PPG, DC baseline,
       f0-track slices); the extractors strip DC and the calibrated mean,
@@ -421,6 +420,10 @@ class SpO2Monitor:
     * :meth:`finish` flushes the engines, resolves end-clipped windows
       (which need the true record length, exactly like the offline
       path), and returns the final all-draws fit.
+
+    The two engines run one after the other in the calling thread.  A
+    :class:`repro.service.SeparationService` passed as ``method`` lends
+    its separator; its execution policy applies to its batch modes only.
 
     Equivalence guarantee
     ---------------------
@@ -459,7 +462,6 @@ class SpO2Monitor:
         window_s: float = R_WINDOW_S,
         ac_mean: Union[float, Mapping[int, float], None] = None,
         min_draws: int = 3,
-        workers: int = 0,
         flag_dropouts_s: Optional[float] = 0.25,
         emit_estimates: bool = False,
     ):
@@ -474,16 +476,7 @@ class SpO2Monitor:
                 f"three ratios to calibrate), got {min_draws}"
             )
         if isinstance(method, SeparationService):
-            # Mirror _as_service: a configured service carries its own
-            # execution policy — inherit it, never silently override.
-            if workers != 0:
-                raise ConfigurationError(
-                    "workers cannot be overridden when passing an "
-                    "already configured SeparationService; set workers "
-                    "on the service instead"
-                )
             separator = method.separator
-            workers = method.workers
         elif isinstance(method, Separator):
             separator = method
         else:
@@ -496,12 +489,13 @@ class SpO2Monitor:
         #: Window half-width in samples — the offline rule of
         #: :func:`repro.tfo.spo2.modulation_ratio_at_draws`.
         self.half_window = int(window_s * sampling_hz / 2)
-        self._session = StreamSession(
-            separator, sampling_hz, segment_samples, overlap_samples,
-            workers=workers,
-        )
-        for wavelength in WAVELENGTHS:
-            self._session.add_subject(str(wavelength))
+        self._engines = {
+            wavelength: StreamingSeparator(
+                separator, sampling_hz, segment_samples, overlap_samples,
+            )
+            for wavelength in WAVELENGTHS
+        }
+        self._released = False
         self._extractors = {
             wavelength: AcExtractor(mean=self._mean_for(ac_mean, wavelength))
             for wavelength in WAVELENGTHS
@@ -575,14 +569,14 @@ class SpO2Monitor:
     def crossfade_spans(self) -> Dict[int, List[Tuple[int, int]]]:
         """Per-wavelength blended spans of the streaming engines."""
         return {
-            wl: list(self._session.engine(str(wl)).crossfade_spans)
-            for wl in WAVELENGTHS
+            wl: list(engine.crossfade_spans)
+            for wl, engine in self._engines.items()
         }
 
     @property
     def max_latency_samples(self) -> int:
         """Worst-case samples between arrival and finalization."""
-        return self._session.segment_samples
+        return self._engines[WAVELENGTHS[0]].max_latency_samples
 
     @property
     def gap_spans(self) -> List[Tuple[int, int]]:
@@ -642,6 +636,7 @@ class SpO2Monitor:
         """
         if self.closed:
             raise ConfigurationError("cannot push into a finished monitor")
+        self._check_open()
         for mapping, label in ((ppg, "ppg"), (dc, "dc")):
             missing = [wl for wl in WAVELENGTHS if wl not in mapping]
             if missing:
@@ -672,21 +667,17 @@ class SpO2Monitor:
                 f"{sorted(f0_tracks)}"
             )
         n_chunk = next(iter(sizes))
-        for name, track in f0_tracks.items():
-            track = np.asarray(track)
-            if track.ndim != 1 or track.size != n_chunk:
-                raise DataError(
-                    f"f0 track for {name!r} must be 1-D with the chunk's "
-                    f"{n_chunk} samples, got shape {track.shape}"
-                )
+        for wl, engine in self._engines.items():
+            engine.check_push(raw[wl], f0_tracks)
         chunks = {
             wl: self._extractors[wl].push(raw[wl], base[wl])
             for wl in WAVELENGTHS
         }
         t0 = time.perf_counter()
-        results = self._session.push_many({
-            str(wl): (chunks[wl], f0_tracks) for wl in WAVELENGTHS
-        })
+        results = {
+            wl: engine.push(chunks[wl], f0_tracks)
+            for wl, engine in self._engines.items()
+        }
         elapsed = time.perf_counter() - t0
         offset = self.n_pushed
         self.n_pushed += n_chunk
@@ -700,9 +691,12 @@ class SpO2Monitor:
         """Flush the engines, resolve end-clipped draws, fit over all draws."""
         if self.closed:
             raise ConfigurationError("monitor already finished")
+        self._check_open()
         if self.n_pushed == 0:
             raise DataError("cannot finish an empty monitor: push data first")
-        self._absorb(self._session.flush_all())
+        self._absorb({
+            wl: engine.flush() for wl, engine in self._engines.items()
+        })
         final_estimates = self._last_emitted
         if self.n_finalized != self.n_pushed:
             raise DataError(
@@ -712,25 +706,24 @@ class SpO2Monitor:
         self.closed = True
         # End-of-record windows clip at the true length, as offline; the
         # resolve refits over every completed draw, so the final fit is
-        # the all-draws calibration.  The session (and its worker pool)
-        # is released even when a draw outside the streamed record makes
-        # the final resolution raise.
-        try:
-            self._resolve_draws(final=True)
-            spans = self.crossfade_spans
-        finally:
-            self._session.close()
+        # the all-draws calibration.
+        self._resolve_draws(final=True)
         return SpO2MonitorResult(
             draws=list(self._draws),
             fit=self._fit,
             n_samples=self.n_finalized,
             n_refits=self.n_refits,
-            crossfade_spans=spans,
+            crossfade_spans=self.crossfade_spans,
             final_estimates=final_estimates,
         )
 
     def close(self) -> None:
-        self._session.close()
+        """Refuse later pushes and finishes.
+
+        Idempotent.  A closed monitor refuses work with a
+        :class:`RuntimeError` before any of its state changes.
+        """
+        self._released = True
 
     def __enter__(self) -> "SpO2Monitor":
         return self
@@ -741,6 +734,13 @@ class SpO2Monitor:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _check_open(self) -> None:
+        if self._released:
+            raise RuntimeError(
+                "SpO2Monitor is closed; create a new monitor instead of "
+                "reusing a closed one"
+            )
+
     def _detect_gaps(self, wl: int, chunk: np.ndarray, offset: int) -> None:
         """Flag constant raw-PPG runs >= ``flag_dropouts_s`` as gaps.
 
@@ -774,7 +774,9 @@ class SpO2Monitor:
     def _overlaps_gaps(self, lo: int, hi: int) -> bool:
         return any(a < hi and b > lo for a, b in self._gap_spans)
 
-    def _absorb(self, results: Mapping[str, Any]) -> List[DrawEstimate]:
+    def _absorb(
+        self, results: Mapping[int, Mapping[str, np.ndarray]],
+    ) -> List[DrawEstimate]:
         """Append newly finalized fetal samples; engines stay in lockstep.
 
         Returns the draws whose windows this absorption completed.
@@ -782,7 +784,7 @@ class SpO2Monitor:
         emitted = set()
         chunks_out: Dict[int, np.ndarray] = {}
         for wl in WAVELENGTHS:
-            chunk = results[str(wl)].estimates.get("fetal")
+            chunk = results[wl].get("fetal")
             if chunk is None:
                 raise DataError(
                     f"separator returned no 'fetal' estimate for the "
@@ -940,7 +942,8 @@ class SpO2Monitor:
 
     def __repr__(self) -> str:
         return (
-            f"SpO2Monitor(separator={self._session.separator.name!r}, "
+            f"SpO2Monitor("
+            f"separator={self._engines[WAVELENGTHS[0]].separator.name!r}, "
             f"pushed={self.n_pushed}, finalized={self.n_finalized}, "
             f"draws={len(self._draws)}, refits={self.n_refits}, "
             f"closed={self.closed})"

@@ -23,6 +23,7 @@ from repro.dsp import (
     stft,
     stft_batch,
 )
+from repro.dsp.plan import NORMALIZER_FLOOR
 from repro.errors import ConfigurationError, ShapeError
 
 FS = 100.0
@@ -170,6 +171,26 @@ class TestPlan:
             ref[k * 30: k * 30 + 100] += plan.window_sq
         ref = np.where(ref > 1e-12, ref, 1.0)
         np.testing.assert_allclose(norm, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+    def test_normalizer_floors_uncovered_positions(self, n_fft, hop):
+        # The periodic Hann window is 0 at each frame start, so every
+        # geometry has positions with no coverage (hop == n_fft has one
+        # per frame); exactly those divide by 1, the rest by the raw sum.
+        plan = StftPlan(n_fft, hop, "hann")
+        for n_frames in (1, 2, 7, 40):
+            raw = np.zeros(plan.total_length(n_frames))
+            for k in range(n_frames):
+                raw[k * hop: k * hop + n_fft] += plan.window_sq
+            uncovered = raw <= NORMALIZER_FLOOR
+            assert uncovered.any()
+            norm = plan.ola_normalizer(n_frames)
+            assert norm.shape == raw.shape
+            assert not norm.flags.writeable
+            assert np.all(norm[uncovered] == 1.0)
+            np.testing.assert_allclose(
+                norm[~uncovered], raw[~uncovered], rtol=1e-12, atol=0,
+            )
 
     def test_overlap_add_matches_naive(self):
         rng = np.random.default_rng(5)

@@ -16,7 +16,6 @@ from repro.experiments import (
     build_dhf,
     build_separators,
     run_figure4,
-    run_streaming_batch,
     run_table1,
     run_table2,
 )
@@ -170,7 +169,6 @@ class TestTable2Runner:
         from repro.errors import ConfigurationError
         from repro.experiments.common import (
             records_from_mixtures, run_separation_batch,
-            run_streaming_batch,
         )
         from repro.service import SeparationService
 
@@ -179,11 +177,6 @@ class TestTable2Runner:
             with pytest.raises(ConfigurationError, match="postprocess"):
                 run_separation_batch(
                     service, records, postprocess=lambda est, rec: est,
-                )
-            with pytest.raises(ConfigurationError, match="workers"):
-                run_streaming_batch(
-                    service, records, segment_seconds=10.0,
-                    overlap_seconds=2.56, chunk_seconds=1.0, workers=2,
                 )
             # Without overrides the service runs as configured.
             batch = run_separation_batch(service, records)
@@ -204,33 +197,6 @@ class TestTable2Runner:
         claims = result.headline_claims()
         assert claims["sdr_improvement_db"] == pytest.approx(15.0)
         assert claims["mse_reduction_pct"] == pytest.approx(90.0)
-
-
-class TestStreamingBatchRunner:
-    def test_streams_mixture_records_and_scores(self, smoke):
-        from repro.baselines import SpectralMaskingSeparator
-        from repro.experiments.common import records_from_mixtures
-
-        records, labels = records_from_mixtures(["msig1"], smoke)
-        batch = run_streaming_batch(
-            SpectralMaskingSeparator(), records,
-            segment_seconds=10.0, overlap_seconds=2.56, chunk_seconds=1.0,
-        )
-        assert len(batch) == 1
-        result = batch.results[0]
-        for source in result.record.source_names():
-            assert result.estimates[source].size == result.record.n_samples
-            sdr, err = result.scores[source]
-            assert np.isfinite(sdr) and err >= 0
-
-    def test_empty_record_set(self, smoke):
-        from repro.baselines import SpectralMaskingSeparator
-
-        batch = run_streaming_batch(
-            SpectralMaskingSeparator(), [],
-            segment_seconds=10.0, overlap_seconds=2.0, chunk_seconds=1.0,
-        )
-        assert len(batch) == 0
 
 
 class TestFigure4Runner:

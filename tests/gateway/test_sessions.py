@@ -269,6 +269,39 @@ class TestReaping:
         finally:
             manager.close()
 
+    def test_reaping_ends_the_session(self, recording, geometry, ac_means):
+        manager = MonitorSessionManager(
+            GatewayConfig(session_idle_timeout_s=1.0)
+        )
+        try:
+            sid = manager.create(
+                create_request(recording, geometry, ac_means)
+            )["session_id"]
+            monitor = manager._sessions[sid].monitor
+            got = {}
+
+            def poll():
+                got["out"] = manager.updates(sid, since=0, timeout_s=4.0)
+
+            waiter = threading.Thread(target=poll)
+            waiter.start()
+            time.sleep(0.3)
+            t0 = time.monotonic()
+            assert manager.reap_idle(now=time.monotonic() + 5.0) == [sid]
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            assert time.monotonic() - t0 < 2.0
+            assert got["out"]["finished"] is True
+            signals = recording.signals
+            with pytest.raises(RuntimeError, match="closed"):
+                monitor.push(
+                    {wl: signals.ppg[wl][:100] for wl in WAVELENGTHS},
+                    {wl: signals.dc[wl][:100] for wl in WAVELENGTHS},
+                    {s: tr[:100] for s, tr in recording.f0_tracks().items()},
+                )
+        finally:
+            manager.close()
+
     def test_active_sessions_survive(self, recording, geometry, ac_means):
         manager = MonitorSessionManager(
             GatewayConfig(session_idle_timeout_s=3600.0)
@@ -280,5 +313,50 @@ class TestReaping:
             manager.push(sid, push_body(recording, 0, 500))
             assert manager.reap_idle() == []
             assert manager.session_ids() == [sid]
+        finally:
+            manager.close()
+
+
+class TestEnding:
+    """``delete`` and ``close`` end a session the way reaping does."""
+
+    @pytest.mark.parametrize("how", ["delete", "close"])
+    def test_ending_wakes_waiters_and_closes_the_monitor(
+        self, recording, geometry, ac_means, how,
+    ):
+        manager = MonitorSessionManager(
+            GatewayConfig(session_idle_timeout_s=3600.0)
+        )
+        try:
+            sid = manager.create(
+                create_request(recording, geometry, ac_means)
+            )["session_id"]
+            monitor = manager._sessions[sid].monitor
+            got = {}
+
+            def poll():
+                got["out"] = manager.updates(sid, since=0, timeout_s=4.0)
+
+            waiter = threading.Thread(target=poll)
+            waiter.start()
+            time.sleep(0.3)
+            t0 = time.monotonic()
+            if how == "delete":
+                assert manager.delete(sid)["deleted"] is True
+            else:
+                manager.close()
+            waiter.join(timeout=10.0)
+            assert not waiter.is_alive()
+            assert time.monotonic() - t0 < 2.0
+            assert got["out"]["finished"] is True
+            with pytest.raises(UnknownSession):
+                manager.updates(sid, since=0, timeout_s=0.0)
+            signals = recording.signals
+            with pytest.raises(RuntimeError, match="closed"):
+                monitor.push(
+                    {wl: signals.ppg[wl][:100] for wl in WAVELENGTHS},
+                    {wl: signals.dc[wl][:100] for wl in WAVELENGTHS},
+                    {s: tr[:100] for s, tr in recording.f0_tracks().items()},
+                )
         finally:
             manager.close()

@@ -274,10 +274,3 @@ class TestVectorizedSpectralMasking:
         for source in direct:
             np.testing.assert_allclose(batched[1][source], direct[source],
                                        atol=1e-10)
-
-    def test_separate_many_convenience(self):
-        records = _mixture_records(2)
-        result = SpectralMaskingSeparator().separate_many(records)
-        assert isinstance(result, BatchResult)
-        assert len(result) == 2
-        assert set(result.summary()) == {"maternal", "fetal"}

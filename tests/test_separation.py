@@ -93,16 +93,3 @@ class TestSeparateBatchEdges:
         for est in out:
             assert est["a"].shape == (50,)
             assert np.all(np.isfinite(est["a"]))
-
-    def test_stream_hook_returns_engine(self):
-        engine = Passthrough().stream(
-            10.0, segment_samples=40, overlap_samples=10
-        )
-        from repro.streaming import StreamingSeparator
-
-        assert isinstance(engine, StreamingSeparator)
-        assert engine.segment_advance == 30
-        quiet = Passthrough().stream(
-            10.0, segment_samples=40, overlap_samples=10, record_spans=False
-        )
-        assert quiet.record_spans is False

@@ -440,6 +440,7 @@ class TestSpO2MonitorValidation:
              {"fetal": np.full(10, 2.5)}),             # ppg/dc mismatch
             (good, good, {"maternal": np.full(10, 1.5)}),  # no fetal
             (good, good, {"fetal": np.full(7, 2.5)}),  # short track
+            (good, good, {"fetal": np.r_[np.full(9, 2.5), 0.0]}),  # f0 <= 0
         ):
             with pytest.raises(DataError):
                 monitor.push(bad_ppg, bad_dc, bad_tracks)
@@ -449,6 +450,16 @@ class TestSpO2MonitorValidation:
         # A correct push still works after every rejection.
         update = monitor.push(good, good, {"fetal": np.full(10, 2.5)})
         assert update.n_pushed == 10
+        # The stream's sources are fixed by the first push.
+        with pytest.raises(ConfigurationError, match="sources"):
+            monitor.push(good, good, {"fetal": np.full(10, 2.5),
+                                      "maternal": np.full(10, 1.5)})
+        monitor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            monitor.push(good, good, {"fetal": np.full(10, 2.5)})
+        assert monitor.n_pushed == 10
+        for wl in (740, 850):
+            assert monitor._extractors[wl].n_seen == 10
 
     def test_min_draws_below_calibration_minimum_rejected(self):
         with pytest.raises(ConfigurationError, match="min_draws"):
@@ -467,18 +478,15 @@ class TestSpO2MonitorValidation:
         with pytest.raises(ConfigurationError, match="finished"):
             monitor.finish()
 
-    def test_prebuilt_service_policy_not_silently_dropped(self):
+    def test_prebuilt_service_lends_its_separator(self):
+        # The service's workers govern its batch modes; the monitor runs
+        # its two engines serially on the service's separator.
         with SeparationService("spectral-masking", workers=2) as service:
-            with pytest.raises(ConfigurationError, match="workers"):
-                SpO2Monitor(
-                    service, 100.0, segment_samples=4000,
-                    overlap_samples=1000, workers=4,
-                )
-            monitor = SpO2Monitor(
+            with SpO2Monitor(
                 service, 100.0, segment_samples=4000, overlap_samples=1000,
-            )
-            assert monitor._session.workers == 2
-            monitor.close()
+            ) as monitor:
+                for engine in monitor._engines.values():
+                    assert engine.separator is service.separator
 
     def test_finish_empty_raises(self):
         with pytest.raises(DataError, match="empty"):
@@ -521,6 +529,43 @@ class TestSpO2MonitorValidation:
         assert result.fit is None
         assert np.isnan(result.correlation)
         assert result.draws[0].ratio is not None
+
+
+class TestSpO2MonitorClose:
+    """A closed monitor refuses work, loudly, before its state changes."""
+
+    @staticmethod
+    def make_monitor():
+        return SpO2Monitor(
+            "spectral-masking", 100.0, segment_samples=4000,
+            overlap_samples=1000,
+        )
+
+    @staticmethod
+    def chunk(n=50):
+        return (
+            {740: np.ones(n), 850: np.ones(n)},
+            {740: np.ones(n), 850: np.ones(n)},
+            {"fetal": np.full(n, 2.5)},
+        )
+
+    def test_push_and_finish_refuse_after_close(self):
+        monitor = self.make_monitor()
+        monitor.push(*self.chunk())
+        monitor.close()
+        monitor.close()  # idempotent
+        for call in (lambda: monitor.push(*self.chunk()), monitor.finish):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        assert monitor.n_pushed == 50
+        for wl in (740, 850):
+            assert monitor._extractors[wl].n_seen == 50
+
+    def test_context_manager_exit_closes(self):
+        with self.make_monitor() as monitor:
+            monitor.push(*self.chunk())
+        with pytest.raises(RuntimeError, match="create a new monitor"):
+            monitor.push(*self.chunk())
 
 
 class TestInVivoBatchCohort:
