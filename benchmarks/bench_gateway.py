@@ -17,9 +17,13 @@ Drives one in-process :class:`repro.gateway.Gateway` (stdlib
     transport), races a cancellation against the worker tier, and
     asserts every job reaches a terminal state.  A sample job's
     estimates are checked **bitwise** against a local offline
-    :class:`repro.service.SeparationService` run — the JSON wire format
-    round-trips IEEE-754 doubles exactly.  Reports records/sec through
-    the worker tier.
+    :class:`repro.service.SeparationService` run — arrays cross the
+    wire as base64 of their little-endian float64 bytes, so they arrive
+    unchanged.  Asserts that each encoded job body stays under
+    :data:`MAX_BODY_BYTES_PER_SAMPLE` (~10.8 as base64; JSON float text
+    reads ~17.5), a size gate that cannot flake on a slow machine.
+    Reports the median submit time and records/sec through the worker
+    tier.
 
 **Monitor phase**
     Opens hundreds of concurrent live fetal-SpO2 monitor sessions (one
@@ -37,6 +41,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_gateway.py [--smoke]
 from __future__ import annotations
 
 import argparse
+import json
 import threading
 import time
 from typing import Dict, List
@@ -60,6 +65,8 @@ FS = 100.0
 METHOD = "spectral-masking"
 RTT_PROBES = 20
 RTT_LIMIT_MS = 10.0
+#: Encoded job-body bytes per float64 sample it carries.
+MAX_BODY_BYTES_PER_SAMPLE = 12.0
 
 
 # --------------------------------------------------------------------- #
@@ -105,22 +112,33 @@ def run_job_phase(
     n_samples: int, callback_log: List[Dict],
 ) -> None:
     client = GatewayClient(url)
-    wire_records = [
-        [record_to_wire(build_job_record(n_samples, seed=100 * j + i))
-         for i in range(records_per_job)]
-        for j in range(n_jobs)
-    ]
-    t0 = time.perf_counter()
-    job_ids = []
+    submissions = []
     for j in range(n_jobs):
         mode = "separate" if j % 3 == 0 else "separate_batch"
-        job = client.submit_job({
+        records = [build_job_record(n_samples, seed=100 * j + i)
+                   for i in range(1 if mode == "separate"
+                                  else records_per_job)]
+        submissions.append((records, {
             "method": METHOD,
             "mode": mode,
-            "records": wire_records[j][:1] if mode == "separate"
-            else wire_records[j],
+            "records": [record_to_wire(r) for r in records],
             "callback_url": f"bench://jobs/{j}",
-        })
+        }))
+    bytes_per_sample = max(
+        len(json.dumps(body).encode("utf-8")) / sum(
+            r.n_samples + sum(a.size for a in r.f0_tracks.values())
+            + sum(a.size for a in r.references.values())
+            for r in records
+        )
+        for records, body in submissions
+    )
+    t0 = time.perf_counter()
+    job_ids = []
+    submit_s = []
+    for _, body in submissions:
+        start = time.perf_counter()
+        job = client.submit_job(body)
+        submit_s.append(time.perf_counter() - start)
         job_ids.append(job["job_id"])
     # Race one cancellation against the worker tier: either outcome is
     # legal, but the job must land in a terminal state.
@@ -160,6 +178,13 @@ def run_job_phase(
     client.close()
     print(f"  jobs                   : {n_jobs} submitted, "
           f"cancel raced -> {cancelled!r}")
+    print(f"  job submit             : {np.median(submit_s) * 1e3:7.2f} ms "
+          f"median, bodies <= {bytes_per_sample:.2f} bytes/float64 sample")
+    assert bytes_per_sample < MAX_BODY_BYTES_PER_SAMPLE, (
+        f"job bodies carry {bytes_per_sample:.2f} bytes per float64 sample "
+        f">= {MAX_BODY_BYTES_PER_SAMPLE}: arrays are not crossing the wire "
+        f"as base64 float64"
+    )
     print(f"  job records/sec        : {n_records / elapsed:8.1f} "
           f"({n_records} records x {n_samples} samples in {elapsed:.2f} s)")
     print("  wire exactness         : served estimates bitwise-equal "

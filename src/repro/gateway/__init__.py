@@ -26,7 +26,9 @@ Quick start::
 
 No third-party dependency appears anywhere on the serving path; the
 whole gateway is ``http.server``, ``http.client``, ``json``,
-``queue`` and ``threading``.
+``base64``, ``queue`` and ``threading``.  Arrays cross the wire as
+``{"f8": <base64 of the little-endian float64 bytes>}`` (see
+:mod:`repro.gateway.wire`); the client hands them back as arrays.
 """
 
 from repro.gateway.app import Gateway

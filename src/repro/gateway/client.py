@@ -10,6 +10,10 @@ Error contract: non-2xx responses raise :class:`GatewayError` carrying
 the HTTP status and the server's structured error body, so callers see
 the registry's did-you-mean messages verbatim.
 
+Every array in a response (job estimates, monitor updates) comes back
+as a writable float64 ``np.ndarray``, decoded from the wire's tagged
+base64 form (:mod:`repro.gateway.wire`).
+
 A client instance is **not** thread-safe (one socket, one in-flight
 request); use one client per thread, as the benchmark does.
 """
@@ -23,6 +27,7 @@ from typing import Any, Dict, List, Optional
 from urllib.parse import urlencode, urlsplit
 
 from repro.errors import ConfigurationError
+from repro.gateway.wire import array_object_hook, array_to_wire
 
 
 class GatewayError(RuntimeError):
@@ -108,7 +113,8 @@ class GatewayClient:
                 if attempt == 2:
                     raise
         try:
-            data = json.loads(raw) if raw else None
+            data = json.loads(raw, object_hook=array_object_hook) \
+                if raw else None
         except json.JSONDecodeError:
             data = {"message": raw.decode("utf-8", "replace")}
         if not 200 <= response.status < 300:
@@ -193,15 +199,17 @@ class GatewayClient:
     def push(
         self, session_id: str, ppg, dc, f0_tracks,
     ) -> Dict[str, Any]:
-        """Feed one chunk; returns the resulting monitor update."""
+        """Feed one chunk; returns the resulting monitor update.
+
+        Non-finite samples raise :class:`repro.errors.DataError` before
+        anything is sent.
+        """
         return self.request(
             "POST", f"/sessions/{session_id}/push",
             body={
-                "ppg": {str(wl): list(map(float, v))
-                        for wl, v in ppg.items()},
-                "dc": {str(wl): list(map(float, v))
-                       for wl, v in dc.items()},
-                "f0_tracks": {str(s): list(map(float, v))
+                "ppg": {str(wl): array_to_wire(v) for wl, v in ppg.items()},
+                "dc": {str(wl): array_to_wire(v) for wl, v in dc.items()},
+                "f0_tracks": {str(s): array_to_wire(v)
                               for s, v in f0_tracks.items()},
             },
         )

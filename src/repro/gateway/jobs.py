@@ -39,7 +39,11 @@ from repro.errors import ConfigurationError
 from repro.gateway.callbacks import CallbackClient, CallbackDelivery
 from repro.gateway.config import GatewayConfig
 from repro.gateway.storage import ArtifactStore
-from repro.gateway.wire import JOB_MODES, record_result_to_wire
+from repro.gateway.wire import (
+    JOB_MODES,
+    array_to_wire,
+    record_result_to_wire,
+)
 from repro.pipeline.batch import RecordResult, SeparationRecord
 from repro.service.facade import SeparationService
 from repro.service.specs import DHFSpec, SeparatorSpec
@@ -256,7 +260,7 @@ class JobRegistry:
             entry = dict(summary)
             if estimates:
                 entry["estimates"] = {
-                    source: [float(v) for v in arr]
+                    source: array_to_wire(arr)
                     for source, arr in
                     self.store.read_estimates(job_id, i).items()
                 }

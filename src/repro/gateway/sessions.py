@@ -16,8 +16,8 @@ fetal-estimate samples) plus:
   cannot hold their buffers forever.
 
 Because the monitor's streamed outputs are bitwise-identical to the
-offline separation outside cross-fade spans (and the wire format
-round-trips IEEE-754 doubles exactly), a client that stitches the
+offline separation outside cross-fade spans (and the wire carries each
+array's float64 bytes unchanged), a client that stitches the
 ``estimates`` arrays from the update log plus ``final_estimates`` from
 ``finish`` reconstructs the offline result sample-for-sample outside
 the spans reported in the finish payload.

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, DataError
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline.shard import Shard, ShardedExecutor, plan_shards
 from repro.separation import Separator
-from repro.utils.validation import as_1d_float_array
+from repro.utils.validation import check_separation_input
 
 #: Signature of the optional estimate post-processor: takes the raw
 #: estimate and its record, returns the signal actually scored/returned.
@@ -65,15 +65,9 @@ class SeparationRecord:
     references: Optional[Mapping[str, np.ndarray]] = None
 
     def __post_init__(self):
-        self.mixed = as_1d_float_array(self.mixed, "mixed")
-        if self.sampling_hz <= 0:
-            raise ConfigurationError(
-                f"sampling_hz must be positive, got {self.sampling_hz}"
-            )
-        if not self.f0_tracks:
-            raise ConfigurationError(
-                "f0_tracks must contain at least one source"
-            )
+        self.mixed = check_separation_input(
+            self.mixed, self.sampling_hz, self.f0_tracks
+        )
 
     @property
     def n_samples(self) -> int:

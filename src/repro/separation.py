@@ -14,8 +14,8 @@ from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError
-from repro.utils.validation import as_1d_float_array
+from repro.errors import ConfigurationError
+from repro.utils.validation import check_separation_input
 
 
 class Separator(abc.ABC):
@@ -85,23 +85,7 @@ class Separator(abc.ABC):
         ]
 
     def _validate(self, mixed, sampling_hz, f0_tracks) -> np.ndarray:
-        mixed = as_1d_float_array(mixed, "mixed")
-        if sampling_hz <= 0:
-            raise ConfigurationError(
-                f"sampling_hz must be positive, got {sampling_hz}"
-            )
-        if not f0_tracks:
-            raise ConfigurationError("f0_tracks must contain at least one source")
-        for name, track in f0_tracks.items():
-            track = as_1d_float_array(track, f"f0_tracks[{name!r}]")
-            if track.size != mixed.size:
-                raise DataError(
-                    f"f0 track for {name!r} has {track.size} samples, "
-                    f"mixed has {mixed.size}"
-                )
-            if np.any(track <= 0):
-                raise DataError(f"f0 track for {name!r} must be positive")
-        return mixed
+        return check_separation_input(mixed, sampling_hz, f0_tracks)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -51,7 +51,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.separation import Separator
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import (
+    check_f0_tracks,
+    check_finite,
+    check_positive,
+    check_positive_int,
+)
 
 
 def crossfade_ramp(length: int) -> np.ndarray:
@@ -111,12 +116,8 @@ class StreamingSeparator:
                 f"overlap_samples {overlap_samples} must be smaller than "
                 f"segment_samples {segment_samples}"
             )
-        if sampling_hz <= 0:
-            raise ConfigurationError(
-                f"sampling_hz must be positive, got {sampling_hz}"
-            )
         self.separator = separator
-        self.sampling_hz = float(sampling_hz)
+        self.sampling_hz = check_positive(sampling_hz, "sampling_hz")
         self.segment_samples = int(segment_samples)
         self.overlap_samples = int(overlap_samples)
         #: Stride between consecutive segment starts.
@@ -192,6 +193,7 @@ class StreamingSeparator:
             raise ShapeError(
                 f"samples must be 1-D, got shape {samples.shape}"
             )
+        check_finite(samples, "samples")
         if not f0_tracks:
             raise ConfigurationError(
                 "f0_tracks must contain at least one source"
@@ -202,17 +204,10 @@ class StreamingSeparator:
                 f"f0 track sources {sorted(f0_tracks)} do not match the "
                 f"stream's sources {sorted(self._sources)}"
             )
-        chunks = {}
-        for name in self._sources or f0_tracks:
-            track = np.asarray(f0_tracks[name], dtype=np.float64)
-            if track.shape != samples.shape:
-                raise DataError(
-                    f"f0 track for {name!r} has {track.size} samples, "
-                    f"chunk has {samples.size}"
-                )
-            if track.size and np.any(track <= 0):
-                raise DataError(f"f0 track for {name!r} must be positive")
-            chunks[name] = track
+        chunks = check_f0_tracks(
+            {name: f0_tracks[name] for name in self._sources or f0_tracks},
+            samples.size, of="chunk",
+        )
         return samples, chunks
 
     def flush(self) -> Dict[str, np.ndarray]:

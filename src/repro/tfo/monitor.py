@@ -60,7 +60,11 @@ from repro.tfo.spo2 import (
 )
 from repro.tfo.spo2 import ac_component as ac_strength
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_finite,
+    check_positive,
+    check_positive_int,
+)
 
 _LOG = get_logger("tfo.monitor")
 
@@ -655,6 +659,8 @@ class SpO2Monitor:
                     f"ppg/dc chunks for {wl} nm must be 1-D and equally "
                     f"long, got shapes {raw[wl].shape} and {base[wl].shape}"
                 )
+            check_finite(raw[wl], f"ppg chunk for {wl} nm")
+            check_finite(base[wl], f"dc chunk for {wl} nm")
         sizes = {raw[wl].size for wl in WAVELENGTHS}
         if len(sizes) > 1:
             raise DataError(

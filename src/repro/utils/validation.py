@@ -7,7 +7,7 @@ subclasses of :class:`repro.errors.ReproError`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,45 @@ def check_finite(x, name: str = "array") -> np.ndarray:
         n_bad = int(np.sum(~np.isfinite(arr)))
         raise DataError(f"{name} contains {n_bad} non-finite value(s)")
     return arr
+
+
+def check_f0_tracks(
+    f0_tracks: Mapping[str, np.ndarray], n_samples: int, of: str = "mixed",
+) -> Dict[str, np.ndarray]:
+    """Each per-source f0 track as a float array, after checking that it
+    is ``n_samples`` long (the length of ``of``), finite and above 0."""
+    if not f0_tracks:
+        raise ConfigurationError("f0_tracks must contain at least one source")
+    tracks = {}
+    for name, track in f0_tracks.items():
+        track = np.asarray(track, dtype=np.float64)
+        if track.shape != (n_samples,):
+            raise DataError(
+                f"f0 track for {name!r} has shape {track.shape}, {of} has "
+                f"{n_samples} samples"
+            )
+        # NaN fails both comparisons.
+        if not np.all((track > 0) & (track < np.inf)):
+            raise DataError(
+                f"f0 track for {name!r} must be finite and positive"
+            )
+        tracks[name] = track
+    return tracks
+
+
+def check_separation_input(
+    mixed, sampling_hz: float, f0_tracks: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """``mixed`` as a float array, after checking one separation input.
+
+    The rule every separator and every :class:`SeparationRecord` applies:
+    ``mixed`` is non-empty, finite and 1-D; ``sampling_hz`` is finite and
+    above 0; and each f0 track passes :func:`check_f0_tracks`.
+    """
+    mixed = check_finite(as_1d_float_array(mixed, "mixed"), "mixed")
+    check_positive(sampling_hz, "sampling_hz")
+    check_f0_tracks(f0_tracks, mixed.size)
+    return mixed
 
 
 def check_positive(value: float, name: str = "value") -> float:

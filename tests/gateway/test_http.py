@@ -1,5 +1,6 @@
 """The HTTP surface end to end: wire round-trips and the 4xx contract."""
 
+import base64
 import json
 import socket
 import threading
@@ -12,11 +13,14 @@ from repro.gateway import (
     GatewayClient,
     GatewayConfig,
     GatewayError,
+    monitor_update_to_wire,
     record_to_wire,
 )
 from repro.gateway.app import _Handler
+from repro.gateway.wire import array_from_wire
 from repro.pipeline.batch import SeparationRecord
 from repro.service import available_separators, separator_entry
+from repro.tfo.monitor import MonitorUpdate
 
 CONTRACT_KEYS = {"error", "message", "repro_error"}
 HEALTH_THEN_CLOSE = (
@@ -37,6 +41,21 @@ def make_record(n=200, seed=0):
         name=f"rec{seed}",
         references={"a": a, "b": b},
     )
+
+
+#: Float64 values at the edges of the format: signed zeros, subnormals,
+#: the extremes, and values whose shortest decimal text is long.
+EDGE = np.array([
+    0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).tiny / 3,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max,
+    np.finfo(np.float64).tiny, 1.0 / 3.0, np.pi, -2.0 ** -1074 * 7,
+])
+
+
+def f8(values):
+    """A tagged wire array of any float64 values, non-finite included."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {"f8": base64.b64encode(raw).decode("ascii")}
 
 
 def raw_exchange(gateway, data):
@@ -354,3 +373,158 @@ class TestCallbacksOverHTTP:
         ]
         assert len(delivered) == 1
         assert delivered[0]["state"] == "done"
+
+
+class TestArrayEncoding:
+    """Arrays cross HTTP as tagged base64 float64, bitwise both ways."""
+
+    def test_edge_values_survive_a_job_result(self, gateway, client):
+        job = client.submit_job({
+            "method": "spectral-masking",
+            "records": [record_to_wire(make_record(seed=11))],
+        })
+        assert client.wait_job(job["job_id"])["state"] == "done"
+        gateway.store.write_estimates(job["job_id"], 0,
+                                      {"a": EDGE, "b": -EDGE})
+        estimates = client.job_result(job["job_id"])["records"][0][
+            "estimates"]
+        assert estimates["a"].tobytes() == EDGE.tobytes()
+        assert estimates["b"].tobytes() == (-EDGE).tobytes()
+
+    def test_edge_values_survive_a_monitor_update(self, gateway, client,
+                                                  monkeypatch):
+        """Client push → server decode → server encode → client decode."""
+        def echo(session_id, data):
+            update = MonitorUpdate(
+                n_pushed=0, n_finalized=0, ratio=None, spo2=None,
+                estimates={int(wl): array_from_wire(v, wl)
+                           for wl, v in data["ppg"].items()},
+            )
+            return monitor_update_to_wire(update, 0)
+
+        monkeypatch.setattr(gateway.sessions, "push", echo)
+        n = EDGE.size
+        update = client.push(
+            "sess-echo", {740: EDGE, 850: -EDGE},
+            {740: np.zeros(n), 850: np.zeros(n)}, {"fetal": np.ones(n)},
+        )
+        assert update["estimates"]["740"].tobytes() == EDGE.tobytes()
+        assert update["estimates"]["850"].tobytes() == (-EDGE).tobytes()
+
+    def test_float_lists_and_tags_give_equal_results(self, client):
+        record = make_record(seed=12)
+        tagged = record_to_wire(record)
+        listed = {
+            "mixed": record.mixed.tolist(),
+            "sampling_hz": record.sampling_hz,
+            "f0_tracks": {k: v.tolist() for k, v in record.f0_tracks.items()},
+            "name": record.name,
+            "references": {k: v.tolist()
+                           for k, v in record.references.items()},
+        }
+        results = []
+        for wire in (tagged, listed):
+            job = client.submit_job({"method": "spectral-masking",
+                                     "records": [wire]})
+            assert client.wait_job(job["job_id"])["state"] == "done"
+            results.append(client.job_result(job["job_id"])["records"][0])
+        assert results[0]["scores"] == results[1]["scores"]
+        for source in ("a", "b"):
+            assert results[0]["estimates"][source].tobytes() == \
+                results[1]["estimates"][source].tobytes()
+
+    @pytest.mark.parametrize("tag", [
+        {"f8": "not*base64!"},
+        {"f8": base64.b64encode(bytes(7)).decode("ascii")},
+        {"f8": base64.b64encode(bytes(8)).decode("ascii"), "dtype": "<f8"},
+        {"f8": 12},
+    ], ids=["bad-base64", "7-bytes", "extra-key", "not-a-string"])
+    def test_malformed_tag_is_400_naming_the_field(self, client, tag):
+        wire = record_to_wire(make_record())
+        wire["mixed"] = tag
+        with pytest.raises(GatewayError) as err:
+            client.submit_job({"method": "spectral-masking",
+                               "records": [wire]})
+        assert err.value.status == 400
+        assert err.value.payload["error"] == "DataError"
+        assert "record #0 mixed" in err.value.payload["message"]
+
+    def test_client_returns_writable_float64_arrays(self, client):
+        job = client.submit_job({
+            "method": "spectral-masking",
+            "records": [record_to_wire(make_record(seed=13))],
+        })
+        client.wait_job(job["job_id"])
+        estimates = client.job_result(job["job_id"])["records"][0][
+            "estimates"]
+        for arr in estimates.values():
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert arr.flags.writeable
+            arr[0] = 1.0  # and writing to it works
+
+
+def _job_case(mutate):
+    wire = record_to_wire(make_record(n=400, seed=21))
+    mutate(wire)
+    return {"method": "spectral-masking", "records": [wire]}
+
+
+def _with_nan(n, at):
+    values = np.full(n, 1.2)
+    values[at] = np.nan
+    return values
+
+
+class TestInboundValidation:
+    """A record or push the separators would reject never gets a 2xx."""
+
+    @pytest.mark.parametrize("mutate, error, field", [
+        (lambda w: w.update(mixed=f8(_with_nan(400, 7))),
+         "DataError", "record #0 mixed"),
+        (lambda w: w.update(sampling_hz=float("nan")),
+         "ConfigurationError", "record #0 sampling_hz"),
+        (lambda w: w["f0_tracks"].update(a=f8(np.full(10, 1.2))),
+         "DataError", "f0 track for 'a'"),
+        (lambda w: w["f0_tracks"].update(a=f8(np.zeros(400))),
+         "DataError", "f0 track for 'a'"),
+        (lambda w: w["f0_tracks"].update(a=f8(_with_nan(400, 3))),
+         "DataError", "f0 track for 'a'"),
+        (lambda w: w.update(mixed=[1.0] * 399 + [float("nan")]),
+         "DataError", "record #0 mixed"),
+    ], ids=["nan-sample", "nan-rate", "short-f0", "zero-f0", "nan-f0",
+            "nan-in-float-list"])
+    def test_bad_record_is_400_at_submit(self, client, mutate, error, field):
+        n_jobs = len(client.jobs())
+        with pytest.raises(GatewayError) as err:
+            client.request("POST", "/jobs", body=_job_case(mutate))
+        assert err.value.status == 400
+        assert err.value.payload["error"] == error
+        assert field in err.value.payload["message"]
+        assert len(client.jobs()) == n_jobs  # nothing was queued
+
+    @pytest.mark.parametrize("body, field", [
+        ({"ppg": {"740": f8(_with_nan(20, 2)), "850": f8(np.ones(20))},
+          "dc": {"740": f8(np.zeros(20)), "850": f8(np.zeros(20))},
+          "f0_tracks": {"fetal": f8(np.full(20, 2.1))}},
+         "ppg chunk for 740 nm"),
+        ({"ppg": {"740": f8(np.ones(20)), "850": f8(np.ones(20))},
+          "dc": {"740": f8(np.zeros(20)), "850": f8(_with_nan(20, 0))},
+          "f0_tracks": {"fetal": f8(np.full(20, 2.1))}},
+         "dc chunk for 850 nm"),
+        ({"ppg": {"740": f8(np.ones(20)), "850": f8(np.ones(20))},
+          "dc": {"740": f8(np.zeros(20)), "850": f8(np.zeros(20))},
+          "f0_tracks": {"fetal": f8(_with_nan(20, 5))}},
+         "f0 track for 'fetal'"),
+    ], ids=["nan-ppg", "nan-dc", "nan-f0"])
+    def test_bad_push_is_400_and_changes_nothing(self, client, body, field):
+        sid = client.create_session({
+            "method": "spectral-masking", "sampling_hz": 100.0,
+            "segment_samples": 1000, "overlap_samples": 250,
+        })["session_id"]
+        with pytest.raises(GatewayError) as err:
+            client.request("POST", f"/sessions/{sid}/push", body=body)
+        assert err.value.status == 400
+        assert err.value.payload["error"] == "DataError"
+        assert field in err.value.payload["message"]
+        assert client.session(sid)["n_pushed"] == 0
+        client.delete_session(sid)

@@ -18,6 +18,7 @@ from repro.gateway import (
     JobRegistry,
     TERMINAL_STATES,
     UnknownJob,
+    array_from_wire,
 )
 from repro.pipeline.batch import SeparationRecord
 from repro.service import SeparationService, resolve_spec
@@ -146,7 +147,8 @@ class TestLifecycle:
             local = service.separate(record)
         for source in ("a", "b"):
             assert np.array_equal(
-                np.asarray(result["records"][0]["estimates"][source]),
+                array_from_wire(result["records"][0]["estimates"][source],
+                                source),
                 local.estimates[source],
             )
 
@@ -185,11 +187,13 @@ class TestLifecycle:
             registry.result(job.job_id)
 
     def test_failing_job_lands_in_error(self, registry):
-        # An f0 track shorter than the mixture → separator raises.
+        # An f0 track shorter than the mixture → separator raises.  The
+        # record rejects one at construction, so swap it in afterwards.
         bad = SeparationRecord(
             mixed=np.ones(200), sampling_hz=100.0,
-            f0_tracks={"a": np.full(50, 1.0)},
+            f0_tracks={"a": np.full(200, 1.0)},
         )
+        bad.f0_tracks = {"a": np.full(50, 1.0)}
         job = registry.submit(SPEC, "separate", [bad])
         assert registry.drain(timeout_s=30.0)
         assert job.state == "error"

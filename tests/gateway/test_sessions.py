@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError, DataError
-from repro.gateway import GatewayConfig
+from repro.gateway import GatewayConfig, array_from_wire
 from repro.gateway.sessions import (
     MonitorSessionManager,
     SessionConflict,
@@ -116,15 +116,15 @@ class TestLifecycle:
             for wl in WAVELENGTHS:
                 if "estimates" in update:
                     pieces[wl].append(
-                        np.asarray(update["estimates"][str(wl)])
+                        array_from_wire(update["estimates"][str(wl)], "est")
                     )
         result = manager.finish(sid)
         tracks = recording.f0_tracks()
         with SeparationService("spectral-masking") as service:
             for wl in WAVELENGTHS:
                 if result.get("final_estimates"):
-                    pieces[wl].append(np.asarray(
-                        result["final_estimates"][str(wl)]
+                    pieces[wl].append(array_from_wire(
+                        result["final_estimates"][str(wl)], "final"
                     ))
                 streamed = np.concatenate(pieces[wl])
                 ac = (recording.signals.ppg[wl]

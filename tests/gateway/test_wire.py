@@ -1,5 +1,6 @@
 """Wire format: exact array round-trips, strict validation, specs."""
 
+import base64
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.gateway import (
     record_from_wire,
     record_to_wire,
 )
+from repro.gateway.wire import array_object_hook
 from repro.pipeline.batch import SeparationRecord
 from repro.service import available_separators, separator_entry
 
@@ -42,6 +44,34 @@ class TestArrays:
             array_to_wire(np.array([1.0, np.nan]))
         with pytest.raises(DataError, match="non-finite"):
             array_to_wire(np.array([np.inf]))
+
+    def test_wire_form_is_base64_of_little_endian_bytes(self):
+        arr = np.array([1.5, -0.0, 5e-324, -np.finfo(np.float64).max])
+        wire = array_to_wire(arr)
+        assert set(wire) == {"f8"}
+        assert base64.b64decode(wire["f8"]) == arr.astype("<f8").tobytes()
+
+    def test_float_lists_still_accepted(self):
+        assert np.array_equal(array_from_wire([1, 2.5], "x"), [1.0, 2.5])
+
+    def test_only_1d_arrays_go_out(self):
+        with pytest.raises(DataError, match="1-D"):
+            array_to_wire(np.ones((2, 2)))
+
+    def test_object_hook_decodes_well_formed_tags_only(self):
+        text = json.dumps({
+            "x": array_to_wire([1.0, 2.0]),
+            "y": {"a": 1},
+            "z": {"f8": "!!"},
+        })
+        data = json.loads(text, object_hook=array_object_hook)
+        assert data["x"].dtype == np.float64 and data["x"].flags.writeable
+        assert np.array_equal(data["x"], [1.0, 2.0])
+        assert data["y"] == {"a": 1}
+        # A malformed tag stays as it is, for array_from_wire to name.
+        assert data["z"] == {"f8": "!!"}
+        with pytest.raises(DataError, match="z.*base64"):
+            array_from_wire(data["z"], "z")
 
     @pytest.mark.parametrize("bad", ["abc", None, {"a": 1}, [[1, 2]], [1, "x"]])
     def test_malformed_inbound_rejected(self, bad):

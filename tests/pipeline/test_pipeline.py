@@ -61,6 +61,17 @@ class TestSeparationRecord:
         with pytest.raises(ConfigurationError):
             SeparationRecord(np.ones(10), FS, {})
 
+    @pytest.mark.parametrize("mixed, rate, track, error", [
+        (np.r_[np.ones(9), np.nan], FS, np.ones(10), DataError),
+        (np.ones(10), float("nan"), np.ones(10), ConfigurationError),
+        (np.ones(10), FS, np.ones(4), DataError),
+        (np.ones(10), FS, np.zeros(10), DataError),
+        (np.ones(10), FS, np.r_[np.ones(9), np.nan], DataError),
+    ], ids=["nan-sample", "nan-rate", "short-f0", "zero-f0", "nan-f0"])
+    def test_rejects_what_separators_reject(self, mixed, rate, track, error):
+        with pytest.raises(error):
+            SeparationRecord(mixed, rate, {"a": track})
+
     def test_records_from_arrays_shared_tracks(self):
         mixed = np.random.default_rng(0).standard_normal((3, 50))
         tracks = {"a": np.ones(50)}

@@ -309,10 +309,30 @@ class TestValidation:
             (np.ones(5), {"b": np.ones(5)}, ConfigurationError),
             (np.ones(5), {"a": np.ones(4)}, DataError),
             (np.ones(5), {"a": np.r_[np.ones(4), 0.0]}, DataError),
+            (np.r_[np.ones(4), np.nan], {"a": np.ones(5)}, DataError),
+            (np.ones(5), {"a": np.r_[np.ones(4), np.nan]}, DataError),
+            (np.ones(5), {"a": np.r_[np.ones(4), np.inf]}, DataError),
         ):
             with pytest.raises(error):
                 engine.check_push(bad_samples, bad_tracks)
         assert engine.n_pushed == 5 and engine.source_names == ["a"]
+
+    def test_non_finite_push_changes_nothing(self):
+        engine = StreamingSeparator(Halver(), FS, 100, 10)
+        engine.push(np.ones(5), {"a": np.ones(5)})
+        before = (engine.n_pushed, engine._signal.copy(),
+                  engine._tracks["a"].copy())
+        with pytest.raises(DataError, match="samples"):
+            engine.push(np.r_[np.ones(4), np.nan], {"a": np.ones(5)})
+        with pytest.raises(DataError, match="f0 track for 'a'"):
+            engine.push(np.ones(5), {"a": np.r_[np.nan, np.ones(4)]})
+        assert engine.n_pushed == before[0]
+        assert np.array_equal(engine._signal, before[1])
+        assert np.array_equal(engine._tracks["a"], before[2])
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ConfigurationError, match="sampling_hz"):
+            StreamingSeparator(Halver(), float("nan"), 100, 10)
 
     def test_push_after_flush_raises(self):
         engine = StreamingSeparator(Halver(), FS, 100, 10)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DataError
 from repro.separation import Separator
+from repro.service import SeparationService
 
 
 class Passthrough(Separator):
@@ -44,6 +45,31 @@ def test_validate_rejects_wrong_track_length():
 def test_validate_rejects_nonpositive_track():
     with pytest.raises(DataError):
         Passthrough().separate(np.ones(10), 1.0, {"a": np.zeros(10)})
+
+
+def test_validate_rejects_nan_rate():
+    with pytest.raises(ConfigurationError, match="sampling_hz"):
+        Passthrough().separate(np.ones(10), float("nan"), {"a": np.ones(10)})
+
+
+def test_spectral_masking_rejects_nan_rate():
+    with SeparationService("spectral-masking") as service:
+        with pytest.raises(ConfigurationError, match="sampling_hz"):
+            service.separate(
+                mixed=np.ones(400), sampling_hz=float("nan"),
+                f0_tracks={"a": np.full(400, 1.2)},
+            )
+
+
+@pytest.mark.parametrize("mixed, track", [
+    (np.r_[np.ones(9), np.nan], np.ones(10)),
+    (np.r_[np.ones(9), np.inf], np.ones(10)),
+    (np.ones(10), np.r_[np.ones(9), np.nan]),
+    (np.ones(10), np.r_[np.ones(9), np.inf]),
+], ids=["nan-sample", "inf-sample", "nan-f0", "inf-f0"])
+def test_validate_rejects_non_finite_input(mixed, track):
+    with pytest.raises(DataError):
+        Passthrough().separate(mixed, 1.0, {"a": track})
 
 
 def test_repr_contains_name():

@@ -441,6 +441,11 @@ class TestSpO2MonitorValidation:
             (good, good, {"maternal": np.full(10, 1.5)}),  # no fetal
             (good, good, {"fetal": np.full(7, 2.5)}),  # short track
             (good, good, {"fetal": np.r_[np.full(9, 2.5), 0.0]}),  # f0 <= 0
+            (good, good, {"fetal": np.r_[np.full(9, 2.5), np.nan]}),  # NaN f0
+            ({740: np.r_[np.ones(9), np.nan], 850: np.ones(10)}, good,
+             {"fetal": np.full(10, 2.5)}),             # NaN ppg sample
+            (good, {740: np.ones(10), 850: np.r_[np.nan, np.ones(9)]},
+             {"fetal": np.full(10, 2.5)}),             # NaN dc sample
         ):
             with pytest.raises(DataError):
                 monitor.push(bad_ppg, bad_dc, bad_tracks)
