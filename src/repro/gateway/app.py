@@ -70,11 +70,7 @@ from repro.gateway.sessions import (
     UnknownSession,
 )
 from repro.gateway.storage import ArtifactStore, make_store
-from repro.gateway.wire import (
-    array_object_hook,
-    error_to_wire,
-    parse_job_submission,
-)
+from repro.gateway.wire import error_to_wire, parse_job_submission
 from repro.service.registry import available_separators
 from repro.utils.logging import get_logger
 
@@ -140,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
             ))
         body = self.rfile.read(n_bytes)
         try:
-            return json.loads(body, object_hook=array_object_hook)
+            return json.loads(body)
         except json.JSONDecodeError as exc:
             raise _error(400, DataError(
                 f"request body is not valid JSON ({exc})"

@@ -35,7 +35,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, DataError
 from repro.gateway.callbacks import CallbackClient, CallbackDelivery
 from repro.gateway.config import GatewayConfig
 from repro.gateway.storage import ArtifactStore
@@ -371,6 +373,15 @@ class JobRegistry:
             else:
                 outcome = service.separate_batch(records)
                 results = list(outcome.batch.results)
+            # ``done`` promises a result ``result()`` can serve, and the
+            # wire refuses non-finite arrays.
+            for i, result in enumerate(results):
+                for source, est in result.estimates.items():
+                    if not np.all(np.isfinite(est)):
+                        raise DataError(
+                            f"the separator produced non-finite output "
+                            f"for record #{i} source {source!r}"
+                        )
             for i, result in enumerate(results):
                 self.store.write_estimates(
                     job_id, i,

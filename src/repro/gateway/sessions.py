@@ -57,11 +57,10 @@ class SessionConflict(RuntimeError):
 
 
 def _channels_from_wire(data: Any, name: str) -> Dict[int, Any]:
-    """``{"740": [...], "850": [...]}`` → ``{740: array, 850: array}``."""
+    """``{"740": <array>, "850": <array>}`` → ``{740: array, 850: array}``."""
     if not isinstance(data, Mapping) or not data:
         raise DataError(
-            f"{name} must be a non-empty mapping of wavelength to "
-            f"sample list"
+            f"{name} must be a non-empty mapping of wavelength to array"
         )
     out = {}
     for key, values in data.items():

@@ -10,13 +10,13 @@ where JSON float text costs ~17.5, and it encodes and decodes without a
 per-float Python loop.  Non-finite values are rejected on the way out,
 so no array goes out as the bare ``NaN`` tokens strict JSON forbids.
 
-Decoding goes through :func:`array_object_hook`: the server parses
-every request body with it and :class:`repro.gateway.GatewayClient`
-every response, so both sides see well-formed tags as writable float64
-arrays.  :func:`array_from_wire` accepts such an array, a tag (a
+The server parses request bodies with plain ``json.loads`` and decodes
+each array field with :func:`array_from_wire`, which takes a tag (a
 malformed one raises a :class:`repro.errors.DataError` naming the
-field), or a plain JSON list of numbers, so hand-written bodies (a
-``curl`` submission) keep working.
+field) or a plain JSON list of numbers, so hand-written bodies (a
+``curl`` submission) keep working; a tag anywhere else stays the JSON
+object it is.  :class:`repro.gateway.GatewayClient` parses responses
+with :func:`array_object_hook`, so callers get writable float64 arrays.
 
 Inbound payloads are validated eagerly and every violation raises a
 :class:`repro.errors.DataError` / :class:`repro.errors.ConfigurationError`
@@ -91,22 +91,20 @@ def _array_from_tag(data: Mapping, name: str) -> np.ndarray:
 
 
 def array_object_hook(obj: Dict[str, Any]) -> Any:
-    """``json.loads`` object hook: a well-formed tag becomes its array.
+    """``json.loads`` object hook for responses: a tag becomes its array.
 
-    Any other object, a malformed tag included, is returned as it is;
-    :func:`array_from_wire` raises the error that names its field.
+    Only an object that is exactly ``{"f8": <string>}`` is a tag; any
+    other object (such as a score mapping whose source is named
+    ``"f8"``) is returned as it is.
     """
-    if ARRAY_TAG in obj:
-        try:
-            return _array_from_tag(obj, ARRAY_TAG)
-        except DataError:
-            pass
+    if len(obj) == 1 and isinstance(obj.get(ARRAY_TAG), str):
+        return _array_from_tag(obj, ARRAY_TAG)
     return obj
 
 
 def array_from_wire(values: Any, name: str) -> np.ndarray:
-    """A wire array (decoded, tagged, or a list of numbers) as a 1-D
-    float64 array, with strict validation."""
+    """A wire array (a tag or a list of numbers) as a 1-D float64
+    array, with strict validation."""
     if isinstance(values, Mapping):
         return _array_from_tag(values, name)
     if isinstance(values, (str, bytes)) or values is None:
@@ -179,6 +177,12 @@ def record_from_wire(data: Any, index: int = 0) -> SeparationRecord:
             f"record #{index} sampling_hz must be a number, got "
             f"{sampling_hz!r}"
         )
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise DataError(
+            f"record #{index} name must be a string, got "
+            f"{type(name).__name__}"
+        )
     references = None
     if data.get("references") is not None:
         references = _tracks_from_wire(
@@ -193,7 +197,7 @@ def record_from_wire(data: Any, index: int = 0) -> SeparationRecord:
             mixed=mixed,
             sampling_hz=float(sampling_hz),
             f0_tracks=f0_tracks,
-            name=str(data.get("name", "") or ""),
+            name=name or "",
             references=references,
         )
     except ReproError as exc:  # the record's own checks; say which record

@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError, DataError, ReproError
 from repro.pipeline.batch import SeparationRecord
 from repro.separation import Separator
 from repro.service.facade import SeparationService
@@ -659,7 +659,6 @@ class SpO2Monitor:
                     f"ppg/dc chunks for {wl} nm must be 1-D and equally "
                     f"long, got shapes {raw[wl].shape} and {base[wl].shape}"
                 )
-            check_finite(raw[wl], f"ppg chunk for {wl} nm")
             check_finite(base[wl], f"dc chunk for {wl} nm")
         sizes = {raw[wl].size for wl in WAVELENGTHS}
         if len(sizes) > 1:
@@ -674,7 +673,10 @@ class SpO2Monitor:
             )
         n_chunk = next(iter(sizes))
         for wl, engine in self._engines.items():
-            engine.check_push(raw[wl], f0_tracks)
+            try:
+                engine.check_push(raw[wl], f0_tracks)
+            except ReproError as exc:  # say which channel was refused
+                raise type(exc)(f"ppg chunk for {wl} nm: {exc}") from None
         chunks = {
             wl: self._extractors[wl].push(raw[wl], base[wl])
             for wl in WAVELENGTHS

@@ -231,6 +231,12 @@ class TestJobsOverHTTP:
         {"method": "vmd", "mode": "nope", "records": [{}]},
         {"records": [{}]},                       # neither method nor spec
         {"method": "vmd", "spec": {"method": "vmd"}, "records": [{}]},
+        # A well-formed array tag where no array belongs.
+        {"method": "spectral-masking", "mode": f8([0.0, 0.0]),
+         "records": [record_to_wire(make_record())]},
+        {"method": "spectral-masking",
+         "records": [{**record_to_wire(make_record()),
+                      "name": f8([0.0, 0.0])}]},
     ])
     def test_malformed_submissions_are_4xx_never_5xx(self, client, body):
         with pytest.raises(GatewayError) as err:
@@ -449,6 +455,25 @@ class TestArrayEncoding:
         assert err.value.payload["error"] == "DataError"
         assert "record #0 mixed" in err.value.payload["message"]
 
+    def test_source_named_like_the_tag_round_trips(self, client):
+        """Only ``{"f8": <string>}`` is a tag: per-source mappings keyed
+        by a source named ``f8`` reach the caller as mappings."""
+        record = make_record(seed=14)
+        record.f0_tracks = {"f8": record.f0_tracks["a"],
+                            "b": record.f0_tracks["b"]}
+        record.references = {"f8": record.references["a"],
+                             "b": record.references["b"]}
+        job = client.submit_job({
+            "method": "spectral-masking",
+            "records": [record_to_wire(record)],
+        })
+        assert client.wait_job(job["job_id"])["state"] == "done"
+        result = client.job_result(job["job_id"])["records"][0]
+        assert set(result["scores"]) == {"f8", "b"}
+        assert len(result["scores"]["f8"]) == 2
+        assert set(result["estimates"]) == {"f8", "b"}
+        assert isinstance(result["estimates"]["f8"], np.ndarray)
+
     def test_client_returns_writable_float64_arrays(self, client):
         job = client.submit_job({
             "method": "spectral-masking",
@@ -501,6 +526,23 @@ class TestInboundValidation:
         assert err.value.payload["error"] == error
         assert field in err.value.payload["message"]
         assert len(client.jobs()) == n_jobs  # nothing was queued
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_output_ends_the_job_in_error(self, client):
+        """Finite samples near ``finfo.max`` overflow spectral masking:
+        the job ends ``error`` rather than ``done`` with a result no
+        request could fetch."""
+        n = 400
+        wire = record_to_wire(make_record(n=n, seed=22))
+        wire["mixed"] = f8(1e308 * np.sin(2 * np.pi * np.arange(n) / 40))
+        job = client.submit_job({"method": "spectral-masking",
+                                 "records": [wire]})
+        done = client.wait_job(job["job_id"])
+        assert done["state"] == "error"
+        assert "non-finite output" in done["error"]["message"]
+        with pytest.raises(GatewayError) as err:
+            client.job_result(job["job_id"])
+        assert err.value.status == 409
 
     @pytest.mark.parametrize("body, field", [
         ({"ppg": {"740": f8(_with_nan(20, 2)), "850": f8(np.ones(20))},

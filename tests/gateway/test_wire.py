@@ -58,20 +58,23 @@ class TestArrays:
         with pytest.raises(DataError, match="1-D"):
             array_to_wire(np.ones((2, 2)))
 
-    def test_object_hook_decodes_well_formed_tags_only(self):
+    def test_object_hook_decodes_exact_tags_only(self):
         text = json.dumps({
             "x": array_to_wire([1.0, 2.0]),
             "y": {"a": 1},
-            "z": {"f8": "!!"},
+            "scores": {"f8": [1.0, 2.0]},  # a source named "f8"
+            "w": {"f8": "AAAAAAAAAAA=", "n": 1},
         })
         data = json.loads(text, object_hook=array_object_hook)
         assert data["x"].dtype == np.float64 and data["x"].flags.writeable
         assert np.array_equal(data["x"], [1.0, 2.0])
         assert data["y"] == {"a": 1}
-        # A malformed tag stays as it is, for array_from_wire to name.
-        assert data["z"] == {"f8": "!!"}
-        with pytest.raises(DataError, match="z.*base64"):
-            array_from_wire(data["z"], "z")
+        assert data["scores"] == {"f8": [1.0, 2.0]}
+        assert data["w"] == {"f8": "AAAAAAAAAAA=", "n": 1}
+
+    def test_object_hook_raises_on_a_malformed_tag(self):
+        with pytest.raises(DataError, match="base64"):
+            json.loads('{"z": {"f8": "!!"}}', object_hook=array_object_hook)
 
     @pytest.mark.parametrize("bad", ["abc", None, {"a": 1}, [[1, 2]], [1, "x"]])
     def test_malformed_inbound_rejected(self, bad):
