@@ -3,8 +3,9 @@
 Fans a method line-up across every built-in degradation family (sensor
 dropout, motion wander, additive noise, codec compression) at several
 severities and over clean *and* N>2-source mixtures, all through one
-worker-pooled :class:`repro.service.SeparationService` per method —
-exactly the path ``python -m repro.experiments.cli scoreboard`` takes.
+:class:`repro.service.SeparationService` per method (``--workers``
+process shards for batch cells) — exactly the path
+``python -m repro.experiments.cli scoreboard`` takes.
 
 Correctness is asserted on every run, smoke or full:
 
@@ -15,7 +16,7 @@ Correctness is asserted on every run, smoke or full:
   scenarios is strictly positive;
 * the robustness ranking covers every method.
 
-The reported figure of merit is cells/second through the pooled grid.
+The reported figure of merit is cells/second through the grid.
 
 Run:  PYTHONPATH=src python benchmarks/bench_scenarios.py [--smoke]
 """
@@ -101,7 +102,8 @@ def main(argv=None) -> int:
     parser.add_argument("--duration", type=float, default=30.0,
                         help="mixture length in seconds (default 30)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="service worker pool per method (default 2)")
+                        help="worker processes per method's service "
+                             "(default 2)")
     parser.add_argument("--mode", choices=("batch", "stream"),
                         default="batch",
                         help="service execution path (default batch)")

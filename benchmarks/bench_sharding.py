@@ -6,7 +6,7 @@ stacked deep-prior fits and the vectorized masking path never ran under
 process "parallelism" — making it slower than the serial batch path for
 exactly the workloads it should accelerate.  This benchmark measures the
 fix (:class:`repro.pipeline.ShardedExecutor`, PR 9) by driving the same
-record batches through four paths:
+record batches through three paths:
 
 ``serial-loop``
     One ``Separator.separate`` call per record — what per-record process
@@ -14,9 +14,6 @@ record batches through four paths:
     *flattering* baseline for the old path).
 ``serial-batch``
     The serial pipeline (``workers=0``): one ``separate_batch`` call.
-``thread-shard``
-    ``SeparationPipeline(workers=W, executor="thread")`` — shards
-    travel through ``separate_batch`` on a thread pool.
 ``process-shard``
     A persistent :class:`repro.service.SeparationService` process
     engine: shards in worker processes, arrays via shared memory, the
@@ -100,7 +97,7 @@ def max_deviation(reference, candidate) -> float:
 
 
 def bench_method(title, spec, records, workers) -> float:
-    """One method through all four paths; returns process/loop speedup."""
+    """One method through all three paths; returns process/loop speedup."""
     separator = build_separator(spec)
     n = len(records)
 
@@ -113,13 +110,7 @@ def bench_method(title, spec, records, workers) -> float:
         lambda: SeparationPipeline(separator).run(records)
     )
 
-    threaded, t_thread = timed(
-        lambda: SeparationPipeline(
-            separator, workers=workers, executor="thread"
-        ).run(records)
-    )
-
-    with SeparationService(spec, workers=workers, executor="process") as svc:
+    with SeparationService(spec, workers=workers) as svc:
         svc.separate_batch(records[:1])  # warm up: fork + worker init
         processed, t_process = timed(lambda: svc.separate_batch(records))
     processed = processed.batch
@@ -128,21 +119,18 @@ def bench_method(title, spec, records, workers) -> float:
         float(np.abs(est[s] - res.estimates[s]).max())
         for est, res in zip(loop_est, serial.results) for s in est
     )
-    dev_thread = max_deviation(serial, threaded)
     dev_process = max_deviation(serial, processed)
     speedup = (n / t_process) / (n / t_loop)
 
     print(f"  {title}: {n} records x {records[0].n_samples} samples, "
           f"workers={workers}")
     for label, t in (("serial-loop", t_loop), ("serial-batch", t_serial),
-                     ("thread-shard", t_thread), ("process-shard", t_process)):
+                     ("process-shard", t_process)):
         print(f"    {label:13s}: {t * 1e3:8.1f} ms  ({n / t:7.2f} rec/s)")
     print(f"    process vs loop : {speedup:6.2f}x   max deviation: "
-          f"loop {dev_loop:.2e}, thread {dev_thread:.2e}, "
-          f"process {dev_process:.2e}")
+          f"loop {dev_loop:.2e}, process {dev_process:.2e}")
 
-    for label, dev in (("serial-loop", dev_loop), ("thread", dev_thread),
-                       ("process", dev_process)):
+    for label, dev in (("serial-loop", dev_loop), ("process", dev_process)):
         assert dev <= PARITY_ATOL, (
             f"{title}: {label} path deviates from serial-batch by "
             f"{dev:.2e} > {PARITY_ATOL:.0e}"

@@ -21,8 +21,8 @@ The streamed output is asserted equal to the offline separation to
 steady-state per-chunk latency is asserted below the chunk duration.
 
 A multi-subject section streams several records through
-:func:`repro.pipeline.stream_records` serially and with one thread per
-subject, reporting the wall time of each.
+:func:`repro.pipeline.stream_records`, one after another, and reports
+the wall time.
 
 Run:  PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke]
 """
@@ -119,7 +119,7 @@ def equivalence_error(offline, streamed, spans, n) -> float:
 
 def run_session_demo(
     sep, duration_s: float, segment: int, overlap: int, chunk: int,
-    n_subjects: int, workers: int,
+    n_subjects: int,
 ) -> float:
     """Stream ``n_subjects`` records; return total wall time."""
     records = []
@@ -130,7 +130,7 @@ def run_session_demo(
             name=f"subject{i}",
         ))
     start_t = time.perf_counter()
-    stream_records(sep, records, segment, overlap, chunk, workers=workers)
+    stream_records(sep, records, segment, overlap, chunk)
     return time.perf_counter() - start_t
 
 
@@ -204,18 +204,13 @@ def main(argv=None) -> int:
         f"chunk duration {chunk_s * 1e3:.2f} ms — not real-time capable"
     )
 
-    t_serial = run_session_demo(
+    t_session = run_session_demo(
         sep, args.duration, args.segment, args.overlap, args.chunk,
-        args.subjects, workers=0,
-    )
-    t_pool = run_session_demo(
-        sep, args.duration, args.segment, args.overlap, args.chunk,
-        args.subjects, workers=args.subjects,
+        args.subjects,
     )
     print(
-        f"  stream_records x{args.subjects} subjects: serial "
-        f"{t_serial * 1e3:.2f} ms, {args.subjects} threads "
-        f"{t_pool * 1e3:.2f} ms ({t_serial / t_pool:.2f}x)"
+        f"  stream_records x{args.subjects} subjects: "
+        f"{t_session * 1e3:.2f} ms"
     )
     print("bench_streaming: OK")
     return 0

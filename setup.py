@@ -1,10 +1,30 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library (sources under ``src/``).
 
-The offline grading environment lacks ``wheel``, so ``pip install -e .``
-falls back to the legacy ``setup.py develop`` path via ``--no-use-pep517``.
-All metadata lives in ``pyproject.toml``.
+Install in editable mode with ``pip install -e .``.  Where the ``wheel``
+package is missing, pip cannot build the editable install; run
+``python setup.py develop`` instead, which needs only setuptools.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "Deep Harmonic Finesse: signal separation in wearable systems "
+        "with limited data"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+)

@@ -14,7 +14,7 @@ Subpackages
     The DHF algorithm (pattern alignment, masking, in-painting, phase).
 ``repro.pipeline``
     Batched separation over record sets: cached STFT plans, vectorized
-    batch STFT/iSTFT, the worker-pooled :class:`SeparationPipeline`, and
+    batch STFT/iSTFT, the process-sharded :class:`SeparationPipeline`, and
     :func:`stream_records` for streaming a scored record set.
 ``repro.streaming``
     Stateful chunked separation: :class:`StreamingSeparator` windows a

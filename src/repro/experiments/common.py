@@ -159,7 +159,6 @@ def build_separators(
 def method_service(
     method: MethodLike,
     workers: int = 0,
-    executor: str = "thread",
     postprocess: Optional[Callable] = None,
 ) -> SeparationService:
     """Build a :class:`SeparationService` for any method description.
@@ -168,23 +167,18 @@ def method_service(
     existing service straight to the runner helpers instead of routing
     it through here.
     """
-    return SeparationService(
-        method, workers=workers, executor=executor, postprocess=postprocess,
-    )
+    return SeparationService(method, workers=workers, postprocess=postprocess)
 
 
-def _reject_service_overrides(
-    workers: int = 0, executor: str = "thread", postprocess=None,
-) -> None:
+def _reject_service_overrides(workers: int = 0, postprocess=None) -> None:
     """Raise if execution-policy kwargs accompany a prebuilt service.
 
-    A :class:`SeparationService` already owns its workers/executor/
-    postprocess; accepting overrides here would silently drop them.
+    A :class:`SeparationService` already owns its workers/postprocess;
+    accepting overrides here would silently drop them.
     """
     overridden = [
         name for name, given, default in (
             ("workers", workers, 0),
-            ("executor", executor, "thread"),
             ("postprocess", postprocess, None),
         ) if given != default
     ]
@@ -249,25 +243,23 @@ def run_separation_batch(
     method: MethodLike,
     records: Sequence[SeparationRecord],
     workers: int = 0,
-    executor: str = "thread",
     postprocess: Optional[Callable] = None,
 ) -> BatchResult:
     """Run one method over a record set through the batch pipeline.
 
     ``method`` may be a registry name, a spec, a prebuilt separator, or
     an already configured :class:`SeparationService`; execution goes
-    through :meth:`SeparationService.separate_batch`.  A preconfigured
-    service carries its own execution policy, so combining one with
-    ``workers``/``executor``/``postprocess`` here is rejected rather
-    than silently ignored.
+    through :meth:`SeparationService.separate_batch`, so ``workers > 1``
+    shards the records across that many worker processes.  A
+    preconfigured service carries its own execution policy, so combining
+    one with ``workers``/``postprocess`` here is rejected rather than
+    silently ignored.
     """
     if isinstance(method, SeparationService):
-        _reject_service_overrides(
-            workers=workers, executor=executor, postprocess=postprocess,
-        )
+        _reject_service_overrides(workers=workers, postprocess=postprocess)
         return method.separate_batch(records).batch
     with method_service(
-        method, workers=workers, executor=executor, postprocess=postprocess,
+        method, workers=workers, postprocess=postprocess,
     ) as service:
         return service.separate_batch(records).batch
 

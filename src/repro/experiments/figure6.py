@@ -125,7 +125,8 @@ def run_figure6(
     duration (the paper's recordings are 40 minutes; the fast preset uses
     a proportionally shorter protocol).  The cohort — every requested
     sheep at both wavelengths — runs through one batched service call
-    per method; ``workers`` fans the batch out across a thread pool.
+    per method; ``workers > 1`` shards the batch across that many
+    worker processes.
     ``zoo_path`` warm-starts every DHF spec from the prior zoo at that
     directory (``None`` keeps fits cold).
     """

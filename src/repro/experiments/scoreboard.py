@@ -102,7 +102,7 @@ def run_scoreboard(
     mode:
         ``"batch"`` or ``"stream"`` service execution.
     workers:
-        Worker-pool size per method's service.
+        Worker processes per method's service (batch cells only).
     """
     context = context or ExperimentContext.from_name()
     line_up = table2_specs(context.preset, include=methods)

@@ -139,7 +139,6 @@ def run_table2(
     methods: Optional[Tuple[str, ...]] = None,
     specs: Optional[Dict[str, SeparatorSpec]] = None,
     workers: int = 0,
-    executor: str = "thread",
     zoo_path: Optional[str] = None,
 ) -> Table2Result:
     """Run the Table 2 comparison, one service batch pass per method.
@@ -165,10 +164,9 @@ def run_table2(
         line-up; this is how the CLI's ``--spec`` flag injects a custom
         configuration.
     workers:
-        Worker-pool size per method batch (``0`` = serial, which also
-        enables vectorized ``separate_batch`` fast paths).
-    executor:
-        ``"thread"`` or ``"process"`` when ``workers > 1``.
+        Worker processes per method batch (``0`` = serial, which also
+        enables vectorized ``separate_batch`` fast paths; ``> 1`` shards
+        the mixtures across process workers).
     zoo_path:
         Warm-start every DHF spec from the prior zoo at this directory
         (see :func:`repro.experiments.common.with_zoo`); ``None`` keeps
@@ -198,7 +196,7 @@ def run_table2(
     for method_name, spec in line_up.items():
         _LOG.info("table2: %s on %d mixture(s)", method_name, len(records))
         batch = run_separation_batch(
-            spec, records, workers=workers, executor=executor,
+            spec, records, workers=workers,
             postprocess=lambda est, record: to_band(est, record.sampling_hz),
         )
         scores[method_name] = batch.case_scores()

@@ -56,18 +56,13 @@ class GatewayConfig(FrozenSpec):
         worker tier amortises deep-prior fits through one
         :func:`repro.nn.zoo.shared_fit_cache`.  Empty string disables
         the shared zoo.
-    executor:
-        Execution substrate of the worker tier's separation services:
-        ``"thread"`` (default) or ``"process"`` — the latter routes
-        batch jobs through the sharded multi-process engine
-        (:class:`repro.pipeline.ShardedExecutor`), one persistent
-        worker pool per distinct spec, with shared-memory array
-        transport.
     service_workers:
         Fan-out (``SeparationService(workers=...)``) of each worker
         service.  ``0`` (default) keeps batch jobs on the serial
-        vectorized path; ``> 1`` shards batches across this many
-        workers of the configured ``executor``.
+        vectorized path; ``> 1`` shards multi-record batch jobs across
+        this many worker processes
+        (:class:`repro.pipeline.ShardedExecutor`, one persistent pool
+        per distinct spec, shared by every job thread).
     session_idle_timeout_s:
         Streaming monitor sessions untouched for this long are reaped
         (closed and dropped) by the housekeeping sweep.
@@ -92,7 +87,6 @@ class GatewayConfig(FrozenSpec):
     callback_backoff_factor: float = 2.0
     callback_timeout_s: float = 5.0
     zoo_path: str = ""
-    executor: str = "thread"
     service_workers: int = 0
     session_idle_timeout_s: float = 300.0
     reap_interval_s: float = 1.0
@@ -125,11 +119,6 @@ class GatewayConfig(FrozenSpec):
                     f"GatewayConfig.{name} must be a str, got "
                     f"{getattr(self, name)!r}"
                 )
-        if self.executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"GatewayConfig.executor must be 'thread' or 'process', "
-                f"got {self.executor!r}"
-            )
         if not isinstance(self.service_workers, int) \
                 or isinstance(self.service_workers, bool) \
                 or self.service_workers < 0:

@@ -336,9 +336,7 @@ class JobRegistry:
             service = self._services.get(key)
             if service is None:
                 service = SeparationService(
-                    spec,
-                    workers=self.config.service_workers,
-                    executor=self.config.executor,
+                    spec, workers=self.config.service_workers,
                 )
                 self._services[key] = service
             return service

@@ -1,4 +1,4 @@
-"""repro.pipeline — batched, worker-pooled separation over record sets.
+"""repro.pipeline — batched, process-sharded separation over record sets.
 
 The pipeline subsystem turns the single-record :class:`repro.separation.
 Separator` interface into a batch processor: build
@@ -8,22 +8,23 @@ Separator` interface into a batch processor: build
 per-source scores feed :mod:`repro.metrics.aggregate` and the
 figure/table runners directly.
 
-Fan-out (``workers > 1``) is sharded: :func:`plan_shards` groups the
-batch by :func:`shard_key` — sampling rate, record length, and the
-separator's STFT geometry — and each :class:`Shard` travels through
-``separate_batch`` whole, so vectorized batch overrides survive
-parallelism.  ``executor="process"`` runs shards on a
-:class:`ShardedExecutor`: a persistent worker pool with shared-memory
+Fan-out (``workers > 1``) is sharded across worker processes:
+:func:`plan_shards` groups the batch by :func:`shard_key` — sampling
+rate, record length, and the separator's STFT geometry — and each
+:class:`Shard` travels through ``separate_batch`` whole on a
+:class:`ShardedExecutor`, so vectorized batch overrides survive
+parallelism.  The engine is a persistent worker pool with shared-memory
 array transport (:class:`ShmBlock`) and exactly one separator
 serialization per worker; a worker death raises
 :class:`repro.errors.WorkerPoolError` and the next call rebuilds the
-pool.
+pool.  There is no thread fan-out: a deep-prior fit holds the
+interpreter lock between BLAS calls, so threads never beat serial.
 
 Live feeds go through the streaming side instead:
 :func:`stream_records` streams every record of a set chunk by chunk
-through its own :class:`repro.streaming.StreamingSeparator` (records
-fanned across a thread pool when ``workers > 1``) and returns the same
-scored :class:`BatchResult` as the offline pipeline.
+through its own :class:`repro.streaming.StreamingSeparator`, one record
+after another, and returns the same scored :class:`BatchResult` as the
+offline pipeline.
 
 The DSP substrate it leans on — cached :class:`repro.dsp.StftPlan`
 objects, the vectorized grouped overlap-add, and the batched

@@ -3,25 +3,26 @@
 This module is the glue between a :class:`repro.separation.Separator`
 and a *set* of records.  A :class:`SeparationRecord` carries one mixed
 measurement with its f0 tracks (and, optionally, ground-truth reference
-sources); :class:`SeparationPipeline` fans a list of them out across a
-thread or process worker pool — or hands the whole batch to the
-separator's ``separate_batch`` hook on the serial path — and returns a
-:class:`BatchResult` whose per-source scores plug directly into
-:mod:`repro.metrics.aggregate` and the experiment runners.
+sources); :class:`SeparationPipeline` hands a list of them to the
+separator's ``separate_batch`` hook — or, with ``workers > 1``, fans
+them out across worker processes — and returns a :class:`BatchResult`
+whose per-source scores plug directly into :mod:`repro.metrics.aggregate`
+and the experiment runners.
 
-Every fan-out path is *sharded*: records are grouped by
+Fan-out is *sharded*: records are grouped by
 :func:`repro.pipeline.shard.shard_key` (sampling rate, length, STFT
 geometry) and each shard travels through ``separate_batch`` whole, so
 vectorized batch implementations (stacked DHF fits, batched masking)
 survive parallelism instead of degrading to per-record ``separate``
-calls.  The process path runs on :class:`repro.pipeline.ShardedExecutor`
-— shared-memory array transport, one separator send per worker; see
-:mod:`repro.pipeline.shard` for the protocol.
+calls.  Shards run on a :class:`repro.pipeline.ShardedExecutor` —
+shared-memory array transport, one separator send per worker; see
+:mod:`repro.pipeline.shard` for the protocol.  Threads are not offered:
+a deep-prior fit holds the interpreter lock between BLAS calls, so two
+fit threads run slower than one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,9 +30,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
-from repro.pipeline.shard import Shard, ShardedExecutor, plan_shards
+from repro.pipeline.shard import ShardedExecutor
 from repro.separation import Separator
-from repro.utils.validation import check_separation_input
+from repro.utils.validation import check_references, check_separation_input
 
 #: Signature of the optional estimate post-processor: takes the raw
 #: estimate and its record, returns the signal actually scored/returned.
@@ -55,7 +56,8 @@ class SeparationRecord:
         index when built through :func:`records_from_arrays`).
     references:
         Optional ground-truth sources; when present the pipeline scores
-        each estimate with SDR and MSE.
+        each estimate with SDR and MSE.  Each one follows the rule
+        ``mixed`` does (1-D and finite) and is as long as ``mixed``.
     """
 
     mixed: np.ndarray
@@ -68,6 +70,8 @@ class SeparationRecord:
         self.mixed = check_separation_input(
             self.mixed, self.sampling_hz, self.f0_tracks
         )
+        if self.references is not None:
+            check_references(self.references, self.mixed.size)
 
     @property
     def n_samples(self) -> int:
@@ -259,25 +263,23 @@ def finalize_record(
 
 
 class SeparationPipeline:
-    """Run one separator over many records, serially or fanned out.
+    """Run one separator over many records, serially or in process shards.
 
     Parameters
     ----------
     separator:
-        Any :class:`repro.separation.Separator`.
+        Any :class:`repro.separation.Separator`; with ``workers > 1`` it
+        must be picklable.
     workers:
         ``0`` or ``1`` → serial (the default); the batch goes through the
         separator's ``separate_batch`` hook so vectorized overrides are
         used.  ``> 1`` → the batch is sharded by
-        :func:`repro.pipeline.shard.shard_key` and each shard goes
-        through ``separate_batch`` on a worker; the worker count is
-        clamped to the number of records.
-    executor:
-        ``"thread"`` (default — NumPy's FFT and ufunc kernels release the
-        GIL) or ``"process"`` (shards run on a
-        :class:`repro.pipeline.ShardedExecutor`: shared-memory array
-        transport, separator serialized once per worker — via its JSON
-        ``spec`` when given, else pickled once at engine construction).
+        :func:`repro.pipeline.shard.shard_key` and the shards run through
+        ``separate_batch`` in that many worker processes of a
+        :class:`repro.pipeline.ShardedExecutor` built for the run (the
+        count is clamped to the number of records);
+        :class:`repro.service.SeparationService` keeps one engine alive
+        across calls instead.
     postprocess:
         Optional callable applied to every estimate before scoring and
         before it is stored in the result (e.g. the band-pass filter the
@@ -285,34 +287,14 @@ class SeparationPipeline:
     score:
         If true (default), records carrying ``references`` get per-source
         ``(sdr_db, mse)`` scores.
-    pool:
-        Optional externally owned :class:`concurrent.futures.Executor`
-        used instead of building a pool per :meth:`run` call (the
-        :class:`repro.service.SeparationService` facade shares one pool
-        across batch and streaming calls this way).  The pipeline never
-        shuts an external pool down; ignored when ``workers <= 1`` and
-        on the process path (which uses shard-engine transport, not a
-        plain executor — pass ``shard_engine`` to share one there).
-    spec:
-        Optional :class:`repro.service.SeparatorSpec` describing
-        ``separator``; on the process path it lets workers rebuild the
-        separator from JSON so the object itself is never pickled.
-    shard_engine:
-        Optional externally owned :class:`repro.pipeline.ShardedExecutor`
-        for the process path (the service facade keeps one alive across
-        calls).  The pipeline never closes an external engine.
     """
 
     def __init__(
         self,
         separator: Separator,
         workers: int = 0,
-        executor: str = "thread",
         postprocess: Optional[Postprocess] = None,
         score: bool = True,
-        pool: Optional[Executor] = None,
-        spec=None,
-        shard_engine: Optional[ShardedExecutor] = None,
     ):
         if not isinstance(separator, Separator):
             raise ConfigurationError(
@@ -320,28 +302,10 @@ class SeparationPipeline:
             )
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
-        if pool is not None and not isinstance(pool, Executor):
-            raise ConfigurationError(
-                f"pool must be a concurrent.futures.Executor, got "
-                f"{type(pool).__name__}"
-            )
-        if shard_engine is not None and not isinstance(shard_engine, ShardedExecutor):
-            raise ConfigurationError(
-                f"shard_engine must be a ShardedExecutor, got "
-                f"{type(shard_engine).__name__}"
-            )
         self.separator = separator
         self.workers = int(workers)
-        self.executor = executor
         self.postprocess = postprocess or _identity_postprocess
         self.score = score
-        self.pool = pool
-        self.spec = spec
-        self.shard_engine = shard_engine
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -390,41 +354,8 @@ class SeparationPipeline:
                 records[0].sampling_hz,
                 [r.f0_tracks for r in records],
             )
-        if self.executor == "process":
-            if self.shard_engine is not None:
-                return self.shard_engine.separate_records(records)
-            with ShardedExecutor(
-                self.separator, workers=n_workers, spec=self.spec
-            ) as engine:
-                return engine.separate_records(records)
-        return self._separate_sharded_threads(records, n_workers)
-
-    def _separate_sharded_threads(
-        self, records: List[SeparationRecord], n_workers: int
-    ) -> List[Dict[str, np.ndarray]]:
-        """Thread fan-out: one ``separate_batch`` call per shard."""
-        shards = plan_shards(self.separator, records, n_workers)
-
-        def run_shard(shard: Shard) -> List[Dict[str, np.ndarray]]:
-            sub = [records[i] for i in shard.indices]
-            return self.separator.separate_batch(
-                [r.mixed for r in sub],
-                sub[0].sampling_hz,
-                [r.f0_tracks for r in sub],
-            )
-
-        if self.pool is not None:
-            futures = [self.pool.submit(run_shard, s) for s in shards]
-            outputs = [f.result() for f in futures]
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(run_shard, s) for s in shards]
-                outputs = [f.result() for f in futures]
-        results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(records)
-        for shard, estimates in zip(shards, outputs):
-            for i, est in zip(shard.indices, estimates):
-                results[i] = est
-        return results
+        with ShardedExecutor(self.separator, workers=n_workers) as engine:
+            return engine.separate_records(records)
 
     def _finalize(
         self, record: SeparationRecord, estimates: Dict[str, np.ndarray]
@@ -437,5 +368,5 @@ class SeparationPipeline:
     def __repr__(self) -> str:
         return (
             f"SeparationPipeline(separator={self.separator.name!r}, "
-            f"workers={self.workers}, executor={self.executor!r})"
+            f"workers={self.workers})"
         )

@@ -43,9 +43,11 @@ shutdown — the shared resource tracker reclaims it then.
 :class:`concurrent.futures.ProcessPoolExecutor`.  A worker death
 surfaces as a structured :class:`repro.errors.WorkerPoolError` (never a
 hang) and discards the broken pool; the next call builds a fresh one.
-:class:`repro.pipeline.SeparationPipeline` uses this engine for
-``executor="process"`` and :class:`repro.service.SeparationService`
-keeps one engine alive across calls.
+It is the package's only fan-out: :class:`repro.pipeline.SeparationPipeline`
+builds one per ``workers > 1`` run, and
+:class:`repro.service.SeparationService` keeps one alive across calls.
+One engine may serve several threads at once (a gateway's job threads
+share a service per spec); a lock makes the lazy pool exactly one pool.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ import glob
 import json
 import os
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -287,19 +290,37 @@ def _pin_blas_threads(workers: int) -> None:
         set_threads(max(1, cores // workers))
 
 
+def _renew_tracker_lock() -> None:
+    """Give this worker a fresh shared-memory resource-tracker lock.
+
+    Workers are forked.  If another parent thread was registering or
+    releasing a block at that moment (a second caller of the same
+    engine, or another engine's caller), the worker inherits the
+    tracker's lock held by a thread that does not exist here, and its
+    first :meth:`ShmBlock.attach` waits forever.  A worker runs one
+    thread, so an unheld lock is the right state.
+    """
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    if tracker is not None and hasattr(tracker, "_lock"):
+        tracker._lock = threading.RLock()
+
+
 def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
     """Build this worker's separator once, from spec JSON or pickle bytes.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
     time separator configuration crosses the process boundary.  It
-    first pins the worker's BLAS threads to its share of the cores
-    (:func:`_pin_blas_threads`, from the pool's ``workers`` count).  A
-    non-empty ``zoo_path`` additionally resolves the process-wide
-    :func:`repro.nn.zoo.shared_fit_cache`, so a warm-start separator's
-    first fit already sees the on-disk prior zoo.
+    first renews the inherited resource-tracker lock
+    (:func:`_renew_tracker_lock`) and pins the worker's BLAS threads to
+    its share of the cores (:func:`_pin_blas_threads`, from the pool's
+    ``workers`` count).  A non-empty ``zoo_path`` additionally resolves
+    the process-wide :func:`repro.nn.zoo.shared_fit_cache`, so a
+    warm-start separator's first fit already sees the on-disk prior
+    zoo.
     """
     global _WORKER_SEPARATOR
     kind, data, zoo_path, workers = payload
+    _renew_tracker_lock()
     _pin_blas_threads(workers)
     if kind == "spec":
         from repro.service.registry import build_separator
@@ -426,6 +447,7 @@ class ShardedExecutor:
                 ) from exc
             self._payload = ("pickle", data, zoo_path, workers)
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -444,25 +466,33 @@ class ShardedExecutor:
             )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._mp_context,
-                initializer=_init_worker,
-                initargs=(self._payload,),
-            )
-        return self._pool
+        with self._lock:
+            self._check_open()
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self._mp_context,
+                    initializer=_init_worker,
+                    initargs=(self._payload,),
+                )
+            return self._pool
 
-    def _discard_pool(self) -> None:
-        """Drop a broken pool; the next call lazily builds a fresh one."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Drop a broken pool; the next call lazily builds a fresh one.
+
+        Only ``pool`` itself is dropped: a fresh pool another thread
+        built after the breakage stays in place.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
         """Shut the worker pool down and mark the engine closed."""
-        self._closed = True
-        pool, self._pool = self._pool, None
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -525,7 +555,7 @@ class ShardedExecutor:
                 block.release()
         results = self._unpack_outcomes(records, shards, outcomes)
         if broken:
-            self._discard_pool()
+            self._discard_pool(pool)
             raise WorkerPoolError(
                 f"a {self.separator.name!r} shard worker died before "
                 f"finishing its batch; the broken pool was discarded and "

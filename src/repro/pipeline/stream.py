@@ -7,15 +7,14 @@ and returns the same scored :class:`repro.pipeline.BatchResult` the
 batch pipeline produces, via the shared
 :func:`repro.pipeline.batch.finalize_record`.
 
-Streams are stateful, so fan-out is thread-only: with ``workers > 1``
-whole records stream concurrently on a thread pool.  NumPy's FFT and
-ufunc kernels release the GIL, which is the same reason ``"thread"`` is
-the batch pipeline's default.
+Records stream one after another in the calling process.  Fanning
+them across threads measured slower than this loop, and whole-batch
+fan-out in worker processes is what
+:meth:`repro.service.SeparationService.separate_batch` is for.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -35,10 +34,8 @@ def stream_records(
     segment_samples: int,
     overlap_samples: int,
     chunk_samples: int,
-    workers: int = 0,
     postprocess: Optional[Callable] = None,
     score: bool = True,
-    pool: Optional[ThreadPoolExecutor] = None,
 ) -> BatchResult:
     """Stream a record set chunk by chunk and score like the batch pipeline.
 
@@ -47,20 +44,8 @@ def stream_records(
     stitched estimates run through the same post-processing/scoring
     back end as :class:`repro.pipeline.SeparationPipeline`.  All records
     must share one sampling rate and have distinct names.
-
-    ``workers <= 1`` streams the records one after another; ``> 1``
-    streams them concurrently on ``pool`` (an externally owned
-    :class:`concurrent.futures.ThreadPoolExecutor`, never shut down
-    here — the :class:`repro.service.SeparationService` facade shares
-    its pool this way) or on a pool owned for the call.
     """
     check_positive_int(chunk_samples, "chunk_samples")
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    if pool is not None and not isinstance(pool, ThreadPoolExecutor):
-        raise ConfigurationError(
-            f"pool must be a ThreadPoolExecutor, got {type(pool).__name__}"
-        )
     records = list(records)
     if not records:
         return BatchResult(results=[], separator_name=separator.name)
@@ -75,25 +60,14 @@ def stream_records(
             "records must have distinct names for streaming"
         )
 
-    def stream(record: SeparationRecord):
+    results = []
+    for record in records:
         estimates, _ = stream_record(
             separator, record.mixed, record.sampling_hz, record.f0_tracks,
             segment_samples, overlap_samples, chunk_samples,
         )
-        return estimates
-
-    if workers <= 1 or len(records) == 1:
-        streamed = [stream(record) for record in records]
-    elif pool is not None:
-        streamed = list(pool.map(stream, records))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as own:
-            streamed = list(own.map(stream, records))
-    results = [
-        finalize_record(
+        results.append(finalize_record(
             separator.name, record, estimates,
             postprocess=postprocess, score=score,
-        )
-        for record, estimates in zip(records, streamed)
-    ]
+        ))
     return BatchResult(results=results, separator_name=separator.name)

@@ -3,7 +3,7 @@
 :class:`ScenarioGrid` fans every configured separator over every
 scenario and mixture through **one** :class:`repro.service.
 SeparationService` per method — all cells of a method share the
-service's worker pool and STFT-plan cache, exactly like a production
+service's shard engine and STFT-plan cache, exactly like a production
 deployment would.  Batch cells go through ``separate_batch``; stream
 cells go through ``stream_batch`` (one streaming engine per record).
 
@@ -239,7 +239,7 @@ MethodsLike = Union[
 
 
 class ScenarioGrid:
-    """Fan separators × scenarios × mixtures through one service pool each.
+    """Fan separators × scenarios × mixtures through one service each.
 
     Parameters
     ----------
@@ -258,9 +258,10 @@ class ScenarioGrid:
         (``stream_batch``; geometry from the ``stream_*`` knobs, default
         single-segment per record with 1 s chunks).
     workers:
-        Worker count handed to each method's
+        Worker processes handed to each method's
         :class:`repro.service.SeparationService` (shared across every
-        cell of that method).
+        cell of that method); they shard batch cells only, since stream
+        cells always run in this process.
     postprocess / reference_filter:
         Estimate postprocessing and reference conditioning, exactly as
         the Table 2 runner wires them (pass both to make zero-severity

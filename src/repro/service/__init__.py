@@ -15,8 +15,9 @@ execution paths that grew underneath it:
   mode — ``separate`` (offline, :mod:`repro.core` / baselines),
   ``separate_batch`` (:class:`repro.pipeline.SeparationPipeline`),
   ``stream`` / ``stream_batch`` (:func:`repro.streaming.stream_record`
-  per record) — behind the shared STFT-plan cache and one
-  service-owned worker pool, returning a unified
+  per record) — behind the shared STFT-plan cache and, for
+  ``workers > 1``, one service-owned process shard engine, returning a
+  unified
   :class:`SeparationOutcome`.
 """
 

@@ -17,13 +17,14 @@ execute it in any mode::
 Every mode returns a :class:`SeparationOutcome` wrapping the layer's
 native result (``RecordResult`` / :class:`repro.pipeline.BatchResult`,
 plus :class:`repro.core.DHFResult` diagnostics when the method provides
-them), and every mode shares the same substrate: the process-wide
-:mod:`repro.dsp.plan` STFT-plan cache and one lazily created worker pool
-owned by the service (so batch and streaming fan-out reuse threads
-instead of rebuilding pools per call).
+them), and every mode shares the process-wide :mod:`repro.dsp.plan`
+STFT-plan cache.  A ``workers > 1`` service also owns one
+:class:`repro.pipeline.ShardedExecutor`, whose worker processes persist
+across batch calls.
 
 Routing is thin by design — ``separate`` calls the separator directly,
-``separate_batch`` builds on :class:`repro.pipeline.SeparationPipeline`,
+``separate_batch`` builds on :class:`repro.pipeline.SeparationPipeline`
+(or hands a multi-record batch to the service's shard engine),
 ``stream`` on :func:`repro.streaming.stream_record` and ``stream_batch``
 on :func:`repro.pipeline.stream_records` — so service results are
 *identical* to the direct APIs, and all scoring goes through the
@@ -32,7 +33,6 @@ shared :func:`repro.pipeline.batch.finalize_record`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -183,23 +183,21 @@ class SeparationService:
         built :class:`repro.separation.Separator` (the escape hatch for
         hand-constructed instances; such services have ``spec=None``).
     workers:
-        Worker fan-out shared by batch and streaming calls.  ``0``/``1``
-        runs serially (batch mode then uses vectorized
-        ``separate_batch`` hooks); ``> 1`` fans out over one pool owned
-        by the service and reused across calls.
+        Batch fan-out.  ``0``/``1`` runs serially (batch mode then uses
+        vectorized ``separate_batch`` hooks); ``> 1`` runs multi-record
+        batches on a service-owned :class:`repro.pipeline.ShardedExecutor`
+        with that many worker processes, built with the service and
+        reused across calls (its pool starts on the first batch).  It
+        moves arrays through shared memory and sends the separator once
+        per worker: services built from a registered spec ship the JSON
+        spec, so the separator object is never pickled, while a
+        hand-built separator must be picklable.  DHF warm-start specs
+        stamp each worker's :func:`repro.nn.zoo.shared_fit_cache` with
+        the zoo path, so workers share warm starts through the zoo.
+        Streaming always runs in this process.
     executor:
-        ``"thread"`` (default) or ``"process"``.  With ``"process"``
-        batch calls run on a service-owned
-        :class:`repro.pipeline.ShardedExecutor` — a persistent worker
-        pool (reused across calls) moving arrays through shared memory
-        and serializing the separator once per worker; services built
-        from a registered spec ship the JSON spec, so the separator
-        object is never pickled, and DHF warm-start specs stamp each
-        worker's :func:`repro.nn.zoo.shared_fit_cache` with the zoo
-        path.  Streaming is thread-only: ``stream`` / ``stream_batch``
-        with ``executor="process"`` and ``workers > 1`` raise
-        :class:`repro.errors.ConfigurationError` rather than silently
-        degrading to serial.
+        Kept only for callers that name the fan-out explicitly; the one
+        accepted value is ``"process"``.
     postprocess:
         Optional ``f(estimate, record) -> estimate`` applied before
         scoring in every mode (e.g. the paper's scoring-band filter).
@@ -207,14 +205,14 @@ class SeparationService:
         Score records that carry ``references`` (default true).
 
     The service is a context manager; leaving the ``with`` block shuts
-    down the shared pool.
+    down the shard engine's worker processes.
     """
 
     def __init__(
         self,
         method: Union[SpecLike, Separator],
         workers: int = 0,
-        executor: str = "thread",
+        executor: str = "process",
         postprocess: Optional[Postprocess] = None,
         score: bool = True,
     ):
@@ -226,16 +224,19 @@ class SeparationService:
             self.separator = build_separator(self.spec)
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if executor not in ("thread", "process"):
+        if executor != "process":
             raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
+                f"executor must be 'process', got {executor!r}: fan-out is "
+                f"process shards now (workers > 1 runs a ShardedExecutor)"
             )
         self.workers = int(workers)
-        self.executor = executor
         self.postprocess = postprocess
         self.score = bool(score)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._engine: Optional[ShardedExecutor] = None
+        if self.workers > 1:
+            self._engine = ShardedExecutor(
+                self.separator, workers=self.workers, spec=self.spec
+            )
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -249,11 +250,9 @@ class SeparationService:
     def _check_open(self) -> None:
         """Refuse to run on a closed service, loudly.
 
-        Historically the lazy :meth:`_shared_pool` path silently rebuilt
-        a worker pool after ``close()``, which made reaped services look
-        alive (and leaked the recreated pool).  Lifecycle managers — the
-        gateway's worker tier in particular — depend on a closed service
-        failing fast instead.
+        Lifecycle managers — the gateway's worker tier in particular —
+        depend on a closed service failing fast rather than quietly
+        starting worker processes again.
         """
         if self._closed:
             raise RuntimeError(
@@ -300,15 +299,28 @@ class SeparationService:
         self, records: Sequence[SeparationRecord]
     ) -> SeparationOutcome:
         """Batch mode: a record set through the
-        :class:`repro.pipeline.SeparationPipeline`."""
+        :class:`repro.pipeline.SeparationPipeline`, or, on a
+        ``workers > 1`` service, a multi-record set through the
+        service's shard engine."""
         self._check_open()
-        pipeline = SeparationPipeline(
-            self.separator, workers=self.workers, executor=self.executor,
-            postprocess=self.postprocess, score=self.score,
-            pool=self._shared_pool(), spec=self.spec,
-            shard_engine=self._shard_engine(),
-        )
-        batch = pipeline.run(records)
+        records = list(records)
+        if self._engine is not None and len(records) > 1:
+            estimates = self._engine.separate_records(records)
+            batch = BatchResult(
+                results=[
+                    finalize_record(
+                        self.separator.name, record, estimate,
+                        postprocess=self.postprocess, score=self.score,
+                    )
+                    for record, estimate in zip(records, estimates)
+                ],
+                separator_name=self.separator.name,
+            )
+        else:
+            batch = SeparationPipeline(
+                self.separator, postprocess=self.postprocess,
+                score=self.score,
+            ).run(records)
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
             mode="batch", batch=batch,
@@ -331,13 +343,8 @@ class SeparationService:
         analysis segment, no cross-fades), ``overlap_samples`` to a
         quarter segment, and ``chunk_samples`` to one second of signal.
         Pass explicit values for genuine bounded-latency operation.
-
-        Streaming is thread-only; on a ``workers > 1`` process service
-        this raises :class:`repro.errors.ConfigurationError` (see
-        :meth:`_check_streamable`).
         """
         self._check_open()
-        self._check_streamable()
         rec = as_record(record, **record_fields)
         # `is None` (not falsy-or): an explicit 0 must reach the engine's
         # own validation and raise, not be silently replaced.
@@ -373,21 +380,15 @@ class SeparationService:
         chunk_samples: int,
     ) -> SeparationOutcome:
         """Streaming mode over a record set, via
-        :func:`repro.pipeline.stream_records` (records streamed
-        concurrently on the service's pool when ``workers > 1``).
-
-        Thread-only, like :meth:`stream`: a ``workers > 1`` process
-        service raises :class:`repro.errors.ConfigurationError`.
-        """
+        :func:`repro.pipeline.stream_records` (records streamed one
+        after another in this process, whatever ``workers`` is)."""
         self._check_open()
-        self._check_streamable()
         batch = stream_records(
             self.separator, records,
             segment_samples=segment_samples,
             overlap_samples=overlap_samples,
             chunk_samples=chunk_samples,
-            workers=self.workers, postprocess=self.postprocess,
-            score=self.score, pool=self._shared_pool(),
+            postprocess=self.postprocess, score=self.score,
         )
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
@@ -395,66 +396,15 @@ class SeparationService:
         )
 
     # ------------------------------------------------------------------ #
-    # Shared worker pool / shard engine
+    # Lifecycle
     # ------------------------------------------------------------------ #
-    def _check_streamable(self) -> None:
-        """Reject streaming on a fanned-out process service, loudly.
-
-        Chunked pushes are stateful and tiny — shipping them through the
-        shard substrate would serialize per push and lose the streaming
-        separator's per-subject state, and the historical behaviour
-        (silently forcing ``workers=0``) hid a config error.  Serial
-        process services (``workers <= 1``) stream fine: nothing ever
-        crosses a process boundary.
-        """
-        if self.executor == "process" and self.workers > 1:
-            raise ConfigurationError(
-                f"streaming is thread-only: "
-                f"SeparationService({self.separator.name!r}) was built "
-                f"with executor='process' and workers={self.workers}; "
-                f"use executor='thread' for stream()/stream_batch(), or "
-                f"workers<=1 for serial streaming"
-            )
-
-    def _shared_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The service-owned thread pool (lazily created), or ``None``.
-
-        Process executors are excluded: their batch calls run on the
-        persistent :meth:`_shard_engine` instead.
-        """
-        self._check_open()
-        if self.workers <= 1 or self.executor != "thread":
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _shard_engine(self) -> Optional[ShardedExecutor]:
-        """The service-owned process shard engine (lazy), or ``None``.
-
-        Built once and reused across batch calls, so worker processes —
-        and the separators rebuilt inside them — persist between calls.
-        """
-        self._check_open()
-        if self.workers <= 1 or self.executor != "process":
-            return None
-        if self._engine is None:
-            self._engine = ShardedExecutor(
-                self.separator, workers=self.workers, spec=self.spec
-            )
-        return self._engine
-
     def close(self) -> None:
-        """Shut down the shared pool / shard engine and mark the service
-        closed.
+        """Shut down the shard engine and mark the service closed.
 
-        Idempotent: closing twice is a no-op.  Any later mode call (or
-        pool / engine access) raises :class:`RuntimeError`.
+        Idempotent: closing twice is a no-op.  Any later mode call
+        raises :class:`RuntimeError`.
         """
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._engine is not None:
             self._engine.close()
             self._engine = None
@@ -469,5 +419,5 @@ class SeparationService:
         spec = f"spec={self.spec!r}" if self.spec is not None else "spec=None"
         return (
             f"SeparationService(method={self.separator.name!r}, {spec}, "
-            f"workers={self.workers}, executor={self.executor!r})"
+            f"workers={self.workers})"
         )

@@ -95,7 +95,7 @@ class InVivoResult:
 # Method coercion
 # --------------------------------------------------------------------- #
 def _as_service(
-    method: MethodLike, workers: int, executor: str,
+    method: MethodLike, workers: int,
 ) -> Tuple[SeparationService, bool]:
     """``(service, owned)`` for any method description.
 
@@ -107,14 +107,14 @@ def _as_service(
     close.
     """
     if isinstance(method, SeparationService):
-        if workers != 0 or executor != "thread":
+        if workers != 0:
             raise ConfigurationError(
-                "workers/executor cannot be overridden when passing an "
-                "already configured SeparationService; set them on the "
-                "service instead"
+                "workers cannot be overridden when passing an already "
+                "configured SeparationService; set them on the service "
+                "instead"
             )
         return method, False
-    return SeparationService(method, workers=workers, executor=executor), True
+    return SeparationService(method, workers=workers), True
 
 
 def _method_mapping(
@@ -198,7 +198,6 @@ def run_in_vivo_batch(
     recordings: Sequence[SheepRecording],
     methods: Union[MethodLike, Mapping[str, MethodLike]],
     workers: int = 0,
-    executor: str = "thread",
 ) -> Dict[str, Dict[str, InVivoResult]]:
     """Run the full in-vivo comparison as batched cohort separations.
 
@@ -218,9 +217,10 @@ def run_in_vivo_batch(
         :class:`repro.service.SeparationService`) or a mapping from
         display label to method description.  A single method's label is
         the built separator's name.
-    workers, executor:
-        Fan-out policy handed to each method's service (rejected when a
-        prebuilt service is passed).
+    workers:
+        Worker processes handed to each method's service, across which
+        the cohort's records are sharded (rejected when a prebuilt
+        service is passed).
 
     Returns
     -------
@@ -233,7 +233,7 @@ def run_in_vivo_batch(
         rec.name: {} for rec in recordings
     }
     for label, method in _method_mapping(methods).items():
-        service, owned = _as_service(method, workers, executor)
+        service, owned = _as_service(method, workers)
         try:
             resolved = label or service.separator.name
             _LOG.info(
@@ -271,7 +271,7 @@ def separate_fetal_both_wavelengths(
     are removed by :func:`repro.tfo.ppg.ac_component` before separation.
     """
     records, keys = cohort_records([recording])
-    service, owned = _as_service(method, workers, "thread")
+    service, owned = _as_service(method, workers)
     try:
         batch = service.separate_batch(records).batch
     finally:

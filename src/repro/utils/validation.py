@@ -92,6 +92,21 @@ def check_separation_input(
     return mixed
 
 
+def check_references(
+    references: Mapping[str, np.ndarray], n_samples: int,
+) -> None:
+    """Check each reference source with the rule ``mixed`` follows
+    (non-empty, finite, 1-D) and that it is ``n_samples`` long."""
+    for name, reference in references.items():
+        label = f"reference {name!r}"
+        reference = check_finite(as_1d_float_array(reference, label), label)
+        if reference.size != n_samples:
+            raise ShapeError(
+                f"{label} has {reference.size} samples, mixed has "
+                f"{n_samples}"
+            )
+
+
 def check_positive(value: float, name: str = "value") -> float:
     """Raise :class:`ConfigurationError` unless ``value`` > 0."""
     if not np.isfinite(value) or value <= 0:

@@ -13,8 +13,7 @@ from repro.nn.zoo import (
     clear_shared_fit_caches,
     shared_fit_cache,
 )
-from repro.pipeline import SeparationRecord
-from repro.service import DHFSpec, SeparationService
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 
 TINY = InpaintingConfig(
@@ -150,26 +149,3 @@ class TestDHFIntegration:
             DHFSpec.from_preset("smoke", warm_start=1)
         with pytest.raises(ConfigurationError, match="zoo_path"):
             DHFSpec.from_preset("smoke", warm_start=True, zoo_path=None)
-
-    def test_service_worker_pool_shares_cache(self, tmp_path, small_mixture):
-        spec = DHFSpec.from_preset(
-            "smoke", warm_start=True, zoo_path=str(tmp_path),
-        )
-        records = [
-            SeparationRecord(
-                mixed=small_mixture.mixed,
-                sampling_hz=small_mixture.sampling_hz,
-                f0_tracks=small_mixture.f0_tracks, name=f"rec{i}",
-            )
-            for i in range(2)
-        ]
-        with SeparationService(spec, workers=2) as service:
-            outcome = service.separate_batch(records)
-            assert len(outcome.batch.results) == 2
-            cache = shared_fit_cache(str(tmp_path))
-            assert cache.stats()["stores"] >= 1
-            # The first batch may miss on every round (the two workers run
-            # in lockstep), but a second pass over the same records must
-            # warm-start from the now-populated shared cache.
-            service.separate_batch(records)
-        assert cache.stats()["hits"] >= 1

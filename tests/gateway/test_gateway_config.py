@@ -21,7 +21,7 @@ class TestGatewayConfig:
             artifact_root="/tmp/x", artifact_ttl_s=12.5,
             callback_retries=5, callback_backoff_s=0.25,
             callback_backoff_factor=3.0, callback_timeout_s=2.0,
-            zoo_path="/tmp/zoo", executor="process", service_workers=3,
+            zoo_path="/tmp/zoo", service_workers=3,
             session_idle_timeout_s=30.0,
             reap_interval_s=0.5, max_body_bytes=1024,
             max_updates_kept=16,
@@ -53,8 +53,6 @@ class TestGatewayConfig:
         {"max_updates_kept": 0},
         {"artifact_root": 3},
         {"zoo_path": None},
-        {"executor": "fork"},
-        {"executor": 1},
         {"service_workers": -1},
         {"service_workers": True},
         {"service_workers": 2.5},
@@ -69,7 +67,11 @@ class TestGatewayConfig:
         with pytest.raises(ConfigurationError):
             config.replace(workers=-2)
 
-    def test_executor_defaults_keep_worker_services_serial(self):
+    def test_defaults_keep_worker_services_serial(self):
         config = GatewayConfig()
-        assert config.executor == "thread"
         assert config.service_workers == 0
+
+    def test_executor_field_is_gone(self):
+        # service_workers > 1 always means process shards.
+        with pytest.raises(ConfigurationError, match="executor"):
+            GatewayConfig.from_dict({"executor": "process"})

@@ -516,8 +516,12 @@ class TestInboundValidation:
          "DataError", "f0 track for 'a'"),
         (lambda w: w.update(mixed=[1.0] * 399 + [float("nan")]),
          "DataError", "record #0 mixed"),
+        (lambda w: w.update(references={"a": f8(_with_nan(400, 5))}),
+         "DataError", "record #0 reference 'a'"),
+        (lambda w: w.update(references={"a": f8(np.ones(397))}),
+         "ShapeError", "record #0 reference 'a'"),
     ], ids=["nan-sample", "nan-rate", "short-f0", "zero-f0", "nan-f0",
-            "nan-in-float-list"])
+            "nan-in-float-list", "nan-reference", "short-reference"])
     def test_bad_record_is_400_at_submit(self, client, mutate, error, field):
         n_jobs = len(client.jobs())
         with pytest.raises(GatewayError) as err:

@@ -21,6 +21,7 @@ from repro.gateway import (
     array_from_wire,
 )
 from repro.pipeline.batch import SeparationRecord
+from repro.pipeline.shard import ShardedExecutor
 from repro.service import SeparationService, resolve_spec
 
 
@@ -412,10 +413,10 @@ class TestSharedServices:
         assert registry.drain(timeout_s=30.0)
         assert len(registry._services) == 2
 
-    def test_worker_services_follow_config_executor(self, tmp_path):
+    def test_service_workers_build_shard_engines(self, tmp_path):
         config = GatewayConfig(
             workers=1, artifact_root=str(tmp_path / "store"),
-            executor="process", service_workers=2,
+            service_workers=2,
         )
         registry = JobRegistry(config, ArtifactStore(config.artifact_root))
         try:
@@ -426,7 +427,7 @@ class TestSharedServices:
             assert registry.drain(timeout_s=60.0)
             assert job.state == "done"
             (service,) = registry._services.values()
-            assert service.executor == "process"
             assert service.workers == 2
+            assert isinstance(service._engine, ShardedExecutor)
         finally:
             registry.close()

@@ -611,8 +611,7 @@ class TestProcessesSharingAZoo:
             ))
         spec = DHFSpec.from_preset("smoke", iterations=3, warm_start=True,
                                    zoo_path=str(tmp_path))
-        with SeparationService(spec, workers=2, executor="process") \
-                as service:
+        with SeparationService(spec, workers=2) as service:
             service.separate_batch(records)
         # Two records of different lengths, two DHF rounds each.
         zoo = PriorZoo(str(tmp_path))

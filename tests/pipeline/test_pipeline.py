@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SpectralMaskingSeparator
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline import (
     BatchResult,
@@ -72,6 +72,21 @@ class TestSeparationRecord:
         with pytest.raises(error):
             SeparationRecord(mixed, rate, {"a": track})
 
+    @pytest.mark.parametrize("reference, error", [
+        (np.r_[np.ones(9), np.nan], DataError),
+        (np.r_[np.ones(9), np.inf], DataError),
+        (np.ones(7), ShapeError),
+        (np.ones(11), ShapeError),
+        (np.ones((2, 10)), ShapeError),
+        (np.ones(0), DataError),
+    ], ids=["nan", "inf", "short", "long", "2-d", "empty"])
+    def test_references_follow_the_mixed_rule(self, reference, error):
+        with pytest.raises(error, match="reference 'a'"):
+            SeparationRecord(
+                np.ones(10), FS, {"a": np.ones(10)},
+                references={"a": reference},
+            )
+
     def test_records_from_arrays_shared_tracks(self):
         mixed = np.random.default_rng(0).standard_normal((3, 50))
         tracks = {"a": np.ones(50)}
@@ -136,19 +151,18 @@ class TestPipelineExecution:
                 np.testing.assert_array_equal(a.estimates[source],
                                               b.estimates[source])
 
-    def test_process_executor(self):
-        records = _records(3)
+    def test_process_fanout(self):
         # module-level separator class → picklable
         pooled = SeparationPipeline(
-            SpectralMaskingSeparator(), workers=2, executor="process"
+            SpectralMaskingSeparator(), workers=2
         ).run(_mixture_records(2))
         assert len(pooled) == 2
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             SeparationPipeline(ScaleSeparator(), workers=-1)
-        with pytest.raises(ConfigurationError):
-            SeparationPipeline(ScaleSeparator(), executor="fork")
+        with pytest.raises(TypeError):
+            SeparationPipeline(ScaleSeparator(), executor="thread")
         with pytest.raises(ConfigurationError):
             SeparationPipeline(object())
 

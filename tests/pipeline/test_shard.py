@@ -3,16 +3,19 @@
 Covers shard planning (rate/length/geometry keys), the shared-memory
 block transport, the :class:`repro.pipeline.ShardedExecutor` lifecycle
 (worker death → structured :class:`repro.errors.WorkerPoolError`, pool
-recovery, close-hardening), preservation of the ``separate_batch`` hook
-on every fan-out path, three-way serial/thread/process equivalence for
-every registered separator, the service facade's persistent engine, and
-the one-serialization-per-worker guarantee (counting ``__reduce__``).
+recovery, close-hardening, one lazy pool under concurrent first calls),
+preservation of the ``separate_batch`` hook on every fan-out path,
+serial/process equivalence for every registered separator, the service
+facade's persistent engine, and the one-serialization-per-worker
+guarantee (counting ``__reduce__``).
 """
 
 import ctypes
 import glob
 import os
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +317,64 @@ class TestShardedExecutor:
             for record, est in zip(good, out):
                 np.testing.assert_array_equal(est["a"], record.mixed)
 
+    def test_concurrent_first_calls_build_one_pool(self, monkeypatch):
+        # Threads race into a fresh engine's first call, as a gateway's
+        # job threads do on a shared service: exactly one pool, and no
+        # worker forked while another thread held a lock it needs.
+        import repro.pipeline.shard as shard
+
+        built = []
+
+        class CountingPool(shard.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shard, "ProcessPoolExecutor", CountingPool)
+        records = _records(4)
+        sep = RateScaleSeparator()
+        serial = sep.separate_batch(
+            [r.mixed for r in records], FS, [r.f0_tracks for r in records]
+        )
+        n_threads = 3  # more callers than this 2-worker pool has workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(12):
+                built.clear()
+                engine = ShardedExecutor(sep, workers=2)
+                barrier = threading.Barrier(n_threads)
+                outputs = [None] * n_threads
+
+                def call(slot):
+                    barrier.wait()
+                    outputs[slot] = engine.separate_records(records)
+
+                threads = [
+                    threading.Thread(target=call, args=(slot,), daemon=True)
+                    for slot in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                hung = any(thread.is_alive() for thread in threads)
+                if hung:  # kill wedged workers, or the session hangs at exit
+                    for pool in built:
+                        for process in list(pool._processes.values()):
+                            process.kill()
+                        pool.shutdown(wait=False, cancel_futures=True)
+                else:
+                    engine.close()
+                assert not hung, f"trial {trial}: a first call hung"
+                assert len(built) == 1, f"trial {trial}: {len(built)} pools"
+                for fanned in outputs:
+                    for a, b in zip(serial, fanned):
+                        for source in a:
+                            np.testing.assert_array_equal(a[source], b[source])
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_close_hardening(self):
         engine = ShardedExecutor(RateScaleSeparator(), workers=2)
         engine.separate_records(_records(2))
@@ -378,22 +439,18 @@ def _mixture_records(n, duration_s=4.0, rate=None, seed=0):
 
 
 class TestPipelineSharding:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_batch_hook_used_on_fanout(self, executor):
+    def test_batch_hook_used_on_fanout(self):
         batch = SeparationPipeline(
-            BatchStampSeparator(), workers=2, executor=executor
+            BatchStampSeparator(), workers=2
         ).run(_records(4))
         stamps = sorted(float(r.estimates["a"][0]) for r in batch.results)
         assert stamps == [2.0, 2.0, 2.0, 2.0]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_mixed_rates_on_fanout(self, executor):
+    def test_mixed_rates_on_fanout(self):
         records = _records(3, seed=1) + _records(2, rate=50.0, seed=2)
         sep = RateScaleSeparator()
         serial = SeparationPipeline(sep).run(records)
-        fanned = SeparationPipeline(
-            sep, workers=2, executor=executor
-        ).run(records)
+        fanned = SeparationPipeline(sep, workers=2).run(records)
         for a, b in zip(serial.results, fanned.results):
             for source in a.estimates:
                 np.testing.assert_allclose(
@@ -406,29 +463,14 @@ class TestPipelineSharding:
         # mega-batch of 5 and never per-record calls of 1.
         records = _records(3, seed=1) + _records(2, rate=50.0, seed=2)
         batch = SeparationPipeline(
-            BatchStampSeparator(), workers=2, executor="thread"
+            BatchStampSeparator(), workers=2
         ).run(records)
         stamps = [float(r.estimates["a"][0]) for r in batch.results]
         assert stamps == [3.0, 3.0, 3.0, 2.0, 2.0]
 
-    def test_external_shard_engine_is_reused_not_closed(self):
-        records = _records(4)
-        with ShardedExecutor(RateScaleSeparator(), workers=2) as engine:
-            pipeline = SeparationPipeline(
-                RateScaleSeparator(), workers=2, executor="process",
-                shard_engine=engine,
-            )
-            pipeline.run(records)
-            assert not engine.closed
-            pipeline.run(records)  # engine survives across runs
-        with pytest.raises(ConfigurationError):
-            SeparationPipeline(
-                RateScaleSeparator(), workers=2, shard_engine=object()
-            )
-
 
 # --------------------------------------------------------------------- #
-# Three-way equivalence: every registered separator
+# Serial/process equivalence: every registered separator
 # --------------------------------------------------------------------- #
 def _spec_for(name):
     if name == "dhf":
@@ -437,20 +479,16 @@ def _spec_for(name):
 
 
 @pytest.mark.parametrize("method", available_separators())
-def test_three_way_equivalence(method):
-    """serial == thread == process within 1e-8 (float64) per method."""
+def test_fanout_equivalence(method):
+    """serial == process (pickled or spec transport) within 1e-8."""
     spec = _spec_for(method)
     separator = build_separator(spec)
     records = _mixture_records(3, duration_s=4.0, seed=7)
     serial = SeparationPipeline(separator).run(records)
-    threaded = SeparationPipeline(
-        separator, workers=2, executor="thread"
-    ).run(records)
-    with ShardedExecutor(separator, workers=2, spec=spec) as engine:
-        processed = SeparationPipeline(
-            separator, workers=2, executor="process", shard_engine=engine,
-        ).run(records)
-    for variant in (threaded, processed):
+    pickled = SeparationPipeline(separator, workers=2).run(records)
+    with SeparationService(spec, workers=2) as service:
+        by_spec = service.separate_batch(records).batch
+    for variant in (pickled, by_spec):
         for a, b in zip(serial.results, variant.results):
             for source in a.estimates:
                 np.testing.assert_allclose(
@@ -464,23 +502,21 @@ def test_three_way_equivalence(method):
 class TestServiceSharding:
     def test_persistent_engine_reused_across_calls(self):
         records = _mixture_records(4)
-        with SeparationService(
-            "spectral-masking", workers=2, executor="process"
-        ) as service:
-            service.separate_batch(records)
-            engine = service._engine
+        with SeparationService("spectral-masking", workers=2) as service:
+            engine = service._engine  # built with the service
             assert isinstance(engine, ShardedExecutor)
+            assert engine._pool is None  # its pool starts on first use
             service.separate_batch(records)
-            assert service._engine is engine
+            pool = engine._pool
+            service.separate_batch(records)
+            assert service._engine is engine and engine._pool is pool
         assert engine.closed
 
     def test_process_batch_matches_serial_service(self):
         records = _mixture_records(4)
         with SeparationService("spectral-masking") as serial_svc:
             serial = serial_svc.separate_batch(records)
-        with SeparationService(
-            "spectral-masking", workers=2, executor="process"
-        ) as fan_svc:
+        with SeparationService("spectral-masking", workers=2) as fan_svc:
             fanned = fan_svc.separate_batch(records)
         for a, b in zip(serial.batch.results, fanned.batch.results):
             for source in a.estimates:
@@ -488,31 +524,22 @@ class TestServiceSharding:
                     a.estimates[source], b.estimates[source], atol=1e-8
                 )
 
-    def test_stream_on_process_service_raises(self):
-        (record,) = _mixture_records(1)
+    def test_executor_keyword_accepts_only_process(self):
         with SeparationService(
             "spectral-masking", workers=2, executor="process"
         ) as service:
-            with pytest.raises(ConfigurationError):
-                service.stream(record)
-            with pytest.raises(ConfigurationError):
-                service.stream_batch(
-                    [record], segment_samples=200, overlap_samples=50,
-                    chunk_samples=100,
-                )
+            assert isinstance(service._engine, ShardedExecutor)
+        for executor in ("thread", "fork"):
+            with pytest.raises(ConfigurationError, match="process shards"):
+                SeparationService("spectral-masking", executor=executor)
 
-    def test_serial_process_service_still_streams(self):
-        (record,) = _mixture_records(1)
-        with SeparationService(
-            "spectral-masking", workers=0, executor="process"
-        ) as service:
-            outcome = service.stream(record)
-        assert outcome.mode == "stream"
+    def test_unpicklable_separator_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="not picklable"):
+            SeparationService(UnpicklableSeparator(), workers=2)
+        SeparationService(UnpicklableSeparator()).close()  # serial is fine
 
     def test_closed_service_closes_engine(self):
-        service = SeparationService(
-            "spectral-masking", workers=2, executor="process"
-        )
+        service = SeparationService("spectral-masking", workers=2)
         service.separate_batch(_mixture_records(2))
         engine = service._engine
         service.close()

@@ -1,8 +1,5 @@
 """stream_records: a record set streamed and scored like the batch pipeline."""
 
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -13,7 +10,6 @@ from repro.pipeline import (
     SeparationPipeline,
     stream_records,
 )
-from repro.separation import Separator
 from repro.streaming import stream_record
 
 FS = 100.0
@@ -34,19 +30,6 @@ def _subject_data(seed, n=2000):
 @pytest.fixture(scope="module")
 def masker():
     return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
-
-
-class ThreadRecorder(Separator):
-    """Wraps a separator and records which threads ran its segments."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = inner.name
-        self.threads = set()
-
-    def separate(self, mixed, sampling_hz, f0_tracks):
-        self.threads.add(threading.current_thread().name)
-        return self.inner.separate(mixed, sampling_hz, f0_tracks)
 
 
 class TestStreamRecords:
@@ -112,32 +95,13 @@ class TestStreamRecords:
         with pytest.raises(ConfigurationError):
             stream_records(masker, records, 1024, 256, 100)
 
-    def test_threaded_matches_serial(self, masker):
-        records = self._records(n_records=3)
-        serial = stream_records(
-            masker, records, segment_samples=1024, overlap_samples=256,
-            chunk_samples=150,
-        )
-        threaded = stream_records(
-            masker, records, segment_samples=1024, overlap_samples=256,
-            chunk_samples=150, workers=3,
-        )
-        for ours, ref in zip(threaded, serial):
-            assert ours.record.name == ref.record.name
-            for source in ("a", "b"):
-                assert ours.estimates[source].size == 2000
-                assert np.array_equal(
-                    ours.estimates[source], ref.estimates[source]
-                )
-
-    @pytest.mark.parametrize("workers", [0, 3])
-    def test_each_record_equals_stream_record(self, masker, workers):
+    def test_each_record_equals_stream_record(self, masker):
         # stream_records is stream_record mapped over the records, in
         # order: each result equals a direct stream of that record alone.
         records = self._records(n_records=3)
         batch = stream_records(
             masker, records, segment_samples=1024, overlap_samples=256,
-            chunk_samples=150, workers=workers,
+            chunk_samples=150,
         )
         assert [r.record.name for r in batch] == ["rec0", "rec1", "rec2"]
         for result, record in zip(batch, records):
@@ -147,42 +111,6 @@ class TestStreamRecords:
             )
             for source in ("a", "b"):
                 assert np.array_equal(result.estimates[source], direct[source])
-
-    def test_caller_pool_is_used_and_left_running(self, masker):
-        records = self._records(n_records=3)
-        serial = stream_records(masker, records, 1024, 256, 150)
-        recorder = ThreadRecorder(masker)
-        with ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="caller-pool",
-        ) as pool:
-            pooled = stream_records(
-                recorder, records, 1024, 256, 150, workers=2, pool=pool,
-            )
-            # Never shut down here: the caller's pool still takes work.
-            assert pool.submit(lambda: 7).result() == 7
-        assert recorder.threads
-        assert all(t.startswith("caller-pool") for t in recorder.threads)
-        for ours, ref in zip(pooled, serial):
-            for source in ("a", "b"):
-                assert np.array_equal(
-                    ours.estimates[source], ref.estimates[source]
-                )
-
-    def test_process_pool_rejected(self, masker):
-        # Streams are stateful, so fan-out is thread-only.
-        pool = ProcessPoolExecutor(max_workers=1)
-        try:
-            with pytest.raises(ConfigurationError, match="ThreadPoolExecutor"):
-                stream_records(
-                    masker, self._records(), 1024, 256, 100,
-                    workers=2, pool=pool,
-                )
-        finally:
-            pool.shutdown()
-
-    def test_negative_workers_rejected(self, masker):
-        with pytest.raises(ConfigurationError, match="workers"):
-            stream_records(masker, self._records(), 1024, 256, 100, workers=-1)
 
     def test_nonpositive_chunk_rejected(self, masker):
         for chunk in (0, -5):

@@ -98,19 +98,10 @@ class TestBatchMode:
                 )
             assert ours.scores == ref.scores
 
-    def test_worker_pool_is_shared_across_calls(self, records):
-        with SeparationService(SPEC, workers=2) as service:
+    def test_serial_service_never_builds_an_engine(self, records):
+        with SeparationService(SPEC, workers=1) as service:
             service.separate_batch(records)
-            pool = service._pool
-            assert pool is not None
-            service.separate_batch(records)
-            assert service._pool is pool
-        assert service._pool is None  # closed on exit
-
-    def test_serial_service_never_builds_a_pool(self, records):
-        with SeparationService(SPEC) as service:
-            service.separate_batch(records)
-            assert service._pool is None
+            assert service._engine is None
 
     def test_postprocess_applies_everywhere(self, records):
         low, high = SCORING_BAND_HZ
@@ -194,23 +185,6 @@ class TestStreamMode:
             )
         assert outcome.mode == "stream"
         assert len(outcome.batch) == 0
-
-    def test_threaded_stream_batch_matches_serial(self, records):
-        kwargs = dict(segment_samples=600, overlap_samples=300,
-                      chunk_samples=100)
-        with SeparationService(SPEC) as service:
-            serial = service.stream_batch(records, **kwargs)
-        with SeparationService(SPEC, workers=2) as service:
-            threaded = service.stream_batch(records, **kwargs)
-            # The service's shared pool outlives each call.
-            again = service.stream_batch(records, **kwargs)
-        for outcome in (threaded, again):
-            for ours, ref in zip(outcome.batch, serial.batch):
-                assert ours.record.name == ref.record.name
-                for source in ref.estimates:
-                    np.testing.assert_array_equal(
-                        ours.estimates[source], ref.estimates[source]
-                    )
 
 
 class TestDHFAllModes:
@@ -342,10 +316,11 @@ class TestUseAfterClose:
     def test_close_is_idempotent(self, records):
         service = SeparationService(SPEC, workers=2)
         service.separate_batch(records)
+        engine = service._engine
         service.close()
         service.close()  # no-op, no error
         assert service.closed is True
-        assert service._pool is None
+        assert engine.closed and service._engine is None
 
     def test_context_manager_exit_closes(self, records):
         with SeparationService(SPEC) as service:
