@@ -10,7 +10,7 @@ ridge masks in the STFT domain — along two code paths:
     normalizer rebuilt on every call.
 
 ``batched-vectorized``
-    The ``repro.pipeline`` path: records stacked and analysed by one
+    The batched path: records stacked and analysed by one
     stride-trick :func:`repro.dsp.stft_batch`, every (record, source)
     masked spectrogram inverted through the grouped overlap-add of
     :func:`repro.dsp.istft_batch`, sharing one cached
@@ -25,8 +25,8 @@ reports the speedup without asserting it (timing on tiny batches is
 noise-dominated).
 
 The module also demonstrates the same win end to end through
-:class:`repro.pipeline.SeparationPipeline` with the spectral-masking
-baseline's vectorized ``separate_batch``.
+:meth:`repro.service.SeparationService.separate_batch` with the
+spectral-masking baseline's vectorized ``separate_batch``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py [--smoke]
 """

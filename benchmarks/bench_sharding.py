@@ -13,7 +13,8 @@ record batches through three paths:
     fan-out degrades to, minus its pickling overhead (so it is a
     *flattering* baseline for the old path).
 ``serial-batch``
-    The serial pipeline (``workers=0``): one ``separate_batch`` call.
+    A serial :class:`repro.service.SeparationService` (``workers=0``):
+    one ``separate_batch`` call.
 ``process-shard``
     A persistent :class:`repro.service.SeparationService` process
     engine: shards in worker processes, arrays via shared memory, the
@@ -51,7 +52,7 @@ import time
 import numpy as np
 
 from repro.baselines import SpectralMaskingSeparator
-from repro.pipeline import SeparationPipeline, ShardedExecutor, records_from_arrays
+from repro.pipeline import ShardedExecutor, records_from_arrays
 from repro.service import DHFSpec, SeparationService, build_separator, default_spec
 from repro.synth import make_mixture
 
@@ -106,9 +107,9 @@ def bench_method(title, spec, records, workers) -> float:
         for r in records
     ])
 
-    serial, t_serial = timed(
-        lambda: SeparationPipeline(separator).run(records)
-    )
+    with SeparationService(separator) as svc:
+        serial, t_serial = timed(lambda: svc.separate_batch(records))
+    serial = serial.batch
 
     with SeparationService(spec, workers=workers) as svc:
         svc.separate_batch(records[:1])  # warm up: fork + worker init
@@ -224,7 +225,8 @@ def test_bench_sharding(benchmark):
     spec = DHFSpec.from_preset("smoke", dtype="float64")
     separator = build_separator(spec)
     records = build_records(3, 3.0)
-    serial = SeparationPipeline(separator).run(records)
+    with SeparationService(separator) as svc:
+        serial = svc.separate_batch(records).batch
     with ShardedExecutor(separator, workers=2, spec=spec) as engine:
         processed = benchmark.pedantic(
             engine.separate_records, args=(records,), rounds=1, iterations=1,

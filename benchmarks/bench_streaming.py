@@ -21,8 +21,8 @@ The streamed output is asserted equal to the offline separation to
 steady-state per-chunk latency is asserted below the chunk duration.
 
 A multi-subject section streams several records through
-:func:`repro.pipeline.stream_records`, one after another, and reports
-the wall time.
+:meth:`repro.service.SeparationService.stream_batch`, one after
+another, and reports the wall time.
 
 Run:  PYTHONPATH=src python benchmarks/bench_streaming.py [--smoke]
 """
@@ -35,8 +35,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.pipeline import SeparationRecord, stream_records
-from repro.service import SpectralMaskingSpec, build_separator
+from repro.pipeline import SeparationRecord
+from repro.service import (
+    SeparationService,
+    SpectralMaskingSpec,
+    build_separator,
+)
 from repro.streaming import StreamingSeparator
 
 
@@ -129,9 +133,10 @@ def run_session_demo(
             mixed=mixed, sampling_hz=FS, f0_tracks=tracks,
             name=f"subject{i}",
         ))
-    start_t = time.perf_counter()
-    stream_records(sep, records, segment, overlap, chunk)
-    return time.perf_counter() - start_t
+    with SeparationService(sep) as service:
+        start_t = time.perf_counter()
+        service.stream_batch(records, segment, overlap, chunk)
+        return time.perf_counter() - start_t
 
 
 def main(argv=None) -> int:
@@ -209,7 +214,7 @@ def main(argv=None) -> int:
         args.subjects,
     )
     print(
-        f"  stream_records x{args.subjects} subjects: "
+        f"  stream_batch x{args.subjects} subjects: "
         f"{t_session * 1e3:.2f} ms"
     )
     print("bench_streaming: OK")

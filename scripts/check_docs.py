@@ -13,13 +13,18 @@ Verifies that
    attribute of its package and appear in the docs;
 6. the README's "Public API" table and ``repro.__all__`` name the same
    set: every backticked name in the table's first column is exported,
-   and every export except ``errors`` and ``__version__`` is listed.
+   and every export except ``errors`` and ``__version__`` is listed;
+7. every backticked CamelCase name in the docs (a class such as
+   `SeparationService`) resolves in a public package, in
+   ``repro.errors`` or in builtins — a class deleted in code but left
+   in the prose fails here.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 """
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import re
 import sys
@@ -87,6 +92,10 @@ REQUIRED_DOC_NAMES = [
     ("repro.pipeline", "shard_key"),
     ("repro.errors", "WorkerPoolError"),
 ]
+
+
+#: Backticked CamelCase words in the docs that name no Python object.
+CAMELCASE_ALLOWLIST = {"Makefile", "NaN"}
 
 
 def check_exports() -> list:
@@ -213,6 +222,34 @@ def check_public_api_table() -> list:
     return problems
 
 
+def check_doc_class_names() -> list:
+    """Every backticked CamelCase name in the docs must resolve.
+
+    The dotted-path check only sees ``repro.``-prefixed names, so a bare
+    class name left in the prose after the class went would pass it;
+    here the name must be an attribute of a public package, of
+    ``repro.errors``, or a builtin.
+    """
+    modules = [
+        importlib.import_module(package)
+        for package in PUBLIC_PACKAGES + ["repro.errors"]
+    ]
+    pattern = re.compile(r"`([A-Z]\w*[a-z]\w*)`")
+    problems = []
+    for doc in DOCS:
+        if not doc.exists():
+            continue  # check_doc_references reports the missing file
+        for name in sorted(set(pattern.findall(doc.read_text()))):
+            if name in CAMELCASE_ALLOWLIST or hasattr(builtins, name):
+                continue
+            if not any(hasattr(module, name) for module in modules):
+                problems.append(
+                    f"{doc.name}: documented name {name!r} resolves in "
+                    f"no public package, repro.errors or builtins"
+                )
+    return problems
+
+
 def main() -> int:
     problems = (
         check_exports()
@@ -220,6 +257,7 @@ def main() -> int:
         + check_registered_separators_documented()
         + check_required_names_documented()
         + check_public_api_table()
+        + check_doc_class_names()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)

@@ -5,7 +5,7 @@ pattern alignment, harmonic masking, and deep-prior spectrogram in-painting
 with a Spectrally Accurate Light U-Net.
 
 The names most users need are re-exported here, so typical sessions start
-with ``from repro import DHFSeparator, SeparationPipeline, stft`` — see
+with ``from repro import DHFSeparator, SeparationService, stft`` — see
 the Public API table in the top-level ``README.md``.
 
 Subpackages
@@ -13,9 +13,9 @@ Subpackages
 ``repro.core``
     The DHF algorithm (pattern alignment, masking, in-painting, phase).
 ``repro.pipeline``
-    Batched separation over record sets: cached STFT plans, vectorized
-    batch STFT/iSTFT, the process-sharded :class:`SeparationPipeline`, and
-    :func:`stream_records` for streaming a scored record set.
+    Record sets: :class:`SeparationRecord`, the scored
+    :class:`BatchResult`, and the process-shard engine
+    (:class:`ShardedExecutor`) a ``workers > 1`` service fans out on.
 ``repro.streaming``
     Stateful chunked separation: :class:`StreamingSeparator` windows a
     live stream into overlapping segments, runs any separator per
@@ -35,7 +35,8 @@ Subpackages
 ``repro.service``
     The separator registry (named, spec-configured methods) and the
     :class:`SeparationService` facade routing one configured method
-    through the offline, batch, or streaming execution path.
+    through the offline, batch, or streaming execution path; the only
+    runner of record sets.
 ``repro.baselines``
     EMD, VMD, NMF, REPET(-Extended), spectral masking.
 ``repro.metrics``
@@ -66,11 +67,9 @@ from repro.dsp import (
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline import (
     BatchResult,
-    SeparationPipeline,
     SeparationRecord,
     ShardedExecutor,
     records_from_arrays,
-    stream_records,
 )
 from repro.scenarios import (
     DegradationSpec,
@@ -99,8 +98,8 @@ __all__ = [
     "BatchStft", "StftPlan", "StftResult", "get_stft_plan",
     "istft", "istft_batch", "stft", "stft_batch",
     "average_mse", "average_sdr_db", "mse", "sdr_db",
-    "BatchResult", "SeparationPipeline", "SeparationRecord",
-    "ShardedExecutor", "records_from_arrays", "stream_records",
+    "BatchResult", "SeparationRecord", "ShardedExecutor",
+    "records_from_arrays",
     "StreamingSeparator", "stream_record",
     "DegradationSpec", "Scenario", "ScenarioGrid", "Scoreboard",
     "available_degradations", "default_degradation", "run_scenario_grid",

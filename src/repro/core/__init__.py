@@ -6,7 +6,8 @@ Public surface
 stage modules (``alignment``, ``masking``, ``inpainting``, ``phase``)
 export the building blocks in pipeline order, and ``results`` the
 :class:`DHFResult` / :class:`DHFRound` diagnostics.  For batches of
-records, wrap a separator in :class:`repro.pipeline.SeparationPipeline`.
+records, run a :class:`repro.service.SeparationService` and call its
+``separate_batch``.
 """
 
 from repro.core.alignment import (

@@ -20,9 +20,10 @@ runs :meth:`DHFSeparator.separate_batch_detailed` on it, so every fit —
 single or stacked — goes through the same engine with the same
 early-stop, warm-start and geometry semantics.
 
-Batch processing: a :class:`DHFSeparator` is a plain picklable object,
-so record sets route through :class:`repro.pipeline.SeparationPipeline`
-— serially or across a thread/process pool.  Every STFT in
+Batch processing: record sets run through
+:meth:`repro.service.SeparationService.separate_batch` — serially, or
+in process shards on a ``workers > 1`` service (a
+:class:`DHFSeparator` is a plain picklable object).  Every STFT in
 a batch run shares the cached plans of :mod:`repro.dsp.plan`, so the
 window and overlap-add normalizer of each alignment geometry are built
 once per batch instead of once per record.

@@ -222,8 +222,8 @@ def get_stft_plan(
     """Fetch (or build and memoise) the plan for a geometry.
 
     ``hop`` defaults to ``n_fft // 4`` — the same default as
-    :func:`repro.dsp.stft.stft`.  Thread-safe: pipeline thread pools hit
-    this from every worker.
+    :func:`repro.dsp.stft.stft`.  Thread-safe: a gateway's job and
+    session threads share this cache.
     """
     if hop is None:
         hop = n_fft // 4  # same default (and n_fft >= 4 floor) as stft()

@@ -9,27 +9,24 @@ side-by-side comparison in its rendered output.
 Methods are named, never hand-constructed: every separator the runners
 touch comes out of the :mod:`repro.service` registry as a
 :class:`repro.service.SeparatorSpec` (see :func:`table2_specs`), and
-execution goes through a :class:`repro.service.SeparationService`
-(:func:`run_separation_batch` for the offline batch pipeline) — so every
-runner benefits from vectorized ``separate_batch`` implementations,
-shared STFT plans, and optional worker pools, and any separator
-registered by a plugin is runnable by name.
+every record set runs through a :class:`repro.service.SeparationService`
+— so every runner benefits from vectorized ``separate_batch``
+implementations, shared STFT plans, and optional process shards, and
+any separator registered by a plugin is runnable by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import Preset, get_preset
-from repro.errors import ConfigurationError
-from repro.pipeline import BatchResult, SeparationRecord
+from repro.pipeline import SeparationRecord
 from repro.separation import Separator
 from repro.service import (
     DHFSpec,
-    SeparationService,
     SeparatorSpec,
     build_separator,
     default_spec,
@@ -52,10 +49,6 @@ TABLE2_REGISTRY_NAMES = {
     "Spect. Masking": "spectral-masking",
     "DHF": "dhf",
 }
-
-#: Anything runner APIs accept as a method: a display/registry name, a
-#: spec, a prebuilt separator, or a configured service.
-MethodLike = Union[str, SeparatorSpec, Separator, SeparationService]
 
 
 def display_method_name(name: str) -> str:
@@ -156,40 +149,6 @@ def build_separators(
     }
 
 
-def method_service(
-    method: MethodLike,
-    workers: int = 0,
-    postprocess: Optional[Callable] = None,
-) -> SeparationService:
-    """Build a :class:`SeparationService` for any method description.
-
-    The caller owns (and should close) the returned service; pass an
-    existing service straight to the runner helpers instead of routing
-    it through here.
-    """
-    return SeparationService(method, workers=workers, postprocess=postprocess)
-
-
-def _reject_service_overrides(workers: int = 0, postprocess=None) -> None:
-    """Raise if execution-policy kwargs accompany a prebuilt service.
-
-    A :class:`SeparationService` already owns its workers/postprocess;
-    accepting overrides here would silently drop them.
-    """
-    overridden = [
-        name for name, given, default in (
-            ("workers", workers, 0),
-            ("postprocess", postprocess, None),
-        ) if given != default
-    ]
-    if overridden:
-        raise ConfigurationError(
-            f"{', '.join(overridden)} cannot be overridden when passing "
-            f"an already configured SeparationService; set them on the "
-            f"service instead"
-        )
-
-
 def records_from_mixtures(
     mixture_names: Sequence[str],
     context: "ExperimentContext",
@@ -211,7 +170,7 @@ def records_from_mixtures(
 
     Returns
     -------
-    ``(records, labels)`` where ``labels`` maps the pipeline's
+    ``(records, labels)`` where ``labels`` maps the batch result's
     ``(record name, source index)`` score keys to source labels
     (role names, suffixed when a role repeats — see
     :meth:`repro.synth.MixtureSpec.source_labels`).
@@ -237,31 +196,6 @@ def records_from_mixtures(
             references=references,
         ))
     return records, labels
-
-
-def run_separation_batch(
-    method: MethodLike,
-    records: Sequence[SeparationRecord],
-    workers: int = 0,
-    postprocess: Optional[Callable] = None,
-) -> BatchResult:
-    """Run one method over a record set through the batch pipeline.
-
-    ``method`` may be a registry name, a spec, a prebuilt separator, or
-    an already configured :class:`SeparationService`; execution goes
-    through :meth:`SeparationService.separate_batch`, so ``workers > 1``
-    shards the records across that many worker processes.  A
-    preconfigured service carries its own execution policy, so combining
-    one with ``workers``/``postprocess`` here is rejected rather than
-    silently ignored.
-    """
-    if isinstance(method, SeparationService):
-        _reject_service_overrides(workers=workers, postprocess=postprocess)
-        return method.separate_batch(records).batch
-    with method_service(
-        method, workers=workers, postprocess=postprocess,
-    ) as service:
-        return service.separate_batch(records).batch
 
 
 @dataclass

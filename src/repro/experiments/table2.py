@@ -19,11 +19,10 @@ from repro.dsp.filters import bandpass_filter
 from repro.experiments.common import (
     ExperimentContext,
     records_from_mixtures,
-    run_separation_batch,
     table2_specs,
     with_zoo,
 )
-from repro.service import SeparatorSpec
+from repro.service import SeparationService, SeparatorSpec
 from repro.experiments.paper_reference import (
     PAPER_LOW_POWER_CASES,
     PAPER_TABLE2,
@@ -182,7 +181,7 @@ def run_table2(
     line_up = with_zoo(line_up, zoo_path)
 
     # The paper scores band-pass-filtered signals; both references (at
-    # record-building time) and estimates (pipeline postprocess) pass
+    # record-building time) and estimates (the service postprocess) pass
     # through the same scoring-band filter.
     low, high = SCORING_BAND_HZ
 
@@ -195,10 +194,11 @@ def run_table2(
     scores: Dict[str, Dict[CaseKey, Tuple[float, float]]] = {}
     for method_name, spec in line_up.items():
         _LOG.info("table2: %s on %d mixture(s)", method_name, len(records))
-        batch = run_separation_batch(
-            spec, records, workers=workers,
+        with SeparationService(
+            spec, workers=workers,
             postprocess=lambda est, record: to_band(est, record.sampling_hz),
-        )
+        ) as service:
+            batch = service.separate_batch(records).batch
         scores[method_name] = batch.case_scores()
     return Table2Result(
         scores=scores, source_labels=labels, preset_name=context.preset.name,

@@ -1,24 +1,14 @@
-"""Batched separation: records in, aggregated scored estimates out.
+"""Record sets: the record type, the serial batch rule, and scoring.
 
-This module is the glue between a :class:`repro.separation.Separator`
-and a *set* of records.  A :class:`SeparationRecord` carries one mixed
-measurement with its f0 tracks (and, optionally, ground-truth reference
-sources); :class:`SeparationPipeline` hands a list of them to the
-separator's ``separate_batch`` hook — or, with ``workers > 1``, fans
-them out across worker processes — and returns a :class:`BatchResult`
-whose per-source scores plug directly into :mod:`repro.metrics.aggregate`
-and the experiment runners.
-
-Fan-out is *sharded*: records are grouped by
-:func:`repro.pipeline.shard.shard_key` (sampling rate, length, STFT
-geometry) and each shard travels through ``separate_batch`` whole, so
-vectorized batch implementations (stacked DHF fits, batched masking)
-survive parallelism instead of degrading to per-record ``separate``
-calls.  Shards run on a :class:`repro.pipeline.ShardedExecutor` —
-shared-memory array transport, one separator send per worker; see
-:mod:`repro.pipeline.shard` for the protocol.  Threads are not offered:
-a deep-prior fit holds the interpreter lock between BLAS calls, so two
-fit threads run slower than one.
+A :class:`SeparationRecord` carries one mixed measurement with its f0
+tracks (and, optionally, ground-truth reference sources).
+:class:`repro.service.SeparationService` runs every record set: its
+``separate_batch`` gets raw estimates from :func:`separate_records` (in
+this process) or from its :class:`repro.pipeline.ShardedExecutor` (in
+worker processes), and both batch modes score every record through
+:func:`finalize_record` into a :class:`BatchResult`, whose per-source
+scores plug directly into :mod:`repro.metrics.aggregate` and the
+experiment runners.
 """
 
 from __future__ import annotations
@@ -30,7 +20,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
-from repro.pipeline.shard import ShardedExecutor
 from repro.separation import Separator
 from repro.utils.validation import check_references, check_separation_input
 
@@ -55,8 +44,8 @@ class SeparationRecord:
         Identifier used in aggregated score keys (defaults to the record
         index when built through :func:`records_from_arrays`).
     references:
-        Optional ground-truth sources; when present the pipeline scores
-        each estimate with SDR and MSE.  Each one follows the rule
+        Optional ground-truth sources; when present every batch mode
+        scores each estimate with SDR and MSE.  Each one follows the rule
         ``mixed`` does (1-D and finite) and is as long as ``mixed``.
     """
 
@@ -153,7 +142,7 @@ class RecordResult:
 
 @dataclass
 class BatchResult:
-    """Aggregated output of a pipeline run over a batch of records."""
+    """Aggregated output of one batch or stream run over a record set."""
 
     results: List[RecordResult]
     separator_name: str = ""
@@ -219,8 +208,30 @@ class BatchResult:
         return out
 
 
-def _identity_postprocess(estimate: np.ndarray, record: SeparationRecord) -> np.ndarray:
-    return estimate
+def separate_records(
+    separator: Separator, records: Sequence[SeparationRecord],
+) -> List[Dict[str, np.ndarray]]:
+    """Raw estimates of a record set, in input order, in this process.
+
+    ``separate_batch`` assumes one shared sampling rate, so the records
+    are grouped by rate and each group goes through one
+    ``separate_batch`` call; vectorized batch overrides (stacked DHF
+    fits, batched masking) still see every record of a rate at once.
+    """
+    by_rate: Dict[float, List[int]] = {}
+    for i, record in enumerate(records):
+        by_rate.setdefault(float(record.sampling_hz), []).append(i)
+    estimates: List[Optional[Dict[str, np.ndarray]]] = [None] * len(records)
+    for indices in by_rate.values():
+        group = [records[i] for i in indices]
+        batch = separator.separate_batch(
+            [r.mixed for r in group],
+            group[0].sampling_hz,
+            [r.f0_tracks for r in group],
+        )
+        for i, estimate in zip(indices, batch):
+            estimates[i] = estimate
+    return estimates
 
 
 def finalize_record(
@@ -232,12 +243,11 @@ def finalize_record(
 ) -> RecordResult:
     """Post-process and score one record's raw estimates.
 
-    The shared back half of every separation path — the batch pipeline
-    and the streaming :func:`repro.pipeline.stream_records` both route
-    their raw estimates through here, so post-processing and scoring
-    conventions cannot drift between the offline and streaming paths.
+    The shared back half of every separation mode of
+    :class:`repro.service.SeparationService` — offline, batch and
+    streaming — so post-processing and scoring conventions cannot drift
+    between them.
     """
-    postprocess = postprocess or _identity_postprocess
     missing = [s for s in record.source_names() if s not in estimates]
     if missing:
         raise DataError(
@@ -245,7 +255,8 @@ def finalize_record(
             f"for source(s) {missing} of record {record.name!r}"
         )
     processed = {
-        source: postprocess(np.asarray(est), record)
+        source: np.asarray(est) if postprocess is None
+        else postprocess(np.asarray(est), record)
         for source, est in estimates.items()
     }
     scores: Dict[str, Tuple[float, float]] = {}
@@ -260,113 +271,3 @@ def finalize_record(
                 mse(estimate, reference),
             )
     return RecordResult(record=record, estimates=processed, scores=scores)
-
-
-class SeparationPipeline:
-    """Run one separator over many records, serially or in process shards.
-
-    Parameters
-    ----------
-    separator:
-        Any :class:`repro.separation.Separator`; with ``workers > 1`` it
-        must be picklable.
-    workers:
-        ``0`` or ``1`` → serial (the default); the batch goes through the
-        separator's ``separate_batch`` hook so vectorized overrides are
-        used.  ``> 1`` → the batch is sharded by
-        :func:`repro.pipeline.shard.shard_key` and the shards run through
-        ``separate_batch`` in that many worker processes of a
-        :class:`repro.pipeline.ShardedExecutor` built for the run (the
-        count is clamped to the number of records);
-        :class:`repro.service.SeparationService` keeps one engine alive
-        across calls instead.
-    postprocess:
-        Optional callable applied to every estimate before scoring and
-        before it is stored in the result (e.g. the band-pass filter the
-        paper applies before computing Table 2 scores).
-    score:
-        If true (default), records carrying ``references`` get per-source
-        ``(sdr_db, mse)`` scores.
-    """
-
-    def __init__(
-        self,
-        separator: Separator,
-        workers: int = 0,
-        postprocess: Optional[Postprocess] = None,
-        score: bool = True,
-    ):
-        if not isinstance(separator, Separator):
-            raise ConfigurationError(
-                f"separator must be a Separator, got {type(separator).__name__}"
-            )
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        self.separator = separator
-        self.workers = int(workers)
-        self.postprocess = postprocess or _identity_postprocess
-        self.score = score
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def run(self, records: Sequence[SeparationRecord]) -> BatchResult:
-        """Separate every record and aggregate estimates and scores."""
-        records = list(records)
-        if not records:
-            return BatchResult(results=[], separator_name=self.separator.name)
-        rates = {float(r.sampling_hz) for r in records}
-        if len(rates) > 1 and self.workers <= 1:
-            # The separate_batch hook assumes one shared rate; split the
-            # serial batch by rate and preserve input order on
-            # reassembly.  Fan-out paths need no split: the sampling
-            # rate is part of the shard key, so every shard already
-            # holds a single rate.
-            return self._run_mixed_rates(records)
-
-        estimates_list = self._separate_all(records)
-        results = []
-        for record, estimates in zip(records, estimates_list):
-            results.append(self._finalize(record, estimates))
-        return BatchResult(results=results, separator_name=self.separator.name)
-
-    def _run_mixed_rates(self, records: List[SeparationRecord]) -> BatchResult:
-        by_rate: Dict[float, List[int]] = {}
-        for i, r in enumerate(records):
-            by_rate.setdefault(float(r.sampling_hz), []).append(i)
-        slots: List[Optional[RecordResult]] = [None] * len(records)
-        for indices in by_rate.values():
-            sub = self.run([records[i] for i in indices])
-            for i, result in zip(indices, sub.results):
-                slots[i] = result
-        return BatchResult(
-            results=[s for s in slots if s is not None],
-            separator_name=self.separator.name,
-        )
-
-    def _separate_all(
-        self, records: List[SeparationRecord]
-    ) -> List[Dict[str, np.ndarray]]:
-        n_workers = min(self.workers, len(records))
-        if n_workers <= 1:
-            return self.separator.separate_batch(
-                [r.mixed for r in records],
-                records[0].sampling_hz,
-                [r.f0_tracks for r in records],
-            )
-        with ShardedExecutor(self.separator, workers=n_workers) as engine:
-            return engine.separate_records(records)
-
-    def _finalize(
-        self, record: SeparationRecord, estimates: Dict[str, np.ndarray]
-    ) -> RecordResult:
-        return finalize_record(
-            self.separator.name, record, estimates,
-            postprocess=self.postprocess, score=self.score,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SeparationPipeline(separator={self.separator.name!r}, "
-            f"workers={self.workers})"
-        )

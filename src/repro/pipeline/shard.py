@@ -43,9 +43,9 @@ shutdown — the shared resource tracker reclaims it then.
 :class:`concurrent.futures.ProcessPoolExecutor`.  A worker death
 surfaces as a structured :class:`repro.errors.WorkerPoolError` (never a
 hang) and discards the broken pool; the next call builds a fresh one.
-It is the package's only fan-out: :class:`repro.pipeline.SeparationPipeline`
-builds one per ``workers > 1`` run, and
-:class:`repro.service.SeparationService` keeps one alive across calls.
+It is the package's only fan-out: a ``workers > 1``
+:class:`repro.service.SeparationService` builds one and keeps it alive
+across calls.
 One engine may serve several threads at once (a gateway's job threads
 share a service per spec); a lock makes the lazy pool exactly one pool.
 """
@@ -388,9 +388,6 @@ class ShardedExecutor:
         the spec's JSON via the registry and the separator object itself
         is *never* pickled; without it the separator is pickled once at
         construction (and must therefore be picklable).
-    mp_context:
-        Optional :mod:`multiprocessing` context forwarded to the pool
-        (defaults to the platform's start method).
 
     The pool is created lazily on the first :meth:`separate_records`
     call and survives across calls; :meth:`close` shuts it down (the
@@ -405,7 +402,6 @@ class ShardedExecutor:
         separator: Separator,
         workers: int,
         spec=None,
-        mp_context=None,
     ):
         if not isinstance(separator, Separator):
             raise ConfigurationError(
@@ -420,7 +416,6 @@ class ShardedExecutor:
         self.separator = separator
         self.workers = workers
         self.spec = spec
-        self._mp_context = mp_context
         zoo_path = ""
         config = getattr(separator, "config", None)
         if getattr(config, "warm_start", False):
@@ -471,7 +466,6 @@ class ShardedExecutor:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    mp_context=self._mp_context,
                     initializer=_init_worker,
                     initargs=(self._payload,),
                 )

@@ -61,8 +61,9 @@ class Separator(abc.ABC):
         whose per-record work is dominated by STFT round-trips override
         this with a vectorized implementation (see
         :class:`repro.baselines.SpectralMaskingSeparator`).
-        :class:`repro.pipeline.SeparationPipeline` calls this hook on its
-        serial path, so vectorized overrides are picked up automatically.
+        :meth:`repro.service.SeparationService.separate_batch` calls this
+        hook once per sampling rate (in process or per shard), so
+        vectorized overrides are picked up automatically.
 
         Parameters
         ----------

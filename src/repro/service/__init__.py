@@ -13,12 +13,12 @@ execution paths that grew underneath it:
 * **Facade** (:mod:`repro.service.facade`): a
   :class:`SeparationService` configured with one spec executes it in any
   mode — ``separate`` (offline, :mod:`repro.core` / baselines),
-  ``separate_batch`` (:class:`repro.pipeline.SeparationPipeline`),
-  ``stream`` / ``stream_batch`` (:func:`repro.streaming.stream_record`
-  per record) — behind the shared STFT-plan cache and, for
-  ``workers > 1``, one service-owned process shard engine, returning a
-  unified
-  :class:`SeparationOutcome`.
+  ``separate_batch`` (the separator's ``separate_batch`` hook, in this
+  process or, for ``workers > 1``, on one service-owned process shard
+  engine), ``stream`` / ``stream_batch``
+  (:func:`repro.streaming.stream_record` per record) — behind the
+  shared STFT-plan cache, returning a unified
+  :class:`SeparationOutcome`.  It is the only runner of record sets.
 """
 
 from repro.service.facade import (

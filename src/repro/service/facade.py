@@ -1,40 +1,40 @@
 """The :class:`SeparationService` facade: one front door, three modes.
 
-The repo grew three parallel entry points — per-record
-``Separator.separate``, the batched
-:class:`repro.pipeline.SeparationPipeline`, and the streaming
-:class:`repro.streaming.StreamingSeparator`.  The service puts one
-declarative API in front of all of them: configure a method once (by
-registry name, :class:`repro.service.SeparatorSpec`, or spec dict) and
-execute it in any mode::
+Configure a method once (by registry name,
+:class:`repro.service.SeparatorSpec`, or spec dict) and execute it in
+any mode::
 
     with SeparationService("spectral-masking", workers=4) as service:
         one   = service.separate(record)               # offline
-        many  = service.separate_batch(records)        # batch pipeline
+        many  = service.separate_batch(records)        # record set
         live  = service.stream(record, chunk_samples=100,
                                segment_samples=1000, overlap_samples=450)
 
-Every mode returns a :class:`SeparationOutcome` wrapping the layer's
-native result (``RecordResult`` / :class:`repro.pipeline.BatchResult`,
-plus :class:`repro.core.DHFResult` diagnostics when the method provides
+Every mode returns a :class:`SeparationOutcome` wrapping a
+``RecordResult`` or :class:`repro.pipeline.BatchResult` (plus
+:class:`repro.core.DHFResult` diagnostics when the method provides
 them), and every mode shares the process-wide :mod:`repro.dsp.plan`
-STFT-plan cache.  A ``workers > 1`` service also owns one
-:class:`repro.pipeline.ShardedExecutor`, whose worker processes persist
-across batch calls.
+STFT-plan cache.  The service is the only runner of record sets: a
+``workers > 1`` service owns one :class:`repro.pipeline.ShardedExecutor`,
+whose worker processes persist across batch calls.
 
 Routing is thin by design — ``separate`` calls the separator directly,
-``separate_batch`` builds on :class:`repro.pipeline.SeparationPipeline`
-(or hands a multi-record batch to the service's shard engine),
-``stream`` on :func:`repro.streaming.stream_record` and ``stream_batch``
-on :func:`repro.pipeline.stream_records` — so service results are
-*identical* to the direct APIs, and all scoring goes through the
-shared :func:`repro.pipeline.batch.finalize_record`.
+``separate_batch`` takes raw estimates from the shard engine (a
+multi-record set on a ``workers > 1`` service) or from
+:func:`repro.pipeline.batch.separate_records` (one ``separate_batch``
+call per sampling rate, in this process), and ``stream`` /
+``stream_batch`` from :func:`repro.streaming.stream_record`, one record
+at a time — so service results are *identical* to the direct APIs, and
+all scoring goes through the shared
+:func:`repro.pipeline.batch.finalize_record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -43,16 +43,16 @@ from repro.pipeline.batch import (
     BatchResult,
     Postprocess,
     RecordResult,
-    SeparationPipeline,
     SeparationRecord,
     finalize_record,
+    separate_records,
 )
 from repro.pipeline.shard import ShardedExecutor
-from repro.pipeline.stream import stream_records
 from repro.separation import Separator
 from repro.service.registry import SpecLike, build_separator, resolve_spec
 from repro.service.specs import SeparatorSpec
 from repro.streaming.engine import stream_record
+from repro.utils.validation import check_positive_int
 
 #: Modes a :class:`SeparationOutcome` can report.
 MODES = ("offline", "batch", "stream")
@@ -298,33 +298,17 @@ class SeparationService:
     def separate_batch(
         self, records: Sequence[SeparationRecord]
     ) -> SeparationOutcome:
-        """Batch mode: a record set through the
-        :class:`repro.pipeline.SeparationPipeline`, or, on a
-        ``workers > 1`` service, a multi-record set through the
-        service's shard engine."""
+        """Batch mode: a record set through the separator's
+        ``separate_batch`` hook — on the service's shard engine for a
+        multi-record set on a ``workers > 1`` service, otherwise in this
+        process, one call per sampling rate."""
         self._check_open()
         records = list(records)
         if self._engine is not None and len(records) > 1:
             estimates = self._engine.separate_records(records)
-            batch = BatchResult(
-                results=[
-                    finalize_record(
-                        self.separator.name, record, estimate,
-                        postprocess=self.postprocess, score=self.score,
-                    )
-                    for record, estimate in zip(records, estimates)
-                ],
-                separator_name=self.separator.name,
-            )
         else:
-            batch = SeparationPipeline(
-                self.separator, postprocess=self.postprocess,
-                score=self.score,
-            ).run(records)
-        return SeparationOutcome(
-            separator_name=self.separator.name, spec=self.spec,
-            mode="batch", batch=batch,
-        )
+            estimates = separate_records(self.separator, records)
+        return self._batch_outcome("batch", records, estimates)
 
     def stream(
         self,
@@ -379,20 +363,56 @@ class SeparationService:
         overlap_samples: int,
         chunk_samples: int,
     ) -> SeparationOutcome:
-        """Streaming mode over a record set, via
-        :func:`repro.pipeline.stream_records` (records streamed one
-        after another in this process, whatever ``workers`` is)."""
+        """Streaming mode over a record set: each record chunked through
+        its own :class:`repro.streaming.StreamingSeparator`
+        (:func:`repro.streaming.stream_record`), one after another in
+        this process, whatever ``workers`` is.  The records must share
+        one sampling rate and have distinct names."""
         self._check_open()
-        batch = stream_records(
-            self.separator, records,
-            segment_samples=segment_samples,
-            overlap_samples=overlap_samples,
-            chunk_samples=chunk_samples,
-            postprocess=self.postprocess, score=self.score,
+        check_positive_int(chunk_samples, "chunk_samples")
+        records = list(records)
+        rates = {float(r.sampling_hz) for r in records}
+        if len(rates) > 1:
+            raise ConfigurationError(
+                f"stream_batch needs one shared sampling rate, got "
+                f"{sorted(rates)}"
+            )
+        names = [r.name or f"record{i}" for i, r in enumerate(records)]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(
+                "records must have distinct names for streaming"
+            )
+        # A generator: each record is scored as soon as it has streamed.
+        estimates = (
+            stream_record(
+                self.separator, record.mixed, record.sampling_hz,
+                record.f0_tracks, segment_samples, overlap_samples,
+                chunk_samples,
+            )[0]
+            for record in records
+        )
+        return self._batch_outcome("stream", records, estimates)
+
+    def _batch_outcome(
+        self,
+        mode: str,
+        records: Sequence[SeparationRecord],
+        estimates: Iterable[Dict[str, np.ndarray]],
+    ) -> SeparationOutcome:
+        """Post-process and score a record set's raw estimates, in order."""
+        batch = BatchResult(
+            results=[
+                finalize_record(
+                    self.separator.name, record, estimate,
+                    postprocess=self.postprocess, score=self.score,
+                )
+                for record, estimate in zip(records, estimates)
+            ],
+            separator_name=self.separator.name,
         )
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
-            mode="stream", batch=batch,
+            mode=mode, batch=batch,
         )
 
     # ------------------------------------------------------------------ #

@@ -8,8 +8,8 @@ and cross-fades segment outputs, emitting per-source samples with
 latency bounded by one segment length.
 
 :func:`stream_record` drives one whole record through an engine chunk
-by chunk; :func:`repro.pipeline.stream_records` maps it over a record
-set and scores the results like the batch pipeline.
+by chunk; :meth:`repro.service.SeparationService.stream_batch` maps it
+over a record set and scores the results like ``separate_batch``.
 """
 
 from repro.streaming.engine import (

@@ -29,9 +29,6 @@ Streaming monitoring
     geometry, the monitor's draw ratios and final calibration equal the
     offline :func:`repro.tfo.spo2.fit_spo2` path exactly outside the
     engines' recorded cross-fade spans.
-
-:mod:`repro.tfo.experiment` re-exports the public names so existing
-imports keep working.
 """
 
 from __future__ import annotations
@@ -54,11 +51,10 @@ from repro.tfo.sao2 import CALIBRATION_K
 from repro.tfo.spo2 import (
     R_WINDOW_S,
     SpO2Fit,
-    dc_component,
     fit_spo2,
     modulation_ratio_at_draws,
+    window_ratio,
 )
-from repro.tfo.spo2 import ac_component as ac_strength
 from repro.utils.logging import get_logger
 from repro.utils.validation import (
     check_finite,
@@ -505,15 +501,15 @@ class SpO2Monitor:
             for wavelength in WAVELENGTHS
         }
         # Sliding buffers in absolute sample coordinates: buffer index 0
-        # is absolute sample ``start``; anything older has been trimmed.
+        # is absolute sample ``_start`` (shared by the raw and fetal
+        # buffers); anything older has been trimmed.
         self._raw: Dict[int, np.ndarray] = {
             wl: np.zeros(0) for wl in WAVELENGTHS
         }
         self._fetal: Dict[int, np.ndarray] = {
             wl: np.zeros(0) for wl in WAVELENGTHS
         }
-        self._raw_start = 0
-        self._fetal_start = 0
+        self._start = 0
         self.n_pushed = 0
         self.n_finalized = 0
         self.closed = False
@@ -612,11 +608,11 @@ class SpO2Monitor:
             )
         centre = int(round(time_s * self.sampling_hz))
         lo = max(0, centre - self.half_window)
-        if lo < self._fetal_start:
+        if lo < self._start:
             raise DataError(
                 f"draw at {time_s:.1f}s needs samples from {lo} on, but "
                 f"the monitor has already trimmed its buffers to "
-                f"{self._fetal_start}; register draws before their window "
+                f"{self._start}; register draws before their window "
                 f"ages out"
             )
         self._draws.append(DrawEstimate(
@@ -835,26 +831,16 @@ class SpO2Monitor:
         return lo, hi
 
     def _windowed_ratio(self, lo: int, hi: int) -> float:
-        """Eq. 11 over ``[lo, hi)`` — the offline window rules, verbatim."""
-        acdc = {}
-        for wl in WAVELENGTHS:
-            fetal = self._fetal[wl][lo - self._fetal_start: hi - self._fetal_start]
-            raw = self._raw[wl][lo - self._raw_start: hi - self._raw_start]
-            dc = dc_component(raw)
-            if dc == 0:
-                raise DataError(
-                    f"zero DC at {wl} nm in monitor window [{lo}, {hi}) — "
-                    f"raw channel reads as dropped out"
-                )
-            acdc[wl] = ac_strength(fetal) / dc
-        if acdc[850] <= 0:
-            raise DataError("non-positive AC/DC at 850 nm in monitor window")
-        ratio = float(acdc[740] / acdc[850])
-        if not np.isfinite(ratio):
-            raise DataError(
-                f"non-finite modulation ratio in monitor window [{lo}, {hi})"
+        """Eq. 11 over ``[lo, hi)`` — the offline window rule,
+        :func:`repro.tfo.spo2.window_ratio`."""
+        a, b = lo - self._start, hi - self._start
+        try:
+            return window_ratio(
+                self._fetal[740][a:b], self._fetal[850][a:b],
+                self._raw[740][a:b], self._raw[850][a:b],
             )
-        return ratio
+        except DataError as exc:
+            raise DataError(f"monitor window [{lo}, {hi}): {exc}") from None
 
     def _resolve_draws(self, final: bool) -> List[DrawEstimate]:
         """Compute ratios for draws whose windows completed; refit."""
@@ -929,24 +915,21 @@ class SpO2Monitor:
         """Drop buffered samples no window can reach any more.
 
         Kept: the live sliding window plus every pending draw's window
-        start.  Raw and fetal buffers share the horizon (raw arrives
-        ahead of finalization, so its buffer is the longer one).
+        start.  Raw and fetal buffers share the horizon and hence one
+        start offset (raw arrives ahead of finalization, so its buffer
+        is the longer one).
         """
         horizon = max(0, self.n_finalized - 2 * self.half_window)
         for draw in self._draws:
             if draw.completed_at is None:
                 centre = int(round(draw.time_s * self.sampling_hz))
                 horizon = min(horizon, max(0, centre - self.half_window))
-        if horizon > self._fetal_start:
-            drop = horizon - self._fetal_start
+        if horizon > self._start:
+            drop = horizon - self._start
             for wl in WAVELENGTHS:
                 self._fetal[wl] = self._fetal[wl][drop:]
-            self._fetal_start = horizon
-        if horizon > self._raw_start:
-            drop = horizon - self._raw_start
-            for wl in WAVELENGTHS:
                 self._raw[wl] = self._raw[wl][drop:]
-            self._raw_start = horizon
+            self._start = horizon
 
     def __repr__(self) -> str:
         return (

@@ -89,12 +89,43 @@ def modulation_ratio_at_draws(
             raise DataError(
                 f"draw at {t:.1f}s has no samples inside the recording"
             )
-        acdc_740 = ac_component(fetal_740[lo:hi]) / dc_component(raw_740[lo:hi])
-        acdc_850 = ac_component(fetal_850[lo:hi]) / dc_component(raw_850[lo:hi])
-        if acdc_850 <= 0:
-            raise DataError(f"non-positive AC/DC at 850 nm for draw {i}")
-        ratios[i] = acdc_740 / acdc_850
+        try:
+            ratios[i] = window_ratio(
+                fetal_740[lo:hi], fetal_850[lo:hi],
+                raw_740[lo:hi], raw_850[lo:hi],
+            )
+        except DataError as exc:
+            raise DataError(f"draw {i} at {t:.1f}s: {exc}") from None
     return ratios
+
+
+def window_ratio(fetal_740, fetal_850, raw_740, raw_850) -> float:
+    """Eq. 11 over one window: ``R = (AC/DC)_740 / (AC/DC)_850``.
+
+    AC strengths come from the separated fetal PPG, DC levels from the
+    raw PPG of the same window.  The one window rule of the offline
+    :func:`modulation_ratio_at_draws` and the streaming
+    :class:`repro.tfo.SpO2Monitor`: a window with a zero DC (a raw
+    channel that reads as dropped out), a non-positive AC/DC at 850 nm,
+    or a non-finite ratio raises :class:`repro.errors.DataError`.
+    """
+    acdc = {}
+    for wavelength, fetal, raw in (
+        (740, fetal_740, raw_740), (850, fetal_850, raw_850),
+    ):
+        dc = dc_component(raw)
+        if dc == 0:
+            raise DataError(
+                f"zero DC at {wavelength} nm — raw channel reads as "
+                f"dropped out"
+            )
+        acdc[wavelength] = ac_component(fetal) / dc
+    if acdc[850] <= 0:
+        raise DataError("non-positive AC/DC at 850 nm")
+    ratio = acdc[740] / acdc[850]
+    if not np.isfinite(ratio):
+        raise DataError("non-finite modulation ratio")
+    return ratio
 
 
 @dataclass

@@ -149,38 +149,21 @@ class TestTable2Runner:
         assert len(result.scores["custom"]) == 2
         assert "custom" in result.render()
 
-    def test_run_separation_batch_accepts_names_and_specs(self, smoke):
-        from repro.experiments.common import (
-            records_from_mixtures, run_separation_batch,
-        )
-        from repro.service import SpectralMaskingSpec
+    def test_service_runs_names_and_specs_alike(self, smoke):
+        from repro.experiments.common import records_from_mixtures
+        from repro.service import SeparationService, SpectralMaskingSpec
 
         records, _ = records_from_mixtures(["msig1"], smoke)
-        by_name = run_separation_batch("spectral-masking", records)
-        by_spec = run_separation_batch(SpectralMaskingSpec(), records)
+        with SeparationService("spectral-masking") as service:
+            by_name = service.separate_batch(records).batch
+        with SeparationService(SpectralMaskingSpec()) as service:
+            by_spec = service.separate_batch(records).batch
         assert by_name.separator_name == by_spec.separator_name
         source = records[0].source_names()[0]
         np.testing.assert_array_equal(
             by_name.results[0].estimates[source],
             by_spec.results[0].estimates[source],
         )
-
-    def test_prebuilt_service_rejects_policy_overrides(self, smoke):
-        from repro.errors import ConfigurationError
-        from repro.experiments.common import (
-            records_from_mixtures, run_separation_batch,
-        )
-        from repro.service import SeparationService
-
-        records, _ = records_from_mixtures(["msig1"], smoke)
-        with SeparationService("spectral-masking") as service:
-            with pytest.raises(ConfigurationError, match="postprocess"):
-                run_separation_batch(
-                    service, records, postprocess=lambda est, rec: est,
-                )
-            # Without overrides the service runs as configured.
-            batch = run_separation_batch(service, records)
-            assert len(batch) == 1
 
     def test_best_previous_excludes_dhf(self):
         result = Table2Result(

@@ -3,18 +3,25 @@
 :class:`PidSeparator` writes the pid of the process that ran it into
 every estimate, so each test can tell where the separation happened:
 with ``workers=2`` and at least two records no estimate may carry this
-process's pid, and with ``workers=0`` every one must.
+process's pid, and with ``workers=0`` every one must.  A service sends
+its separator to the workers as a pickle (a hand-built separator) or as
+its registry spec (a registered method); both transports are covered.
 """
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.experiments.common import run_separation_batch
-from repro.pipeline import SeparationPipeline, records_from_arrays
+from repro.pipeline import records_from_arrays
 from repro.separation import Separator
-from repro.service import SeparationService
+from repro.service import (
+    SeparationService,
+    SeparatorSpec,
+    register_separator,
+    unregister_separator,
+)
 from repro.tfo import make_sheep_recording
 from repro.tfo.monitor import run_in_vivo_batch
 
@@ -37,6 +44,19 @@ class PidSeparator(Separator):
         return out
 
 
+@dataclass(frozen=True)
+class PidSpec(SeparatorSpec):
+    method: str = "pid"
+
+
+@pytest.fixture
+def pid_method():
+    """``PidSeparator`` registered as ``"pid"`` while a test runs."""
+    register_separator("pid", lambda spec: PidSeparator(), PidSpec)
+    yield
+    unregister_separator("pid", missing_ok=True)
+
+
 def _records(n=4, n_samples=300):
     rng = np.random.default_rng(0)
     return records_from_arrays(
@@ -56,8 +76,10 @@ def _batch_pids(batch):
     )
 
 
-def _pipeline(workers):
-    return SeparationPipeline(PidSeparator(), workers=workers).run(_records())
+def _spec_service(workers):
+    with SeparationService(PidSpec(), workers=workers) as service:
+        assert service.spec is not None  # workers rebuild from the spec
+        return service.separate_batch(_records()).batch
 
 
 def _service(workers):
@@ -65,12 +87,9 @@ def _service(workers):
         return service.separate_batch(_records()).batch
 
 
-def _run_separation_batch(workers):
-    return run_separation_batch(PidSeparator(), _records(), workers=workers)
-
-
-@pytest.mark.parametrize("run", [_pipeline, _service, _run_separation_batch],
-                         ids=["pipeline", "service", "run_separation_batch"])
+@pytest.mark.usefixtures("pid_method")
+@pytest.mark.parametrize("run", [_spec_service, _service],
+                         ids=["spec", "service"])
 def test_batch_entry_points_fan_out_in_processes(run):
     parent = os.getpid()
     assert _batch_pids(run(0)) == {parent}

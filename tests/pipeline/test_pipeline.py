@@ -1,4 +1,8 @@
-"""Tests for the batched separation pipeline."""
+"""Tests for record sets: records, the serial batch rule, scoring.
+
+Record sets run through :meth:`repro.service.SeparationService.
+separate_batch`; :func:`_batch` opens one service per call.
+"""
 
 import numpy as np
 import pytest
@@ -8,14 +12,21 @@ from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline import (
     BatchResult,
-    SeparationPipeline,
     SeparationRecord,
     records_from_arrays,
 )
+from repro.pipeline.batch import separate_records
 from repro.separation import Separator
+from repro.service import SeparationService
 from repro.synth import make_mixture
 
 FS = 100.0
+
+
+def _batch(separator, records, **service_kwargs):
+    """A record set through one service's ``separate_batch``."""
+    with SeparationService(separator, **service_kwargs) as service:
+        return service.separate_batch(records).batch
 
 
 class ScaleSeparator(Separator):
@@ -108,7 +119,7 @@ class TestSeparationRecord:
 
 class TestPipelineExecution:
     def test_empty_batch(self):
-        result = SeparationPipeline(ScaleSeparator()).run([])
+        result = _batch(ScaleSeparator(), [])
         assert isinstance(result, BatchResult)
         assert len(result) == 0
         assert result.summary() == {}
@@ -116,7 +127,7 @@ class TestPipelineExecution:
 
     def test_single_record(self):
         records = _records(1)
-        result = SeparationPipeline(ScaleSeparator()).run(records)
+        result = _batch(ScaleSeparator(), records)
         assert len(result) == 1
         np.testing.assert_allclose(
             result.results[0].estimates["a"], records[0].mixed
@@ -132,18 +143,18 @@ class TestPipelineExecution:
             sep.separate(r.mixed, r.sampling_hz, r.f0_tracks)
             for r in records
         ]
-        batch = SeparationPipeline(sep).run(records)
+        batch = _batch(sep, records)
         for seq, res in zip(sequential, batch.results):
             for source in seq:
                 np.testing.assert_array_equal(seq[source],
                                               res.estimates[source])
 
-    @pytest.mark.parametrize("workers", [2, 3, 16])
+    @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_workers_match_serial_even_when_more_than_records(self, workers):
         records = _records(4)
         sep = ScaleSeparator()
-        serial = SeparationPipeline(sep).run(records)
-        pooled = SeparationPipeline(sep, workers=workers).run(records)
+        serial = _batch(sep, records)
+        pooled = _batch(sep, records, workers=workers)
         assert len(pooled) == len(serial) == 4
         for a, b in zip(serial.results, pooled.results):
             assert a.name == b.name
@@ -153,18 +164,16 @@ class TestPipelineExecution:
 
     def test_process_fanout(self):
         # module-level separator class → picklable
-        pooled = SeparationPipeline(
-            SpectralMaskingSeparator(), workers=2
-        ).run(_mixture_records(2))
+        pooled = _batch(
+            SpectralMaskingSeparator(), _mixture_records(2), workers=2,
+        )
         assert len(pooled) == 2
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
-            SeparationPipeline(ScaleSeparator(), workers=-1)
-        with pytest.raises(TypeError):
-            SeparationPipeline(ScaleSeparator(), executor="thread")
+            SeparationService(ScaleSeparator(), workers=-1)
         with pytest.raises(ConfigurationError):
-            SeparationPipeline(object())
+            SeparationService(object())
 
     def test_missing_estimate_raises(self):
         class Lossy(ScaleSeparator):
@@ -174,21 +183,42 @@ class TestPipelineExecution:
                 return out
 
         with pytest.raises(DataError):
-            SeparationPipeline(Lossy()).run(_records(2))
+            _batch(Lossy(), _records(2))
 
     def test_mixed_sampling_rates_grouped(self):
         r1 = _records(2, seed=1)
         r2 = _records(1, seed=2)
         for r in r2:
             r.sampling_hz = 50.0
-        batch = SeparationPipeline(ScaleSeparator()).run(r1 + r2)
+        batch = _batch(ScaleSeparator(), r1 + r2)
         assert [r.name for r in batch.results] == ["rec0", "rec1", "rec0"]
+
+    def test_serial_rule_is_one_batch_call_per_rate(self):
+        # 50 Hz, FS, 50 Hz, FS: two separate_batch calls (one per rate,
+        # in first-seen order), each with its whole rate group, and the
+        # estimates come back in input order.
+        calls = []
+
+        class Recording(ScaleSeparator):
+            def separate_batch(self, mixed_batch, sampling_hz, tracks):
+                calls.append((sampling_hz, len(mixed_batch)))
+                return super().separate_batch(mixed_batch, sampling_hz, tracks)
+
+        records = _records(4, seed=3)
+        for r in records[::2]:
+            r.sampling_hz = 50.0
+        estimates = separate_records(Recording(), records)
+        assert calls == [(50.0, 2), (FS, 2)]
+        for record, estimate in zip(records, estimates):
+            np.testing.assert_array_equal(estimate["a"], record.mixed)
+        assert separate_records(Recording(), []) == []
+        assert len(calls) == 2
 
 
 class TestScoringAndAggregation:
     def test_scores_match_direct_metrics(self):
         records = _records(3)
-        batch = SeparationPipeline(ScaleSeparator()).run(records)
+        batch = _batch(ScaleSeparator(), records)
         for r in batch.results:
             for k, source in enumerate(r.record.source_names()):
                 est = r.estimates[source]
@@ -197,7 +227,7 @@ class TestScoringAndAggregation:
                 assert r.scores[source][1] == pytest.approx(mse(est, ref))
 
     def test_summary_uses_paper_rules(self):
-        batch = SeparationPipeline(ScaleSeparator()).run(_records(4))
+        batch = _batch(ScaleSeparator(), _records(4))
         by_source = batch.scores_by_source()
         summary = batch.summary()
         for source, scores in by_source.items():
@@ -207,23 +237,22 @@ class TestScoringAndAggregation:
             assert summary[source][1] == pytest.approx(average_mse(mses))
 
     def test_no_references_no_scores(self):
-        batch = SeparationPipeline(ScaleSeparator()).run(
-            _records(2, with_refs=False)
-        )
+        batch = _batch(ScaleSeparator(), _records(2, with_refs=False))
         assert all(r.scores == {} for r in batch.results)
         assert batch.summary() == {}
 
     def test_postprocess_applied_before_scoring(self):
         records = _records(2)
-        batch = SeparationPipeline(
-            ScaleSeparator(), postprocess=lambda est, record: est * 0.0
-        ).run(records)
+        batch = _batch(
+            ScaleSeparator(), records,
+            postprocess=lambda est, record: est * 0.0,
+        )
         for r in batch.results:
             np.testing.assert_array_equal(r.estimates["a"],
                                           np.zeros_like(r.estimates["a"]))
 
     def test_case_scores_keys(self):
-        batch = SeparationPipeline(ScaleSeparator()).run(_records(2))
+        batch = _batch(ScaleSeparator(), _records(2))
         keys = set(batch.case_scores())
         assert keys == {("rec0", 0), ("rec0", 1), ("rec1", 0), ("rec1", 1)}
 
@@ -231,7 +260,7 @@ class TestScoringAndAggregation:
         records = _records(2)
         for r in records:
             r.name = ""
-        batch = SeparationPipeline(ScaleSeparator()).run(records)
+        batch = _batch(ScaleSeparator(), records)
         assert set(batch.case_scores()) == {
             ("record0", 0), ("record0", 1), ("record1", 0), ("record1", 1)
         }
@@ -240,7 +269,7 @@ class TestScoringAndAggregation:
         records = _records(2)
         records[0].name = "record1"  # collides with index-1 fallback
         records[1].name = ""
-        batch = SeparationPipeline(ScaleSeparator()).run(records)
+        batch = _batch(ScaleSeparator(), records)
         keys = {k[0] for k in batch.case_scores()}
         assert keys == {"record1", "record1_"}
 
@@ -248,7 +277,7 @@ class TestScoringAndAggregation:
         records = _records(2)
         for r in records:
             r.name = "same"
-        batch = SeparationPipeline(ScaleSeparator()).run(records)
+        batch = _batch(ScaleSeparator(), records)
         with pytest.raises(DataError):
             batch.case_scores()
 

@@ -6,10 +6,12 @@ block transport, the :class:`repro.pipeline.ShardedExecutor` lifecycle
 recovery, close-hardening, one lazy pool under concurrent first calls),
 preservation of the ``separate_batch`` hook on every fan-out path,
 serial/process equivalence for every registered separator, the service
-facade's persistent engine, and the one-serialization-per-worker
-guarantee (counting ``__reduce__``).
+facade's persistent engine and its one scoring loop on both branches,
+and the one-serialization-per-worker guarantee (counting
+``__reduce__``).
 """
 
+import collections
 import ctypes
 import glob
 import os
@@ -23,7 +25,6 @@ import pytest
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError, WorkerPoolError
 from repro.pipeline import (
-    SeparationPipeline,
     SeparationRecord,
     Shard,
     ShardedExecutor,
@@ -426,7 +427,7 @@ class TestShardedExecutor:
 
 
 # --------------------------------------------------------------------- #
-# Pipeline fan-out paths
+# Service fan-out paths
 # --------------------------------------------------------------------- #
 def _mixture_records(n, duration_s=4.0, rate=None, seed=0):
     kwargs = {} if rate is None else {"sampling_hz": rate}
@@ -438,19 +439,23 @@ def _mixture_records(n, duration_s=4.0, rate=None, seed=0):
     )
 
 
+def _batch(separator, records, **service_kwargs):
+    """A record set through one service's ``separate_batch``."""
+    with SeparationService(separator, **service_kwargs) as service:
+        return service.separate_batch(records).batch
+
+
 class TestPipelineSharding:
     def test_batch_hook_used_on_fanout(self):
-        batch = SeparationPipeline(
-            BatchStampSeparator(), workers=2
-        ).run(_records(4))
+        batch = _batch(BatchStampSeparator(), _records(4), workers=2)
         stamps = sorted(float(r.estimates["a"][0]) for r in batch.results)
         assert stamps == [2.0, 2.0, 2.0, 2.0]
 
     def test_mixed_rates_on_fanout(self):
         records = _records(3, seed=1) + _records(2, rate=50.0, seed=2)
         sep = RateScaleSeparator()
-        serial = SeparationPipeline(sep).run(records)
-        fanned = SeparationPipeline(sep, workers=2).run(records)
+        serial = _batch(sep, records)
+        fanned = _batch(sep, records, workers=2)
         for a, b in zip(serial.results, fanned.results):
             for source in a.estimates:
                 np.testing.assert_allclose(
@@ -462,9 +467,7 @@ class TestPipelineSharding:
         # must reflect per-rate groups (3 and 2), never one mixed
         # mega-batch of 5 and never per-record calls of 1.
         records = _records(3, seed=1) + _records(2, rate=50.0, seed=2)
-        batch = SeparationPipeline(
-            BatchStampSeparator(), workers=2
-        ).run(records)
+        batch = _batch(BatchStampSeparator(), records, workers=2)
         stamps = [float(r.estimates["a"][0]) for r in batch.results]
         assert stamps == [3.0, 3.0, 3.0, 2.0, 2.0]
 
@@ -484,10 +487,9 @@ def test_fanout_equivalence(method):
     spec = _spec_for(method)
     separator = build_separator(spec)
     records = _mixture_records(3, duration_s=4.0, seed=7)
-    serial = SeparationPipeline(separator).run(records)
-    pickled = SeparationPipeline(separator, workers=2).run(records)
-    with SeparationService(spec, workers=2) as service:
-        by_spec = service.separate_batch(records).batch
+    serial = _batch(separator, records)
+    pickled = _batch(separator, records, workers=2)
+    by_spec = _batch(spec, records, workers=2)
     for variant in (pickled, by_spec):
         for a, b in zip(serial.results, variant.results):
             for source in a.estimates:
@@ -523,6 +525,45 @@ class TestServiceSharding:
                 np.testing.assert_allclose(
                     a.estimates[source], b.estimates[source], atol=1e-8
                 )
+
+    def test_one_scoring_loop_on_both_branches(self):
+        # The same postprocess and references on the engine branch
+        # (workers=2) and the in-process branch (workers=0): estimates
+        # agree to 1e-8, scores to approx, and the postprocess runs in
+        # this process once per (record, source) on each.
+        mixture = make_mixture("msig1", duration_s=4.0, seed=0)
+        records = [
+            SeparationRecord(
+                mixed=mixture.mixed * (1.0 + 0.01 * i),
+                sampling_hz=mixture.sampling_hz,
+                f0_tracks=mixture.f0_tracks, name=f"mix{i}",
+                references=mixture.sources,
+            )
+            for i in range(3)
+        ]
+        batches = {}
+        for workers in (0, 2):
+            calls = collections.Counter()
+
+            def halve(estimate, record):
+                calls[(record.name, os.getpid())] += 1
+                return 0.5 * estimate
+
+            batches[workers] = _batch(
+                "spectral-masking", records, workers=workers,
+                postprocess=halve,
+            )
+            assert calls == {
+                (r.name, os.getpid()): len(r.f0_tracks) for r in records
+            }
+        for a, b in zip(batches[0].results, batches[2].results):
+            assert a.name == b.name
+            assert set(b.scores) == set(a.scores) == set(a.estimates)
+            for source in a.estimates:
+                np.testing.assert_allclose(
+                    a.estimates[source], b.estimates[source], atol=1e-8
+                )
+                assert b.scores[source] == pytest.approx(a.scores[source])
 
     def test_executor_keyword_accepts_only_process(self):
         with SeparationService(

@@ -1,18 +1,24 @@
-"""stream_records: a record set streamed and scored like the batch pipeline."""
+"""stream_batch: a record set streamed and scored like separate_batch."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError
-from repro.pipeline import (
-    SeparationRecord,
-    SeparationPipeline,
-    stream_records,
-)
+from repro.pipeline import SeparationRecord
+from repro.service import SeparationService
 from repro.streaming import stream_record
 
 FS = 100.0
+
+
+def _stream(separator, records, segment_samples, overlap_samples,
+            chunk_samples, **service_kwargs):
+    """A record set through one service's ``stream_batch``."""
+    with SeparationService(separator, **service_kwargs) as service:
+        return service.stream_batch(
+            records, segment_samples, overlap_samples, chunk_samples,
+        ).batch
 
 
 def _subject_data(seed, n=2000):
@@ -32,7 +38,7 @@ def masker():
     return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
 
 
-class TestStreamRecords:
+class TestStreamBatch:
     def _records(self, n_records=2):
         records = []
         for i in range(n_records):
@@ -49,7 +55,7 @@ class TestStreamRecords:
 
     def test_scored_batch_result(self, masker):
         records = self._records()
-        batch = stream_records(
+        batch = _stream(
             masker, records, segment_samples=1024, overlap_samples=256,
             chunk_samples=200,
         )
@@ -66,10 +72,11 @@ class TestStreamRecords:
 
     def test_matches_offline_pipeline_scores_closely(self, masker):
         # Streaming alters only the cross-fade regions, so per-source
-        # SDR must track the offline pipeline tightly.
+        # SDR must track the offline batch tightly.
         records = self._records()
-        offline = SeparationPipeline(masker).run(records)
-        streamed = stream_records(
+        with SeparationService(masker) as service:
+            offline = service.separate_batch(records).batch
+        streamed = _stream(
             masker, records, segment_samples=1024, overlap_samples=256,
             chunk_samples=500,
         )
@@ -80,26 +87,26 @@ class TestStreamRecords:
                 assert abs(off_sdr - str_sdr) < 0.5, (source, off_sdr, str_sdr)
 
     def test_empty_records(self, masker):
-        batch = stream_records(masker, [], 1024, 256, 100)
+        batch = _stream(masker, [], 1024, 256, 100)
         assert len(batch) == 0
 
     def test_mixed_rates_rejected(self, masker):
         records = self._records()
         records[1].sampling_hz = 50.0
         with pytest.raises(ConfigurationError):
-            stream_records(masker, records, 1024, 256, 100)
+            _stream(masker, records, 1024, 256, 100)
 
     def test_duplicate_names_rejected(self, masker):
         records = self._records()
         records[1].name = records[0].name
         with pytest.raises(ConfigurationError):
-            stream_records(masker, records, 1024, 256, 100)
+            _stream(masker, records, 1024, 256, 100)
 
     def test_each_record_equals_stream_record(self, masker):
-        # stream_records is stream_record mapped over the records, in
+        # stream_batch is stream_record mapped over the records, in
         # order: each result equals a direct stream of that record alone.
         records = self._records(n_records=3)
-        batch = stream_records(
+        batch = _stream(
             masker, records, segment_samples=1024, overlap_samples=256,
             chunk_samples=150,
         )
@@ -115,7 +122,7 @@ class TestStreamRecords:
     def test_nonpositive_chunk_rejected(self, masker):
         for chunk in (0, -5):
             with pytest.raises(ConfigurationError, match="chunk_samples"):
-                stream_records(masker, self._records(), 1024, 256, chunk)
+                _stream(masker, self._records(), 1024, 256, chunk)
 
     def test_postprocess_applied_and_scoring_optional(self, masker):
         records = self._records()
@@ -125,8 +132,8 @@ class TestStreamRecords:
             seen.append(record.name)
             return 2.0 * estimate
 
-        raw = stream_records(masker, records, 1024, 256, 200, score=False)
-        doubled = stream_records(
+        raw = _stream(masker, records, 1024, 256, 200, score=False)
+        doubled = _stream(
             masker, records, 1024, 256, 200, postprocess=double, score=False,
         )
         assert sorted(seen) == ["rec0", "rec0", "rec1", "rec1"]

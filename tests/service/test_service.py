@@ -6,7 +6,7 @@ import pytest
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
 from repro.errors import ConfigurationError
-from repro.pipeline import SeparationPipeline, SeparationRecord, stream_records
+from repro.pipeline import SeparationRecord, finalize_record
 from repro.service import (
     SeparationOutcome,
     SeparationService,
@@ -85,13 +85,21 @@ class TestOfflineMode:
 
 
 class TestBatchMode:
-    def test_identical_to_direct_pipeline(self, records):
-        direct = SeparationPipeline(build_separator(SPEC)).run(records)
+    def test_identical_to_direct_batch_hook(self, records):
+        separator = build_separator(SPEC)
+        raw = separator.separate_batch(
+            [r.mixed for r in records], records[0].sampling_hz,
+            [r.f0_tracks for r in records],
+        )
+        direct = [
+            finalize_record(separator.name, record, estimates)
+            for record, estimates in zip(records, raw)
+        ]
         with SeparationService(SPEC) as service:
             outcome = service.separate_batch(records)
         assert outcome.mode == "batch"
         assert len(outcome.batch) == len(direct)
-        for ours, ref in zip(outcome.batch.results, direct.results):
+        for ours, ref in zip(outcome.batch.results, direct):
             for source in ref.estimates:
                 np.testing.assert_array_equal(
                     ours.estimates[source], ref.estimates[source]
@@ -146,22 +154,29 @@ class TestStreamMode:
         for source, estimate in direct.items():
             assert np.abs(outcome.estimates[source] - estimate).max() <= 1e-12
 
-    def test_stream_batch_matches_stream_records(self, records):
+    def test_stream_batch_matches_stream_record(self, records):
         segment, overlap, chunk = 600, 300, 100
-        direct = stream_records(
-            build_separator(SPEC), records, segment_samples=segment,
-            overlap_samples=overlap, chunk_samples=chunk,
-        )
+        separator = build_separator(SPEC)
+        direct = [
+            finalize_record(separator.name, record, stream_record(
+                separator, record.mixed, record.sampling_hz,
+                record.f0_tracks, segment_samples=segment,
+                overlap_samples=overlap, chunk_samples=chunk,
+            )[0])
+            for record in records
+        ]
         with SeparationService(SPEC) as service:
             outcome = service.stream_batch(
                 records, segment_samples=segment, overlap_samples=overlap,
                 chunk_samples=chunk,
             )
-        for ours, ref in zip(outcome.batch.results, direct.results):
+        assert len(outcome.batch) == len(direct)
+        for ours, ref in zip(outcome.batch.results, direct):
             for source in ref.estimates:
                 np.testing.assert_array_equal(
                     ours.estimates[source], ref.estimates[source]
                 )
+            assert ours.scores == ref.scores
 
     def test_stream_batch_scores_every_record(self, records):
         with SeparationService(SPEC) as service:
@@ -204,7 +219,9 @@ class TestDHFAllModes:
         direct_offline = build_separator(spec).separate(
             record.mixed, record.sampling_hz, record.f0_tracks
         )
-        direct_batch = SeparationPipeline(build_separator(spec)).run([record])
+        (direct_batch,) = build_separator(spec).separate_batch(
+            [record.mixed], record.sampling_hz, [record.f0_tracks]
+        )
         direct_stream, _ = stream_record(
             build_separator(spec), record.mixed, record.sampling_hz,
             record.f0_tracks, segment_samples=segment,
@@ -224,7 +241,7 @@ class TestDHFAllModes:
                 (offline.estimates[source], direct_offline[source],
                  "offline"),
                 (batch.batch.results[0].estimates[source],
-                 direct_batch.results[0].estimates[source], "batch"),
+                 direct_batch[source], "batch"),
                 (stream.estimates[source], direct_stream[source], "stream"),
             ):
                 err = float(np.abs(got - ref).max())

@@ -133,6 +133,21 @@ class TestSpo2Pipeline:
         truth = rec.signals.ratio_true[idx]
         assert np.abs(ratios - truth).max() < 0.15
 
+    def test_zero_dc_window_is_a_data_error(self):
+        # Draw 0's window [0, 200) sees a zeroed 740 nm raw channel: the
+        # offline path refuses it like the monitor does, not with a
+        # ZeroDivisionError.
+        n = 1000
+        fetal = np.sin(np.arange(n) * 0.3)
+        raw_850 = np.full(n, 5.0)
+        raw_740 = raw_850.copy()
+        raw_740[:200] = 0.0
+        with pytest.raises(DataError, match="draw 0 .*zero DC at 740 nm"):
+            modulation_ratio_at_draws(
+                fetal, fetal, raw_740, raw_850, 100.0, [1.0, 6.0],
+                window_s=2.0,
+            )
+
     def test_fit_recovers_calibration(self):
         sao2 = np.linspace(0.3, 0.8, 10)
         ratios = ratio_from_sao2(sao2)
