@@ -12,9 +12,10 @@ Run:  python examples/f0_tracking.py
 
 import numpy as np
 
-from repro.core import DHFConfig, DHFSeparator
+from repro.core import DHFSeparator
 from repro.freq import FundamentalTracker
 from repro.metrics import sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 
 
@@ -47,7 +48,7 @@ def main() -> None:
     estimated_tracks = {
         assignments[i]: tracked[i].f0_samples for i in assignments
     }
-    separator = DHFSeparator(DHFConfig.from_preset("fast"))
+    separator = DHFSeparator(DHFSpec.from_preset("fast"))
     estimates = separator.separate(
         mixture.mixed, mixture.sampling_hz, estimated_tracks
     )

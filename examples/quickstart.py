@@ -10,8 +10,9 @@ Run:  python examples/quickstart.py
 import time
 
 from repro.baselines import SpectralMaskingSeparator
-from repro.core import DHFConfig, DHFSeparator
+from repro.core import DHFSeparator
 from repro.metrics import sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 
 
@@ -25,7 +26,7 @@ def main() -> None:
 
     # DHF with the 'fast' preset (smaller deep-prior budget than the
     # paper-scale 'full' preset, same code path).
-    separator = DHFSeparator(DHFConfig.from_preset("fast"))
+    separator = DHFSeparator(DHFSpec.from_preset("fast"))
     start = time.time()
     result = separator.separate_detailed(
         mixture.mixed, mixture.sampling_hz, mixture.f0_tracks,

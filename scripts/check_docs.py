@@ -17,14 +17,21 @@ Verifies that
 7. every backticked CamelCase name in the docs (a class such as
    `SeparationService`) resolves in a public package, in
    ``repro.errors`` or in builtins — a class deleted in code but left
-   in the prose fails here.
+   in the prose fails here; a backticked `Class.attr` or `Class.attr()`
+   additionally needs ``attr`` to be an attribute or a dataclass field
+   of that class;
+8. every ``repro`` import in ``examples/*.py`` resolves.  The examples
+   are parsed, not run (nothing in CI runs them), so a deleted name an
+   example still imports fails here.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
+import dataclasses
 import importlib
 import re
 import sys
@@ -32,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "docs" / "architecture.md"]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 PUBLIC_PACKAGES = [
     "repro",
     "repro.dsp",
@@ -222,31 +230,92 @@ def check_public_api_table() -> list:
     return problems
 
 
+def _has_member(cls, attr: str) -> bool:
+    """``attr`` is an attribute or a dataclass field of ``cls``."""
+    if hasattr(cls, attr):
+        return True
+    return dataclasses.is_dataclass(cls) and attr in {
+        field.name for field in dataclasses.fields(cls)
+    }
+
+
 def check_doc_class_names() -> list:
     """Every backticked CamelCase name in the docs must resolve.
 
     The dotted-path check only sees ``repro.``-prefixed names, so a bare
     class name left in the prose after the class went would pass it;
     here the name must be an attribute of a public package, of
-    ``repro.errors``, or a builtin.
+    ``repro.errors``, or a builtin.  In `Class.attr` and `Class.attr()`
+    the class resolves the same way and ``attr`` must be one of its
+    members, so a deleted method or field left in the prose fails too.
     """
     modules = [
         importlib.import_module(package)
         for package in PUBLIC_PACKAGES + ["repro.errors"]
     ]
-    pattern = re.compile(r"`([A-Z]\w*[a-z]\w*)`")
+    pattern = re.compile(r"`([A-Z]\w*[a-z]\w*)(?:\.(\w+)(?:\(\))?)?`")
     problems = []
     for doc in DOCS:
         if not doc.exists():
             continue  # check_doc_references reports the missing file
-        for name in sorted(set(pattern.findall(doc.read_text()))):
-            if name in CAMELCASE_ALLOWLIST or hasattr(builtins, name):
+        for name, attr in sorted(set(pattern.findall(doc.read_text()))):
+            if name in CAMELCASE_ALLOWLIST:
                 continue
-            if not any(hasattr(module, name) for module in modules):
+            owner = next(
+                (owner for owner in [builtins] + modules
+                 if hasattr(owner, name)),
+                None,
+            )
+            if owner is None:
                 problems.append(
                     f"{doc.name}: documented name {name!r} resolves in "
                     f"no public package, repro.errors or builtins"
                 )
+            elif attr and not _has_member(getattr(owner, name), attr):
+                problems.append(
+                    f"{doc.name}: documented name {name}.{attr} names no "
+                    f"attribute or dataclass field of {name}"
+                )
+    return problems
+
+
+def _import_problem(where: str, module_name: str, name=None):
+    """``None`` when ``module_name`` (and ``name`` in it) imports."""
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError as exc:
+        return f"{where}: module {module_name!r} does not import ({exc})"
+    if name is None or hasattr(module, name):
+        return None
+    try:  # ``from package import submodule``
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return f"{where}: {module_name!r} has no name {name!r}"
+    return None
+
+
+def check_example_imports() -> list:
+    """Every ``repro`` import in the examples must resolve (parsed, not run)."""
+    problems = []
+    for path in EXAMPLES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"examples/{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                found = [
+                    _import_problem(where, alias.name)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "repro"
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and (node.module or "").split(".")[0] == "repro":
+                found = [
+                    _import_problem(where, node.module, alias.name)
+                    for alias in node.names if alias.name != "*"
+                ]
+            else:
+                continue
+            problems += [problem for problem in found if problem]
     return problems
 
 
@@ -258,13 +327,15 @@ def main() -> int:
         + check_required_names_documented()
         + check_public_api_table()
         + check_doc_class_names()
+        + check_example_imports()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
     if problems:
         return 1
     print(f"docs-check: OK ({len(DOCS)} docs, "
-          f"{len(PUBLIC_PACKAGES)} packages verified)")
+          f"{len(PUBLIC_PACKAGES)} packages, "
+          f"{len(EXAMPLES)} examples verified)")
     return 0
 
 

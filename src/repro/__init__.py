@@ -53,7 +53,7 @@ __version__ = "1.4.0"
 
 from repro import errors
 from repro.config import available_presets, get_preset
-from repro.core import DHFConfig, DHFResult, DHFSeparator
+from repro.core import DHFResult, DHFSeparator
 from repro.dsp import (
     BatchStft,
     StftPlan,
@@ -94,7 +94,7 @@ from repro.streaming import StreamingSeparator, stream_record
 
 __all__ = [
     "errors", "get_preset", "available_presets", "__version__",
-    "DHFConfig", "DHFResult", "DHFSeparator",
+    "DHFResult", "DHFSeparator",
     "BatchStft", "StftPlan", "StftResult", "get_stft_plan",
     "istft", "istft_batch", "stft", "stft_batch",
     "average_mse", "average_sdr_db", "mse", "sdr_db",

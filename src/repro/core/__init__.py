@@ -2,8 +2,8 @@
 
 Public surface
 --------------
-:class:`DHFSeparator` / :class:`DHFConfig` are the entry points; the
-stage modules (``alignment``, ``masking``, ``inpainting``, ``phase``)
+:class:`DHFSeparator` is the entry point, configured by a
+:class:`repro.service.DHFSpec`; the stage modules (``alignment``, ``masking``, ``inpainting``, ``phase``)
 export the building blocks in pipeline order, and ``results`` the
 :class:`DHFResult` / :class:`DHFRound` diagnostics.  For batches of
 records, run a :class:`repro.service.SeparationService` and call its
@@ -46,7 +46,7 @@ from repro.core.inpainting import (
 )
 from repro.nn.batchfit import EarlyStopConfig
 from repro.core.results import DHFResult, DHFRound
-from repro.core.dhf import DHFConfig, DHFSeparator
+from repro.core.dhf import DHFSeparator
 
 __all__ = [
     "Alignment", "rewarp", "unrolled_phase", "unwarp", "warp_all_f0_tracks",
@@ -61,5 +61,5 @@ __all__ = [
     "config_for_prior_kind", "inpaint_spectrogram", "inpaint_spectrograms",
     "EarlyStopConfig",
     "DHFResult", "DHFRound",
-    "DHFConfig", "DHFSeparator",
+    "DHFSeparator",
 ]

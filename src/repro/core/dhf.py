@@ -15,6 +15,10 @@ Each round extracts one source from the current residual:
 Sources are processed in decreasing ridge-energy order (respiration →
 maternal → fetal in the TFO application).
 
+:class:`repro.service.DHFSpec` is DHF's one configuration, and
+:meth:`DHFSeparator.prepare_round` its one round setup (stages 1-3):
+the Fig. 3 and ablation runners in-paint the spectrogram it prepares.
+
 A single record is a batch of one: :meth:`DHFSeparator.separate_detailed`
 runs :meth:`DHFSeparator.separate_batch_detailed` on it, so every fit —
 single or stacked — goes through the same engine with the same
@@ -31,12 +35,11 @@ once per batch instead of once per record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.config import Preset, get_preset
 from repro.separation import Separator
 from repro.core.alignment import Alignment, rewarp, unwarp, warp_all_f0_tracks
 from repro.core.inpainting import (
@@ -47,8 +50,7 @@ from repro.core.inpainting import (
 )
 # Not called here; perfbench/layers.py wraps this name in traced runs.
 from repro.core.inpainting import inpaint_spectrogram  # noqa: F401
-from repro.nn.batchfit import EarlyStopConfig
-from repro.nn.zoo import FitCache, PriorGeometry, shared_fit_cache
+from repro.nn.zoo import PriorGeometry, shared_fit_cache
 from repro.core.masking import (
     build_round_masks,
     default_bandwidth,
@@ -61,140 +63,10 @@ from repro.core.phase import combine_magnitude_phase, interpolate_phase_cyclic
 from repro.core.results import DHFResult, DHFRound
 from repro.dsp.stft import istft, stft
 from repro.errors import ConfigurationError, DataError
-from repro.utils.seeding import as_generator, spawn_generators, stable_hash_seed
+from repro.utils.seeding import spawn_generators
 
-
-@dataclass(frozen=True)
-class DHFConfig:
-    """Configuration of the full DHF pipeline.
-
-    Frequency-domain quantities live in the *aligned* space where the
-    target fundamental is 1 Hz and the STFT bin spacing is
-    ``1 / periods_per_window`` Hz.
-    """
-
-    samples_per_period: int = 32
-    periods_per_window: int = 8
-    hop_periods: int = 2
-    n_harmonics: int = 6
-    bandwidth_bins: float = 1.25
-    bandwidth_slope_bins: float = 0.35
-    time_dilation: int | str = "auto"
-    phase_policy: str = "auto"
-    inpainting: InpaintingConfig = field(default_factory=InpaintingConfig)
-    seed: int = 20240623  # DAC'24 opening day
-    #: Early-stopping patience of every deep-prior fit (``separate``,
-    #: ``separate_batch``, and the streaming and monitor paths built on
-    #: them); ``0`` disables early stopping, so every fit runs the full
-    #: iteration budget.
-    early_stop_patience: int = 0
-    #: Relative loss improvement that resets the patience counter.
-    early_stop_rel_tol: float = 1e-3
-    #: Warm-start every round's deep-prior fit from the process-wide
-    #: :func:`repro.nn.zoo.shared_fit_cache` (exact geometry+config hit,
-    #: else the nearest same-geometry cached fit) and feed finished fits
-    #: back into it.  Off by default: a warm start changes the fit's
-    #: starting point, so results are no longer bitwise identical to a
-    #: cold run once the cache is non-empty.
-    warm_start: bool = False
-    #: Optional directory of a :class:`repro.nn.zoo.PriorZoo` backing
-    #: the shared cache (checkpoints persist across processes); ``None``
-    #: keeps the cache purely in-memory.  Only meaningful with
-    #: ``warm_start=True``.
-    zoo_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.samples_per_period < 4:
-            raise ConfigurationError(
-                f"samples_per_period must be >= 4, got {self.samples_per_period}"
-            )
-        if self.periods_per_window < 2:
-            raise ConfigurationError(
-                f"periods_per_window must be >= 2, got {self.periods_per_window}"
-            )
-        if self.hop_periods < 1 or self.hop_periods > self.periods_per_window // 2:
-            raise ConfigurationError(
-                f"hop_periods must be in [1, periods_per_window/2], got "
-                f"{self.hop_periods}"
-            )
-        if isinstance(self.time_dilation, str) and self.time_dilation != "auto":
-            raise ConfigurationError(
-                f"time_dilation must be an int or 'auto', got {self.time_dilation!r}"
-            )
-        if self.phase_policy not in ("auto", "cyclic", "observed"):
-            raise ConfigurationError(
-                f"phase_policy must be 'auto', 'cyclic' or 'observed', got "
-                f"{self.phase_policy!r}"
-            )
-        if not isinstance(self.early_stop_patience, int) \
-                or self.early_stop_patience < 0:
-            raise ConfigurationError(
-                f"early_stop_patience must be an int >= 0, got "
-                f"{self.early_stop_patience!r}"
-            )
-        if self.early_stop_patience:
-            self.early_stop()  # validate rel_tol via EarlyStopConfig
-        if not isinstance(self.warm_start, bool):
-            raise ConfigurationError(
-                f"warm_start must be a bool, got {self.warm_start!r}"
-            )
-        if self.zoo_path is not None and not isinstance(self.zoo_path, str):
-            raise ConfigurationError(
-                f"zoo_path must be None or a str, got {self.zoo_path!r}"
-            )
-
-    @property
-    def bin_spacing_hz(self) -> float:
-        """STFT bin spacing in the aligned space (Hz)."""
-        return 1.0 / self.periods_per_window
-
-    def early_stop(self) -> Optional[EarlyStopConfig]:
-        """The deep-prior fits' early-stop criterion, or ``None`` (disabled)."""
-        if not self.early_stop_patience:
-            return None
-        return EarlyStopConfig(
-            patience=self.early_stop_patience,
-            rel_tol=self.early_stop_rel_tol,
-        )
-
-    def fit_cache(self) -> Optional[FitCache]:
-        """The process-wide fit cache, or ``None`` when warm starts are off.
-
-        Resolved per call rather than stored on the config so that
-        :class:`DHFSeparator` (and its configs) stay picklable for the
-        service worker pool — every worker lands on the same shared
-        cache for a given ``zoo_path``.
-        """
-        if not self.warm_start:
-            return None
-        return shared_fit_cache(self.zoo_path)
-
-    def bandwidth_fn(self):
-        """Ridge half-width (aligned-space Hz) as a function of harmonic."""
-        base = self.bandwidth_bins * self.bin_spacing_hz
-        slope = self.bandwidth_slope_bins * self.bin_spacing_hz
-        return lambda k: base + slope * (k - 1)
-
-    @classmethod
-    def from_preset(cls, preset: Preset | str | None = None, **overrides) -> "DHFConfig":
-        """Build a config from a :mod:`repro.config` preset."""
-        if not isinstance(preset, Preset):
-            preset = get_preset(preset)
-        inpainting = InpaintingConfig(
-            iterations=preset.deep_prior.iterations,
-            learning_rate=preset.deep_prior.learning_rate,
-            base_channels=preset.deep_prior.base_channels,
-            depth=preset.deep_prior.depth,
-            time_dilation=preset.time_dilation,
-        )
-        cfg = cls(
-            samples_per_period=preset.alignment.samples_per_period,
-            periods_per_window=preset.alignment.periods_per_window,
-            hop_periods=preset.alignment.hop_periods,
-            n_harmonics=preset.n_harmonics,
-            inpainting=inpainting,
-        )
-        return replace(cfg, **overrides) if overrides else cfg
+if TYPE_CHECKING:  # imported when building the default, not at load
+    from repro.service.specs import DHFSpec
 
 
 @dataclass
@@ -232,12 +104,20 @@ class _BatchRecordState:
 
 
 class DHFSeparator(Separator):
-    """Deep Harmonic Finesse separator (the paper's proposed method)."""
+    """Deep Harmonic Finesse separator (the paper's proposed method).
+
+    ``config`` is a :class:`repro.service.DHFSpec`; ``None`` means
+    ``DHFSpec()``, the paper-scale defaults.
+    """
 
     name = "DHF"
 
-    def __init__(self, config: Optional[DHFConfig] = None):
-        self.config = config or DHFConfig()
+    def __init__(self, config: Optional[DHFSpec] = None):
+        if config is None:
+            from repro.service.specs import DHFSpec
+
+            config = DHFSpec()
+        self.config = config
 
     # ------------------------------------------------------------------ #
     # Separator interface
@@ -305,7 +185,7 @@ class DHFSeparator(Separator):
         hop = spp * min(cfg.hop_periods, max(1, ppw // 4))
         return n_fft, hop
 
-    def _prepare_round(
+    def prepare_round(
         self,
         residual: np.ndarray,
         sampling_hz: float,
@@ -313,7 +193,10 @@ class DHFSeparator(Separator):
         target: str,
         rng,
     ) -> "_RoundPrep":
-        """Stages 1-3 of one round: alignment, STFT, masks, fit config."""
+        """Stages 1-3 of one round: alignment, STFT, masks, fit config.
+
+        ``rng`` seeds the round's deep-prior fit.
+        """
         cfg = self.config
 
         # 1. Pattern alignment: target becomes strictly periodic at 1 Hz.
@@ -335,8 +218,13 @@ class DHFSeparator(Separator):
             name: f0_spread_per_frame(track, alignment.sampling_hz, spec)
             for name, track in warped.items()
         }
+        # Ridge half-width per harmonic k, in aligned-space Hz.
+        spacing = 1.0 / cfg.periods_per_window
+        base = cfg.bandwidth_bins * spacing
+        slope = cfg.bandwidth_slope_bins * spacing
         masks = build_round_masks(
-            spec, f0_frames, target, cfg.n_harmonics, cfg.bandwidth_fn(),
+            spec, f0_frames, target, cfg.n_harmonics,
+            lambda k: base + slope * (k - 1),
             f0_spread_by_source=f0_spread,
         )
 
@@ -350,7 +238,7 @@ class DHFSeparator(Separator):
             spec=spec,
             masks=masks,
             dilation=dilation,
-            inpaint_cfg=replace(cfg.inpainting, time_dilation=dilation),
+            inpaint_cfg=cfg.inpainting_config(time_dilation=dilation),
             rng=rng,
             n_fft=n_fft,
             hop=hop,
@@ -363,6 +251,24 @@ class DHFSeparator(Separator):
             ),
         )
 
+    def reference_magnitude(
+        self,
+        prep: "_RoundPrep",
+        reference: np.ndarray,
+        sampling_hz: float,
+        f0_tracks: Mapping[str, np.ndarray],
+    ) -> np.ndarray:
+        """A ground-truth source's magnitude on a prepared round's grid
+        (aligned to the round's target, same window, hop and frames)."""
+        aligned = unwarp(
+            np.asarray(reference, dtype=np.float64),
+            sampling_hz, f0_tracks[prep.target], self.config.samples_per_period,
+        )
+        magnitude = stft(
+            aligned.samples, aligned.sampling_hz, n_fft=prep.n_fft, hop=prep.hop,
+        ).magnitude
+        return magnitude[:, : prep.spec.n_frames]
+
     def _finish_round(
         self,
         prep: "_RoundPrep",
@@ -373,9 +279,8 @@ class DHFSeparator(Separator):
         round_index: int = 0,
     ) -> DHFRound:
         """Stages 5-7 of one round: magnitude/phase combine and inversion."""
-        cfg = self.config
         alignment, spec, masks = prep.alignment, prep.spec, prep.masks
-        target, n_fft, hop = prep.target, prep.n_fft, prep.hop
+        target = prep.target
 
         # 5. Separated magnitude: target ridge only; observed where visible.
         #    At concealed cells the in-painted value is capped by the
@@ -414,17 +319,12 @@ class DHFSeparator(Separator):
 
         mer = None
         if reference_sources is not None and target in reference_sources:
-            ref_aligned = unwarp(
-                np.asarray(reference_sources[target], dtype=np.float64),
-                sampling_hz, f0_tracks[target], cfg.samples_per_period,
+            reference = self.reference_magnitude(
+                prep, reference_sources[target], sampling_hz, f0_tracks,
             )
-            ref_spec = stft(
-                ref_aligned.samples, ref_aligned.sampling_hz,
-                n_fft=n_fft, hop=hop,
-            )
-            n_frames = min(ref_spec.n_frames, spec.n_frames)
+            n_frames = reference.shape[1]
             mer = masked_energy_ratio(
-                ref_spec.magnitude[:, :n_frames],
+                reference,
                 spec.magnitude[:, :n_frames],
                 concealed[:, :n_frames],
             )
@@ -504,11 +404,14 @@ class DHFSeparator(Separator):
         if not states:
             return []
         early_stop = self.config.early_stop()
+        cache = None
+        if self.config.warm_start:
+            cache = shared_fit_cache(self.config.zoo_path or None)
         max_rounds = max(len(state.order) for state in states)
         for round_index in range(max_rounds):
             active = [s for s in states if round_index < len(s.order)]
             preps = [
-                self._prepare_round(
+                self.prepare_round(
                     state.residual, sampling_hz, state.f0_tracks,
                     state.order[round_index], state.rngs[round_index],
                 )
@@ -534,7 +437,7 @@ class DHFSeparator(Separator):
                     preps[indices[0]].inpaint_cfg,
                     rngs=[preps[i].rng for i in indices],
                     early_stop=early_stop,
-                    cache=self.config.fit_cache(),
+                    cache=cache,
                     geometry=preps[indices[0]].geometry,
                 )
                 for i, fit in zip(indices, batched):

@@ -4,7 +4,6 @@ from repro.experiments.common import (
     ExperimentContext,
     TABLE2_METHOD_ORDER,
     TABLE2_REGISTRY_NAMES,
-    build_dhf,
     build_separators,
     display_method_name,
     table2_specs,
@@ -45,7 +44,7 @@ from repro.experiments.ablations import (
 
 __all__ = [
     "ExperimentContext", "TABLE2_METHOD_ORDER", "TABLE2_REGISTRY_NAMES",
-    "build_dhf", "build_separators", "display_method_name",
+    "build_separators", "display_method_name",
     "table2_specs", "with_zoo",
     "PAPER_CLAIMS", "PAPER_FIG6_CORRELATION", "PAPER_LOW_POWER_CASES",
     "PAPER_TABLE2", "PAPER_TABLE2_AVERAGE",

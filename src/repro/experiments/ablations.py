@@ -12,65 +12,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.core.alignment import unwarp, warp_all_f0_tracks
-from repro.core.inpainting import InpaintingConfig, inpaint_spectrogram
-from repro.core.masking import (
-    build_round_masks,
-    f0_spread_per_frame,
-    f0_track_to_frames,
-)
-from repro.dsp.stft import stft
-from repro.experiments.common import ExperimentContext, build_dhf
+from repro.core import DHFSeparator
+from repro.core.inpainting import inpaint_spectrogram
+from repro.experiments.common import ExperimentContext, dhf_round
 from repro.metrics import sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
 
 _LOG = get_logger("experiments.ablations")
-
-
-def _round_setup(context: ExperimentContext, mixture_name: str, target: str):
-    """Aligned spectrogram, masks and ground-truth reference for one round."""
-    preset = context.preset
-    mixture = make_mixture(
-        mixture_name, duration_s=context.duration_s, seed=context.seed,
-    )
-    spp = preset.alignment.samples_per_period
-    ppw = preset.alignment.periods_per_window
-    alignment = unwarp(
-        mixture.mixed, mixture.sampling_hz, mixture.f0_tracks[target], spp
-    )
-    spec = stft(
-        alignment.samples, alignment.sampling_hz,
-        n_fft=spp * ppw, hop=spp * preset.alignment.hop_periods,
-    )
-    warped = warp_all_f0_tracks(mixture.f0_tracks, target, alignment)
-    f0_frames = {
-        n: f0_track_to_frames(t, alignment.sampling_hz, spec)
-        for n, t in warped.items()
-    }
-    spreads = {
-        n: f0_spread_per_frame(t, alignment.sampling_hz, spec)
-        for n, t in warped.items()
-    }
-    masks = build_round_masks(
-        spec, f0_frames, target, preset.n_harmonics,
-        lambda k: (1.25 + 0.35 * (k - 1)) / ppw,
-        f0_spread_by_source=spreads,
-    )
-    gt_alignment = unwarp(
-        mixture.sources[target], mixture.sampling_hz,
-        mixture.f0_tracks[target], spp,
-    )
-    reference = stft(
-        gt_alignment.samples, gt_alignment.sampling_hz,
-        n_fft=spp * ppw, hop=spp * preset.alignment.hop_periods,
-    ).magnitude[:, : spec.n_frames]
-    return mixture, spec, masks, reference
 
 
 @dataclass
@@ -109,20 +62,13 @@ def run_dilation_ablation(
     dense), the regime where the paper prescribes dilation 13–15.
     """
     context = context or ExperimentContext.from_name()
-    _, spec, masks, reference = _round_setup(context, mixture_name, target)
-    preset = context.preset
+    config, prep, reference = dhf_round(context, mixture_name, target)
     scores: Dict[str, float] = {}
     for dilation in dilations:
-        cfg = InpaintingConfig(
-            iterations=preset.deep_prior.iterations,
-            learning_rate=preset.deep_prior.learning_rate,
-            base_channels=preset.deep_prior.base_channels,
-            depth=preset.deep_prior.depth,
-            time_dilation=dilation,
-        )
+        cfg = config.inpainting_config(time_dilation=dilation)
         _LOG.info("dilation ablation: D=%d", dilation)
         fit = inpaint_spectrogram(
-            spec.magnitude, masks.visibility, cfg,
+            prep.spec.magnitude, prep.masks.visibility, cfg,
             rng=context.seed, reference=reference,
         )
         scores[f"dilation={dilation}"] = float(fit.concealed_errors.min())
@@ -141,24 +87,18 @@ def run_anchor_pooling_ablation(
 ) -> SweepResult:
     """E-AB2: anchor and frequency-pooling factorial (Fig. 3 decomposed)."""
     context = context or ExperimentContext.from_name()
-    _, spec, masks, reference = _round_setup(context, mixture_name, target)
-    preset = context.preset
+    config, prep, reference = dhf_round(context, mixture_name, target)
     scores: Dict[str, float] = {}
     for anchor in (1, 2):
         for pooling in (False, True):
-            cfg = InpaintingConfig(
-                iterations=preset.deep_prior.iterations,
-                learning_rate=preset.deep_prior.learning_rate,
-                base_channels=preset.deep_prior.base_channels,
-                depth=preset.deep_prior.depth,
-                time_dilation=preset.time_dilation,
-                anchor=anchor,
+            cfg = replace(
+                config.inpainting_config(), anchor=anchor,
                 freq_pooling=pooling,
             )
             label = f"anchor={anchor}, freq_pooling={'on' if pooling else 'off'}"
             _LOG.info("anchor/pooling ablation: %s", label)
             fit = inpaint_spectrogram(
-                spec.magnitude, masks.visibility, cfg,
+                prep.spec.magnitude, prep.masks.visibility, cfg,
                 rng=context.seed, reference=reference,
             )
             scores[label] = float(fit.concealed_errors.min())
@@ -184,7 +124,9 @@ def run_phase_policy_ablation(
     ).name
     scores: Dict[str, float] = {}
     for policy in ("auto", "cyclic", "observed"):
-        dhf = build_dhf(context.preset, phase_policy=policy)
+        dhf = DHFSeparator(
+            DHFSpec.from_preset(context.preset, phase_policy=policy)
+        )
         _LOG.info("phase ablation: %s", policy)
         estimates = dhf.separate(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks

@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import Preset, get_preset
+from repro.core import DHFSeparator
 from repro.pipeline import SeparationRecord
 from repro.separation import Separator
 from repro.service import (
@@ -62,11 +63,6 @@ def display_method_name(name: str) -> str:
         if registry_name == canonical:
             return display
     return canonical
-
-
-def build_dhf(preset: Preset, **overrides) -> "Separator":
-    """A DHF separator configured from a preset, via the registry."""
-    return build_separator(DHFSpec.from_preset(preset, **overrides))
 
 
 def table2_specs(
@@ -196,6 +192,30 @@ def records_from_mixtures(
             references=references,
         ))
     return records, labels
+
+
+def dhf_round(context: "ExperimentContext", mixture_name: str, target: str):
+    """One DHF round of a context-scaled mixture, as DHF prepares it.
+
+    Returns the preset's :class:`repro.service.DHFSpec`, the round that
+    :meth:`repro.core.DHFSeparator.prepare_round` prepares (aligned
+    spectrogram and masks) and the target's ground-truth magnitude on
+    its grid.  Fig. 3 and the fit ablations in-paint this round.
+    """
+    mixture = make_mixture(
+        mixture_name, duration_s=context.duration_s, seed=context.seed,
+    )
+    config = DHFSpec.from_preset(context.preset)
+    dhf = DHFSeparator(config)
+    prep = dhf.prepare_round(
+        mixture.mixed, mixture.sampling_hz, mixture.f0_tracks, target,
+        context.seed,
+    )
+    reference = dhf.reference_magnitude(
+        prep, mixture.sources[target], mixture.sampling_hz,
+        mixture.f0_tracks,
+    )
+    return config, prep, reference
 
 
 @dataclass

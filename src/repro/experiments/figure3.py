@@ -1,10 +1,11 @@
 """Experiment E-F3: regenerate Fig. 3 (in-painting prior comparison).
 
-The same masked, pattern-aligned spectrogram is in-painted by the four
-network variants — conventional CNN, baseline harmonic (anchor > 1 with
-frequency pooling), SpAc (anchor 1, no pooling), and SpAc with time
-dilation — and the concealed-region reconstruction error is tracked per
-iteration.  The paper's claim: harmonic beats conventional, and the
+The masked, pattern-aligned spectrogram of one DHF round — the one DHF
+itself in-paints (:func:`repro.experiments.common.dhf_round`) — is
+in-painted by the four network variants — conventional CNN, baseline
+harmonic (anchor > 1 with frequency pooling), SpAc (anchor 1, no
+pooling), and SpAc with time dilation — and the concealed-region
+reconstruction error is tracked per iteration.  The paper's claim: harmonic beats conventional, and the
 spectrally-accurate design (especially with dilation) shows the least
 noise.
 """
@@ -16,21 +17,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.alignment import unwarp, warp_all_f0_tracks
-from repro.core.inpainting import (
-    InpaintingConfig,
-    config_for_prior_kind,
-    inpaint_spectrogram,
-)
-from repro.core.masking import (
-    build_round_masks,
-    f0_spread_per_frame,
-    f0_track_to_frames,
-)
-from repro.dsp.stft import stft
-from repro.experiments.common import ExperimentContext
+from repro.core.inpainting import config_for_prior_kind, inpaint_spectrogram
+from repro.experiments.common import ExperimentContext, dhf_round
 from repro.nn.unet import PRIOR_KINDS
-from repro.synth import make_mixture
 from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
 
@@ -77,55 +66,13 @@ def run_figure3(
 ) -> Figure3Result:
     """Fit each prior variant on the identical masked spectrogram."""
     context = context or ExperimentContext.from_name()
-    preset = context.preset
-    mixture = make_mixture(
-        mixture_name, duration_s=context.duration_s, seed=context.seed,
-    )
-    spp = preset.alignment.samples_per_period
-    ppw = preset.alignment.periods_per_window
-    alignment = unwarp(
-        mixture.mixed, mixture.sampling_hz, mixture.f0_tracks[target], spp
-    )
-    spec = stft(
-        alignment.samples, alignment.sampling_hz,
-        n_fft=spp * ppw, hop=spp * preset.alignment.hop_periods,
-    )
-    warped = warp_all_f0_tracks(mixture.f0_tracks, target, alignment)
-    f0_frames = {
-        name: f0_track_to_frames(track, alignment.sampling_hz, spec)
-        for name, track in warped.items()
-    }
-    spreads = {
-        name: f0_spread_per_frame(track, alignment.sampling_hz, spec)
-        for name, track in warped.items()
-    }
-    masks = build_round_masks(
-        spec, f0_frames, target, preset.n_harmonics,
-        lambda k: (1.25 + 0.35 * (k - 1)) / ppw,
-        f0_spread_by_source=spreads,
-    )
-    reference_alignment = unwarp(
-        mixture.sources[target], mixture.sampling_hz,
-        mixture.f0_tracks[target], spp,
-    )
-    reference = stft(
-        reference_alignment.samples, reference_alignment.sampling_hz,
-        n_fft=spp * ppw, hop=spp * preset.alignment.hop_periods,
-    ).magnitude[:, : spec.n_frames]
-
-    base_cfg = InpaintingConfig(
-        iterations=preset.deep_prior.iterations,
-        learning_rate=preset.deep_prior.learning_rate,
-        base_channels=preset.deep_prior.base_channels,
-        depth=preset.deep_prior.depth,
-        time_dilation=preset.time_dilation,
-    )
+    config, prep, reference = dhf_round(context, mixture_name, target)
     curves: Dict[str, np.ndarray] = {}
     for kind in kinds:
         _LOG.info("figure3: fitting %s", kind)
-        cfg = config_for_prior_kind(kind, base_cfg)
+        cfg = config_for_prior_kind(kind, config.inpainting_config())
         fit = inpaint_spectrogram(
-            spec.magnitude, masks.visibility, cfg,
+            prep.spec.magnitude, prep.masks.visibility, cfg,
             rng=context.seed, reference=reference,
         )
         curves[kind] = fit.concealed_errors
@@ -133,5 +80,5 @@ def run_figure3(
         error_curves=curves,
         final_errors={k: float(v[-1]) for k, v in curves.items()},
         best_errors={k: float(v.min()) for k, v in curves.items()},
-        preset_name=preset.name,
+        preset_name=context.preset.name,
     )

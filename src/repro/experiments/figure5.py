@@ -16,8 +16,10 @@ import numpy as np
 
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
-from repro.experiments.common import ExperimentContext, build_dhf, build_separators
+from repro.core import DHFSeparator
+from repro.experiments.common import ExperimentContext, build_separators
 from repro.metrics import pearson, sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture, mixture_names
 from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
@@ -95,6 +97,7 @@ def run_figure5(
     context = context or ExperimentContext.from_name()
     mixtures = mixtures or mixture_names()
     baselines = build_separators(context.preset, include=baseline_methods)
+    dhf = DHFSeparator(DHFSpec.from_preset(context.preset))
     points: List[Figure5Point] = []
     example_sdrs: Dict[str, float] = {}
     low, high = SCORING_BAND_HZ
@@ -103,7 +106,6 @@ def run_figure5(
         mixture = make_mixture(
             mix_name, duration_s=context.duration_s, seed=context.seed,
         )
-        dhf = build_dhf(context.preset)
         _LOG.info("figure5: DHF on %s", mix_name)
         result = dhf.separate_detailed(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks,

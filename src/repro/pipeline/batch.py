@@ -208,6 +208,30 @@ class BatchResult:
         return out
 
 
+def checked_separate_batch(
+    separator: Separator,
+    mixed_batch: Sequence,
+    sampling_hz: float,
+    f0_tracks_batch: Sequence[Mapping[str, np.ndarray]],
+) -> List[Dict[str, np.ndarray]]:
+    """``separator.separate_batch``, raising a :class:`DataError` naming
+    the separator when it returns more or fewer estimates than records.
+
+    Both record-set paths (:func:`separate_records` and the shard
+    worker) call the hook through here.
+    """
+    estimates = list(separator.separate_batch(
+        mixed_batch, sampling_hz, f0_tracks_batch
+    ))
+    if len(estimates) != len(mixed_batch):
+        raise DataError(
+            f"separator {separator.name!r} returned {len(estimates)} "
+            f"estimate(s) from separate_batch for {len(mixed_batch)} "
+            f"record(s)"
+        )
+    return estimates
+
+
 def separate_records(
     separator: Separator, records: Sequence[SeparationRecord],
 ) -> List[Dict[str, np.ndarray]]:
@@ -224,7 +248,8 @@ def separate_records(
     estimates: List[Optional[Dict[str, np.ndarray]]] = [None] * len(records)
     for indices in by_rate.values():
         group = [records[i] for i in indices]
-        batch = separator.separate_batch(
+        batch = checked_separate_batch(
+            separator,
             [r.mixed for r in group],
             group[0].sampling_hz,
             [r.f0_tracks for r in group],
@@ -239,14 +264,13 @@ def finalize_record(
     record: SeparationRecord,
     estimates: Dict[str, np.ndarray],
     postprocess: Optional[Postprocess] = None,
-    score: bool = True,
 ) -> RecordResult:
     """Post-process and score one record's raw estimates.
 
     The shared back half of every separation mode of
     :class:`repro.service.SeparationService` — offline, batch and
     streaming — so post-processing and scoring conventions cannot drift
-    between them.
+    between them.  A record is scored when it carries ``references``.
     """
     missing = [s for s in record.source_names() if s not in estimates]
     if missing:
@@ -260,7 +284,7 @@ def finalize_record(
         for source, est in estimates.items()
     }
     scores: Dict[str, Tuple[float, float]] = {}
-    if score and record.references is not None:
+    if record.references is not None:
         for source in record.source_names():
             if source not in record.references:
                 continue

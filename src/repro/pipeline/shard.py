@@ -67,6 +67,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkerPoolError
+from repro.pipeline.batch import checked_separate_batch
 from repro.separation import Separator
 
 __all__ = [
@@ -354,8 +355,8 @@ def _run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
             {name: flat[cursor + k] for k, name in enumerate(names)}
         )
         cursor += len(names)
-    estimates = separator.separate_batch(
-        mixed_list, task["sampling_hz"], tracks_list
+    estimates = checked_separate_batch(
+        separator, mixed_list, task["sampling_hz"], tracks_list
     )
     out_arrays: List[np.ndarray] = []
     layout: List[List[str]] = []

@@ -63,7 +63,10 @@ class Separator(abc.ABC):
         :class:`repro.baselines.SpectralMaskingSeparator`).
         :meth:`repro.service.SeparationService.separate_batch` calls this
         hook once per sampling rate (in process or per shard), so
-        vectorized overrides are picked up automatically.
+        vectorized overrides are picked up automatically.  An override
+        must return one estimate mapping per record, in input order; the
+        service raises :class:`repro.errors.DataError` on any other
+        count.
 
         Parameters
         ----------

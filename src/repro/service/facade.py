@@ -201,8 +201,7 @@ class SeparationService:
     postprocess:
         Optional ``f(estimate, record) -> estimate`` applied before
         scoring in every mode (e.g. the paper's scoring-band filter).
-    score:
-        Score records that carry ``references`` (default true).
+        Records that carry ``references`` are scored in every mode.
 
     The service is a context manager; leaving the ``with`` block shuts
     down the shard engine's worker processes.
@@ -214,7 +213,6 @@ class SeparationService:
         workers: int = 0,
         executor: str = "process",
         postprocess: Optional[Postprocess] = None,
-        score: bool = True,
     ):
         if isinstance(method, Separator):
             self.spec: Optional[SeparatorSpec] = None
@@ -231,7 +229,6 @@ class SeparationService:
             )
         self.workers = int(workers)
         self.postprocess = postprocess
-        self.score = bool(score)
         self._engine: Optional[ShardedExecutor] = None
         if self.workers > 1:
             self._engine = ShardedExecutor(
@@ -288,7 +285,7 @@ class SeparationService:
             )
         result = finalize_record(
             self.separator.name, rec, estimates,
-            postprocess=self.postprocess, score=self.score,
+            postprocess=self.postprocess,
         )
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
@@ -349,7 +346,7 @@ class SeparationService:
         )
         result = finalize_record(
             self.separator.name, rec, estimates,
-            postprocess=self.postprocess, score=self.score,
+            postprocess=self.postprocess,
         )
         return SeparationOutcome(
             separator_name=self.separator.name, spec=self.spec,
@@ -404,7 +401,7 @@ class SeparationService:
             results=[
                 finalize_record(
                     self.separator.name, record, estimate,
-                    postprocess=self.postprocess, score=self.score,
+                    postprocess=self.postprocess,
                 )
                 for record, estimate in zip(records, estimates)
             ],

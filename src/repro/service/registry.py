@@ -229,7 +229,7 @@ def build_separator(spec: SpecLike, **overrides) -> Separator:
 def _make_dhf(spec: DHFSpec) -> Separator:
     from repro.core import DHFSeparator
 
-    return DHFSeparator(spec.build_config())
+    return DHFSeparator(spec)
 
 
 def _make_emd(spec: EMDSpec) -> Separator:

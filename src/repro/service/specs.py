@@ -251,17 +251,17 @@ class SpectralMaskingSpec(SeparatorSpec):
 
 @dataclass(frozen=True)
 class DHFSpec(SeparatorSpec):
-    """Spec of the paper's method (:class:`repro.core.DHFSeparator`).
+    """The one configuration of the paper's method
+    (:class:`repro.core.DHFSeparator`), and its wire shape.
 
-    The fields mirror :class:`repro.core.DHFConfig` plus the scalar
-    deep-prior budget of its nested
-    :class:`repro.core.inpainting.InpaintingConfig`
-    (``prior_time_dilation`` is that nested config's ``time_dilation``;
+    Frequency-domain quantities live in the *aligned* space, where the
+    target fundamental is 1 Hz and the STFT bin spacing is
+    ``1 / periods_per_window`` Hz.  :meth:`inpainting_config` builds the
+    deep-prior fit's config (``prior_time_dilation`` is its dilation;
     the top-level ``time_dilation`` is DHF's per-round policy, where
     ``"auto"`` picks the dilation from each round's mask geometry).
     Defaults match the ``full`` preset; :meth:`from_preset` scales every
-    field from a :class:`repro.config.Preset` exactly as
-    :meth:`repro.core.DHFConfig.from_preset` does.
+    field from a :class:`repro.config.Preset`.
     """
 
     method: str = "dhf"
@@ -279,14 +279,14 @@ class DHFSpec(SeparatorSpec):
     base_channels: int = 16
     depth: int = 3
     prior_time_dilation: int = 13
-    seed: int = 20240623
-    #: Early stopping of every deep-prior fit (see
-    #: :class:`repro.core.DHFConfig`): ``early_stop_patience`` > 0 lets a
-    #: converged fit roll back to its best iteration and stop, on every
-    #: path; 0 runs the full iteration budget.
+    seed: int = 20240623  # DAC'24 opening day
+    #: Early stopping of every deep-prior fit (:meth:`early_stop`):
+    #: ``early_stop_patience`` > 0 lets a converged fit roll back to its
+    #: best iteration and stop, on every path; 0 runs the full iteration
+    #: budget.
     early_stop_patience: int = 0
     early_stop_rel_tol: float = 1e-3
-    #: Deep-prior fit dtype, as a JSON-able name (the nested
+    #: Deep-prior fit dtype, as a JSON-able name (the
     #: :class:`repro.core.inpainting.InpaintingConfig` ``dtype``, which
     #: validates it).  ``"float32"`` (default) is the speed-oriented
     #: production setting; ``"float64"`` tightens the
@@ -314,6 +314,36 @@ class DHFSpec(SeparatorSpec):
             "prior_time_dilation",
         )
         self._check_positive("learning_rate", "bandwidth_bins")
+        for name, least in (("samples_per_period", 4),
+                            ("periods_per_window", 2)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(
+                    f"DHFSpec.{name} must be >= {least}, got "
+                    f"{getattr(self, name)}"
+                )
+        if self.hop_periods > self.periods_per_window // 2:
+            raise ConfigurationError(
+                f"DHFSpec.hop_periods must be in [1, periods_per_window/2], "
+                f"got {self.hop_periods}"
+            )
+        if isinstance(self.time_dilation, str) \
+                and self.time_dilation != "auto":
+            raise ConfigurationError(
+                f"DHFSpec.time_dilation must be an int or 'auto', got "
+                f"{self.time_dilation!r}"
+            )
+        if self.phase_policy not in ("auto", "cyclic", "observed"):
+            raise ConfigurationError(
+                f"DHFSpec.phase_policy must be 'auto', 'cyclic' or "
+                f"'observed', got {self.phase_policy!r}"
+            )
+        if not isinstance(self.early_stop_patience, int) \
+                or self.early_stop_patience < 0:
+            raise ConfigurationError(
+                f"DHFSpec.early_stop_patience must be an int >= 0, got "
+                f"{self.early_stop_patience!r}"
+            )
+        self.early_stop()  # EarlyStopConfig validates rel_tol
         if not isinstance(self.warm_start, bool):
             raise ConfigurationError(
                 f"DHFSpec.warm_start must be a bool, got {self.warm_start!r}"
@@ -324,39 +354,35 @@ class DHFSpec(SeparatorSpec):
                     f"DHFSpec.{name} must be a str, got "
                     f"{getattr(self, name)!r}"
                 )
-        # Cross-field constraints (hop vs window, phase policy, the
-        # 'auto' dilation sentinel) and the fit dtype are enforced by
-        # DHFConfig and its InpaintingConfig; trigger that validation now
-        # so a bad spec fails at build-spec time, not at first use.
-        self.build_config()
+        self.inpainting_config()  # InpaintingConfig validates dtype
 
-    def build_config(self):
-        """The equivalent :class:`repro.core.DHFConfig`."""
-        from repro.core import DHFConfig
+    def inpainting_config(self, time_dilation=None):
+        """The deep-prior fit's :class:`repro.core.inpainting.InpaintingConfig`,
+        at ``time_dilation`` (default ``prior_time_dilation``)."""
         from repro.core.inpainting import InpaintingConfig
 
-        return DHFConfig(
-            samples_per_period=self.samples_per_period,
-            periods_per_window=self.periods_per_window,
-            hop_periods=self.hop_periods,
-            n_harmonics=self.n_harmonics,
-            bandwidth_bins=self.bandwidth_bins,
-            bandwidth_slope_bins=self.bandwidth_slope_bins,
-            time_dilation=self.time_dilation,
-            phase_policy=self.phase_policy,
-            inpainting=InpaintingConfig(
-                iterations=self.iterations,
-                learning_rate=self.learning_rate,
-                base_channels=self.base_channels,
-                depth=self.depth,
-                time_dilation=self.prior_time_dilation,
-                dtype=self.dtype,
+        return InpaintingConfig(
+            iterations=self.iterations,
+            learning_rate=self.learning_rate,
+            base_channels=self.base_channels,
+            depth=self.depth,
+            time_dilation=(
+                self.prior_time_dilation if time_dilation is None
+                else time_dilation
             ),
-            seed=self.seed,
-            early_stop_patience=self.early_stop_patience,
-            early_stop_rel_tol=self.early_stop_rel_tol,
-            warm_start=self.warm_start,
-            zoo_path=self.zoo_path or None,
+            dtype=self.dtype,
+        )
+
+    def early_stop(self):
+        """The fits' :class:`repro.nn.batchfit.EarlyStopConfig`, or ``None``
+        when ``early_stop_patience`` is 0."""
+        from repro.nn.batchfit import EarlyStopConfig
+
+        if not self.early_stop_patience:
+            return None
+        return EarlyStopConfig(
+            patience=self.early_stop_patience,
+            rel_tol=self.early_stop_rel_tol,
         )
 
     @classmethod

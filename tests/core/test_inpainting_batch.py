@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DHFConfig,
     DHFSeparator,
     EarlyStopConfig,
     InpaintingConfig,
@@ -27,6 +26,7 @@ from repro.core import (
     inpaint_spectrograms,
 )
 from repro.errors import ConfigurationError, DataError, ShapeError
+from repro.service import DHFSpec
 from repro.streaming import stream_record
 from repro.synth import make_mixture
 from repro.tfo import SpO2Monitor
@@ -217,7 +217,7 @@ class TestDHFBatchedSeparation:
         ]
 
     def test_batch_matches_sequential_records(self, mixtures):
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         fs = mixtures[0].sampling_hz
         mixed = [m.mixed for m in mixtures]
         tracks = [m.f0_tracks for m in mixtures]
@@ -233,7 +233,7 @@ class TestDHFBatchedSeparation:
                 assert err <= 1e-5, f"{source}: {err:.2e}"
 
     def test_single_record_batch_is_bitwise_sequential(self, mixtures):
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         m = mixtures[0]
         direct = dhf.separate(m.mixed, m.sampling_hz, m.f0_tracks)
         batch = dhf.separate_batch([m.mixed], m.sampling_hz, [m.f0_tracks])
@@ -241,7 +241,7 @@ class TestDHFBatchedSeparation:
             np.testing.assert_array_equal(batch[0][source], direct[source])
 
     def test_detailed_batch_carries_diagnostics(self, mixtures):
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         fs = mixtures[0].sampling_hz
         results = dhf.separate_batch_detailed(
             [m.mixed for m in mixtures], fs,
@@ -259,12 +259,12 @@ class TestDHFBatchedSeparation:
 
     def test_config_knobs_validated(self):
         with pytest.raises(ConfigurationError):
-            DHFConfig(early_stop_patience=-1)
+            DHFSpec(early_stop_patience=-1)
         with pytest.raises(ConfigurationError):
-            DHFConfig(early_stop_patience=5, early_stop_rel_tol=2.0)
-        cfg = DHFConfig(early_stop_patience=5)
+            DHFSpec(early_stop_patience=5, early_stop_rel_tol=2.0)
+        cfg = DHFSpec(early_stop_patience=5)
         assert cfg.early_stop() == EarlyStopConfig(patience=5, rel_tol=1e-3)
-        assert DHFConfig().early_stop() is None
+        assert DHFSpec().early_stop() is None
 
 
 class TestEarlyStopOnEveryPath:
@@ -274,7 +274,7 @@ class TestEarlyStopOnEveryPath:
     soon after ``min_iterations``, well inside the smoke budget.
     """
 
-    CONFIG = DHFConfig.from_preset(
+    CONFIG = DHFSpec.from_preset(
         "smoke", early_stop_patience=1, early_stop_rel_tol=0.5,
     )
 
@@ -319,7 +319,7 @@ class TestEarlyStopOnEveryPath:
         )[0]
         counts = [r.losses.size for r in single.rounds]
         assert counts == [r.losses.size for r in batch.rounds]
-        assert max(counts) < self.CONFIG.inpainting.iterations
+        assert max(counts) < self.CONFIG.iterations
 
     def test_separate(self, mixtures, fit_calls):
         m = mixtures[0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    DHFConfig,
     DHFSeparator,
     InpaintingConfig,
     auto_time_dilation,
@@ -13,6 +12,7 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.metrics import sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 
 TINY = InpaintingConfig(
@@ -132,39 +132,72 @@ class TestAutoDilation:
         assert auto_time_dilation(vis) % 2 == 1
 
 
-class TestDHFConfig:
+class TestDHFSpec:
     def test_from_preset(self):
-        cfg = DHFConfig.from_preset("smoke")
+        cfg = DHFSpec.from_preset("smoke")
         assert cfg.samples_per_period == 16
-        assert cfg.inpainting.iterations == 30
+        assert cfg.inpainting_config().iterations == 30
 
     def test_overrides(self):
-        cfg = DHFConfig.from_preset("smoke", n_harmonics=3)
+        cfg = DHFSpec.from_preset("smoke", n_harmonics=3)
         assert cfg.n_harmonics == 3
 
     def test_invalid_values_raise(self):
         with pytest.raises(ConfigurationError):
-            DHFConfig(samples_per_period=2)
+            DHFSpec(samples_per_period=2)
         with pytest.raises(ConfigurationError):
-            DHFConfig(hop_periods=10, periods_per_window=8)
+            DHFSpec(hop_periods=10, periods_per_window=8)
         with pytest.raises(ConfigurationError):
-            DHFConfig(time_dilation="sometimes")
+            DHFSpec(time_dilation="sometimes")
         with pytest.raises(ConfigurationError):
-            DHFConfig(phase_policy="psychic")
+            DHFSpec(phase_policy="psychic")
 
-    def test_bandwidth_fn(self):
-        cfg = DHFConfig(periods_per_window=8, bandwidth_bins=2.0,
-                        bandwidth_slope_bins=0.0)
-        bw = cfg.bandwidth_fn()
-        assert bw(1) == pytest.approx(0.25)
-        assert cfg.bin_spacing_hz == pytest.approx(0.125)
+
+class TestPrepareRound:
+    def test_ridge_half_width_grows_by_slope_bins(self):
+        # Harmonic k's ridge half-width is bandwidth_bins +
+        # bandwidth_slope_bins * (k - 1) bins of 1 / periods_per_window
+        # Hz: 1.5, 2.5 and 3.5 bins here, so k's ridge spans the 2k + 1
+        # bins centred on bin 8k (aligned f0 = 1 Hz = bin 8).
+        fs, n = 100.0, 3000
+        t = np.arange(n) / fs
+        mixed = sum(np.sin(2 * np.pi * k * 1.2 * t) / k for k in (1, 2, 3))
+        dhf = DHFSeparator(DHFSpec(
+            periods_per_window=8, n_harmonics=3, bandwidth_bins=1.5,
+            bandwidth_slope_bins=1.0,
+        ))
+        prep = dhf.prepare_round(mixed, fs, {"a": np.full(n, 1.2)}, "a", 0)
+        expected = [8 * k + j for k in (1, 2, 3) for j in range(-k, k + 1)]
+        for frame in range(prep.spec.n_frames):
+            rows = np.flatnonzero(prep.masks.target_ridge[:, frame])
+            assert rows.tolist() == expected, frame
+
+    def test_reference_magnitude_is_on_the_round_grid(self):
+        mixture = make_mixture("msig1", duration_s=20.0, seed=1)
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
+        prep = dhf.prepare_round(
+            mixture.mixed, mixture.sampling_hz, mixture.f0_tracks,
+            "maternal", 0,
+        )
+        reference = dhf.reference_magnitude(
+            prep, mixture.sources["maternal"], mixture.sampling_hz,
+            mixture.f0_tracks,
+        )
+        assert reference.shape == prep.spec.magnitude.shape
+        # The mixture's own magnitude comes back as the round's.
+        np.testing.assert_array_equal(
+            dhf.reference_magnitude(
+                prep, mixture.mixed, mixture.sampling_hz, mixture.f0_tracks,
+            ),
+            prep.spec.magnitude,
+        )
 
 
 @pytest.mark.slow
 class TestDHFSeparation:
     def test_end_to_end_two_sources(self):
         mixture = make_mixture("msig1", duration_s=30.0, seed=42)
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         result = dhf.separate_detailed(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks,
             reference_sources=mixture.sources,
@@ -186,7 +219,7 @@ class TestDHFSeparation:
 
     def test_round_for_unknown_raises(self):
         mixture = make_mixture("msig1", duration_s=20.0, seed=1)
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         result = dhf.separate_detailed(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks
         )
@@ -195,7 +228,7 @@ class TestDHFSeparation:
 
     def test_separator_interface(self):
         mixture = make_mixture("msig2", duration_s=20.0, seed=2)
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         estimates = dhf.separate(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks
         )

@@ -1,8 +1,8 @@
 """The deep-prior fit's one precision knob, ``InpaintingConfig.dtype``.
 
 * only float32 and float64 are accepted, wherever the knob is set
-  (``InpaintingConfig``, ``DHFConfig`` through it, ``DHFSpec`` through
-  ``build_config``, and zoo checkpoints through ``config_from_dict``);
+  (``InpaintingConfig``, ``DHFSpec`` through ``inpainting_config``, and
+  zoo checkpoints through ``config_from_dict``);
 * a fit, its parameters and its zoo checkpoint all carry that dtype;
 * a short float32 fit tracks the float64 fit of the same problem.
 """
@@ -10,7 +10,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DHFConfig, InpaintingConfig, inpaint_spectrogram
+from repro.core import InpaintingConfig, inpaint_spectrogram
 from repro.errors import ConfigurationError, SerializationError
 from repro.nn.zoo import FitCache, PriorZoo, config_from_dict, config_to_dict
 from repro.service import DHFSpec
@@ -45,9 +45,6 @@ def relative_deviation(ref, out) -> float:
 
 BUILDERS = {
     "InpaintingConfig": lambda dtype: InpaintingConfig(dtype=dtype),
-    "DHFConfig": lambda dtype: DHFConfig(
-        inpainting=InpaintingConfig(dtype=dtype)
-    ),
     "DHFSpec": lambda dtype: DHFSpec(dtype=dtype),
 }
 

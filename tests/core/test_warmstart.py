@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DHFConfig, DHFSeparator, InpaintingConfig
+from repro.core import DHFSeparator, InpaintingConfig
 from repro.core.inpainting import inpaint_spectrogram, inpaint_spectrograms
 from repro.errors import ConfigurationError
 from repro.nn.batchfit import EarlyStopConfig
@@ -111,21 +111,12 @@ class TestCacheThreading:
 class TestDHFIntegration:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="warm_start"):
-            DHFConfig(warm_start="yes")
+            DHFSpec(warm_start="yes")
         with pytest.raises(ConfigurationError, match="zoo_path"):
-            DHFConfig(warm_start=True, zoo_path=123)
-
-    def test_fit_cache_resolution(self, tmp_path):
-        assert DHFConfig().fit_cache() is None
-        warm = DHFConfig.from_preset(
-            "smoke", warm_start=True, zoo_path=str(tmp_path),
-        )
-        cache = warm.fit_cache()
-        assert cache is shared_fit_cache(str(tmp_path))
-        assert cache.zoo is not None
+            DHFSpec(warm_start=True, zoo_path=123)
 
     def test_separator_populates_zoo(self, tmp_path, small_mixture):
-        config = DHFConfig.from_preset(
+        config = DHFSpec.from_preset(
             "smoke", warm_start=True, zoo_path=str(tmp_path),
         )
         dhf = DHFSeparator(config)

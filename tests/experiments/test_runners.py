@@ -13,7 +13,6 @@ from repro.experiments import (
     PAPER_TABLE2,
     PAPER_TABLE2_AVERAGE,
     TABLE2_METHOD_ORDER,
-    build_dhf,
     build_separators,
     run_figure4,
     run_table1,
@@ -59,11 +58,6 @@ class TestBuilders:
     def test_build_subset_preserves_order(self, smoke):
         methods = build_separators(smoke.preset, include=("DHF", "EMD"))
         assert list(methods) == ["EMD", "DHF"]
-
-    def test_build_dhf_uses_preset(self, smoke):
-        dhf = build_dhf(smoke.preset)
-        assert dhf.config.samples_per_period == \
-            smoke.preset.alignment.samples_per_period
 
     def test_include_accepts_registry_names(self, smoke):
         methods = build_separators(
@@ -193,3 +187,47 @@ class TestFigure4Runner:
         path = result.export_npz(str(tmp_path / "fig4.npz"))
         archive = np.load(path)
         assert "msig1_magnitude" in archive
+
+
+class TestFigure3Runner:
+    def test_fits_dhf_own_round_at_fast(self, monkeypatch):
+        """Fig. 3 in-paints the spectrogram DHF prepares for the round.
+
+        At ``fast`` DHF's hop is one 24-sample period (its STFT geometry
+        caps the preset's two-period request), not 48 samples.
+        """
+        import repro.experiments.figure3 as figure3
+        from repro.config import get_preset
+        from repro.core.alignment import unwarp
+        from repro.dsp.stft import stft
+        from repro.synth import make_mixture
+
+        class Captured(Exception):
+            pass
+
+        shapes = []
+
+        def capture(magnitude, visibility, config, **kwargs):
+            shapes.append(magnitude.shape)
+            raise Captured
+
+        monkeypatch.setattr(figure3, "inpaint_spectrogram", capture)
+        preset = get_preset("fast").scaled(signal_duration_s=12.0)
+        with pytest.raises(Captured):
+            figure3.run_figure3(ExperimentContext(preset=preset, seed=3))
+
+        mixture = make_mixture("msig1", duration_s=12.0, seed=3)
+        spp = preset.alignment.samples_per_period
+        alignment = unwarp(
+            mixture.mixed, mixture.sampling_hz,
+            mixture.f0_tracks["maternal"], spp,
+        )
+
+        def shape(hop):
+            return stft(
+                alignment.samples, alignment.sampling_hz,
+                n_fft=spp * preset.alignment.periods_per_window, hop=hop,
+            ).magnitude.shape
+
+        assert shape(24) != shape(48)
+        assert shapes == [shape(24)]

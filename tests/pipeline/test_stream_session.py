@@ -1,5 +1,7 @@
 """stream_batch: a record set streamed and scored like separate_batch."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,17 +127,19 @@ class TestStreamBatch:
                 _stream(masker, self._records(), 1024, 256, chunk)
 
     def test_postprocess_applied_and_scoring_optional(self, masker):
-        records = self._records()
+        # Records without references are separated but not scored.
+        records = [
+            dataclasses.replace(record, references=None)
+            for record in self._records()
+        ]
         seen = []
 
         def double(estimate, record):
             seen.append(record.name)
             return 2.0 * estimate
 
-        raw = _stream(masker, records, 1024, 256, 200, score=False)
-        doubled = _stream(
-            masker, records, 1024, 256, 200, postprocess=double, score=False,
-        )
+        raw = _stream(masker, records, 1024, 256, 200)
+        doubled = _stream(masker, records, 1024, 256, 200, postprocess=double)
         assert sorted(seen) == ["rec0", "rec0", "rec1", "rec1"]
         for plain, post in zip(raw, doubled):
             assert plain.scores == {} and post.scores == {}

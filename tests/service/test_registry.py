@@ -86,6 +86,22 @@ class TestBuiltins:
     def test_aliases_resolve(self, alias, canonical):
         assert separator_entry(alias).name == canonical
 
+    @pytest.mark.parametrize("name, separator", [
+        pytest.param(name, separator, id=name) for name, separator in (
+            ("emd", EMDSeparator()),
+            ("vmd", VMDSeparator()),
+            ("nmf", NMFSeparator()),
+            ("repet", REPETSeparator()),
+            ("repet-ext", REPETSeparator(extended=True)),
+            ("spectral-masking", SpectralMaskingSeparator()),
+        )
+    ])
+    def test_entry_equals_class_defaults(self, name, separator):
+        assert build_separator(name) == separator
+
+    def test_dhf_entry_equals_class_default(self):
+        assert build_separator("dhf").config == DHFSeparator().config
+
     def test_repet_ext_defaults_flip_extended(self):
         sep = build_separator("repet-ext")
         assert sep.extended is True

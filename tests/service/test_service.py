@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.pipeline import SeparationRecord, finalize_record
+from repro.separation import Separator
 from repro.service import (
     SeparationOutcome,
     SeparationService,
@@ -18,6 +19,28 @@ from repro.streaming import stream_record
 from repro.synth import make_mixture
 
 SPEC = SpectralMaskingSpec(n_fft_seconds=2.0)
+
+
+class MiscountingSeparator(Separator):
+    """A ``separate_batch`` hook returning ``surplus`` estimates too many
+    (too few when negative); module level, so workers can unpickle it."""
+
+    name = "miscounting"
+
+    def __init__(self, surplus: int):
+        self.surplus = surplus
+
+    def separate(self, mixed, sampling_hz, f0_tracks):
+        mixed = self._validate(mixed, sampling_hz, f0_tracks)
+        return {name: mixed.copy() for name in f0_tracks}
+
+    def separate_batch(self, mixed_batch, sampling_hz, f0_tracks_batch):
+        estimates = super().separate_batch(
+            mixed_batch, sampling_hz, f0_tracks_batch
+        )
+        if self.surplus < 0:
+            return estimates[: self.surplus]
+        return estimates + estimates[: self.surplus]
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +128,16 @@ class TestBatchMode:
                     ours.estimates[source], ref.estimates[source]
                 )
             assert ours.scores == ref.scores
+
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "sharded"])
+    @pytest.mark.parametrize("surplus", [-1, 1], ids=["short", "long"])
+    def test_wrong_estimate_count_names_the_separator(
+        self, records, workers, surplus
+    ):
+        separator = MiscountingSeparator(surplus)
+        with SeparationService(separator, workers=workers) as service:
+            with pytest.raises(DataError, match="'miscounting' returned"):
+                service.separate_batch(records)
 
     def test_serial_service_never_builds_an_engine(self, records):
         with SeparationService(SPEC, workers=1) as service:

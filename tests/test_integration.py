@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import SpectralMaskingSeparator
-from repro.core import DHFConfig, DHFSeparator
+from repro.core import DHFSeparator
 from repro.metrics import sdr_db
+from repro.service import DHFSpec
 from repro.synth import make_mixture
 
 
@@ -14,7 +15,7 @@ class TestEndToEnd:
     def test_dhf_beats_trivial_estimates(self):
         """DHF must beat both the 'mixture as estimate' and 'zeros'."""
         mixture = make_mixture("msig1", duration_s=30.0, seed=11)
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         estimates = dhf.separate(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks
         )
@@ -29,7 +30,7 @@ class TestEndToEnd:
     def test_three_source_extraction_order(self):
         """Respiration dominates MSig5 and must be extracted first."""
         mixture = make_mixture("msig5", duration_s=30.0, seed=12)
-        dhf = DHFSeparator(DHFConfig.from_preset("smoke"))
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
         result = dhf.separate_detailed(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks
         )
@@ -59,7 +60,7 @@ class TestEndToEnd:
         mixture = make_mixture("msig2", duration_s=20.0, seed=14)
         methods = [
             SpectralMaskingSeparator(),
-            DHFSeparator(DHFConfig.from_preset("smoke")),
+            DHFSeparator(DHFSpec.from_preset("smoke")),
         ]
         for sep in methods:
             out = sep.separate(
