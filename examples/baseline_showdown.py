@@ -11,8 +11,9 @@ import time
 
 from repro.config import SCORING_BAND_HZ, get_preset
 from repro.dsp import bandpass_filter
-from repro.experiments import build_separators
+from repro.experiments import table2_specs
 from repro.metrics import mse, sdr_db
+from repro.service import build_separator
 from repro.synth import make_mixture
 from repro.utils.tables import TextTable
 
@@ -34,7 +35,8 @@ def main() -> None:
         title=f"Table 2 excerpt — {mixture.spec.name} "
               f"({mixture.spec.description})",
     )
-    for name, separator in build_separators(preset).items():
+    for name, spec in table2_specs(preset).items():
+        separator = build_separator(spec)
         start = time.time()
         estimates = separator.separate(
             mixture.mixed, mixture.sampling_hz, mixture.f0_tracks

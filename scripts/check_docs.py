@@ -20,9 +20,10 @@ Verifies that
    in the prose fails here; a backticked `Class.attr` or `Class.attr()`
    additionally needs ``attr`` to be an attribute or a dataclass field
    of that class;
-8. every ``repro`` import in ``examples/*.py`` resolves.  The examples
-   are parsed, not run (nothing in CI runs them), so a deleted name an
-   example still imports fails here.
+8. every ``repro`` import in ``examples/*.py`` and ``benchmarks/*.py``
+   resolves.  They are parsed, not run: nothing in CI runs the examples,
+   and the tier-1 suite does not collect ``bench_*.py``, so a deleted
+   name one of them still imports fails here.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 """
@@ -39,7 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "docs" / "architecture.md"]
-EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+#: Scripts whose ``repro`` imports rule 8 resolves (parsed, not run).
+SCRIPTS = sorted((ROOT / "examples").glob("*.py")) + sorted(
+    (ROOT / "benchmarks").glob("*.py")
+)
 PUBLIC_PACKAGES = [
     "repro",
     "repro.dsp",
@@ -294,13 +298,14 @@ def _import_problem(where: str, module_name: str, name=None):
     return None
 
 
-def check_example_imports() -> list:
-    """Every ``repro`` import in the examples must resolve (parsed, not run)."""
+def check_script_imports() -> list:
+    """Every ``repro`` import in the examples and benchmarks must resolve
+    (parsed, not run)."""
     problems = []
-    for path in EXAMPLES:
+    for path in SCRIPTS:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            where = f"examples/{path.name}:{getattr(node, 'lineno', 0)}"
+            where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Import):
                 found = [
                     _import_problem(where, alias.name)
@@ -327,7 +332,7 @@ def main() -> int:
         + check_required_names_documented()
         + check_public_api_table()
         + check_doc_class_names()
-        + check_example_imports()
+        + check_script_imports()
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -335,7 +340,7 @@ def main() -> int:
         return 1
     print(f"docs-check: OK ({len(DOCS)} docs, "
           f"{len(PUBLIC_PACKAGES)} packages, "
-          f"{len(EXAMPLES)} examples verified)")
+          f"{len(SCRIPTS)} example and benchmark scripts verified)")
     return 0
 
 

@@ -21,7 +21,6 @@ from repro.baselines.repet import (
     repeating_mask,
     repeating_model,
     repet_extended_mask,
-    repet_extract,
 )
 from repro.baselines.spectral_mask import SpectralMaskingSeparator
 
@@ -46,7 +45,7 @@ __all__ = [
     "VMDSeparator", "vmd",
     "NMFSeparator", "nmf_component_signals", "nmf_kl",
     "REPETSeparator", "refine_period", "repeating_mask", "repeating_model",
-    "repet_extended_mask", "repet_extract",
+    "repet_extended_mask",
     "SpectralMaskingSeparator",
     "all_baselines",
 ]

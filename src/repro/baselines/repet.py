@@ -12,13 +12,13 @@ time segment, adapting to non-stationary rhythms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.baselines.base import Separator
 from repro.dsp.spectrum import beat_spectrum, dominant_period
-from repro.dsp.stft import StftResult, istft, stft
+from repro.dsp.stft import istft, stft
 from repro.errors import ConfigurationError
 from repro.utils.validation import as_2d_float_array
 
@@ -69,17 +69,6 @@ def repeating_mask(magnitude: np.ndarray, period: int) -> np.ndarray:
     mag = as_2d_float_array(magnitude, "magnitude")
     model = repeating_model(mag, period)
     return (model + _EPS) / (mag + _EPS)
-
-
-def repet_extract(
-    spec: StftResult,
-    period: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One REPET pass: returns ``(background, foreground)`` time signals."""
-    mask = repeating_mask(spec.magnitude, period)
-    background = istft(spec.with_values(spec.values * mask))
-    foreground = istft(spec.with_values(spec.values * (1.0 - mask)))
-    return background, foreground
 
 
 def repet_extended_mask(

@@ -86,7 +86,7 @@ _PRESETS: Dict[str, Preset] = {
         deep_prior=DeepPriorBudget(iterations=120, learning_rate=5e-3,
                                    base_channels=8, depth=2),
         alignment=AlignmentConfig(samples_per_period=24, periods_per_window=6,
-                                  hop_periods=2),
+                                  hop_periods=1),
     ),
     "smoke": Preset(
         name="smoke",

@@ -182,6 +182,8 @@ class DHFSeparator(Separator):
                 f"aligned signal has {alignment.n_samples} samples; needs at "
                 f"least {n_fft} (= {ppw} target periods)"
             )
+        # DHFSpec keeps hop_periods within a quarter window; this cap
+        # only bites once the window has shrunk above.
         hop = spp * min(cfg.hop_periods, max(1, ppw // 4))
         return n_fft, hop
 

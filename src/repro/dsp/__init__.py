@@ -67,7 +67,6 @@ from repro.dsp.spectrum import (
     autocorrelation,
     beat_spectrum,
     dominant_period,
-    harmonic_sum_salience,
     periodogram,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "decimate", "resample_to_grid", "resample_to_rate", "time_axis",
     "analytic_signal", "envelope", "instantaneous_frequency",
     "instantaneous_phase",
-    "autocorrelation", "beat_spectrum", "dominant_period",
-    "harmonic_sum_salience", "periodogram",
+    "autocorrelation", "beat_spectrum", "dominant_period", "periodogram",
 ]

@@ -1,8 +1,7 @@
 """Spectral statistics: periodogram, autocorrelation and the beat spectrum.
 
 The beat spectrum (Rafii & Pardo 2012) drives the REPET baseline's repeating
-period detection; the autocorrelation and harmonic-sum utilities back the
-fundamental-frequency tracker.
+period detection.
 """
 
 from __future__ import annotations
@@ -113,23 +112,3 @@ def dominant_period(beat: np.ndarray, min_lag: int = 1,
             best = peaks[np.argmax(segment[peaks])]
             return int(best + min_lag)
     return int(np.argmax(segment) + min_lag)
-
-
-def harmonic_sum_salience(power: np.ndarray, freqs: np.ndarray,
-                          f0_grid: np.ndarray, n_harmonics: int = 4,
-                          decay: float = 0.8) -> np.ndarray:
-    """Harmonic-sum salience of candidate fundamentals for one spectrum.
-
-    ``salience(f0) = sum_k decay^(k-1) * P(k f0)`` with linear interpolation
-    of the power spectrum at each harmonic location.
-    """
-    power = as_1d_float_array(power, "power")
-    freqs = as_1d_float_array(freqs, "freqs")
-    f0_grid = as_1d_float_array(f0_grid, "f0_grid")
-    salience = np.zeros(f0_grid.size)
-    for k in range(1, n_harmonics + 1):
-        target = k * f0_grid
-        inside = target <= freqs[-1]
-        vals = np.interp(target[inside], freqs, power)
-        salience[inside] += decay ** (k - 1) * vals
-    return salience

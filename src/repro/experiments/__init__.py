@@ -2,9 +2,8 @@
 
 from repro.experiments.common import (
     ExperimentContext,
+    FIGURE6_METHODS,
     TABLE2_METHOD_ORDER,
-    TABLE2_REGISTRY_NAMES,
-    build_separators,
     display_method_name,
     table2_specs,
     with_zoo,
@@ -21,12 +20,7 @@ from repro.experiments.table2 import Table2Result, run_table2
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.figure4 import Figure4Result, run_figure4
 from repro.experiments.figure5 import Figure5Point, Figure5Result, run_figure5
-from repro.experiments.figure6 import (
-    FIGURE6_METHODS,
-    Figure6Result,
-    figure6_specs,
-    run_figure6,
-)
+from repro.experiments.figure6 import Figure6Result, run_figure6
 from repro.experiments.figure7 import Figure7Result, run_figure7
 from repro.experiments.monitor import MonitorResult, run_monitor
 from repro.experiments.scoreboard import (
@@ -43,9 +37,8 @@ from repro.experiments.ablations import (
 )
 
 __all__ = [
-    "ExperimentContext", "TABLE2_METHOD_ORDER", "TABLE2_REGISTRY_NAMES",
-    "build_separators", "display_method_name",
-    "table2_specs", "with_zoo",
+    "ExperimentContext", "FIGURE6_METHODS", "TABLE2_METHOD_ORDER",
+    "display_method_name", "table2_specs", "with_zoo",
     "PAPER_CLAIMS", "PAPER_FIG6_CORRELATION", "PAPER_LOW_POWER_CASES",
     "PAPER_TABLE2", "PAPER_TABLE2_AVERAGE",
     "Table1Result", "run_table1",
@@ -53,7 +46,7 @@ __all__ = [
     "Figure3Result", "run_figure3",
     "Figure4Result", "run_figure4",
     "Figure5Point", "Figure5Result", "run_figure5",
-    "FIGURE6_METHODS", "Figure6Result", "figure6_specs", "run_figure6",
+    "Figure6Result", "run_figure6",
     "Figure7Result", "run_figure7",
     "MonitorResult", "run_monitor",
     "DEFAULT_FAMILIES", "DEFAULT_SEVERITIES",

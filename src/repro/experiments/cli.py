@@ -28,9 +28,15 @@ from dataclasses import MISSING, fields
 from typing import Callable, Dict
 
 from repro import errors
-from repro.config import available_presets
+from repro.config import Preset, available_presets
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentContext, display_method_name
+from repro.experiments.common import (
+    ARTEFACT_METHODS,
+    ExperimentContext,
+    display_method_name,
+    table2_specs,
+    with_zoo,
+)
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.figure3 import run_figure3
@@ -69,10 +75,8 @@ RUNNERS: Dict[str, Callable] = {
 #: :mod:`repro.experiments.serve`, which owns its own flags).
 COMMANDS = ("methods", "serve")
 
-#: Artefacts whose method line-up is selectable with --method/--spec.
-METHOD_ARTEFACTS = ("table2", "figure6", "monitor", "scoreboard")
-
-#: Artefacts whose runners accept ``zoo_path`` (warm-start prior zoo).
+#: Artefacts whose line-up ``--zoo`` may warm-start (a subset of the
+#: ``--method``/``--spec`` artefacts, ``ARTEFACT_METHODS``).
 ZOO_ARTEFACTS = ("table2", "figure6", "monitor")
 
 
@@ -145,6 +149,59 @@ def parse_spec_argument(raw: str) -> SeparatorSpec:
     return SeparatorSpec.from_dict(load_spec_dict(raw))
 
 
+def line_up_kwargs(args: argparse.Namespace, preset: Preset) -> dict:
+    """The runner keyword that ``--method``/``--spec``/``--zoo`` select.
+
+    The line-up is the artefact's default names (``ARTEFACT_METHODS``)
+    or the ``--method`` names, as :func:`table2_specs` resolves them;
+    then each ``--spec``, labelled ``"<display name> (spec)"``
+    (``--spec`` without ``--method`` runs the custom specs alone); then
+    :func:`with_zoo` for ``--zoo``.  The monitor takes its one method as
+    ``method=``, the other artefacts the line-up as ``line_up=``.
+    """
+    if (args.method or args.spec) and args.artefact not in ARTEFACT_METHODS:
+        raise ConfigurationError(
+            "--method/--spec select methods for one of "
+            f"{'/'.join(ARTEFACT_METHODS)}; run e.g. "
+            "'table2 --method ...' (got artefact "
+            f"{args.artefact!r})"
+        )
+    if args.zoo is not None and args.artefact not in ZOO_ARTEFACTS:
+        raise ConfigurationError(
+            f"--zoo warm-starts one of {'/'.join(ZOO_ARTEFACTS)}; "
+            f"run e.g. 'table2 --zoo ...' (got artefact "
+            f"{args.artefact!r})"
+        )
+    if args.artefact not in ARTEFACT_METHODS:
+        return {}
+    if args.artefact == "monitor" \
+            and len(args.method or []) + len(args.spec or []) > 1:
+        raise ConfigurationError(
+            "the monitor streams one method; pass a single --method or "
+            "--spec"
+        )
+    if args.method:
+        names = args.method
+    elif args.spec:
+        names = ()  # the custom specs alone
+    else:
+        names = ARTEFACT_METHODS[args.artefact]
+    line_up = table2_specs(preset, include=names)
+    custom: Dict[str, SeparatorSpec] = {}
+    for raw in args.spec or ():
+        spec = parse_spec_argument(raw)
+        label = f"{display_method_name(spec.method)} (spec)"
+        if label in custom:
+            label = f"{label} #{len(custom)}"
+        custom[label] = spec
+    line_up.update(custom)
+    line_up = with_zoo(line_up, args.zoo)
+    if args.artefact == "monitor":
+        (spec,) = line_up.values()
+        return {"method": spec}
+    return {"line_up": line_up}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.cli",
@@ -172,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--spec", action="append", default=None, metavar="JSON",
         help="run a custom separator spec through table2/figure6/"
-             "monitor: inline JSON or @path to a JSON file (repeatable)",
+             "monitor/scoreboard: inline JSON or @path to a JSON file "
+             "(repeatable)",
     )
     parser.add_argument(
         "--zoo", default=None, metavar="DIR",
@@ -212,70 +270,10 @@ def main(argv=None) -> int:
                 handle.write(text + "\n")
         return 0
 
-    method_kwargs = {}
-    if args.method or args.spec:
-        if args.artefact not in METHOD_ARTEFACTS:
-            raise ConfigurationError(
-                "--method/--spec select methods for one of "
-                f"{'/'.join(METHOD_ARTEFACTS)}; run e.g. "
-                "'table2 --method ...' (got artefact "
-                f"{args.artefact!r})"
-            )
-        if args.artefact == "monitor":
-            picked = len(args.method or []) + len(args.spec or [])
-            if picked > 1:
-                raise ConfigurationError(
-                    "the monitor streams one method; pass a single "
-                    "--method or --spec"
-                )
-            if args.spec:
-                method_kwargs["method"] = parse_spec_argument(args.spec[0])
-            else:
-                # Resolve now so typos fail fast with a did-you-mean.
-                display_method_name(args.method[0])
-                method_kwargs["method"] = args.method[0]
-        else:
-            if args.method:
-                # Resolve now so typos fail fast with a did-you-mean.
-                method_kwargs["methods"] = tuple(
-                    display_method_name(name) for name in args.method
-                )
-            else:
-                method_kwargs["methods"] = ()  # custom specs only
-            if args.spec:
-                specs = {}
-                for raw in args.spec:
-                    data = load_spec_dict(raw)
-                    spec = SeparatorSpec.from_dict(data)
-                    # Label by the *requested* name so an entry like
-                    # repet-ext keeps its own column heading even though
-                    # its spec dispatches through the shared repet spec
-                    # class.
-                    requested = str(data.get("method", spec.method))
-                    label = f"{display_method_name(requested)} (spec)"
-                    if label in specs:
-                        label = f"{label} #{len(specs)}"
-                    specs[label] = spec
-                method_kwargs["specs"] = specs
-
-    if args.zoo is not None:
-        if args.artefact not in ZOO_ARTEFACTS:
-            raise ConfigurationError(
-                f"--zoo warm-starts one of {'/'.join(ZOO_ARTEFACTS)}; "
-                f"run e.g. 'table2 --zoo ...' (got artefact "
-                f"{args.artefact!r})"
-            )
-        method_kwargs["zoo_path"] = args.zoo
-
     context = ExperimentContext.from_name(args.preset, seed=args.seed)
+    kwargs = line_up_kwargs(args, context.preset)
     names = sorted(RUNNERS) if args.artefact == "all" else [args.artefact]
-    reports = [
-        run_one(
-            name, context,
-            **(method_kwargs if name == args.artefact else {}),
-        )
-        for name in names
-    ]
+    reports = [run_one(name, context, **kwargs) for name in names]
     text = "\n\n".join(reports)
     print(text)
     if args.output:

@@ -25,14 +25,7 @@ import numpy as np
 from repro.config import Preset, get_preset
 from repro.core import DHFSeparator
 from repro.pipeline import SeparationRecord
-from repro.separation import Separator
-from repro.service import (
-    DHFSpec,
-    SeparatorSpec,
-    build_separator,
-    default_spec,
-    separator_entry,
-)
+from repro.service import DHFSpec, SeparatorSpec, separator_entry
 from repro.synth import make_mixture
 
 #: Method display order of Table 2 (paper spellings).
@@ -40,36 +33,34 @@ TABLE2_METHOD_ORDER = (
     "EMD", "VMD", "NMF", "REPET", "REPET-Ext.", "Spect. Masking", "DHF",
 )
 
-#: Table 2 display name -> registry name.
-TABLE2_REGISTRY_NAMES = {
-    "EMD": "emd",
-    "VMD": "vmd",
-    "NMF": "nmf",
-    "REPET": "repet",
-    "REPET-Ext.": "repet-ext",
-    "Spect. Masking": "spectral-masking",
-    "DHF": "dhf",
+#: The Fig. 6b line-up: the prior state of the art, then the paper's method.
+FIGURE6_METHODS = ("Spect. Masking", "DHF")
+
+#: Default method names of every artefact whose line-up is selectable
+#: (the CLI's ``--method``/``--spec`` artefacts); the monitor streams one.
+ARTEFACT_METHODS: Dict[str, Tuple[str, ...]] = {
+    "table2": TABLE2_METHOD_ORDER,
+    "figure6": FIGURE6_METHODS,
+    "monitor": ("Spect. Masking",),
+    "scoreboard": TABLE2_METHOD_ORDER,
 }
 
 
 def display_method_name(name: str) -> str:
-    """Resolve any registered name/alias to its Table 2 display spelling.
+    """A registered name or alias in its display spelling.
 
-    Methods outside the Table 2 line-up (plugins) display under their
-    canonical registry name.
+    That is the registry entry's first alias (the paper's spelling for
+    the Table 2 methods), else its canonical name.
     """
-    canonical = separator_entry(name).name
-    for display, registry_name in TABLE2_REGISTRY_NAMES.items():
-        if registry_name == canonical:
-            return display
-    return canonical
+    entry = separator_entry(name)
+    return entry.aliases[0] if entry.aliases else entry.name
 
 
 def table2_specs(
     preset: Preset,
     include: Optional[Sequence[str]] = None,
 ) -> Dict[str, SeparatorSpec]:
-    """The Table 2 line-up as specs, keyed by display name.
+    """A method line-up as specs, keyed by display name.
 
     Parameters
     ----------
@@ -77,38 +68,26 @@ def table2_specs(
         Scales the DHF spec (signal durations and deep-prior budgets);
         baseline specs are preset-independent, as in the paper.
     include:
-        Optional subset of method names — display spellings or registry
-        names/aliases of *any* registered method, so plugin separators
-        join the table by name (listed after the standard line-up).
-        Unregistered names raise
+        Method names — display spellings or registry names/aliases of
+        *any* registered method (default: the Table 2 seven).  Table 2
+        methods keep the table's order and other registered methods
+        (plugins) follow in the order given.  Unregistered names raise
         :class:`repro.errors.ConfigurationError` with a did-you-mean
         suggestion.
     """
-    wanted: Optional[set] = None
-    extras: List[str] = []  # registered methods outside the line-up
-    if include is not None:
-        wanted = set()
-        for name in include:
-            if name in TABLE2_REGISTRY_NAMES:
-                wanted.add(name)
-                continue
-            canonical = separator_entry(name).name  # raises w/ suggestion
-            display = display_method_name(canonical)
-            if display in TABLE2_REGISTRY_NAMES:
-                wanted.add(display)
-            elif display not in extras:
-                extras.append(display)
+    wanted = [
+        display_method_name(name)
+        for name in (TABLE2_METHOD_ORDER if include is None else include)
+    ]
+    ordered = [name for name in TABLE2_METHOD_ORDER if name in wanted]
+    ordered += [name for name in wanted if name not in TABLE2_METHOD_ORDER]
     specs: Dict[str, SeparatorSpec] = {}
-    for display in TABLE2_METHOD_ORDER:
-        if wanted is not None and display not in wanted:
-            continue
-        registry_name = TABLE2_REGISTRY_NAMES[display]
-        if registry_name == "dhf":
-            specs[display] = DHFSpec.from_preset(preset)
-        else:
-            specs[display] = default_spec(registry_name)
-    for display in extras:
-        specs[display] = default_spec(display)
+    for display in ordered:
+        entry = separator_entry(display)
+        specs[display] = (
+            DHFSpec.from_preset(preset) if entry.name == "dhf"
+            else entry.default_spec()
+        )
     return specs
 
 
@@ -131,17 +110,6 @@ def with_zoo(
         name: replace(spec, warm_start=True, zoo_path=zoo_path)
         if isinstance(spec, DHFSpec) else spec
         for name, spec in specs.items()
-    }
-
-
-def build_separators(
-    preset: Preset,
-    include: Optional[tuple] = None,
-) -> Dict[str, Separator]:
-    """The Table 2 line-up scaled to a preset (built from the registry)."""
-    return {
-        name: build_separator(spec)
-        for name, spec in table2_specs(preset, include=include).items()
     }
 
 

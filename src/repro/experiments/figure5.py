@@ -17,9 +17,9 @@ import numpy as np
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
 from repro.core import DHFSeparator
-from repro.experiments.common import ExperimentContext, build_separators
+from repro.experiments.common import ExperimentContext, table2_specs
 from repro.metrics import pearson, sdr_db
-from repro.service import DHFSpec
+from repro.service import DHFSpec, build_separator
 from repro.synth import make_mixture, mixture_names
 from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
@@ -96,7 +96,10 @@ def run_figure5(
     """Compute MER and SDR improvement for every separation round."""
     context = context or ExperimentContext.from_name()
     mixtures = mixtures or mixture_names()
-    baselines = build_separators(context.preset, include=baseline_methods)
+    baselines = {
+        name: build_separator(spec) for name, spec
+        in table2_specs(context.preset, include=baseline_methods).items()
+    }
     dhf = DHFSeparator(DHFSpec.from_preset(context.preset))
     points: List[Figure5Point] = []
     example_sdrs: Dict[str, float] = {}

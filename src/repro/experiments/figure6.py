@@ -12,19 +12,23 @@ a method becomes one record of a single
 :meth:`repro.service.SeparationService.separate_batch` call, so the
 wavelength pairs of each subject share stacked DHF deep-prior fits and
 the baselines run their vectorized batch hooks.  Methods are registry
-specs — pass ``methods=`` (names) or ``specs=`` (display label →
-:class:`repro.service.SeparatorSpec`) to change the line-up, mirroring
+specs — pass ``line_up=`` (display label →
+:class:`repro.service.SeparatorSpec`) to change them, as for
 ``run_table2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.experiments.common import ExperimentContext, table2_specs, with_zoo
+from repro.experiments.common import (
+    ARTEFACT_METHODS,
+    ExperimentContext,
+    table2_specs,
+)
 from repro.experiments.paper_reference import PAPER_FIG6_CORRELATION
 from repro.metrics import correlation_error_improvement
 from repro.service import SeparatorSpec
@@ -39,10 +43,6 @@ from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
 
 _LOG = get_logger("experiments.figure6")
-
-#: The Fig. 6b line-up: the prior state of the art, then the paper's method.
-FIGURE6_METHODS = ("Spect. Masking", "DHF")
-
 
 @dataclass
 class Figure6Result:
@@ -89,63 +89,41 @@ class Figure6Result:
         return "\n".join(lines)
 
 
-def figure6_specs(
-    context: ExperimentContext,
-    methods: Optional[Sequence[str]] = None,
-    specs: Optional[Mapping[str, SeparatorSpec]] = None,
-) -> Dict[str, SeparatorSpec]:
-    """The Fig. 6 method line-up as registry specs, keyed by display name.
-
-    ``methods`` accepts display spellings or registry names/aliases of
-    any registered method (resolved exactly like ``run_table2``; DHF is
-    scaled by the preset; ``()`` runs custom specs only); ``specs``
-    appends explicit custom specs, replacing on label collision.
-    """
-    resolved = table2_specs(
-        context.preset,
-        include=tuple(methods) if methods is not None else FIGURE6_METHODS,
-    )
-    for label, spec in (specs or {}).items():
-        resolved[label] = spec
-    return resolved
-
-
 def run_figure6(
     context: Optional[ExperimentContext] = None,
     duration_s: Optional[float] = None,
     sheep: Optional[list] = None,
-    methods: Optional[Sequence[str]] = None,
-    specs: Optional[Mapping[str, SeparatorSpec]] = None,
+    line_up: Optional[Mapping[str, SeparatorSpec]] = None,
     workers: int = 0,
-    zoo_path: Optional[str] = None,
 ) -> Figure6Result:
     """Run the full in-vivo comparison on both simulated ewes.
 
     ``duration_s`` defaults to four times the preset's synthetic-signal
     duration (the paper's recordings are 40 minutes; the fast preset uses
-    a proportionally shorter protocol).  The cohort — every requested
-    sheep at both wavelengths — runs through one batched service call
-    per method; ``workers > 1`` shards the batch across that many
-    worker processes.
-    ``zoo_path`` warm-starts every DHF spec from the prior zoo at that
-    directory (``None`` keeps fits cold).
+    a proportionally shorter protocol).  ``line_up`` maps display labels
+    to :class:`repro.service.SeparatorSpec` (default: spectral masking
+    and DHF scaled by the preset).  The cohort —
+    every requested sheep at both wavelengths — runs through one batched
+    service call per method; ``workers > 1`` shards the batch across
+    that many worker processes.
     """
     context = context or ExperimentContext.from_name()
     if duration_s is None:
         duration_s = 4.0 * context.duration_s
     sheep = sheep or sheep_names()
-    method_specs = with_zoo(
-        figure6_specs(context, methods=methods, specs=specs), zoo_path,
-    )
+    if line_up is None:
+        line_up = table2_specs(
+            context.preset, include=ARTEFACT_METHODS["figure6"],
+        )
     recordings = [
         make_sheep_recording(name, duration_s=duration_s, seed=context.seed)
         for name in sheep
     ]
     _LOG.info(
         "figure6: batched cohort of %d sheep x 2 wavelengths x %d methods",
-        len(recordings), len(method_specs),
+        len(recordings), len(line_up),
     )
-    results = run_in_vivo_batch(recordings, method_specs, workers=workers)
+    results = run_in_vivo_batch(recordings, line_up, workers=workers)
     correlations: Dict[str, Dict[str, float]] = {}
     oracle: Dict[str, float] = {}
     for recording in recordings:

@@ -23,8 +23,13 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentContext, display_method_name, with_zoo
-from repro.service import DHFSpec, SeparatorSpec, build_separator, default_spec, separator_entry
+from repro.experiments.common import (
+    ARTEFACT_METHODS,
+    ExperimentContext,
+    display_method_name,
+    table2_specs,
+)
+from repro.service import SeparatorSpec, build_separator
 from repro.tfo import (
     DrawEstimate,
     SpO2Monitor,
@@ -87,18 +92,6 @@ class MonitorResult:
         return "\n".join(lines)
 
 
-def _monitor_spec(
-    context: ExperimentContext, method,
-) -> SeparatorSpec:
-    """Registry spec for the monitored method (DHF scaled by preset)."""
-    if isinstance(method, SeparatorSpec):
-        return method
-    canonical = separator_entry(method or "spectral-masking").name
-    if canonical == "dhf":
-        return DHFSpec.from_preset(context.preset)
-    return default_spec(canonical)
-
-
 def _streaming_geometry(
     separator, sampling_hz: float, n_samples: int, segment_seconds: float,
 ) -> tuple:
@@ -126,14 +119,14 @@ def run_monitor(
     method: Union[str, SeparatorSpec, None] = None,
     chunk_seconds: float = 1.0,
     segment_seconds: float = 30.0,
-    zoo_path: Optional[str] = None,
 ) -> MonitorResult:
     """Stream one simulated ewe through the live fetal-SpO2 monitor.
 
-    ``zoo_path`` warm-starts a DHF method's deep-prior fits from the
-    prior zoo at that directory — particularly effective here, where
-    successive streaming segments share one STFT geometry (``None``
-    keeps fits cold).
+    ``method`` is a registered name (resolved by
+    :func:`repro.experiments.table2_specs`, so DHF is scaled by the
+    preset; default spectral masking) or a spec.  A DHF spec with
+    ``warm_start=True`` amortises its fits across the stream's
+    segments, which share one STFT geometry.
     """
     if chunk_seconds <= 0:
         raise ConfigurationError(
@@ -145,8 +138,11 @@ def run_monitor(
     recording = make_sheep_recording(
         sheep, duration_s=duration_s, seed=context.seed,
     )
-    spec = _monitor_spec(context, method)
-    spec = with_zoo({"method": spec}, zoo_path)["method"]
+    if isinstance(method, SeparatorSpec):
+        spec = method
+    else:
+        names = (method,) if method else ARTEFACT_METHODS["monitor"]
+        (spec,) = table2_specs(context.preset, include=names).values()
     label = display_method_name(spec.method)
     separator = build_separator(spec)
     fs = recording.sampling_hz

@@ -1,8 +1,8 @@
 """Experiment: the service-wide robustness scoreboard.
 
 Not a paper artefact — the paper evaluates on clean synthesized mixtures
-only — but the deployment question next to Table 2: every registered
-separator runs over every degradation scenario (sensor dropouts, motion
+only — but the deployment question next to Table 2: the Table 2
+methods run over every degradation scenario (sensor dropouts, motion
 wander, SNR sweep, codec compression at several severities) on clean
 *and* N>2-source mixtures, through the same service/batch machinery and
 the same scoring-band conventions as Table 2.  Zero-severity cells are
@@ -18,12 +18,16 @@ CLI::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentContext, table2_specs
+from repro.experiments.common import (
+    ARTEFACT_METHODS,
+    ExperimentContext,
+    table2_specs,
+)
 from repro.scenarios import (
     DEFAULT_MIXTURES,
     ScenarioGrid,
@@ -71,8 +75,7 @@ class ScoreboardResult:
 
 def run_scoreboard(
     context: Optional[ExperimentContext] = None,
-    methods: Optional[Tuple[str, ...]] = None,
-    specs: Optional[Dict[str, SeparatorSpec]] = None,
+    line_up: Optional[Mapping[str, SeparatorSpec]] = None,
     families: Sequence[str] = DEFAULT_FAMILIES,
     severities: Sequence[float] = DEFAULT_SEVERITIES,
     mixtures: Optional[Sequence[str]] = None,
@@ -86,11 +89,11 @@ def run_scoreboard(
     context:
         Preset + seed bundle (defaults to the ``fast`` preset); sets the
         mixture duration and generation seed.
-    methods / specs:
-        Method selection exactly as :func:`repro.experiments.run_table2`
-        takes it — display or registry names, plus ``{label: spec}``
-        extras (the CLI's ``--method`` / ``--spec`` flags).  Default:
-        every registered separator.
+    line_up:
+        ``{label: SeparatorSpec}`` to grade, as
+        :func:`repro.experiments.run_table2` takes it (the CLI's
+        ``--method`` / ``--spec`` flags).  Default: the seven methods of
+        Table 2.
     families:
         Degradation kinds to sweep (default: all four built-ins).
     severities:
@@ -105,15 +108,12 @@ def run_scoreboard(
         Worker processes per method's service (batch cells only).
     """
     context = context or ExperimentContext.from_name()
-    line_up = table2_specs(context.preset, include=methods)
-    if specs:
-        for label, spec in specs.items():
-            line_up[str(label)] = spec
-    if not line_up:
-        raise ConfigurationError(
-            "scoreboard needs at least one method (methods=() with no "
-            "specs selects nothing)"
+    if line_up is None:
+        line_up = table2_specs(
+            context.preset, include=ARTEFACT_METHODS["scoreboard"],
         )
+    if not line_up:
+        raise ConfigurationError("scoreboard needs at least one method")
     if not families:
         raise ConfigurationError("scoreboard needs at least one family")
     scenarios = [

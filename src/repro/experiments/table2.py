@@ -17,10 +17,10 @@ import numpy as np
 from repro.config import SCORING_BAND_HZ
 from repro.dsp.filters import bandpass_filter
 from repro.experiments.common import (
+    ARTEFACT_METHODS,
     ExperimentContext,
     records_from_mixtures,
     table2_specs,
-    with_zoo,
 )
 from repro.service import SeparationService, SeparatorSpec
 from repro.experiments.paper_reference import (
@@ -135,15 +135,12 @@ class Table2Result:
 def run_table2(
     context: Optional[ExperimentContext] = None,
     mixtures: Optional[List[str]] = None,
-    methods: Optional[Tuple[str, ...]] = None,
-    specs: Optional[Dict[str, SeparatorSpec]] = None,
+    line_up: Optional[Mapping[str, SeparatorSpec]] = None,
     workers: int = 0,
-    zoo_path: Optional[str] = None,
 ) -> Table2Result:
     """Run the Table 2 comparison, one service batch pass per method.
 
-    Every method is resolved through the :mod:`repro.service` registry
-    to a :class:`repro.service.SeparatorSpec` and executed by a
+    Every method is a :class:`repro.service.SeparatorSpec` executed by a
     :class:`repro.service.SeparationService` — no separator is
     constructed directly, so any registered method (including plugins)
     slots into the table.
@@ -154,31 +151,22 @@ def run_table2(
         Preset + seed bundle (defaults to the ``fast`` preset).
     mixtures:
         Subset of mixture names (default: all five).
-    methods:
-        Subset of method names — paper spellings or registry names
-        (default: all seven).
-    specs:
-        Extra or overriding ``{column label: SeparatorSpec}`` entries
-        appended to (or replacing, on label collision) the standard
-        line-up; this is how the CLI's ``--spec`` flag injects a custom
-        configuration.
+    line_up:
+        ``{column label: SeparatorSpec}`` to run, in column order
+        (default: the seven methods of Table 2, from
+        :func:`repro.experiments.table2_specs`; the CLI builds it from
+        ``--method``/``--spec``/``--zoo``).
     workers:
         Worker processes per method batch (``0`` = serial, which also
         enables vectorized ``separate_batch`` fast paths; ``> 1`` shards
         the mixtures across process workers).
-    zoo_path:
-        Warm-start every DHF spec from the prior zoo at this directory
-        (see :func:`repro.experiments.common.with_zoo`); ``None`` keeps
-        fits cold.
     """
     context = context or ExperimentContext.from_name()
     mixtures = mixtures or mixture_names()
-    # methods=() runs none of the standard line-up (custom specs only).
-    line_up = table2_specs(context.preset, include=methods)
-    if specs:
-        for label, spec in specs.items():
-            line_up[str(label)] = spec
-    line_up = with_zoo(line_up, zoo_path)
+    if line_up is None:
+        line_up = table2_specs(
+            context.preset, include=ARTEFACT_METHODS["table2"],
+        )
 
     # The paper scores band-pass-filtered signals; both references (at
     # record-building time) and estimates (the service postprocess) pass

@@ -56,7 +56,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import DataError, ReproError
-from repro.gateway.callbacks import CallbackClient, Transport
+from repro.gateway.callbacks import Transport
 from repro.gateway.config import GatewayConfig
 from repro.gateway.jobs import (
     JobConflict,
@@ -240,16 +240,9 @@ class Gateway:
     ):
         self.config = config if config is not None else GatewayConfig()
         self.store: ArtifactStore = make_store(self.config.artifact_root)
-        callbacks = None
-        if callback_transport is not None:
-            callbacks = CallbackClient(
-                retries=self.config.callback_retries,
-                backoff_s=self.config.callback_backoff_s,
-                backoff_factor=self.config.callback_backoff_factor,
-                timeout_s=self.config.callback_timeout_s,
-                transport=callback_transport,
-            )
-        self.jobs = JobRegistry(self.config, self.store, callbacks=callbacks)
+        self.jobs = JobRegistry(
+            self.config, self.store, transport=callback_transport,
+        )
         self.sessions = MonitorSessionManager(self.config)
         self._server = ThreadingHTTPServer(
             (self.config.host, self.config.port), self._make_handler()

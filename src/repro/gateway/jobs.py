@@ -38,7 +38,11 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.gateway.callbacks import CallbackClient, CallbackDelivery
+from repro.gateway.callbacks import (
+    CallbackClient,
+    CallbackDelivery,
+    Transport,
+)
 from repro.gateway.config import GatewayConfig
 from repro.gateway.storage import ArtifactStore
 from repro.gateway.wire import (
@@ -132,29 +136,29 @@ class JobRegistry:
         The deployment's :class:`repro.gateway.GatewayConfig`.
     store:
         Artefact store jobs persist through.
-    callbacks:
-        Optional externally built :class:`CallbackClient` (tests inject
-        one with a local transport).  When omitted, one is built from
-        the config's callback knobs.  The registry owns whichever client
-        it ends up with and closes it in :meth:`close`.
+    transport:
+        Optional callback transport for the registry's
+        :class:`CallbackClient`, which the config's ``callback_*`` knobs
+        configure (tests and the in-process benchmark deliver locally).
+        The registry owns the client and closes it in :meth:`close`.
     """
 
     def __init__(
         self,
         config: GatewayConfig,
         store: ArtifactStore,
-        callbacks: Optional[CallbackClient] = None,
+        transport: Optional[Transport] = None,
     ):
         self.config = config
         self.store = store
-        self.callbacks = callbacks if callbacks is not None else \
-            CallbackClient(
-                retries=config.callback_retries,
-                backoff_s=config.callback_backoff_s,
-                backoff_factor=config.callback_backoff_factor,
-                timeout_s=config.callback_timeout_s,
-            )
-        self.callbacks.on_finished = self._record_callback_outcome
+        self.callbacks = CallbackClient(
+            retries=config.callback_retries,
+            backoff_s=config.callback_backoff_s,
+            backoff_factor=config.callback_backoff_factor,
+            timeout_s=config.callback_timeout_s,
+            transport=transport,
+            on_finished=self._record_callback_outcome,
+        )
         self._lock = threading.RLock()
         self._jobs: Dict[str, JobRecord] = {}
         self._records: Dict[str, List[SeparationRecord]] = {}

@@ -321,17 +321,21 @@ class DHFSpec(SeparatorSpec):
                     f"DHFSpec.{name} must be >= {least}, got "
                     f"{getattr(self, name)}"
                 )
-        if self.hop_periods > self.periods_per_window // 2:
+        # The STFT hop is at most a quarter window, in whole periods.
+        if self.hop_periods > max(1, self.periods_per_window // 4):
             raise ConfigurationError(
-                f"DHFSpec.hop_periods must be in [1, periods_per_window/2], "
-                f"got {self.hop_periods}"
+                f"DHFSpec.hop_periods must be in [1, max(1, "
+                f"periods_per_window // 4)], got {self.hop_periods} with "
+                f"periods_per_window={self.periods_per_window}"
             )
-        if isinstance(self.time_dilation, str) \
-                and self.time_dilation != "auto":
-            raise ConfigurationError(
-                f"DHFSpec.time_dilation must be an int or 'auto', got "
-                f"{self.time_dilation!r}"
-            )
+        if self.time_dilation != "auto":
+            try:
+                self._check_positive_int("time_dilation")
+            except ConfigurationError:
+                raise ConfigurationError(
+                    f"DHFSpec.time_dilation must be 'auto' or an int >= 1, "
+                    f"got {self.time_dilation!r}"
+                ) from None
         if self.phase_policy not in ("auto", "cyclic", "observed"):
             raise ConfigurationError(
                 f"DHFSpec.phase_policy must be 'auto', 'cyclic' or "

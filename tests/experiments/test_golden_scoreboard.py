@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentContext, run_scoreboard
+from repro.experiments import ExperimentContext, run_scoreboard, table2_specs
 from repro.scenarios import Scoreboard
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -44,7 +44,8 @@ _REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 def scoreboard_result():
     context = ExperimentContext.from_name(PRESET, seed=SEED)
     return run_scoreboard(
-        context, methods=METHODS, mixtures=list(MIXTURES),
+        context, line_up=table2_specs(context.preset, include=METHODS),
+        mixtures=list(MIXTURES),
     )
 
 

@@ -13,10 +13,11 @@ from repro.experiments import (
     PAPER_TABLE2,
     PAPER_TABLE2_AVERAGE,
     TABLE2_METHOD_ORDER,
-    build_separators,
+    display_method_name,
     run_figure4,
     run_table1,
     run_table2,
+    table2_specs,
 )
 from repro.experiments.table2 import Table2Result
 
@@ -52,15 +53,15 @@ class TestPaperReference:
 
 class TestBuilders:
     def test_build_all_separators(self, smoke):
-        methods = build_separators(smoke.preset)
+        methods = table2_specs(smoke.preset)
         assert list(methods) == list(TABLE2_METHOD_ORDER)
 
     def test_build_subset_preserves_order(self, smoke):
-        methods = build_separators(smoke.preset, include=("DHF", "EMD"))
+        methods = table2_specs(smoke.preset, include=("DHF", "EMD"))
         assert list(methods) == ["EMD", "DHF"]
 
     def test_include_accepts_registry_names(self, smoke):
-        methods = build_separators(
+        methods = table2_specs(
             smoke.preset, include=("spectral-masking", "emd"),
         )
         assert list(methods) == ["EMD", "Spect. Masking"]
@@ -69,11 +70,9 @@ class TestBuilders:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="did you mean"):
-            build_separators(smoke.preset, include=("Spect Masking",))
+            table2_specs(smoke.preset, include=("Spect Masking",))
 
     def test_table2_specs_scale_dhf_only(self, smoke):
-        from repro.experiments import table2_specs
-
         specs = table2_specs(smoke.preset)
         assert list(specs) == list(TABLE2_METHOD_ORDER)
         assert specs["DHF"].samples_per_period == \
@@ -81,14 +80,11 @@ class TestBuilders:
         assert specs["EMD"].max_imfs == 10
 
     def test_display_method_name_round_trip(self):
-        from repro.experiments import display_method_name
-
         assert display_method_name("spectral-masking") == "Spect. Masking"
         assert display_method_name("REPET-Ext.") == "REPET-Ext."
         assert display_method_name("dhf") == "DHF"
 
     def test_include_accepts_plugin_methods(self, smoke):
-        from repro.experiments import table2_specs
         from repro.service import (
             SpectralMaskingSpec, register_separator, unregister_separator,
         )
@@ -96,14 +92,18 @@ class TestBuilders:
 
         register_separator(
             "plugin-mask", _make_spectral_masking, SpectralMaskingSpec,
-            defaults={"n_harmonics": 2},
+            aliases=("Plugin Mask", "pm"), defaults={"n_harmonics": 2},
         )
         try:
             specs = table2_specs(
-                smoke.preset, include=("EMD", "plugin-mask"),
+                smoke.preset, include=("pm", "EMD", "plugin-mask"),
             )
-            assert list(specs) == ["EMD", "plugin-mask"]
-            assert specs["plugin-mask"].n_harmonics == 2
+            # A plugin displays under its first alias, after the
+            # Table 2 methods, once however often it is named.
+            assert list(specs) == ["EMD", "Plugin Mask"]
+            assert specs["Plugin Mask"].n_harmonics == 2
+            assert specs["Plugin Mask"].method == "plugin-mask"
+            assert display_method_name("PM") == "Plugin Mask"
         finally:
             unregister_separator("plugin-mask", missing_ok=True)
 
@@ -123,7 +123,9 @@ class TestTable2Runner:
     def test_two_fast_methods(self, smoke):
         result = run_table2(
             smoke, mixtures=["msig1"],
-            methods=("EMD", "Spect. Masking"),
+            line_up=table2_specs(
+                smoke.preset, include=("EMD", "Spect. Masking"),
+            ),
         )
         assert set(result.scores) == {"EMD", "Spect. Masking"}
         assert len(result.scores["EMD"]) == 2
@@ -136,8 +138,8 @@ class TestTable2Runner:
         from repro.service import SpectralMaskingSpec
 
         result = run_table2(
-            smoke, mixtures=["msig1"], methods=(),
-            specs={"custom": SpectralMaskingSpec(n_harmonics=4)},
+            smoke, mixtures=["msig1"],
+            line_up={"custom": SpectralMaskingSpec(n_harmonics=4)},
         )
         assert set(result.scores) == {"custom"}
         assert len(result.scores["custom"]) == 2
@@ -193,8 +195,8 @@ class TestFigure3Runner:
     def test_fits_dhf_own_round_at_fast(self, monkeypatch):
         """Fig. 3 in-paints the spectrogram DHF prepares for the round.
 
-        At ``fast`` DHF's hop is one 24-sample period (its STFT geometry
-        caps the preset's two-period request), not 48 samples.
+        At ``fast`` DHF's hop is the preset's one 24-sample period, not
+        48 samples.
         """
         import repro.experiments.figure3 as figure3
         from repro.config import get_preset

@@ -11,7 +11,6 @@ from repro.errors import SerializationError
 from repro.gateway import (
     JOB_STATES,
     ArtifactStore,
-    CallbackClient,
     GatewayConfig,
     JobConflict,
     JobQueueFull,
@@ -341,18 +340,16 @@ class TestExpiry:
 class TestCallbacksIntegration:
     def test_terminal_job_fires_callback(self, tmp_path):
         log = []
-        client = CallbackClient(
-            retries=2, backoff_s=0.01,
-            transport=lambda url, payload, timeout_s: log.append(
-                (url, payload)
-            ),
-        )
         config = GatewayConfig(
-            workers=1, queue_depth=8,
+            workers=1, queue_depth=8, callback_retries=2,
+            callback_backoff_s=0.01,
             artifact_root=str(tmp_path / "store"),
         )
         registry = JobRegistry(
-            config, ArtifactStore(config.artifact_root), callbacks=client,
+            config, ArtifactStore(config.artifact_root),
+            transport=lambda url, payload, timeout_s: log.append(
+                (url, payload)
+            ),
         )
         try:
             job = registry.submit(
@@ -360,7 +357,7 @@ class TestCallbacksIntegration:
                 callback_url="http://cb.example/done",
             )
             assert registry.drain(timeout_s=30.0)
-            assert client.drain(timeout_s=10.0)
+            assert registry.callbacks.drain(timeout_s=10.0)
             assert len(log) == 1
             url, payload = log[0]
             assert url == "http://cb.example/done"
@@ -377,14 +374,13 @@ class TestCallbacksIntegration:
         def broken(url, payload, timeout_s):
             raise ConnectionError("endpoint gone")
 
-        client = CallbackClient(retries=2, backoff_s=0.005,
-                                transport=broken)
         config = GatewayConfig(
-            workers=1, queue_depth=8,
+            workers=1, queue_depth=8, callback_retries=2,
+            callback_backoff_s=0.005,
             artifact_root=str(tmp_path / "store"),
         )
         registry = JobRegistry(
-            config, ArtifactStore(config.artifact_root), callbacks=client,
+            config, ArtifactStore(config.artifact_root), transport=broken,
         )
         try:
             job = registry.submit(
@@ -392,8 +388,8 @@ class TestCallbacksIntegration:
                 callback_url="http://cb.example/gone",
             )
             assert registry.drain(timeout_s=30.0)
-            assert client.drain(timeout_s=10.0)
-            assert len(client.dead_letters) == 1
+            assert registry.callbacks.drain(timeout_s=10.0)
+            assert len(registry.callbacks.dead_letters) == 1
             assert job.callback["dead_lettered"] is True
             assert job.callback["attempts"] == 2
             assert job.state == "done"  # delivery failure ≠ job failure

@@ -117,8 +117,12 @@ class TestValidation:
         (SpectralMaskingSpec, {"n_harmonics": 0}),
         (DHFSpec, {"samples_per_period": 0}),
         (DHFSpec, {"phase_policy": "bogus"}),
-        (DHFSpec, {"hop_periods": 40}),       # > periods_per_window / 2
+        (DHFSpec, {"hop_periods": 40}),       # > periods_per_window // 4
+        (DHFSpec, {"periods_per_window": 6, "hop_periods": 2}),
         (DHFSpec, {"time_dilation": "fast"}),
+        (DHFSpec, {"time_dilation": -3}),
+        (DHFSpec, {"time_dilation": 0}),
+        (DHFSpec, {"time_dilation": True}),
         (DHFSpec, {"iterations": -3}),
     ])
     def test_bad_values_raise(self, spec_cls, bad):
