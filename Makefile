@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: help test conformance bench bench-streaming bench-figure6 bench-scenarios bench-warmstart bench-sharding bench-substrates gateway-smoke scoreboard-smoke bench-all docs-check smoke ci
+.PHONY: help test conformance bench bench-streaming bench-figure6 bench-scenarios bench-sharding bench-substrates gateway-smoke scoreboard-smoke bench-all docs-check smoke ci
 
 help:
 	@echo "make test            - tier-1 test suite (pytest -x -q)"
@@ -16,8 +16,6 @@ help:
 	@echo "make bench-figure6   - batched in-vivo cohort benchmark (asserts >= 2x)"
 	@echo "make bench-scenarios - degradation scenario-grid benchmark (coverage +"
 	@echo "                       zero-severity==clean asserted)"
-	@echo "make bench-warmstart - prior-zoo warm-start benchmark (asserts >= 1.5x"
-	@echo "                       fewer iterations at equal quality)"
 	@echo "make bench-sharding  - sharded process fan-out benchmark (asserts >= 2x"
 	@echo "                       vs the per-record loop, 1e-8 parity, zero"
 	@echo "                       per-record separator pickling)"
@@ -50,9 +48,6 @@ bench-figure6:
 bench-scenarios:
 	$(PYTHON) benchmarks/bench_scenarios.py
 
-bench-warmstart:
-	$(PYTHON) benchmarks/bench_warmstart.py
-
 bench-sharding:
 	$(PYTHON) benchmarks/bench_sharding.py
 
@@ -77,13 +72,11 @@ smoke:
 # scripts/smoke.sh runs the tier-1 suite once (which collects the
 # conformance suite), the docs check once, and every bench --smoke
 # variant, gateway-smoke's command included; ci adds only the
-# full-scale gates on top.  bench-warmstart gates the prior-zoo
-# warm-start targets (>= 1.5x fewer iterations at equal quality),
-# bench-sharding the process fan-out path (>= 2x vs the per-record loop
-# with 1e-8 parity and zero per-record separator pickling), and
-# bench-substrates the fit's two precisions (float32 within 5e-3 of the
-# float64 fit after one Adam step, and >= 1.3x faster on the DHF fit
-# loop).  scoreboard-smoke regenerates the robustness artefact over the
-# full separator line-up.
-ci: bench-warmstart bench-sharding bench-substrates scoreboard-smoke
+# full-scale gates on top.  bench-sharding gates the process fan-out
+# path (>= 2x vs the per-record loop with 1e-8 parity and zero
+# per-record separator pickling), and bench-substrates the fit's two
+# precisions (float32 within 5e-3 of the float64 fit after one Adam
+# step, and >= 1.3x faster on the DHF fit loop).  scoreboard-smoke
+# regenerates the robustness artefact over the full separator line-up.
+ci: bench-sharding bench-substrates scoreboard-smoke
 	bash scripts/smoke.sh

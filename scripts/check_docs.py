@@ -85,12 +85,6 @@ REQUIRED_DOC_NAMES = [
     ("repro.scenarios", "available_degradations"),
     ("repro.experiments", "run_scoreboard"),
     ("repro.synth", "extended_mixture_names"),
-    ("repro.nn", "PriorCheckpoint"),
-    ("repro.nn", "PriorZoo"),
-    ("repro.nn", "FitCache"),
-    ("repro.nn", "shared_fit_cache"),
-    ("repro.nn", "save_state"),
-    ("repro.nn", "load_state"),
     ("repro.gateway", "Gateway"),
     ("repro.gateway", "GatewayClient"),
     ("repro.gateway", "GatewayConfig"),

@@ -26,9 +26,6 @@ python benchmarks/bench_figure6_spo2.py --smoke
 echo "== bench_scenarios --smoke =="
 python benchmarks/bench_scenarios.py --smoke
 
-echo "== bench_warmstart --smoke =="
-python benchmarks/bench_warmstart.py --smoke
-
 echo "== bench_gateway --smoke =="
 python benchmarks/bench_gateway.py --smoke
 

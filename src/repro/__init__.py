@@ -22,7 +22,7 @@ Subpackages
     segment, and cross-fades outputs with bounded latency.
 ``repro.nn``
     The deep prior: the SpAc LU-Net (one graph node over raw-array
-    harmonic-convolution kernels), its Eq. 9 fit with Adam, the prior zoo.
+    harmonic-convolution kernels) and its Eq. 9 fit with Adam.
 ``repro.dsp``
     STFT/ISTFT (single-record and batched), filters, interpolation,
     resampling.

@@ -1,10 +1,9 @@
 """repro.baselines — the six comparison methods of Table 2.
 
 All methods implement the :class:`repro.baselines.base.Separator`
-interface; :func:`all_baselines` builds the full Table 2 line-up.
+interface; the :mod:`repro.service` registry names and builds them
+(:func:`repro.experiments.table2_specs` gives the Table 2 line-up).
 """
-
-from typing import Dict
 
 from repro.baselines.base import (
     Separator,
@@ -24,20 +23,6 @@ from repro.baselines.repet import (
 )
 from repro.baselines.spectral_mask import SpectralMaskingSeparator
 
-
-def all_baselines() -> Dict[str, Separator]:
-    """The Table 2 baseline line-up, keyed by the paper's method names."""
-    methods = [
-        EMDSeparator(),
-        VMDSeparator(),
-        NMFSeparator(),
-        REPETSeparator(extended=False),
-        REPETSeparator(extended=True),
-        SpectralMaskingSeparator(),
-    ]
-    return {m.name: m for m in methods}
-
-
 __all__ = [
     "Separator", "assign_components_to_sources", "component_source_scores",
     "residual_after",
@@ -47,5 +32,4 @@ __all__ = [
     "REPETSeparator", "refine_period", "repeating_mask", "repeating_model",
     "repet_extended_mask",
     "SpectralMaskingSeparator",
-    "all_baselines",
 ]

@@ -21,8 +21,8 @@ the Fig. 3 and ablation runners in-paint the spectrogram it prepares.
 
 A single record is a batch of one: :meth:`DHFSeparator.separate_detailed`
 runs :meth:`DHFSeparator.separate_batch_detailed` on it, so every fit —
-single or stacked — goes through the same engine with the same
-early-stop, warm-start and geometry semantics.
+single or stacked — goes through the same engine with the same early
+stop, and starts cold from its round's seed.
 
 Batch processing: record sets run through
 :meth:`repro.service.SeparationService.separate_batch` — serially, or
@@ -50,7 +50,6 @@ from repro.core.inpainting import (
 )
 # Not called here; perfbench/layers.py wraps this name in traced runs.
 from repro.core.inpainting import inpaint_spectrogram  # noqa: F401
-from repro.nn.zoo import PriorGeometry, shared_fit_cache
 from repro.core.masking import (
     build_round_masks,
     default_bandwidth,
@@ -87,7 +86,6 @@ class _RoundPrep:
     rng: object
     n_fft: int
     hop: int
-    geometry: PriorGeometry
 
 
 @dataclass
@@ -244,13 +242,6 @@ class DHFSeparator(Separator):
             rng=rng,
             n_fft=n_fft,
             hop=hop,
-            geometry=PriorGeometry(
-                n_freq=spec.magnitude.shape[0],
-                n_frames=spec.magnitude.shape[1],
-                n_fft=n_fft,
-                hop=hop,
-                samples_per_period=cfg.samples_per_period,
-            ),
         )
 
     def reference_magnitude(
@@ -377,9 +368,9 @@ class DHFSeparator(Separator):
         ``k`` is prepared (alignment, STFT, masks), the prepared fits are
         grouped by ``(spectrogram shape, fit config)``, and every group —
         singletons included — runs as one stacked fit carrying the
-        config's early stop, fit cache and geometry.  Seeding is
-        per record, so a record's result does not depend on the batch it
-        rode in beyond floating-point summation order.
+        config's early stop.  Seeding is per record, so a record's
+        result does not depend on the batch it rode in beyond
+        floating-point summation order.
         """
         if len(mixed_batch) != len(f0_tracks_batch):
             raise ConfigurationError(
@@ -406,9 +397,6 @@ class DHFSeparator(Separator):
         if not states:
             return []
         early_stop = self.config.early_stop()
-        cache = None
-        if self.config.warm_start:
-            cache = shared_fit_cache(self.config.zoo_path or None)
         max_rounds = max(len(state.order) for state in states)
         for round_index in range(max_rounds):
             active = [s for s in states if round_index < len(s.order)]
@@ -439,8 +427,6 @@ class DHFSeparator(Separator):
                     preps[indices[0]].inpaint_cfg,
                     rngs=[preps[i].rng for i in indices],
                     early_stop=early_stop,
-                    cache=cache,
-                    geometry=preps[indices[0]].geometry,
                 )
                 for i, fit in zip(indices, batched):
                     fits[i] = fit

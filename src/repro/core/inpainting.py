@@ -24,7 +24,6 @@ from repro.nn.batchfit import EarlyStopConfig, fit_batched
 # Not called here; perfbench/layers.py wraps this name in traced runs.
 from repro.nn.loss import masked_mse_loss  # noqa: F401
 from repro.nn.unet import SpAcLUNet, UNetConfig, stack_networks
-from repro.nn.zoo import FitCache, PriorGeometry, checkpoint_from_fit
 from repro.utils.seeding import as_generator, spawn_generators
 from repro.utils.validation import as_2d_float_array
 
@@ -44,7 +43,7 @@ class InpaintingConfig:
 
     ``dtype`` is the fit's one precision knob: the network, its input
     code, the normalised target and the mask are built at it, so every
-    parameter, optimiser moment and zoo checkpoint of the fit carries it.
+    parameter and optimiser moment of the fit carries it.
     ``float32`` (default) is the fast setting; ``float64`` holds the
     stacked-vs-one-record equivalence to ``<= 1e-8``.  Anything
     :func:`numpy.dtype` maps to one of the two is accepted and stored as
@@ -239,13 +238,11 @@ def inpaint_spectrogram(
     rng=None,
     reference: Optional[np.ndarray] = None,
     early_stop: Optional[EarlyStopConfig] = None,
-    cache: Optional[FitCache] = None,
-    geometry: Optional[PriorGeometry] = None,
 ) -> InpaintingResult:
     """Fit a deep prior to the visible cells and in-paint the rest.
 
     The one-record case of :func:`inpaint_spectrograms`: the same engine,
-    seeding, early stopping and cache semantics on a stack of one.
+    seeding and early stopping on a stack of one.
 
     Parameters
     ----------
@@ -263,20 +260,11 @@ def inpaint_spectrogram(
     early_stop:
         Optional :class:`repro.nn.batchfit.EarlyStopConfig`; the fit then
         rolls back to its best-loss iteration once it stops improving.
-    cache:
-        Optional :class:`repro.nn.zoo.FitCache`.  The network and input
-        code are seeded exactly as without a cache; a cache hit then
-        loads the nearest previously fitted parameters over the random
-        init (warm start), and the finished fit is stored back.  A
-        lookup miss leaves the fit bitwise identical to ``cache=None``.
-    geometry:
-        The :class:`repro.nn.zoo.PriorGeometry` identifying this fit's
-        cache key; defaults to the bare spectrogram cell grid.
     """
     return inpaint_spectrograms(
         [magnitude], [visibility], config, rngs=[rng],
         references=None if reference is None else [reference],
-        early_stop=early_stop, cache=cache, geometry=geometry,
+        early_stop=early_stop,
     )[0]
 
 
@@ -287,8 +275,6 @@ def inpaint_spectrograms(
     rngs: Optional[Sequence] = None,
     references: Optional[Sequence[np.ndarray]] = None,
     early_stop: Optional[EarlyStopConfig] = None,
-    cache: Optional[FitCache] = None,
-    geometry: Optional[PriorGeometry] = None,
 ) -> List[InpaintingResult]:
     """Fit K deep priors in one stacked pass (the engine's entry point).
 
@@ -322,16 +308,6 @@ def inpaint_spectrograms(
         concealed-error diagnostic (all K or none).
     early_stop:
         Optional per-record convergence criterion.
-    cache:
-        Optional :class:`repro.nn.zoo.FitCache`.  All records of a
-        batch share one cache key (the batch *is* one geometry and one
-        config), so a hit warm-starts every record from the same cached
-        parameters; after the fit the record with the lowest final loss
-        represents the key in the cache.  A miss leaves the batch
-        bitwise identical to ``cache=None``.
-    geometry:
-        The :class:`repro.nn.zoo.PriorGeometry` identifying the batch's
-        cache key; defaults to the bare spectrogram cell grid.
     """
     magnitudes = list(magnitudes)
     visibilities = list(visibilities)
@@ -401,14 +377,6 @@ def inpaint_spectrograms(
             ref = _validated_reference(ref, mag)
             ref_stack[k] = ref / scales[k]
 
-    warm_states = None
-    if cache is not None:
-        if geometry is None:
-            geometry = PriorGeometry(n_freq=n_freq, n_frames=n_frames)
-        cached = cache.lookup(geometry, config)
-        if cached is not None:
-            warm_states = [cached.state_copy()] * len(pairs)
-
     mask = np.stack(
         [vis for _, vis in pairs]
     ).astype(dtype)[:, None]
@@ -421,22 +389,7 @@ def inpaint_spectrograms(
         learning_rate=config.learning_rate,
         early_stop=early_stop,
         reference=ref_stack,
-        warm_start=warm_states,
     )
-
-    if cache is not None:
-        # One checkpoint represents the whole batch at this key: the
-        # record that converged to the lowest recorded loss.
-        def final_loss(k: int) -> float:
-            stop = fit.stop_iterations[k]
-            curve = fit.losses[k]
-            return float(curve[stop] if stop is not None else curve[-1])
-
-        best = min(range(len(pairs)), key=final_loss)
-        cache.store(checkpoint_from_fit(
-            geometry, config, fit.state_dicts[best], fit.losses[best],
-            stop_iteration=fit.stop_iterations[best],
-        ))
 
     results: List[InpaintingResult] = []
     for k, net in enumerate(networks):

@@ -6,7 +6,6 @@ from repro.experiments.common import (
     TABLE2_METHOD_ORDER,
     display_method_name,
     table2_specs,
-    with_zoo,
 )
 from repro.experiments.paper_reference import (
     PAPER_CLAIMS,
@@ -38,7 +37,7 @@ from repro.experiments.ablations import (
 
 __all__ = [
     "ExperimentContext", "FIGURE6_METHODS", "TABLE2_METHOD_ORDER",
-    "display_method_name", "table2_specs", "with_zoo",
+    "display_method_name", "table2_specs",
     "PAPER_CLAIMS", "PAPER_FIG6_CORRELATION", "PAPER_LOW_POWER_CASES",
     "PAPER_TABLE2", "PAPER_TABLE2_AVERAGE",
     "Table1Result", "run_table1",

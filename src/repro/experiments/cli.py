@@ -35,7 +35,6 @@ from repro.experiments.common import (
     ExperimentContext,
     display_method_name,
     table2_specs,
-    with_zoo,
 )
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
@@ -74,10 +73,6 @@ RUNNERS: Dict[str, Callable] = {
 #: serving gateway (``serve`` is dispatched to
 #: :mod:`repro.experiments.serve`, which owns its own flags).
 COMMANDS = ("methods", "serve")
-
-#: Artefacts whose line-up ``--zoo`` may warm-start (a subset of the
-#: ``--method``/``--spec`` artefacts, ``ARTEFACT_METHODS``).
-ZOO_ARTEFACTS = ("table2", "figure6", "monitor")
 
 
 def render_methods() -> str:
@@ -150,26 +145,20 @@ def parse_spec_argument(raw: str) -> SeparatorSpec:
 
 
 def line_up_kwargs(args: argparse.Namespace, preset: Preset) -> dict:
-    """The runner keyword that ``--method``/``--spec``/``--zoo`` select.
+    """The runner keyword that ``--method``/``--spec`` select.
 
     The line-up is the artefact's default names (``ARTEFACT_METHODS``)
     or the ``--method`` names, as :func:`table2_specs` resolves them;
     then each ``--spec``, labelled ``"<display name> (spec)"``
-    (``--spec`` without ``--method`` runs the custom specs alone); then
-    :func:`with_zoo` for ``--zoo``.  The monitor takes its one method as
-    ``method=``, the other artefacts the line-up as ``line_up=``.
+    (``--spec`` without ``--method`` runs the custom specs alone).  The
+    monitor takes its one method as ``method=``, the other artefacts the
+    line-up as ``line_up=``.
     """
     if (args.method or args.spec) and args.artefact not in ARTEFACT_METHODS:
         raise ConfigurationError(
             "--method/--spec select methods for one of "
             f"{'/'.join(ARTEFACT_METHODS)}; run e.g. "
             "'table2 --method ...' (got artefact "
-            f"{args.artefact!r})"
-        )
-    if args.zoo is not None and args.artefact not in ZOO_ARTEFACTS:
-        raise ConfigurationError(
-            f"--zoo warm-starts one of {'/'.join(ZOO_ARTEFACTS)}; "
-            f"run e.g. 'table2 --zoo ...' (got artefact "
             f"{args.artefact!r})"
         )
     if args.artefact not in ARTEFACT_METHODS:
@@ -195,7 +184,6 @@ def line_up_kwargs(args: argparse.Namespace, preset: Preset) -> dict:
             label = f"{label} #{len(custom)}"
         custom[label] = spec
     line_up.update(custom)
-    line_up = with_zoo(line_up, args.zoo)
     if args.artefact == "monitor":
         (spec,) = line_up.values()
         return {"method": spec}
@@ -231,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a custom separator spec through table2/figure6/"
              "monitor/scoreboard: inline JSON or @path to a JSON file "
              "(repeatable)",
-    )
-    parser.add_argument(
-        "--zoo", default=None, metavar="DIR",
-        help="warm-start DHF deep-prior fits from the prior zoo at this "
-             "directory (created if missing; table2/figure6/monitor "
-             "only)",
     )
     parser.add_argument(
         "--output", default=None,

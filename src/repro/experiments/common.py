@@ -17,7 +17,7 @@ any separator registered by a plugin is runnable by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,28 +89,6 @@ def table2_specs(
             else entry.default_spec()
         )
     return specs
-
-
-def with_zoo(
-    specs: Dict[str, SeparatorSpec],
-    zoo_path: Optional[str],
-) -> Dict[str, SeparatorSpec]:
-    """Warm-start every DHF spec in a line-up from a prior zoo.
-
-    Returns a copy of ``specs`` where each :class:`DHFSpec` has
-    ``warm_start=True`` and, when ``zoo_path`` is a directory path, the
-    on-disk :class:`repro.nn.zoo.PriorZoo` at that path backing the
-    shared fit cache.  Non-DHF specs (no deep-prior fit to amortise)
-    pass through untouched; ``zoo_path=None`` returns ``specs``
-    unchanged.
-    """
-    if zoo_path is None:
-        return specs
-    return {
-        name: replace(spec, warm_start=True, zoo_path=zoo_path)
-        if isinstance(spec, DHFSpec) else spec
-        for name, spec in specs.items()
-    }
 
 
 def records_from_mixtures(

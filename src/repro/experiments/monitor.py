@@ -124,9 +124,8 @@ def run_monitor(
 
     ``method`` is a registered name (resolved by
     :func:`repro.experiments.table2_specs`, so DHF is scaled by the
-    preset; default spectral masking) or a spec.  A DHF spec with
-    ``warm_start=True`` amortises its fits across the stream's
-    segments, which share one STFT geometry.
+    preset; default spectral masking) or a spec.  A DHF spec fits every
+    segment's prior cold from its seed.
     """
     if chunk_seconds <= 0:
         raise ConfigurationError(

@@ -155,7 +155,7 @@ def run_table2(
         ``{column label: SeparatorSpec}`` to run, in column order
         (default: the seven methods of Table 2, from
         :func:`repro.experiments.table2_specs`; the CLI builds it from
-        ``--method``/``--spec``/``--zoo``).
+        ``--method``/``--spec``).
     workers:
         Worker processes per method batch (``0`` = serial, which also
         enables vectorized ``separate_batch`` fast paths; ``> 1`` shards

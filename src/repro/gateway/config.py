@@ -49,13 +49,6 @@ class GatewayConfig(FrozenSpec):
         waits ``backoff_s * factor**(k-1)``.
     callback_timeout_s:
         Socket timeout of one callback POST.
-    zoo_path:
-        Directory of a :class:`repro.nn.zoo.PriorZoo` shared by every
-        worker service — DHF jobs submitted with ``warm_start=True`` and
-        no explicit ``zoo_path`` are stamped with it, so the whole
-        worker tier amortises deep-prior fits through one
-        :func:`repro.nn.zoo.shared_fit_cache`.  Empty string disables
-        the shared zoo.
     service_workers:
         Fan-out (``SeparationService(workers=...)``) of each worker
         service.  ``0`` (default) keeps batch jobs on the serial
@@ -86,7 +79,6 @@ class GatewayConfig(FrozenSpec):
     callback_backoff_s: float = 0.1
     callback_backoff_factor: float = 2.0
     callback_timeout_s: float = 5.0
-    zoo_path: str = ""
     service_workers: int = 0
     session_idle_timeout_s: float = 300.0
     reap_interval_s: float = 1.0
@@ -113,12 +105,11 @@ class GatewayConfig(FrozenSpec):
             "artifact_ttl_s", "callback_backoff_s", "callback_backoff_factor",
             "callback_timeout_s", "session_idle_timeout_s", "reap_interval_s",
         )
-        for name in ("artifact_root", "zoo_path"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigurationError(
-                    f"GatewayConfig.{name} must be a str, got "
-                    f"{getattr(self, name)!r}"
-                )
+        if not isinstance(self.artifact_root, str):
+            raise ConfigurationError(
+                f"GatewayConfig.artifact_root must be a str, got "
+                f"{self.artifact_root!r}"
+            )
         if not isinstance(self.service_workers, int) \
                 or isinstance(self.service_workers, bool) \
                 or self.service_workers < 0:

@@ -12,9 +12,7 @@ One :class:`JobRegistry` owns the whole batch-job lifecycle:
   draining the queue and running the job's mode (``separate`` /
   ``separate_batch``) on a :class:`repro.service.SeparationService`.
   Services are built once per distinct spec and shared across workers
-  and jobs — DHF specs with ``warm_start=True`` are stamped with the
-  gateway's ``zoo_path`` so the whole tier amortises deep-prior fits
-  through one :func:`repro.nn.zoo.shared_fit_cache`;
+  and jobs;
 * **completion** persists per-record scores into ``job.json`` and the
   estimate arrays into ``estimates_<i>.npz`` (both atomic), then hands
   the terminal record to the :class:`~repro.gateway.callbacks.CallbackClient`
@@ -52,7 +50,7 @@ from repro.gateway.wire import (
 )
 from repro.pipeline.batch import RecordResult, SeparationRecord
 from repro.service.facade import SeparationService
-from repro.service.specs import DHFSpec, SeparatorSpec
+from repro.service.specs import SeparatorSpec
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("gateway.jobs")
@@ -203,12 +201,11 @@ class JobRegistry:
             if self._closed:
                 raise RuntimeError("JobRegistry is closed")
             job_id = f"job-{self._next_id:06d}"
-            stamped = self._stamp_zoo(spec)
             job = JobRecord(
                 job_id=job_id,
                 state="queued",
                 mode=mode,
-                spec=stamped,
+                spec=spec,
                 n_records=len(records),
                 callback_url=callback_url,
                 created_at=time.time(),
@@ -320,17 +317,6 @@ class JobRegistry:
     # ------------------------------------------------------------------ #
     # Worker tier
     # ------------------------------------------------------------------ #
-    def _stamp_zoo(self, spec: SeparatorSpec) -> SeparatorSpec:
-        """Point warm-start DHF specs at the gateway's shared zoo."""
-        if (
-            self.config.zoo_path
-            and isinstance(spec, DHFSpec)
-            and spec.warm_start
-            and not spec.zoo_path
-        ):
-            return spec.replace(zoo_path=self.config.zoo_path)
-        return spec
-
     def _service_for(self, spec: SeparatorSpec) -> SeparationService:
         """One shared service per distinct spec, built on first use."""
         key = repr(sorted(spec.to_dict().items()))

@@ -8,9 +8,10 @@ norms, pooling and upsampling are raw-array kernel pairs
 (:mod:`repro.nn.functional`) walked inside one graph node with a
 hand-derived backward (:mod:`repro.nn.tensor`); the masked MSE of Eq. 9
 and its gradient (:mod:`repro.nn.loss`); Adam (:mod:`repro.nn.optim`);
-the record-stacked fit loop (:mod:`repro.nn.batchfit`); and the
-warm-start prior zoo with its serialization (:mod:`repro.nn.zoo`,
-:mod:`repro.nn.serialization`).
+and the record-stacked fit loop (:mod:`repro.nn.batchfit`).  Every fit
+starts from its seeded random init, as the paper's deep prior does.
+:mod:`repro.nn.serialization` holds the atomic ``.npz`` archive writer
+that gateway storage keeps job estimates in.
 """
 
 from repro.nn.tensor import Tensor
@@ -28,21 +29,10 @@ from repro.nn.unet import (
 from repro.nn.batchfit import BatchFitResult, EarlyStopConfig, fit_batched
 from repro.nn.serialization import (
     load_arrays,
-    load_state,
     normalize_state_path,
     save_arrays,
-    save_state,
 )
-from repro.nn.zoo import (
-    FitCache,
-    FitMetadata,
-    PriorCheckpoint,
-    PriorGeometry,
-    PriorZoo,
-    checkpoint_from_fit,
-    shared_fit_cache,
-)
-from repro.nn import functional, init, zoo
+from repro.nn import functional, init
 
 __all__ = [
     "Tensor",
@@ -51,9 +41,6 @@ __all__ = [
     "masked_mse_loss", "Adam",
     "PRIOR_KINDS", "SpAcLUNet", "UNetConfig", "build_prior_network",
     "stack_networks", "BatchFitResult", "EarlyStopConfig", "fit_batched",
-    "load_arrays", "load_state", "normalize_state_path", "save_arrays",
-    "save_state",
-    "FitCache", "FitMetadata", "PriorCheckpoint", "PriorGeometry",
-    "PriorZoo", "checkpoint_from_fit", "shared_fit_cache",
-    "functional", "init", "zoo",
+    "load_arrays", "normalize_state_path", "save_arrays",
+    "functional", "init",
 ]

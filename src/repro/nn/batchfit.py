@@ -34,7 +34,7 @@ shrink together).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -103,7 +103,6 @@ def fit_batched(
     learning_rate: float,
     early_stop: Optional[EarlyStopConfig] = None,
     reference: Optional[np.ndarray] = None,
-    warm_start: Optional[Sequence[Optional[Mapping[str, np.ndarray]]]] = None,
 ) -> BatchFitResult:
     """Fit every record of a stacked network to its own masked target.
 
@@ -127,11 +126,6 @@ def fit_batched(
         Optional normalised ground-truth magnitudes ``(R, F, T)``; when
         given, the concealed-region MSE is tracked per iteration (the
         Fig. 3 diagnostic).
-    warm_start:
-        Optional per-record ``SpAcLUNet`` state dicts (length R, entries
-        may be ``None``) loaded over the stacked initialisation before
-        the first iteration — the prior-zoo warm-start hook.  Records
-        with ``None`` keep their seeded random init.
     """
     n_total = network.n_records
     if code.shape[0] != n_total or target.shape[0] != n_total \
@@ -143,16 +137,6 @@ def fit_batched(
         )
     if iterations < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if warm_start is not None:
-        warm_start = list(warm_start)
-        if len(warm_start) != n_total:
-            raise ShapeError(
-                f"warm_start has {len(warm_start)} entries for "
-                f"{n_total} records"
-            )
-        for record, warm in enumerate(warm_start):
-            if warm is not None:
-                network.load_record_state(record, warm)
 
     dtype = code.dtype
     n_freq, n_time = target.shape[2], target.shape[3]

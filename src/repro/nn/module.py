@@ -3,7 +3,7 @@
 :class:`Module` registers :class:`Parameter` and :class:`Module`
 attributes on assignment, so a network's parameters and their dotted
 state-dict names (``encoders.0.body.0.weight``, ...) follow from how it
-is built; the names are what prior-zoo checkpoints are keyed by.
+is built; a stacked fit hands each record's parameters back under them.
 """
 
 from __future__ import annotations

@@ -1,22 +1,20 @@
-"""Saving and loading model parameters as ``.npz`` archives.
+"""Atomic named-array ``.npz`` archives.
 
-This is the persistence substrate the prior zoo (:mod:`repro.nn.zoo`)
-sits on, so it is deliberately strict:
+Gateway storage (:class:`repro.gateway.storage.ArtifactStore`) keeps
+every job's per-record estimates in these archives, so the format is
+deliberately strict:
 
 * **One canonical on-disk name.**  ``np.savez`` silently appends
-  ``.npz`` when the given path lacks the suffix, which historically left
-  ``save_state(net, p)`` writing ``p + ".npz"`` while ``load_state(net,
-  p)`` looked for ``p`` and failed.  :func:`normalize_state_path`
-  resolves the suffix in one place and both sides (and every zoo file)
-  go through it.
+  ``.npz`` when the given path lacks the suffix, so a writer given ``p``
+  would leave ``p + ".npz"`` behind while a reader looked for ``p``.
+  :func:`normalize_state_path` resolves the suffix in one place and both
+  :func:`save_arrays` and :func:`load_arrays` go through it.
 * **Atomic writes.**  Archives are written to a temporary file in the
   target directory and moved into place with ``os.replace``, so a crash
   mid-write can never leave a truncated archive behind the final name.
-* **Validated loads.**  Archive contents are checked against the
-  module's parameters before anything is mutated; a missing, extra,
-  mis-shaped or non-numeric entry raises
-  :class:`repro.errors.SerializationError` naming the offending
-  parameter.
+* **Checked loads.**  A missing file, a file that is not an ``.npz``
+  archive, or an archive without this module's format marker raises
+  :class:`repro.errors.SerializationError`.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from typing import Dict, Mapping
 import numpy as np
 
 from repro.errors import SerializationError
-from repro.nn.module import Module
 
-#: Parameter names may contain dots; npz keys may not contain ``/`` safely in
-#: all tools, so we store names verbatim (numpy allows arbitrary str keys).
+#: Array names are stored verbatim as npz keys (numpy allows arbitrary str
+#: keys); this one is reserved for the format marker.
 _FORMAT_KEY = "__repro_format__"
 _FORMAT_VERSION = "1"
 
@@ -40,7 +37,7 @@ _FORMAT_VERSION = "1"
 def normalize_state_path(path) -> str:
     """``path`` with the ``.npz`` suffix numpy's writer would append.
 
-    Both :func:`save_state` and :func:`load_state` resolve the on-disk
+    Both :func:`save_arrays` and :func:`load_arrays` resolve the on-disk
     name through this helper, so a suffix-less path round-trips: the
     archive is written to, and read from, ``path + ".npz"``.
     """
@@ -108,58 +105,3 @@ def load_arrays(path) -> Dict[str, np.ndarray]:
         raise SerializationError(
             f"{path} is not a readable npz archive ({exc})"
         ) from exc
-
-
-def save_state(module: Module, path: str) -> str:
-    """Serialise ``module.state_dict()`` to ``path`` (npz, atomic).
-
-    Returns the path actually written — ``path`` itself when it ends in
-    ``.npz``, else ``path + ".npz"`` (matching :func:`load_state`).
-    """
-    return save_arrays(module.state_dict(), path)
-
-
-def _validate_state(module: Module, state: Mapping[str, np.ndarray],
-                    path: str) -> None:
-    """Check archive arrays against the module before loading anything."""
-    own = dict(module.named_parameters())
-    missing = sorted(set(own) - set(state))
-    if missing:
-        more = f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""
-        raise SerializationError(
-            f"{path}: archive has no value for parameter "
-            f"{missing[0]!r}{more}"
-        )
-    extra = sorted(set(state) - set(own))
-    if extra:
-        more = f" (+{len(extra) - 1} more)" if len(extra) > 1 else ""
-        raise SerializationError(
-            f"{path}: archive entry {extra[0]!r}{more} does not name a "
-            f"module parameter"
-        )
-    for name, param in own.items():
-        value = state[name]
-        if value.shape != param.data.shape:
-            raise SerializationError(
-                f"{path}: parameter {name!r} has shape {value.shape} in "
-                f"the archive but {param.data.shape} in the module"
-            )
-        if not np.issubdtype(value.dtype, np.number):
-            raise SerializationError(
-                f"{path}: parameter {name!r} has non-numeric archive "
-                f"dtype {value.dtype}"
-            )
-
-
-def load_state(module: Module, path: str) -> None:
-    """Restore parameters saved with :func:`save_state` into ``module``.
-
-    The archive is validated against the module's parameter table first
-    (names, shapes, numeric dtypes); any mismatch raises
-    :class:`repro.errors.SerializationError` naming the offending
-    parameter, and the module is left untouched.
-    """
-    path = normalize_state_path(path)
-    state = load_arrays(path)
-    _validate_state(module, state, path)
-    module.load_state_dict(state)

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import (
     ConfigurationError,
     GraphError,
-    SerializationError,
     ShapeError,
 )
 from repro.nn import functional as F
@@ -295,45 +294,18 @@ class SpAcLUNet(Module):
         """Records fitted at once: the stack size, 1 when unstacked."""
         return self.head.weight.data.shape[0] if self.stacked else 1
 
-    def _record_views(self, record: int) -> Iterator[Tuple[str, np.ndarray]]:
-        """``(name, view)`` of every parameter's slice for ``record``."""
+    def record_state(self, record: int) -> Dict[str, np.ndarray]:
+        """Record ``record``'s parameters as an unstacked state dict."""
         if not 0 <= record < self.n_records:
             raise ShapeError(
                 f"record {record} out of range for a stack of "
                 f"{self.n_records}"
             )
         stacked = self.stacked
-        for name, param in self.named_parameters():
-            yield name, param.data[record] if stacked else param.data
-
-    def record_state(self, record: int) -> Dict[str, np.ndarray]:
-        """Record ``record``'s parameters as an unstacked state dict."""
-        return {name: view.copy() for name, view in self._record_views(record)}
-
-    def load_record_state(self, record: int,
-                          state: Mapping[str, np.ndarray]) -> None:
-        """Load one record's parameters from an unstacked state dict.
-
-        The inverse of :meth:`record_state` — how a warm start from the
-        prior zoo's :class:`repro.nn.zoo.FitCache` reaches one record of
-        a stacked fit.  Names and per-record shapes must match exactly.
-        """
-        own = dict(self._record_views(record))
-        missing = sorted(set(own) - set(state))
-        unexpected = sorted(set(state) - set(own))
-        if missing or unexpected:
-            raise SerializationError(
-                f"state dict mismatch for record {record}: "
-                f"missing={missing}, unexpected={unexpected}"
-            )
-        for name, view in own.items():
-            value = np.asarray(state[name])
-            if value.shape != view.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: state shape {value.shape} does "
-                    f"not match record shape {view.shape}"
-                )
-            view[...] = value
+        return {
+            name: (param.data[record] if stacked else param.data).copy()
+            for name, param in self.named_parameters()
+        }
 
     def compact(self, keep) -> None:
         """Keep only the records ``keep`` (in order), dropping the rest.

@@ -28,9 +28,7 @@ This module keeps the group intact across the process boundary:
    their JSON :class:`repro.service.SeparatorSpec` (rebuilt by the
    worker initializer via the registry), unregistered ones are pickled
    a single time at engine construction and the bytes reused for every
-   worker.  DHF specs with ``warm_start`` stamp the worker's process-wide
-   :func:`repro.nn.zoo.shared_fit_cache` at initialization, so every
-   worker warm-starts from (and feeds) the same on-disk prior zoo.
+   worker.
 
 Block ownership is explicit: whoever *created* a block hands it over by
 returning/holding only its handle; the *final consumer* (always the
@@ -306,7 +304,7 @@ def _renew_tracker_lock() -> None:
         tracker._lock = threading.RLock()
 
 
-def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
+def _init_worker(payload: Tuple[str, Any, int]) -> None:
     """Build this worker's separator once, from spec JSON or pickle bytes.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
@@ -314,13 +312,10 @@ def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
     first renews the inherited resource-tracker lock
     (:func:`_renew_tracker_lock`) and pins the worker's BLAS threads to
     its share of the cores (:func:`_pin_blas_threads`, from the pool's
-    ``workers`` count).  A non-empty ``zoo_path`` additionally resolves
-    the process-wide :func:`repro.nn.zoo.shared_fit_cache`, so a
-    warm-start separator's first fit already sees the on-disk prior
-    zoo.
+    ``workers`` count).
     """
     global _WORKER_SEPARATOR
-    kind, data, zoo_path, workers = payload
+    kind, data, workers = payload
     _renew_tracker_lock()
     _pin_blas_threads(workers)
     if kind == "spec":
@@ -329,10 +324,6 @@ def _init_worker(payload: Tuple[str, Any, str, int]) -> None:
         _WORKER_SEPARATOR = build_separator(json.loads(data))
     else:
         _WORKER_SEPARATOR = pickle.loads(data)
-    if zoo_path:
-        from repro.nn.zoo import shared_fit_cache
-
-        shared_fit_cache(zoo_path)
 
 
 def _run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
@@ -417,10 +408,6 @@ class ShardedExecutor:
         self.separator = separator
         self.workers = workers
         self.spec = spec
-        zoo_path = ""
-        config = getattr(separator, "config", None)
-        if getattr(config, "warm_start", False):
-            zoo_path = getattr(config, "zoo_path", None) or ""
         if spec is not None:
             from repro.service.specs import SeparatorSpec
 
@@ -429,9 +416,7 @@ class ShardedExecutor:
                     f"spec must be a SeparatorSpec, got "
                     f"{type(spec).__name__}"
                 )
-            self._payload = (
-                "spec", json.dumps(spec.to_dict()), zoo_path, workers,
-            )
+            self._payload = ("spec", json.dumps(spec.to_dict()), workers)
         else:
             try:
                 data = pickle.dumps(separator)
@@ -441,7 +426,7 @@ class ShardedExecutor:
                     f"spec was given; pass spec= (or register the method) "
                     f"so workers can rebuild it ({exc})"
                 ) from exc
-            self._payload = ("pickle", data, zoo_path, workers)
+            self._payload = ("pickle", data, workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._closed = False

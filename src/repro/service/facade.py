@@ -191,10 +191,8 @@ class SeparationService:
         moves arrays through shared memory and sends the separator once
         per worker: services built from a registered spec ship the JSON
         spec, so the separator object is never pickled, while a
-        hand-built separator must be picklable.  DHF warm-start specs
-        stamp each worker's :func:`repro.nn.zoo.shared_fit_cache` with
-        the zoo path, so workers share warm starts through the zoo.
-        Streaming always runs in this process.
+        hand-built separator must be picklable.  Streaming always runs
+        in this process.
     executor:
         Kept only for callers that name the fan-out explicitly; the one
         accepted value is ``"process"``.

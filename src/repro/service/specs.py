@@ -294,18 +294,6 @@ class DHFSpec(SeparatorSpec):
     #: (see docs/architecture.md, "Deep-prior fitting engine") at
     #: roughly twice the fit cost.
     dtype: str = "float32"
-    #: Warm-start deep-prior fits from the process-wide
-    #: :func:`repro.nn.zoo.shared_fit_cache`.  The cache is shared
-    #: service-wide (same idiom as the STFT-plan cache), so repeated
-    #: same-geometry requests amortise each other's fits.  Off by
-    #: default: warm runs are not bitwise identical to cold ones once
-    #: the cache is populated.
-    warm_start: bool = False
-    #: Directory of an on-disk :class:`repro.nn.zoo.PriorZoo` backing
-    #: the shared cache (checkpoints persist across service restarts).
-    #: Empty string keeps the cache purely in-memory.  Only meaningful
-    #: with ``warm_start=True``.
-    zoo_path: str = ""
 
     def __post_init__(self):
         self._check_positive_int(
@@ -348,16 +336,10 @@ class DHFSpec(SeparatorSpec):
                 f"{self.early_stop_patience!r}"
             )
         self.early_stop()  # EarlyStopConfig validates rel_tol
-        if not isinstance(self.warm_start, bool):
+        if not isinstance(self.dtype, str):
             raise ConfigurationError(
-                f"DHFSpec.warm_start must be a bool, got {self.warm_start!r}"
+                f"DHFSpec.dtype must be a str, got {self.dtype!r}"
             )
-        for name in ("dtype", "zoo_path"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigurationError(
-                    f"DHFSpec.{name} must be a str, got "
-                    f"{getattr(self, name)!r}"
-                )
         self.inpainting_config()  # InpaintingConfig validates dtype
 
     def inpainting_config(self, time_dilation=None):

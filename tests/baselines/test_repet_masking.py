@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import (
     REPETSeparator,
     SpectralMaskingSeparator,
-    all_baselines,
     assign_components_to_sources,
     component_source_scores,
     refine_period,
@@ -99,12 +98,6 @@ class TestSeparators:
         corr_slow = np.corrcoef(est["slow"], two_tone["a"])[0, 1]
         corr_fast = np.corrcoef(est["fast"], two_tone["b"])[0, 1]
         assert corr_slow > 0.9 and corr_fast > 0.9
-
-    def test_all_baselines_registry(self):
-        methods = all_baselines()
-        assert set(methods) == {
-            "EMD", "VMD", "NMF", "REPET", "REPET-Ext.", "Spect. Masking",
-        }
 
     def test_validation_rejects_bad_tracks(self, two_tone):
         sep = SpectralMaskingSeparator()

@@ -1,9 +1,8 @@
 """The deep-prior fit's one precision knob, ``InpaintingConfig.dtype``.
 
 * only float32 and float64 are accepted, wherever the knob is set
-  (``InpaintingConfig``, ``DHFSpec`` through ``inpainting_config``, and
-  zoo checkpoints through ``config_from_dict``);
-* a fit, its parameters and its zoo checkpoint all carry that dtype;
+  (``InpaintingConfig``, and ``DHFSpec`` through ``inpainting_config``);
+* a fit's parameters carry that dtype;
 * a short float32 fit tracks the float64 fit of the same problem.
 """
 
@@ -11,8 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import InpaintingConfig, inpaint_spectrogram
-from repro.errors import ConfigurationError, SerializationError
-from repro.nn.zoo import FitCache, PriorZoo, config_from_dict, config_to_dict
+from repro.errors import ConfigurationError
 from repro.service import DHFSpec
 
 #: Max relative output deviation of a short float32 fit from the
@@ -67,28 +65,13 @@ def test_accepted_dtype_is_stored_as_numpy_type(dtype, stored):
     assert InpaintingConfig(dtype=dtype).dtype is stored
 
 
-@pytest.mark.parametrize("dtype", ["float16", "no-such-type"])
-def test_zoo_reports_a_bad_dtype_as_serialization_error(dtype):
-    data = config_to_dict(InpaintingConfig())
-    data["dtype"] = dtype
-    with pytest.raises(SerializationError, match="dtype"):
-        config_from_dict(data)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fit_and_checkpoint_carry_the_config_dtype(tmp_path, dtype):
+def test_fit_carries_the_config_dtype(dtype):
     magnitude, visibility = small_problem()
     config = small_config(iterations=3, dtype=dtype)
-    cache = FitCache(zoo=PriorZoo(tmp_path))
-    fit = inpaint_spectrogram(magnitude, visibility, config, rng=0,
-                              cache=cache)
+    fit = inpaint_spectrogram(magnitude, visibility, config, rng=0)
     assert {p.data.dtype for p in fit.network.parameters()} == \
         {np.dtype(dtype)}
-    (checkpoint_id,) = PriorZoo(tmp_path).ids()
-    checkpoint = PriorZoo(tmp_path).get(checkpoint_id)
-    assert checkpoint.metadata.dtype == np.dtype(dtype).name
-    assert checkpoint.config.dtype is dtype
-    assert {v.dtype for v in checkpoint.state.values()} == {np.dtype(dtype)}
 
 
 def test_f32_fit_tracks_f64_short_horizon():

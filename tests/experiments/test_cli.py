@@ -120,29 +120,6 @@ class TestMethodAndSpecFlags:
         # No DHF table row (the title always names both methods).
         assert "| DHF" not in out
 
-
-class TestZooFlag:
-    def test_zoo_flag_requires_method_artefact(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="--zoo"):
-            main(["table1", "--preset", "smoke",
-                  "--zoo", str(tmp_path / "zoo")])
-
-    def test_zoo_flag_populates_zoo(self, capsys, tmp_path):
-        from repro.nn.zoo import PriorZoo, clear_shared_fit_caches
-
-        clear_shared_fit_caches()
-        try:
-            zoo_dir = tmp_path / "zoo"
-            assert main([
-                "table2", "--preset", "smoke", "--method", "dhf",
-                "--zoo", str(zoo_dir),
-            ]) == 0
-            zoo = PriorZoo(str(zoo_dir))
-            assert len(zoo) > 0
-            assert zoo.verify() == []
-        finally:
-            clear_shared_fit_caches()
-
     def test_figure6_spec_flag(self, capsys):
         spec = {"method": "spectral-masking", "n_harmonics": 2}
         assert main([
@@ -151,6 +128,15 @@ class TestZooFlag:
         ]) == 0
         out = capsys.readouterr().out
         assert "Spect. Masking (spec)" in out
+
+    def test_zoo_flag_is_a_usage_error(self, capsys, tmp_path):
+        # DHF fits always start cold, so there is no --zoo flag:
+        # argparse refuses it before any artefact runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--preset", "smoke", "--method", "dhf",
+                  "--zoo", str(tmp_path / "zoo")])
+        assert exit_info.value.code == 2
+        assert "--zoo" in capsys.readouterr().err
 
 
 class TestMonitorArtefact:

@@ -21,7 +21,7 @@ class TestGatewayConfig:
             artifact_root="/tmp/x", artifact_ttl_s=12.5,
             callback_retries=5, callback_backoff_s=0.25,
             callback_backoff_factor=3.0, callback_timeout_s=2.0,
-            zoo_path="/tmp/zoo", service_workers=3,
+            service_workers=3,
             session_idle_timeout_s=30.0,
             reap_interval_s=0.5, max_body_bytes=1024,
             max_updates_kept=16,
@@ -29,9 +29,14 @@ class TestGatewayConfig:
         wire = json.loads(json.dumps(config.to_dict()))
         assert GatewayConfig.from_dict(wire) == config
 
-    def test_unknown_field_did_you_mean(self):
-        with pytest.raises(ConfigurationError, match="did you mean"):
-            GatewayConfig.from_dict({"worker": 3})
+    @pytest.mark.parametrize("data, match", [
+        ({"worker": 3}, "did you mean"),
+        # Deployments configure no prior-fit store: every fit is cold.
+        ({"zoo_path": "/tmp/fits"}, "unknown GatewayConfig field 'zoo_path'"),
+    ], ids=["typo", "zoo_path"])
+    def test_unknown_field_did_you_mean(self, data, match):
+        with pytest.raises(ConfigurationError, match=match):
+            GatewayConfig.from_dict(data)
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -52,7 +57,6 @@ class TestGatewayConfig:
         {"max_body_bytes": 0},
         {"max_updates_kept": 0},
         {"artifact_root": 3},
-        {"zoo_path": None},
         {"service_workers": -1},
         {"service_workers": True},
         {"service_workers": 2.5},

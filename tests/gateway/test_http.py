@@ -215,14 +215,21 @@ class TestJobsOverHTTP:
         assert "did you mean" in err.value.payload["message"]
         assert err.value.payload["repro_error"] is True
 
-    def test_unknown_spec_field_is_400_did_you_mean(self, client):
+    @pytest.mark.parametrize("spec, expected", [
+        ({"method": "vmd", "alpha_": 900.0}, "did you mean"),
+        # DHF fits always start cold; a did-you-mean may not apply, but
+        # the refusal names the field.
+        ({"method": "dhf", "warm_start": True}, "'warm_start'"),
+    ], ids=["typo", "dhf-warm-start"])
+    def test_unknown_spec_field_is_400_did_you_mean(self, client, spec,
+                                                    expected):
         with pytest.raises(GatewayError) as err:
             client.submit_job({
-                "spec": {"method": "vmd", "alpha_": 900.0},
+                "spec": spec,
                 "records": [record_to_wire(make_record())],
             })
         assert err.value.status == 400
-        assert "did you mean" in err.value.payload["message"]
+        assert expected in err.value.payload["message"]
 
     @pytest.mark.parametrize("body", [
         {"method": "vmd"},                       # no records

@@ -4,7 +4,7 @@ record-stacked :class:`repro.nn.SpAcLUNet` it runs on."""
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SerializationError, ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Adam, SpAcLUNet, Tensor, UNetConfig, stack_networks
 from repro.nn.batchfit import EarlyStopConfig, fit_batched
 
@@ -52,29 +52,6 @@ class TestStackedSpAcLUNet:
             np.testing.assert_array_equal(value, nets[0].state_dict()[name])
         with pytest.raises(ShapeError):
             stacked.record_state(5)
-
-    def test_load_record_state(self):
-        nets = make_networks(2)
-        stacked = stack_networks(nets)
-        stacked.load_record_state(0, nets[1].state_dict())
-        for name, value in nets[1].state_dict().items():
-            np.testing.assert_array_equal(stacked.record_state(0)[name], value)
-
-    def test_warm_start_load_errors(self):
-        stacked = stack_networks(make_networks(2))
-        state = make_networks(1)[0].state_dict()
-        missing = dict(state)
-        missing.pop("head.bias")
-        with pytest.raises(SerializationError, match="missing"):
-            stacked.load_record_state(0, missing)
-        with pytest.raises(SerializationError, match="unexpected"):
-            stacked.load_record_state(0, {**state, "extra": np.zeros(1)})
-        wrong = dict(state)
-        wrong["head.bias"] = np.zeros(3)
-        with pytest.raises(ShapeError, match="head.bias"):
-            stacked.load_record_state(0, wrong)
-        with pytest.raises(ShapeError):
-            stacked.load_record_state(2, state)
 
     def test_compact_keeps_selected_records(self, rng):
         nets = make_networks(3)

@@ -132,8 +132,9 @@ class TestFactory:
 
 #: SHA-256 over the sorted state-dict names, dtypes, shapes and bytes of
 #: ``build_prior_network(kind, rng=7, dtype=dtype)`` followed by the
-#: stack of the rng=7 and rng=8 networks.  Zoo checkpoints are keyed and
-#: loaded by exactly this table, so a change here orphans stored fits.
+#: stack of the rng=7 and rng=8 networks.  It pins seeded init, which
+#: every fit starts from, so a change here moves every DHF estimate;
+#: nothing stored on disk depends on it.
 #: At the default geometry (three harmonics, three time taps) all four
 #: kinds share one parameter layout and one seeded initialisation.
 STATE_DIGESTS = {

@@ -92,9 +92,12 @@ class TestFromDictErrors:
     def test_unknown_field_suggests(self):
         with pytest.raises(ConfigurationError, match="max_imfs"):
             SeparatorSpec.from_dict({"method": "emd", "max_imf": 3})
-        with pytest.raises(ConfigurationError,
-                           match="unknown DHFSpec field 'batch_fit'"):
-            SeparatorSpec.from_dict({"method": "dhf", "batch_fit": True})
+        # Fields DHFSpec does not have (every fit starts cold).
+        for field, value in (("batch_fit", True), ("warm_start", True),
+                             ("zoo_path", "fits/")):
+            with pytest.raises(ConfigurationError,
+                               match=f"unknown DHFSpec field '{field}'"):
+                SeparatorSpec.from_dict({"method": "dhf", field: value})
 
     def test_method_mismatch_on_subclass(self):
         with pytest.raises(ConfigurationError, match="does not match"):
