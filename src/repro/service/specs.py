@@ -330,6 +330,7 @@ class DHFSpec(SeparatorSpec):
                 f"'observed', got {self.phase_policy!r}"
             )
         if not isinstance(self.early_stop_patience, int) \
+                or isinstance(self.early_stop_patience, bool) \
                 or self.early_stop_patience < 0:
             raise ConfigurationError(
                 f"DHFSpec.early_stop_patience must be an int >= 0, got "

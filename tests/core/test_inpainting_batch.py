@@ -74,6 +74,21 @@ class TestSeededDeterminism:
             np.testing.assert_array_equal(a.output, b.output)
             np.testing.assert_array_equal(a.losses, b.losses)
 
+    def test_earlier_batches_leave_no_trace(self):
+        magnitudes, visibilities = harmonic_batch(2)
+        first = inpaint_spectrograms(
+            magnitudes, visibilities, TINY64, rngs=[5, 6]
+        )
+        others, other_visibilities = harmonic_batch(3, seed=4)
+        inpaint_spectrograms(others, other_visibilities, TINY64,
+                             rngs=[5, 6, 7])
+        again = inpaint_spectrograms(
+            magnitudes, visibilities, TINY64, rngs=[5, 6]
+        )
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.output, b.output)
+            np.testing.assert_array_equal(a.losses, b.losses)
+
     def test_different_seeds_differ(self):
         magnitudes, visibilities = harmonic_batch(2)
         a, b = inpaint_spectrograms(
@@ -239,6 +254,20 @@ class TestDHFBatchedSeparation:
         batch = dhf.separate_batch([m.mixed], m.sampling_hz, [m.f0_tracks])
         for source in direct:
             np.testing.assert_array_equal(batch[0][source], direct[source])
+
+    def test_repeat_separation_starts_cold(self, mixtures):
+        """One separator, reused: its estimates for a record do not
+        depend on what it separated before."""
+        dhf = DHFSeparator(DHFSpec.from_preset("smoke"))
+        first, other = mixtures
+        before = dhf.separate(first.mixed, first.sampling_hz,
+                              first.f0_tracks)
+        dhf.separate(other.mixed, other.sampling_hz, other.f0_tracks)
+        after = dhf.separate(first.mixed, first.sampling_hz,
+                             first.f0_tracks)
+        assert set(before) == set(after)
+        for source in before:
+            np.testing.assert_array_equal(before[source], after[source])
 
     def test_detailed_batch_carries_diagnostics(self, mixtures):
         dhf = DHFSeparator(DHFSpec.from_preset("smoke"))

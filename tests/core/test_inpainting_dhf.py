@@ -65,6 +65,18 @@ class TestInpaintingEngine:
         b = inpaint_spectrogram(mag, vis, TINY, rng=7)
         assert np.allclose(a.output, b.output)
 
+    def test_earlier_fits_leave_no_trace(self, harmonic_image):
+        """Every fit starts cold from its seed: fitting another image
+        in between changes nothing, bit for bit."""
+        mag, vis = harmonic_image
+        first = inpaint_spectrogram(mag, vis, TINY, rng=7)
+        other_vis = np.ones_like(vis)
+        other_vis[:, 2:6] = False
+        inpaint_spectrogram(2.0 * mag, other_vis, TINY, rng=3)
+        again = inpaint_spectrogram(mag, vis, TINY, rng=7)
+        np.testing.assert_array_equal(first.output, again.output)
+        np.testing.assert_array_equal(first.losses, again.losses)
+
     def test_all_concealed_raises(self, harmonic_image):
         mag, _ = harmonic_image
         with pytest.raises(DataError):

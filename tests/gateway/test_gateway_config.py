@@ -38,6 +38,12 @@ class TestGatewayConfig:
         with pytest.raises(ConfigurationError, match=match):
             GatewayConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data", [[("workers", 2)], "workers=2"],
+                             ids=["list", "str"])
+    def test_from_dict_needs_a_mapping(self, data):
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            GatewayConfig.from_dict(data)
+
     def test_frozen(self):
         with pytest.raises(Exception):
             GatewayConfig().port = 80
@@ -57,6 +63,10 @@ class TestGatewayConfig:
         {"max_body_bytes": 0},
         {"max_updates_kept": 0},
         {"artifact_root": 3},
+        {"artifact_root": None},
+        {"host": 5},
+        {"callback_backoff_factor": 0.0},
+        {"callback_timeout_s": -1.0},
         {"service_workers": -1},
         {"service_workers": True},
         {"service_workers": 2.5},

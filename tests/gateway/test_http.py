@@ -220,7 +220,8 @@ class TestJobsOverHTTP:
         # DHF fits always start cold; a did-you-mean may not apply, but
         # the refusal names the field.
         ({"method": "dhf", "warm_start": True}, "'warm_start'"),
-    ], ids=["typo", "dhf-warm-start"])
+        ({"method": "dhf", "zoo_path": "fits/"}, "'zoo_path'"),
+    ], ids=["typo", "dhf-warm-start", "dhf-zoo-path"])
     def test_unknown_spec_field_is_400_did_you_mean(self, client, spec,
                                                     expected):
         with pytest.raises(GatewayError) as err:

@@ -247,6 +247,16 @@ class TestCancellation:
         assert registry.store.read_job(victim.job_id)["state"] == \
             "cancelled"
 
+    def test_queued_dhf_spec_kept_as_submitted(self, stalled):
+        registry, gate = stalled
+        spec = resolve_spec({"method": "dhf", "early_stop_patience": 5})
+        job = registry.submit(spec, "separate", [make_record()])
+        assert job.spec == spec
+        assert registry.store.read_job(job.job_id)["spec"] == spec.to_dict()
+        registry.cancel(job.job_id)
+        gate.set()
+        assert registry.drain(timeout_s=30.0)
+
     def test_first_cancelled_read_finds_cancelled_on_disk(self, stalled,
                                                           monkeypatch):
         registry, _ = stalled

@@ -53,6 +53,36 @@ class TestStackedSpAcLUNet:
         with pytest.raises(ShapeError):
             stacked.record_state(5)
 
+    @pytest.mark.parametrize("n_records, record", [
+        (2, -1), (2, 2), (1, -1), (1, 1),
+    ], ids=["stack-negative", "stack-past-end", "single-negative",
+            "single-past-end"])
+    def test_record_state_range_checked(self, n_records, record):
+        # A negative index must not wrap round to the last record.
+        nets = make_networks(n_records)
+        network = stack_networks(nets) if n_records > 1 else nets[0]
+        with pytest.raises(ShapeError, match="out of range"):
+            network.record_state(record)
+
+    def test_record_state_is_a_copy(self):
+        stacked = stack_networks(make_networks(2))
+        before = stacked.record_state(0)
+        for value in stacked.record_state(0).values():
+            value[...] = 0.0
+        for name, value in stacked.record_state(0).items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_record_state_follows_compaction(self):
+        nets = make_networks(3)
+        stacked = stack_networks(nets)
+        stacked.compact(np.array([2, 0]))
+        for local, original in enumerate((2, 0)):
+            state = stacked.record_state(local)
+            for name, value in nets[original].state_dict().items():
+                np.testing.assert_array_equal(state[name], value)
+        with pytest.raises(ShapeError):
+            stacked.record_state(2)
+
     def test_compact_keeps_selected_records(self, rng):
         nets = make_networks(3)
         stacked = stack_networks(nets)
@@ -105,6 +135,11 @@ class TestEarlyStopConfig:
         with pytest.raises(ConfigurationError):
             EarlyStopConfig(min_iterations=-1)
 
+    def test_boundary_values_accepted(self):
+        config = EarlyStopConfig(patience=1, rel_tol=0.0, min_iterations=0)
+        assert (config.patience, config.rel_tol, config.min_iterations) \
+            == (1, 0.0, 0)
+
 
 class TestFitBatched:
     def _problem(self, n, rng, dtype=np.float64):
@@ -150,6 +185,75 @@ class TestFitBatched:
             assert losses.size < 50, "record did not stop early"
             assert stop == int(np.argmin(losses))
             assert losses[stop:].min() >= losses[stop]
+
+    def test_full_budget_states_are_the_final_weights(self, rng):
+        stacked, code, target, mask = self._problem(2, rng)
+        fit = fit_batched(stacked, code, target, mask,
+                          iterations=4, learning_rate=1e-2)
+        for r in range(2):
+            final = stacked.record_state(r)
+            assert set(fit.state_dicts[r]) == set(final)
+            for name, value in final.items():
+                np.testing.assert_array_equal(fit.state_dicts[r][name], value)
+
+    def test_early_stop_rolls_weights_back_with_the_output(self, rng):
+        # A one-record stack is never compacted before it retires, so
+        # the rolled-back fit must equal, bitwise, a fit given exactly
+        # stop + 1 iterations: the prediction of iteration ``stop`` and
+        # the weights after its Adam step.
+        # A large step makes the loss bounce, so the fit runs on past its
+        # best iteration before patience runs out.
+        _, code, target, mask = self._problem(1, rng)
+        early = EarlyStopConfig(patience=3, rel_tol=0.0, min_iterations=1)
+        stopped = fit_batched(make_networks(1)[0], code, target, mask,
+                              iterations=80, learning_rate=0.3,
+                              early_stop=early)
+        stop = stopped.stop_iterations[0]
+        assert stop is not None and stopped.losses[0].size > stop + 1
+        plain = fit_batched(make_networks(1)[0], code, target, mask,
+                            iterations=stop + 1, learning_rate=0.3)
+        np.testing.assert_array_equal(stopped.outputs, plain.outputs)
+        np.testing.assert_array_equal(stopped.losses[0][: stop + 1],
+                                      plain.losses[0])
+        for name, value in plain.state_dicts[0].items():
+            np.testing.assert_array_equal(stopped.state_dicts[0][name], value)
+
+    def test_min_iterations_delays_retirement(self, rng):
+        stacked, code, target, mask = self._problem(2, rng)
+        # No iteration improves the loss 99-fold, so patience runs out at
+        # once and only min_iterations holds the records back.
+        early = EarlyStopConfig(patience=1, rel_tol=0.99, min_iterations=7)
+        fit = fit_batched(stacked, code, target, mask,
+                          iterations=30, learning_rate=1e-2,
+                          early_stop=early)
+        assert [losses.size for losses in fit.losses] == [7, 7]
+
+    def test_patience_counts_iterations_without_improvement(self, rng):
+        stacked, code, target, mask = self._problem(2, rng)
+        # The first loss sets the plateau; three more without a 99-fold
+        # improvement exhaust a patience of 3.
+        early = EarlyStopConfig(patience=3, rel_tol=0.99, min_iterations=0)
+        fit = fit_batched(stacked, code, target, mask,
+                          iterations=30, learning_rate=1e-2,
+                          early_stop=early)
+        assert [losses.size for losses in fit.losses] == [4, 4]
+
+    def test_concealed_errors_follow_the_reference(self, rng):
+        stacked, code, target, mask = self._problem(2, rng)
+        fit = fit_batched(stacked, code, target, mask,
+                          iterations=3, learning_rate=1e-2)
+        assert fit.concealed_errors is None
+        stacked, code, target, mask = self._problem(2, rng)
+        reference = rng.uniform(0.2, 0.8, size=(2, 9, 8))
+        fit = fit_batched(stacked, code, target, mask,
+                          iterations=3, learning_rate=1e-2,
+                          reference=reference)
+        concealed = mask[:, 0] == 0
+        for r in range(2):
+            curve = fit.concealed_errors[r]
+            assert curve.shape == fit.losses[r].shape
+            delta = fit.outputs[r][concealed[r]] - reference[r][concealed[r]]
+            assert curve[-1] == pytest.approx(float(np.mean(delta ** 2)))
 
     def test_shape_validation(self, rng):
         stacked, code, target, mask = self._problem(2, rng)

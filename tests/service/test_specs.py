@@ -127,6 +127,9 @@ class TestValidation:
         (DHFSpec, {"time_dilation": 0}),
         (DHFSpec, {"time_dilation": True}),
         (DHFSpec, {"iterations": -3}),
+        (DHFSpec, {"early_stop_patience": 2.5}),
+        (DHFSpec, {"early_stop_patience": True}),
+        (DHFSpec, {"early_stop_patience": 3, "early_stop_rel_tol": -0.1}),
     ])
     def test_bad_values_raise(self, spec_cls, bad):
         with pytest.raises(ConfigurationError):
