@@ -32,9 +32,13 @@ import pytest
 
 from repro.baselines import emd, nmf_kl, vmd
 from repro.core.alignment import rewarp, unwarp
-from repro.core.inpainting import InpaintingConfig, inpaint_spectrograms
+from repro.core.inpainting import (
+    InpaintingConfig,
+    config_for_prior_kind,
+    inpaint_spectrograms,
+)
 from repro.dsp import istft, stft
-from repro.nn import Adam, build_prior_network, masked_mse_loss
+from repro.nn import Adam, SpAcLUNet, masked_mse_loss
 from repro.nn import functional as F
 
 N_FREQ = 33
@@ -207,8 +211,11 @@ def test_bench_harmonic_conv_forward_backward(benchmark, rng):
 
 
 def test_bench_deep_prior_adam_step(benchmark, rng):
-    net = build_prior_network("spac_dilated", rng=rng, base_channels=6,
-                              depth=2, time_dilation=3)
+    config = config_for_prior_kind(
+        "spac_dilated",
+        InpaintingConfig(base_channels=6, depth=2, time_dilation=3),
+    )
+    net = SpAcLUNet(config.network_config(), rng=rng)
     z = net.make_input_code(33, 32, rng=rng)
     target = rng.random((1, 1, 33, 32)).astype(np.float32)
     mask = (rng.random((1, 1, 33, 32)) > 0.3).astype(np.float32)

@@ -23,7 +23,12 @@ Verifies that
 8. every ``repro`` import in ``examples/*.py`` and ``benchmarks/*.py``
    resolves.  They are parsed, not run: nothing in CI runs the examples,
    and the tier-1 suite does not collect ``bench_*.py``, so a deleted
-   name one of them still imports fails here.
+   name one of them still imports fails here;
+9. every backticked lower-case name with an underscore in the docs (a
+   function, method or field such as `fit_batched()` or
+   `stop_iteration`) is an attribute of some ``repro.*`` module, or an
+   attribute or a dataclass field of a class defined in ``repro`` — a
+   function deleted in code but left in the prose fails here.
 
 Run:  PYTHONPATH=src python scripts/check_docs.py
 """
@@ -102,6 +107,15 @@ REQUIRED_DOC_NAMES = [
 
 #: Backticked CamelCase words in the docs that name no Python object.
 CAMELCASE_ALLOWLIST = {"Makefile", "NaN"}
+
+#: Backticked lower-case names in the docs that name no ``repro``
+#: object: instance attributes, request and response keys, a benchmark
+#: script, a scatter primitive and an OpenBLAS symbol.
+SNAKE_CASE_ALLOWLIST = {
+    "ac_mean", "bench_pipeline", "dead_letters", "first_index",
+    "index_add", "overlap_samples", "repro_error",
+    "scipy_openblas_set_num_threads64_", "segment_samples",
+}
 
 
 def check_exports() -> list:
@@ -277,6 +291,50 @@ def check_doc_class_names() -> list:
     return problems
 
 
+def _repro_names() -> set:
+    """Every attribute of a ``repro.*`` module, and every attribute and
+    dataclass field of a class defined in ``repro``."""
+    import pkgutil
+
+    import repro
+
+    names = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.rsplit(".", 1)[-1] == "__main__":
+            continue  # importing it would run the CLI
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) \
+                    and value.__module__.split(".")[0] == "repro":
+                names.update(dir(value))
+                if dataclasses.is_dataclass(value):
+                    names.update(f.name for f in dataclasses.fields(value))
+        names.update(dir(module))
+    return names
+
+
+def check_doc_snake_case_names() -> list:
+    """Every backticked lower-case name with an underscore must resolve.
+
+    Rules 3 and 7 only see ``repro.``-prefixed paths and CamelCase
+    names, so a bare `function_name` left in the prose after the
+    function went would pass both.
+    """
+    pattern = re.compile(r"`([a-z_][a-z0-9_]*)(?:\(\))?`")
+    known = _repro_names() | SNAKE_CASE_ALLOWLIST
+    problems = []
+    for doc in DOCS:
+        if not doc.exists():
+            continue  # check_doc_references reports the missing file
+        for name in sorted(set(pattern.findall(doc.read_text()))):
+            if "_" in name and name not in known:
+                problems.append(
+                    f"{doc.name}: documented name {name!r} is no "
+                    f"attribute of a repro module or class"
+                )
+    return problems
+
+
 def _import_problem(where: str, module_name: str, name=None):
     """``None`` when ``module_name`` (and ``name`` in it) imports."""
     try:
@@ -326,6 +384,7 @@ def main() -> int:
         + check_required_names_documented()
         + check_public_api_table()
         + check_doc_class_names()
+        + check_doc_snake_case_names()
         + check_script_imports()
     )
     for problem in problems:

@@ -37,6 +37,7 @@ from repro.core.phase import (
     interpolate_phase_naive,
 )
 from repro.core.inpainting import (
+    PRIOR_KINDS,
     InpaintingConfig,
     InpaintingResult,
     auto_time_dilation,
@@ -57,8 +58,9 @@ __all__ = [
     "masked_energy_ratio", "visibility_mask",
     "combine_magnitude_phase", "interpolate_phase_cyclic",
     "interpolate_phase_naive",
-    "InpaintingConfig", "InpaintingResult", "auto_time_dilation",
-    "config_for_prior_kind", "inpaint_spectrogram", "inpaint_spectrograms",
+    "PRIOR_KINDS", "InpaintingConfig", "InpaintingResult",
+    "auto_time_dilation", "config_for_prior_kind", "inpaint_spectrogram",
+    "inpaint_spectrograms",
     "EarlyStopConfig",
     "DHFResult", "DHFRound",
     "DHFSeparator",

@@ -238,7 +238,7 @@ class DHFSeparator(Separator):
             spec=spec,
             masks=masks,
             dilation=dilation,
-            inpaint_cfg=cfg.inpainting_config(time_dilation=dilation),
+            inpaint_cfg=cfg.inpainting_config(dilation),
             rng=rng,
             n_fft=n_fft,
             hop=hop,

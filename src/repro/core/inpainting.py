@@ -14,7 +14,7 @@ fits, and :func:`inpaint_spectrogram` is its one-record case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -91,23 +91,37 @@ class InpaintingConfig:
         )
 
 
-def config_for_prior_kind(kind: str, base: InpaintingConfig) -> InpaintingConfig:
-    """Derive a Fig. 3 variant config from a base configuration."""
-    from dataclasses import replace
+#: The network variants compared in Fig. 3, as overrides of a base
+#: :class:`InpaintingConfig`.  Only ``spac_dilated`` keeps the base's
+#: time dilation.
+_PRIOR_VARIANTS = {
+    # standard 3x3 CNN U-Net
+    "conventional": dict(conv_kind="standard", anchor=1, time_dilation=1,
+                         freq_pooling=False),
+    # Zhang et al.: anchor > 1, frequency pooling
+    "harmonic_baseline": dict(conv_kind="harmonic", anchor=2,
+                              time_dilation=1, freq_pooling=True),
+    # spectrally accurate: anchor 1, no frequency pooling
+    "spac": dict(conv_kind="harmonic", anchor=1, time_dilation=1,
+                 freq_pooling=False),
+    # + time dilation aligned with the unwarped patterns (Eq. 8)
+    "spac_dilated": dict(conv_kind="harmonic", anchor=1, freq_pooling=False),
+}
 
-    if kind == "conventional":
-        return replace(base, conv_kind="standard", anchor=1,
-                       time_dilation=1, freq_pooling=False)
-    if kind == "harmonic_baseline":
-        return replace(base, conv_kind="harmonic", anchor=2,
-                       time_dilation=1, freq_pooling=True)
-    if kind == "spac":
-        return replace(base, conv_kind="harmonic", anchor=1,
-                       time_dilation=1, freq_pooling=False)
-    if kind == "spac_dilated":
-        return replace(base, conv_kind="harmonic", anchor=1,
-                       freq_pooling=False)
-    raise ConfigurationError(f"unknown prior kind {kind!r}")
+#: The Fig. 3 variant names, in the figure's order.
+PRIOR_KINDS = tuple(_PRIOR_VARIANTS)
+
+
+def config_for_prior_kind(kind: str, base: InpaintingConfig) -> InpaintingConfig:
+    """Derive a Fig. 3 variant config from a base configuration.
+
+    Its network is ``SpAcLUNet(config.network_config(), ...)``.
+    """
+    if kind not in _PRIOR_VARIANTS:
+        raise ConfigurationError(
+            f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}"
+        )
+    return replace(base, **_PRIOR_VARIANTS[kind])
 
 
 @dataclass
@@ -124,17 +138,14 @@ class InpaintingResult:
         Optional per-iteration error on the concealed region against a
         ground-truth magnitude (only when ``reference`` was supplied —
         used by the Fig. 3 experiment).
-    network:
-        The fitted network (weights after the final iteration).
-    scale:
-        Normalisation factor applied before fitting.
+
+    The fitted network is not kept: a deep prior is fitted afresh to
+    each spectrogram and only its in-painting is used.
     """
 
     output: np.ndarray
     losses: np.ndarray
     concealed_errors: Optional[np.ndarray]
-    network: SpAcLUNet
-    scale: float
     #: Best-loss iteration the fit rolled back to when early stopping
     #: triggered; ``None`` when the fit ran its full iteration budget
     #: (always the case without an early-stop criterion).
@@ -347,7 +358,6 @@ def inpaint_spectrograms(
             )
     n_freq, n_frames = shape
 
-    from dataclasses import replace
     dilation = _clamp_dilation(config.time_dilation, n_frames)
     net_cfg = replace(config, time_dilation=dilation).network_config()
 
@@ -391,18 +401,15 @@ def inpaint_spectrograms(
         reference=ref_stack,
     )
 
-    results: List[InpaintingResult] = []
-    for k, net in enumerate(networks):
-        net.load_state_dict(fit.state_dicts[k])
-        results.append(InpaintingResult(
+    return [
+        InpaintingResult(
             output=_restore(fit.outputs[k], scales[k]),
             losses=fit.losses[k],
             concealed_errors=(
                 fit.concealed_errors[k] if fit.concealed_errors is not None
                 else None
             ),
-            network=net,
-            scale=scales[k],
             stop_iteration=fit.stop_iterations[k],
-        ))
-    return results
+        )
+        for k in range(len(pairs))
+    ]

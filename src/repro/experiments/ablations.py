@@ -65,7 +65,7 @@ def run_dilation_ablation(
     config, prep, reference = dhf_round(context, mixture_name, target)
     scores: Dict[str, float] = {}
     for dilation in dilations:
-        cfg = config.inpainting_config(time_dilation=dilation)
+        cfg = config.inpainting_config(dilation)
         _LOG.info("dilation ablation: D=%d", dilation)
         fit = inpaint_spectrogram(
             prep.spec.magnitude, prep.masks.visibility, cfg,
@@ -88,13 +88,11 @@ def run_anchor_pooling_ablation(
     """E-AB2: anchor and frequency-pooling factorial (Fig. 3 decomposed)."""
     context = context or ExperimentContext.from_name()
     config, prep, reference = dhf_round(context, mixture_name, target)
+    base = config.inpainting_config(context.preset.time_dilation)
     scores: Dict[str, float] = {}
     for anchor in (1, 2):
         for pooling in (False, True):
-            cfg = replace(
-                config.inpainting_config(), anchor=anchor,
-                freq_pooling=pooling,
-            )
+            cfg = replace(base, anchor=anchor, freq_pooling=pooling)
             label = f"anchor={anchor}, freq_pooling={'on' if pooling else 'off'}"
             _LOG.info("anchor/pooling ablation: %s", label)
             fit = inpaint_spectrogram(

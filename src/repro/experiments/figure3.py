@@ -17,9 +17,12 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.inpainting import config_for_prior_kind, inpaint_spectrogram
+from repro.core.inpainting import (
+    PRIOR_KINDS,
+    config_for_prior_kind,
+    inpaint_spectrogram,
+)
 from repro.experiments.common import ExperimentContext, dhf_round
-from repro.nn.unet import PRIOR_KINDS
 from repro.utils.logging import get_logger
 from repro.utils.tables import TextTable
 
@@ -67,10 +70,11 @@ def run_figure3(
     """Fit each prior variant on the identical masked spectrogram."""
     context = context or ExperimentContext.from_name()
     config, prep, reference = dhf_round(context, mixture_name, target)
+    base = config.inpainting_config(context.preset.time_dilation)
     curves: Dict[str, np.ndarray] = {}
     for kind in kinds:
         _LOG.info("figure3: fitting %s", kind)
-        cfg = config_for_prior_kind(kind, config.inpainting_config())
+        cfg = config_for_prior_kind(kind, base)
         fit = inpaint_spectrogram(
             prep.spec.magnitude, prep.masks.visibility, cfg,
             rng=context.seed, reference=reference,

@@ -3,11 +3,11 @@
 This package puts a production-shaped front door on the service layer:
 batch separation jobs with a full submit → queued → running → done /
 error / cancelled / expired lifecycle (:class:`JobRegistry`,
-:class:`JobRecord`), per-job artefact storage on the hardened
-serialization substrate (:class:`ArtifactStore`), completion callbacks
-with bounded retry and dead-lettering (:class:`CallbackClient`), and
-chunked long-poll streaming of live fetal-SpO2 feeds
-(:class:`MonitorSessionManager`) — all behind one
+:class:`JobRecord`), per-job artefact storage with atomic writes
+(:class:`ArtifactStore`: JSON job records and ``.npz`` estimate
+archives), completion callbacks with bounded retry and dead-lettering
+(:class:`CallbackClient`), and chunked long-poll streaming of live
+fetal-SpO2 feeds (:class:`MonitorSessionManager`) — all behind one
 ``http.server.ThreadingHTTPServer`` (:class:`Gateway`) configured by a
 single frozen, JSON-round-trippable :class:`GatewayConfig`.
 

@@ -29,6 +29,9 @@ output, and once a record has gone ``patience`` iterations without a
 relative improvement of ``rel_tol`` it is removed and the remaining
 records are compacted into a smaller stack (parameters and Adam state
 shrink together).
+
+A fit hands back what it in-paints, never its weights: the fitted
+parameters are discarded with the stack.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.nn.loss import masked_mse_loss
 from repro.nn.optim import Adam
 from repro.nn.unet import SpAcLUNet
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,13 @@ class EarlyStopConfig:
     min_iterations: int = 10
 
     def __post_init__(self):
-        if self.patience < 1:
+        check_positive_int(self.patience, "patience")
+        check_nonnegative_int(self.min_iterations, "min_iterations")
+        if not isinstance(self.rel_tol, (int, float)) \
+                or isinstance(self.rel_tol, bool) \
+                or not 0.0 <= self.rel_tol < 1.0:
             raise ConfigurationError(
-                f"patience must be >= 1, got {self.patience}"
-            )
-        if not 0.0 <= self.rel_tol < 1.0:
-            raise ConfigurationError(
-                f"rel_tol must be in [0, 1), got {self.rel_tol}"
-            )
-        if self.min_iterations < 0:
-            raise ConfigurationError(
-                f"min_iterations must be >= 0, got {self.min_iterations}"
+                f"rel_tol must be a number in [0, 1), got {self.rel_tol!r}"
             )
 
 
@@ -90,7 +90,6 @@ class BatchFitResult:
     outputs: np.ndarray
     losses: List[np.ndarray]
     stop_iterations: List[Optional[int]]
-    state_dicts: List[Dict[str, np.ndarray]]
     concealed_errors: Optional[List[np.ndarray]] = None
 
 
@@ -155,14 +154,12 @@ def fit_batched(
     err_curves: List[List[float]] = [[] for _ in range(n_total)]
     stop_iterations: List[Optional[int]] = [None] * n_total
     outputs = np.empty((n_total, n_freq, n_time), dtype=dtype)
-    state_dicts: List[Optional[Dict[str, np.ndarray]]] = [None] * n_total
     # ``best_*`` tracks the strict arg-min (the rollback point), while
     # ``plateau_ref``/``since_improve`` implement the patience rule: only
     # a RELATIVE improvement of rel_tol resets the patience counter.
     best_loss = np.full(n_total, np.inf)
     best_iter = np.full(n_total, -1, dtype=int)
     best_output: List[Optional[np.ndarray]] = [None] * n_total
-    best_state: List[Optional[Dict[str, np.ndarray]]] = [None] * n_total
     plateau_ref = np.full(n_total, np.inf)
     since_improve = np.zeros(n_total, dtype=int)
     last_pred: Dict[int, np.ndarray] = {}
@@ -172,15 +169,9 @@ def fit_batched(
     adam = Adam(network.parameters(), lr=learning_rate)
 
     def retire(original: int) -> None:
-        """Freeze a record's result at its best iteration.
-
-        Output AND weights roll back to the arg-min iteration together,
-        so ``InpaintingResult.network`` always reproduces
-        ``InpaintingResult.output``.
-        """
+        """Freeze a record's output at its best iteration."""
         stop_iterations[original] = int(best_iter[original])
         outputs[original] = best_output[original]
-        state_dicts[original] = best_state[original]
 
     for it in range(iterations):
         adam.zero_grad()
@@ -211,10 +202,6 @@ def fit_batched(
                 best_loss[original] = loss
                 best_iter[original] = it
                 best_output[original] = pred_maps[local].copy()
-                # Weights are snapshotted post-step, the same one-step-
-                # ahead convention a full-budget fit's final network has
-                # relative to its final prediction.
-                best_state[original] = network.record_state(local)
             if loss < plateau_ref[original] * (1.0 - early_stop.rel_tol):
                 plateau_ref[original] = loss
                 since_improve[original] = 0
@@ -241,15 +228,13 @@ def fit_batched(
 
     # Records still running when the budget ran out keep their LAST
     # prediction (``stop_iterations`` stays None for them).
-    for local, original in enumerate(active):
+    for original in active:
         outputs[original] = last_pred[original]
-        state_dicts[original] = network.record_state(local)
 
     return BatchFitResult(
         outputs=outputs,
         losses=[np.asarray(curve) for curve in losses],
         stop_iterations=stop_iterations,
-        state_dicts=state_dicts,
         concealed_errors=(
             [np.asarray(curve) for curve in err_curves]
             if concealed is not None else None

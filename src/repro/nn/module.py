@@ -2,17 +2,15 @@
 
 :class:`Module` registers :class:`Parameter` and :class:`Module`
 attributes on assignment, so a network's parameters and their dotted
-state-dict names (``encoders.0.body.0.weight``, ...) follow from how it
-is built; a stacked fit hands each record's parameters back under them.
+names (``encoders.0.body.0.weight``, ...) follow from how it is built;
+:func:`repro.nn.unet.stack_networks` stacks same-config networks
+parameter by parameter under them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
-import numpy as np
-
-from repro.errors import SerializationError, ShapeError
 from repro.nn.tensor import Tensor
 
 
@@ -27,8 +25,8 @@ class Module:
     """A container of parameters and sub-modules.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; those are picked up automatically by :meth:`parameters`
-    and :meth:`state_dict`.
+    attributes; those are picked up automatically by
+    :meth:`named_parameters` and :meth:`parameters`.
     """
 
     def __init__(self):
@@ -53,32 +51,6 @@ class Module:
 
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.grad = None
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Copy of every parameter keyed by its dotted path."""
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters in-place; shapes must match exactly."""
-        own = dict(self.named_parameters())
-        missing = sorted(set(own) - set(state))
-        unexpected = sorted(set(state) - set(own))
-        if missing or unexpected:
-            raise SerializationError(
-                f"state dict mismatch: missing={missing}, unexpected={unexpected}"
-            )
-        for name, param in own.items():
-            value = np.asarray(state[name])
-            if value.shape != param.data.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: state shape {value.shape} does not "
-                    f"match model shape {param.data.shape}"
-                )
-            param.data = value.astype(param.data.dtype, copy=True)
 
 
 class ModuleList(Module):

@@ -9,17 +9,18 @@ A U-Net [Ronneberger et al. 2015] adapted for pattern-aligned spectrograms:
 * only **forward** integral harmonic multiples are accessed (anchor = 1,
   design principle 2).
 
-The factory :func:`build_prior_network` also builds the degraded variants
-compared in Fig. 3: a conventional CNN, and the baseline harmonic network of
-Zhang et al. with anchor > 1 and frequency max-pooling ("frequency
-folding").
+A :class:`UNetConfig` also describes the degraded variants compared in
+Fig. 3: a conventional CNN (``conv_kind="standard"``), and the baseline
+harmonic network of Zhang et al. with anchor > 1 and frequency
+max-pooling ("frequency folding").  Their table is
+:func:`repro.core.inpainting.config_for_prior_kind`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,15 +34,6 @@ from repro.nn.layers import Conv2d, HarmonicConv2d, InstanceNorm2d, LeakyReLU
 from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import as_generator, spawn_generators
-
-#: Network variants compared in Fig. 3 of the paper.
-PRIOR_KINDS = (
-    "conventional",        # standard 3x3 CNN U-Net
-    "harmonic_baseline",   # Zhang et al.: anchor > 1, frequency pooling
-    "spac",                # spectrally accurate: anchor 1, no freq pooling
-    "spac_dilated",        # + time dilation aligned with unwarped patterns
-)
-
 
 @dataclass(frozen=True)
 class UNetConfig:
@@ -294,19 +286,6 @@ class SpAcLUNet(Module):
         """Records fitted at once: the stack size, 1 when unstacked."""
         return self.head.weight.data.shape[0] if self.stacked else 1
 
-    def record_state(self, record: int) -> Dict[str, np.ndarray]:
-        """Record ``record``'s parameters as an unstacked state dict."""
-        if not 0 <= record < self.n_records:
-            raise ShapeError(
-                f"record {record} out of range for a stack of "
-                f"{self.n_records}"
-            )
-        stacked = self.stacked
-        return {
-            name: (param.data[record] if stacked else param.data).copy()
-            for name, param in self.named_parameters()
-        }
-
     def compact(self, keep) -> None:
         """Keep only the records ``keep`` (in order), dropping the rest.
 
@@ -436,9 +415,8 @@ def stack_networks(networks: Sequence[SpAcLUNet]) -> SpAcLUNet:
     """Fuse same-config networks into one record-stacked :class:`SpAcLUNet`.
 
     Every parameter of the result is the record-wise stack of the
-    networks' parameters under the same dotted name, copied bit for bit,
-    so :meth:`SpAcLUNet.record_state` hands record ``r`` straight back to
-    ``networks[r].load_state_dict``.  The inputs are left untouched.
+    networks' parameters under the same dotted name, copied bit for bit.
+    The inputs are left untouched.
     """
     networks = list(networks)
     if not networks:
@@ -457,47 +435,3 @@ def stack_networks(networks: Sequence[SpAcLUNet]) -> SpAcLUNet:
     for name, param in stacked.named_parameters():
         param.data = np.stack([p[name].data for p in params])
     return stacked
-
-
-def build_prior_network(kind: str, rng=None, in_channels: int = 8,
-                        base_channels: int = 16, depth: int = 3,
-                        n_harmonics: int = 3, time_dilation: int = 13,
-                        dtype=np.float32) -> SpAcLUNet:
-    """Build one of the four prior-network variants compared in Fig. 3.
-
-    Parameters
-    ----------
-    kind:
-        One of :data:`PRIOR_KINDS`:
-
-        ``"conventional"``
-            Standard 3x3-kernel CNN U-Net.
-        ``"harmonic_baseline"``
-            Harmonic convolutions with anchor 2 (backward harmonic access)
-            and frequency max-pooling, as in Zhang et al. [21].
-        ``"spac"``
-            Spectrally accurate: anchor 1, no frequency pooling.
-        ``"spac_dilated"``
-            SpAc plus time dilation (the full paper design, Eq. 8).
-    time_dilation:
-        Dilation used by the ``"spac_dilated"`` variant.
-    """
-    if kind not in PRIOR_KINDS:
-        raise ConfigurationError(
-            f"unknown prior kind {kind!r}; expected one of {PRIOR_KINDS}"
-        )
-    common = dict(
-        in_channels=in_channels, base_channels=base_channels, depth=depth,
-        n_harmonics=n_harmonics, kernel_time=3,
-    )
-    if kind == "conventional":
-        cfg = UNetConfig(conv_kind="standard", **common)
-    elif kind == "harmonic_baseline":
-        cfg = UNetConfig(conv_kind="harmonic", anchor=2, freq_pooling=True,
-                         **common)
-    elif kind == "spac":
-        cfg = UNetConfig(conv_kind="harmonic", anchor=1, **common)
-    else:  # spac_dilated
-        cfg = UNetConfig(conv_kind="harmonic", anchor=1,
-                         time_dilation=time_dilation, **common)
-    return SpAcLUNet(cfg, rng=rng, dtype=dtype)

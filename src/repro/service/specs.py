@@ -17,13 +17,18 @@ remote worker.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Union
 
 from repro.config import Preset, get_preset
 from repro.errors import ConfigurationError
 from repro.utils.naming import unknown_name_error
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_nonnegative_int,
+    check_positive,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,12 @@ class FrozenSpec:
                     f"got {value!r}"
                 )
             check_positive(value, f"{type(self).__name__}.{name}")
+
+    def _check_nonnegative_int(self, *names: str) -> None:
+        for name in names:
+            check_nonnegative_int(
+                getattr(self, name), f"{type(self).__name__}.{name}"
+            )
 
     def _check_number(self, name: str) -> float:
         """The named field as a float, rejecting non-numeric values."""
@@ -203,6 +214,7 @@ class NMFSpec(SeparatorSpec):
         self._check_positive_int(
             "components_per_source", "n_iterations", "n_harmonics"
         )
+        self._check_nonnegative_int("seed")
 
 
 @dataclass(frozen=True)
@@ -257,9 +269,9 @@ class DHFSpec(SeparatorSpec):
     Frequency-domain quantities live in the *aligned* space, where the
     target fundamental is 1 Hz and the STFT bin spacing is
     ``1 / periods_per_window`` Hz.  :meth:`inpainting_config` builds the
-    deep-prior fit's config (``prior_time_dilation`` is its dilation;
-    the top-level ``time_dilation`` is DHF's per-round policy, where
-    ``"auto"`` picks the dilation from each round's mask geometry).
+    deep-prior fit's config at a given time dilation; ``time_dilation``
+    is DHF's per-round choice of it, where ``"auto"`` picks the dilation
+    from each round's mask geometry.
     Defaults match the ``full`` preset; :meth:`from_preset` scales every
     field from a :class:`repro.config.Preset`.
     """
@@ -278,7 +290,6 @@ class DHFSpec(SeparatorSpec):
     learning_rate: float = 3e-3
     base_channels: int = 16
     depth: int = 3
-    prior_time_dilation: int = 13
     seed: int = 20240623  # DAC'24 opening day
     #: Early stopping of every deep-prior fit (:meth:`early_stop`):
     #: ``early_stop_patience`` > 0 lets a converged fit roll back to its
@@ -296,12 +307,22 @@ class DHFSpec(SeparatorSpec):
     dtype: str = "float32"
 
     def __post_init__(self):
+        from repro.nn.batchfit import EarlyStopConfig
+
         self._check_positive_int(
             "samples_per_period", "periods_per_window", "hop_periods",
             "n_harmonics", "iterations", "base_channels", "depth",
-            "prior_time_dilation",
         )
         self._check_positive("learning_rate", "bandwidth_bins")
+        self._check_nonnegative_int("seed", "early_stop_patience")
+        slope = self._check_number("bandwidth_slope_bins")
+        if not (math.isfinite(slope) and slope >= 0):
+            raise ConfigurationError(
+                f"DHFSpec.bandwidth_slope_bins must be a finite number "
+                f">= 0, got {self.bandwidth_slope_bins!r}"
+            )
+        # EarlyStopConfig checks the rel-tol, whatever the patience.
+        EarlyStopConfig(rel_tol=self.early_stop_rel_tol)
         for name, least in (("samples_per_period", 4),
                             ("periods_per_window", 2)):
             if getattr(self, name) < least:
@@ -329,23 +350,15 @@ class DHFSpec(SeparatorSpec):
                 f"DHFSpec.phase_policy must be 'auto', 'cyclic' or "
                 f"'observed', got {self.phase_policy!r}"
             )
-        if not isinstance(self.early_stop_patience, int) \
-                or isinstance(self.early_stop_patience, bool) \
-                or self.early_stop_patience < 0:
-            raise ConfigurationError(
-                f"DHFSpec.early_stop_patience must be an int >= 0, got "
-                f"{self.early_stop_patience!r}"
-            )
-        self.early_stop()  # EarlyStopConfig validates rel_tol
         if not isinstance(self.dtype, str):
             raise ConfigurationError(
                 f"DHFSpec.dtype must be a str, got {self.dtype!r}"
             )
-        self.inpainting_config()  # InpaintingConfig validates dtype
+        self.inpainting_config(1)  # InpaintingConfig validates dtype
 
-    def inpainting_config(self, time_dilation=None):
-        """The deep-prior fit's :class:`repro.core.inpainting.InpaintingConfig`,
-        at ``time_dilation`` (default ``prior_time_dilation``)."""
+    def inpainting_config(self, time_dilation: int):
+        """The deep-prior fit's :class:`repro.core.inpainting.InpaintingConfig`
+        at ``time_dilation`` (a DHF round passes its own)."""
         from repro.core.inpainting import InpaintingConfig
 
         return InpaintingConfig(
@@ -353,10 +366,7 @@ class DHFSpec(SeparatorSpec):
             learning_rate=self.learning_rate,
             base_channels=self.base_channels,
             depth=self.depth,
-            time_dilation=(
-                self.prior_time_dilation if time_dilation is None
-                else time_dilation
-            ),
+            time_dilation=time_dilation,
             dtype=self.dtype,
         )
 
@@ -388,7 +398,6 @@ class DHFSpec(SeparatorSpec):
             learning_rate=preset.deep_prior.learning_rate,
             base_channels=preset.deep_prior.base_channels,
             depth=preset.deep_prior.depth,
-            prior_time_dilation=preset.time_dilation,
         )
         base.update(overrides)
         return cls(**base)

@@ -123,6 +123,15 @@ def check_positive_int(value: int, name: str = "value") -> int:
     return int(value)
 
 
+def check_nonnegative_int(value: int, name: str = "value") -> int:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int >= 0."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+    return int(value)
+
+
 def check_probability(value: float, name: str = "value") -> float:
     """Raise :class:`ConfigurationError` unless ``0 <= value <= 1``."""
     if not np.isfinite(value) or not 0.0 <= value <= 1.0:

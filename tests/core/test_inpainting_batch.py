@@ -113,17 +113,6 @@ class TestBatchedSequentialEquivalence:
             assert np.abs(seq.losses - bat.losses).max() <= BATCH_ATOL
             assert seq.losses.size == bat.losses.size == TINY64.iterations
             assert bat.stop_iteration is None
-            assert bat.scale == pytest.approx(seq.scale)
-
-    def test_fitted_networks_match(self):
-        magnitudes, visibilities = harmonic_batch(2)
-        seq = inpaint_spectrogram(magnitudes[0], visibilities[0], TINY64,
-                                  rng=3)
-        bat = inpaint_spectrograms(magnitudes, visibilities, TINY64,
-                                   rngs=[3, 4])[0]
-        for name, value in seq.network.state_dict().items():
-            got = bat.network.state_dict()[name]
-            assert np.abs(got - value).max() <= BATCH_ATOL, name
 
     def test_concealed_error_tracking_matches(self):
         magnitudes, visibilities = harmonic_batch(2)

@@ -148,7 +148,8 @@ class TestDHFSpec:
     def test_from_preset(self):
         cfg = DHFSpec.from_preset("smoke")
         assert cfg.samples_per_period == 16
-        assert cfg.inpainting_config().iterations == 30
+        fit = cfg.inpainting_config(7)
+        assert (fit.iterations, fit.time_dilation) == (30, 7)
 
     def test_overrides(self):
         cfg = DHFSpec.from_preset("smoke", n_harmonics=3)

@@ -2,13 +2,14 @@
 
 * only float32 and float64 are accepted, wherever the knob is set
   (``InpaintingConfig``, and ``DHFSpec`` through ``inpainting_config``);
-* a fit's parameters carry that dtype;
+* the network and code a fit runs on carry that dtype;
 * a short float32 fit tracks the float64 fit of the same problem.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.inpainting as inpainting
 from repro.core import InpaintingConfig, inpaint_spectrogram
 from repro.errors import ConfigurationError
 from repro.service import DHFSpec
@@ -65,26 +66,43 @@ def test_accepted_dtype_is_stored_as_numpy_type(dtype, stored):
     assert InpaintingConfig(dtype=dtype).dtype is stored
 
 
+def fit_dtypes(monkeypatch):
+    """Spy on the fit engine: the parameter and code dtypes of each fit."""
+    seen = []
+    original = inpainting.fit_batched
+
+    def spy(network, code, *args, **kwargs):
+        seen.append((
+            {param.data.dtype for param in network.parameters()},
+            code.dtype,
+        ))
+        return original(network, code, *args, **kwargs)
+
+    monkeypatch.setattr(inpainting, "fit_batched", spy)
+    return seen
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fit_carries_the_config_dtype(dtype):
+def test_fit_carries_the_config_dtype(dtype, monkeypatch):
+    seen = fit_dtypes(monkeypatch)
     magnitude, visibility = small_problem()
     config = small_config(iterations=3, dtype=dtype)
-    fit = inpaint_spectrogram(magnitude, visibility, config, rng=0)
-    assert {p.data.dtype for p in fit.network.parameters()} == \
-        {np.dtype(dtype)}
+    inpaint_spectrogram(magnitude, visibility, config, rng=0)
+    assert seen == [({np.dtype(dtype)}, np.dtype(dtype))]
 
 
-def test_f32_fit_tracks_f64_short_horizon():
+def test_f32_fit_tracks_f64_short_horizon(monkeypatch):
     magnitude, visibility = small_problem()
     reference = inpaint_spectrogram(
         magnitude, visibility, small_config(), rng=0
     )
+    seen = fit_dtypes(monkeypatch)
     fast = inpaint_spectrogram(
         magnitude, visibility, small_config(dtype=np.float32), rng=0
     )
-    # The restored output is float64 at either precision; the fitted
-    # weights are the evidence the fit ran in float32.
-    assert fast.network.parameters()[0].data.dtype == np.float32
+    # The restored output is float64 at either precision; the network
+    # the fit ran on is the evidence it ran in float32.
+    assert seen == [({np.dtype(np.float32)}, np.dtype(np.float32))]
     assert relative_deviation(
         reference.output, fast.output
     ) <= FIT_F32_RTOL

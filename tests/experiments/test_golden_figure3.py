@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import get_preset
+from repro.core.inpainting import PRIOR_KINDS
 from repro.experiments import ExperimentContext
 from repro.experiments.figure3 import run_figure3
-from repro.nn.unet import PRIOR_KINDS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "figure3_smoke.json"

@@ -1,4 +1,5 @@
-"""Tests for the atomic named-array ``.npz`` archives gateway storage uses."""
+"""Tests for the atomic named-array ``.npz`` archives gateway storage
+keeps job estimates in (:mod:`repro.gateway.storage`)."""
 
 import multiprocessing
 import os
@@ -9,11 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SerializationError
-from repro.nn.serialization import (
-    load_arrays,
-    normalize_state_path,
-    save_arrays,
-)
+from repro.gateway.storage import load_arrays, save_arrays
 
 
 def make_arrays(seed):
@@ -56,25 +53,6 @@ def test_creates_directories(tmp_path):
     assert_same_arrays(arrays, load_arrays(path))
 
 
-def test_normalize_state_path():
-    assert normalize_state_path("model") == "model.npz"
-    assert normalize_state_path("model.npz") == "model.npz"
-    assert normalize_state_path("dir/model.pth") == "dir/model.pth.npz"
-
-
-def test_suffixless_roundtrip(tmp_path):
-    """np.savez silently appends .npz on save, so a suffix-less path
-    would fail on load unless both sides normalise."""
-    arrays = make_arrays(0)
-    path = str(tmp_path / "estimates")  # no .npz
-    written = save_arrays(arrays, path)
-    assert written == path + ".npz"
-    assert os.path.exists(written)
-    assert not os.path.exists(path)
-    # The same suffix-less spelling round-trips.
-    assert_same_arrays(arrays, load_arrays(path))
-
-
 def test_save_is_atomic(tmp_path, monkeypatch):
     """A crash mid-write must leave the previous archive untouched."""
     path = str(tmp_path / "estimates.npz")
@@ -96,9 +74,9 @@ def test_save_is_atomic(tmp_path, monkeypatch):
 
 def test_pathlike_paths_roundtrip(tmp_path):
     arrays = make_arrays(0)
-    written = save_arrays(arrays, tmp_path / "estimates")
+    written = save_arrays(arrays, tmp_path / "estimates.npz")
     assert written == str(tmp_path / "estimates.npz")
-    assert_same_arrays(arrays, load_arrays(tmp_path / "estimates"))
+    assert_same_arrays(arrays, load_arrays(tmp_path / "estimates.npz"))
 
 
 def test_array_likes_are_stored_as_arrays(tmp_path):

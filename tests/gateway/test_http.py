@@ -245,6 +245,10 @@ class TestJobsOverHTTP:
         {"method": "spectral-masking",
          "records": [{**record_to_wire(make_record()),
                       "name": f8([0.0, 0.0])}]},
+        # A DHF spec whose early stop is malformed.
+        {"spec": {"method": "dhf", "early_stop_patience": 3,
+                  "early_stop_rel_tol": "0.1"},
+         "records": [record_to_wire(make_record())]},
     ])
     def test_malformed_submissions_are_4xx_never_5xx(self, client, body):
         with pytest.raises(GatewayError) as err:

@@ -150,6 +150,12 @@ class TestEstimates:
         with pytest.raises(SerializationError, match="not found"):
             store.read_estimates("job-000001", 1)
 
+    def test_missing_estimates_name_an_archive(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        with pytest.raises(SerializationError,
+                           match=r"^archive not found: .*estimates_0\.npz$"):
+            store.read_estimates("job-000001", 0)
+
     def test_reopened_store_reads_its_predecessors_artefacts(self, tmp_path):
         first = ArtifactStore(str(tmp_path))
         first.write_job("job-000001", {"state": "done"})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SerializationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.nn import (
     Conv2d,
     HarmonicConv2d,
@@ -39,36 +39,6 @@ class TestModule:
             "blocks.0.weight", "blocks.0.norm.weight", "blocks.0.norm.bias",
             "blocks.2.weight", "blocks.2.norm.weight", "blocks.2.norm.bias",
         ]
-
-    def test_zero_grad(self):
-        net = TinyNet()
-        for param in net.parameters():
-            param.grad = np.ones_like(param.data)
-        net.zero_grad()
-        assert all(param.grad is None for param in net.parameters())
-
-    def test_state_dict_roundtrip_copies(self):
-        net_a, net_b = TinyNet(0), TinyNet(5)
-        state = net_a.state_dict()
-        net_b.load_state_dict(state)
-        state["blocks.0.weight"][...] = 0
-        for (_, a), (_, b) in zip(net_a.named_parameters(),
-                                  net_b.named_parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_state_dict_missing_key_raises(self):
-        net = TinyNet()
-        state = net.state_dict()
-        del state["head"]
-        with pytest.raises(SerializationError):
-            net.load_state_dict(state)
-
-    def test_state_dict_wrong_shape_raises(self):
-        net = TinyNet()
-        state = net.state_dict()
-        state["blocks.0.weight"] = np.zeros((2, 2))
-        with pytest.raises(ShapeError):
-            net.load_state_dict(state)
 
     def test_reassignment_replaces(self):
         m = Module()

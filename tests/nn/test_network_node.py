@@ -15,13 +15,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
-from repro.nn import (
+from repro.core.inpainting import (
     PRIOR_KINDS,
-    Tensor,
-    build_prior_network,
-    stack_networks,
+    InpaintingConfig,
+    config_for_prior_kind,
 )
+from repro.errors import GraphError
+from repro.nn import SpAcLUNet, Tensor, stack_networks
 from repro.nn import functional as F
 from repro.nn.batchfit import fit_batched
 from repro.nn.layers import HarmonicConv2d
@@ -34,11 +34,13 @@ CODE_SHAPE = (3, 11, 13)
 
 def _network(kind, records, seed=7, time_dilation=2):
     """A tiny float64 prior network; ``records`` = None means unstacked."""
+    config = config_for_prior_kind(kind, InpaintingConfig(
+        in_channels=3, base_channels=3, depth=2, n_harmonics=3,
+        time_dilation=time_dilation,
+    )).network_config()
+
     def build(k):
-        return build_prior_network(
-            kind, rng=seed + k, in_channels=3, base_channels=3, depth=2,
-            n_harmonics=3, time_dilation=time_dilation, dtype=np.float64,
-        )
+        return SpAcLUNet(config, rng=seed + k, dtype=np.float64)
 
     if records is None:
         return build(0)
@@ -252,7 +254,8 @@ class TestSavedActivationOwnership:
         _run(net, codes[0], probes[0])  # leaves an idle set
         outs = [net(code) for code in codes]
         for out, probe, (ref_out, ref_grads) in zip(outs, probes, expected):
-            net.zero_grad()
+            for param in net.parameters():
+                param.grad = None
             out.backward(probe)
             np.testing.assert_array_equal(out.data, ref_out)
             for grad, ref in zip([p.grad for p in net.parameters()],
@@ -283,9 +286,10 @@ class TestSavedActivationOwnership:
 
     def test_buffers_are_not_state(self, rng):
         net = _network("spac", 2)
+        names = [name for name, _ in net.named_parameters()]
         _run(net, _code(net, rng).data, np.ones((2, 1, 11, 13)))
         assert _idle_arrays(net)
-        assert set(net.state_dict()) == {n for n, _ in net.named_parameters()}
+        assert [name for name, _ in net.named_parameters()] == names
         assert copy.deepcopy(net)._idle == {}
         assert pickle.loads(pickle.dumps(net))._idle == {}
         net.compact([1])

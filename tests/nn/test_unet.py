@@ -5,14 +5,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ShapeError
-from repro.nn import (
+from repro.core.inpainting import (
     PRIOR_KINDS,
-    SpAcLUNet,
-    UNetConfig,
-    build_prior_network,
-    stack_networks,
+    InpaintingConfig,
+    config_for_prior_kind,
 )
+from repro.errors import ConfigurationError, ShapeError
+from repro.nn import SpAcLUNet, UNetConfig, stack_networks
+
+
+def prior_network(kind, rng=None, dtype=np.float32, **base):
+    """The Fig. 3 variant ``kind`` of ``InpaintingConfig(**base)``'s
+    network, built as a deep-prior fit builds it."""
+    config = config_for_prior_kind(kind, InpaintingConfig(**base))
+    return SpAcLUNet(config.network_config(), rng=rng, dtype=dtype)
 
 
 @pytest.fixture
@@ -90,7 +96,7 @@ class TestForward:
 class TestFactory:
     def test_all_kinds_build_and_run(self, rng):
         for kind in PRIOR_KINDS:
-            net = build_prior_network(
+            net = prior_network(
                 kind, rng=rng, base_channels=4, depth=2, time_dilation=3,
             )
             z = net.make_input_code(16, 12, rng=rng)
@@ -102,7 +108,7 @@ class TestFactory:
         self, rng, kind, dtype
     ):
         # A fit runs at its config's dtype only if no layer casts.
-        net = build_prior_network(
+        net = prior_network(
             kind, rng=rng, base_channels=4, depth=2, time_dilation=3,
             dtype=dtype,
         )
@@ -116,23 +122,23 @@ class TestFactory:
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
-            build_prior_network("magic")
+            prior_network("magic")
 
     def test_variant_properties(self, rng):
-        conventional = build_prior_network("conventional", rng=rng)
+        conventional = prior_network("conventional", rng=rng)
         assert conventional.cfg.conv_kind == "standard"
-        baseline = build_prior_network("harmonic_baseline", rng=rng)
+        baseline = prior_network("harmonic_baseline", rng=rng)
         assert baseline.cfg.anchor == 2 and baseline.cfg.freq_pooling
-        spac = build_prior_network("spac", rng=rng)
+        spac = prior_network("spac", rng=rng)
         assert spac.cfg.anchor == 1 and not spac.cfg.freq_pooling
-        dilated = build_prior_network("spac_dilated", rng=rng,
-                                      time_dilation=7)
+        dilated = prior_network("spac_dilated", rng=rng, time_dilation=7)
         assert dilated.cfg.time_dilation == 7
 
 
-#: SHA-256 over the sorted state-dict names, dtypes, shapes and bytes of
-#: ``build_prior_network(kind, rng=7, dtype=dtype)`` followed by the
-#: stack of the rng=7 and rng=8 networks.  It pins seeded init, which
+#: SHA-256 over the sorted parameter names, dtypes, shapes and bytes of
+#: ``prior_network(kind, rng=7, dtype=dtype)`` (the default
+#: ``InpaintingConfig``'s variant) followed by the stack of the rng=7 and
+#: rng=8 networks.  It pins seeded init, which
 #: every fit starts from, so a change here moves every DHF estimate;
 #: nothing stored on disk depends on it.
 #: At the default geometry (three harmonics, three time taps) all four
@@ -145,9 +151,10 @@ STATE_DIGESTS = {
 
 class TestStateDictContract:
     @staticmethod
-    def _update(digest, state):
-        for name in sorted(state):
-            value = state[name]
+    def _update(digest, network):
+        for name, param in sorted(network.named_parameters(),
+                                  key=lambda item: item[0]):
+            value = param.data
             digest.update(name.encode())
             digest.update(f"{value.dtype.str}{value.shape}".encode())
             digest.update(np.ascontiguousarray(value).tobytes())
@@ -156,12 +163,9 @@ class TestStateDictContract:
     @pytest.mark.parametrize("kind", PRIOR_KINDS)
     def test_names_shapes_dtypes_and_init_bytes(self, kind, dtype):
         digest = hashlib.sha256()
-        self._update(
-            digest, build_prior_network(kind, rng=7, dtype=dtype).state_dict()
-        )
+        self._update(digest, prior_network(kind, rng=7, dtype=dtype))
         stacked = stack_networks(
-            [build_prior_network(kind, rng=seed, dtype=dtype)
-             for seed in (7, 8)]
+            [prior_network(kind, rng=seed, dtype=dtype) for seed in (7, 8)]
         )
-        self._update(digest, stacked.state_dict())
+        self._update(digest, stacked)
         assert digest.hexdigest() == STATE_DIGESTS[np.dtype(dtype).name]

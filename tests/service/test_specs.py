@@ -92,9 +92,11 @@ class TestFromDictErrors:
     def test_unknown_field_suggests(self):
         with pytest.raises(ConfigurationError, match="max_imfs"):
             SeparatorSpec.from_dict({"method": "emd", "max_imf": 3})
-        # Fields DHFSpec does not have (every fit starts cold).
+        # Fields DHFSpec does not have (every fit starts cold, at its
+        # round's own time dilation).
         for field, value in (("batch_fit", True), ("warm_start", True),
-                             ("zoo_path", "fits/")):
+                             ("zoo_path", "fits/"),
+                             ("prior_time_dilation", 13)):
             with pytest.raises(ConfigurationError,
                                match=f"unknown DHFSpec field '{field}'"):
                 SeparatorSpec.from_dict({"method": "dhf", field: value})
@@ -130,6 +132,22 @@ class TestValidation:
         (DHFSpec, {"early_stop_patience": 2.5}),
         (DHFSpec, {"early_stop_patience": True}),
         (DHFSpec, {"early_stop_patience": 3, "early_stop_rel_tol": -0.1}),
+        (DHFSpec, {"early_stop_patience": 3, "early_stop_rel_tol": "0.1"}),
+        # The rel-tol is checked whatever the patience.
+        (DHFSpec, {"early_stop_rel_tol": 5.0}),
+        (DHFSpec, {"early_stop_rel_tol": "junk"}),
+        (DHFSpec, {"seed": "x"}),
+        (DHFSpec, {"seed": None}),
+        (DHFSpec, {"seed": -1}),
+        (DHFSpec, {"seed": 1.5}),
+        (DHFSpec, {"seed": True}),
+        (DHFSpec, {"bandwidth_slope_bins": "x"}),
+        (DHFSpec, {"bandwidth_slope_bins": -1}),
+        (DHFSpec, {"bandwidth_slope_bins": float("nan")}),
+        (DHFSpec, {"bandwidth_slope_bins": True}),
+        (NMFSpec, {"seed": "x"}),
+        (NMFSpec, {"seed": -1}),
+        (NMFSpec, {"seed": True}),
     ])
     def test_bad_values_raise(self, spec_cls, bad):
         with pytest.raises(ConfigurationError):
