@@ -5,15 +5,15 @@ harmonic sources per record, extracted by applying precomputed harmonic
 ridge masks in the STFT domain — along two code paths:
 
 ``sequential-loop``
-    The historical path: one record at a time, per-frame Python-loop
+    The reference path: one record at a time, per-frame Python-loop
     synthesis (:func:`repro.dsp.istft_loop`), window and overlap-add
     normalizer rebuilt on every call.
 
 ``batched-vectorized``
-    The batched path: records stacked and analysed by one
-    stride-trick :func:`repro.dsp.stft_batch`, every (record, source)
-    masked spectrogram inverted through the grouped overlap-add of
-    :func:`repro.dsp.istft_batch`, sharing one cached
+    The batched path: records stacked and analysed by one stride-trick
+    :func:`repro.dsp.stft` of the stack, every (record, source) masked
+    spectrogram inverted through the grouped overlap-add of
+    :func:`repro.dsp.istft`, sharing one cached
     :class:`repro.dsp.StftPlan` — processed in cache-sized chunks
     (:func:`repro.dsp.cache_friendly_chunk`) so intermediates stay
     L2-resident at any batch size.
@@ -46,13 +46,7 @@ from repro.core.masking import (
     f0_track_to_frames,
     harmonic_ridge_mask,
 )
-from repro.dsp import (
-    cache_friendly_chunk,
-    istft_batch,
-    istft_loop,
-    stft,
-    stft_batch,
-)
+from repro.dsp import cache_friendly_chunk, istft, istft_loop, stft
 
 FS = 100.0
 N_FFT = 64
@@ -66,7 +60,7 @@ class BenchBatch:
     """Synthetic records plus per-(record, source) harmonic masks."""
 
     signals: np.ndarray          # (B, n)
-    masks_tf: np.ndarray         # (B, S, n_frames, n_freq) frame-major
+    masks: np.ndarray            # (B, S, n_freq, n_frames)
     f0_tracks: List[dict]
 
     @property
@@ -75,7 +69,7 @@ class BenchBatch:
 
     @property
     def n_sources(self) -> int:
-        return self.masks_tf.shape[1]
+        return self.masks.shape[1]
 
 
 def build_batch(n_records: int, duration_s: float, seed: int = 0) -> BenchBatch:
@@ -110,10 +104,10 @@ def build_batch(n_records: int, duration_s: float, seed: int = 0) -> BenchBatch:
                 spec, frames, N_HARMONICS, default_bandwidth(),
                 f0_spread=spread,
             )
-            record_masks.append(mask.T)  # frame-major
+            record_masks.append(mask)
         masks.append(np.stack(record_masks))
     return BenchBatch(
-        signals=signals, masks_tf=np.stack(masks), f0_tracks=f0_tracks,
+        signals=signals, masks=np.stack(masks), f0_tracks=f0_tracks,
     )
 
 
@@ -124,7 +118,7 @@ def run_sequential_loop(batch: BenchBatch) -> np.ndarray:
     for b in range(B):
         spec = stft(batch.signals[b], FS, n_fft=N_FFT, hop=HOP)
         for s in range(S):
-            masked = spec.with_values(spec.values * batch.masks_tf[b, s].T)
+            masked = spec.with_values(spec.values * batch.masks[b, s])
             out[b, s] = istft_loop(masked)
     return out
 
@@ -134,14 +128,14 @@ def run_batched(batch: BenchBatch) -> np.ndarray:
     B, S = batch.n_records, batch.n_sources
     n = batch.signals.shape[1]
     out = np.empty((B, S, n))
-    n_frames = batch.masks_tf.shape[2]
+    n_frames = batch.masks.shape[3]
     chunk = cache_friendly_chunk(n_frames, N_FFT, n_lanes=2 + S)
     for start in range(0, B, chunk):
         stop = min(B, start + chunk)
-        spec = stft_batch(batch.signals[start:stop], FS, n_fft=N_FFT, hop=HOP)
+        spec = stft(batch.signals[start:stop], FS, n_fft=N_FFT, hop=HOP)
         for s in range(S):
-            masked = spec.values * batch.masks_tf[start:stop, s]
-            out[start:stop, s] = istft_batch(spec, masked)
+            masked = spec.values * batch.masks[start:stop, s]
+            out[start:stop, s] = istft(spec.with_values(masked))
     return out
 
 
@@ -211,7 +205,7 @@ def main(argv=None) -> int:
         args.repeats = min(args.repeats, 2)
 
     batch = build_batch(args.records, args.duration)
-    n_frames = batch.masks_tf.shape[2]
+    n_frames = batch.masks.shape[3]
     print(
         f"bench_pipeline: {batch.n_records} records x "
         f"{batch.signals.shape[1]} samples, {batch.n_sources} sources, "

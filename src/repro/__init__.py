@@ -24,8 +24,8 @@ Subpackages
     The deep prior: the SpAc LU-Net (one graph node over raw-array
     harmonic-convolution kernels) and its Eq. 9 fit with Adam.
 ``repro.dsp``
-    STFT/ISTFT (single-record and batched), filters, interpolation,
-    resampling.
+    The one STFT/iSTFT pair (a record or a stack of records), the
+    scoring band-pass filter, and the aligner's interpolation.
 ``repro.synth``
     Quasi-periodic signal generator and the paper's Table-1 mixtures.
 ``repro.scenarios``
@@ -54,16 +54,7 @@ __version__ = "1.4.0"
 from repro import errors
 from repro.config import available_presets, get_preset
 from repro.core import DHFResult, DHFSeparator
-from repro.dsp import (
-    BatchStft,
-    StftPlan,
-    StftResult,
-    get_stft_plan,
-    istft,
-    istft_batch,
-    stft,
-    stft_batch,
-)
+from repro.dsp import StftPlan, StftResult, get_stft_plan, istft, stft
 from repro.metrics import average_mse, average_sdr_db, mse, sdr_db
 from repro.pipeline import (
     BatchResult,
@@ -95,8 +86,7 @@ from repro.streaming import StreamingSeparator, stream_record
 __all__ = [
     "errors", "get_preset", "available_presets", "__version__",
     "DHFResult", "DHFSeparator",
-    "BatchStft", "StftPlan", "StftResult", "get_stft_plan",
-    "istft", "istft_batch", "stft", "stft_batch",
+    "StftPlan", "StftResult", "get_stft_plan", "istft", "stft",
     "average_mse", "average_sdr_db", "mse", "sdr_db",
     "BatchResult", "SeparationRecord", "ShardedExecutor",
     "records_from_arrays",

@@ -11,21 +11,21 @@ in-painting repairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
 from repro.baselines.base import Separator
 from repro.core.masking import (
-    BandwidthSpec,
     default_bandwidth,
     f0_spread_per_frame,
     f0_track_to_frames,
     harmonic_ridge_mask,
 )
 from repro.dsp.plan import cache_friendly_chunk, get_stft_plan
-from repro.dsp.stft import istft, istft_batch, stft, stft_batch
+from repro.dsp.stft import istft, stft
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -42,8 +42,6 @@ class SpectralMaskingSeparator(Separator):
     hop_fraction:
         Hop as a fraction of the window (0.25 matches the paper's
         60 s / 15 s choice).
-    bandwidth:
-        Ridge half-width spec; defaults to :func:`default_bandwidth`.
     exclusive:
         If true (default), cells claimed by several sources go only to the
         source whose ridge centre is nearest.  This is the stronger variant
@@ -56,7 +54,6 @@ class SpectralMaskingSeparator(Separator):
     n_harmonics: int = 6
     n_fft_seconds: float = 12.0
     hop_fraction: float = 0.25
-    bandwidth: Optional[BandwidthSpec] = None
     exclusive: bool = True
 
     name: str = "Spect. Masking"
@@ -79,8 +76,13 @@ class SpectralMaskingSeparator(Separator):
         return n_fft, hop
 
     def _build_masks(self, spec, f0_tracks, sampling_hz: float) -> Dict[str, np.ndarray]:
-        """Per-source harmonic combs (overlap-resolved when exclusive)."""
-        bandwidth = self.bandwidth or default_bandwidth()
+        """Per-source harmonic combs (overlap-resolved when exclusive).
+
+        Reads only the geometry of ``spec``, so one stacked STFT serves
+        every record in it.  The ridge half-width is
+        :func:`repro.core.masking.default_bandwidth`.
+        """
+        bandwidth = default_bandwidth()
         masks = {}
         for name, track in f0_tracks.items():
             frames = f0_track_to_frames(track, sampling_hz, spec)
@@ -94,66 +96,55 @@ class SpectralMaskingSeparator(Separator):
         return masks
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
-        mixed = self._validate(mixed, sampling_hz, f0_tracks)
-        n_fft, hop = self.stft_geometry(sampling_hz, mixed.size)
-        spec = stft(mixed, sampling_hz, n_fft=n_fft, hop=hop)
-        masks = self._build_masks(spec, f0_tracks, sampling_hz)
-        estimates = {}
-        for name, mask in masks.items():
-            estimates[name] = istft(spec.with_values(spec.values * mask))
-        return estimates
+        return self.separate_batch([mixed], sampling_hz, [f0_tracks])[0]
 
     def separate_batch(self, mixed_batch, sampling_hz, f0_tracks_batch):
-        """Vectorized batch separation for equal-length records.
+        """Separate records grouped by length, one stacked STFT per chunk.
 
-        One stride-trick :func:`repro.dsp.stft_batch` analyses every
-        record at once; masks are built per record (their f0 tracks
-        differ) on views of the shared batch; and every ``(record,
-        source)`` masked spectrogram is inverted through
-        :func:`repro.dsp.istft_batch` in cache-sized chunks, reusing a
-        single cached plan and overlap-add normalizer.  Records of
-        differing lengths fall back to the per-record base path.
+        Each group of equal-length records runs in cache-sized chunks
+        sharing one cached plan and overlap-add normalizer: one stacked
+        :func:`repro.dsp.stft` analyses the chunk, masks are built per
+        record (their f0 tracks differ), and one :func:`repro.dsp.istft`
+        inverts every ``(record, source)`` masked spectrogram.
+        :meth:`separate` is the one-record case.
         """
         if len(mixed_batch) != len(f0_tracks_batch):
-            return super().separate_batch(
-                mixed_batch, sampling_hz, f0_tracks_batch
+            raise ConfigurationError(
+                f"{len(mixed_batch)} mixed records but "
+                f"{len(f0_tracks_batch)} f0-track mappings"
             )
-        rows = [np.asarray(m, dtype=np.float64) for m in mixed_batch]
-        if not rows or any(r.ndim != 1 for r in rows) or len(
-            {r.size for r in rows}
-        ) != 1:
-            return super().separate_batch(
-                mixed_batch, sampling_hz, f0_tracks_batch
-            )
+        rows = [  # fail before any FFT
+            self._validate(mixed, sampling_hz, tracks)
+            for mixed, tracks in zip(mixed_batch, f0_tracks_batch)
+        ]
+        by_length: Dict[int, List[int]] = {}
+        for index, row in enumerate(rows):
+            by_length.setdefault(row.size, []).append(index)
 
-        n = rows[0].size
-        for row, tracks in zip(rows, f0_tracks_batch):
-            self._validate(row, sampling_hz, tracks)  # fail before any FFT
-        n_fft, hop = self.stft_geometry(sampling_hz, n)
-        plan = get_stft_plan(n_fft, hop)
-        n_frames = plan.n_frames(n)
-
-        # Whole analyse→mask→invert round trips run chunk by chunk so the
-        # batch intermediates stay cache-resident at any batch size.
-        chunk = max(1, cache_friendly_chunk(n_frames, n_fft, n_lanes=4))
-        estimates: list = [dict() for _ in rows]
-        for start in range(0, len(rows), chunk):
-            stop = min(len(rows), start + chunk)
-            batch = stft_batch(
-                np.stack(rows[start:stop]), sampling_hz, n_fft=n_fft, hop=hop
-            )
-            pair_index: list = []
-            masked_list: list = []
-            for b in range(start, stop):
-                tracks = f0_tracks_batch[b]
-                spec = batch.record(b - start)
-                masks = self._build_masks(spec, tracks, sampling_hz)
-                for name, mask in masks.items():
-                    pair_index.append((b, name))
-                    masked_list.append((spec.values * mask).T)
-            signals = istft_batch(batch, np.stack(masked_list))
-            for (b, name), signal in zip(pair_index, signals):
-                estimates[b][name] = signal
+        estimates: List[Dict[str, np.ndarray]] = [{} for _ in rows]
+        for n, members in by_length.items():
+            n_fft, hop = self.stft_geometry(sampling_hz, n)
+            n_frames = get_stft_plan(n_fft, hop).n_frames(n)
+            chunk = cache_friendly_chunk(n_frames, n_fft, n_lanes=4)
+            for start in range(0, len(members), chunk):
+                part = members[start:start + chunk]
+                spec = stft(
+                    np.stack([rows[i] for i in part]), sampling_hz,
+                    n_fft=n_fft, hop=hop,
+                )
+                masks = [
+                    self._build_masks(spec, f0_tracks_batch[i], sampling_hz)
+                    for i in part
+                ]
+                masked = spec.with_values(np.stack([
+                    values * mask
+                    for values, by_name in zip(spec.values, masks)
+                    for mask in by_name.values()
+                ]))
+                pairs = [(i, name) for i, by_name in zip(part, masks)
+                         for name in by_name]
+                for (index, name), signal in zip(pairs, istft(masked)):
+                    estimates[index][name] = signal
         return estimates
 
 

@@ -2,21 +2,18 @@
 
 The paper band-pass filters mixed signals to [0, 12] Hz before scoring
 (Sec. 4.2).  We design linear-phase FIR filters from scratch (windowed-sinc
-method) and apply them zero-phase — a symmetric FIR applied with 'same'
-alignment introduces no group delay.  An IIR Butterworth biquad cascade is
-also provided for completeness and cross-checks.
+method, Hamming taper) and apply them zero-phase — a symmetric FIR applied
+with 'same' alignment introduces no group delay.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.validation import as_1d_float_array, check_positive
 
-from repro.dsp.windows import get_window
+from repro.dsp.windows import hamming
 
 
 def _sinc_lowpass(numtaps: int, cutoff_norm: float) -> np.ndarray:
@@ -34,27 +31,18 @@ def _sinc_lowpass(numtaps: int, cutoff_norm: float) -> np.ndarray:
     return cutoff_norm * np.sinc(cutoff_norm * m)
 
 
-def design_lowpass(numtaps: int, cutoff_hz: float, sampling_hz: float,
-                   window: str = "hamming") -> np.ndarray:
-    """Windowed-sinc low-pass FIR with unit DC gain."""
+def design_lowpass(numtaps: int, cutoff_hz: float,
+                   sampling_hz: float) -> np.ndarray:
+    """Hamming-windowed-sinc low-pass FIR with unit DC gain."""
     check_positive(cutoff_hz, "cutoff_hz")
     check_positive(sampling_hz, "sampling_hz")
     nyq = sampling_hz / 2.0
-    taps = _sinc_lowpass(numtaps, cutoff_hz / nyq) * get_window(window, numtaps)
+    taps = _sinc_lowpass(numtaps, cutoff_hz / nyq) * hamming(numtaps)
     return taps / taps.sum()
 
 
-def design_highpass(numtaps: int, cutoff_hz: float, sampling_hz: float,
-                    window: str = "hamming") -> np.ndarray:
-    """Windowed-sinc high-pass FIR (spectral inversion of a low-pass)."""
-    low = design_lowpass(numtaps, cutoff_hz, sampling_hz, window)
-    taps = -low
-    taps[(numtaps - 1) // 2] += 1.0
-    return taps
-
-
 def design_bandpass(numtaps: int, low_hz: float, high_hz: float,
-                    sampling_hz: float, window: str = "hamming") -> np.ndarray:
+                    sampling_hz: float) -> np.ndarray:
     """Windowed-sinc band-pass FIR.
 
     A ``low_hz`` of 0 degenerates to a pure low-pass (the paper's
@@ -70,19 +58,10 @@ def design_bandpass(numtaps: int, low_hz: float, high_hz: float,
             f"high_hz {high_hz} must be below Nyquist {sampling_hz / 2}"
         )
     if low_hz == 0.0:
-        return design_lowpass(numtaps, high_hz, sampling_hz, window)
-    upper = design_lowpass(numtaps, high_hz, sampling_hz, window)
-    lower = design_lowpass(numtaps, low_hz, sampling_hz, window)
+        return design_lowpass(numtaps, high_hz, sampling_hz)
+    upper = design_lowpass(numtaps, high_hz, sampling_hz)
+    lower = design_lowpass(numtaps, low_hz, sampling_hz)
     return upper - lower
-
-
-def fir_frequency_response(taps: np.ndarray, sampling_hz: float,
-                           n_points: int = 512) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(freqs_hz, |H(f)|)`` of an FIR filter."""
-    taps = as_1d_float_array(taps, "taps")
-    response = np.fft.rfft(taps, n=max(2 * n_points, taps.size))
-    freqs = np.fft.rfftfreq(max(2 * n_points, taps.size), d=1.0 / sampling_hz)
-    return freqs, np.abs(response)
 
 
 def convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -129,93 +108,3 @@ def bandpass_filter(x, sampling_hz: float, low_hz: float, high_hz: float,
         numtaps += 1
     taps = design_bandpass(numtaps, low_hz, high_hz, sampling_hz)
     return filter_zerophase(x, taps)
-
-
-# --------------------------------------------------------------------- #
-# Butterworth biquad cascade (IIR path, used for cross-checks/ablation)
-# --------------------------------------------------------------------- #
-def butterworth_lowpass_sos(order: int, cutoff_hz: float,
-                            sampling_hz: float) -> np.ndarray:
-    """Butterworth low-pass as second-order sections via bilinear transform.
-
-    Returns an ``(n_sections, 6)`` array of ``[b0, b1, b2, a0, a1, a2]``
-    rows (a0 normalised to 1), matching the SciPy ``sos`` layout.
-    """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    check_positive(cutoff_hz, "cutoff_hz")
-    if cutoff_hz >= sampling_hz / 2:
-        raise ConfigurationError(
-            f"cutoff {cutoff_hz} must be below Nyquist {sampling_hz / 2}"
-        )
-    # Pre-warped analog cutoff.
-    warped = 2 * sampling_hz * np.tan(np.pi * cutoff_hz / sampling_hz)
-    # Analog Butterworth poles on the unit circle scaled by the cutoff.
-    k = np.arange(1, order + 1)
-    theta = np.pi * (2 * k - 1) / (2 * order) + np.pi / 2
-    poles = warped * np.exp(1j * theta)
-    fs2 = 2 * sampling_hz
-    zpoles = (fs2 + poles) / (fs2 - poles)
-
-    sections = []
-    i = 0
-    # Pair complex-conjugate poles; a real pole (odd order) forms a 1st-order
-    # section padded to biquad shape.
-    used = np.zeros(order, dtype=bool)
-    for i in range(order):
-        if used[i]:
-            continue
-        p = zpoles[i]
-        if abs(p.imag) < 1e-12:
-            used[i] = True
-            a = np.array([1.0, -p.real, 0.0])
-            b = np.array([1.0, 1.0, 0.0])
-        else:
-            conj_idx = None
-            for j in range(i + 1, order):
-                if not used[j] and abs(zpoles[j] - np.conj(p)) < 1e-9:
-                    conj_idx = j
-                    break
-            used[i] = True
-            if conj_idx is not None:
-                used[conj_idx] = True
-            a = np.array([1.0, -2 * p.real, abs(p) ** 2])
-            b = np.array([1.0, 2.0, 1.0])
-        # Normalise section to unit DC gain.
-        gain = a.sum() / b.sum()
-        sections.append(np.concatenate([b * gain, a]))
-    return np.asarray(sections)
-
-
-def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Causal biquad-cascade filtering (direct form II transposed)."""
-    x = as_1d_float_array(x, "x")
-    sos = np.asarray(sos, dtype=np.float64)
-    if sos.ndim != 2 or sos.shape[1] != 6:
-        raise ConfigurationError(f"sos must be (n, 6), got {sos.shape}")
-    y = x.copy()
-    for b0, b1, b2, a0, a1, a2 in sos:
-        if abs(a0 - 1.0) > 1e-12:
-            b0, b1, b2, a1, a2 = b0 / a0, b1 / a0, b2 / a0, a1 / a0, a2 / a0
-        out = np.empty_like(y)
-        z1 = z2 = 0.0
-        for n in range(y.size):
-            xn = y[n]
-            yn = b0 * xn + z1
-            z1 = b1 * xn - a1 * yn + z2
-            z2 = b2 * xn - a2 * yn
-            out[n] = yn
-        y = out
-    return y
-
-
-def sosfiltfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Zero-phase forward-backward biquad filtering with edge reflection."""
-    x = as_1d_float_array(x, "x")
-    pad = min(3 * 10, x.size - 1)
-    left = 2 * x[0] - x[1: pad + 1][::-1]
-    right = 2 * x[-1] - x[-pad - 1: -1][::-1]
-    padded = np.concatenate([left, x, right])
-    forward = sosfilt(sos, padded)
-    backward = sosfilt(sos, forward[::-1])[::-1]
-    return backward[pad: pad + x.size]

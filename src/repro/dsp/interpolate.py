@@ -1,20 +1,17 @@
-"""1-D interpolation primitives used by the pattern aligner.
+"""1-D interpolation primitives.
 
-The aligner performs two sequential interpolations (paper Eqs. 6–7); both
-route through :class:`Interp1d` here.  Linear interpolation and a
-from-scratch monotone PCHIP (Fritsch–Carlson) implementation are provided —
-PCHIP avoids the overshoot a plain cubic spline would introduce near sharp
-PPG systolic peaks.
+The pattern aligner's two sequential interpolations (paper Eqs. 6–7),
+and its rewarp back to the original time grid, call
+:func:`linear_interp`.  The EMD baseline's envelopes are natural cubic
+splines through the extrema (:func:`cubic_spline_interp`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import DataError
 from repro.utils.validation import as_1d_float_array, check_same_length
-
-_KINDS = ("linear", "pchip", "cubic")
 
 
 def _check_strictly_increasing(x: np.ndarray, name: str) -> None:
@@ -34,58 +31,6 @@ def linear_interp(x_new, x, y) -> np.ndarray:
     _check_strictly_increasing(x, "x")
     x_new = np.asarray(x_new, dtype=np.float64)
     return np.interp(x_new, x, y)
-
-
-def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Monotone derivative estimates of Fritsch & Carlson (1980)."""
-    h = np.diff(x)
-    delta = np.diff(y) / h
-    n = x.size
-    d = np.zeros(n)
-    if n == 2:
-        d[:] = delta[0]
-        return d
-    # Interior: weighted harmonic mean when slopes agree in sign, else 0.
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    mask = (delta[:-1] * delta[1:]) > 0
-    denom = np.where(mask, w1 / np.where(delta[:-1] == 0, 1, delta[:-1])
-                     + w2 / np.where(delta[1:] == 0, 1, delta[1:]), 1.0)
-    d[1:-1] = np.where(mask, (w1 + w2) / denom, 0.0)
-    # One-sided ends (shape-preserving three-point formula).
-    d[0] = _edge_slope(h[0], h[1], delta[0], delta[1])
-    d[-1] = _edge_slope(h[-1], h[-2], delta[-1], delta[-2])
-    return d
-
-
-def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
-    slope = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(slope) != np.sign(d0):
-        return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(slope) > 3 * abs(d0):
-        return 3 * d0
-    return slope
-
-
-def pchip_interp(x_new, x, y) -> np.ndarray:
-    """Shape-preserving cubic Hermite interpolation (PCHIP), clamped at ends."""
-    x = as_1d_float_array(x, "x")
-    y = as_1d_float_array(y, "y")
-    check_same_length("x", x, "y", y)
-    _check_strictly_increasing(x, "x")
-    x_new = np.asarray(x_new, dtype=np.float64)
-    if x.size == 1:
-        return np.full(x_new.shape, y[0])
-    d = pchip_slopes(x, y)
-    idx = np.clip(np.searchsorted(x, x_new, side="right") - 1, 0, x.size - 2)
-    h = x[idx + 1] - x[idx]
-    t = np.clip((x_new - x[idx]) / h, 0.0, 1.0)
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
-    h01 = t * t * (3 - 2 * t)
-    h11 = t * t * (t - 1)
-    return (h00 * y[idx] + h10 * h * d[idx]
-            + h01 * y[idx + 1] + h11 * h * d[idx + 1])
 
 
 def natural_cubic_spline_coeffs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -142,39 +87,3 @@ def cubic_spline_interp(x_new, x, y) -> np.ndarray:
     b = m[idx] / 2
     c = (y[idx + 1] - y[idx]) / h - h * (2 * m[idx] + m[idx + 1]) / 6
     return y[idx] + t * (c + t * (b + t * a))
-
-
-class Interp1d:
-    """Reusable interpolant over fixed knots.
-
-    Parameters
-    ----------
-    x, y:
-        Knot abscissae (strictly increasing) and ordinates.
-    kind:
-        ``"linear"`` or ``"pchip"``.
-    """
-
-    def __init__(self, x, y, kind: str = "linear"):
-        if kind not in _KINDS:
-            raise ConfigurationError(
-                f"unknown interpolation kind {kind!r}; expected one of {_KINDS}"
-            )
-        self.x = as_1d_float_array(x, "x")
-        self.y = as_1d_float_array(y, "y")
-        check_same_length("x", self.x, "y", self.y)
-        _check_strictly_increasing(self.x, "x")
-        self.kind = kind
-        self._slopes = pchip_slopes(self.x, self.y) if kind == "pchip" and self.x.size > 1 else None
-
-    def __call__(self, x_new) -> np.ndarray:
-        if self.kind == "linear":
-            return linear_interp(x_new, self.x, self.y)
-        if self.kind == "cubic":
-            return cubic_spline_interp(x_new, self.x, self.y)
-        return pchip_interp(x_new, self.x, self.y)
-
-    @property
-    def domain(self):
-        """``(x_min, x_max)`` span of the knots."""
-        return float(self.x[0]), float(self.x[-1])

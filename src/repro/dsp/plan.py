@@ -1,15 +1,15 @@
 """Cached STFT plans and vectorized overlap-add.
 
 A :class:`StftPlan` bundles everything about an STFT geometry that is
-independent of the signal being analysed: the analysis/synthesis window,
-its square, the centring pad, the frame index grid, and — per frame
-count — the WOLA overlap-add normalizer.  Plans are memoised by
-``(n_fft, hop, window)`` through :func:`get_stft_plan`, so separating a
-batch of records with a shared geometry computes each of these exactly
-once instead of once per record.
+independent of the signal being analysed: the Hann analysis/synthesis
+window, its square, the centring pad, the frame index grid, and — per
+frame count — the WOLA overlap-add normalizer.  Plans are memoised by
+``(n_fft, hop)`` through :func:`get_stft_plan`, so separating a batch of
+records with a shared geometry computes each of these exactly once
+instead of once per record.
 
 The module also hosts :func:`overlap_add`, the vectorized replacement
-for the historical per-frame Python loop in :func:`repro.dsp.stft.istft`.
+for the per-frame Python loop of :func:`repro.dsp.stft.istft_loop`.
 It works on arbitrary leading batch dimensions: frames are regrouped
 into hop-sized chunks and accumulated with ``step = ceil(n_fft / hop)``
 strided slice-adds, so the Python-level work is proportional to the
@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dsp.windows import get_window
+from repro.dsp.windows import hann
 from repro.errors import ConfigurationError, ShapeError
 from repro.utils.validation import check_positive_int
 
@@ -95,25 +95,24 @@ class StftPlan:
 
     Attributes
     ----------
-    n_fft, hop, window_name:
+    n_fft, hop:
         The geometry key.
     window, window_sq:
-        The analysis window and its square, computed once.
+        The periodic Hann window and its square, computed once.
     pad:
         Centring pad (``n_fft // 2``) virtually applied on both sides.
     n_freq:
         Number of one-sided frequency rows, ``n_fft // 2 + 1``.
     """
 
-    def __init__(self, n_fft: int, hop: int, window_name: str = "hann"):
+    def __init__(self, n_fft: int, hop: int):
         check_positive_int(n_fft, "n_fft")
         check_positive_int(hop, "hop")
         if hop > n_fft:
             raise ConfigurationError(f"hop {hop} must be <= n_fft {n_fft}")
         self.n_fft = int(n_fft)
         self.hop = int(hop)
-        self.window_name = str(window_name)
-        self.window = get_window(window_name, n_fft)
+        self.window = hann(n_fft)
         self.window_sq = self.window * self.window
         self.pad = n_fft // 2
         self.n_freq = n_fft // 2 + 1
@@ -205,20 +204,15 @@ class StftPlan:
         return out[..., self.pad:]
 
     def __repr__(self) -> str:
-        return (
-            f"StftPlan(n_fft={self.n_fft}, hop={self.hop}, "
-            f"window={self.window_name!r})"
-        )
+        return f"StftPlan(n_fft={self.n_fft}, hop={self.hop})"
 
 
-_PLAN_CACHE: Dict[Tuple[int, int, str], StftPlan] = {}
+_PLAN_CACHE: Dict[Tuple[int, int], StftPlan] = {}
 _PLAN_CACHE_MAX = 64
 _PLAN_CACHE_LOCK = threading.Lock()
 
 
-def get_stft_plan(
-    n_fft: int, hop: Optional[int] = None, window: str = "hann"
-) -> StftPlan:
+def get_stft_plan(n_fft: int, hop: Optional[int] = None) -> StftPlan:
     """Fetch (or build and memoise) the plan for a geometry.
 
     ``hop`` defaults to ``n_fft // 4`` — the same default as
@@ -227,10 +221,10 @@ def get_stft_plan(
     """
     if hop is None:
         hop = n_fft // 4  # same default (and n_fft >= 4 floor) as stft()
-    key = (int(n_fft), int(hop), str(window))
+    key = (int(n_fft), int(hop))
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = StftPlan(n_fft, hop, window)
+        plan = StftPlan(n_fft, hop)
         with _PLAN_CACHE_LOCK:
             existing = _PLAN_CACHE.get(key)
             if existing is not None:

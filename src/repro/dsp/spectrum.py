@@ -1,4 +1,4 @@
-"""Spectral statistics: periodogram, autocorrelation and the beat spectrum.
+"""The beat spectrum and its dominant period.
 
 The beat spectrum (Rafii & Pardo 2012) drives the REPET baseline's repeating
 period detection.
@@ -6,56 +6,12 @@ period detection.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.dsp.windows import get_window
-from repro.utils.validation import as_1d_float_array, as_2d_float_array, check_positive
-
-
-def periodogram(x, sampling_hz: float, window: str = "hann") -> Tuple[np.ndarray, np.ndarray]:
-    """Windowed periodogram: returns ``(freqs_hz, power)``."""
-    x = as_1d_float_array(x, "x")
-    check_positive(sampling_hz, "sampling_hz")
-    win = get_window(window, x.size)
-    xw = (x - x.mean()) * win
-    spectrum = np.fft.rfft(xw)
-    power = (np.abs(spectrum) ** 2) / (sampling_hz * np.sum(win ** 2))
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / sampling_hz)
-    return freqs, power
-
-
-def autocorrelation(x, max_lag: Optional[int] = None, unbiased: bool = True) -> np.ndarray:
-    """FFT-based autocorrelation, normalised so lag 0 equals 1.
-
-    Parameters
-    ----------
-    max_lag:
-        Largest lag to return (defaults to ``len(x) - 1``).
-    unbiased:
-        Divide each lag by the number of contributing samples.
-    """
-    x = as_1d_float_array(x, "x")
-    if max_lag is None:
-        max_lag = x.size - 1
-    if max_lag >= x.size or max_lag < 0:
-        raise ConfigurationError(
-            f"max_lag must be in [0, {x.size - 1}], got {max_lag}"
-        )
-    xc = x - x.mean()
-    nfft = 1 << (2 * x.size - 1).bit_length()
-    spectrum = np.fft.rfft(xc, nfft)
-    acf = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[: max_lag + 1]
-    if unbiased:
-        counts = x.size - np.arange(max_lag + 1)
-        acf = acf / counts
-    else:
-        acf = acf / x.size
-    if acf[0] <= 0:
-        return np.zeros(max_lag + 1)
-    return acf / acf[0]
+from repro.utils.validation import as_1d_float_array, as_2d_float_array
 
 
 def beat_spectrum(magnitude: np.ndarray, max_lag: Optional[int] = None) -> np.ndarray:

@@ -1,35 +1,19 @@
-"""Analysis windows and constant-overlap-add (COLA) checks.
+"""The two windows the program uses.
 
-The STFT/ISTFT pair in :mod:`repro.dsp.stft` relies on windows satisfying
-the COLA property for perfect reconstruction; :func:`check_cola` verifies it
-numerically for a given hop.
+The STFT/iSTFT pair in :mod:`repro.dsp.stft` analyses and synthesises
+with the periodic :func:`hann` window (its weighted overlap-add divides
+by the summed squared window, so any hop with non-vanishing overlap
+reconstructs exactly); the windowed-sinc FIR designs in
+:mod:`repro.dsp.filters` taper with :func:`hamming`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive_int
 
-_WINDOW_FNS = {}
 
-
-def _register(name):
-    def deco(fn):
-        _WINDOW_FNS[name] = fn
-        return fn
-    return deco
-
-
-@_register("rectangular")
-def rectangular(length: int) -> np.ndarray:
-    """All-ones window."""
-    check_positive_int(length, "length")
-    return np.ones(length, dtype=np.float64)
-
-
-@_register("hann")
 def hann(length: int) -> np.ndarray:
     """Periodic Hann window (COLA at hop = length/2, length/4, ...)."""
     check_positive_int(length, "length")
@@ -37,60 +21,8 @@ def hann(length: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2 * np.pi * n / length)
 
 
-@_register("hamming")
 def hamming(length: int) -> np.ndarray:
     """Periodic Hamming window."""
     check_positive_int(length, "length")
     n = np.arange(length)
     return 0.54 - 0.46 * np.cos(2 * np.pi * n / length)
-
-
-@_register("blackman")
-def blackman(length: int) -> np.ndarray:
-    """Periodic Blackman window."""
-    check_positive_int(length, "length")
-    n = np.arange(length)
-    x = 2 * np.pi * n / length
-    return 0.42 - 0.5 * np.cos(x) + 0.08 * np.cos(2 * x)
-
-
-def get_window(name: str, length: int) -> np.ndarray:
-    """Look up a window by name (``rectangular``/``hann``/``hamming``/``blackman``)."""
-    try:
-        fn = _WINDOW_FNS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown window {name!r}; available: {sorted(_WINDOW_FNS)}"
-        ) from None
-    return fn(length)
-
-
-def window_names() -> list:
-    """Names of the registered windows."""
-    return sorted(_WINDOW_FNS)
-
-
-def cola_sum(window: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of squared, hop-shifted windows over one hop period.
-
-    For weighted-overlap-add ISTFT (analysis and synthesis both use the
-    window), perfect reconstruction requires this to be constant.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    check_positive_int(hop, "hop")
-    if hop > window.size:
-        raise ConfigurationError(
-            f"hop {hop} exceeds window length {window.size}"
-        )
-    acc = np.zeros(hop)
-    sq = window * window
-    for start in range(0, window.size, hop):
-        chunk = sq[start: start + hop]
-        acc[: chunk.size] += chunk
-    return acc
-
-
-def check_cola(window: np.ndarray, hop: int, tol: float = 1e-10) -> bool:
-    """Whether (window, hop) satisfies the squared-COLA condition."""
-    acc = cola_sum(window, hop)
-    return bool(np.max(np.abs(acc - acc[0])) <= tol * max(acc[0], 1e-300))

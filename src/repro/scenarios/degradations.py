@@ -143,6 +143,11 @@ class DegradationSpec(FrozenSpec):
         return as_generator(stable_hash_seed("degradation", self.kind, self.seed))
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 @dataclass(frozen=True)
 class SensorDropoutSpec(DegradationSpec):
     """Sensor dropout / saturation gaps.
@@ -178,16 +183,21 @@ class SensorDropoutSpec(DegradationSpec):
             raise unknown_name_error(
                 "dropout mode", str(self.mode), self._MODES
             )
+        if not isinstance(self.gaps, (list, tuple)):
+            raise ConfigurationError(
+                f"SensorDropoutSpec.gaps must be a sequence of "
+                f"(start_s, duration_s) pairs, got {self.gaps!r}"
+            )
         gaps = []
         for gap in self.gaps:
-            try:
-                start_s, duration_s = gap
-            except (TypeError, ValueError):
+            if not (isinstance(gap, (list, tuple)) and len(gap) == 2
+                    and all(_is_finite_number(v) for v in gap)):
                 raise ConfigurationError(
                     f"SensorDropoutSpec.gaps entries must be "
-                    f"(start_s, duration_s) pairs, got {gap!r}"
-                ) from None
-            start_s, duration_s = float(start_s), float(duration_s)
+                    f"(start_s, duration_s) pairs of finite numbers, "
+                    f"got {gap!r}"
+                )
+            start_s, duration_s = float(gap[0]), float(gap[1])
             if start_s < 0:
                 raise ConfigurationError(
                     f"SensorDropoutSpec gap start must be >= 0 s, "

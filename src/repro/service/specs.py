@@ -80,6 +80,15 @@ class FrozenSpec:
                 getattr(self, name), f"{type(self).__name__}.{name}"
             )
 
+    def _check_bool(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{type(self).__name__}.{name} must be a bool, "
+                    f"got {value!r}"
+                )
+
     def _check_number(self, name: str) -> float:
         """The named field as a float, rejecting non-numeric values."""
         value = getattr(self, name)
@@ -232,10 +241,7 @@ class RepetSpec(SeparatorSpec):
     segment_seconds: float = 24.0
 
     def __post_init__(self):
-        if not isinstance(self.extended, bool):
-            raise ConfigurationError(
-                f"RepetSpec.extended must be a bool, got {self.extended!r}"
-            )
+        self._check_bool("extended")
         self._check_positive("n_fft_seconds", "segment_seconds")
 
 
@@ -254,11 +260,12 @@ class SpectralMaskingSpec(SeparatorSpec):
     def __post_init__(self):
         self._check_positive_int("n_harmonics")
         self._check_positive("n_fft_seconds")
-        if not 0.0 < self.hop_fraction <= 1.0:
+        if not 0.0 < self._check_number("hop_fraction") <= 1.0:
             raise ConfigurationError(
                 f"SpectralMaskingSpec.hop_fraction must be in (0, 1], "
                 f"got {self.hop_fraction!r}"
             )
+        self._check_bool("exclusive")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,11 @@
-"""Tests for interpolation primitives (linear, PCHIP, cubic spline)."""
+"""Tests for interpolation primitives (linear, natural cubic spline)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
-from repro.dsp import (
-    Interp1d,
-    cubic_spline_interp,
-    linear_interp,
-    pchip_interp,
-)
-from repro.errors import ConfigurationError, DataError, ShapeError
+from repro.dsp import cubic_spline_interp, linear_interp
+from repro.errors import DataError, ShapeError
 
 
 @pytest.fixture
@@ -44,32 +38,6 @@ class TestLinear:
             linear_interp([0.5], [0.0, 1.0], [0.0])
 
 
-class TestPchip:
-    def test_matches_scipy(self, knots):
-        x, y = knots
-        q = np.linspace(x[0], x[-1], 100)
-        ours = pchip_interp(q, x, y)
-        theirs = PchipInterpolator(x, y)(q)
-        assert np.abs(ours - theirs).max() < 1e-10
-
-    def test_exact_at_knots(self, knots):
-        x, y = knots
-        assert np.allclose(pchip_interp(x, x, y), y, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=4,
-                    max_size=10))
-    def test_monotone_data_gives_monotone_interpolant(self, values):
-        y = np.cumsum(np.abs(np.asarray(values)) + 0.01)  # increasing
-        x = np.arange(y.size, dtype=float)
-        q = np.linspace(0, y.size - 1, 200)
-        out = pchip_interp(q, x, y)
-        assert np.all(np.diff(out) >= -1e-9)
-
-    def test_single_knot(self):
-        assert pchip_interp(np.array([1.0, 2.0]), [0.0], [5.0]).tolist() == [5.0, 5.0]
-
-
 class TestCubicSpline:
     def test_matches_scipy_natural(self, knots):
         x, y = knots
@@ -91,22 +59,3 @@ class TestCubicSpline:
         q = np.linspace(0.2, 2 * np.pi - 0.2, 200)
         out = cubic_spline_interp(q, x, np.sin(x))
         assert np.abs(out - np.sin(q)).max() < 1e-3
-
-
-class TestInterp1d:
-    def test_kinds(self, knots):
-        x, y = knots
-        q = np.linspace(x[0], x[-1], 17)
-        for kind in ("linear", "pchip", "cubic"):
-            out = Interp1d(x, y, kind=kind)(q)
-            assert out.shape == (17,)
-
-    def test_unknown_kind_raises(self, knots):
-        x, y = knots
-        with pytest.raises(ConfigurationError):
-            Interp1d(x, y, kind="quintic")
-
-    def test_domain(self, knots):
-        x, y = knots
-        lo, hi = Interp1d(x, y).domain
-        assert lo == x[0] and hi == x[-1]

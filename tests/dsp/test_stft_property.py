@@ -5,33 +5,31 @@ squared window clears the normalizer floor, so ``istft(stft(x)) == x``
 must hold to float precision for *any* geometry with non-vanishing
 overlap — including awkward signal lengths (shorter than one frame,
 exact hop multiples, off-by-one) and any input dtype the validators
-coerce.  A seeded random sweep hunts that whole space; failures print
-the offending configuration for replay.
+coerce, for one record and for a stack alike.  A seeded random sweep
+hunts that whole space; failures print the offending configuration for
+replay.
 """
 
 import numpy as np
 import pytest
 
-from repro.dsp import istft, istft_batch, stft, stft_batch
+from repro.dsp import istft, stft
 
 TOL = 1e-10
 
-WINDOWS = ("hann", "blackman", "rectangular", "hamming")
-
 
 def _random_config(rng):
-    """One random (n_fft, hop, window, n, dtype) configuration.
+    """One random (n_fft, hop, n, dtype) configuration.
 
     ``hop`` stays within ``n_fft // 2``: the centred frame grid only
     covers every sample (a prerequisite of perfect reconstruction) when
     the hop does not exceed the centring pad.
     """
     n_fft = int(rng.integers(4, 257))
-    window = str(rng.choice(WINDOWS))
     hop = int(rng.integers(1, max(2, n_fft // 2 + 1)))
     n = int(rng.integers(1, 1200))
     dtype = rng.choice([np.float64, np.float32, np.int16])
-    return n_fft, hop, window, n, dtype
+    return n_fft, hop, n, dtype
 
 
 def _make_signal(rng, n, dtype):
@@ -46,54 +44,53 @@ class TestRoundTripSweep:
     def test_single_record_round_trip(self, seed):
         rng = np.random.default_rng(20240 + seed)
         for _ in range(12):
-            n_fft, hop, window, n, dtype = _random_config(rng)
+            n_fft, hop, n, dtype = _random_config(rng)
             x = _make_signal(rng, n, dtype)
             expected = np.asarray(x, dtype=np.float64)
-            result = stft(x, 100.0, n_fft=n_fft, hop=hop, window=window)
+            result = stft(x, 100.0, n_fft=n_fft, hop=hop)
             y = istft(result)
             err = np.abs(y - expected).max()
             scale = max(1.0, np.abs(expected).max())
             assert err <= TOL * scale, (
                 f"round trip failed: n_fft={n_fft}, hop={hop}, "
-                f"window={window!r}, n={n}, dtype={dtype}: err={err:.2e}"
+                f"n={n}, dtype={dtype}: err={err:.2e}"
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_batch_round_trip(self, seed):
+    def test_stack_round_trip(self, seed):
         rng = np.random.default_rng(77000 + seed)
         for _ in range(6):
-            n_fft, hop, window, n, dtype = _random_config(rng)
+            n_fft, hop, n, dtype = _random_config(rng)
             b = int(rng.integers(1, 6))
             xs = np.stack([_make_signal(rng, n, dtype) for _ in range(b)])
             expected = np.asarray(xs, dtype=np.float64)
-            batch = stft_batch(xs, 100.0, n_fft=n_fft, hop=hop, window=window)
-            ys = istft_batch(batch)
+            ys = istft(stft(xs, 100.0, n_fft=n_fft, hop=hop))
             err = np.abs(ys - expected).max()
             scale = max(1.0, np.abs(expected).max())
             assert err <= TOL * scale, (
-                f"batch round trip failed: n_fft={n_fft}, hop={hop}, "
-                f"window={window!r}, n={n}, b={b}, dtype={dtype}: "
-                f"err={err:.2e}"
+                f"stack round trip failed: n_fft={n_fft}, hop={hop}, "
+                f"n={n}, b={b}, dtype={dtype}: err={err:.2e}"
             )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_batch_matches_single(self, seed):
-        # Per-record slices of the batch analysis equal the 1-D analysis.
+    def test_stack_rows_equal_single_records_bitwise(self, seed):
+        # Row i of a stack's analysis and synthesis is the one-record
+        # result for row i, bit for bit.
         rng = np.random.default_rng(31000 + seed)
-        n_fft, hop, window, n, _ = _random_config(rng)
+        n_fft, hop, n, _ = _random_config(rng)
         xs = rng.standard_normal((3, n))
-        batch = stft_batch(xs, 100.0, n_fft=n_fft, hop=hop, window=window)
+        stacked = stft(xs, 100.0, n_fft=n_fft, hop=hop)
+        ys = istft(stacked)
         for i in range(3):
-            single = stft(xs[i], 100.0, n_fft=n_fft, hop=hop, window=window)
-            assert np.abs(
-                batch.record(i).values - single.values
-            ).max() <= 1e-12
+            single = stft(xs[i], 100.0, n_fft=n_fft, hop=hop)
+            np.testing.assert_array_equal(stacked.values[i], single.values)
+            np.testing.assert_array_equal(ys[i], istft(single))
 
 
 class TestAwkwardLengths:
     """Deterministic edge lengths the random sweep might miss."""
 
-    GEOMETRIES = [(64, 16, "hann"), (63, 9, "hamming"), (32, 16, "rectangular")]
+    GEOMETRIES = [(64, 16), (63, 9), (32, 16)]
 
     def _lengths(self, n_fft, hop):
         return sorted({
@@ -104,22 +101,21 @@ class TestAwkwardLengths:
             5 * n_fft, 5 * n_fft - 1,      # multi-frame
         })
 
-    @pytest.mark.parametrize("n_fft,hop,window", GEOMETRIES)
-    def test_round_trip(self, n_fft, hop, window, rng):
+    @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+    def test_round_trip(self, n_fft, hop, rng):
         for n in self._lengths(n_fft, hop):
             x = rng.standard_normal(n)
-            y = istft(stft(x, 50.0, n_fft=n_fft, hop=hop, window=window))
+            y = istft(stft(x, 50.0, n_fft=n_fft, hop=hop))
             assert y.size == n
-            assert np.abs(y - x).max() <= TOL, (n_fft, hop, window, n)
+            assert np.abs(y - x).max() <= TOL, (n_fft, hop, n)
 
-    @pytest.mark.parametrize("n_fft,hop,window", GEOMETRIES)
-    def test_batch_round_trip(self, n_fft, hop, window, rng):
+    @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+    def test_stack_round_trip(self, n_fft, hop, rng):
         for n in self._lengths(n_fft, hop):
             xs = rng.standard_normal((2, n))
-            batch = stft_batch(xs, 50.0, n_fft=n_fft, hop=hop, window=window)
-            ys = istft_batch(batch)
+            ys = istft(stft(xs, 50.0, n_fft=n_fft, hop=hop))
             assert ys.shape == xs.shape
-            assert np.abs(ys - xs).max() <= TOL, (n_fft, hop, window, n)
+            assert np.abs(ys - xs).max() <= TOL, (n_fft, hop, n)
 
     def test_length_override_pads_and_trims(self, rng):
         x = rng.standard_normal(200)

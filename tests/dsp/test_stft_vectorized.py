@@ -1,27 +1,24 @@
 """Equivalence tests: vectorized STFT/iSTFT vs the frame-loop reference.
 
 The vectorized synthesis (grouped overlap-add through a cached plan) must
-match :func:`repro.dsp.istft_loop` — the historical per-frame
-implementation — to float-summation-order precision, across window/hop
-combinations including non-divisible hops.  The batched variants must
-match the single-record path record by record.
+match :func:`repro.dsp.istft_loop` — the per-frame reference
+implementation — to float-summation-order precision, across hops
+including non-divisible ones.  A stack of records must match the
+single-record path record by record.
 """
 
 import numpy as np
 import pytest
 
 from repro.dsp import (
-    BatchStft,
     StftPlan,
     cache_friendly_chunk,
     clear_plan_cache,
     get_stft_plan,
     istft,
-    istft_batch,
     istft_loop,
     overlap_add,
     stft,
-    stft_batch,
 )
 from repro.dsp.plan import NORMALIZER_FLOOR
 from repro.errors import ConfigurationError, ShapeError
@@ -52,11 +49,9 @@ def _signal(n, seed=0):
 
 class TestLoopEquivalence:
     @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
-    @pytest.mark.parametrize("window", ["hann", "hamming", "blackman",
-                                        "rectangular"])
-    def test_istft_matches_loop(self, n_fft, hop, window):
+    def test_istft_matches_loop(self, n_fft, hop):
         x = _signal(801, seed=n_fft + hop)
-        spec = stft(x, FS, n_fft=n_fft, hop=hop, window=window)
+        spec = stft(x, FS, n_fft=n_fft, hop=hop)
         fast = istft(spec)
         slow = istft_loop(spec)
         assert fast.shape == slow.shape
@@ -75,10 +70,9 @@ class TestLoopEquivalence:
         )
 
     @pytest.mark.parametrize("n_fft,hop", [(64, 16), (100, 30), (128, 32)])
-    @pytest.mark.parametrize("window", ["hann", "hamming"])
-    def test_perfect_reconstruction(self, n_fft, hop, window):
+    def test_perfect_reconstruction(self, n_fft, hop):
         x = _signal(700, seed=n_fft)
-        spec = stft(x, FS, n_fft=n_fft, hop=hop, window=window)
+        spec = stft(x, FS, n_fft=n_fft, hop=hop)
         np.testing.assert_allclose(istft(spec), x, atol=1e-10, rtol=0)
 
     def test_custom_length_and_padding(self):
@@ -92,58 +86,69 @@ class TestLoopEquivalence:
                                    atol=1e-12)
 
 
-class TestBatchedStft:
-    def test_batch_matches_single_record(self):
+class TestStackedStft:
+    def test_stack_matches_single_record(self):
         X = np.stack([_signal(400, seed=s) for s in range(5)])
-        batch = stft_batch(X, FS, n_fft=64, hop=16)
-        assert isinstance(batch, BatchStft)
-        assert len(batch) == 5
+        spec = stft(X, FS, n_fft=64, hop=16)
+        assert spec.values.shape == (5, spec.n_freq, spec.n_frames)
+        assert spec.n_samples == 400
         for b in range(5):
             single = stft(X[b], FS, n_fft=64, hop=16)
-            np.testing.assert_allclose(
-                batch.record(b).values, single.values, atol=1e-12
-            )
+            assert (single.n_freq, single.n_frames) == (spec.n_freq,
+                                                        spec.n_frames)
+            np.testing.assert_array_equal(spec.values[b], single.values)
 
-    def test_istft_batch_matches_single(self):
+    def test_istft_of_stack_matches_single(self):
         X = np.stack([_signal(400, seed=s) for s in range(4)])
-        batch = stft_batch(X, FS, n_fft=100, hop=30)
-        signals = istft_batch(batch)
+        spec = stft(X, FS, n_fft=100, hop=30)
+        signals = istft(spec)
+        assert signals.shape == X.shape
         for b in range(4):
-            np.testing.assert_allclose(
-                signals[b], istft(batch.record(b)), atol=1e-12
-            )
+            single = stft(X[b], FS, n_fft=100, hop=30)
+            np.testing.assert_array_equal(signals[b], istft(single))
             np.testing.assert_allclose(signals[b], X[b], atol=1e-10)
 
-    def test_istft_batch_with_replacement_values(self):
+    def test_istft_of_stack_with_replacement_values(self):
         X = np.stack([_signal(256, seed=s) for s in range(3)])
-        batch = stft_batch(X, FS, n_fft=64, hop=16)
+        spec = stft(X, FS, n_fft=64, hop=16)
         rng = np.random.default_rng(1)
-        masks = rng.random(batch.values.shape) > 0.5
-        signals = istft_batch(batch, batch.values * masks)
+        masks = rng.random(spec.values.shape) > 0.5
+        signals = istft(spec.with_values(spec.values * masks))
         for b in range(3):
-            single = batch.record(b).with_values(
-                batch.record(b).values * masks[b].T
+            single = stft(X[b], FS, n_fft=64, hop=16)
+            masked = single.with_values(single.values * masks[b])
+            np.testing.assert_allclose(signals[b], istft(masked), atol=1e-12)
+            np.testing.assert_allclose(
+                signals[b], istft_loop(masked), atol=1e-12
             )
-            np.testing.assert_allclose(signals[b], istft(single), atol=1e-12)
 
-    def test_replacement_batch_may_be_smaller(self):
+    def test_with_values_accepts_another_leading_shape(self):
         """One analysis can drive many syntheses (per-source masking)."""
         X = np.stack([_signal(256, seed=s) for s in range(4)])
-        batch = stft_batch(X, FS, n_fft=64, hop=16)
-        out = istft_batch(batch, batch.values[:2])
-        assert out.shape == (2, 256)
+        spec = stft(X, FS, n_fft=64, hop=16)
+        assert istft(spec.with_values(spec.values[:2])).shape == (2, 256)
+        assert istft(spec.with_values(spec.values[1])).shape == (256,)
+        grid = np.broadcast_to(spec.values, (3,) + spec.values.shape)
+        assert istft(spec.with_values(grid)).shape == (3, 4, 256)
+        single = stft(X[0], FS, n_fft=64, hop=16)
+        assert istft(single.with_values(spec.values)).shape == (4, 256)
 
-    def test_batch_requires_2d(self):
+    def test_with_values_refuses_another_geometry(self):
+        spec = stft(np.ones((2, 128)), FS, n_fft=32)
         with pytest.raises(ShapeError):
-            stft_batch(_signal(128), FS, n_fft=32)
-        batch = stft_batch(np.ones((2, 128)), FS, n_fft=32)
+            spec.with_values(np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            istft_batch(batch, np.ones((2, 3)))
+            spec.with_values(spec.values[..., : spec.n_frames // 2])
+        with pytest.raises(ShapeError):
+            spec.with_values(spec.values[:, :-1, :])
+        with pytest.raises(ShapeError):
+            spec.with_values(spec.values[0, 0])
 
-    def test_istft_batch_rejects_wrong_frame_count(self):
-        batch = stft_batch(np.ones((2, 128)), FS, n_fft=32)
+    def test_stack_must_be_at_most_2d(self):
         with pytest.raises(ShapeError):
-            istft_batch(batch, batch.values[:, : batch.n_frames // 2])
+            stft(np.ones((2, 2, 128)), FS, n_fft=32)
+        with pytest.raises(ShapeError):
+            stft(1.0, FS, n_fft=32)
 
 
 class TestPlan:
@@ -177,7 +182,7 @@ class TestPlan:
         # The periodic Hann window is 0 at each frame start, so every
         # geometry has positions with no coverage (hop == n_fft has one
         # per frame); exactly those divide by 1, the rest by the raw sum.
-        plan = StftPlan(n_fft, hop, "hann")
+        plan = StftPlan(n_fft, hop)
         for n_frames in (1, 2, 7, 40):
             raw = np.zeros(plan.total_length(n_frames))
             for k in range(n_frames):

@@ -249,6 +249,12 @@ class TestJobsOverHTTP:
         {"spec": {"method": "dhf", "early_stop_patience": 3,
                   "early_stop_rel_tol": "0.1"},
          "records": [record_to_wire(make_record())]},
+        # Spectral-masking specs with a non-numeric hop fraction or a
+        # non-bool exclusive flag.
+        {"spec": {"method": "spectral-masking", "hop_fraction": "x"},
+         "records": [record_to_wire(make_record())]},
+        {"spec": {"method": "spectral-masking", "exclusive": "x"},
+         "records": [record_to_wire(make_record())]},
     ])
     def test_malformed_submissions_are_4xx_never_5xx(self, client, body):
         with pytest.raises(GatewayError) as err:

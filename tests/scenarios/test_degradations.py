@@ -178,6 +178,20 @@ def test_zero_length_gap_rejected():
         SensorDropoutSpec(gaps=(3.0,))
 
 
+@pytest.mark.parametrize("gaps", [
+    True,
+    None,
+    (("x", 1.0),),
+    ((1.0, "0.5"),),
+    ((True, 1.0),),
+    ((1.0, float("inf")),),
+    ((float("nan"), 1.0),),
+])
+def test_malformed_gaps_rejected(gaps):
+    with pytest.raises(ConfigurationError, match="gaps"):
+        SensorDropoutSpec(gaps=gaps)
+
+
 def test_bad_dropout_knobs_rejected():
     with pytest.raises(ConfigurationError, match="gap_seconds"):
         SensorDropoutSpec(gap_seconds=0.0)

@@ -148,6 +148,12 @@ class TestValidation:
         (NMFSpec, {"seed": "x"}),
         (NMFSpec, {"seed": -1}),
         (NMFSpec, {"seed": True}),
+        (SpectralMaskingSpec, {"hop_fraction": "x"}),
+        (SpectralMaskingSpec, {"hop_fraction": None}),
+        (SpectralMaskingSpec, {"hop_fraction": True}),
+        (SpectralMaskingSpec, {"exclusive": "x"}),
+        (SpectralMaskingSpec, {"exclusive": 0}),
+        (SpectralMaskingSpec, {"exclusive": None}),
     ])
     def test_bad_values_raise(self, spec_cls, bad):
         with pytest.raises(ConfigurationError):
