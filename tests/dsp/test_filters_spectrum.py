@@ -12,7 +12,7 @@ from repro.dsp import (
     dominant_period,
     filter_zerophase,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 
 
 def _response(taps, sampling_hz, n_fft=1024):
@@ -53,6 +53,22 @@ class TestFirDesign:
         with pytest.raises(ConfigurationError):
             design_bandpass(101, 5.0, 60.0, 100.0)
 
+    def test_bandpass_with_low_edge_blocks_dc(self):
+        taps = design_bandpass(201, 5.0, 15.0, 100.0)
+        assert abs(taps.sum()) < 1e-12
+
+    @pytest.mark.parametrize("cutoff_hz", [0.0, -1.0, 50.0, 60.0, np.nan])
+    def test_bad_cutoff_raises(self, cutoff_hz):
+        with pytest.raises(ConfigurationError):
+            design_lowpass(101, cutoff_hz, 100.0)
+
+    @pytest.mark.parametrize("sampling_hz", [0.0, -100.0, np.inf])
+    def test_bad_rate_raises(self, sampling_hz):
+        with pytest.raises(ConfigurationError):
+            design_lowpass(101, 10.0, sampling_hz)
+        with pytest.raises(ConfigurationError):
+            design_bandpass(101, 0.0, 10.0, sampling_hz)
+
 
 class TestFiltering:
     def test_convolve_same_matches_numpy(self, rng):
@@ -83,6 +99,40 @@ class TestFiltering:
         y = bandpass_filter(keep + kill, fs, 0.0, 12.0)
         assert np.std(y[200:-200] - keep[200:-200]) < 0.05
 
+    @pytest.mark.parametrize("n,numtaps", [(6, 11), (51, 101), (500, 101)])
+    def test_zerophase_keeps_constants_up_to_the_edges(self, n, numtaps):
+        # Odd reflection pads a constant with itself, so a unit-DC
+        # low-pass passes it untouched once the record is at least half
+        # the filter long.
+        taps = design_lowpass(numtaps, 10.0, 100.0)
+        y = filter_zerophase(np.full(n, 3.0), taps)
+        assert y.shape == (n,)
+        np.testing.assert_allclose(y, 3.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,low_hz,numtaps", [
+        (12, 0.0, 5),      # the floor
+        (40, 0.0, 11),     # a quarter of the record, made odd
+        (3000, 0.0, 33),   # four periods of the 12 Hz edge, made odd
+        (3000, 2.0, 201),  # four periods of the low edge
+    ])
+    def test_automatic_length_rule(self, n, low_hz, numtaps, rng):
+        x = rng.standard_normal(n)
+        np.testing.assert_array_equal(
+            bandpass_filter(x, 100.0, low_hz, 12.0),
+            bandpass_filter(x, 100.0, low_hz, 12.0, numtaps=numtaps),
+        )
+
+    def test_even_numtaps_rounds_up_to_odd(self, rng):
+        x = rng.standard_normal(500)
+        np.testing.assert_array_equal(
+            bandpass_filter(x, 100.0, 0.0, 12.0, numtaps=100),
+            bandpass_filter(x, 100.0, 0.0, 12.0, numtaps=101),
+        )
+
+    def test_bandpass_filter_takes_one_record(self):
+        with pytest.raises(ShapeError):
+            bandpass_filter(np.ones((2, 100)), 100.0, 0.0, 12.0)
+
 
 class TestSpectrum:
     def test_beat_spectrum_detects_period(self):
@@ -96,3 +146,35 @@ class TestSpectrum:
     def test_dominant_period_empty_range_raises(self):
         with pytest.raises(ConfigurationError):
             dominant_period(np.ones(10), 8, 3)
+
+    def test_beat_spectrum_matches_direct_autocorrelation(self, rng):
+        mag = rng.random((5, 30))
+        power = mag ** 2
+        power -= power.mean(axis=1, keepdims=True)
+        direct = np.array([
+            (power[:, : 30 - lag] * power[:, lag:]).sum(axis=1).mean()
+            / (30 - lag)
+            for lag in range(11)
+        ])
+        beat = beat_spectrum(mag, max_lag=10)
+        assert beat.shape == (11,) and beat[0] == 1.0
+        np.testing.assert_allclose(beat, direct / direct[0], rtol=0,
+                                   atol=1e-12)
+
+    def test_beat_spectrum_of_constant_is_zero(self):
+        np.testing.assert_array_equal(beat_spectrum(np.ones((4, 9))),
+                                      np.zeros(9))
+
+    @pytest.mark.parametrize("max_lag", [-1, 12])
+    def test_beat_spectrum_bad_lag_raises(self, max_lag):
+        with pytest.raises(ConfigurationError):
+            beat_spectrum(np.ones((4, 12)), max_lag=max_lag)
+
+    def test_dominant_period_without_a_peak_takes_the_maximum(self):
+        falling = np.linspace(1.0, 0.0, 12)
+        assert dominant_period(falling, 2, 9) == 2
+        assert dominant_period(falling[::-1], 2, 9) == 9
+
+    def test_dominant_period_never_returns_lag_zero(self):
+        beat = np.array([1.0, 0.2, 0.1, 0.6, 0.3])
+        assert dominant_period(beat, min_lag=0) == 3

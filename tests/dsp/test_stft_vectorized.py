@@ -20,6 +20,7 @@ from repro.dsp import (
     overlap_add,
     stft,
 )
+from repro.dsp import plan as plan_module
 from repro.dsp.plan import NORMALIZER_FLOOR
 from repro.errors import ConfigurationError, ShapeError
 
@@ -68,6 +69,20 @@ class TestLoopEquivalence:
         np.testing.assert_allclose(
             istft(masked), istft_loop(masked), atol=1e-12, rtol=0
         )
+
+    @pytest.mark.parametrize("n_fft,hop", GEOMETRIES)
+    def test_stack_istft_matches_loop(self, n_fft, hop):
+        """The loop reference also takes a stack; both paths agree."""
+        X = np.stack([_signal(333, seed=n_fft + s) for s in range(3)])
+        spec = stft(X, FS, n_fft=n_fft, hop=hop)
+        rng = np.random.default_rng(hop)
+        masked = spec.with_values(
+            spec.values * (rng.random(spec.values.shape) > 0.3)
+        )
+        fast = istft(masked)
+        assert fast.shape == X.shape
+        np.testing.assert_allclose(fast, istft_loop(masked), atol=1e-12,
+                                   rtol=0)
 
     @pytest.mark.parametrize("n_fft,hop", [(64, 16), (100, 30), (128, 32)])
     def test_perfect_reconstruction(self, n_fft, hop):
@@ -229,3 +244,77 @@ class TestPlan:
     def test_cache_friendly_chunk_positive(self):
         assert cache_friendly_chunk(100, 64) >= 1
         assert cache_friendly_chunk(10 ** 9, 10 ** 9) == 1
+
+    @pytest.mark.parametrize("n_lanes,records", [(0, 128), (1, 128),
+                                                 (4, 32)])
+    def test_cache_friendly_chunk_splits_one_mebibyte(self, n_lanes,
+                                                      records):
+        # 16 frames x 64 samples x 8 bytes = 8 KiB per record and lane.
+        assert cache_friendly_chunk(16, 64, n_lanes=n_lanes) == records
+
+    def test_default_hop_plan_is_the_stft_plan(self):
+        spec = stft(_signal(300), FS, n_fft=64)
+        assert get_stft_plan(64) is spec.plan() is get_stft_plan(64, 16)
+
+    def test_cleared_cache_builds_a_new_plan(self):
+        before = get_stft_plan(48, 12)
+        clear_plan_cache()
+        after = get_stft_plan(48, 12)
+        assert after is not before
+        assert (after.n_fft, after.hop) == (48, 12)
+        np.testing.assert_array_equal(after.window, before.window)
+
+    def test_plan_cache_is_bounded(self):
+        clear_plan_cache()
+        first = get_stft_plan(16, 1)
+        for hop in range(2, plan_module._PLAN_CACHE_MAX + 6):
+            get_stft_plan(16 + hop, hop)
+        assert len(plan_module._PLAN_CACHE) == plan_module._PLAN_CACHE_MAX
+        assert get_stft_plan(16, 1) is not first  # oldest went first
+        clear_plan_cache()
+
+    def test_normalizers_per_plan_are_bounded(self):
+        plan = StftPlan(32, 8)
+        for n_frames in range(1, 20):
+            plan.ola_normalizer(n_frames)
+        kept = plan._normalizers
+        assert len(kept) == plan_module._NORMALIZERS_PER_PLAN
+        assert min(kept) == 20 - plan_module._NORMALIZERS_PER_PLAN
+
+    @pytest.mark.parametrize("n_fft,hop", [(0, 1), (64, 0), (64, 65),
+                                           (64, 16.0)])
+    def test_plan_rejects_bad_geometry(self, n_fft, hop):
+        with pytest.raises(ConfigurationError):
+            StftPlan(n_fft, hop)
+
+    @pytest.mark.parametrize("divisor", [4, 8])
+    def test_normalizer_is_flat_where_frames_fully_overlap(self, divisor):
+        """Hann squared overlap-adds to 3/8 of the overlap factor once
+        at least three frames overlap, so interior samples all divide by
+        the same number."""
+        n_fft, n_frames = 256, 40
+        hop = n_fft // divisor
+        norm = StftPlan(n_fft, hop).ola_normalizer(n_frames)
+        interior = norm[n_fft:(n_frames - 1) * hop]
+        np.testing.assert_allclose(interior, 0.375 * divisor, rtol=0,
+                                   atol=1e-12)
+
+    def test_frame_signal_centres_frame_k_on_sample_k_hop(self):
+        plan = StftPlan(32, 8)
+        x = np.arange(1.0, 101.0)
+        frames = plan.frame_signal(x)
+        assert frames.shape == (plan.n_frames(100), 32)
+        assert not frames.flags.writeable
+        np.testing.assert_array_equal(frames[:, plan.pad],
+                                      x[::8][: frames.shape[0]])
+        np.testing.assert_array_equal(frames[0, : plan.pad], 0.0)
+
+    def test_frame_signal_rejects_3d(self):
+        with pytest.raises(ShapeError):
+            StftPlan(32, 8).frame_signal(np.zeros((2, 2, 50)))
+
+    def test_overlap_add_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            overlap_add(np.ones(8), 4, 16)
+        with pytest.raises(ConfigurationError):
+            overlap_add(np.ones((2, 8)), 4, -1)
