@@ -18,16 +18,15 @@ record batches through three paths:
 ``process-shard``
     A persistent :class:`repro.service.SeparationService` process
     engine: shards in worker processes, arrays via shared memory, the
-    separator serialized once per worker (spec JSON — never pickled).
+    separator pickled once per engine and unpickled once per worker.
 
 Asserted invariants (both modes):
 
 * float64 parity: every fan-out path matches ``serial-batch`` within
   ``1e-8`` max absolute deviation;
 * zero per-record separator pickling, via a counting ``__reduce__``
-  probe: spec transport never pickles the separator, pickle transport
-  pickles it exactly once at engine construction — independent of
-  record and call counts.
+  probe: the engine pickles the separator exactly once, at
+  construction — independent of record and call counts.
 
 The full run additionally asserts the process-shard path sustains at
 least 2x the serial-loop records/sec on a 12-record DHF batch — the
@@ -140,31 +139,17 @@ def bench_method(title, spec, records, workers) -> float:
 
 
 def bench_pickle_counts(records, workers) -> None:
-    """Assert the one-serialization-per-worker guarantee, both transports."""
-    spec = default_spec("spectral-masking")
-    probe = CountingMasking()
-
+    """Assert the engine pickles its separator exactly once."""
     CountingMasking.reduce_calls = 0
-    with ShardedExecutor(probe, workers=workers, spec=spec) as engine:
+    with ShardedExecutor(CountingMasking(), workers=workers) as engine:
         engine.separate_records(records)
         engine.separate_records(records)
-    spec_calls = CountingMasking.reduce_calls
+    calls = CountingMasking.reduce_calls
 
-    CountingMasking.reduce_calls = 0
-    with ShardedExecutor(probe, workers=workers) as engine:
-        engine.separate_records(records)
-        engine.separate_records(records)
-    pickle_calls = CountingMasking.reduce_calls
-
-    print(f"  pickle probe: spec transport {spec_calls} __reduce__ calls, "
-          f"pickle transport {pickle_calls} (for {2 * len(records)} "
-          f"records over {workers} workers)")
-    assert spec_calls == 0, (
-        f"spec transport pickled the separator {spec_calls} times "
-        f"(expected 0)"
-    )
-    assert pickle_calls == 1, (
-        f"pickle transport serialized the separator {pickle_calls} times "
+    print(f"  pickle probe: {calls} __reduce__ calls (for "
+          f"{2 * len(records)} records over {workers} workers)")
+    assert calls == 1, (
+        f"the engine serialized the separator {calls} times "
         f"(expected exactly 1, at engine construction)"
     )
 
@@ -227,7 +212,7 @@ def test_bench_sharding(benchmark):
     records = build_records(3, 3.0)
     with SeparationService(separator) as svc:
         serial = svc.separate_batch(records).batch
-    with ShardedExecutor(separator, workers=2, spec=spec) as engine:
+    with ShardedExecutor(separator, workers=2) as engine:
         processed = benchmark.pedantic(
             engine.separate_records, args=(records,), rounds=1, iterations=1,
         )

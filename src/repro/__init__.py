@@ -79,7 +79,6 @@ from repro.service import (
     available_separators,
     build_separator,
     default_spec,
-    register_separator,
 )
 from repro.streaming import StreamingSeparator, stream_record
 
@@ -96,5 +95,4 @@ __all__ = [
     "Separator",
     "SeparationService", "SeparationOutcome", "SeparatorSpec",
     "available_separators", "build_separator", "default_spec",
-    "register_separator",
 ]

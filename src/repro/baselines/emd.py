@@ -17,6 +17,7 @@ import numpy as np
 from repro.baselines.base import Separator, assign_components_to_sources
 from repro.dsp.interpolate import cubic_spline_interp
 from repro.errors import DataError
+from repro.service.specs import EMDSpec
 from repro.utils.validation import as_1d_float_array
 
 
@@ -124,22 +125,29 @@ def emd(x, max_imfs: int = 10, sd_threshold: float = 0.25,
 
 @dataclass
 class EMDSeparator(Separator):
-    """EMD baseline wrapped in the common :class:`Separator` interface."""
+    """EMD baseline wrapped in the common :class:`Separator` interface.
 
-    max_imfs: int = 10
-    sd_threshold: float = 0.25
-    n_harmonics: int = 4
+    Configured by ``spec`` (:class:`repro.service.EMDSpec`; ``None``
+    means its defaults).
+    """
 
-    name: str = "EMD"
+    spec: Optional[EMDSpec] = None
+
+    name = "EMD"
+
+    def __post_init__(self):
+        self.spec = EMDSpec.or_default(self.spec)
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
         mixed = self._validate(mixed, sampling_hz, f0_tracks)
         components = emd(
-            mixed, max_imfs=self.max_imfs, sd_threshold=self.sd_threshold
+            mixed, max_imfs=self.spec.max_imfs,
+            sd_threshold=self.spec.sd_threshold,
         )
         # Drop the final residual (trend) row from assignment: it is not an
         # oscillatory mode and would pollute the lowest-frequency source.
         oscillatory = components[:-1] if components.shape[0] > 1 else components
         return assign_components_to_sources(
-            oscillatory, sampling_hz, f0_tracks, n_harmonics=self.n_harmonics
+            oscillatory, sampling_hz, f0_tracks,
+            n_harmonics=self.spec.n_harmonics,
         )

@@ -16,6 +16,7 @@ import numpy as np
 from repro.baselines.base import Separator, assign_components_to_sources
 from repro.dsp.stft import istft, stft
 from repro.errors import ConfigurationError, DataError
+from repro.service.specs import NMFSpec
 from repro.utils.seeding import as_generator
 from repro.utils.validation import as_2d_float_array
 
@@ -97,22 +98,27 @@ def nmf_component_signals(
 
 @dataclass
 class NMFSeparator(Separator):
-    """NMF baseline: factorise, Wiener-reconstruct, assign to sources."""
+    """NMF baseline: factorise, Wiener-reconstruct, assign to sources.
 
-    components_per_source: int = 4
-    n_iterations: int = 200
-    n_harmonics: int = 4
-    seed: int = 12345
+    Configured by ``spec`` (:class:`repro.service.NMFSpec`; ``None``
+    means its defaults).
+    """
 
-    name: str = "NMF"
+    spec: Optional[NMFSpec] = None
+
+    name = "NMF"
+
+    def __post_init__(self):
+        self.spec = NMFSpec.or_default(self.spec)
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
         mixed = self._validate(mixed, sampling_hz, f0_tracks)
-        n_components = self.components_per_source * len(f0_tracks)
+        spec = self.spec
+        n_components = spec.components_per_source * len(f0_tracks)
         signals = nmf_component_signals(
             mixed, sampling_hz, n_components,
-            n_iterations=self.n_iterations, rng=as_generator(self.seed),
+            n_iterations=spec.n_iterations, rng=as_generator(spec.seed),
         )
         return assign_components_to_sources(
-            signals, sampling_hz, f0_tracks, n_harmonics=self.n_harmonics
+            signals, sampling_hz, f0_tracks, n_harmonics=spec.n_harmonics
         )

@@ -20,6 +20,7 @@ from repro.baselines.base import Separator
 from repro.dsp.spectrum import beat_spectrum, dominant_period
 from repro.dsp.stft import istft, stft
 from repro.errors import ConfigurationError
+from repro.service.specs import RepetSpec
 from repro.utils.validation import as_2d_float_array
 
 _EPS = 1e-12
@@ -127,23 +128,24 @@ class REPETSeparator(Separator):
 
     Sources are extracted strongest-first (by ridge energy); each round runs
     one REPET pass on the residual with the period seeded from the source's
-    mean fundamental.  ``extended=True`` switches to segment-wise period
-    re-estimation (REPET-Extended).
+    mean fundamental.  Configured by ``spec``
+    (:class:`repro.service.RepetSpec`; ``None`` means its defaults):
+    ``spec.extended`` switches to segment-wise period re-estimation
+    (REPET-Extended) and names the method accordingly.
     """
 
-    extended: bool = False
-    n_fft_seconds: float = 8.0
-    segment_seconds: float = 24.0
-
-    name: str = "REPET"
+    spec: Optional[RepetSpec] = None
 
     def __post_init__(self):
-        if self.extended:
-            self.name = "REPET-Ext."
+        self.spec = RepetSpec.or_default(self.spec)
+
+    @property
+    def name(self) -> str:
+        return "REPET-Ext." if self.spec.extended else "REPET"
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
         mixed = self._validate(mixed, sampling_hz, f0_tracks)
-        n_fft = max(32, int(self.n_fft_seconds * sampling_hz))
+        n_fft = max(32, int(self.spec.n_fft_seconds * sampling_hz))
         n_fft = min(n_fft, mixed.size)
         hop = max(1, n_fft // 8)
 
@@ -159,9 +161,9 @@ class REPETSeparator(Separator):
             lags_frames = np.interp(
                 spec.times() * sampling_hz, np.arange(mixed.size), lags
             )
-            if self.extended:
+            if self.spec.extended:
                 segment_frames = max(
-                    8, int(self.segment_seconds * sampling_hz / hop)
+                    8, int(self.spec.segment_seconds * sampling_hz / hop)
                 )
                 segment_frames = min(segment_frames, spec.n_frames)
                 mask = repet_extended_mask(

@@ -12,7 +12,7 @@ in-painting repairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,14 +26,16 @@ from repro.core.masking import (
 from repro.dsp.plan import cache_friendly_chunk, get_stft_plan
 from repro.dsp.stft import istft, stft
 from repro.errors import ConfigurationError
+from repro.service.specs import SpectralMaskingSpec
 
 
 @dataclass
 class SpectralMaskingSeparator(Separator):
     """Binary harmonic-comb masking of the mixture spectrogram.
 
-    Parameters
-    ----------
+    Configured by ``spec`` (:class:`repro.service.SpectralMaskingSpec`;
+    ``None`` means its defaults), whose knobs are:
+
     n_harmonics:
         Harmonics per source comb.
     n_fft_seconds:
@@ -43,20 +45,22 @@ class SpectralMaskingSeparator(Separator):
         Hop as a fraction of the window (0.25 matches the paper's
         60 s / 15 s choice).
     exclusive:
-        If true (default), cells claimed by several sources go only to the
-        source whose ridge centre is nearest.  This is the stronger variant
-        and matches the behaviour of the state of the art the paper
-        compares against ([18]); it still discards/corrupts overlap
-        content — the failure DHF repairs.  ``False`` gives the naive
-        leaky variant.
+        If true (default), every cell goes to the source whose nearest
+        harmonic centre is closest, and a source's mask keeps only the
+        cells it owns; so a cell that only one source's comb claims is
+        dropped when another source's harmonic centre is nearer.  This
+        is the stronger variant and matches the behaviour of the state
+        of the art the paper compares against ([18]); it still
+        discards/corrupts overlap content — the failure DHF repairs.
+        ``False`` gives the naive leaky variant.
     """
 
-    n_harmonics: int = 6
-    n_fft_seconds: float = 12.0
-    hop_fraction: float = 0.25
-    exclusive: bool = True
+    spec: Optional[SpectralMaskingSpec] = None
 
-    name: str = "Spect. Masking"
+    name = "Spect. Masking"
+
+    def __post_init__(self):
+        self.spec = SpectralMaskingSpec.or_default(self.spec)
 
     def stft_geometry(self, sampling_hz: float, n_samples: int) -> tuple:
         """``(n_fft, hop)`` this separator uses for a record of a given size.
@@ -70,9 +74,9 @@ class SpectralMaskingSeparator(Separator):
         contaminate).  Note ``n_fft`` saturates at ``n_samples``, so
         probe it with the segment length, not the full record length.
         """
-        n_fft = max(64, int(self.n_fft_seconds * sampling_hz))
+        n_fft = max(64, int(self.spec.n_fft_seconds * sampling_hz))
         n_fft = min(n_fft, n_samples)
-        hop = max(1, int(n_fft * self.hop_fraction))
+        hop = max(1, int(n_fft * self.spec.hop_fraction))
         return n_fft, hop
 
     def _build_masks(self, spec, f0_tracks, sampling_hz: float) -> Dict[str, np.ndarray]:
@@ -82,17 +86,18 @@ class SpectralMaskingSeparator(Separator):
         every record in it.  The ridge half-width is
         :func:`repro.core.masking.default_bandwidth`.
         """
+        n_harmonics = self.spec.n_harmonics
         bandwidth = default_bandwidth()
         masks = {}
+        frames = {}
         for name, track in f0_tracks.items():
-            frames = f0_track_to_frames(track, sampling_hz, spec)
+            frames[name] = f0_track_to_frames(track, sampling_hz, spec)
             spread = f0_spread_per_frame(track, sampling_hz, spec)
             masks[name] = harmonic_ridge_mask(
-                spec, frames, self.n_harmonics, bandwidth, f0_spread=spread
+                spec, frames[name], n_harmonics, bandwidth, f0_spread=spread
             )
-        if self.exclusive:
-            masks = _resolve_overlaps(spec, f0_tracks, masks, sampling_hz,
-                                      self.n_harmonics)
+        if self.spec.exclusive:
+            masks = _resolve_overlaps(spec, frames, masks, n_harmonics)
         return masks
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
@@ -148,17 +153,23 @@ class SpectralMaskingSeparator(Separator):
         return estimates
 
 
-def _resolve_overlaps(spec, f0_tracks, masks, sampling_hz, n_harmonics):
-    """Assign contested cells to the source with the nearest ridge centre."""
+def _resolve_overlaps(spec, frames, masks, n_harmonics):
+    """Keep each source's mask only on the cells it owns.
+
+    Every cell is owned by the source whose nearest harmonic centre
+    (``k * frames[name]``, k = 1..n_harmonics) is closest, whether or
+    not several masks claim it; so a cell only one source's mask holds
+    is dropped when another source's centre is nearer.  ``frames`` are
+    the sources' frame-averaged f0 tracks on the grid of ``spec``.
+    """
     freqs = spec.freqs()
     names = list(masks)
     # Distance of each cell to the closest harmonic centre, per source.
     distances = {}
     for name in names:
-        frames = f0_track_to_frames(f0_tracks[name], sampling_hz, spec)
         d = np.full((spec.n_freq, spec.n_frames), np.inf)
         for k in range(1, n_harmonics + 1):
-            centers = k * frames
+            centers = k * frames[name]
             d = np.minimum(d, np.abs(freqs[:, None] - centers[None, :]))
         distances[name] = d
     stacked = np.stack([distances[n] for n in names])

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.baselines.base import Separator, assign_components_to_sources
 from repro.errors import ConfigurationError
+from repro.service.specs import VMDSpec
 from repro.utils.validation import as_1d_float_array
 
 
@@ -110,33 +111,35 @@ def vmd(
 class VMDSeparator(Separator):
     """VMD baseline with harmonic-comb component assignment.
 
-    ``modes_per_source`` controls K = ``modes_per_source * n_sources``; the
-    paper's sources have 2+ strong harmonics each, so the default of 3
-    modes per source lets VMD give each strong harmonic its own band.
+    Configured by ``spec`` (:class:`repro.service.VMDSpec`; ``None``
+    means its defaults).  ``spec.modes_per_source`` controls
+    K = ``modes_per_source * n_sources``; the paper's sources have 2+
+    strong harmonics each, so the default of 3 modes per source lets VMD
+    give each strong harmonic its own band.
     """
 
-    modes_per_source: int = 3
-    alpha: float = 1500.0
-    tol: float = 1e-6
-    max_iterations: int = 300
-    n_harmonics: int = 4
+    spec: Optional[VMDSpec] = None
 
-    name: str = "VMD"
+    name = "VMD"
+
+    def __post_init__(self):
+        self.spec = VMDSpec.or_default(self.spec)
 
     def separate(self, mixed, sampling_hz, f0_tracks) -> Dict[str, np.ndarray]:
         mixed = self._validate(mixed, sampling_hz, f0_tracks)
-        n_modes = self.modes_per_source * len(f0_tracks)
+        spec = self.spec
+        n_modes = spec.modes_per_source * len(f0_tracks)
         # Seed centre frequencies at the sources' mean harmonics.
         seeds = []
         for track in f0_tracks.values():
             mean_f0 = float(np.mean(track)) / sampling_hz
-            for k in range(1, self.modes_per_source + 1):
+            for k in range(1, spec.modes_per_source + 1):
                 seeds.append(min(k * mean_f0, 0.49))
         init = np.sort(np.asarray(seeds[:n_modes]))
         modes = vmd(
-            mixed, n_modes=n_modes, alpha=self.alpha, tol=self.tol,
-            max_iterations=self.max_iterations, init_omegas=init,
+            mixed, n_modes=n_modes, alpha=spec.alpha, tol=spec.tol,
+            max_iterations=spec.max_iterations, init_omegas=init,
         )
         return assign_components_to_sources(
-            modes, sampling_hz, f0_tracks, n_harmonics=self.n_harmonics
+            modes, sampling_hz, f0_tracks, n_harmonics=spec.n_harmonics
         )

@@ -101,21 +101,22 @@ class _BatchRecordState:
     rounds: List[DHFRound] = field(default_factory=list)
 
 
+@dataclass
 class DHFSeparator(Separator):
     """Deep Harmonic Finesse separator (the paper's proposed method).
 
-    ``config`` is a :class:`repro.service.DHFSpec`; ``None`` means
+    ``spec`` is a :class:`repro.service.DHFSpec`; ``None`` means
     ``DHFSpec()``, the paper-scale defaults.
     """
 
+    spec: Optional[DHFSpec] = None
+
     name = "DHF"
 
-    def __init__(self, config: Optional[DHFSpec] = None):
-        if config is None:
-            from repro.service.specs import DHFSpec
+    def __post_init__(self):
+        from repro.service.specs import DHFSpec
 
-            config = DHFSpec()
-        self.config = config
+        self.spec = DHFSpec.or_default(self.spec)
 
     # ------------------------------------------------------------------ #
     # Separator interface
@@ -168,7 +169,7 @@ class DHFSeparator(Separator):
 
     def _stft_geometry(self, alignment: Alignment) -> tuple:
         """Window/hop in unwarped samples, clamped to the signal length."""
-        cfg = self.config
+        cfg = self.spec
         spp = cfg.samples_per_period
         ppw = cfg.periods_per_window
         # Shrink the window for very short signals, keeping whole periods.
@@ -197,7 +198,7 @@ class DHFSeparator(Separator):
 
         ``rng`` seeds the round's deep-prior fit.
         """
-        cfg = self.config
+        cfg = self.spec
 
         # 1. Pattern alignment: target becomes strictly periodic at 1 Hz.
         alignment = unwarp(
@@ -255,7 +256,7 @@ class DHFSeparator(Separator):
         (aligned to the round's target, same window, hop and frames)."""
         aligned = unwarp(
             np.asarray(reference, dtype=np.float64),
-            sampling_hz, f0_tracks[prep.target], self.config.samples_per_period,
+            sampling_hz, f0_tracks[prep.target], self.spec.samples_per_period,
         )
         magnitude = stft(
             aligned.samples, aligned.sampling_hz, n_fft=prep.n_fft, hop=prep.hop,
@@ -296,8 +297,8 @@ class DHFSeparator(Separator):
         #    first round only — before any subtraction the concealed cells
         #    are interference-dominated — then switches to the residual
         #    phase for later rounds.
-        if self.config.phase_policy == "cyclic" or (
-            self.config.phase_policy == "auto" and round_index == 0
+        if self.spec.phase_policy == "cyclic" or (
+            self.spec.phase_policy == "auto" and round_index == 0
         ):
             phase = interpolate_phase_cyclic(spec.values, concealed)
         else:
@@ -388,7 +389,7 @@ class DHFSeparator(Separator):
                 zip(mixed_batch, f0_tracks_batch)):
             validated = self._validate(mixed, sampling_hz, tracks)
             order = self._extraction_order(validated, sampling_hz, tracks)
-            rngs = spawn_generators(self.config.seed, len(order))
+            rngs = spawn_generators(self.spec.seed, len(order))
             states.append(_BatchRecordState(
                 index=index, f0_tracks=tracks, order=order, rngs=rngs,
                 residual=validated.copy(),
@@ -396,7 +397,7 @@ class DHFSeparator(Separator):
 
         if not states:
             return []
-        early_stop = self.config.early_stop()
+        early_stop = self.spec.early_stop()
         max_rounds = max(len(state.order) for state in states)
         for round_index in range(max_rounds):
             active = [s for s in states if round_index < len(s.order)]

@@ -11,8 +11,7 @@ touch comes out of the :mod:`repro.service` registry as a
 :class:`repro.service.SeparatorSpec` (see :func:`table2_specs`), and
 every record set runs through a :class:`repro.service.SeparationService`
 — so every runner benefits from vectorized ``separate_batch``
-implementations, shared STFT plans, and optional process shards, and
-any separator registered by a plugin is runnable by name.
+implementations, shared STFT plans, and optional process shards.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from repro.config import Preset, get_preset
 from repro.core import DHFSeparator
 from repro.pipeline import SeparationRecord
-from repro.service import DHFSpec, SeparatorSpec, separator_entry
+from repro.service import DHFSpec, SeparatorSpec, default_spec, separator_entry
 from repro.synth import make_mixture
 
 #: Method display order of Table 2 (paper spellings).
@@ -47,13 +46,9 @@ ARTEFACT_METHODS: Dict[str, Tuple[str, ...]] = {
 
 
 def display_method_name(name: str) -> str:
-    """A registered name or alias in its display spelling.
-
-    That is the registry entry's first alias (the paper's spelling for
-    the Table 2 methods), else its canonical name.
-    """
-    entry = separator_entry(name)
-    return entry.aliases[0] if entry.aliases else entry.name
+    """A registry name or alias in its display spelling: the entry's
+    first alias, the paper's spelling of the method."""
+    return separator_entry(name).aliases[0]
 
 
 def table2_specs(
@@ -68,27 +63,22 @@ def table2_specs(
         Scales the DHF spec (signal durations and deep-prior budgets);
         baseline specs are preset-independent, as in the paper.
     include:
-        Method names — display spellings or registry names/aliases of
-        *any* registered method (default: the Table 2 seven).  Table 2
-        methods keep the table's order and other registered methods
-        (plugins) follow in the order given.  Unregistered names raise
-        :class:`repro.errors.ConfigurationError` with a did-you-mean
-        suggestion.
+        Method names — display spellings or registry names/aliases
+        (default: the Table 2 seven), returned in the table's order.
+        Unknown names raise :class:`repro.errors.ConfigurationError`
+        with a did-you-mean suggestion.
     """
-    wanted = [
+    wanted = {
         display_method_name(name)
         for name in (TABLE2_METHOD_ORDER if include is None else include)
-    ]
-    ordered = [name for name in TABLE2_METHOD_ORDER if name in wanted]
-    ordered += [name for name in wanted if name not in TABLE2_METHOD_ORDER]
-    specs: Dict[str, SeparatorSpec] = {}
-    for display in ordered:
-        entry = separator_entry(display)
-        specs[display] = (
-            DHFSpec.from_preset(preset) if entry.name == "dhf"
-            else entry.default_spec()
+    }
+    return {
+        display: (
+            DHFSpec.from_preset(preset) if display == "DHF"
+            else default_spec(display)
         )
-    return specs
+        for display in TABLE2_METHOD_ORDER if display in wanted
+    }
 
 
 def records_from_mixtures(

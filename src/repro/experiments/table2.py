@@ -142,8 +142,8 @@ def run_table2(
 
     Every method is a :class:`repro.service.SeparatorSpec` executed by a
     :class:`repro.service.SeparationService` — no separator is
-    constructed directly, so any registered method (including plugins)
-    slots into the table.
+    constructed directly, so any registry method, at any spec, slots
+    into the table.
 
     Parameters
     ----------

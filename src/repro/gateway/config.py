@@ -4,20 +4,19 @@
 the repo (:class:`repro.service.SeparatorSpec`,
 :class:`repro.scenarios.DegradationSpec`): a frozen dataclass with
 JSON-able fields, validated in ``__post_init__``, round-tripping through
-``to_dict`` / ``from_dict`` with did-you-mean errors for unknown fields.
-That makes a whole deployment describable as one JSON file::
+``to_dict`` / ``from_dict`` (the shared :class:`FrozenSpec` rule:
+did-you-mean errors for unknown fields).  That makes a whole deployment
+describable as one JSON file::
 
     python -m repro.experiments serve --config @gateway.json
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.service.specs import FrozenSpec
-from repro.utils.naming import unknown_name_error
 
 
 @dataclass(frozen=True)
@@ -117,24 +116,3 @@ class GatewayConfig(FrozenSpec):
                 f"GatewayConfig.service_workers must be an int >= 0, got "
                 f"{self.service_workers!r}"
             )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GatewayConfig":
-        """Rebuild a config from a :meth:`to_dict`-style mapping.
-
-        Unknown keys raise :class:`repro.errors.ConfigurationError` with
-        a did-you-mean suggestion, matching the other spec families.
-        """
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"gateway config must be a mapping, got "
-                f"{type(data).__name__}"
-            )
-        data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise unknown_name_error(
-                "GatewayConfig field", unknown[0], known
-            )
-        return cls(**data)

@@ -24,11 +24,9 @@ This module keeps the group intact across the process boundary:
    spectrogram, signal, or track is ever pickled.
 
 3. **One separator per worker** — the separator crosses the boundary
-   once per *worker*, not once per record: registered methods ship as
-   their JSON :class:`repro.service.SeparatorSpec` (rebuilt by the
-   worker initializer via the registry), unregistered ones are pickled
-   a single time at engine construction and the bytes reused for every
-   worker.
+   once per *worker*, not once per record: it is pickled a single time
+   at engine construction (a few hundred bytes for a built-in method)
+   and the worker initializer unpickles those bytes in every worker.
 
 Block ownership is explicit: whoever *created* a block hands it over by
 returning/holding only its handle; the *final consumer* (always the
@@ -52,7 +50,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import json
 import os
 import pickle
 import threading
@@ -304,26 +301,19 @@ def _renew_tracker_lock() -> None:
         tracker._lock = threading.RLock()
 
 
-def _init_worker(payload: Tuple[str, Any, int]) -> None:
-    """Build this worker's separator once, from spec JSON or pickle bytes.
+def _init_worker(separator_bytes: bytes, workers: int) -> None:
+    """Unpickle this worker's separator once.
 
     Runs as the :class:`ProcessPoolExecutor` initializer — the only
-    time separator configuration crosses the process boundary.  It
-    first renews the inherited resource-tracker lock
-    (:func:`_renew_tracker_lock`) and pins the worker's BLAS threads to
-    its share of the cores (:func:`_pin_blas_threads`, from the pool's
-    ``workers`` count).
+    time the separator crosses the process boundary.  It first renews
+    the inherited resource-tracker lock (:func:`_renew_tracker_lock`)
+    and pins the worker's BLAS threads to its share of the cores
+    (:func:`_pin_blas_threads`, from the pool's ``workers`` count).
     """
     global _WORKER_SEPARATOR
-    kind, data, workers = payload
     _renew_tracker_lock()
     _pin_blas_threads(workers)
-    if kind == "spec":
-        from repro.service.registry import build_separator
-
-        _WORKER_SEPARATOR = build_separator(json.loads(data))
-    else:
-        _WORKER_SEPARATOR = pickle.loads(data)
+    _WORKER_SEPARATOR = pickle.loads(separator_bytes)
 
 
 def _run_shard(task: Dict[str, Any]) -> Dict[str, Any]:
@@ -370,16 +360,11 @@ class ShardedExecutor:
     ----------
     separator:
         The separation method; used in the parent only for shard
-        planning — the work happens on per-worker rebuilds.
+        planning — the work happens on per-worker copies.  It is
+        pickled once, here, so it must be picklable.
     workers:
         Worker process count (>= 1); also the shard-splitting target of
         :func:`plan_shards`.
-    spec:
-        Optional :class:`repro.service.SeparatorSpec` describing
-        ``separator``.  When given, workers rebuild the separator from
-        the spec's JSON via the registry and the separator object itself
-        is *never* pickled; without it the separator is pickled once at
-        construction (and must therefore be picklable).
 
     The pool is created lazily on the first :meth:`separate_records`
     call and survives across calls; :meth:`close` shuts it down (the
@@ -389,12 +374,7 @@ class ShardedExecutor:
     discards the pool, so the next call starts from a fresh one.
     """
 
-    def __init__(
-        self,
-        separator: Separator,
-        workers: int,
-        spec=None,
-    ):
+    def __init__(self, separator: Separator, workers: int):
         if not isinstance(separator, Separator):
             raise ConfigurationError(
                 f"separator must be a Separator, got "
@@ -405,28 +385,15 @@ class ShardedExecutor:
             raise ConfigurationError(
                 f"workers must be an int >= 1, got {workers!r}"
             )
+        try:
+            self._separator_bytes = pickle.dumps(separator)
+        except Exception as exc:
+            raise ConfigurationError(
+                f"separator {separator.name!r} is not picklable, so it "
+                f"cannot reach the shard workers ({exc})"
+            ) from exc
         self.separator = separator
         self.workers = workers
-        self.spec = spec
-        if spec is not None:
-            from repro.service.specs import SeparatorSpec
-
-            if not isinstance(spec, SeparatorSpec):
-                raise ConfigurationError(
-                    f"spec must be a SeparatorSpec, got "
-                    f"{type(spec).__name__}"
-                )
-            self._payload = ("spec", json.dumps(spec.to_dict()), workers)
-        else:
-            try:
-                data = pickle.dumps(separator)
-            except Exception as exc:
-                raise ConfigurationError(
-                    f"separator {separator.name!r} is not picklable and no "
-                    f"spec was given; pass spec= (or register the method) "
-                    f"so workers can rebuild it ({exc})"
-                ) from exc
-            self._payload = ("pickle", data, workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
         self._closed = False
@@ -453,7 +420,7 @@ class ShardedExecutor:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(self._payload,),
+                    initargs=(self._separator_bytes, self.workers),
                 )
             return self._pool
 
@@ -587,9 +554,7 @@ class ShardedExecutor:
         return results
 
     def __repr__(self) -> str:
-        transport = "spec" if self._payload[0] == "spec" else "pickle"
         return (
             f"ShardedExecutor(separator={self.separator.name!r}, "
-            f"workers={self.workers}, transport={transport!r}, "
-            f"closed={self._closed})"
+            f"workers={self.workers}, closed={self._closed})"
         )

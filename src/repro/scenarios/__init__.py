@@ -9,11 +9,10 @@ mixtures with more than two simultaneous sources?
 Three layers, mirroring the service idiom one level up:
 
 * **Degradations** (:mod:`repro.scenarios.degradations`): frozen,
-  seeded, JSON-round-trippable :class:`DegradationSpec` ops in a
-  registry keyed by ``kind`` — ``dropout`` / ``motion`` / ``noise`` /
-  ``compression`` built in, third-party ops via
-  :func:`register_degradation`.  Zero severity is a bitwise no-op;
-  damage grows monotonically with severity.
+  seeded, JSON-round-trippable :class:`DegradationSpec` ops in a fixed
+  table keyed by ``kind`` — ``dropout`` / ``motion`` / ``noise`` /
+  ``compression``.  Zero severity is a bitwise no-op; damage grows
+  monotonically with severity.
 * **Scenarios** (:mod:`repro.scenarios.scenario`): named chains of
   degradations applied to the *mixed* channel of a
   :class:`repro.pipeline.SeparationRecord` (references stay clean).
@@ -35,9 +34,7 @@ from repro.scenarios.degradations import (
     available_degradations,
     default_degradation,
     degradation_entry,
-    register_degradation,
     resolve_degradation,
-    unregister_degradation,
 )
 from repro.scenarios.scenario import (
     Scenario,
@@ -62,9 +59,7 @@ __all__ = [
     "available_degradations",
     "default_degradation",
     "degradation_entry",
-    "register_degradation",
     "resolve_degradation",
-    "unregister_degradation",
     "Scenario",
     "as_scenario",
     "severity_sweep",

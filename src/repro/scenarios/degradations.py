@@ -1,15 +1,16 @@
-"""Seeded, composable signal degradations and their registry.
+"""Seeded, composable signal degradations and their table.
 
 Each degradation is a frozen :class:`DegradationSpec` — the scenario
 counterpart of :class:`repro.service.SeparatorSpec` — keyed by ``kind``
-in its own registry and JSON-round-trippable through ``to_dict`` /
-``from_dict``.  A spec *applies* to a 1-D signal deterministically: the
-random content (gap placement, noise realisation, drift shape) is drawn
-from a generator derived only from the spec's ``kind`` and ``seed``, so
-the same spec always produces the same degraded signal.
+in a fixed table of the four built-in kinds and JSON-round-trippable
+through ``to_dict`` / ``from_dict``.  A spec *applies* to a 1-D signal
+deterministically: the random content (gap placement, noise
+realisation, drift shape) is drawn from a generator derived only from
+the spec's ``kind`` and ``seed``, so the same spec always produces the
+same degraded signal.
 
-Two invariants hold for every registered kind and are enforced by the
-property suite in ``tests/scenarios/test_degradations.py``:
+Two invariants hold for every kind and are enforced by the property
+suite in ``tests/scenarios/test_degradations.py``:
 
 * **identity at zero severity** — ``severity=0`` returns a bitwise copy
   of the clean input (the scenario grid relies on this to anchor its
@@ -28,8 +29,8 @@ cheap stand-in for transmission codecs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Tuple, Type, Union
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from repro.utils.validation import (
 class DegradationSpec(FrozenSpec):
     """Base class of every degradation specification.
 
-    Subclasses re-declare :attr:`kind` with their registry key as the
+    Subclasses re-declare :attr:`kind` with their table key as the
     default, declare their knobs as JSON-able dataclass fields, validate
     in ``__post_init__`` (raising
     :class:`repro.errors.ConfigurationError`), and implement
@@ -59,7 +60,7 @@ class DegradationSpec(FrozenSpec):
     damage the signal monotonically more.
     """
 
-    #: Registry key of the degradation this spec configures.
+    #: Table key of the degradation this spec configures.
     kind: str = ""
     #: Damage dial; 0 = identity, larger = strictly-no-less damage.
     severity: float = 0.5
@@ -79,41 +80,31 @@ class DegradationSpec(FrozenSpec):
                 f"got {self.seed!r}"
             )
 
-    # ------------------------------------------------------------------ #
-    # Dict round-trip (mirrors SeparatorSpec.from_dict, keyed on "kind")
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DegradationSpec":
         """Rebuild a spec from a :meth:`to_dict`-style mapping.
 
-        Called on the base class, the ``"kind"`` key dispatches to the
-        registered spec class; called on a subclass, the key (when
-        present) must name an entry using that subclass.  Unknown kinds
-        and unknown fields raise :class:`ConfigurationError` with a
-        did-you-mean listing.
+        Called on the base class, the ``"kind"`` key picks the spec
+        class from the table; called on a subclass, the key (when
+        present) must name that subclass's kind.  Unknown kinds raise
+        :class:`ConfigurationError` with a did-you-mean listing, and so
+        do unknown fields (:meth:`FrozenSpec.from_dict`).
         """
-        data = dict(data)
-        kind = data.get("kind")
-        if cls is DegradationSpec:
-            if kind is None:
-                raise ConfigurationError(
-                    "degradation dictionary needs a 'kind' key naming the "
-                    "op (see repro.scenarios.available_degradations())"
-                )
+        kind = data.get("kind") if isinstance(data, Mapping) else None
+        if kind is not None:
             spec_cls = degradation_entry(kind).spec_cls
-        else:
-            spec_cls = cls
-            if kind is not None and degradation_entry(kind).spec_cls is not cls:
+            if cls is DegradationSpec:
+                return spec_cls.from_dict(data)
+            if spec_cls is not cls:
                 raise ConfigurationError(
                     f"kind {kind!r} does not match {cls.__name__}"
                 )
-        known = {f.name for f in fields(spec_cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise unknown_name_error(
-                f"{spec_cls.__name__} field", unknown[0], known
+        elif cls is DegradationSpec and isinstance(data, Mapping):
+            raise ConfigurationError(
+                "degradation dictionary needs a 'kind' key naming the "
+                "op (see repro.scenarios.available_degradations())"
             )
-        return spec_cls(**data)
+        return super().from_dict(data)
 
     # ------------------------------------------------------------------ #
     # Application
@@ -369,11 +360,11 @@ class CompressionSpec(DegradationSpec):
 
 
 # ---------------------------------------------------------------------- #
-# Registry (mirrors repro.service.registry at degradation granularity)
+# The table of kinds (like repro.service.registry's table of methods)
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class DegradationEntry:
-    """One registered degradation kind."""
+    """One degradation kind of the table."""
 
     kind: str
     spec_cls: Type[DegradationSpec]
@@ -384,46 +375,34 @@ class DegradationEntry:
         return self.spec_cls(**overrides)
 
 
-_DEGRADATIONS: Dict[str, DegradationEntry] = {}
+_DEGRADATIONS: Dict[str, DegradationEntry] = {
+    entry.kind: entry for entry in (
+        DegradationEntry(
+            "dropout", SensorDropoutSpec,
+            "sensor dropout/saturation gaps (zeroed, held, or railed "
+            "samples)",
+        ),
+        DegradationEntry(
+            "motion", MotionArtifactSpec,
+            "motion artifact: additive low-frequency baseline wander",
+        ),
+        DegradationEntry(
+            "noise", NoiseSpec,
+            "additive white noise (severity = noise RMS / signal RMS)",
+        ),
+        DegradationEntry(
+            "compression", CompressionSpec,
+            "codec-style clipping + uniform quantization",
+        ),
+    )
+}
 
 #: Anything resolve_degradation accepts.
 DegradationLike = Union[str, Mapping, DegradationSpec]
 
 
-def register_degradation(
-    kind: str,
-    spec_cls: Type[DegradationSpec],
-    description: str = "",
-    replace: bool = False,
-) -> DegradationEntry:
-    """Register a degradation kind (third-party ops plug in here)."""
-    if not kind or not isinstance(kind, str):
-        raise ConfigurationError(
-            f"degradation kind must be a non-empty string, got {kind!r}"
-        )
-    key = kind.lower()
-    if key in _DEGRADATIONS and not replace:
-        raise ConfigurationError(
-            f"degradation {kind!r} is already registered; pass "
-            f"replace=True to override"
-        )
-    if not (isinstance(spec_cls, type)
-            and issubclass(spec_cls, DegradationSpec)):
-        raise ConfigurationError(
-            f"spec_cls must subclass DegradationSpec, got {spec_cls!r}"
-        )
-    entry = DegradationEntry(key, spec_cls, description)
-    _DEGRADATIONS[key] = entry
-    return entry
-
-
-def unregister_degradation(kind: str) -> None:
-    """Remove a registered kind (primarily for tests)."""
-    _DEGRADATIONS.pop(kind.lower(), None)
-
-
 def available_degradations() -> List[str]:
-    """Registered degradation kinds, sorted."""
+    """The degradation kinds, sorted."""
     return sorted(_DEGRADATIONS)
 
 
@@ -458,21 +437,3 @@ def resolve_degradation(spec: DegradationLike) -> DegradationSpec:
         f"expected a degradation kind, spec dict, or DegradationSpec, "
         f"got {type(spec).__name__}"
     )
-
-
-register_degradation(
-    "dropout", SensorDropoutSpec,
-    "sensor dropout/saturation gaps (zeroed, held, or railed samples)",
-)
-register_degradation(
-    "motion", MotionArtifactSpec,
-    "motion artifact: additive low-frequency baseline wander",
-)
-register_degradation(
-    "noise", NoiseSpec,
-    "additive white noise (severity = noise RMS / signal RMS)",
-)
-register_degradation(
-    "compression", CompressionSpec,
-    "codec-style clipping + uniform quantization",
-)

@@ -12,8 +12,8 @@ references".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, List, Mapping, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,23 +54,6 @@ class Scenario(FrozenSpec):
             resolve_degradation(spec) for spec in self.degradations
         )
         object.__setattr__(self, "degradations", resolved)
-
-    # ------------------------------------------------------------------ #
-    # Dict round-trip
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from a :meth:`to_dict`-style mapping."""
-        data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            from repro.utils.naming import unknown_name_error
-
-            raise unknown_name_error(
-                f"{cls.__name__} field", unknown[0], known
-            )
-        return cls(**data)
 
     # ------------------------------------------------------------------ #
     # Application

@@ -3,13 +3,13 @@
 The service layer is the single declarative front door over the three
 execution paths that grew underneath it:
 
-* **Registry** (:mod:`repro.service.registry`): every method — DHF and
-  the five baselines — is registered under a canonical name with a
-  frozen, validated :class:`SeparatorSpec` and a factory.
-  :func:`build_separator` accepts a name, a spec, or a plain spec dict
-  (``to_dict`` / ``from_dict`` round-trip), so methods are nameable from
-  CLI flags and storable in experiment manifests.  Third-party methods
-  plug in through :func:`register_separator`.
+* **Registry** (:mod:`repro.service.registry`): a fixed table of the
+  seven methods — DHF and the five baselines, REPET twice — each under a
+  canonical name with the frozen, validated :class:`SeparatorSpec`
+  subclass that declares its knobs and the separator class built from
+  it.  :func:`build_separator` accepts a name, a spec, or a plain spec
+  dict (``to_dict`` / ``from_dict`` round-trip), so methods are
+  nameable from CLI flags and storable in experiment manifests.
 * **Facade** (:mod:`repro.service.facade`): a
   :class:`SeparationService` configured with one spec executes it in any
   mode — ``separate`` (offline, :mod:`repro.core` / baselines),
@@ -27,14 +27,11 @@ from repro.service.facade import (
     as_record,
 )
 from repro.service.registry import (
-    RegistryEntry,
     available_separators,
     build_separator,
     default_spec,
-    register_separator,
     resolve_spec,
     separator_entry,
-    unregister_separator,
 )
 from repro.service.specs import (
     DHFSpec,
@@ -51,14 +48,11 @@ __all__ = [
     "SeparationOutcome",
     "SeparationService",
     "as_record",
-    "RegistryEntry",
     "available_separators",
     "build_separator",
     "default_spec",
-    "register_separator",
     "resolve_spec",
     "separator_entry",
-    "unregister_separator",
     "FrozenSpec",
     "SeparatorSpec",
     "DHFSpec",

@@ -188,11 +188,9 @@ class SeparationService:
         batches on a service-owned :class:`repro.pipeline.ShardedExecutor`
         with that many worker processes, built with the service and
         reused across calls (its pool starts on the first batch).  It
-        moves arrays through shared memory and sends the separator once
-        per worker: services built from a registered spec ship the JSON
-        spec, so the separator object is never pickled, while a
-        hand-built separator must be picklable.  Streaming always runs
-        in this process.
+        moves arrays through shared memory and pickles the separator
+        once, for every worker, so a hand-built separator must be
+        picklable.  Streaming always runs in this process.
     executor:
         Kept only for callers that name the fan-out explicitly; the one
         accepted value is ``"process"``.
@@ -230,7 +228,7 @@ class SeparationService:
         self._engine: Optional[ShardedExecutor] = None
         if self.workers > 1:
             self._engine = ShardedExecutor(
-                self.separator, workers=self.workers, spec=self.spec
+                self.separator, workers=self.workers
             )
         self._closed = False
 

@@ -1,17 +1,17 @@
 """Frozen, validated separator specifications.
 
-A :class:`SeparatorSpec` is the declarative half of a separation method:
-a frozen dataclass naming the method (its registry key) and every knob
-the method's constructor accepts, with ``to_dict`` / ``from_dict``
-round-tripping through plain JSON-able dictionaries.  Specs carry *no*
-behaviour — :func:`repro.service.build_separator` hands a spec to the
-registered factory to obtain the actual
-:class:`repro.separation.Separator`.
+A :class:`SeparatorSpec` is the one configuration of a separation
+method: a frozen dataclass naming the method (its registry key) and
+declaring every knob of the method with its default, round-tripping
+through plain JSON-able dictionaries with ``to_dict`` / ``from_dict``.
+Each separator is built from its spec and reads its knobs from
+``self.spec``; :func:`repro.service.build_separator` looks the spec's
+method up in the registry table and constructs that separator class.
 
 Keeping configuration in specs (rather than constructor calls scattered
 through runners and benchmarks) is what makes a method nameable from a
-CLI flag, storable in an experiment manifest, and reconstructable on a
-remote worker.
+CLI flag, storable in an experiment manifest, and submittable to the
+gateway as JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.config import Preset, get_preset
 from repro.errors import ConfigurationError
@@ -35,15 +35,38 @@ from repro.utils.validation import (
 class FrozenSpec:
     """Shared machinery of every frozen, JSON-round-trippable spec.
 
-    Both :class:`SeparatorSpec` (dispatching on ``method``) and
-    :class:`repro.scenarios.DegradationSpec` (dispatching on ``kind``)
-    are registries of frozen dataclasses whose instances serialize to
-    plain dictionaries.  This base carries the registry-agnostic half:
-    ``to_dict`` / ``replace`` plus the validation helpers that keep
+    :class:`SeparatorSpec` (dispatching on ``method``),
+    :class:`repro.scenarios.DegradationSpec` (dispatching on ``kind``),
+    :class:`repro.scenarios.Scenario` and
+    :class:`repro.gateway.GatewayConfig` are frozen dataclasses whose
+    instances serialize to plain dictionaries.  This base carries
+    ``to_dict`` / ``replace``, the one unknown-field rule of
+    :meth:`from_dict`, and the validation helpers that keep
     int/bool/positivity semantics aligned with
-    :mod:`repro.utils.validation`.  Dispatching ``from_dict`` stays with
-    the concrete spec families because each owns its registry.
+    :mod:`repro.utils.validation`.
     """
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "FrozenSpec":
+        """Rebuild a spec from a :meth:`to_dict`-style mapping.
+
+        A non-mapping, or a key naming no field of this class, raises
+        :class:`ConfigurationError` (the key with a did-you-mean
+        suggestion).  The dispatching families pick their class from
+        their table first, then apply this rule on it.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"{cls.__name__} data must be a mapping, got "
+                f"{type(data).__name__}"
+            )
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise unknown_name_error(
+                f"{cls.__name__} field", unknown[0], known
+            )
+        return cls(**data)
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-able dictionary of every field."""
@@ -105,73 +128,63 @@ class SeparatorSpec(FrozenSpec):
     """Base class of every separator specification.
 
     Subclasses re-declare :attr:`method` with their canonical registry
-    key as default and declare their knobs as dataclass fields with
-    JSON-able values.  ``method`` is an instance field (not a class
-    attribute) so a spec built from a registry entry remembers *which*
-    entry — two entries may share one spec class (``repet`` /
-    ``repet-ext``, or a plugin reusing a built-in spec) and dispatch
-    back to their own factories.  Validation belongs in
-    ``__post_init__`` and must raise
-    :class:`repro.errors.ConfigurationError`.
+    key as default and declare the method's knobs, with their defaults,
+    as dataclass fields with JSON-able values; the separator reads them
+    from its ``spec`` and declares none of its own.  ``method`` is an
+    instance field (not a class attribute) so a spec built from a
+    registry entry remembers *which* entry: ``repet`` and ``repet-ext``
+    share :class:`RepetSpec`.  Validation belongs in ``__post_init__``
+    and must raise :class:`repro.errors.ConfigurationError`.
     """
 
     #: Registry key of the method this spec configures.
     method: str = ""
 
-    # ------------------------------------------------------------------ #
-    # Dict round-trip
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SeparatorSpec":
         """Rebuild a spec from a :meth:`to_dict`-style mapping.
 
-        Called on the base class, the ``"method"`` key dispatches to the
-        registered spec class; called on a subclass, the key (when
-        present) must name an entry using that subclass.  The named
-        entry's registered defaults apply underneath the explicit
-        fields, so ``{"method": "repet-ext"}`` builds the *extended*
-        variant.  Unknown methods and unknown fields raise
-        :class:`ConfigurationError`.
+        Called on the base class, the ``"method"`` key picks the spec
+        class from the registry table; called on a subclass, the key
+        (when present) must name an entry using that subclass.  The
+        named entry's defaults apply underneath the explicit fields, so
+        ``{"method": "repet-ext"}`` builds the *extended* variant.
+        Unknown methods raise :class:`ConfigurationError`, and so do
+        unknown fields (:meth:`FrozenSpec.from_dict`).
         """
         from repro.service.registry import separator_entry
 
-        data = dict(data)
-        method = data.get("method")
-        entry = None
-        if cls is SeparatorSpec:
-            if method is None:
-                raise ConfigurationError(
-                    "spec dictionary needs a 'method' key naming the "
-                    "separator (see repro.service.available_separators())"
-                )
+        method = data.get("method") if isinstance(data, Mapping) else None
+        if method is not None:
             entry = separator_entry(method)
-            spec_cls = entry.spec_cls
-        else:
-            spec_cls = cls
-            if method is not None:
-                entry = separator_entry(method)
-                if entry.spec_cls is not cls:
-                    raise ConfigurationError(
-                        f"method {method!r} does not match {cls.__name__}"
-                    )
-        known = {f.name for f in fields(spec_cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise unknown_name_error(
-                f"{spec_cls.__name__} field", unknown[0], known
+            if cls is SeparatorSpec:
+                return entry.spec_cls.from_dict(data)
+            if entry.spec_cls is not cls:
+                raise ConfigurationError(
+                    f"method {method!r} does not match {cls.__name__}"
+                )
+            data = {**dict(entry.defaults), **data, "method": entry.name}
+        elif cls is SeparatorSpec and isinstance(data, Mapping):
+            raise ConfigurationError(
+                "spec dictionary needs a 'method' key naming the "
+                "separator (see repro.service.available_separators())"
             )
-        if entry is not None:
-            merged = dict(entry.defaults)
-            merged.update(data)
-            merged["method"] = entry.name
-            data = merged
-        return spec_cls(**data)
+        return super().from_dict(data)
 
-    def build(self):
-        """The configured :class:`repro.separation.Separator`."""
-        from repro.service.registry import build_separator
+    @classmethod
+    def or_default(cls, spec: Optional["SeparatorSpec"]) -> "SeparatorSpec":
+        """``spec`` checked to be one of this class, or ``cls()`` for ``None``.
 
-        return build_separator(self)
+        How a separator takes its configuration: a spec of another
+        class raises :class:`ConfigurationError`.
+        """
+        if spec is None:
+            return cls()
+        if not isinstance(spec, cls):
+            raise ConfigurationError(
+                f"expected a {cls.__name__}, got {type(spec).__name__}"
+            )
+        return spec
 
 
 @dataclass(frozen=True)

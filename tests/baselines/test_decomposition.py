@@ -15,6 +15,7 @@ from repro.baselines import (
     vmd,
 )
 from repro.errors import ConfigurationError, DataError
+from repro.service import NMFSpec, VMDSpec
 
 
 class TestLocalExtrema:
@@ -100,7 +101,7 @@ class TestVmd:
             "slow": np.full(two_tone["mix"].size, 1.1),
             "fast": np.full(two_tone["mix"].size, 2.9),
         }
-        sep = VMDSeparator(modes_per_source=2, max_iterations=100)
+        sep = VMDSeparator(VMDSpec(modes_per_source=2, max_iterations=100))
         est = sep.separate(two_tone["mix"], two_tone["fs"], tracks)
         corr = np.corrcoef(est["slow"], two_tone["a"])[0, 1]
         assert corr > 0.8
@@ -140,6 +141,6 @@ class TestNmf:
             "slow": np.full(two_tone["mix"].size, 1.1),
             "fast": np.full(two_tone["mix"].size, 2.9),
         }
-        sep = NMFSeparator(components_per_source=3, n_iterations=80)
+        sep = NMFSeparator(NMFSpec(components_per_source=3, n_iterations=80))
         est = sep.separate(two_tone["mix"], two_tone["fs"], tracks)
         assert set(est) == {"slow", "fast"}

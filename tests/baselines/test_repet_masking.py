@@ -15,6 +15,7 @@ from repro.baselines import (
     residual_after,
 )
 from repro.errors import ConfigurationError
+from repro.service import RepetSpec
 
 
 class TestRepeatingModel:
@@ -75,7 +76,7 @@ class TestSeparators:
             "fast": np.full(two_tone["mix"].size, 2.9),
         }
         for extended in (False, True):
-            sep = REPETSeparator(extended=extended)
+            sep = REPETSeparator(RepetSpec(extended=extended))
             est = sep.separate(two_tone["mix"], two_tone["fs"], tracks)
             assert set(est) == {"slow", "fast"}
             # Estimates must together cover the mixture.
@@ -84,8 +85,8 @@ class TestSeparators:
                 0.5 * np.mean(two_tone["mix"] ** 2)
 
     def test_repet_names(self):
-        assert REPETSeparator(extended=False).name == "REPET"
-        assert REPETSeparator(extended=True).name == "REPET-Ext."
+        assert REPETSeparator(RepetSpec(extended=False)).name == "REPET"
+        assert REPETSeparator(RepetSpec(extended=True)).name == "REPET-Ext."
 
     def test_spectral_masking_two_tone(self, two_tone):
         tracks = {

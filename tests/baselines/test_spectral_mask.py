@@ -11,6 +11,7 @@ import pytest
 from repro.baselines import SpectralMaskingSeparator
 from repro.baselines import spectral_mask
 from repro.errors import ConfigurationError, DataError
+from repro.service import SpectralMaskingSpec, build_separator
 from repro.synth import make_mixture
 
 
@@ -61,6 +62,21 @@ class TestBatchPath:
         _batch(SpectralMaskingSeparator(), mixtures)
         assert stacks == [(2, mixtures[0].mixed.size),
                           (2, mixtures[1].mixed.size)]
+
+    @pytest.mark.parametrize("exclusive", [True, False])
+    def test_frame_f0_once_per_source_per_record(self, mixtures, monkeypatch,
+                                                 exclusive):
+        calls = []
+        to_frames = spectral_mask.f0_track_to_frames
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return to_frames(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_mask, "f0_track_to_frames", spy)
+        _batch(build_separator("spectral-masking", exclusive=exclusive),
+               mixtures)
+        assert len(calls) == sum(len(m.f0_tracks) for m in mixtures)
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_chunks_do_not_change_estimates(self, mixtures, monkeypatch,
@@ -120,7 +136,9 @@ class TestExclusiveMasks:
 
     def _masks(self, crossing, exclusive):
         mixed, fs, tracks = crossing
-        sep = SpectralMaskingSeparator(exclusive=exclusive)
+        sep = SpectralMaskingSeparator(
+            SpectralMaskingSpec(exclusive=exclusive)
+        )
         n_fft, hop = sep.stft_geometry(fs, mixed.size)
         spec = spectral_mask.stft(mixed, fs, n_fft=n_fft, hop=hop)
         return sep._build_masks(spec, tracks, fs)

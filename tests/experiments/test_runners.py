@@ -20,6 +20,7 @@ from repro.experiments import (
     table2_specs,
 )
 from repro.experiments.table2 import Table2Result
+from repro.service import build_separator
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,7 @@ class TestBuilders:
     @pytest.mark.parametrize("label", TABLE2_METHOD_ORDER)
     def test_every_label_builds_its_named_separator(self, smoke, label):
         spec = table2_specs(smoke.preset)[label]
-        assert spec.build().name == label
+        assert build_separator(spec).name == label
 
     def test_table2_specs_scale_dhf_only(self, smoke):
         specs = table2_specs(smoke.preset)
@@ -88,29 +89,6 @@ class TestBuilders:
         assert display_method_name("spectral-masking") == "Spect. Masking"
         assert display_method_name("REPET-Ext.") == "REPET-Ext."
         assert display_method_name("dhf") == "DHF"
-
-    def test_include_accepts_plugin_methods(self, smoke):
-        from repro.service import (
-            SpectralMaskingSpec, register_separator, unregister_separator,
-        )
-        from repro.service.registry import _make_spectral_masking
-
-        register_separator(
-            "plugin-mask", _make_spectral_masking, SpectralMaskingSpec,
-            aliases=("Plugin Mask", "pm"), defaults={"n_harmonics": 2},
-        )
-        try:
-            specs = table2_specs(
-                smoke.preset, include=("pm", "EMD", "plugin-mask"),
-            )
-            # A plugin displays under its first alias, after the
-            # Table 2 methods, once however often it is named.
-            assert list(specs) == ["EMD", "Plugin Mask"]
-            assert specs["Plugin Mask"].n_harmonics == 2
-            assert specs["Plugin Mask"].method == "plugin-mask"
-            assert display_method_name("PM") == "Plugin Mask"
-        finally:
-            unregister_separator("plugin-mask", missing_ok=True)
 
 
 class TestTable1Runner:

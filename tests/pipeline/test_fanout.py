@@ -3,25 +3,20 @@
 :class:`PidSeparator` writes the pid of the process that ran it into
 every estimate, so each test can tell where the separation happened:
 with ``workers=2`` and at least two records no estimate may carry this
-process's pid, and with ``workers=0`` every one must.  A service sends
-its separator to the workers as a pickle (a hand-built separator) or as
-its registry spec (a registered method); both transports are covered.
+process's pid, and with ``workers=0`` every one must.  A service
+pickles its separator once for the workers, whether it was built from
+a spec or by hand; both kinds of service are covered.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.pipeline import records_from_arrays
 from repro.separation import Separator
-from repro.service import (
-    SeparationService,
-    SeparatorSpec,
-    register_separator,
-    unregister_separator,
-)
+from repro.service import SeparationService, default_spec
+from repro.synth import make_mixture
 from repro.tfo import make_sheep_recording
 from repro.tfo.monitor import run_in_vivo_batch
 
@@ -44,19 +39,6 @@ class PidSeparator(Separator):
         return out
 
 
-@dataclass(frozen=True)
-class PidSpec(SeparatorSpec):
-    method: str = "pid"
-
-
-@pytest.fixture
-def pid_method():
-    """``PidSeparator`` registered as ``"pid"`` while a test runs."""
-    register_separator("pid", lambda spec: PidSeparator(), PidSpec)
-    yield
-    unregister_separator("pid", missing_ok=True)
-
-
 def _records(n=4, n_samples=300):
     rng = np.random.default_rng(0)
     return records_from_arrays(
@@ -76,25 +58,42 @@ def _batch_pids(batch):
     )
 
 
-def _spec_service(workers):
-    with SeparationService(PidSpec(), workers=workers) as service:
-        assert service.spec is not None  # workers rebuild from the spec
-        return service.separate_batch(_records()).batch
+def _batch(method, records, workers):
+    with SeparationService(method, workers=workers) as service:
+        return service.separate_batch(records).batch
 
 
-def _service(workers):
-    with SeparationService(PidSeparator(), workers=workers) as service:
-        return service.separate_batch(_records()).batch
-
-
-@pytest.mark.usefixtures("pid_method")
-@pytest.mark.parametrize("run", [_spec_service, _service],
-                         ids=["spec", "service"])
-def test_batch_entry_points_fan_out_in_processes(run):
+def test_batch_fans_out_in_processes():
     parent = os.getpid()
-    assert _batch_pids(run(0)) == {parent}
-    fanned = _batch_pids(run(2))
+    assert _batch_pids(_batch(PidSeparator(), _records(), 0)) == {parent}
+    fanned = _batch_pids(_batch(PidSeparator(), _records(), 2))
     assert fanned and parent not in fanned
+
+
+def _mixture_records(n=3):
+    mixture = make_mixture("msig1", duration_s=6.0, seed=4)
+    return records_from_arrays(
+        [mixture.mixed * (1.0 + 0.1 * i) for i in range(n)],
+        mixture.sampling_hz, mixture.f0_tracks,
+    )
+
+
+@pytest.mark.parametrize("method, records, start", [
+    (default_spec("spectral-masking"), _mixture_records(), 0),
+    (PidSeparator(), _records(), 1),
+], ids=["spec", "separator"])
+def test_sharded_estimates_equal_serial(method, records, start):
+    """Workers run a copy of the service's own separator, so their
+    estimates equal the serial ones bitwise (from sample ``start`` on:
+    :class:`PidSeparator` stamps its first sample with the pid)."""
+    serial = _batch(method, records, 0)
+    fanned = _batch(method, records, 2)
+    for ours, ref in zip(fanned.results, serial.results):
+        assert list(ours.estimates) == list(ref.estimates)
+        for source, estimate in ref.estimates.items():
+            assert np.array_equal(
+                ours.estimates[source][start:], estimate[start:]
+            )
 
 
 def test_in_vivo_batch_fans_out_in_processes():

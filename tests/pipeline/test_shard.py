@@ -139,7 +139,7 @@ class CountingMasking(SpectralMaskingSeparator):
 
 
 class UnpicklableSeparator(Separator):
-    """No spec and no pickle support — the engine must reject it."""
+    """No pickle support — the engine must reject it."""
 
     name = "unpicklable"
 
@@ -385,7 +385,7 @@ class TestShardedExecutor:
         with pytest.raises(RuntimeError):
             engine.separate_records(_records(2))
 
-    def test_unpicklable_without_spec_rejected_early(self):
+    def test_unpicklable_separator_rejected_early(self):
         with pytest.raises(ConfigurationError):
             ShardedExecutor(UnpicklableSeparator(), workers=2)
 
@@ -394,10 +394,8 @@ class TestShardedExecutor:
             ShardedExecutor(object(), workers=2)
         with pytest.raises(ConfigurationError):
             ShardedExecutor(RateScaleSeparator(), workers=0)
-        with pytest.raises(ConfigurationError):
-            ShardedExecutor(RateScaleSeparator(), workers=2, spec=object())
 
-    def test_separator_pickled_exactly_once_without_spec(self):
+    def test_separator_pickled_exactly_once(self):
         CountingMasking.reduce_calls = 0
         sep = CountingMasking()
         with ShardedExecutor(sep, workers=2) as engine:
@@ -406,24 +404,6 @@ class TestShardedExecutor:
             engine.separate_records(_mixture_records(3))
         # never again — not per record, not per shard, not per call
         assert CountingMasking.reduce_calls == 1
-
-    def test_spec_transport_never_pickles_the_separator(self):
-        spec = default_spec("spectral-masking")
-        sep = build_separator(spec)
-
-        class Probe(type(sep)):
-            reduce_calls = 0
-
-            def __reduce__(self):
-                type(self).reduce_calls += 1
-                return super().__reduce__()
-
-        probe = Probe(**{
-            f: getattr(sep, f) for f in sep.__dataclass_fields__
-        })
-        with ShardedExecutor(probe, workers=2, spec=spec) as engine:
-            engine.separate_records(_mixture_records(3))
-        assert Probe.reduce_calls == 0
 
 
 # --------------------------------------------------------------------- #
@@ -473,7 +453,7 @@ class TestPipelineSharding:
 
 
 # --------------------------------------------------------------------- #
-# Serial/process equivalence: every registered separator
+# Serial/process equivalence: every registry method
 # --------------------------------------------------------------------- #
 def _spec_for(name):
     if name == "dhf":
@@ -483,7 +463,8 @@ def _spec_for(name):
 
 @pytest.mark.parametrize("method", available_separators())
 def test_fanout_equivalence(method):
-    """serial == process (pickled or spec transport) within 1e-8."""
+    """serial == process (service built from the separator or from its
+    spec) within 1e-8."""
     spec = _spec_for(method)
     separator = build_separator(spec)
     records = _mixture_records(3, duration_s=4.0, seed=7)

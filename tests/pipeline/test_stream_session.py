@@ -8,7 +8,7 @@ import pytest
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError
 from repro.pipeline import SeparationRecord
-from repro.service import SeparationService
+from repro.service import SeparationService, SpectralMaskingSpec
 from repro.streaming import stream_record
 
 FS = 100.0
@@ -37,7 +37,9 @@ def _subject_data(seed, n=2000):
 
 @pytest.fixture(scope="module")
 def masker():
-    return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
+    return SpectralMaskingSeparator(
+        SpectralMaskingSpec(n_fft_seconds=0.64, n_harmonics=4)
+    )
 
 
 class TestStreamBatch:

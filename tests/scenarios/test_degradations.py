@@ -22,9 +22,7 @@ from repro.scenarios import (
     available_degradations,
     default_degradation,
     degradation_entry,
-    register_degradation,
     resolve_degradation,
-    unregister_degradation,
 )
 
 FS = 100.0
@@ -49,25 +47,6 @@ def test_builtin_kinds_registered():
 def test_degradation_entry_did_you_mean():
     with pytest.raises(ConfigurationError, match="dropout"):
         degradation_entry("dropuot")
-
-
-def test_register_unregister_roundtrip():
-    register_degradation("dropout2", SensorDropoutSpec, "extra gaps")
-    try:
-        assert "dropout2" in available_degradations()
-        spec = default_degradation("dropout2", severity=0.2)
-        assert isinstance(spec, SensorDropoutSpec)
-        assert spec.kind == "dropout2"
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_degradation("dropout2", SensorDropoutSpec)
-    finally:
-        unregister_degradation("dropout2")
-    assert "dropout2" not in available_degradations()
-
-
-def test_register_rejects_non_spec_class():
-    with pytest.raises(ConfigurationError, match="subclass"):
-        register_degradation("bogus", dict)
 
 
 def test_resolve_degradation_forms():
@@ -220,6 +199,12 @@ def test_from_dict_unknown_kind_and_field():
         DegradationSpec.from_dict({"severity": 0.5})
     with pytest.raises(ConfigurationError, match="does not match"):
         NoiseSpec.from_dict({"kind": "dropout"})
+
+
+@pytest.mark.parametrize("spec_cls", [DegradationSpec, NoiseSpec])
+def test_from_dict_needs_a_mapping(spec_cls):
+    with pytest.raises(ConfigurationError, match="must be a mapping"):
+        spec_cls.from_dict("noise")
 
 
 # ---------------------------------------------------------------------- #

@@ -59,6 +59,11 @@ def test_scenario_validation():
         Scenario.from_dict({"name": "x", "degradatoins": []})
 
 
+def test_scenario_from_dict_needs_a_mapping():
+    with pytest.raises(ConfigurationError, match="must be a mapping"):
+        Scenario.from_dict("x")
+
+
 def test_scenario_json_roundtrip():
     scenario = Scenario(
         name="storm",

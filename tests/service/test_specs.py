@@ -81,6 +81,13 @@ class TestRoundTrip:
 
 
 class TestFromDictErrors:
+    @pytest.mark.parametrize("spec_cls", [SeparatorSpec, EMDSpec])
+    @pytest.mark.parametrize("data", ["emd", [("method", "emd")]],
+                             ids=["str", "pairs"])
+    def test_needs_a_mapping(self, spec_cls, data):
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            spec_cls.from_dict(data)
+
     def test_missing_method_on_base(self):
         with pytest.raises(ConfigurationError, match="method"):
             SeparatorSpec.from_dict({"max_imfs": 3})

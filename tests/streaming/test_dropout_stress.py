@@ -18,6 +18,7 @@ import pytest
 
 from repro.baselines import SpectralMaskingSeparator
 from repro.scenarios import SensorDropoutSpec
+from repro.service import SpectralMaskingSpec
 from repro.streaming import stream_record
 from repro.tfo import SpO2Monitor, make_sheep_recording
 
@@ -28,7 +29,9 @@ OVERLAP = 256
 
 @pytest.fixture(scope="module")
 def masker():
-    return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
+    return SpectralMaskingSeparator(
+        SpectralMaskingSpec(n_fft_seconds=0.64, n_harmonics=4)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +172,7 @@ class TestMonitorDropout:
             "n_fft_seconds": 0.64, "n_harmonics": 4,
         }
         n_fft, hop = SpectralMaskingSeparator(
-            n_fft_seconds=0.64, n_harmonics=4,
+            SpectralMaskingSpec(n_fft_seconds=0.64, n_harmonics=4),
         ).stft_geometry(rec.sampling_hz, rec.signals.n_samples)
         overlap = n_fft + hop
         monitor = SpO2Monitor(

@@ -13,6 +13,7 @@ import pytest
 from repro.baselines import SpectralMaskingSeparator
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.separation import Separator
+from repro.service import SpectralMaskingSpec
 from repro.streaming import StreamingSeparator, crossfade_ramp, stream_record
 
 FS = 100.0
@@ -73,7 +74,9 @@ def record():
 
 @pytest.fixture(scope="module")
 def masker():
-    return SpectralMaskingSeparator(n_fft_seconds=0.64, n_harmonics=4)
+    return SpectralMaskingSeparator(
+        SpectralMaskingSpec(n_fft_seconds=0.64, n_harmonics=4)
+    )
 
 
 class TestOfflineEquivalence:
@@ -165,10 +168,10 @@ class TestOfflineEquivalence:
         # every way of cutting the record into pushes.
         mixed, tracks = record
         n = mixed.size
-        sep = SpectralMaskingSeparator(
+        sep = SpectralMaskingSeparator(SpectralMaskingSpec(
             n_fft_seconds=n_fft_seconds, hop_fraction=hop_fraction,
             n_harmonics=4,
-        )
+        ))
         n_fft, hop = sep.stft_geometry(FS, n)
         assert (n_fft, hop) == expected
         overlap = n_fft + hop

@@ -109,8 +109,9 @@ class TestSeparateBatchEdges:
         # geometry: n_fft saturates at the record length and the batch
         # hook must still return full-length estimates.
         from repro.baselines import SpectralMaskingSeparator
+        from repro.service import SpectralMaskingSpec
 
-        sep = SpectralMaskingSeparator(n_fft_seconds=2.0)
+        sep = SpectralMaskingSeparator(SpectralMaskingSpec(n_fft_seconds=2.0))
         rng = np.random.default_rng(5)
         rows = [rng.standard_normal(50) for _ in range(2)]
         tracks = [{"a": np.full(50, 1.3)} for _ in range(2)]

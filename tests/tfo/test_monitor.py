@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError
-from repro.service import DHFSpec, SeparationService
+from repro.service import DHFSpec, SeparationService, build_separator
 from repro.tfo import (
     AcExtractor,
     SpO2Monitor,
@@ -169,7 +169,7 @@ class TestBatchEquivalence:
         # (the full-budget cohort runs in bench_figure6_spo2).
         rec = make_sheep_recording("sheep1", duration_s=90.0, seed=3)
         spec = DHFSpec.from_preset("smoke", dtype="float64", iterations=8)
-        separator = spec.build()
+        separator = build_separator(spec)
         expected = sequential_fetal(rec, separator)
         result = run_in_vivo_batch([rec], {"DHF": spec})
         got = result[rec.name]["DHF"]
