@@ -21,7 +21,8 @@ help:
 	@echo "                       per-record separator pickling)"
 	@echo "make bench-substrates- float32 vs float64 DHF fit comparison (asserts"
 	@echo "                       float32 >= 1.3x faster, 5e-3 parity after one"
-	@echo "                       Adam step)"
+	@echo "                       Adam step, <= 20 minor page faults per fit"
+	@echo "                       iteration)"
 	@echo "make gateway-smoke   - HTTP gateway benchmark, smoke preset (job"
 	@echo "                       lifecycle + concurrent monitor feeds, bitwise-checked)"
 	@echo "make scoreboard-smoke- robustness scoreboard artefact, smoke preset"
@@ -76,7 +77,8 @@ smoke:
 # path (>= 2x vs the per-record loop with 1e-8 parity and zero
 # per-record separator pickling), and bench-substrates the fit's two
 # precisions (float32 within 5e-3 of the float64 fit after one Adam
-# step, and >= 1.3x faster on the DHF fit loop).  scoreboard-smoke
+# step, and >= 1.3x faster on the DHF fit loop) and its allocator churn
+# (<= 20 minor page faults per steady-state fit iteration).  scoreboard-smoke
 # regenerates the robustness artefact over the full separator line-up.
 ci: bench-sharding bench-substrates scoreboard-smoke
 	bash scripts/smoke.sh

@@ -19,11 +19,18 @@ run asserts the float32 fit loop is at least ``SPEEDUP_TARGET``x faster
 than the float64 one.  ``--smoke`` runs a small batch, checks parity
 only, and reports the speedup without asserting it (timing on tiny fits
 is noise-dominated).
+
+Both runs also report one fit iteration's cost at the smoke preset's
+geometry (one 33 x 98 record, float32): milliseconds and minor page
+faults per iteration after the first.  Faults count activation-sized
+memory going back to the OS and coming back; the default run asserts at
+most ``MAX_FAULTS_PER_ITERATION``, ``--smoke`` only reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 from typing import List, Tuple
 
@@ -56,6 +63,10 @@ PARITY_ITERATIONS = 2
 #: the reading has median 3.8e-5 and worst 7.8e-4; a float32 defect
 #: reads far above it.
 PARITY_RTOL = 5e-3
+#: Max minor page faults per steady-state fit iteration.  A fit that
+#: takes its transients from the network's workspace reads ~0; one that
+#: allocates them afresh read ~360 at this geometry.
+MAX_FAULTS_PER_ITERATION = 20
 
 
 def fit_config(iterations: int, dtype=np.float64) -> InpaintingConfig:
@@ -111,6 +122,37 @@ def max_relative_deviation(golden, fits) -> float:
     return worst
 
 
+def iteration_cost(n_frames: int = 98, iterations: int = 30):
+    """Milliseconds and minor page faults per steady-state fit iteration.
+
+    One smoke-preset network (float32) on one 33 x ``n_frames`` record;
+    the first iteration, which sizes every buffer, is not counted.
+    """
+    config = InpaintingConfig(base_channels=6, depth=2, time_dilation=5)
+    net = SpAcLUNet(config.network_config(), rng=0)
+    rng = np.random.default_rng(0)
+    code = net.make_input_code(N_FREQ, n_frames, rng=rng).data
+    target = rng.random((1, 1, N_FREQ, n_frames)).astype(np.float32)
+    mask = (rng.random(target.shape) > 0.3).astype(np.float32)
+    optimizer = Adam(net.parameters(), lr=config.learning_rate)
+
+    def iteration():
+        optimizer.zero_grad()
+        prediction = net(code)
+        _, grad = masked_mse_loss(prediction.data, target, mask)
+        prediction.backward(grad)
+        optimizer.step()
+
+    iteration()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    for _ in range(iterations):
+        iteration()
+    seconds = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return seconds * 1e3 / iterations, faults / iterations
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="float64 vs float32 comparison of the DHF fit loop"
@@ -131,6 +173,8 @@ def main(argv=None) -> int:
         args.records = min(args.records, 4)
         args.iterations = min(args.iterations, 12)
 
+    # First, while no larger fit has tuned the process's allocator.
+    ms, faults = iteration_cost()
     magnitudes, visibilities = build_batch(args.records)
     print(
         f"bench_substrates: DHF fit loop, {args.records} records x "
@@ -161,6 +205,10 @@ def main(argv=None) -> int:
         f"  float32: {t32 * 1e3:8.1f} ms  {speedup:6.2f}x  "
         f"max rel dev {deviation:.2e} (tol {PARITY_RTOL:.0e})"
     )
+    print(
+        f"  fit iteration (1 x {N_FREQ}x98, float32): {ms:6.2f} ms, "
+        f"{faults:.1f} minor faults (max {MAX_FAULTS_PER_ITERATION})"
+    )
 
     assert deviation <= PARITY_RTOL, (
         f"the float32 fit diverged from the float64 reference: "
@@ -170,6 +218,11 @@ def main(argv=None) -> int:
         assert speedup >= SPEEDUP_TARGET, (
             f"the float32 fit is only {speedup:.2f}x faster than float64 "
             f"(target >= {SPEEDUP_TARGET}x)"
+        )
+        assert faults <= MAX_FAULTS_PER_ITERATION, (
+            f"a fit iteration takes {faults:.1f} minor page faults "
+            f"(max {MAX_FAULTS_PER_ITERATION}): activation-sized memory "
+            f"is being allocated and freed"
         )
     print("bench_substrates: OK")
     return 0

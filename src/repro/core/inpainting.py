@@ -390,8 +390,9 @@ def inpaint_spectrograms(
     mask = np.stack(
         [vis for _, vis in pairs]
     ).astype(dtype)[:, None]
+    # A network is its own stack of one; stacking would only copy it.
     fit = fit_batched(
-        stack_networks(networks),
+        networks[0] if len(networks) == 1 else stack_networks(networks),
         code=np.concatenate(codes, axis=0),
         target=normalized,
         mask=mask,

@@ -47,19 +47,40 @@ def default_bandwidth(base_hz: float = 0.15, slope_hz: float = 0.05) -> Callable
     return bw
 
 
+def _frame_windows(f0: np.ndarray, sampling_hz: float,
+                   stft_result: StftResult):
+    """Each STFT frame's window on the f0 track.
+
+    Frame ``i`` covers samples ``[c - half, c + half)`` around its centre
+    sample ``c``, clipped to the track.  Returns ``(full, windows,
+    edges)``: ``full`` marks the frames whose window is not clipped,
+    ``windows`` holds those windows as rows (``None`` when there are
+    none), and ``edges`` lists ``(i, c, lo, hi)`` for every clipped frame.
+    """
+    centers = (stft_result.times() * sampling_hz).astype(np.int64)
+    half = stft_result.n_fft // 2
+    lo = np.maximum(centers - half, 0)
+    hi = np.minimum(centers + half, f0.size)
+    full = (hi - lo == 2 * half) & (half > 0)
+    windows = np.lib.stride_tricks.sliding_window_view(f0, 2 * half)[
+        lo[full]] if full.any() else None
+    edges = [
+        (i, c, a, b) for i, (c, a, b, inside) in enumerate(zip(
+            centers.tolist(), lo.tolist(), hi.tolist(), full.tolist()))
+        if not inside
+    ]
+    return full, windows, edges
+
+
 def f0_track_to_frames(f0_track, sampling_hz: float, stft_result: StftResult) -> np.ndarray:
     """Average a per-sample f0 track over each STFT frame's window."""
     f0 = as_1d_float_array(f0_track, "f0_track")
-    centers = stft_result.times() * sampling_hz
-    half = stft_result.n_fft // 2
+    full, windows, edges = _frame_windows(f0, sampling_hz, stft_result)
     out = np.empty(stft_result.n_frames)
-    for i, c in enumerate(centers):
-        lo = max(0, int(c) - half)
-        hi = min(f0.size, int(c) + half)
-        if hi <= lo:
-            out[i] = f0[min(int(c), f0.size - 1)]
-        else:
-            out[i] = f0[lo:hi].mean()
+    if windows is not None:
+        out[full] = windows.mean(axis=1)
+    for i, c, lo, hi in edges:
+        out[i] = f0[lo:hi].mean() if hi > lo else f0[min(c, f0.size - 1)]
     return out
 
 
@@ -72,15 +93,12 @@ def f0_spread_per_frame(f0_track, sampling_hz: float,
     still covers the smeared harmonic energy.
     """
     f0 = as_1d_float_array(f0_track, "f0_track")
-    centers = stft_result.times() * sampling_hz
-    half = stft_result.n_fft // 2
-    out = np.empty(stft_result.n_frames)
-    for i, c in enumerate(centers):
-        lo = max(0, int(c) - half)
-        hi = min(f0.size, int(c) + half)
-        if hi - lo < 2:
-            out[i] = 0.0
-        else:
+    full, windows, edges = _frame_windows(f0, sampling_hz, stft_result)
+    out = np.zeros(stft_result.n_frames)
+    if windows is not None:
+        out[full] = 0.5 * (windows.max(axis=1) - windows.min(axis=1))
+    for i, _, lo, hi in edges:
+        if hi - lo >= 2:
             window = f0[lo:hi]
             out[i] = 0.5 * float(window.max() - window.min())
     return out

@@ -17,6 +17,16 @@ gradients.  Their one caller is :class:`repro.nn.unet.SpAcLUNet`, which
 walks them inside its single whole-network graph node.  Backward kernels
 never write into the ``grad`` they are handed.
 
+Memory comes from two places.  What a kernel saves for its adjoint goes
+into the layer's own slot of saved activations (:func:`saved_array`).
+What lives only within a call (tap outputs, shifted gradients, GEMM
+outputs, normalisation and pooling temporaries), and the input gradient
+a backward kernel hands to the next layer's adjoint, comes from the
+network's one :class:`Workspace`: a flat buffer per role, shared by
+every layer, so a fit's iterations neither allocate nor free
+activation-sized memory.  Without a workspace every call allocates
+afresh.
+
 Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
 K2)`` holds one kernel per record and contracts only against record ``r``
 of an ``(R, C_in, ...)`` input, which is how one stacked deep-prior fit
@@ -27,6 +37,7 @@ stack of one.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional
 
@@ -146,6 +157,49 @@ def saved_array(saved: Optional[dict], name: str, shape: tuple,
     return array
 
 
+class Workspace:
+    """A network's scratch memory: one flat buffer per role.
+
+    Every layer takes its transients of a role from the same buffer,
+    which grows to the largest layer's request and is then reused, so
+    it stays warm in cache from one layer to the next.  A role's
+    contents are valid only until the next :meth:`take` of that role;
+    a kernel that hands a scratch array on (a backward kernel's input
+    gradient) relies on its consumer using other roles.  A workspace
+    belongs to one graph node at a time (see
+    :meth:`repro.nn.unet.SpAcLUNet.__call__`).
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, role: str, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised ``shape`` array at the start of ``role``'s buffer."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(role)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[role] = np.empty(size, dtype=dtype)
+        return buffer[:size].reshape(shape)
+
+
+def scratch_array(scratch: Optional[Workspace], role: str, shape: tuple,
+                  dtype) -> np.ndarray:
+    """``scratch.take(role, shape, dtype)``, or a fresh array without one."""
+    if scratch is None:
+        return np.empty(shape, dtype=dtype)
+    return scratch.take(role, shape, dtype)
+
+
+def scratch_zeros(scratch: Optional[Workspace], role: str, shape: tuple,
+                  dtype) -> np.ndarray:
+    """:func:`scratch_array`, zero-filled."""
+    array = scratch_array(scratch, role, shape, dtype)
+    array.fill(0)
+    return array
+
+
 # --------------------------------------------------------------------- #
 # Per-record convolutions
 # --------------------------------------------------------------------- #
@@ -162,16 +216,18 @@ def record_kernels(weight: np.ndarray, bias: np.ndarray):
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    padding=(0, 0), save: bool = True,
-                   saved: Optional[dict] = None):
+                   saved: Optional[dict] = None,
+                   scratch: Optional[Workspace] = None):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
     ``b`` ``(R, C_out)``; ``padding`` zero-pads ``(H, W)`` by ``(PH,
     PW)`` on both sides.  The input is unfolded once into an
     ``(R, C_in*KH*KW, OH*OW)`` column buffer (a free view for a 1x1
-    kernel without padding) and contracted in one batched GEMM; the
-    buffer is what the adjoint keeps (in ``saved``, see
-    :func:`saved_array`).
+    kernel without padding, so the adjoint then keeps ``x`` itself) and
+    contracted in one batched GEMM; the buffer is what the adjoint
+    keeps (in ``saved``, see :func:`saved_array`).  The padded input is
+    a ``scratch`` transient.
     """
     ph, pw = padding
     n_rec, c_in, h, width = x.shape
@@ -185,8 +241,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     if kh == kw == 1 and not (ph or pw):
         cols = x.reshape(n_rec, c_in, h * width)
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) \
-            if (ph or pw) else x
+        xp = x
+        if ph or pw:
+            xp = scratch_zeros(scratch, "padded",
+                               (n_rec, c_in, h + 2 * ph, width + 2 * pw),
+                               x.dtype)
+            xp[:, :, ph: ph + h, pw: pw + width] = x
         cols = saved_array(saved, "cols", (n_rec, c_in, kh, kw, oh, ow),
                            x.dtype)
         for (di, dj), (sl_h, sl_w) in taps:
@@ -200,10 +260,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out, ctx
 
 
-def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
+def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
+                    scratch: Optional[Workspace] = None):
     """Adjoint of :func:`conv2d_forward`: ``(grad_x, grad_w, grad_b)``.
 
-    ``grad_x`` is ``None`` unless ``need_input``.
+    ``grad_x`` is ``None`` unless ``need_input``; with ``scratch`` it is
+    a workspace array (roles ``"grad_in"`` and ``"grad_x"``), valid until
+    the next convolution's backward.
     """
     cols, w_flat, (ph, pw), x_shape, w_shape = ctx
     n_rec, c_out, oh, ow = grad.shape
@@ -212,7 +275,12 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     grad_b = grad.sum(axis=(2, 3))
     grad_x = None
     if need_input:
-        grad_cols = np.matmul(w_flat.transpose(0, 2, 1), g)
+        grad_cols = np.matmul(
+            w_flat.transpose(0, 2, 1), g,
+            out=scratch_array(scratch, "grad_in",
+                              (n_rec, cols.shape[1], oh * ow),
+                              np.result_type(w_flat, g)),
+        )
         _, c_in, h, width = x_shape
         kh, kw = w_shape[3], w_shape[4]
         if kh == kw == 1 and not (ph or pw):
@@ -220,8 +288,9 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
         else:
             grad_cols = grad_cols.reshape(n_rec, c_in, kh, kw, oh, ow)
             _, _, taps = conv_tap_plan(h + 2 * ph, width + 2 * pw, kh, kw)
-            grad_xp = np.zeros(
-                (n_rec, c_in, h + 2 * ph, width + 2 * pw), dtype=grad.dtype
+            grad_xp = scratch_zeros(
+                scratch, "grad_x",
+                (n_rec, c_in, h + 2 * ph, width + 2 * pw), grad.dtype,
             )
             for (di, dj), (sl_h, sl_w) in taps:
                 grad_xp[:, :, sl_h, sl_w] += grad_cols[:, :, di, dj]
@@ -269,7 +338,8 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
 
 def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                             anchor: int = 1, time_dilation: int = 1,
-                            save: bool = True, saved: Optional[dict] = None):
+                            save: bool = True, saved: Optional[dict] = None,
+                            scratch: Optional[Workspace] = None):
     """Per-record dilated harmonic convolution over raw arrays (Eq. 8)::
 
         out[r, o, f, t] = b[r, o] + sum_{c, k=1..H, dt}
@@ -282,7 +352,8 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     ``anchor = 1`` accesses forward integral harmonics only (the paper's
     spectrally accurate choice); larger anchors permit fractional ones.
     ``saved`` is the layer's slot of reused saved activations (see
-    :func:`saved_array`).
+    :func:`saved_array`); the GEMM's tap outputs are a ``scratch``
+    transient.
     """
     if time_dilation < 1:
         raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
@@ -316,8 +387,8 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     # shifts.  Each add runs over the flattened (f, t) axis in one pass:
     # the frames a tap would carry across a row boundary are the ones
     # that read zero padding, so they are zeroed first.
-    taps = np.empty((n_rec, c_out * kt, n_flat),
-                    dtype=np.result_type(w_fold, g_flat))
+    taps = scratch_array(scratch, "taps", (n_rec, c_out * kt, n_flat),
+                         np.result_type(w_fold, g_flat))
     for j, lo, hi in bands:
         cols = slice(lo * n_time, hi * n_time)
         np.matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
@@ -349,12 +420,16 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out, ctx
 
 
-def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
+def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
+                             scratch: Optional[Workspace] = None):
     """Adjoint of :func:`harmonic_conv2d_forward`.
 
     Returns ``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` unless
     ``need_input`` (a fit's code needs no gradient, so its first layer
-    skips the input GEMM and scatter).
+    skips the input GEMM and scatter).  The shifted gradients and the
+    input-gradient GEMM outputs are ``scratch`` transients, and
+    ``grad_x`` is then a workspace array (roles ``"grad_in"`` and
+    ``"grad_x"``), valid until the next convolution's backward.
     """
     g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape = ctx
     n_rec, c_out, n_freq, n_time = grad.shape
@@ -364,7 +439,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
     # padding.
     n_flat = n_freq * n_time
     grad_flat = grad.reshape(n_rec, c_out, n_flat)
-    shifted = np.empty((n_rec, c_out, kt, n_freq, n_time), dtype=grad.dtype)
+    shifted = scratch_array(scratch, "shifted",
+                            (n_rec, c_out, kt, n_freq, n_time), grad.dtype)
     for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
         lane = shifted[:, :, dt]
         if abs(shift) >= n_time:
@@ -398,8 +474,9 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
         # Input gradient back through the gather, band by band (only
         # in-band lanes are computed), then the adjoint of each harmonic
         # lane's copy.
-        grad_g = np.empty((n_rec, n_harm * c_in, n_flat),
-                          dtype=np.result_type(w_fold, s_flat))
+        grad_g = scratch_array(scratch, "grad_in",
+                               (n_rec, n_harm * c_in, n_flat),
+                               np.result_type(w_fold, s_flat))
         w_t = w_fold.transpose(0, 2, 1)
         for j, lo, hi in bands:
             cols = slice(lo * n_time, hi * n_time)
@@ -408,11 +485,12 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
         grad_g = grad_g.reshape(n_rec, n_harm, c_in, n_freq, n_time)
         scatter = list(enumerate(lanes))
         if lanes[0][1] == slice(0, n_freq, 1):
-            # Harmonic 1 at anchor 1 reads every bin once: start from it.
-            grad_x = grad_g[:, 0].copy()
+            # Harmonic 1 at anchor 1 reads every bin once: its lane is
+            # the start of the input gradient, in place.
+            grad_x = grad_g[:, 0]
             scatter = scatter[1:]
         else:
-            grad_x = np.zeros(x_shape, dtype=grad.dtype)
+            grad_x = scratch_zeros(scratch, "grad_x", x_shape, grad.dtype)
         for k, (n_valid, row_slice, rows, unique) in scatter:
             source = grad_g[:, k, :, :n_valid]
             if rows is None:
@@ -433,7 +511,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True):
 def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
                           bias: np.ndarray, eps: float,
                           negative_slope: float, save: bool = True,
-                          saved: Optional[dict] = None):
+                          saved: Optional[dict] = None,
+                          scratch: Optional[Workspace] = None):
     """Per-sample, per-channel normalisation, then a leaky ReLU.
 
     ``x`` is ``(N, C, H, W)``; each ``(n, c)`` map is normalised over its
@@ -442,10 +521,13 @@ def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
     (one pair per record) or ``(C,)`` (shared) — and rectified with
     slope ``negative_slope`` in ``[0, 1)``: the conv block's
     norm-then-activate stage.  The normalised activations and the ReLU
-    mask are written into ``saved`` (see :func:`saved_array`).
+    mask are written into ``saved`` (see :func:`saved_array`), and the
+    rectifier's slope product is a ``scratch`` transient.
     """
     n, c = x.shape[:2]
-    mean = x.mean(axis=(2, 3), keepdims=True)
+    # ``x.mean`` without its Python wrapper: the same sum and divide.
+    mean = np.add.reduce(x, axis=(2, 3), keepdims=True)
+    mean /= x[0, 0].size
     xhat = np.subtract(x, mean,
                        out=saved_array(saved, "xhat", x.shape, x.dtype))
     var = np.einsum("nchw,nchw->nc", xhat, xhat) * (1.0 / (x[0, 0].size))
@@ -460,27 +542,39 @@ def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
             out, 0, out=saved_array(saved, "positive", out.shape, bool)
         )
     # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
-    np.maximum(out, negative_slope * out, out=out)
+    np.maximum(out, np.multiply(
+        out, negative_slope,
+        out=scratch_array(scratch, "slope", out.shape, out.dtype),
+    ), out=out)
     ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
     return out, ctx
 
 
-def instance_norm_backward(ctx, grad: np.ndarray):
+def instance_norm_backward(ctx, grad: np.ndarray,
+                           scratch: Optional[Workspace] = None):
     """Adjoint of :func:`instance_norm_forward`.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; the affine gradients
-    are ``(N, C)`` (callers sum them to a shared weight's shape).
+    are ``(N, C)`` (callers sum them to a shared weight's shape).  The
+    rectified gradient is a ``scratch`` transient, and ``grad_x`` is
+    then a workspace array (role ``"norm_grad"``), valid until the next
+    normalisation's backward.
     """
     xhat, inv_std, scale, positive, negative_slope = ctx
-    slope = positive.astype(grad.dtype)
+    slope = scratch_array(scratch, "slope", grad.shape, grad.dtype)
+    np.copyto(slope, positive)
     np.maximum(slope, negative_slope, out=slope)
-    grad = grad * slope
+    grad = np.multiply(grad, slope, out=slope)
     count = xhat[0, 0].size
     grad_b = grad.sum(axis=(2, 3))
     grad_w = np.einsum("nchw,nchw->nc", grad, xhat)
     # d/dx of (x - mean) * inv_std, through both the mean and the
     # variance:  inv_std * (g - mean(g) - xhat * mean(g * xhat)).
-    grad_x = xhat * (grad_w * (-1.0 / count))[:, :, None, None]
+    grad_x = np.multiply(
+        xhat, (grad_w * (-1.0 / count))[:, :, None, None],
+        out=scratch_array(scratch, "norm_grad", xhat.shape,
+                          np.result_type(xhat, grad_w)),
+    )
     grad_x += grad
     grad_x -= (grad_b * (1.0 / count))[:, :, None, None]
     grad_x *= (scale[:, :, 0, 0] * inv_std)[:, :, None, None]
@@ -525,13 +619,19 @@ def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True,
     return out, ((arg, x.shape, kernel) if save else None)
 
 
-def max_pool2d_backward(ctx, grad: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`max_pool2d_forward`: route to each window's max."""
+def max_pool2d_backward(ctx, grad: np.ndarray,
+                        scratch: Optional[Workspace] = None) -> np.ndarray:
+    """Adjoint of :func:`max_pool2d_forward`: route to each window's max.
+
+    With ``scratch`` the result is a workspace array (role ``"pool"``).
+    """
     arg, in_shape, (kh, kw) = ctx
-    full = np.zeros(in_shape, dtype=grad.dtype)
+    full = scratch_zeros(scratch, "pool", in_shape, grad.dtype)
+    hit = scratch_array(scratch, "pool_hit", arg.shape, bool)
     for j, (rows, cols) in enumerate(
             _window_taps(kh, kw, grad.shape[2], grad.shape[3])):
-        full[:, :, rows, cols] = grad * (arg == j)
+        np.multiply(grad, np.equal(arg, j, out=hit),
+                    out=full[:, :, rows, cols])
     return full
 
 
@@ -559,12 +659,18 @@ def upsample_nearest_forward(x: np.ndarray, scale, size=None,
     return out
 
 
-def upsample_nearest_backward(grad: np.ndarray, scale, in_shape) -> np.ndarray:
-    """Adjoint of :func:`upsample_nearest_forward`: sum each cell's copies."""
+def upsample_nearest_backward(grad: np.ndarray, scale, in_shape,
+                              scratch: Optional[Workspace] = None
+                              ) -> np.ndarray:
+    """Adjoint of :func:`upsample_nearest_forward`: sum each cell's copies.
+
+    With ``scratch`` the result is a workspace array (role
+    ``"upsample"``).
+    """
     sh, sw = scale
     h, w = in_shape[2], in_shape[3]
     size = grad.shape[2:]
-    out = np.zeros(in_shape, dtype=grad.dtype)
+    out = scratch_zeros(scratch, "upsample", in_shape, grad.dtype)
     for i in range(sh):
         rows = min(h, len(range(i, size[0], sh)))
         for j in range(sw):

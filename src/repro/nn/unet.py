@@ -14,6 +14,12 @@ Fig. 3: a conventional CNN (``conv_kind="standard"``), and the baseline
 harmonic network of Zhang et al. with anchor > 1 and frequency
 max-pooling ("frequency folding").  Their table is
 :func:`repro.core.inpainting.config_for_prior_kind`.
+
+A call runs the whole network as one graph node.  Its kernels save what
+their adjoints need into per-layer slots and take every transient from
+one :class:`repro.nn.functional.Workspace` per network; both persist
+across a fit's iterations, so an iteration after the first allocates no
+activation-sized memory.
 """
 
 from __future__ import annotations
@@ -124,13 +130,16 @@ class ConvBlock(Module):
 
 
 def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
-                    saved: Optional[List[dict]]):
+                    saved: Optional[List[dict]],
+                    scratch: Optional[F.Workspace]):
     """Run a :meth:`SpAcLUNet.layers` list over raw arrays.
 
     ``saved`` holds one slot of reused saved activations per layer
     (:func:`repro.nn.functional.saved_array`); with ``saved`` the
-    forward records.  Returns the sigmoid output and the tape: one
-    kernel context per layer when recording, else an empty list.
+    forward records.  ``scratch`` is the kernels' shared
+    :class:`repro.nn.functional.Workspace`.  Returns the sigmoid output
+    and the tape: one kernel context per layer when recording, else an
+    empty list.
     """
     save = saved is not None
     tape: list = []
@@ -143,15 +152,18 @@ def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
             w, b = F.record_kernels(layer.weight.data, layer.bias.data)
             if isinstance(layer, HarmonicConv2d):
                 x, ctx = F.harmonic_conv2d_forward(
-                    x, w, b, layer.anchor, layer.time_dilation, save, slot
+                    x, w, b, layer.anchor, layer.time_dilation, save, slot,
+                    scratch,
                 )
             else:
-                x, ctx = F.conv2d_forward(x, w, b, layer.padding, save, slot)
+                x, ctx = F.conv2d_forward(
+                    x, w, b, layer.padding, save, slot, scratch
+                )
         elif kind == "norm":
             norm = step[1]
             x, ctx = F.instance_norm_forward(
                 x, norm.weight.data, norm.bias.data, norm.eps, step[2], save,
-                slot,
+                slot, scratch,
             )
         elif kind == "down":
             skips.append(x)
@@ -175,10 +187,14 @@ def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
 
 
 def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
-                     grad: np.ndarray, need_input: bool):
+                     grad: np.ndarray, need_input: bool, saved: List[dict],
+                     scratch: F.Workspace):
     """Replay :func:`_forward_layers` in reverse.
 
-    Returns the input gradient (``None`` unless ``need_input``) and a
+    The gradient passed from layer to layer lives in ``scratch``; a
+    skip connection's share is parked in its "up" layer's ``saved``
+    slot until the matching "down" layer adds it.  Returns the input
+    gradient (a fresh array; ``None`` unless ``need_input``) and a
     ``{id(parameter): gradient}`` map shaped like the parameters.
     """
     grads = {}
@@ -192,23 +208,28 @@ def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
             kernel_backward = F.harmonic_conv2d_backward \
                 if isinstance(layer, HarmonicConv2d) else F.conv2d_backward
             g, grad_w, grad_b = kernel_backward(
-                ctx, g, need_input or index > 0
+                ctx, g, need_input or index > 0, scratch
             )
             grads[id(layer.weight)] = grad_w.reshape(layer.weight.data.shape)
             grads[id(layer.bias)] = grad_b.reshape(layer.bias.data.shape)
         elif kind == "norm":
             norm = step[1]
-            g, grad_w, grad_b = F.instance_norm_backward(ctx, g)
+            g, grad_w, grad_b = F.instance_norm_backward(ctx, g, scratch)
             grads[id(norm.weight)] = grad_w.reshape(norm.weight.data.shape)
             grads[id(norm.bias)] = grad_b.reshape(norm.bias.data.shape)
         elif kind == "down":
-            g = F.max_pool2d_backward(ctx, g)
+            g = F.max_pool2d_backward(ctx, g, scratch)
             g += skip_grads.pop()
         else:  # "up"
             n_skip, x_shape = ctx
-            skip_grads.append(g[:, :n_skip])
-            g = F.upsample_nearest_backward(g[:, n_skip:], step[1], x_shape)
-    return g, grads
+            skip_grad = F.saved_array(saved[index], "skip_grad",
+                                      g[:, :n_skip].shape, g.dtype)
+            np.copyto(skip_grad, g[:, :n_skip])
+            skip_grads.append(skip_grad)
+            g = F.upsample_nearest_backward(
+                g[:, n_skip:], step[1], x_shape, scratch
+            )
+    return (g.copy() if need_input else None), grads
 
 
 class SpAcLUNet(Module):
@@ -263,14 +284,17 @@ class SpAcLUNet(Module):
             channels = skip_ch
 
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
-        # The saved-activation set while no graph node owns it (see
-        # :meth:`__call__`).  Scratch memory, not state.
+        # The saved-activation set and its workspace while no graph node
+        # owns them (see :meth:`__call__`).  Scratch memory, not state.
         self._idle = {}
+        # ``(layers(), parameters())``, built by the first call.
+        self._plan = None
 
     def __getstate__(self):
         # Copies and pickles start without saved-activation buffers.
         state = dict(self.__dict__)
         state["_idle"] = {}
+        state["_plan"] = None
         return state
 
     # ------------------------------------------------------------------ #
@@ -289,11 +313,13 @@ class SpAcLUNet(Module):
     def compact(self, keep) -> None:
         """Keep only the records ``keep`` (in order), dropping the rest.
 
-        Also drops the idle saved-activation buffers, which are sized for
-        the old stack.
+        Also drops the idle saved-activation buffers and workspace,
+        which are sized for the old stack, and the cached layer and
+        parameter lists.
         """
         keep = np.asarray(keep, dtype=np.intp)
         self._idle.clear()
+        self._plan = None
         stacked = self.stacked
         for param in self.parameters():
             data = param.data if stacked else param.data[None]
@@ -344,12 +370,17 @@ class SpAcLUNet(Module):
         input-gradient GEMM and scatter.
 
         The saved activations go into a set of per-layer arrays that
-        persists across a fit's iterations while shapes and dtypes hold.
-        The set belongs to the network while idle or to exactly one
-        node: a recording forward pops it (or starts a new one) and the
-        node's backward hands it back, so two live nodes, or two threads
-        on one network, never share an array.  The output and every
-        gradient are fresh arrays.
+        persists across a fit's iterations while shapes and dtypes hold,
+        and the kernels' transients into one
+        :class:`repro.nn.functional.Workspace` that travels with the
+        set.  Set and workspace belong to the network while idle or to
+        exactly one node: a recording forward pops them (or starts new
+        ones) and the node's backward hands them back, so two live
+        nodes, or two threads on one network, never share an array.  The
+        output and every gradient are fresh arrays.
+
+        The layer and parameter lists are built once and cached until
+        :meth:`compact`.
         """
         if not isinstance(z, Tensor):
             z = Tensor(z)
@@ -366,16 +397,20 @@ class SpAcLUNet(Module):
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
                 f"channels, got {shape[1]}"
             )
-        params = self.parameters()
+        if self._plan is None:
+            self._plan = (self.layers(), self.parameters())
+        layers, params = self._plan
         parents = (z, *params)
         record = any(p.requires_grad for p in parents)
-        layers = self.layers()
-        saved = None
+        saved = scratch = None
         if record:
             saved = self._idle.pop("saved", None)
+            scratch = self._idle.pop("scratch", None)
             if saved is None:
                 saved = [{} for _ in layers]
-        out_data, tape = _forward_layers(layers, z.data, saved)
+            if scratch is None:
+                scratch = F.Workspace()
+        out_data, tape = _forward_layers(layers, z.data, saved, scratch)
         out = Tensor(out_data, requires_grad=record)
         if not record:
             return out
@@ -387,10 +422,12 @@ class SpAcLUNet(Module):
                     "activations are released, so run the forward again"
                 )
             grad_z, grads = _backward_layers(
-                layers, tape, out_data, grad, z.requires_grad
+                layers, tape, out_data, grad, z.requires_grad, saved,
+                scratch,
             )
             tape.clear()
             self._idle["saved"] = saved
+            self._idle["scratch"] = scratch
             return (grad_z, *(grads[id(p)] for p in params))
 
         out._ctx = (parents, backward)

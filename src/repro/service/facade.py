@@ -181,7 +181,9 @@ class SeparationService:
     method:
         Registry name, :class:`SeparatorSpec`, spec dict, or an already
         built :class:`repro.separation.Separator` (the escape hatch for
-        hand-constructed instances; such services have ``spec=None``).
+        hand-constructed instances; such a service reports the
+        separator's ``spec`` when that is a :class:`SeparatorSpec`, else
+        ``spec=None``).
     workers:
         Batch fan-out.  ``0``/``1`` runs serially (batch mode then uses
         vectorized ``separate_batch`` hooks); ``> 1`` runs multi-record
@@ -211,7 +213,9 @@ class SeparationService:
         postprocess: Optional[Postprocess] = None,
     ):
         if isinstance(method, Separator):
-            self.spec: Optional[SeparatorSpec] = None
+            spec = getattr(method, "spec", None)
+            self.spec: Optional[SeparatorSpec] = \
+                spec if isinstance(spec, SeparatorSpec) else None
             self.separator = method
         else:
             self.spec = resolve_spec(method)

@@ -245,6 +245,8 @@ class RepetSpec(SeparatorSpec):
 
     ``extended=True`` selects segment-wise period re-estimation — the
     ``repet-ext`` registry entry is this spec with that default flipped.
+    ``method`` follows ``extended``: it is ``"repet-ext"`` exactly when
+    ``extended`` is true, so a spec is labelled with the variant it runs.
     """
 
     method: str = "repet"
@@ -256,6 +258,9 @@ class RepetSpec(SeparatorSpec):
     def __post_init__(self):
         self._check_bool("extended")
         self._check_positive("n_fft_seconds", "segment_seconds")
+        object.__setattr__(
+            self, "method", "repet-ext" if self.extended else "repet"
+        )
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,34 @@ class TestF0Frames:
         spread = f0_spread_per_frame(track, 32.0, tone_spec)
         assert spread.max() > 0.05
 
+    @pytest.mark.parametrize("n_track,n_fft,hop", [
+        (1200, 256, 64),    # edge frames clipped at both ends
+        (1200, 64, 16),
+        (1200, 65, 7),      # odd window
+        (300, 256, 64),     # short track: few full windows
+        (100, 256, 64),     # no window fits inside the track
+        (1, 8, 4),          # a one-sample track
+        (1200, 1, 1),       # empty windows
+    ])
+    def test_frames_equal_the_per_frame_loop(self, rng, n_track, n_fft, hop):
+        # The windowed mean and max/min over full windows, plus the
+        # clipped edge frames, are the per-frame loop bit for bit.
+        fs = 40.0
+        track = 1.5 + 0.3 * np.cumsum(rng.standard_normal(n_track)) / 30.0
+        spec = stft(np.zeros(1200), fs, n_fft=n_fft, hop=hop)
+        centers = spec.times() * fs
+        half = n_fft // 2
+        mean, spread = np.empty(spec.n_frames), np.empty(spec.n_frames)
+        for i, c in enumerate(centers):
+            lo, hi = max(0, int(c) - half), min(n_track, int(c) + half)
+            window = track[lo:hi]
+            mean[i] = window.mean() if hi > lo \
+                else track[min(int(c), n_track - 1)]
+            spread[i] = 0.5 * float(window.max() - window.min()) \
+                if hi - lo >= 2 else 0.0
+        assert np.array_equal(f0_track_to_frames(track, fs, spec), mean)
+        assert np.array_equal(f0_spread_per_frame(track, fs, spec), spread)
+
 
 class TestMaskedEnergyRatio:
     def test_pure_target_ratio_one(self, rng):

@@ -65,6 +65,60 @@ class TestAdam:
             assert p.data.dtype == dtype
             assert np.array_equal(p.data, data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_state_is_the_textbook_update_per_parameter(
+            self, rng, dtype):
+        # Several record-stacked parameters of mixed shapes share one
+        # flat state.  Across a compaction, and with one parameter left
+        # without a gradient for a step, each stays bitwise equal to the
+        # textbook update of that parameter alone.
+        shapes = [(3, 4, 2, 3, 3), (3, 4), (3, 1, 5, 1, 1), (3, 6)]
+        params = [Parameter(rng.standard_normal(s).astype(dtype))
+                  for s in shapes]
+        opt = Adam(params, lr=1e-2)
+        beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
+        ref = [(p.data.copy(), np.zeros(s, dtype), np.zeros(s, dtype))
+               for p, s in zip(params, shapes)]
+        keep = np.array([0, 2])
+        for t in range(1, 6):
+            if t == 3:
+                for p in params:
+                    p.data = np.ascontiguousarray(p.data[keep])
+                opt.compact(keep)
+                ref = [tuple(a[keep] for a in r) for r in ref]
+            opt.zero_grad()
+            for i, (p, (data, m, v)) in enumerate(zip(params, ref)):
+                if t == 2 and i == 1:
+                    continue  # no gradient: value and moments untouched
+                p.grad = rng.standard_normal(data.shape).astype(dtype)
+                m = beta1 * m + (1 - beta1) * p.grad
+                v = beta2 * v + (1 - beta2) * p.grad * p.grad
+                m_hat = m / (1.0 - beta1 ** t)
+                v_hat = v / (1.0 - beta2 ** t)
+                ref[i] = (data - 1e-2 * m_hat / (np.sqrt(v_hat) + eps), m, v)
+            opt.step()
+            for p, (data, _, _) in zip(params, ref):
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, data)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = [Parameter(np.ones((2, 3))), Parameter(np.zeros(4))]
+        opt = Adam(params)
+        base = params[0].data.base
+        assert base is not None and params[1].data.base is base
+        np.testing.assert_array_equal(params[0].data, 1.0)
+        # Data replaced since the last step is taken back into the state.
+        params[1].data = np.full(4, 2.0)
+        params[1].grad = np.zeros(4)
+        opt.step()
+        assert params[1].data.base is base
+        np.testing.assert_array_equal(params[1].data, 2.0)
+
+    def test_mixed_dtypes_raise(self):
+        with pytest.raises(ConfigurationError):
+            Adam([Parameter(np.zeros(2)),
+                  Parameter(np.zeros(2, dtype=np.float32))])
+
     def test_compact_keeps_each_records_trajectory(self, rng):
         # Records 0 and 2 of a stacked parameter, compacted after one
         # step, go on exactly as an Adam over those two records alone.

@@ -102,9 +102,10 @@ class TestOfflineMode:
     def test_prebuilt_separator_escape_hatch(self, records):
         sep = build_separator(SPEC)
         service = SeparationService(sep)
-        assert service.spec is None
+        assert service.spec == sep.spec
         outcome = service.separate(records[0])
         assert outcome.separator_name == sep.name
+        assert outcome.spec == sep.spec
 
 
 class TestBatchMode:

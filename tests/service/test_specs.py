@@ -15,6 +15,7 @@ from repro.service import (
     SpectralMaskingSpec,
     VMDSpec,
     available_separators,
+    build_separator,
     default_spec,
 )
 
@@ -60,6 +61,19 @@ class TestRoundTrip:
             {"method": "repet-ext", "extended": False}
         )
         assert spec.extended is False
+
+    @pytest.mark.parametrize("data,method", [
+        ({"method": "repet-ext", "extended": False}, "repet"),
+        ({"method": "repet", "extended": True}, "repet-ext"),
+    ])
+    def test_repet_label_follows_the_variant_that_runs(self, data, method):
+        # The label a job reports (spec.method) names the variant the
+        # separator runs (spec.extended), whichever field a dict names.
+        spec = SeparatorSpec.from_dict(data)
+        assert spec.extended is data["extended"]
+        assert spec.method == method
+        assert build_separator(data).spec == spec
+        assert spec.to_dict()["method"] == method
 
     def test_repet_ext_round_trips_with_own_method_name(self):
         # repet-ext shares RepetSpec with repet, but a spec built from
