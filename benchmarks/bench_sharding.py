@@ -111,7 +111,9 @@ def bench_method(title, spec, records, workers) -> float:
     serial = serial.batch
 
     with SeparationService(spec, workers=workers) as svc:
-        svc.separate_batch(records[:1])  # warm up: fork + worker init
+        # Warm up: fork and initialise the workers.  The service runs a
+        # one-record batch in the calling process, so this takes two.
+        svc.separate_batch(records[:2])
         processed, t_process = timed(lambda: svc.separate_batch(records))
     processed = processed.batch
 
