@@ -253,11 +253,13 @@ def test_bench_harmonic_conv_forward_backward(benchmark, rng):
         np.zeros(8, dtype=np.float32),
     )
 
+    scratch = F.Workspace()
+
     def step():
         # The gradients of sum(out ** 2), input gradient included.
-        out, ctx = F.harmonic_conv2d_forward(x, w, b, anchor=1,
+        out, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, anchor=1,
                                              time_dilation=5)
-        F.harmonic_conv2d_backward(ctx, 2 * out)
+        F.harmonic_conv2d_backward(ctx, 2 * out, scratch)
         return float((out * out).sum())
 
     benchmark(step)

@@ -24,8 +24,8 @@ outputs, normalisation and pooling temporaries), and the input gradient
 a backward kernel hands to the next layer's adjoint, comes from the
 network's one :class:`Workspace`: a flat buffer per role, shared by
 every layer, so a fit's iterations neither allocate nor free
-activation-sized memory.  Without a workspace every call allocates
-afresh.
+activation-sized memory.  Every kernel that needs a transient takes the
+workspace as an argument.
 
 Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
 K2)`` holds one kernel per record and contracts only against record ``r``
@@ -184,22 +184,6 @@ class Workspace:
         return buffer[:size].reshape(shape)
 
 
-def scratch_array(scratch: Optional[Workspace], role: str, shape: tuple,
-                  dtype) -> np.ndarray:
-    """``scratch.take(role, shape, dtype)``, or a fresh array without one."""
-    if scratch is None:
-        return np.empty(shape, dtype=dtype)
-    return scratch.take(role, shape, dtype)
-
-
-def scratch_zeros(scratch: Optional[Workspace], role: str, shape: tuple,
-                  dtype) -> np.ndarray:
-    """:func:`scratch_array`, zero-filled."""
-    array = scratch_array(scratch, role, shape, dtype)
-    array.fill(0)
-    return array
-
-
 # --------------------------------------------------------------------- #
 # Per-record convolutions
 # --------------------------------------------------------------------- #
@@ -215,9 +199,8 @@ def record_kernels(weight: np.ndarray, bias: np.ndarray):
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   padding=(0, 0), save: bool = True,
-                   saved: Optional[dict] = None,
-                   scratch: Optional[Workspace] = None):
+                   scratch: Workspace, padding=(0, 0), save: bool = True,
+                   saved: Optional[dict] = None):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
@@ -243,9 +226,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     else:
         xp = x
         if ph or pw:
-            xp = scratch_zeros(scratch, "padded",
-                               (n_rec, c_in, h + 2 * ph, width + 2 * pw),
-                               x.dtype)
+            xp = scratch.take("padded",
+                              (n_rec, c_in, h + 2 * ph, width + 2 * pw),
+                              x.dtype)
+            xp.fill(0)
             xp[:, :, ph: ph + h, pw: pw + width] = x
         cols = saved_array(saved, "cols", (n_rec, c_in, kh, kw, oh, ow),
                            x.dtype)
@@ -260,13 +244,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out, ctx
 
 
-def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
-                    scratch: Optional[Workspace] = None):
+def conv2d_backward(ctx, grad: np.ndarray, scratch: Workspace,
+                    need_input: bool = True):
     """Adjoint of :func:`conv2d_forward`: ``(grad_x, grad_w, grad_b)``.
 
-    ``grad_x`` is ``None`` unless ``need_input``; with ``scratch`` it is
-    a workspace array (roles ``"grad_in"`` and ``"grad_x"``), valid until
-    the next convolution's backward.
+    ``grad_x`` is ``None`` unless ``need_input``; it is a ``scratch``
+    array (roles ``"grad_in"`` and ``"grad_x"``), valid until the next
+    convolution's backward.
     """
     cols, w_flat, (ph, pw), x_shape, w_shape = ctx
     n_rec, c_out, oh, ow = grad.shape
@@ -277,9 +261,8 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
     if need_input:
         grad_cols = np.matmul(
             w_flat.transpose(0, 2, 1), g,
-            out=scratch_array(scratch, "grad_in",
-                              (n_rec, cols.shape[1], oh * ow),
-                              np.result_type(w_flat, g)),
+            out=scratch.take("grad_in", (n_rec, cols.shape[1], oh * ow),
+                             np.result_type(w_flat, g)),
         )
         _, c_in, h, width = x_shape
         kh, kw = w_shape[3], w_shape[4]
@@ -288,10 +271,11 @@ def conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
         else:
             grad_cols = grad_cols.reshape(n_rec, c_in, kh, kw, oh, ow)
             _, _, taps = conv_tap_plan(h + 2 * ph, width + 2 * pw, kh, kw)
-            grad_xp = scratch_zeros(
-                scratch, "grad_x",
-                (n_rec, c_in, h + 2 * ph, width + 2 * pw), grad.dtype,
+            grad_xp = scratch.take(
+                "grad_x", (n_rec, c_in, h + 2 * ph, width + 2 * pw),
+                grad.dtype,
             )
+            grad_xp.fill(0)
             for (di, dj), (sl_h, sl_w) in taps:
                 grad_xp[:, :, sl_h, sl_w] += grad_cols[:, :, di, dj]
             grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width]
@@ -337,9 +321,9 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
 
 
 def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                            anchor: int = 1, time_dilation: int = 1,
-                            save: bool = True, saved: Optional[dict] = None,
-                            scratch: Optional[Workspace] = None):
+                            scratch: Workspace, anchor: int = 1,
+                            time_dilation: int = 1, save: bool = True,
+                            saved: Optional[dict] = None):
     """Per-record dilated harmonic convolution over raw arrays (Eq. 8)::
 
         out[r, o, f, t] = b[r, o] + sum_{c, k=1..H, dt}
@@ -387,8 +371,8 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     # shifts.  Each add runs over the flattened (f, t) axis in one pass:
     # the frames a tap would carry across a row boundary are the ones
     # that read zero padding, so they are zeroed first.
-    taps = scratch_array(scratch, "taps", (n_rec, c_out * kt, n_flat),
-                         np.result_type(w_fold, g_flat))
+    taps = scratch.take("taps", (n_rec, c_out * kt, n_flat),
+                        np.result_type(w_fold, g_flat))
     for j, lo, hi in bands:
         cols = slice(lo * n_time, hi * n_time)
         np.matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
@@ -420,15 +404,15 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out, ctx
 
 
-def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
-                             scratch: Optional[Workspace] = None):
+def harmonic_conv2d_backward(ctx, grad: np.ndarray, scratch: Workspace,
+                             need_input: bool = True):
     """Adjoint of :func:`harmonic_conv2d_forward`.
 
     Returns ``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` unless
     ``need_input`` (a fit's code needs no gradient, so its first layer
     skips the input GEMM and scatter).  The shifted gradients and the
     input-gradient GEMM outputs are ``scratch`` transients, and
-    ``grad_x`` is then a workspace array (roles ``"grad_in"`` and
+    ``grad_x`` is a ``scratch`` array too (roles ``"grad_in"`` and
     ``"grad_x"``), valid until the next convolution's backward.
     """
     g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape = ctx
@@ -439,8 +423,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
     # padding.
     n_flat = n_freq * n_time
     grad_flat = grad.reshape(n_rec, c_out, n_flat)
-    shifted = scratch_array(scratch, "shifted",
-                            (n_rec, c_out, kt, n_freq, n_time), grad.dtype)
+    shifted = scratch.take("shifted", (n_rec, c_out, kt, n_freq, n_time),
+                           grad.dtype)
     for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
         lane = shifted[:, :, dt]
         if abs(shift) >= n_time:
@@ -474,9 +458,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
         # Input gradient back through the gather, band by band (only
         # in-band lanes are computed), then the adjoint of each harmonic
         # lane's copy.
-        grad_g = scratch_array(scratch, "grad_in",
-                               (n_rec, n_harm * c_in, n_flat),
-                               np.result_type(w_fold, s_flat))
+        grad_g = scratch.take("grad_in", (n_rec, n_harm * c_in, n_flat),
+                              np.result_type(w_fold, s_flat))
         w_t = w_fold.transpose(0, 2, 1)
         for j, lo, hi in bands:
             cols = slice(lo * n_time, hi * n_time)
@@ -490,7 +473,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
             grad_x = grad_g[:, 0]
             scatter = scatter[1:]
         else:
-            grad_x = scratch_zeros(scratch, "grad_x", x_shape, grad.dtype)
+            grad_x = scratch.take("grad_x", x_shape, grad.dtype)
+            grad_x.fill(0)
         for k, (n_valid, row_slice, rows, unique) in scatter:
             source = grad_g[:, k, :, :n_valid]
             if rows is None:
@@ -510,9 +494,8 @@ def harmonic_conv2d_backward(ctx, grad: np.ndarray, need_input: bool = True,
 # --------------------------------------------------------------------- #
 def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
                           bias: np.ndarray, eps: float,
-                          negative_slope: float, save: bool = True,
-                          saved: Optional[dict] = None,
-                          scratch: Optional[Workspace] = None):
+                          negative_slope: float, scratch: Workspace,
+                          save: bool = True, saved: Optional[dict] = None):
     """Per-sample, per-channel normalisation, then a leaky ReLU.
 
     ``x`` is ``(N, C, H, W)``; each ``(n, c)`` map is normalised over its
@@ -544,24 +527,23 @@ def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
     # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
     np.maximum(out, np.multiply(
         out, negative_slope,
-        out=scratch_array(scratch, "slope", out.shape, out.dtype),
+        out=scratch.take("slope", out.shape, out.dtype),
     ), out=out)
     ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
     return out, ctx
 
 
-def instance_norm_backward(ctx, grad: np.ndarray,
-                           scratch: Optional[Workspace] = None):
+def instance_norm_backward(ctx, grad: np.ndarray, scratch: Workspace):
     """Adjoint of :func:`instance_norm_forward`.
 
     Returns ``(grad_x, grad_weight, grad_bias)``; the affine gradients
     are ``(N, C)`` (callers sum them to a shared weight's shape).  The
-    rectified gradient is a ``scratch`` transient, and ``grad_x`` is
-    then a workspace array (role ``"norm_grad"``), valid until the next
+    rectified gradient is a ``scratch`` transient, and ``grad_x`` is a
+    ``scratch`` array too (role ``"norm_grad"``), valid until the next
     normalisation's backward.
     """
     xhat, inv_std, scale, positive, negative_slope = ctx
-    slope = scratch_array(scratch, "slope", grad.shape, grad.dtype)
+    slope = scratch.take("slope", grad.shape, grad.dtype)
     np.copyto(slope, positive)
     np.maximum(slope, negative_slope, out=slope)
     grad = np.multiply(grad, slope, out=slope)
@@ -572,8 +554,8 @@ def instance_norm_backward(ctx, grad: np.ndarray,
     # variance:  inv_std * (g - mean(g) - xhat * mean(g * xhat)).
     grad_x = np.multiply(
         xhat, (grad_w * (-1.0 / count))[:, :, None, None],
-        out=scratch_array(scratch, "norm_grad", xhat.shape,
-                          np.result_type(xhat, grad_w)),
+        out=scratch.take("norm_grad", xhat.shape,
+                         np.result_type(xhat, grad_w)),
     )
     grad_x += grad
     grad_x -= (grad_b * (1.0 / count))[:, :, None, None]
@@ -620,14 +602,15 @@ def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True,
 
 
 def max_pool2d_backward(ctx, grad: np.ndarray,
-                        scratch: Optional[Workspace] = None) -> np.ndarray:
+                        scratch: Workspace) -> np.ndarray:
     """Adjoint of :func:`max_pool2d_forward`: route to each window's max.
 
-    With ``scratch`` the result is a workspace array (role ``"pool"``).
+    The result is a ``scratch`` array (role ``"pool"``).
     """
     arg, in_shape, (kh, kw) = ctx
-    full = scratch_zeros(scratch, "pool", in_shape, grad.dtype)
-    hit = scratch_array(scratch, "pool_hit", arg.shape, bool)
+    full = scratch.take("pool", in_shape, grad.dtype)
+    full.fill(0)
+    hit = scratch.take("pool_hit", arg.shape, bool)
     for j, (rows, cols) in enumerate(
             _window_taps(kh, kw, grad.shape[2], grad.shape[3])):
         np.multiply(grad, np.equal(arg, j, out=hit),
@@ -660,17 +643,16 @@ def upsample_nearest_forward(x: np.ndarray, scale, size=None,
 
 
 def upsample_nearest_backward(grad: np.ndarray, scale, in_shape,
-                              scratch: Optional[Workspace] = None
-                              ) -> np.ndarray:
+                              scratch: Workspace) -> np.ndarray:
     """Adjoint of :func:`upsample_nearest_forward`: sum each cell's copies.
 
-    With ``scratch`` the result is a workspace array (role
-    ``"upsample"``).
+    The result is a ``scratch`` array (role ``"upsample"``).
     """
     sh, sw = scale
     h, w = in_shape[2], in_shape[3]
     size = grad.shape[2:]
-    out = scratch_zeros(scratch, "upsample", in_shape, grad.dtype)
+    out = scratch.take("upsample", in_shape, grad.dtype)
+    out.fill(0)
     for i in range(sh):
         rows = min(h, len(range(i, size[0], sh)))
         for j in range(sw):

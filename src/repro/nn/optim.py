@@ -105,7 +105,7 @@ class Adam:
                 p.data = data
             if p.grad is None:
                 missing.append(index)
-            elif p.grad is not grad:
+            else:
                 np.copyto(grad, p.grad)
         if len(missing) == len(self.params):
             return

@@ -130,8 +130,7 @@ class ConvBlock(Module):
 
 
 def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
-                    saved: Optional[List[dict]],
-                    scratch: Optional[F.Workspace]):
+                    saved: Optional[List[dict]], scratch: F.Workspace):
     """Run a :meth:`SpAcLUNet.layers` list over raw arrays.
 
     ``saved`` holds one slot of reused saved activations per layer
@@ -152,18 +151,18 @@ def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
             w, b = F.record_kernels(layer.weight.data, layer.bias.data)
             if isinstance(layer, HarmonicConv2d):
                 x, ctx = F.harmonic_conv2d_forward(
-                    x, w, b, layer.anchor, layer.time_dilation, save, slot,
-                    scratch,
+                    x, w, b, scratch, layer.anchor, layer.time_dilation,
+                    save, slot,
                 )
             else:
                 x, ctx = F.conv2d_forward(
-                    x, w, b, layer.padding, save, slot, scratch
+                    x, w, b, scratch, layer.padding, save, slot
                 )
         elif kind == "norm":
             norm = step[1]
             x, ctx = F.instance_norm_forward(
-                x, norm.weight.data, norm.bias.data, norm.eps, step[2], save,
-                slot, scratch,
+                x, norm.weight.data, norm.bias.data, norm.eps, step[2],
+                scratch, save, slot,
             )
         elif kind == "down":
             skips.append(x)
@@ -208,7 +207,7 @@ def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
             kernel_backward = F.harmonic_conv2d_backward \
                 if isinstance(layer, HarmonicConv2d) else F.conv2d_backward
             g, grad_w, grad_b = kernel_backward(
-                ctx, g, need_input or index > 0, scratch
+                ctx, g, scratch, need_input or index > 0
             )
             grads[id(layer.weight)] = grad_w.reshape(layer.weight.data.shape)
             grads[id(layer.bias)] = grad_b.reshape(layer.bias.data.shape)
@@ -376,7 +375,8 @@ class SpAcLUNet(Module):
         set.  Set and workspace belong to the network while idle or to
         exactly one node: a recording forward pops them (or starts new
         ones) and the node's backward hands them back, so two live
-        nodes, or two threads on one network, never share an array.  The
+        nodes, or two threads on one network, never share an array.  A
+        forward that records nothing runs on a workspace of its own.  The
         output and every gradient are fresh arrays.
 
         The layer and parameter lists are built once and cached until
@@ -402,14 +402,11 @@ class SpAcLUNet(Module):
         layers, params = self._plan
         parents = (z, *params)
         record = any(p.requires_grad for p in parents)
-        saved = scratch = None
         if record:
-            saved = self._idle.pop("saved", None)
-            scratch = self._idle.pop("scratch", None)
-            if saved is None:
-                saved = [{} for _ in layers]
-            if scratch is None:
-                scratch = F.Workspace()
+            saved = self._idle.pop("saved", None) or [{} for _ in layers]
+            scratch = self._idle.pop("scratch", None) or F.Workspace()
+        else:
+            saved, scratch = None, F.Workspace()
         out_data, tape = _forward_layers(layers, z.data, saved, scratch)
         out = Tensor(out_data, requires_grad=record)
         if not record:

@@ -5,7 +5,9 @@ code with it: a loop over Eq. 8 for the harmonic convolution, scipy for
 the standard convolution, plain numpy for instance norm with leaky ReLU,
 pooling and upsampling.  Every backward is checked against float64
 central differences of its forward, which are independent of the
-hand-written adjoints.
+hand-written adjoints.  The kernels run on a :class:`StaleWorkspace`,
+and a forward, its backward and its central differences share one, as
+the layers of a fit share the network's workspace.
 """
 
 import numpy as np
@@ -53,6 +55,20 @@ def _operands(rng, records, weight_shape, x_shape):
     bias = 0.1 * rng.standard_normal((*stack, weight_shape[0]))
     w, b = F.record_kernels(weight, bias)
     return x, weight, bias, w, b
+
+
+class StaleWorkspace(F.Workspace):
+    """A workspace that hands out every array filled with NaN.
+
+    In a fit each role's buffer still holds what the previous layer left
+    there, so a kernel must write every scratch cell before reading it;
+    NaN makes a cell that it reads unwritten show in the result.
+    """
+
+    def take(self, role, shape, dtype):
+        array = super().take(role, shape, dtype)
+        array.fill(np.nan)
+        return array
 
 
 # --------------------------------------------------------------------- #
@@ -195,7 +211,8 @@ class TestHarmonicConv2d:
     @HARMONIC_SWEEP
     def test_forward_is_eq8(self, rng, records, anchor, dilation, n_freq):
         x, _, _, w, b = _operands(rng, records, (3, 2, 3, 3), (2, n_freq, 9))
-        out, _ = F.harmonic_conv2d_forward(x, w, b, anchor, dilation)
+        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(), anchor,
+                                           dilation)
         np.testing.assert_allclose(
             out, harmonic_reference(x, w, b, anchor, dilation),
             rtol=0, atol=1e-12,
@@ -208,14 +225,16 @@ class TestHarmonicConv2d:
             rng, records, (3, 2, 3, 3), (2, n_freq, 9)
         )
         probe = rng.standard_normal((x.shape[0], 3, n_freq, 9))
+        scratch = StaleWorkspace()
 
         def loss():
-            out, _ = F.harmonic_conv2d_forward(x, w, b, anchor, dilation,
-                                               save=False)
+            out, _ = F.harmonic_conv2d_forward(x, w, b, scratch, anchor,
+                                               dilation, save=False)
             return float((out * probe).sum())
 
-        _, ctx = F.harmonic_conv2d_forward(x, w, b, anchor, dilation)
-        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(ctx, probe)
+        _, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, anchor, dilation)
+        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(ctx, probe,
+                                                            scratch)
         assert_gradients(loss, [
             (x, grad_x),
             (weight, grad_w.reshape(weight.shape)),
@@ -224,14 +243,14 @@ class TestHarmonicConv2d:
 
     def test_output_shape_preserved(self, rng):
         x, _, _, w, b = _operands(rng, None, (4, 2, 3, 3), (2, 16, 10))
-        out, _ = F.harmonic_conv2d_forward(x, w, b, 1, 2)
+        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(), 1, 2)
         assert out.shape == (1, 4, 16, 10)
 
     def test_manual_single_harmonic(self, rng):
         # One harmonic, one time tap: output = w * x exactly.
         x = rng.standard_normal((1, 1, 6, 5))
         w, b = F.record_kernels(np.full((1, 1, 1, 1), 2.0), np.zeros(1))
-        out, _ = F.harmonic_conv2d_forward(x, w, b)
+        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace())
         np.testing.assert_array_equal(out, 2.0 * x)
 
     def test_second_harmonic_reads_double_frequency(self):
@@ -242,7 +261,7 @@ class TestHarmonicConv2d:
         weight = np.zeros((1, 1, 2, 1))
         weight[0, 0, 1, 0] = 1.0  # only the k=2 tap
         out, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight, np.zeros(1))
+            x, *F.record_kernels(weight, np.zeros(1)), StaleWorkspace()
         )
         assert out[0, 0, 2, 1] == 1.0  # 2*2=4 reads the hot bin
         assert out[0, 0, 4, 1] == 0.0  # 2*4=8 is out of band
@@ -253,36 +272,39 @@ class TestHarmonicConv2d:
         weight = np.zeros((1, 1, 1, 3))
         weight[0, 0, 0, 0] = 1.0  # the tap at t - D
         out, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight, np.zeros(1)), time_dilation=4
+            x, *F.record_kernels(weight, np.zeros(1)), StaleWorkspace(),
+            time_dilation=4,
         )
         assert out[0, 0, 1, 4] == 1.0
 
     def test_dilation_past_both_ends_leaves_the_centre_tap(self, rng):
         # Side taps shifted by >= T frames read only zero padding.
         x, weight, bias, w, b = _operands(rng, None, (3, 2, 2, 3), (2, 7, 5))
-        wide, _ = F.harmonic_conv2d_forward(x, w, b, time_dilation=5)
+        wide, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(),
+                                            time_dilation=5)
         centre, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight[..., 1:2], bias)
+            x, *F.record_kernels(weight[..., 1:2], bias), StaleWorkspace()
         )
         np.testing.assert_allclose(wide, centre, rtol=0, atol=1e-12)
 
     def test_records_do_not_mix(self, rng):
         """Record r of the output depends only on record r of the input."""
         x1, _, _, w, b = _operands(rng, 2, (3, 2, 2, 3), (2, 7, 9))
-        out1, _ = F.harmonic_conv2d_forward(x1, w, b)
+        out1, _ = F.harmonic_conv2d_forward(x1, w, b, StaleWorkspace())
         x2 = x1.copy()
         x2[1] = rng.standard_normal((2, 7, 9))  # perturb record 1 only
-        out2, _ = F.harmonic_conv2d_forward(x2, w, b)
+        out2, _ = F.harmonic_conv2d_forward(x2, w, b, StaleWorkspace())
         np.testing.assert_array_equal(out1[0], out2[0])
         assert np.abs(out1[1] - out2[1]).max() > 0
 
     def test_backward_without_input_gradient(self, rng):
         x, _, _, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 7, 9))
-        _, ctx = F.harmonic_conv2d_forward(x, w, b, 1, 2)
+        scratch = StaleWorkspace()
+        _, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, 1, 2)
         probe = rng.standard_normal((2, 3, 7, 9))
-        full = F.harmonic_conv2d_backward(ctx, probe)
+        full = F.harmonic_conv2d_backward(ctx, probe, scratch)
         grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(
-            ctx, probe, need_input=False
+            ctx, probe, scratch, need_input=False
         )
         assert grad_x is None
         np.testing.assert_array_equal(grad_w, full[1])
@@ -291,13 +313,14 @@ class TestHarmonicConv2d:
     def test_even_kernel_time_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ConfigurationError):
-            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b)
+            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
+                                      StaleWorkspace())
 
     def test_bad_dilation_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 2, 3)), np.zeros(1))
         with pytest.raises(ConfigurationError):
             F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
-                                      time_dilation=0)
+                                      StaleWorkspace(), time_dilation=0)
 
 
 class TestConv2d:
@@ -306,7 +329,8 @@ class TestConv2d:
         x, _, _, w, b = _operands(
             rng, records, (3, 2, kernel, kernel), (2, 5, 7)
         )
-        out, _ = F.conv2d_forward(x, w, b, (padding, padding))
+        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(),
+                                  (padding, padding))
         np.testing.assert_allclose(
             out, conv2d_reference(x, w, b, (padding, padding)),
             rtol=0, atol=1e-12,
@@ -319,14 +343,15 @@ class TestConv2d:
             rng, records, (3, 2, kernel, kernel), (2, 5, 7)
         )
         pad = (padding, padding)
-        out, ctx = F.conv2d_forward(x, w, b, pad)
+        scratch = StaleWorkspace()
+        out, ctx = F.conv2d_forward(x, w, b, scratch, pad)
         probe = rng.standard_normal(out.shape)
 
         def loss():
-            return float((F.conv2d_forward(x, w, b, pad, save=False)[0]
-                          * probe).sum())
+            return float((F.conv2d_forward(x, w, b, scratch, pad,
+                                           save=False)[0] * probe).sum())
 
-        grad_x, grad_w, grad_b = F.conv2d_backward(ctx, probe)
+        grad_x, grad_w, grad_b = F.conv2d_backward(ctx, probe, scratch)
         assert_gradients(loss, [
             (x, grad_x),
             (weight, grad_w.reshape(weight.shape)),
@@ -335,28 +360,30 @@ class TestConv2d:
 
     def test_padding_same_shape(self, rng):
         x, _, _, w, b = _operands(rng, None, (3, 2, 3, 3), (2, 8, 8))
-        out, _ = F.conv2d_forward(x, w, b, (1, 1))
+        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(), (1, 1))
         assert out.shape == (1, 3, 8, 8)
 
     def test_bias_added(self):
         w, b = F.record_kernels(np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]))
-        out, _ = F.conv2d_forward(np.zeros((1, 1, 4, 4)), w, b)
+        out, _ = F.conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
+                                  StaleWorkspace())
         np.testing.assert_array_equal(out[0, 0], np.full((4, 4), 1.5))
         np.testing.assert_array_equal(out[0, 1], np.full((4, 4), -2.0))
 
     def test_stacked_records_match_one_kernel_each(self, rng):
         x, weight, bias, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 5, 6))
-        out, _ = F.conv2d_forward(x, w, b, (1, 1))
+        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(), (1, 1))
         for r in range(2):
             single, _ = F.conv2d_forward(
-                x[r: r + 1], *F.record_kernels(weight[r], bias[r]), (1, 1)
+                x[r: r + 1], *F.record_kernels(weight[r], bias[r]),
+                StaleWorkspace(), (1, 1),
             )
             np.testing.assert_allclose(out[r], single[0], rtol=0, atol=1e-12)
 
     def test_empty_output_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 5, 5)), np.zeros(1))
         with pytest.raises(ShapeError):
-            F.conv2d_forward(np.zeros((1, 1, 2, 2)), w, b)
+            F.conv2d_forward(np.zeros((1, 1, 2, 2)), w, b, StaleWorkspace())
 
 
 class TestFloat32Parity:
@@ -379,9 +406,9 @@ class TestFloat32Parity:
         x64 = rng.standard_normal(x_shape)
         w64 = rng.standard_normal(weight_shape) * 0.2  # one per record
         b64 = rng.standard_normal(weight_shape[:2]) * 0.1
-        out64, _ = op(x64, w64, b64, **kwargs)
+        out64, _ = op(x64, w64, b64, StaleWorkspace(), **kwargs)
         out32, _ = op(*(a.astype(np.float32) for a in (x64, w64, b64)),
-                      **kwargs)
+                      StaleWorkspace(), **kwargs)
         assert out32.dtype == np.float32
         assert self._relative_deviation(out64, out32) <= self.RTOL
 
@@ -397,7 +424,9 @@ class TestInstanceNorm:
         affine = (3, 2) if stacked else (2,)
         weight = 1.0 + 0.3 * rng.standard_normal(affine)
         bias = 0.2 * rng.standard_normal(affine)
-        out, ctx = F.instance_norm_forward(x, weight, bias, 1e-5, 0.1)
+        scratch = StaleWorkspace()
+        out, ctx = F.instance_norm_forward(x, weight, bias, 1e-5, 0.1,
+                                           scratch)
         np.testing.assert_allclose(
             out, instance_norm_reference(x, weight, bias, 1e-5, 0.1),
             rtol=0, atol=1e-12,
@@ -406,10 +435,10 @@ class TestInstanceNorm:
 
         def loss():
             return float((F.instance_norm_forward(
-                x, weight, bias, 1e-5, 0.1, save=False
+                x, weight, bias, 1e-5, 0.1, scratch, save=False
             )[0] * probe).sum())
 
-        grad_x, grad_w, grad_b = F.instance_norm_backward(ctx, probe)
+        grad_x, grad_w, grad_b = F.instance_norm_backward(ctx, probe, scratch)
         # The affine gradients come per record; a shared pair sums them.
         assert_gradients(loss, [
             (x, grad_x),
@@ -422,7 +451,7 @@ class TestInstanceNorm:
         # each (record, channel) map at zero mean and unit variance.
         x = rng.standard_normal((3, 2, 7, 9)) * 4.0 - 1.5
         out, _ = F.instance_norm_forward(x, np.ones(2), np.zeros(2), 1e-5,
-                                         1.0, save=False)
+                                         1.0, StaleWorkspace(), save=False)
         np.testing.assert_allclose(out.mean(axis=(2, 3)), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=(2, 3)), 1.0, atol=1e-5)
 
@@ -441,12 +470,15 @@ class TestMaxPool:
             return float((F.max_pool2d_forward(x, kernel, save=False)[0]
                           * probe).sum())
 
-        assert_gradients(loss, [(x, F.max_pool2d_backward(ctx, probe))])
+        assert_gradients(
+            loss, [(x, F.max_pool2d_backward(ctx, probe, StaleWorkspace()))]
+        )
 
     def test_ties_route_to_the_first_maximum(self):
         x = np.ones((1, 1, 2, 2))
         _, ctx = F.max_pool2d_forward(x, (2, 2))
-        grad = F.max_pool2d_backward(ctx, np.ones((1, 1, 1, 1)))
+        grad = F.max_pool2d_backward(ctx, np.ones((1, 1, 1, 1)),
+                                     StaleWorkspace())
         np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_kernel_larger_than_input_raises(self):
@@ -469,9 +501,9 @@ class TestUpsampleNearest:
             return float((F.upsample_nearest_forward(x, scale, size=size)
                           * probe).sum())
 
-        assert_gradients(
-            loss, [(x, F.upsample_nearest_backward(probe, scale, x.shape))]
-        )
+        assert_gradients(loss, [(x, F.upsample_nearest_backward(
+            probe, scale, x.shape, StaleWorkspace()
+        ))])
 
     def test_values(self):
         x = np.array([1.0, 2.0]).reshape(1, 1, 1, 2)

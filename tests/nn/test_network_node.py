@@ -114,13 +114,15 @@ def _reference_block(x, block):
         w, b = F.record_kernels(conv.weight.data, conv.bias.data)
         if isinstance(conv, HarmonicConv2d):
             x, _ = F.harmonic_conv2d_forward(
-                x, w, b, conv.anchor, conv.time_dilation, save=False
+                x, w, b, F.Workspace(), conv.anchor, conv.time_dilation,
+                save=False,
             )
         else:
-            x, _ = F.conv2d_forward(x, w, b, conv.padding, save=False)
+            x, _ = F.conv2d_forward(x, w, b, F.Workspace(), conv.padding,
+                                    save=False)
         x, _ = F.instance_norm_forward(
             x, norm.weight.data, norm.bias.data, norm.eps,
-            act.negative_slope, save=False,
+            act.negative_slope, F.Workspace(), save=False,
         )
     return x
 
@@ -147,7 +149,8 @@ def reference_forward(net, code):
                     skip.shape[2:])
         x = _reference_block(np.concatenate([skip, x], axis=1), decoder)
     w, b = F.record_kernels(net.head.weight.data, net.head.bias.data)
-    x, _ = F.conv2d_forward(x, w, b, net.head.padding, save=False)
+    x, _ = F.conv2d_forward(x, w, b, F.Workspace(), net.head.padding,
+                            save=False)
     return 1.0 / (1.0 + np.exp(-x))
 
 
