@@ -21,10 +21,13 @@ only, and reports the speedup without asserting it (timing on tiny fits
 is noise-dominated).
 
 Both runs also report one fit iteration's cost at the smoke preset's
-geometry (one 33 x 98 record, float32): milliseconds and minor page
-faults per iteration after the first.  Faults count activation-sized
-memory going back to the OS and coming back; the default run asserts at
-most ``MAX_FAULTS_PER_ITERATION``, ``--smoke`` only reports.
+geometry (one 33 x 98 record, float32): the first iteration, which
+builds the network's plan, then milliseconds and minor page faults per
+iteration after it.  The same is reported at 33 x 10, where an
+iteration is mostly fixed per-call cost rather than arithmetic, so that
+cost stays visible.  Faults count activation-sized memory going back to
+the OS and coming back; the default run asserts at most
+``MAX_FAULTS_PER_ITERATION`` (at 33 x 98), ``--smoke`` only reports.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ PARITY_ITERATIONS = 2
 #: reads far above it.
 PARITY_RTOL = 5e-3
 #: Max minor page faults per steady-state fit iteration.  A fit that
-#: takes its transients from the network's workspace reads ~0; one that
-#: allocates them afresh read ~360 at this geometry.
+#: replays its network's plan reads ~0; one that allocated every
+#: transient afresh read ~360 at this geometry.
 MAX_FAULTS_PER_ITERATION = 20
 
 
@@ -123,10 +126,12 @@ def max_relative_deviation(golden, fits) -> float:
 
 
 def iteration_cost(n_frames: int = 98, iterations: int = 30):
-    """Milliseconds and minor page faults per steady-state fit iteration.
+    """One fit iteration's cost: ``(first_ms, ms, faults)``.
 
-    One smoke-preset network (float32) on one 33 x ``n_frames`` record;
-    the first iteration, which sizes every buffer, is not counted.
+    One smoke-preset network (float32) on one 33 x ``n_frames`` record.
+    ``first_ms`` is the first iteration, which builds the network's plan
+    (every buffer and both call lists); ``ms`` and ``faults`` are the
+    milliseconds and minor page faults per iteration after it.
     """
     config = InpaintingConfig(base_channels=6, depth=2, time_dilation=5)
     net = SpAcLUNet(config.network_config(), rng=0)
@@ -143,14 +148,16 @@ def iteration_cost(n_frames: int = 98, iterations: int = 30):
         prediction.backward(grad)
         optimizer.step()
 
+    start = time.perf_counter()
     iteration()
+    first = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(iterations):
         iteration()
     seconds = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return seconds * 1e3 / iterations, faults / iterations
+    return first * 1e3, seconds * 1e3 / iterations, faults / iterations
 
 
 def main(argv=None) -> int:
@@ -174,7 +181,8 @@ def main(argv=None) -> int:
         args.iterations = min(args.iterations, 12)
 
     # First, while no larger fit has tuned the process's allocator.
-    ms, faults = iteration_cost()
+    first, ms, faults = iteration_cost()
+    short_first, short_ms, _ = iteration_cost(n_frames=10)
     magnitudes, visibilities = build_batch(args.records)
     print(
         f"bench_substrates: DHF fit loop, {args.records} records x "
@@ -207,7 +215,12 @@ def main(argv=None) -> int:
     )
     print(
         f"  fit iteration (1 x {N_FREQ}x98, float32): {ms:6.2f} ms, "
-        f"{faults:.1f} minor faults (max {MAX_FAULTS_PER_ITERATION})"
+        f"{faults:.1f} minor faults (max {MAX_FAULTS_PER_ITERATION}); "
+        f"first (plan build) {first:6.2f} ms"
+    )
+    print(
+        f"  fit iteration (1 x {N_FREQ}x10, float32): {short_ms:6.2f} ms; "
+        f"first (plan build) {short_first:6.2f} ms"
     )
 
     assert deviation <= PARITY_RTOL, (
@@ -253,13 +266,18 @@ def test_bench_harmonic_conv_forward_backward(benchmark, rng):
         np.zeros(8, dtype=np.float32),
     )
 
-    scratch = F.Workspace()
+    # Built once, like a fit's plan; each step replays both lists.
+    out, forward, backward = F.harmonic_conv2d(
+        x, w, b, F.Workspace(), anchor=1, time_dilation=5
+    )
+    grad = np.empty_like(out)
+    adjoint = backward(grad)[-1]
 
     def step():
         # The gradients of sum(out ** 2), input gradient included.
-        out, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, anchor=1,
-                                             time_dilation=5)
-        F.harmonic_conv2d_backward(ctx, 2 * out, scratch)
+        F.run(forward)
+        np.multiply(out, 2, out=grad)
+        F.run(adjoint)
         return float((out * out).sum())
 
     benchmark(step)

@@ -21,7 +21,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.nn.batchfit import EarlyStopConfig, fit_batched
-# Not called here; perfbench/layers.py wraps this name in traced runs.
+# Not called here.  perfbench/layers.py wraps this name in traced runs,
+# but ``fit_batched`` calls the one bound in ``repro.nn.batchfit``, so
+# that wrapper never fires and the loss lands in no ``nn.*`` row.
 from repro.nn.loss import masked_mse_loss  # noqa: F401
 from repro.nn.unet import SpAcLUNet, UNetConfig, stack_networks
 from repro.utils.seeding import as_generator, spawn_generators

@@ -5,9 +5,10 @@ implements exactly what the deep-prior in-painting of Sec. 3.3 runs, in
 NumPy: the SpAc LU-Net of Sec. 3.2 (:mod:`repro.nn.unet`; a
 :class:`UNetConfig` also describes its Fig. 3 variants, tabled by
 :func:`repro.core.config_for_prior_kind`), whose harmonic/standard
-convolutions, instance norms, pooling and upsampling are raw-array
-kernel pairs (:mod:`repro.nn.functional`) walked inside one graph node
-with a hand-derived backward (:mod:`repro.nn.tensor`); the masked MSE of
+convolutions, instance norms, pooling and upsampling are kernel
+builders (:mod:`repro.nn.functional`) whose bound calls the network
+builds into one plan per fit and replays inside one graph node with a
+hand-derived backward (:mod:`repro.nn.tensor`); the masked MSE of
 Eq. 9 and its gradient (:mod:`repro.nn.loss`); Adam
 (:mod:`repro.nn.optim`); and the record-stacked fit loop
 (:mod:`repro.nn.batchfit`).  Every fit starts from its seeded random

@@ -1,4 +1,4 @@
-"""The SpAc LU-Net's kernels, as raw-array forward/backward pairs.
+"""The SpAc LU-Net's kernels, as builders of replayable NumPy calls.
 
 Implements the operators the SpAc LU-Net needs, most importantly the
 *dilated harmonic convolution* of the paper (Eqs. 1, 2 and 8): at output
@@ -9,23 +9,28 @@ Standard 2-D convolution (used by the "conventional CNN" variant of Fig. 3),
 instance normalisation fused with its leaky ReLU, max pooling and
 nearest-neighbour upsampling are also provided.
 
-Every operator exists once, as a **raw-array kernel pair**:
-``<op>_forward(...)`` returns ``(out, ctx)`` where ``ctx`` holds exactly
-what the adjoint needs (``None`` when ``save`` is false), and
-``<op>_backward(ctx, grad, ...)`` returns the input and parameter
-gradients.  Their one caller is :class:`repro.nn.unet.SpAcLUNet`, which
-walks them inside its single whole-network graph node.  Backward kernels
-never write into the ``grad`` they are handed.
+Every operator exists once, as a **builder** that computes nothing.
+``<op>(x, ...)`` allocates what the operator writes and returns ``(out,
+forward, backward)``: its output array, its forward as a list of NumPy
+calls with every operand, view and ``out=`` already bound, and
+``backward(grad, ...)``, which builds the adjoint the same way around
+``grad``, the array the incoming gradient will be in, and returns the
+gradient arrays its calls write together with the calls.  :func:`run`
+replays a list: once the input (and the parameter arrays the kernels
+view) hold new values, replaying the forward recomputes ``out``, and
+once ``grad`` does, replaying the backward recomputes the gradients.
+Backward calls never write into ``grad``.  The one caller is
+:class:`repro.nn.unet.SpAcLUNet`, which builds its whole network's two
+lists once per fit and replays them every iteration.
 
-Memory comes from two places.  What a kernel saves for its adjoint goes
-into the layer's own slot of saved activations (:func:`saved_array`).
-What lives only within a call (tap outputs, shifted gradients, GEMM
-outputs, normalisation and pooling temporaries), and the input gradient
-a backward kernel hands to the next layer's adjoint, comes from the
-network's one :class:`Workspace`: a flat buffer per role, shared by
-every layer, so a fit's iterations neither allocate nor free
-activation-sized memory.  Every kernel that needs a transient takes the
-workspace as an argument.
+Memory comes from three places.  What an operator saves for its adjoint
+is an array of its own.  Its output is one too, unless the caller hands
+it the array the consumer keeps (``out``), and the instance norm
+normalises its input in place.  What lives only within a call (tap
+outputs, shifted gradients, GEMM outputs, normalisation and pooling
+temporaries), and the input gradient a backward hands to the next
+layer's adjoint, is a view of the network's one :class:`Workspace`: a
+flat buffer per role, shared by every layer.
 
 Both convolutions run per *record*: a 5-D kernel ``(R, C_out, C_in, K1,
 K2)`` holds one kernel per record and contracts only against record ``r``
@@ -38,8 +43,8 @@ stack of one.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -140,34 +145,18 @@ def harmonic_band_plan(n_freq: int, n_harmonics: int, anchor: int) -> tuple:
     )
 
 
-def saved_array(saved: Optional[dict], name: str, shape: tuple,
-                dtype) -> np.ndarray:
-    """An uninitialised array for a forward kernel to save into.
-
-    ``saved`` is one layer's slot of a network's saved activations:
-    ``saved[name]`` is handed back while its shape and dtype still hold,
-    so a fit's iterations keep writing into the same memory.  Without
-    ``saved`` every call gets a fresh array.
-    """
-    if saved is None:
-        return np.empty(shape, dtype=dtype)
-    array = saved.get(name)
-    if array is None or array.shape != shape or array.dtype != dtype:
-        array = saved[name] = np.empty(shape, dtype=dtype)
-    return array
-
-
 class Workspace:
     """A network's scratch memory: one flat buffer per role.
 
-    Every layer takes its transients of a role from the same buffer,
-    which grows to the largest layer's request and is then reused, so
-    it stays warm in cache from one layer to the next.  A role's
-    contents are valid only until the next :meth:`take` of that role;
-    a kernel that hands a scratch array on (a backward kernel's input
-    gradient) relies on its consumer using other roles.  A workspace
-    belongs to one graph node at a time (see
-    :meth:`repro.nn.unet.SpAcLUNet.__call__`).
+    Every layer takes its transients of a role from the start of the
+    same buffer, which grows to the largest layer's request and is then
+    reused, so it stays warm in cache from one layer to the next.  A
+    role's contents are valid only until the next call that writes that
+    role; a backward that hands a scratch array on (its input gradient)
+    relies on its consumer writing other roles first.  A view taken
+    before its role grew still points into the superseded buffer, so a
+    caller that keeps views sizes every role before it takes any (see
+    the plans of :mod:`repro.nn.unet`).  A workspace belongs to one plan.
     """
 
     __slots__ = ("_buffers",)
@@ -184,6 +173,28 @@ class Workspace:
         return buffer[:size].reshape(shape)
 
 
+def run(calls: List[Callable[[], object]]) -> None:
+    """Replay a builder's bound calls, in order."""
+    for call in calls:
+        call()
+
+
+def _view(array: np.ndarray, shape: tuple) -> np.ndarray:
+    """``array`` reshaped to ``shape`` as a view, never a copy.
+
+    A bound call must see every later write into the array it views (a
+    parameter updated in place, a gradient written by the previous
+    layer), so a reshape that would copy raises instead.
+    """
+    return np.reshape(array, shape, copy=False)
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray,
+                 source: np.ndarray) -> None:
+    """``target[rows] += source`` for duplicate-free ``rows``."""
+    target[rows] += source
+
+
 # --------------------------------------------------------------------- #
 # Per-record convolutions
 # --------------------------------------------------------------------- #
@@ -195,22 +206,26 @@ def record_kernels(weight: np.ndarray, bias: np.ndarray):
     ``(R, C_out)``, both views of the inputs.
     """
     w = weight if weight.ndim == 5 else weight[None]
-    return w, bias.reshape(w.shape[:2])
+    return w, _view(bias, w.shape[:2])
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   scratch: Workspace, padding=(0, 0), save: bool = True,
-                   saved: Optional[dict] = None):
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: Workspace,
+           padding=(0, 0), out: Optional[np.ndarray] = None):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
     ``b`` ``(R, C_out)``; ``padding`` zero-pads ``(H, W)`` by ``(PH,
-    PW)`` on both sides.  The input is unfolded once into an
-    ``(R, C_in*KH*KW, OH*OW)`` column buffer (a free view for a 1x1
-    kernel without padding, so the adjoint then keeps ``x`` itself) and
-    contracted in one batched GEMM; the buffer is what the adjoint
-    keeps (in ``saved``, see :func:`saved_array`).  The padded input is
-    a ``scratch`` transient.
+    PW)`` on both sides.  The input is unfolded into an
+    ``(R, C_in*KH*KW, OH*OW)`` column buffer (for a 1x1 kernel without
+    padding, a view of ``x`` itself, which must allow one) and
+    contracted in one batched GEMM into ``out`` (a new array when
+    ``None``); the column buffer is what the adjoint reads.  The padded
+    input is a ``scratch`` transient.
+
+    ``backward(grad, need_input=True)`` returns ``(grad_x, grad_w,
+    grad_b, calls)``.  ``grad_x`` is ``None`` unless ``need_input``; it
+    is a ``scratch`` array (roles ``"grad_in"`` and ``"grad_x"``),
+    valid until the next convolution's backward calls.
     """
     ph, pw = padding
     n_rec, c_in, h, width = x.shape
@@ -221,65 +236,71 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             f"conv2d output would be empty: input {x.shape}, kernel "
             f"{w.shape[1:]}, padding {(ph, pw)}"
         )
-    if kh == kw == 1 and not (ph or pw):
-        cols = x.reshape(n_rec, c_in, h * width)
+    pointwise = kh == kw == 1 and not (ph or pw)
+    forward = []
+    if pointwise:
+        cols = _view(x, (n_rec, c_in, h * width))
     else:
         xp = x
         if ph or pw:
             xp = scratch.take("padded",
                               (n_rec, c_in, h + 2 * ph, width + 2 * pw),
                               x.dtype)
-            xp.fill(0)
-            xp[:, :, ph: ph + h, pw: pw + width] = x
-        cols = saved_array(saved, "cols", (n_rec, c_in, kh, kw, oh, ow),
-                           x.dtype)
-        for (di, dj), (sl_h, sl_w) in taps:
-            cols[:, :, di, dj] = xp[:, :, sl_h, sl_w]
-        cols = cols.reshape(n_rec, c_in * kh * kw, oh * ow)
-    w_flat = w.reshape(n_rec, c_out, c_in * kh * kw)
-    out = np.matmul(w_flat, cols)
-    out += b[:, :, None]
-    out = out.reshape(n_rec, c_out, oh, ow)
-    ctx = (cols, w_flat, padding, x.shape, w.shape) if save else None
-    return out, ctx
+            forward += [
+                partial(xp.fill, 0),
+                partial(np.copyto, xp[:, :, ph: ph + h, pw: pw + width], x),
+            ]
+        unfolded = np.empty((n_rec, c_in, kh, kw, oh, ow), dtype=x.dtype)
+        forward += [
+            partial(np.copyto, unfolded[:, :, di, dj], xp[:, :, sl_h, sl_w])
+            for (di, dj), (sl_h, sl_w) in taps
+        ]
+        cols = unfolded.reshape(n_rec, c_in * kh * kw, oh * ow)
+    w_flat = _view(w, (n_rec, c_out, c_in * kh * kw))
+    if out is None:
+        out = np.empty((n_rec, c_out, oh, ow),
+                       dtype=np.result_type(w_flat, cols))
+    out_flat = _view(out, (n_rec, c_out, oh * ow))
+    forward += [
+        partial(np.matmul, w_flat, cols, out_flat),
+        partial(np.add, out_flat, b[:, :, None], out_flat),
+    ]
 
-
-def conv2d_backward(ctx, grad: np.ndarray, scratch: Workspace,
-                    need_input: bool = True):
-    """Adjoint of :func:`conv2d_forward`: ``(grad_x, grad_w, grad_b)``.
-
-    ``grad_x`` is ``None`` unless ``need_input``; it is a ``scratch``
-    array (roles ``"grad_in"`` and ``"grad_x"``), valid until the next
-    convolution's backward.
-    """
-    cols, w_flat, (ph, pw), x_shape, w_shape = ctx
-    n_rec, c_out, oh, ow = grad.shape
-    g = grad.reshape(n_rec, c_out, oh * ow)
-    grad_w = np.matmul(g, cols.transpose(0, 2, 1)).reshape(w_shape)
-    grad_b = grad.sum(axis=(2, 3))
-    grad_x = None
-    if need_input:
-        grad_cols = np.matmul(
-            w_flat.transpose(0, 2, 1), g,
-            out=scratch.take("grad_in", (n_rec, cols.shape[1], oh * ow),
-                             np.result_type(w_flat, g)),
-        )
-        _, c_in, h, width = x_shape
-        kh, kw = w_shape[3], w_shape[4]
-        if kh == kw == 1 and not (ph or pw):
-            grad_x = grad_cols.reshape(x_shape)
-        else:
-            grad_cols = grad_cols.reshape(n_rec, c_in, kh, kw, oh, ow)
-            _, _, taps = conv_tap_plan(h + 2 * ph, width + 2 * pw, kh, kw)
-            grad_xp = scratch.take(
-                "grad_x", (n_rec, c_in, h + 2 * ph, width + 2 * pw),
-                grad.dtype,
+    def backward(grad: np.ndarray, need_input: bool = True):
+        g = _view(grad, (n_rec, c_out, oh * ow))
+        grad_w = np.empty((n_rec, c_out, cols.shape[1]),
+                          dtype=np.result_type(g, cols))
+        grad_b = np.empty((n_rec, c_out), dtype=grad.dtype)
+        calls = [
+            partial(np.matmul, g, cols.transpose(0, 2, 1), grad_w),
+            # grad.sum(axis=(2, 3))
+            partial(np.add.reduce, grad, (2, 3), None, grad_b),
+        ]
+        grad_x = None
+        if need_input:
+            grad_cols = scratch.take("grad_in",
+                                     (n_rec, cols.shape[1], oh * ow),
+                                     np.result_type(w_flat, g))
+            calls.append(
+                partial(np.matmul, w_flat.transpose(0, 2, 1), g, grad_cols)
             )
-            grad_xp.fill(0)
-            for (di, dj), (sl_h, sl_w) in taps:
-                grad_xp[:, :, sl_h, sl_w] += grad_cols[:, :, di, dj]
-            grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width]
-    return grad_x, grad_w, grad_b
+            if pointwise:
+                grad_x = grad_cols.reshape(x.shape)
+            else:
+                grad_cols = grad_cols.reshape(n_rec, c_in, kh, kw, oh, ow)
+                grad_xp = scratch.take(
+                    "grad_x", (n_rec, c_in, h + 2 * ph, width + 2 * pw),
+                    grad.dtype,
+                )
+                calls.append(partial(grad_xp.fill, 0))
+                for (di, dj), (sl_h, sl_w) in taps:
+                    window = grad_xp[:, :, sl_h, sl_w]
+                    calls.append(partial(np.add, window,
+                                         grad_cols[:, :, di, dj], window))
+                grad_x = grad_xp[:, :, ph: ph + h, pw: pw + width]
+        return grad_x, grad_w.reshape(w.shape), grad_b, calls
+
+    return out, forward, backward
 
 
 # --------------------------------------------------------------------- #
@@ -320,10 +341,10 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
     return range(-pad, pad + 1, time_dilation)
 
 
-def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                            scratch: Workspace, anchor: int = 1,
-                            time_dilation: int = 1, save: bool = True,
-                            saved: Optional[dict] = None):
+def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                    scratch: Workspace, anchor: int = 1,
+                    time_dilation: int = 1, out: Optional[np.ndarray] = None,
+                    gathered: Optional[np.ndarray] = None):
     """Per-record dilated harmonic convolution over raw arrays (Eq. 8)::
 
         out[r, o, f, t] = b[r, o] + sum_{c, k=1..H, dt}
@@ -332,12 +353,25 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     with tap shifts ``s(dt) = (dt - KT // 2) * time_dilation``.  Input
     bins outside ``[0, F)`` and frames outside ``[0, T)`` read zero.
     ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` (odd
-    ``KT``) and ``b`` ``(R, C_out)``; the output is ``(R, C_out, F, T)``.
-    ``anchor = 1`` accesses forward integral harmonics only (the paper's
-    spectrally accurate choice); larger anchors permit fractional ones.
-    ``saved`` is the layer's slot of reused saved activations (see
-    :func:`saved_array`); the GEMM's tap outputs are a ``scratch``
-    transient.
+    ``KT``) and ``b`` ``(R, C_out)``; the output, into ``out`` (a new
+    array when ``None``), is ``(R, C_out, F, T)``.  ``anchor = 1``
+    accesses forward integral harmonics only (the paper's spectrally
+    accurate choice); larger anchors permit fractional ones.
+
+    The input is gathered into a harmonic-major ``(R, H, C_in, F, T)``
+    buffer that the adjoint reads.  At ``anchor = 1`` harmonic 1 reads
+    every bin once, so its lane is the input itself: a caller that wrote
+    ``x`` as lane 0 of a buffer of that shape passes the buffer as
+    ``gathered``, and the lane is not copied.  The GEMM's tap outputs are
+    a ``scratch`` transient.
+
+    ``backward(grad, need_input=True)`` returns ``(grad_x, grad_w,
+    grad_b, calls)``; ``grad_x`` is ``None`` unless ``need_input`` (a
+    fit's code needs no gradient, so its first layer skips the input
+    GEMM and scatter).  The shifted gradients and the input-gradient GEMM
+    outputs are ``scratch`` transients, and ``grad_x`` is a ``scratch``
+    array too (roles ``"grad_in"`` and ``"grad_x"``), valid until the
+    next convolution's backward calls.
     """
     if time_dilation < 1:
         raise ConfigurationError(f"time_dilation must be >= 1, got {time_dilation}")
@@ -347,22 +381,37 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
         raise ConfigurationError(f"time kernel size must be odd, got {kt}")
     lanes = harmonic_gather_plan(n_freq, n_harm, anchor)
     bands = harmonic_band_plan(n_freq, n_harm, anchor)
+    identity_lane = lanes[0][1] == slice(0, n_freq, 1)
 
-    # One frequency gather per call into a harmonic-major (R, H, C, F, T)
-    # buffer.  Each harmonic lane is a strided slice copy (or a fancy
-    # gather) of its in-band prefix only: the bands below never read the
-    # out-of-band tail, so it is left unwritten.
+    # One frequency gather per call into the harmonic-major buffer.  Each
+    # harmonic lane is a strided slice copy (or a fancy gather) of its
+    # in-band prefix only: the bands below never read the out-of-band
+    # tail, so it is left unwritten.
+    forward = []
+    copied = list(enumerate(lanes))
+    if gathered is None:
+        gathered = np.empty((n_rec, n_harm, c_in, n_freq, n_time),
+                            dtype=x.dtype)
+    elif identity_lane:
+        copied = copied[1:]
+    else:
+        raise ConfigurationError(
+            f"only an identity harmonic-1 lane can hold the input; "
+            f"anchor {anchor} has none"
+        )
+    for k, (n_valid, row_slice, rows, _) in copied:
+        lane = gathered[:, k, :, :n_valid]
+        if rows is None:
+            forward.append(partial(np.copyto, lane, x[:, :, row_slice]))
+        else:
+            forward.append(partial(np.take, x, rows, axis=2, out=lane))
     n_flat = n_freq * n_time
-    gathered = saved_array(saved, "gather",
-                           (n_rec, n_harm, c_in, n_freq, n_time), x.dtype)
-    for k, (n_valid, row_slice, rows, _) in enumerate(lanes):
-        gathered[:, k, :, :n_valid] = \
-            x[:, :, row_slice if rows is None else rows]
     g_flat = gathered.reshape(n_rec, n_harm * c_in, n_flat)
-    w_fold = saved_array(saved, "weight", (n_rec, c_out * kt, n_harm * c_in),
-                         w.dtype)
-    np.copyto(w_fold.reshape(n_rec, c_out, kt, n_harm, c_in),
-              w.transpose(0, 1, 4, 3, 2))
+    w_fold = np.empty((n_rec, c_out * kt, n_harm * c_in), dtype=w.dtype)
+    forward.append(partial(
+        np.copyto, w_fold.reshape(n_rec, c_out, kt, n_harm, c_in),
+        w.transpose(0, 1, 4, 3, 2),
+    ))
 
     # One batched GEMM per band contracts the band's leading (harmonic,
     # channel) rows against its contiguous (f, t) columns:
@@ -375,127 +424,121 @@ def harmonic_conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                         np.result_type(w_fold, g_flat))
     for j, lo, hi in bands:
         cols = slice(lo * n_time, hi * n_time)
-        np.matmul(w_fold[:, :, :j * c_in], g_flat[:, :j * c_in, cols],
-                  out=taps[:, :, cols])
+        forward.append(partial(np.matmul, w_fold[:, :, :j * c_in],
+                               g_flat[:, :j * c_in, cols], taps[:, :, cols]))
     taps = taps.reshape(n_rec, c_out, kt, n_freq, n_time)
-    out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
-    out_flat = out.reshape(n_rec, c_out, n_flat)
+    if out is None:
+        out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
+    out_flat = _view(out, (n_rec, c_out, n_flat))
     started = False
     for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
         if abs(shift) >= n_time:
             continue
         tap = taps[:, :, dt]
-        if shift > 0:
-            tap[..., :shift] = 0
-        else:
-            tap[..., n_time + shift:] = 0
+        edge = tap[..., :shift] if shift > 0 else tap[..., n_time + shift:]
+        forward.append(partial(edge.fill, 0))
         lo, hi = max(-shift, 0), n_flat - max(shift, 0)
         window = tap.reshape(n_rec, c_out, n_flat)[..., lo + shift: hi + shift]
+        target = out_flat[..., lo:hi]
         if started:
-            out_flat[..., lo:hi] += window
+            forward.append(partial(np.add, target, window, target))
         else:
-            out_flat[..., :lo] = 0
-            out_flat[..., hi:] = 0
-            out_flat[..., lo:hi] = window
+            forward += [
+                partial(out_flat[..., :lo].fill, 0),
+                partial(out_flat[..., hi:].fill, 0),
+                partial(np.copyto, target, window),
+            ]
             started = True
-    out += b[:, :, None, None]
-    ctx = (g_flat, w_fold, lanes, bands, time_dilation, x.shape, w.shape) \
-        if save else None
-    return out, ctx
+    forward.append(partial(np.add, out, b[:, :, None, None], out))
 
-
-def harmonic_conv2d_backward(ctx, grad: np.ndarray, scratch: Workspace,
-                             need_input: bool = True):
-    """Adjoint of :func:`harmonic_conv2d_forward`.
-
-    Returns ``(grad_x, grad_w, grad_b)``; ``grad_x`` is ``None`` unless
-    ``need_input`` (a fit's code needs no gradient, so its first layer
-    skips the input GEMM and scatter).  The shifted gradients and the
-    input-gradient GEMM outputs are ``scratch`` transients, and
-    ``grad_x`` is a ``scratch`` array too (roles ``"grad_in"`` and
-    ``"grad_x"``), valid until the next convolution's backward.
-    """
-    g_flat, w_fold, lanes, bands, time_dilation, x_shape, w_shape = ctx
-    n_rec, c_out, n_freq, n_time = grad.shape
-    c_in, n_harm, kt = w_shape[2], w_shape[3], w_shape[4]
-    # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted back
-    # onto the input frames it read (one flat copy), zero where it read
-    # padding.
-    n_flat = n_freq * n_time
-    grad_flat = grad.reshape(n_rec, c_out, n_flat)
-    shifted = scratch.take("shifted", (n_rec, c_out, kt, n_freq, n_time),
-                           grad.dtype)
-    for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
-        lane = shifted[:, :, dt]
-        if abs(shift) >= n_time:
-            lane[...] = 0
-        elif shift > 0:
-            lane.reshape(n_rec, c_out, n_flat)[..., shift:] = \
-                grad_flat[..., :n_flat - shift]
-            lane[..., :shift] = 0
-        else:
-            lane.reshape(n_rec, c_out, n_flat)[..., :n_flat + shift] = \
-                grad_flat[..., -shift:]
-            lane[..., n_time + shift:] = 0
-    s_flat = shifted.reshape(n_rec, c_out * kt, n_flat)
-    # Weight gradient: harmonic ``k``'s kernels contract the taps against
-    # its in-band prefix (the union of the bands that read it), one GEMM
-    # per harmonic into its own columns.
-    grad_w = np.empty((n_rec, c_out * kt, n_harm * c_in),
-                      dtype=np.result_type(s_flat, g_flat))
-    for k, (n_valid, _, _, _) in enumerate(lanes):
-        cols = slice(0, n_valid * n_time)
-        chans = slice(k * c_in, (k + 1) * c_in)
-        np.matmul(s_flat[:, :, cols],
-                  g_flat[:, chans, cols].transpose(0, 2, 1),
-                  out=grad_w[:, :, chans])
-    grad_w = grad_w.reshape(n_rec, c_out, kt, n_harm, c_in).transpose(
-        0, 1, 4, 3, 2
-    )
-    grad_b = grad.sum(axis=(2, 3))
-    grad_x = None
-    if need_input:
-        # Input gradient back through the gather, band by band (only
-        # in-band lanes are computed), then the adjoint of each harmonic
-        # lane's copy.
-        grad_g = scratch.take("grad_in", (n_rec, n_harm * c_in, n_flat),
-                              np.result_type(w_fold, s_flat))
-        w_t = w_fold.transpose(0, 2, 1)
-        for j, lo, hi in bands:
-            cols = slice(lo * n_time, hi * n_time)
-            np.matmul(w_t[:, :j * c_in], s_flat[:, :, cols],
-                      out=grad_g[:, :j * c_in, cols])
-        grad_g = grad_g.reshape(n_rec, n_harm, c_in, n_freq, n_time)
-        scatter = list(enumerate(lanes))
-        if lanes[0][1] == slice(0, n_freq, 1):
-            # Harmonic 1 at anchor 1 reads every bin once: its lane is
-            # the start of the input gradient, in place.
-            grad_x = grad_g[:, 0]
-            scatter = scatter[1:]
-        else:
-            grad_x = scratch.take("grad_x", x_shape, grad.dtype)
-            grad_x.fill(0)
-        for k, (n_valid, row_slice, rows, unique) in scatter:
-            source = grad_g[:, k, :, :n_valid]
-            if rows is None:
-                grad_x[:, :, row_slice] += source
-                continue
-            target = np.moveaxis(grad_x, 2, 0)
-            source = np.moveaxis(source, 2, 0)
-            if unique:
-                target[rows] += source
+    def backward(grad: np.ndarray, need_input: bool = True):
+        # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted
+        # back onto the input frames it read (one flat copy), zero where
+        # it read padding.
+        grad_flat = _view(grad, (n_rec, c_out, n_flat))
+        shifted = scratch.take("shifted", (n_rec, c_out, kt, n_freq, n_time),
+                               grad.dtype)
+        calls = []
+        for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
+            lane = shifted[:, :, dt]
+            lane_flat = lane.reshape(n_rec, c_out, n_flat)
+            if abs(shift) >= n_time:
+                calls.append(partial(lane.fill, 0))
+            elif shift > 0:
+                calls += [
+                    partial(np.copyto, lane_flat[..., shift:],
+                            grad_flat[..., :n_flat - shift]),
+                    partial(lane[..., :shift].fill, 0),
+                ]
             else:
-                np.add.at(target, rows, source)
-    return grad_x, grad_w, grad_b
+                calls += [
+                    partial(np.copyto, lane_flat[..., :n_flat + shift],
+                            grad_flat[..., -shift:]),
+                    partial(lane[..., n_time + shift:].fill, 0),
+                ]
+        s_flat = shifted.reshape(n_rec, c_out * kt, n_flat)
+        # Weight gradient: harmonic ``k``'s kernels contract the taps
+        # against its in-band prefix (the union of the bands that read
+        # it), one GEMM per harmonic into its own columns.
+        grad_w = np.empty((n_rec, c_out * kt, n_harm * c_in),
+                          dtype=np.result_type(s_flat, g_flat))
+        for k, (n_valid, _, _, _) in enumerate(lanes):
+            cols = slice(0, n_valid * n_time)
+            chans = slice(k * c_in, (k + 1) * c_in)
+            calls.append(partial(
+                np.matmul, s_flat[:, :, cols],
+                g_flat[:, chans, cols].transpose(0, 2, 1), grad_w[:, :, chans],
+            ))
+        grad_b = np.empty((n_rec, c_out), dtype=grad.dtype)
+        # grad.sum(axis=(2, 3))
+        calls.append(partial(np.add.reduce, grad, (2, 3), None, grad_b))
+        grad_x = None
+        if need_input:
+            # Input gradient back through the gather, band by band (only
+            # in-band lanes are computed), then the adjoint of each
+            # harmonic lane's copy.
+            grad_g = scratch.take("grad_in", (n_rec, n_harm * c_in, n_flat),
+                                  np.result_type(w_fold, s_flat))
+            w_t = w_fold.transpose(0, 2, 1)
+            for j, lo, hi in bands:
+                cols = slice(lo * n_time, hi * n_time)
+                calls.append(partial(np.matmul, w_t[:, :j * c_in],
+                                     s_flat[:, :, cols],
+                                     grad_g[:, :j * c_in, cols]))
+            grad_g = grad_g.reshape(n_rec, n_harm, c_in, n_freq, n_time)
+            scatter = list(enumerate(lanes))
+            if identity_lane:
+                # Harmonic 1 at anchor 1 reads every bin once: its lane
+                # is the start of the input gradient, in place.
+                grad_x = grad_g[:, 0]
+                scatter = scatter[1:]
+            else:
+                grad_x = scratch.take("grad_x", x.shape, grad.dtype)
+                calls.append(partial(grad_x.fill, 0))
+            for k, (n_valid, row_slice, rows, unique) in scatter:
+                source = grad_g[:, k, :, :n_valid]
+                if rows is None:
+                    target = grad_x[:, :, row_slice]
+                    calls.append(partial(np.add, target, source, target))
+                    continue
+                calls.append(partial(
+                    _scatter_add if unique else np.add.at,
+                    np.moveaxis(grad_x, 2, 0), rows, np.moveaxis(source, 2, 0),
+                ))
+        grad_w = grad_w.reshape(n_rec, c_out, kt, n_harm, c_in).transpose(
+            0, 1, 4, 3, 2
+        )
+        return grad_x, grad_w, grad_b, calls
+
+    return out, forward, backward
 
 
 # --------------------------------------------------------------------- #
 # Instance normalisation fused with its leaky ReLU
 # --------------------------------------------------------------------- #
-def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
-                          bias: np.ndarray, eps: float,
-                          negative_slope: float, scratch: Workspace,
-                          save: bool = True, saved: Optional[dict] = None):
+def instance_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                  eps: float, negative_slope: float, scratch: Workspace,
+                  out: Optional[np.ndarray] = None):
     """Per-sample, per-channel normalisation, then a leaky ReLU.
 
     ``x`` is ``(N, C, H, W)``; each ``(n, c)`` map is normalised over its
@@ -503,64 +546,78 @@ def instance_norm_forward(x: np.ndarray, weight: np.ndarray,
     scaled and shifted by the affine ``weight``/``bias`` — ``(N, C)``
     (one pair per record) or ``(C,)`` (shared) — and rectified with
     slope ``negative_slope`` in ``[0, 1)``: the conv block's
-    norm-then-activate stage.  The normalised activations and the ReLU
-    mask are written into ``saved`` (see :func:`saved_array`), and the
-    rectifier's slope product is a ``scratch`` transient.
+    norm-then-activate stage, written into ``out`` (a new array when
+    ``None``).  ``x`` is normalised **in place**: it becomes the
+    normalised activations the adjoint reads, so the layer that produced
+    it hands it over.  The ReLU mask is an array of the norm's own, and
+    the rectifier's slope product a ``scratch`` transient.
+
+    ``backward(grad)`` returns ``(grad_x, grad_weight, grad_bias,
+    calls)``; the affine gradients are ``(N, C)`` (callers sum them to a
+    shared weight's shape).  The rectified gradient is a ``scratch``
+    transient, and ``grad_x`` a ``scratch`` array too (role
+    ``"norm_grad"``), valid until the next normalisation's backward
+    calls.
     """
     n, c = x.shape[:2]
-    # ``x.mean`` without its Python wrapper: the same sum and divide.
-    mean = np.add.reduce(x, axis=(2, 3), keepdims=True)
-    mean /= x[0, 0].size
-    xhat = np.subtract(x, mean,
-                       out=saved_array(saved, "xhat", x.shape, x.dtype))
-    var = np.einsum("nchw,nchw->nc", xhat, xhat) * (1.0 / (x[0, 0].size))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, :, None, None]
-    scale = weight.reshape(-1, c)[:, :, None, None]
-    out = xhat * scale
-    out += bias.reshape(-1, c)[:, :, None, None]
-    positive = None
-    if save:
-        positive = np.greater(
-            out, 0, out=saved_array(saved, "positive", out.shape, bool)
-        )
-    # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
-    np.maximum(out, np.multiply(
-        out, negative_slope,
-        out=scratch.take("slope", out.shape, out.dtype),
-    ), out=out)
-    ctx = (xhat, inv_std, scale, positive, negative_slope) if save else None
-    return out, ctx
+    count = x[0, 0].size
+    xhat = x
+    mean = np.empty((n, c, 1, 1), dtype=x.dtype)
+    var = np.empty((n, c), dtype=x.dtype)
+    inv_std = np.empty((n, c), dtype=x.dtype)
+    scale = _view(weight, (-1, c))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(xhat, scale))
+    positive = np.empty(out.shape, dtype=bool)
+    slope = scratch.take("slope", out.shape, out.dtype)
+    forward = [
+        # ``x.mean``: the same sum and divide.
+        partial(np.add.reduce, x, (2, 3), None, mean, True),
+        partial(np.true_divide, mean, count, mean),
+        partial(np.subtract, x, mean, xhat),
+        partial(np.einsum, "nchw,nchw->nc", xhat, xhat, out=var),
+        partial(np.multiply, var, 1.0 / count, var),
+        # inv_std = 1 / sqrt(var + eps)
+        partial(np.add, var, eps, inv_std),
+        partial(np.sqrt, inv_std, inv_std),
+        partial(np.true_divide, 1.0, inv_std, inv_std),
+        partial(np.multiply, xhat, inv_std[:, :, None, None], xhat),
+        partial(np.multiply, xhat, scale[:, :, None, None], out),
+        partial(np.add, out, _view(bias, (-1, c))[:, :, None, None], out),
+        partial(np.greater, out, 0, positive),
+        # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
+        partial(np.multiply, out, negative_slope, slope),
+        partial(np.maximum, out, slope, out=out),
+    ]
 
+    def backward(grad: np.ndarray):
+        rectified = scratch.take("slope", grad.shape, grad.dtype)
+        grad_b = np.empty((n, c), dtype=grad.dtype)
+        grad_w = np.empty((n, c), dtype=np.result_type(grad, xhat))
+        grad_x = scratch.take("norm_grad", xhat.shape,
+                              np.result_type(xhat, grad_w))
+        coeff = np.empty((n, c), dtype=grad_x.dtype)
+        coeff_map = coeff[:, :, None, None]
+        calls = [
+            partial(np.copyto, rectified, positive),
+            partial(np.maximum, rectified, negative_slope, out=rectified),
+            partial(np.multiply, grad, rectified, rectified),
+            # grad_b = rectified.sum(axis=(2, 3))
+            partial(np.add.reduce, rectified, (2, 3), None, grad_b),
+            partial(np.einsum, "nchw,nchw->nc", rectified, xhat, out=grad_w),
+            # d/dx of (x - mean) * inv_std, through both the mean and the
+            # variance:  inv_std * (g - mean(g) - xhat * mean(g * xhat)).
+            partial(np.multiply, grad_w, -1.0 / count, coeff),
+            partial(np.multiply, xhat, coeff_map, grad_x),
+            partial(np.add, grad_x, rectified, grad_x),
+            partial(np.multiply, grad_b, 1.0 / count, coeff),
+            partial(np.subtract, grad_x, coeff_map, grad_x),
+            partial(np.multiply, scale, inv_std, coeff),
+            partial(np.multiply, grad_x, coeff_map, grad_x),
+        ]
+        return grad_x, grad_w, grad_b, calls
 
-def instance_norm_backward(ctx, grad: np.ndarray, scratch: Workspace):
-    """Adjoint of :func:`instance_norm_forward`.
-
-    Returns ``(grad_x, grad_weight, grad_bias)``; the affine gradients
-    are ``(N, C)`` (callers sum them to a shared weight's shape).  The
-    rectified gradient is a ``scratch`` transient, and ``grad_x`` is a
-    ``scratch`` array too (role ``"norm_grad"``), valid until the next
-    normalisation's backward.
-    """
-    xhat, inv_std, scale, positive, negative_slope = ctx
-    slope = scratch.take("slope", grad.shape, grad.dtype)
-    np.copyto(slope, positive)
-    np.maximum(slope, negative_slope, out=slope)
-    grad = np.multiply(grad, slope, out=slope)
-    count = xhat[0, 0].size
-    grad_b = grad.sum(axis=(2, 3))
-    grad_w = np.einsum("nchw,nchw->nc", grad, xhat)
-    # d/dx of (x - mean) * inv_std, through both the mean and the
-    # variance:  inv_std * (g - mean(g) - xhat * mean(g * xhat)).
-    grad_x = np.multiply(
-        xhat, (grad_w * (-1.0 / count))[:, :, None, None],
-        out=scratch.take("norm_grad", xhat.shape,
-                         np.result_type(xhat, grad_w)),
-    )
-    grad_x += grad
-    grad_x -= (grad_b * (1.0 / count))[:, :, None, None]
-    grad_x *= (scale[:, :, 0, 0] * inv_std)[:, :, None, None]
-    return grad_x, grad_w, grad_b
+    return out, forward, backward
 
 
 # --------------------------------------------------------------------- #
@@ -574,13 +631,18 @@ def _window_taps(kh: int, kw: int, oh: int, ow: int) -> tuple:
     )
 
 
-def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True,
-                       saved: Optional[dict] = None):
+def max_pool2d(x: np.ndarray, kernel, scratch: Workspace,
+               out: Optional[np.ndarray] = None):
     """Non-overlapping max pooling over raw arrays; remainder dropped.
 
     Walks the ``kh * kw`` window taps as strided views, keeping the
     first maximum of each window (the ``argmax`` tie rule) in an arg-max
-    map written into ``saved`` (see :func:`saved_array`).
+    map of the pool's own; the comparison temporaries are ``scratch``
+    transients.  The output goes to ``out`` (a new array when ``None``).
+
+    ``backward(grad)`` returns ``(grad_x, calls)``, routing each
+    window's gradient to its maximum; ``grad_x`` is a ``scratch`` array
+    (role ``"pool"``).
     """
     kh, kw = kernel
     n, c, h, w = x.shape
@@ -588,76 +650,83 @@ def max_pool2d_forward(x: np.ndarray, kernel, save: bool = True,
     if oh == 0 or ow == 0:
         raise ShapeError(f"max_pool2d kernel {kernel} larger than input {x.shape}")
     taps = _window_taps(kh, kw, oh, ow)
-    out = x[:, :, taps[0][0], taps[0][1]].copy()
-    arg = None
-    if save:
-        arg = saved_array(saved, "arg", out.shape, np.int8)
-        arg.fill(0)
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=x.dtype)
+    arg = np.empty(out.shape, dtype=np.int8)
+    greater = scratch.take("pool_greater", out.shape, bool)
+    step = scratch.take("pool_step", out.shape, np.int8)
+    forward = [
+        partial(np.copyto, out, x[:, :, taps[0][0], taps[0][1]]),
+        partial(arg.fill, 0),
+    ]
     for j, (rows, cols) in enumerate(taps[1:], start=1):
         tap = x[:, :, rows, cols]
-        if save:
-            arg += (tap > out) * (j - arg)
-        np.maximum(out, tap, out=out)
-    return out, ((arg, x.shape, kernel) if save else None)
+        forward += [
+            # arg += (tap > out) * (j - arg)
+            partial(np.greater, tap, out, greater),
+            partial(np.subtract, j, arg, step),
+            partial(np.multiply, greater, step, step),
+            partial(np.add, arg, step, arg),
+            partial(np.maximum, out, tap, out=out),
+        ]
+
+    def backward(grad: np.ndarray):
+        full = scratch.take("pool", x.shape, grad.dtype)
+        hit = scratch.take("pool_hit", arg.shape, bool)
+        calls = [partial(full.fill, 0)]
+        for j, (rows, cols) in enumerate(taps):
+            calls += [
+                partial(np.equal, arg, j, hit),
+                partial(np.multiply, grad, hit, full[:, :, rows, cols]),
+            ]
+        return full, calls
+
+    return out, forward, backward
 
 
-def max_pool2d_backward(ctx, grad: np.ndarray,
-                        scratch: Workspace) -> np.ndarray:
-    """Adjoint of :func:`max_pool2d_forward`: route to each window's max.
-
-    The result is a ``scratch`` array (role ``"pool"``).
-    """
-    arg, in_shape, (kh, kw) = ctx
-    full = scratch.take("pool", in_shape, grad.dtype)
-    full.fill(0)
-    hit = scratch.take("pool_hit", arg.shape, bool)
-    for j, (rows, cols) in enumerate(
-            _window_taps(kh, kw, grad.shape[2], grad.shape[3])):
-        np.multiply(grad, np.equal(arg, j, out=hit),
-                    out=full[:, :, rows, cols])
-    return full
-
-
-def upsample_nearest_forward(x: np.ndarray, scale, size=None,
-                             out: Optional[np.ndarray] = None) -> np.ndarray:
+def upsample_nearest(x: np.ndarray, scale, scratch: Workspace, size=None,
+                     out: Optional[np.ndarray] = None):
     """Nearest-neighbour upsampling of the two spatial axes.
 
     ``size`` crops or zero-pads the result to exactly ``(H, W)`` (the
-    U-Net decoder matching a skip connection); ``out`` receives the
-    result in place (the decoder's concatenation buffer).
+    U-Net decoder matching a skip connection); the result goes to
+    ``out`` (a new array when ``None``; the decoder passes its
+    concatenation).
+
+    ``backward(grad)`` returns ``(grad_x, calls)``, summing each input
+    cell's copies; ``grad_x`` is a ``scratch`` array (role
+    ``"upsample"``).
     """
     sh, sw = scale
     n, c, h, w = x.shape
     size = (h * sh, w * sw) if size is None else tuple(size)
     if out is None:
         out = np.empty((n, c) + size, dtype=x.dtype)
+    copies = []
     for i in range(sh):
         rows = min(h, len(range(i, size[0], sh)))
         for j in range(sw):
             cols = min(w, len(range(j, size[1], sw)))
-            out[:, :, i: i + sh * rows: sh, j: j + sw * cols: sw] = \
-                x[:, :, :rows, :cols]
-    out[:, :, sh * h:] = 0
-    out[:, :, :, sw * w:] = 0
-    return out
+            copies.append((
+                (slice(i, i + sh * rows, sh), slice(j, j + sw * cols, sw)),
+                (slice(0, rows), slice(0, cols)),
+            ))
+    forward = [
+        partial(np.copyto, out[:, :, up_rows, up_cols], x[:, :, rows, cols])
+        for (up_rows, up_cols), (rows, cols) in copies
+    ]
+    forward += [
+        partial(out[:, :, sh * h:].fill, 0),
+        partial(out[:, :, :, sw * w:].fill, 0),
+    ]
 
+    def backward(grad: np.ndarray):
+        grad_x = scratch.take("upsample", x.shape, grad.dtype)
+        calls = [partial(grad_x.fill, 0)]
+        for (up_rows, up_cols), (rows, cols) in copies:
+            cell = grad_x[:, :, rows, cols]
+            calls.append(partial(np.add, cell, grad[:, :, up_rows, up_cols],
+                                 cell))
+        return grad_x, calls
 
-def upsample_nearest_backward(grad: np.ndarray, scale, in_shape,
-                              scratch: Workspace) -> np.ndarray:
-    """Adjoint of :func:`upsample_nearest_forward`: sum each cell's copies.
-
-    The result is a ``scratch`` array (role ``"upsample"``).
-    """
-    sh, sw = scale
-    h, w = in_shape[2], in_shape[3]
-    size = grad.shape[2:]
-    out = scratch.take("upsample", in_shape, grad.dtype)
-    out.fill(0)
-    for i in range(sh):
-        rows = min(h, len(range(i, size[0], sh)))
-        for j in range(sw):
-            cols = min(w, len(range(j, size[1], sw)))
-            out[:, :, :rows, :cols] += \
-                grad[:, :, i: i + sh * rows: sh, j: j + sw * cols: sw]
-    return out
-
+    return out, forward, backward

@@ -2,8 +2,9 @@
 kernels take.
 
 A layer holds no forward of its own: :class:`repro.nn.unet.SpAcLUNet`
-runs each one through its raw-array kernel pair in
-:mod:`repro.nn.functional`, inside the network's single graph node.
+builds each one into its plan with its kernel builder in
+:mod:`repro.nn.functional`, and runs it inside the network's single
+graph node.
 """
 
 from __future__ import annotations

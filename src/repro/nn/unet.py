@@ -15,18 +15,21 @@ harmonic network of Zhang et al. with anchor > 1 and frequency
 max-pooling ("frequency folding").  Their table is
 :func:`repro.core.inpainting.config_for_prior_kind`.
 
-A call runs the whole network as one graph node.  Its kernels save what
-their adjoints need into per-layer slots and take every transient from
-one :class:`repro.nn.functional.Workspace` per network; both persist
-across a fit's iterations, so an iteration after the first allocates no
-activation-sized memory.
+A call runs the whole network as one graph node, through a *plan*: the
+network's forward and backward, built once per fit from the kernel
+builders of :mod:`repro.nn.functional` as two flat lists of NumPy calls
+with every buffer, view and ``out=`` bound, and replayed on every later
+call.  So an iteration after the first allocates no activation-sized
+memory and rebuilds no view.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from operator import is_
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -129,106 +132,187 @@ class ConvBlock(Module):
         return list(zip(body[0::3], body[1::3], body[2::3]))
 
 
-def _forward_layers(layers: Sequence[tuple], x: np.ndarray,
-                    saved: Optional[List[dict]], scratch: F.Workspace):
-    """Run a :meth:`SpAcLUNet.layers` list over raw arrays.
+def _input_slot(layer: Module, shape: tuple, dtype):
+    """Where the layer before convolution ``layer`` writes its output.
 
-    ``saved`` holds one slot of reused saved activations per layer
-    (:func:`repro.nn.functional.saved_array`); with ``saved`` the
-    forward records.  ``scratch`` is the kernels' shared
-    :class:`repro.nn.functional.Workspace`.  Returns the sigmoid output
-    and the tape: one kernel context per layer when recording, else an
-    empty list.
+    An anchor-1 harmonic convolution reads its input whole as harmonic
+    1's lane of its gather buffer (see
+    :func:`repro.nn.functional.harmonic_conv2d`), so its producer writes
+    straight into that lane: returns ``(lane, buffer)``.  Before any
+    other layer the producer keeps an output array of its own: ``(None,
+    None)``.
     """
-    save = saved is not None
-    tape: list = []
-    skips: List[np.ndarray] = []
-    for index, step in enumerate(layers):
-        kind = step[0]
-        slot = saved[index] if save else None
-        if kind == "conv":
-            layer = step[1]
-            w, b = F.record_kernels(layer.weight.data, layer.bias.data)
-            if isinstance(layer, HarmonicConv2d):
-                x, ctx = F.harmonic_conv2d_forward(
-                    x, w, b, scratch, layer.anchor, layer.time_dilation,
-                    save, slot,
-                )
-            else:
-                x, ctx = F.conv2d_forward(
-                    x, w, b, scratch, layer.padding, save, slot
-                )
-        elif kind == "norm":
-            norm = step[1]
-            x, ctx = F.instance_norm_forward(
-                x, norm.weight.data, norm.bias.data, norm.eps, step[2],
-                scratch, save, slot,
-            )
-        elif kind == "down":
-            skips.append(x)
-            x, ctx = F.max_pool2d_forward(x, step[1], save, slot)
-        else:  # "up"
-            skip = skips.pop()
-            n_skip = skip.shape[1]
-            joined = F.saved_array(
-                slot, "concat",
-                (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:], x.dtype,
-            )
-            joined[:, :n_skip] = skip
-            F.upsample_nearest_forward(
-                x, step[1], size=skip.shape[2:], out=joined[:, n_skip:]
-            )
-            ctx = (n_skip, x.shape)
-            x = joined
-        if save:
-            tape.append(ctx)
-    return 1.0 / (1.0 + np.exp(-x)), tape
+    if isinstance(layer, HarmonicConv2d) and layer.anchor == 1:
+        n_harm = layer.weight.data.shape[-2]
+        buffer = np.empty((shape[0], n_harm) + tuple(shape[1:]), dtype=dtype)
+        return buffer[:, 0], buffer
+    return None, None
 
 
-def _backward_layers(layers: Sequence[tuple], tape: list, out: np.ndarray,
-                     grad: np.ndarray, need_input: bool, saved: List[dict],
-                     scratch: F.Workspace):
-    """Replay :func:`_forward_layers` in reverse.
+class _Plan:
+    """One network's forward and backward at one code geometry.
 
-    The gradient passed from layer to layer lives in ``scratch``; a
-    skip connection's share is parked in its "up" layer's ``saved``
-    slot until the matching "down" layer adds it.  Returns the input
-    gradient (a fresh array; ``None`` unless ``need_input``) and a
-    ``{id(parameter): gradient}`` map shaped like the parameters.
+    Built from :meth:`SpAcLUNet.layers` by the kernel builders of
+    :mod:`repro.nn.functional`: every buffer the network needs (saved
+    activations, layer outputs, the role-shared transients of
+    ``scratch``) plus one flat list of bound NumPy calls for the forward
+    and one for the backward.  Each layer's output is the array its
+    consumer keeps: a convolution writes the norm's normalised
+    activations, normalised in place, and a norm, a pool or a decoder
+    concatenation in front of an anchor-1 harmonic convolution writes
+    that convolution's gather lane.  :meth:`forward` and
+    :meth:`backward` replay the lists.
+
+    A plan serves calls with the code shape, dtype and ``requires_grad``
+    it was built for, while every parameter's ``data`` is still the
+    array it bound (:meth:`binds`).
     """
-    grads = {}
-    skip_grads: List[np.ndarray] = []
-    g = grad * out * (1.0 - out)
-    for index in range(len(layers) - 1, -1, -1):
-        step, ctx = layers[index], tape[index]
-        kind = step[0]
-        if kind == "conv":
-            layer = step[1]
-            kernel_backward = F.harmonic_conv2d_backward \
-                if isinstance(layer, HarmonicConv2d) else F.conv2d_backward
-            g, grad_w, grad_b = kernel_backward(
-                ctx, g, scratch, need_input or index > 0
-            )
-            grads[id(layer.weight)] = grad_w.reshape(layer.weight.data.shape)
-            grads[id(layer.bias)] = grad_b.reshape(layer.bias.data.shape)
-        elif kind == "norm":
-            norm = step[1]
-            g, grad_w, grad_b = F.instance_norm_backward(ctx, g, scratch)
-            grads[id(norm.weight)] = grad_w.reshape(norm.weight.data.shape)
-            grads[id(norm.bias)] = grad_b.reshape(norm.bias.data.shape)
-        elif kind == "down":
-            g = F.max_pool2d_backward(ctx, g, scratch)
-            g += skip_grads.pop()
-        else:  # "up"
-            n_skip, x_shape = ctx
-            skip_grad = F.saved_array(saved[index], "skip_grad",
-                                      g[:, :n_skip].shape, g.dtype)
-            np.copyto(skip_grad, g[:, :n_skip])
-            skip_grads.append(skip_grad)
-            g = F.upsample_nearest_backward(
-                g[:, n_skip:], step[1], x_shape, scratch
-            )
-    return (g.copy() if need_input else None), grads
+
+    def __init__(self, layers: Sequence[tuple], params: Sequence, code,
+                 scratch: F.Workspace):
+        data = code.data
+        self.key = (data.shape, data.dtype, code.requires_grad)
+        self.bound = tuple(p.data for p in params)
+        self.scratch = scratch  # the workspace its transients view
+        dtype = np.result_type(data, *self.bound)
+        last = len(layers) - 1
+
+        # Forward, remembering each layer's backward builder.
+        x, gathered = _input_slot(layers[0][1], data.shape, dtype)
+        if x is None:
+            x = np.empty(data.shape, dtype=dtype)
+        self.code = x
+        forward: list = []
+        adjoints: list = []
+        skips: List[np.ndarray] = []
+        for index, step in enumerate(layers):
+            kind = step[0]
+            after = layers[index + 1] if index < last else None
+            consumer = after[1] if after and after[0] == "conv" else None
+            if kind == "conv":
+                layer = step[1]
+                w, b = F.record_kernels(layer.weight.data, layer.bias.data)
+                if isinstance(layer, HarmonicConv2d):
+                    x, calls, adjoint = F.harmonic_conv2d(
+                        x, w, b, scratch, layer.anchor, layer.time_dilation,
+                        gathered=gathered,
+                    )
+                else:
+                    x, calls, adjoint = F.conv2d(x, w, b, scratch,
+                                                 layer.padding)
+                # A fit's code needs no gradient: the first convolution
+                # then skips its input-gradient GEMM and scatter.
+                adjoint = partial(adjoint,
+                                  need_input=index > 0 or code.requires_grad)
+            elif kind == "norm":
+                norm = step[1]
+                out, gathered = _input_slot(consumer, x.shape, dtype)
+                x, calls, adjoint = F.instance_norm(
+                    x, norm.weight.data, norm.bias.data, norm.eps, step[2],
+                    scratch, out=out,
+                )
+            elif kind == "down":
+                skips.append(x)
+                (kh, kw), (n, c, h, w) = step[1], x.shape
+                out, gathered = _input_slot(consumer, (n, c, h // kh, w // kw),
+                                            dtype)
+                x, calls, adjoint = F.max_pool2d(x, step[1], scratch, out=out)
+            else:  # "up": upsample onto the newest skip, after the skip
+                skip = skips.pop()
+                n_skip = skip.shape[1]
+                shape = (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:]
+                joined, gathered = _input_slot(consumer, shape, dtype)
+                if joined is None:
+                    joined = np.empty(shape, dtype=dtype)
+                _, calls, adjoint = F.upsample_nearest(
+                    x, step[1], scratch, size=skip.shape[2:],
+                    out=joined[:, n_skip:],
+                )
+                calls.insert(0, partial(np.copyto, joined[:, :n_skip], skip))
+                adjoint = partial(_concat_adjoint, adjoint, n_skip)
+                x = joined
+            forward += calls
+            adjoints.append(adjoint)
+        # The output sigmoid, 1 / (1 + exp(-x)), in place up to the
+        # division, which :meth:`forward` makes into a fresh array.
+        forward += [partial(np.negative, x, x), partial(np.exp, x, x),
+                    partial(np.add, 1.0, x, x)]
+        self.denominator = x
+        self.forward_calls = forward
+
+        # Backward, in reverse; a skip connection's share of the gradient
+        # is parked until the matching "down" layer adds it.
+        self.dy = g = np.empty(x.shape, dtype=dtype)
+        self.one_minus_out = np.empty(x.shape, dtype=dtype)
+        backward: list = []
+        grads = {}
+        skip_grads: List[np.ndarray] = []
+        for step, adjoint in zip(reversed(layers), reversed(adjoints)):
+            kind = step[0]
+            if kind in ("conv", "norm"):
+                layer = step[1]
+                g, grad_w, grad_b, calls = adjoint(g)
+                # Views, shaped like the parameters, of what the calls
+                # write; :meth:`backward` hands out copies.
+                for param, grad in ((layer.weight, grad_w),
+                                    (layer.bias, grad_b)):
+                    grads[id(param)] = np.reshape(grad, param.data.shape,
+                                                  copy=False)
+            elif kind == "down":
+                g, calls = adjoint(g)
+                calls.append(partial(np.add, g, skip_grads.pop(), g))
+            else:  # "up"
+                skip_grad, g, calls = adjoint(g)
+                skip_grads.append(skip_grad)
+            backward += calls
+        self.grad_code = g if code.requires_grad else None
+        self.grads = [grads[id(p)] for p in params]
+        self.backward_calls = backward
+
+    def binds(self, code, params) -> bool:
+        """Whether this plan serves a call on ``code`` (see the class)."""
+        data = code.data
+        return (data.shape, data.dtype, code.requires_grad) == self.key \
+            and all(map(is_, (p.data for p in params), self.bound))
+
+    def forward(self, code: np.ndarray) -> np.ndarray:
+        """The network's output for ``code``, as a fresh array."""
+        np.copyto(self.code, code)
+        F.run(self.forward_calls)
+        return np.true_divide(1.0, self.denominator)
+
+    def backward(self, grad: np.ndarray, out: np.ndarray) -> tuple:
+        """The code's gradient (``None`` unless it requires grad) and
+        every parameter's, as fresh arrays, for the loss gradient
+        ``grad`` of the output ``out`` of :meth:`forward`."""
+        # Through the sigmoid: grad * out * (1 - out).
+        np.multiply(grad, out, self.dy)
+        np.subtract(1.0, out, self.one_minus_out)
+        np.multiply(self.dy, self.one_minus_out, self.dy)
+        F.run(self.backward_calls)
+        grad_code = None if self.grad_code is None else self.grad_code.copy()
+        return (grad_code, *(grad.copy() for grad in self.grads))
+
+
+def _concat_adjoint(upsample_adjoint, n_skip: int, grad: np.ndarray):
+    """Adjoint of an "up" layer: the skip's share of ``grad`` parked in
+    an array of its own, then the upsample's adjoint of the rest."""
+    skip_grad = np.empty(grad[:, :n_skip].shape, dtype=grad.dtype)
+    grad_x, calls = upsample_adjoint(grad[:, n_skip:])
+    calls.insert(0, partial(np.copyto, skip_grad, grad[:, :n_skip]))
+    return skip_grad, grad_x, calls
+
+
+def _build_plan(layers: Sequence[tuple], params: Sequence, code) -> _Plan:
+    """A :class:`_Plan` for calls on ``code``, on a workspace of its own.
+
+    The plan is built twice: the first build only sizes every role of
+    the workspace to its largest request, so no view of the second
+    points into a buffer that a later request superseded.
+    """
+    scratch = F.Workspace()
+    _Plan(layers, params, code, scratch)
+    return _Plan(layers, params, code, scratch)
 
 
 class SpAcLUNet(Module):
@@ -283,17 +367,17 @@ class SpAcLUNet(Module):
             channels = skip_ch
 
         self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
-        # The saved-activation set and its workspace while no graph node
-        # owns them (see :meth:`__call__`).  Scratch memory, not state.
+        # The plan while no graph node owns it (see :meth:`__call__`).
+        # Scratch memory, not state.
         self._idle = {}
         # ``(layers(), parameters())``, built by the first call.
-        self._plan = None
+        self._layout = None
 
     def __getstate__(self):
-        # Copies and pickles start without saved-activation buffers.
+        # Copies and pickles start without a plan.
         state = dict(self.__dict__)
         state["_idle"] = {}
-        state["_plan"] = None
+        state["_layout"] = None
         return state
 
     # ------------------------------------------------------------------ #
@@ -312,13 +396,12 @@ class SpAcLUNet(Module):
     def compact(self, keep) -> None:
         """Keep only the records ``keep`` (in order), dropping the rest.
 
-        Also drops the idle saved-activation buffers and workspace,
-        which are sized for the old stack, and the cached layer and
-        parameter lists.
+        Also drops the idle plan, which is built for the old stack, and
+        the cached layer and parameter lists.
         """
         keep = np.asarray(keep, dtype=np.intp)
         self._idle.clear()
-        self._plan = None
+        self._layout = None
         stacked = self.stacked
         for param in self.parameters():
             data = param.data if stacked else param.data[None]
@@ -360,24 +443,26 @@ class SpAcLUNet(Module):
         ``z`` is an array, or a :class:`Tensor` whose gradient is wanted
         when it requires grad.  The whole network is **one** graph node
         whose parents are the code and every parameter.  Its forward
-        walks :meth:`layers` over raw arrays through the kernel pairs of
-        :mod:`repro.nn.functional`, saving only what the adjoint needs —
-        and nothing at all when nothing requires grad.  Its backward
-        replays the list in reverse and returns every parameter's
-        gradient; the code's gradient is computed only when the code
-        requires grad, so a fit skips the first convolution's
+        replays the plan's forward calls (:meth:`layers` built into one
+        list by the kernel builders of :mod:`repro.nn.functional`); its
+        backward replays the plan's backward calls and returns every
+        parameter's gradient.  The code's gradient is computed only when
+        the code requires grad, so a fit skips the first convolution's
         input-gradient GEMM and scatter.
 
-        The saved activations go into a set of per-layer arrays that
-        persists across a fit's iterations while shapes and dtypes hold,
-        and the kernels' transients into one
-        :class:`repro.nn.functional.Workspace` that travels with the
-        set.  Set and workspace belong to the network while idle or to
-        exactly one node: a recording forward pops them (or starts new
-        ones) and the node's backward hands them back, so two live
-        nodes, or two threads on one network, never share an array.  A
-        forward that records nothing runs on a workspace of its own.  The
-        output and every gradient are fresh arrays.
+        A recording call (one where anything requires grad) builds the
+        plan on its first call and reuses it while the code's shape,
+        dtype and ``requires_grad`` hold and every parameter's ``data``
+        is still the array the plan bound; any other call builds a new
+        one (after ``Adam`` re-points ``data``, after ``data`` is
+        assigned, after :meth:`compact`, or for a code of another
+        shape).  The code is copied into the plan's own input, so any
+        array may be passed.  The plan belongs to the network while idle
+        or to exactly one node: a recording forward pops it and the
+        node's backward hands it back, so two live nodes, or two threads
+        on one network, never share an array.  A forward that records
+        nothing builds a plan of its own and runs it once.  The output
+        and every gradient are fresh arrays.
 
         The layer and parameter lists are built once and cached until
         :meth:`compact`.
@@ -397,35 +482,30 @@ class SpAcLUNet(Module):
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
                 f"channels, got {shape[1]}"
             )
-        if self._plan is None:
-            self._plan = (self.layers(), self.parameters())
-        layers, params = self._plan
+        if self._layout is None:
+            self._layout = (self.layers(), self.parameters())
+        layers, params = self._layout
         parents = (z, *params)
         record = any(p.requires_grad for p in parents)
-        if record:
-            saved = self._idle.pop("saved", None) or [{} for _ in layers]
-            scratch = self._idle.pop("scratch", None) or F.Workspace()
-        else:
-            saved, scratch = None, F.Workspace()
-        out_data, tape = _forward_layers(layers, z.data, saved, scratch)
+        plan = self._idle.pop("plan", None) if record else None
+        if plan is None or not plan.binds(z, params):
+            plan = _build_plan(layers, params, z)
+        out_data = plan.forward(z.data)
         out = Tensor(out_data, requires_grad=record)
         if not record:
             return out
+        owned = [plan]
 
         def backward(grad):
-            if not tape:
+            if not owned:
                 raise GraphError(
-                    "SpAcLUNet graph already backpropagated; its saved "
-                    "activations are released, so run the forward again"
+                    "SpAcLUNet graph already backpropagated; its plan "
+                    "went back to the network, so run the forward again"
                 )
-            grad_z, grads = _backward_layers(
-                layers, tape, out_data, grad, z.requires_grad, saved,
-                scratch,
-            )
-            tape.clear()
-            self._idle["saved"] = saved
-            self._idle["scratch"] = scratch
-            return (grad_z, *(grads[id(p)] for p in params))
+            plan = owned.pop()
+            grads = plan.backward(grad, out_data)
+            self._idle["plan"] = plan
+            return grads
 
         out._ctx = (parents, backward)
         return out

@@ -1,13 +1,14 @@
-"""Tests for the raw-array kernel pairs (repro.nn.functional).
+"""Tests for the kernel builders (repro.nn.functional).
 
 Every forward is checked against a direct implementation that shares no
 code with it: a loop over Eq. 8 for the harmonic convolution, scipy for
 the standard convolution, plain numpy for instance norm with leaky ReLU,
 pooling and upsampling.  Every backward is checked against float64
 central differences of its forward, which are independent of the
-hand-written adjoints.  The kernels run on a :class:`StaleWorkspace`,
-and a forward, its backward and its central differences share one, as
-the layers of a fit share the network's workspace.
+hand-written adjoints.  Each operator is built once on a
+:class:`StaleWorkspace` and its call lists are replayed, as a fit
+replays its network's plan: the central differences replay the built
+forward after perturbing its input or parameters in place.
 """
 
 import numpy as np
@@ -58,17 +59,52 @@ def _operands(rng, records, weight_shape, x_shape):
 
 
 class StaleWorkspace(F.Workspace):
-    """A workspace that hands out every array filled with NaN.
+    """A workspace whose buffers are stale whenever a list replays.
 
     In a fit each role's buffer still holds what the previous layer left
-    there, so a kernel must write every scratch cell before reading it;
-    NaN makes a cell that it reads unwritten show in the result.
+    there, so a call list must write every scratch cell before reading
+    it; :meth:`replay` fills every buffer with NaN (a non-zero value in
+    boolean and integer roles) first, so a cell that a list reads
+    unwritten shows in the result.
     """
 
-    def take(self, role, shape, dtype):
-        array = super().take(role, shape, dtype)
-        array.fill(np.nan)
-        return array
+    def replay(self, calls):
+        for buffer in self._buffers.values():
+            buffer.fill(np.nan if buffer.dtype.kind == "f" else 1)
+        F.run(calls)
+
+
+def build(builder, *args, **kwargs):
+    """Build an operator on the :class:`StaleWorkspace` among ``args``
+    and replay its forward once; returns ``(out, forward, backward,
+    scratch)``."""
+    scratch = next(a for a in args if isinstance(a, StaleWorkspace))
+    out, calls, backward = builder(*args, **kwargs)
+    scratch.replay(calls)
+    return out, calls, backward, scratch
+
+
+def run_forward(builder, *args, **kwargs):
+    """The output of one replay of a freshly built operator."""
+    return build(builder, *args, **kwargs)[0]
+
+
+def adjoint(backward, scratch, grad, *args):
+    """Build ``backward`` around ``grad`` and replay it once; returns
+    copies of its gradients (``None`` stays ``None``)."""
+    *grads, calls = backward(grad, *args)
+    scratch.replay(calls)
+    return [None if g is None else g.copy() for g in grads]
+
+
+def replayed_loss(scratch, calls, out, probe, before=None):
+    """``sum(out * probe)`` after replaying ``calls`` (``before()`` first)."""
+    def loss():
+        if before is not None:
+            before()
+        scratch.replay(calls)
+        return float((out * probe).sum())
+    return loss
 
 
 # --------------------------------------------------------------------- #
@@ -211,8 +247,8 @@ class TestHarmonicConv2d:
     @HARMONIC_SWEEP
     def test_forward_is_eq8(self, rng, records, anchor, dilation, n_freq):
         x, _, _, w, b = _operands(rng, records, (3, 2, 3, 3), (2, n_freq, 9))
-        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(), anchor,
-                                           dilation)
+        out = run_forward(F.harmonic_conv2d, x, w, b, StaleWorkspace(), anchor,
+                          dilation)
         np.testing.assert_allclose(
             out, harmonic_reference(x, w, b, anchor, dilation),
             rtol=0, atol=1e-12,
@@ -225,32 +261,59 @@ class TestHarmonicConv2d:
             rng, records, (3, 2, 3, 3), (2, n_freq, 9)
         )
         probe = rng.standard_normal((x.shape[0], 3, n_freq, 9))
-        scratch = StaleWorkspace()
+        out, calls, backward, scratch = build(
+            F.harmonic_conv2d, x, w, b, StaleWorkspace(), anchor, dilation
+        )
+        grad_x, grad_w, grad_b = adjoint(backward, scratch, probe)
+        assert_gradients(replayed_loss(scratch, calls, out, probe), [
+            (x, grad_x),
+            (weight, grad_w.reshape(weight.shape)),
+            (bias, grad_b.reshape(bias.shape)),
+        ])
 
-        def loss():
-            out, _ = F.harmonic_conv2d_forward(x, w, b, scratch, anchor,
-                                               dilation, save=False)
-            return float((out * probe).sum())
-
-        _, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, anchor, dilation)
-        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(ctx, probe,
-                                                            scratch)
+    @pytest.mark.parametrize("records", [2, None])
+    def test_input_written_into_the_gather_lane(self, rng, records):
+        # At anchor 1 harmonic 1's lane is the input: a producer that
+        # writes there spares the copy, with the same output and
+        # gradients.
+        x, weight, bias, w, b = _operands(rng, records, (3, 2, 3, 3), (2, 7, 9))
+        probe = rng.standard_normal((x.shape[0], 3, 7, 9))
+        gathered = np.full((x.shape[0], 3) + x.shape[1:], np.nan)
+        lane = gathered[:, 0]
+        np.copyto(lane, x)
+        out, calls, backward, scratch = build(
+            F.harmonic_conv2d, lane, w, b, StaleWorkspace(), 1, 2,
+            gathered=gathered,
+        )
+        grad_x, grad_w, grad_b = adjoint(backward, scratch, probe)
+        loss = replayed_loss(scratch, calls, out, probe,
+                             before=lambda: np.copyto(lane, x))
+        np.testing.assert_allclose(
+            out, harmonic_reference(x, w, b, 1, 2), rtol=0, atol=1e-12
+        )
         assert_gradients(loss, [
             (x, grad_x),
             (weight, grad_w.reshape(weight.shape)),
             (bias, grad_b.reshape(bias.shape)),
         ])
 
+    def test_only_an_identity_lane_holds_the_input(self, rng):
+        _, _, _, w, b = _operands(rng, None, (3, 2, 3, 3), (2, 7, 9))
+        gathered = np.zeros((1, 3, 2, 7, 9))
+        with pytest.raises(ConfigurationError):
+            F.harmonic_conv2d(gathered[:, 0], w, b, StaleWorkspace(), 2,
+                              gathered=gathered)
+
     def test_output_shape_preserved(self, rng):
         x, _, _, w, b = _operands(rng, None, (4, 2, 3, 3), (2, 16, 10))
-        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(), 1, 2)
+        out = run_forward(F.harmonic_conv2d, x, w, b, StaleWorkspace(), 1, 2)
         assert out.shape == (1, 4, 16, 10)
 
     def test_manual_single_harmonic(self, rng):
         # One harmonic, one time tap: output = w * x exactly.
         x = rng.standard_normal((1, 1, 6, 5))
         w, b = F.record_kernels(np.full((1, 1, 1, 1), 2.0), np.zeros(1))
-        out, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace())
+        out = run_forward(F.harmonic_conv2d, x, w, b, StaleWorkspace())
         np.testing.assert_array_equal(out, 2.0 * x)
 
     def test_second_harmonic_reads_double_frequency(self):
@@ -260,8 +323,9 @@ class TestHarmonicConv2d:
         x[0, 0, 4, 1] = 1.0
         weight = np.zeros((1, 1, 2, 1))
         weight[0, 0, 1, 0] = 1.0  # only the k=2 tap
-        out, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight, np.zeros(1)), StaleWorkspace()
+        out = run_forward(
+            F.harmonic_conv2d, x, *F.record_kernels(weight, np.zeros(1)),
+            StaleWorkspace(),
         )
         assert out[0, 0, 2, 1] == 1.0  # 2*2=4 reads the hot bin
         assert out[0, 0, 4, 1] == 0.0  # 2*4=8 is out of band
@@ -271,41 +335,40 @@ class TestHarmonicConv2d:
         x[0, 0, 1, 0] = 1.0
         weight = np.zeros((1, 1, 1, 3))
         weight[0, 0, 0, 0] = 1.0  # the tap at t - D
-        out, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight, np.zeros(1)), StaleWorkspace(),
-            time_dilation=4,
+        out = run_forward(
+            F.harmonic_conv2d, x, *F.record_kernels(weight, np.zeros(1)),
+            StaleWorkspace(), time_dilation=4,
         )
         assert out[0, 0, 1, 4] == 1.0
 
     def test_dilation_past_both_ends_leaves_the_centre_tap(self, rng):
         # Side taps shifted by >= T frames read only zero padding.
         x, weight, bias, w, b = _operands(rng, None, (3, 2, 2, 3), (2, 7, 5))
-        wide, _ = F.harmonic_conv2d_forward(x, w, b, StaleWorkspace(),
-                                            time_dilation=5)
-        centre, _ = F.harmonic_conv2d_forward(
-            x, *F.record_kernels(weight[..., 1:2], bias), StaleWorkspace()
+        wide = run_forward(F.harmonic_conv2d, x, w, b, StaleWorkspace(),
+                           time_dilation=5)
+        centre = run_forward(
+            F.harmonic_conv2d, x, *F.record_kernels(weight[..., 1:2], bias),
+            StaleWorkspace(),
         )
         np.testing.assert_allclose(wide, centre, rtol=0, atol=1e-12)
 
     def test_records_do_not_mix(self, rng):
         """Record r of the output depends only on record r of the input."""
         x1, _, _, w, b = _operands(rng, 2, (3, 2, 2, 3), (2, 7, 9))
-        out1, _ = F.harmonic_conv2d_forward(x1, w, b, StaleWorkspace())
+        out1 = run_forward(F.harmonic_conv2d, x1, w, b, StaleWorkspace())
         x2 = x1.copy()
         x2[1] = rng.standard_normal((2, 7, 9))  # perturb record 1 only
-        out2, _ = F.harmonic_conv2d_forward(x2, w, b, StaleWorkspace())
+        out2 = run_forward(F.harmonic_conv2d, x2, w, b, StaleWorkspace())
         np.testing.assert_array_equal(out1[0], out2[0])
         assert np.abs(out1[1] - out2[1]).max() > 0
 
     def test_backward_without_input_gradient(self, rng):
         x, _, _, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 7, 9))
-        scratch = StaleWorkspace()
-        _, ctx = F.harmonic_conv2d_forward(x, w, b, scratch, 1, 2)
+        _, _, backward, scratch = build(F.harmonic_conv2d, x, w, b,
+                                        StaleWorkspace(), 1, 2)
         probe = rng.standard_normal((2, 3, 7, 9))
-        full = F.harmonic_conv2d_backward(ctx, probe, scratch)
-        grad_x, grad_w, grad_b = F.harmonic_conv2d_backward(
-            ctx, probe, scratch, need_input=False
-        )
+        full = adjoint(backward, scratch, probe)
+        grad_x, grad_w, grad_b = adjoint(backward, scratch, probe, False)
         assert grad_x is None
         np.testing.assert_array_equal(grad_w, full[1])
         np.testing.assert_array_equal(grad_b, full[2])
@@ -313,14 +376,13 @@ class TestHarmonicConv2d:
     def test_even_kernel_time_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ConfigurationError):
-            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
-                                      StaleWorkspace())
+            F.harmonic_conv2d(np.zeros((1, 1, 4, 4)), w, b, StaleWorkspace())
 
     def test_bad_dilation_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 2, 3)), np.zeros(1))
         with pytest.raises(ConfigurationError):
-            F.harmonic_conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
-                                      StaleWorkspace(), time_dilation=0)
+            F.harmonic_conv2d(np.zeros((1, 1, 4, 4)), w, b, StaleWorkspace(),
+                              time_dilation=0)
 
 
 class TestConv2d:
@@ -329,8 +391,8 @@ class TestConv2d:
         x, _, _, w, b = _operands(
             rng, records, (3, 2, kernel, kernel), (2, 5, 7)
         )
-        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(),
-                                  (padding, padding))
+        out = run_forward(F.conv2d, x, w, b, StaleWorkspace(),
+                          (padding, padding))
         np.testing.assert_allclose(
             out, conv2d_reference(x, w, b, (padding, padding)),
             rtol=0, atol=1e-12,
@@ -342,17 +404,12 @@ class TestConv2d:
         x, weight, bias, w, b = _operands(
             rng, records, (3, 2, kernel, kernel), (2, 5, 7)
         )
-        pad = (padding, padding)
-        scratch = StaleWorkspace()
-        out, ctx = F.conv2d_forward(x, w, b, scratch, pad)
+        out, calls, backward, scratch = build(
+            F.conv2d, x, w, b, StaleWorkspace(), (padding, padding)
+        )
         probe = rng.standard_normal(out.shape)
-
-        def loss():
-            return float((F.conv2d_forward(x, w, b, scratch, pad,
-                                           save=False)[0] * probe).sum())
-
-        grad_x, grad_w, grad_b = F.conv2d_backward(ctx, probe, scratch)
-        assert_gradients(loss, [
+        grad_x, grad_w, grad_b = adjoint(backward, scratch, probe)
+        assert_gradients(replayed_loss(scratch, calls, out, probe), [
             (x, grad_x),
             (weight, grad_w.reshape(weight.shape)),
             (bias, grad_b.reshape(bias.shape)),
@@ -360,22 +417,22 @@ class TestConv2d:
 
     def test_padding_same_shape(self, rng):
         x, _, _, w, b = _operands(rng, None, (3, 2, 3, 3), (2, 8, 8))
-        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(), (1, 1))
+        out = run_forward(F.conv2d, x, w, b, StaleWorkspace(), (1, 1))
         assert out.shape == (1, 3, 8, 8)
 
     def test_bias_added(self):
         w, b = F.record_kernels(np.zeros((2, 1, 1, 1)), np.array([1.5, -2.0]))
-        out, _ = F.conv2d_forward(np.zeros((1, 1, 4, 4)), w, b,
-                                  StaleWorkspace())
+        out = run_forward(F.conv2d, np.zeros((1, 1, 4, 4)), w, b,
+                          StaleWorkspace())
         np.testing.assert_array_equal(out[0, 0], np.full((4, 4), 1.5))
         np.testing.assert_array_equal(out[0, 1], np.full((4, 4), -2.0))
 
     def test_stacked_records_match_one_kernel_each(self, rng):
         x, weight, bias, w, b = _operands(rng, 2, (3, 2, 3, 3), (2, 5, 6))
-        out, _ = F.conv2d_forward(x, w, b, StaleWorkspace(), (1, 1))
+        out = run_forward(F.conv2d, x, w, b, StaleWorkspace(), (1, 1))
         for r in range(2):
-            single, _ = F.conv2d_forward(
-                x[r: r + 1], *F.record_kernels(weight[r], bias[r]),
+            single = run_forward(
+                F.conv2d, x[r: r + 1], *F.record_kernels(weight[r], bias[r]),
                 StaleWorkspace(), (1, 1),
             )
             np.testing.assert_allclose(out[r], single[0], rtol=0, atol=1e-12)
@@ -383,7 +440,7 @@ class TestConv2d:
     def test_empty_output_raises(self):
         w, b = F.record_kernels(np.zeros((1, 1, 5, 5)), np.zeros(1))
         with pytest.raises(ShapeError):
-            F.conv2d_forward(np.zeros((1, 1, 2, 2)), w, b, StaleWorkspace())
+            F.conv2d(np.zeros((1, 1, 2, 2)), w, b, StaleWorkspace())
 
 
 class TestFloat32Parity:
@@ -397,18 +454,18 @@ class TestFloat32Parity:
         return float(np.abs(out - ref).max()) / float(np.abs(ref).max())
 
     @pytest.mark.parametrize("op,weight_shape,x_shape,kwargs", [
-        (F.harmonic_conv2d_forward, (2, 3, 3, 3, 3), (2, 3, 33, 16),
+        (F.harmonic_conv2d, (2, 3, 3, 3, 3), (2, 3, 33, 16),
          dict(anchor=1, time_dilation=2)),
-        (F.conv2d_forward, (2, 4, 3, 3, 3), (2, 3, 9, 11),
+        (F.conv2d, (2, 4, 3, 3, 3), (2, 3, 9, 11),
          dict(padding=(1, 1))),
     ])
     def test_convolution(self, rng, op, weight_shape, x_shape, kwargs):
         x64 = rng.standard_normal(x_shape)
         w64 = rng.standard_normal(weight_shape) * 0.2  # one per record
         b64 = rng.standard_normal(weight_shape[:2]) * 0.1
-        out64, _ = op(x64, w64, b64, StaleWorkspace(), **kwargs)
-        out32, _ = op(*(a.astype(np.float32) for a in (x64, w64, b64)),
-                      StaleWorkspace(), **kwargs)
+        out64 = run_forward(op, x64, w64, b64, StaleWorkspace(), **kwargs)
+        out32 = run_forward(op, *(a.astype(np.float32) for a in (x64, w64, b64)),
+                            StaleWorkspace(), **kwargs)
         assert out32.dtype == np.float32
         assert self._relative_deviation(out64, out32) <= self.RTOL
 
@@ -424,21 +481,20 @@ class TestInstanceNorm:
         affine = (3, 2) if stacked else (2,)
         weight = 1.0 + 0.3 * rng.standard_normal(affine)
         bias = 0.2 * rng.standard_normal(affine)
-        scratch = StaleWorkspace()
-        out, ctx = F.instance_norm_forward(x, weight, bias, 1e-5, 0.1,
-                                           scratch)
+        # The norm normalises its input in place, so every replay starts
+        # from a fresh copy of ``x``.
+        x_in = x.copy()
+        out, calls, backward, scratch = build(
+            F.instance_norm, x_in, weight, bias, 1e-5, 0.1, StaleWorkspace()
+        )
         np.testing.assert_allclose(
             out, instance_norm_reference(x, weight, bias, 1e-5, 0.1),
             rtol=0, atol=1e-12,
         )
         probe = rng.standard_normal(out.shape)
-
-        def loss():
-            return float((F.instance_norm_forward(
-                x, weight, bias, 1e-5, 0.1, scratch, save=False
-            )[0] * probe).sum())
-
-        grad_x, grad_w, grad_b = F.instance_norm_backward(ctx, probe, scratch)
+        grad_x, grad_w, grad_b = adjoint(backward, scratch, probe)
+        loss = replayed_loss(scratch, calls, out, probe,
+                             before=lambda: np.copyto(x_in, x))
         # The affine gradients come per record; a shared pair sums them.
         assert_gradients(loss, [
             (x, grad_x),
@@ -450,8 +506,8 @@ class TestInstanceNorm:
         # Unit scale, zero shift and slope 1 (no rectification) leave
         # each (record, channel) map at zero mean and unit variance.
         x = rng.standard_normal((3, 2, 7, 9)) * 4.0 - 1.5
-        out, _ = F.instance_norm_forward(x, np.ones(2), np.zeros(2), 1e-5,
-                                         1.0, StaleWorkspace(), save=False)
+        out = run_forward(F.instance_norm, x, np.ones(2), np.zeros(2), 1e-5,
+                          1.0, StaleWorkspace())
         np.testing.assert_allclose(out.mean(axis=(2, 3)), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.var(axis=(2, 3)), 1.0, atol=1e-5)
 
@@ -462,28 +518,23 @@ class TestMaxPool:
         # Distinct values, so every window's arg-max (hence the
         # subgradient) is unambiguous under the perturbation.
         x = rng.permutation(126).astype(np.float64).reshape(1, 2, 7, 9) / 126
-        out, ctx = F.max_pool2d_forward(x, kernel)
+        out, calls, backward, scratch = build(F.max_pool2d, x, kernel,
+                                              StaleWorkspace())
         np.testing.assert_array_equal(out, max_pool_reference(x, kernel))
         probe = rng.standard_normal(out.shape)
-
-        def loss():
-            return float((F.max_pool2d_forward(x, kernel, save=False)[0]
-                          * probe).sum())
-
-        assert_gradients(
-            loss, [(x, F.max_pool2d_backward(ctx, probe, StaleWorkspace()))]
-        )
+        grad_x, = adjoint(backward, scratch, probe)
+        assert_gradients(replayed_loss(scratch, calls, out, probe),
+                         [(x, grad_x)])
 
     def test_ties_route_to_the_first_maximum(self):
-        x = np.ones((1, 1, 2, 2))
-        _, ctx = F.max_pool2d_forward(x, (2, 2))
-        grad = F.max_pool2d_backward(ctx, np.ones((1, 1, 1, 1)),
-                                     StaleWorkspace())
+        _, _, backward, scratch = build(F.max_pool2d, np.ones((1, 1, 2, 2)),
+                                        (2, 2), StaleWorkspace())
+        grad, = adjoint(backward, scratch, np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_kernel_larger_than_input_raises(self):
         with pytest.raises(ShapeError):
-            F.max_pool2d_forward(np.zeros((1, 1, 2, 2)), (4, 4))
+            F.max_pool2d(np.zeros((1, 1, 2, 2)), (4, 4), StaleWorkspace())
 
 
 class TestUpsampleNearest:
@@ -493,33 +544,32 @@ class TestUpsampleNearest:
     def test_forward_and_backward(self, rng, scale, extra):
         x = rng.standard_normal((2, 2, 3, 4))
         size = (3 * scale[0] + extra[0], 4 * scale[1] + extra[1])
-        out = F.upsample_nearest_forward(x, scale, size=size)
+        out, calls, backward, scratch = build(F.upsample_nearest, x, scale,
+                                              StaleWorkspace(), size=size)
         np.testing.assert_array_equal(out, upsample_reference(x, scale, size))
         probe = rng.standard_normal(out.shape)
-
-        def loss():
-            return float((F.upsample_nearest_forward(x, scale, size=size)
-                          * probe).sum())
-
-        assert_gradients(loss, [(x, F.upsample_nearest_backward(
-            probe, scale, x.shape, StaleWorkspace()
-        ))])
+        grad_x, = adjoint(backward, scratch, probe)
+        assert_gradients(replayed_loss(scratch, calls, out, probe),
+                         [(x, grad_x)])
 
     def test_values(self):
         x = np.array([1.0, 2.0]).reshape(1, 1, 1, 2)
-        out = F.upsample_nearest_forward(x, (2, 2))
+        out = run_forward(F.upsample_nearest, x, (2, 2), StaleWorkspace())
         np.testing.assert_array_equal(out[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2]])
 
     def test_pool_upsample_inverse_on_constant(self):
-        down, _ = F.max_pool2d_forward(np.ones((1, 1, 4, 4)), (2, 2))
+        down = run_forward(F.max_pool2d, np.ones((1, 1, 4, 4)), (2, 2),
+                           StaleWorkspace())
         np.testing.assert_array_equal(
-            F.upsample_nearest_forward(down, (2, 2)), np.ones((1, 1, 4, 4))
+            run_forward(F.upsample_nearest, down, (2, 2), StaleWorkspace()),
+            np.ones((1, 1, 4, 4)),
         )
 
     def test_writes_into_a_given_buffer(self, rng):
         x = rng.standard_normal((1, 2, 3, 4))
         joined = np.full((1, 5, 3, 9), np.nan)
-        F.upsample_nearest_forward(x, (1, 2), size=(3, 9), out=joined[:, 3:])
+        run_forward(F.upsample_nearest, x, (1, 2), StaleWorkspace(),
+                    size=(3, 9), out=joined[:, 3:])
         np.testing.assert_array_equal(
             joined[:, 3:], upsample_reference(x, (1, 2), (3, 9))
         )

@@ -1,12 +1,12 @@
-"""The SpAc LU-Net as one graph node.
+"""The SpAc LU-Net as one graph node, run through its plan.
 
 :meth:`repro.nn.SpAcLUNet.__call__` runs the whole network as a single
-node whose hand-written backward replays the kernel pairs of
-:mod:`repro.nn.functional` in reverse.  Its gradients are checked
+node: the forward and backward call lists its plan built from the kernel
+builders of :mod:`repro.nn.functional`.  Its gradients are checked
 against float64 central differences of the network along a random
 direction in the code and in each parameter array, which share no code
 with any adjoint; its output against an independent composition of the
-forward kernels.
+forward kernels; a replayed plan against a freshly built one.
 """
 
 import copy
@@ -25,6 +25,7 @@ from repro.core.inpainting import (
 from repro.errors import GraphError
 from repro.nn import Adam, SpAcLUNet, Tensor, masked_mse_loss, stack_networks
 from repro.nn import functional as F
+from repro.nn import unet
 from repro.nn.batchfit import fit_batched
 from repro.nn.layers import HarmonicConv2d
 
@@ -34,15 +35,15 @@ from repro.nn.layers import HarmonicConv2d
 CODE_SHAPE = (3, 11, 13)
 
 
-def _network(kind, records, seed=7, time_dilation=2):
-    """A tiny float64 prior network; ``records`` = None means unstacked."""
+def _network(kind, records, seed=7, time_dilation=2, dtype=np.float64):
+    """A tiny prior network; ``records`` = None means unstacked."""
     config = config_for_prior_kind(kind, InpaintingConfig(
         in_channels=3, base_channels=3, depth=2, n_harmonics=3,
         time_dilation=time_dilation,
     )).network_config()
 
     def build(k):
-        return SpAcLUNet(config, rng=seed + k, dtype=np.float64)
+        return SpAcLUNet(config, rng=seed + k, dtype=dtype)
 
     if records is None:
         return build(0)
@@ -50,7 +51,8 @@ def _network(kind, records, seed=7, time_dilation=2):
     # Records must differ in every parameter, affine ones included.
     rng = np.random.default_rng(seed)
     for param in net.parameters():
-        param.data = param.data + 0.05 * rng.standard_normal(param.data.shape)
+        param.data = (param.data + 0.05 * rng.standard_normal(
+            param.data.shape)).astype(dtype)
     return net
 
 
@@ -109,21 +111,26 @@ def test_every_gradient_matches_directional_differences(
 # --------------------------------------------------------------------- #
 # Output: an independent composition of the forward kernels
 # --------------------------------------------------------------------- #
+def _forward(built):
+    """The output of one run of a freshly built operator's forward."""
+    out, calls, _ = built
+    F.run(calls)
+    return out
+
+
 def _reference_block(x, block):
     for conv, norm, act in block.stages():
         w, b = F.record_kernels(conv.weight.data, conv.bias.data)
         if isinstance(conv, HarmonicConv2d):
-            x, _ = F.harmonic_conv2d_forward(
+            x = _forward(F.harmonic_conv2d(
                 x, w, b, F.Workspace(), conv.anchor, conv.time_dilation,
-                save=False,
-            )
+            ))
         else:
-            x, _ = F.conv2d_forward(x, w, b, F.Workspace(), conv.padding,
-                                    save=False)
-        x, _ = F.instance_norm_forward(
+            x = _forward(F.conv2d(x, w, b, F.Workspace(), conv.padding))
+        x = _forward(F.instance_norm(
             x, norm.weight.data, norm.bias.data, norm.eps,
-            act.negative_slope, F.Workspace(), save=False,
-        )
+            act.negative_slope, F.Workspace(),
+        ))
     return x
 
 
@@ -142,15 +149,16 @@ def reference_forward(net, code):
     for encoder in net.encoders:
         x = _reference_block(x, encoder)
         skips.append(x)
-        x, _ = F.max_pool2d_forward(x, net.pool_kernel, save=False)
+        x = _forward(F.max_pool2d(x, net.pool_kernel, F.Workspace()))
     x = _reference_block(x, net.bottleneck)
     for decoder, skip in zip(net.decoders, reversed(skips)):
-        x = _fit_to(F.upsample_nearest_forward(x, net.pool_kernel),
-                    skip.shape[2:])
+        x = _fit_to(
+            _forward(F.upsample_nearest(x, net.pool_kernel, F.Workspace())),
+            skip.shape[2:],
+        )
         x = _reference_block(np.concatenate([skip, x], axis=1), decoder)
     w, b = F.record_kernels(net.head.weight.data, net.head.bias.data)
-    x, _ = F.conv2d_forward(x, w, b, F.Workspace(), net.head.padding,
-                            save=False)
+    x = _forward(F.conv2d(x, w, b, F.Workspace(), net.head.padding))
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -235,11 +243,6 @@ class TestGraphShape:
             out.backward(np.ones_like(out.data))
 
 
-def _idle_arrays(net):
-    """The arrays of the network's idle saved-activation set."""
-    return [a for slot in net._idle["saved"] for a in slot.values()]
-
-
 def _run(net, code, probe):
     """One forward and backward; returns the output and every gradient."""
     out = net(code)
@@ -279,21 +282,26 @@ class TestSavedActivationOwnership:
 
     @pytest.mark.parametrize("kind", PRIOR_KINDS)
     def test_steady_state_iterations_reuse_saved_arrays(self, rng, kind):
+        # The second iteration replays the first one's plan: the same
+        # saved arrays, the same bound calls.
         net = _network(kind, 2)
         code = _code(net, rng).data
         probe = np.ones((2, 1, 11, 13))
         _run(net, code, probe)
-        first = _idle_arrays(net)
+        plan = net._idle["plan"]
+        calls = plan.forward_calls + plan.backward_calls
         _run(net, code, probe)
-        second = _idle_arrays(net)
-        assert first and len(first) == len(second)
-        assert all(a is b for a, b in zip(first, second))
+        assert net._idle["plan"] is plan
+        assert calls and len(calls) == len(
+            plan.forward_calls + plan.backward_calls)
+        assert all(a is b for a, b in zip(
+            calls, plan.forward_calls + plan.backward_calls))
 
     def test_buffers_are_not_state(self, rng):
         net = _network("spac", 2)
         names = [name for name, _ in net.named_parameters()]
         _run(net, _code(net, rng).data, np.ones((2, 1, 11, 13)))
-        assert _idle_arrays(net)
+        assert "plan" in net._idle
         assert [name for name, _ in net.named_parameters()] == names
         assert copy.deepcopy(net)._idle == {}
         assert pickle.loads(pickle.dumps(net))._idle == {}
@@ -302,22 +310,23 @@ class TestSavedActivationOwnership:
 
 
 class TestWorkspaceOwnership:
-    """The kernels' workspace travels with the saved-activation set."""
+    """The kernels' workspace travels with the plan that views it."""
 
     def test_backward_hands_the_workspace_back_for_reuse(self, rng):
         net = _network("spac_dilated", 2)
         code = _code(net, rng).data
         probe = np.ones((2, 1, 11, 13))
         _run(net, code, probe)
-        scratch = net._idle["scratch"]
-        assert isinstance(scratch, F.Workspace)
+        plan = net._idle["plan"]
+        assert isinstance(plan.scratch, F.Workspace)
         live = net(code)
-        assert "scratch" not in net._idle  # the live node owns it
-        other = net(code)                  # so a second node gets its own
+        assert "plan" not in net._idle  # the live node owns it
+        other = net(code)               # so a second node builds its own
         other.backward(probe)
-        assert net._idle["scratch"] is not scratch
+        assert net._idle["plan"] is not plan
+        assert net._idle["plan"].scratch is not plan.scratch
         live.backward(probe)
-        assert net._idle["scratch"] is scratch
+        assert net._idle["plan"] is plan
 
     def test_a_forward_never_backpropagated_changes_nothing(self, rng):
         net = _network("spac_dilated", 2)
@@ -367,12 +376,134 @@ class TestWorkspaceOwnership:
                 np.testing.assert_array_equal(curve, ref_curve)
 
 
+# --------------------------------------------------------------------- #
+# The plan: replayed, never rebuilt within a fit, rebuilt on a rebind
+# --------------------------------------------------------------------- #
+def _iterate(net, adam, code, target, mask):
+    """One fit iteration; returns the output and every gradient."""
+    adam.zero_grad()
+    out = net(code)
+    _, grad = masked_mse_loss(out.data, target, mask)
+    out.backward(grad)
+    grads = [p.grad for p in net.parameters()]
+    adam.step()
+    return out.data, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("records", [2, None])
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_replayed_iterations_equal_freshly_built_ones(
+        rng, kind, records, dtype):
+    replayed, fresh = (_network(kind, records, dtype=dtype) for _ in range(2))
+    n = replayed.n_records
+    code = rng.uniform(0.0, 0.1, size=(n, *CODE_SHAPE)).astype(dtype)
+    target = rng.uniform(0.2, 0.8, size=(n, 1, 11, 13)).astype(dtype)
+    mask = (rng.random(target.shape) < 0.7).astype(dtype)
+    adams = [Adam(net.parameters(), lr=1e-2) for net in (replayed, fresh)]
+    for _ in range(4):
+        fresh._idle.clear()  # drop the plan: the next call builds anew
+        ours = _iterate(replayed, adams[0], code, target, mask)
+        ref = _iterate(fresh, adams[1], code, target, mask)
+        assert ours[0].dtype == dtype
+        np.testing.assert_array_equal(ours[0], ref[0])
+        for grad, ref_grad in zip(ours[1], ref[1]):
+            assert grad.dtype == dtype
+            np.testing.assert_array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_a_fit_builds_its_plan_once(rng, kind, monkeypatch):
+    builds = []
+    build = unet._build_plan
+
+    def build_once(*args):
+        if builds:
+            raise AssertionError("a fit iteration built a second plan")
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(unet, "_build_plan", build_once)
+    net = _network(kind, 2)
+    target = rng.uniform(0.2, 0.8, size=(2, 1, 11, 13))
+    fit = fit_batched(net, rng.uniform(0, 0.1, size=(2, *CODE_SHAPE)), target,
+                      np.ones_like(target), iterations=5, learning_rate=1e-2)
+    assert len(builds) == 1
+    assert [curve.size for curve in fit.losses] == [5, 5]
+
+
+def _rebind(net, trigger, code, probe, rng):
+    """Apply ``trigger`` to a network whose idle plan is built; returns
+    the code and probe of the next call."""
+    if trigger == "assign":
+        param = net.parameters()[5]
+        param.data = param.data + 0.01
+    elif trigger == "adam":
+        # Adam re-points every ``data`` at its state, then moves them.
+        Adam(net.parameters(), lr=0.05).step()
+    elif trigger == "shape":
+        code = rng.uniform(0.0, 0.1, size=code.shape[:3] + (9,))
+        probe = rng.standard_normal(probe.shape[:3] + (9,))
+    elif trigger == "compact":
+        net.compact([1])
+        code, probe = code[1:], probe[1:]
+    else:  # "code_grad": the code's gradient is wanted from now on
+        code = Tensor(code, requires_grad=True)
+    return code, probe
+
+
+@pytest.mark.parametrize(
+    "trigger", ["assign", "adam", "shape", "compact", "code_grad"]
+)
+def test_each_rebind_trigger_gives_a_fresh_networks_result(rng, trigger):
+    net = _network("spac_dilated", 2)
+    code = _code(net, rng).data
+    probe = rng.standard_normal((2, 1, 11, 13))
+    _run(net, code, probe)  # builds the plan that the trigger outdates
+    plan = net._idle["plan"]
+    code, probe = _rebind(net, trigger, code, probe, rng)
+    fresh = copy.deepcopy(net)  # copies carry no plan
+    assert fresh._idle == {}
+    fresh_code = copy.deepcopy(code)
+    ours, ref = _run(net, code, probe), _run(fresh, fresh_code, probe)
+    assert net._idle["plan"] is not plan
+    np.testing.assert_array_equal(ours[0], ref[0])
+    for grad, ref_grad in zip(ours[1], ref[1]):
+        np.testing.assert_array_equal(grad, ref_grad)
+    if trigger == "code_grad":
+        assert code.grad is not None
+        np.testing.assert_array_equal(code.grad, fresh_code.grad)
+
+
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_plan_views_only_current_workspace_buffers(rng, kind):
+    # Every role is sized before any view is taken, so no bound call
+    # reads or writes a buffer that a larger request superseded.
+    net = _network(kind, 2)
+    _run(net, _code(net, rng).data, np.ones((2, 1, 11, 13)))
+    plan = net._idle["plan"]
+    current = list(plan.scratch._buffers.values())
+    views = 0
+    for call in plan.forward_calls + plan.backward_calls:
+        operands = [*call.args, *call.keywords.values(),
+                    getattr(call.func, "__self__", None)]
+        for array in operands:
+            if not isinstance(array, np.ndarray) or array.base is None \
+                    or array.base.ndim != 1 \
+                    or any(array.base is p for p in plan.bound):
+                continue
+            views += 1
+            assert any(array.base is buffer for buffer in current)
+    assert views
+
+
 def test_steady_state_iterations_allocate_no_activations():
     # After the first iteration a fit's transient memory is its small
     # per-call arrays (output, loss gradient, parameter gradients), not
     # activation-sized buffers: at the smoke preset's 33 x 98 geometry
-    # an iteration peaks at ~0.4 MiB above its start, where allocating
-    # every transient afresh peaked at ~1.6 MiB.
+    # an iteration replayed from the plan peaks at ~0.05-0.12 MiB above
+    # its start, where allocating each layer's output afresh peaked at
+    # ~0.4 MiB and every transient too at ~1.6 MiB.
     config = InpaintingConfig(base_channels=6, depth=2,
                               time_dilation=5).network_config()
     net = SpAcLUNet(config, rng=0)
@@ -397,7 +528,7 @@ def test_steady_state_iterations_allocate_no_activations():
             tracemalloc.reset_peak()
             iteration()
             peak = tracemalloc.get_traced_memory()[1] - start
-            assert peak < 0.75 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+            assert peak < 0.25 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
     finally:
         tracemalloc.stop()
 
