@@ -24,9 +24,10 @@ Backward calls never write into ``grad``.  The one caller is
 lists once per fit and replays them every iteration.
 
 Memory comes from three places.  What an operator saves for its adjoint
-is an array of its own.  Its output is one too, unless the caller hands
-it the array the consumer keeps (``out``), and the instance norm
-normalises its input in place.  What lives only within a call (tap
+is an array of its own.  Its output is one too: a convolution's always
+(the instance norm after it normalises it in place and keeps it), and
+the norm's, the pool's or the upsample's unless the caller hands it the
+array the consumer keeps (``out``).  What lives only within a call (tap
 outputs, shifted gradients, GEMM outputs, normalisation and pooling
 temporaries), and the input gradient a backward hands to the next
 layer's adjoint, is a view of the network's one :class:`Workspace`: a
@@ -179,14 +180,21 @@ def run(calls: List[Callable[[], object]]) -> None:
         call()
 
 
-def _view(array: np.ndarray, shape: tuple) -> np.ndarray:
+def reshape_view(array: np.ndarray, shape: tuple) -> np.ndarray:
     """``array`` reshaped to ``shape`` as a view, never a copy.
 
     A bound call must see every later write into the array it views (a
     parameter updated in place, a gradient written by the previous
-    layer), so a reshape that would copy raises instead.
+    layer), so a reshape that would copy raises instead.  (A copy is a
+    fresh allocation, so it never overlaps the memory of ``array``.)
     """
-    return np.reshape(array, shape, copy=False)
+    view = array.reshape(shape)
+    if view.size and not np.may_share_memory(view, array):
+        raise ShapeError(
+            f"cannot view an array of shape {array.shape} and strides "
+            f"{array.strides} as {shape} without copying it"
+        )
+    return view
 
 
 def _scatter_add(target: np.ndarray, rows: np.ndarray,
@@ -206,11 +214,11 @@ def record_kernels(weight: np.ndarray, bias: np.ndarray):
     ``(R, C_out)``, both views of the inputs.
     """
     w = weight if weight.ndim == 5 else weight[None]
-    return w, _view(bias, w.shape[:2])
+    return w, reshape_view(bias, w.shape[:2])
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: Workspace,
-           padding=(0, 0), out: Optional[np.ndarray] = None):
+           padding=(0, 0)):
     """Per-record stride-1 cross-correlation over raw arrays.
 
     ``x`` is ``(R, C_in, H, W)``, ``w`` ``(R, C_out, C_in, KH, KW)`` and
@@ -218,9 +226,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: Workspace,
     PW)`` on both sides.  The input is unfolded into an
     ``(R, C_in*KH*KW, OH*OW)`` column buffer (for a 1x1 kernel without
     padding, a view of ``x`` itself, which must allow one) and
-    contracted in one batched GEMM into ``out`` (a new array when
-    ``None``); the column buffer is what the adjoint reads.  The padded
-    input is a ``scratch`` transient.
+    contracted in one batched GEMM into a new ``(R, C_out, OH, OW)``
+    output array; the column buffer is what the adjoint reads.  The
+    padded input is a ``scratch`` transient.
 
     ``backward(grad, need_input=True)`` returns ``(grad_x, grad_w,
     grad_b, calls)``.  ``grad_x`` is ``None`` unless ``need_input``; it
@@ -239,7 +247,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: Workspace,
     pointwise = kh == kw == 1 and not (ph or pw)
     forward = []
     if pointwise:
-        cols = _view(x, (n_rec, c_in, h * width))
+        cols = reshape_view(x, (n_rec, c_in, h * width))
     else:
         xp = x
         if ph or pw:
@@ -256,18 +264,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, scratch: Workspace,
             for (di, dj), (sl_h, sl_w) in taps
         ]
         cols = unfolded.reshape(n_rec, c_in * kh * kw, oh * ow)
-    w_flat = _view(w, (n_rec, c_out, c_in * kh * kw))
-    if out is None:
-        out = np.empty((n_rec, c_out, oh, ow),
-                       dtype=np.result_type(w_flat, cols))
-    out_flat = _view(out, (n_rec, c_out, oh * ow))
+    w_flat = reshape_view(w, (n_rec, c_out, c_in * kh * kw))
+    out = np.empty((n_rec, c_out, oh, ow), dtype=np.result_type(w_flat, cols))
+    out_flat = reshape_view(out, (n_rec, c_out, oh * ow))
     forward += [
         partial(np.matmul, w_flat, cols, out_flat),
         partial(np.add, out_flat, b[:, :, None], out_flat),
     ]
 
     def backward(grad: np.ndarray, need_input: bool = True):
-        g = _view(grad, (n_rec, c_out, oh * ow))
+        g = reshape_view(grad, (n_rec, c_out, oh * ow))
         grad_w = np.empty((n_rec, c_out, cols.shape[1]),
                           dtype=np.result_type(g, cols))
         grad_b = np.empty((n_rec, c_out), dtype=grad.dtype)
@@ -343,7 +349,7 @@ def _tap_shifts(kt: int, time_dilation: int) -> range:
 
 def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     scratch: Workspace, anchor: int = 1,
-                    time_dilation: int = 1, out: Optional[np.ndarray] = None,
+                    time_dilation: int = 1,
                     gathered: Optional[np.ndarray] = None):
     """Per-record dilated harmonic convolution over raw arrays (Eq. 8)::
 
@@ -353,10 +359,10 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     with tap shifts ``s(dt) = (dt - KT // 2) * time_dilation``.  Input
     bins outside ``[0, F)`` and frames outside ``[0, T)`` read zero.
     ``x`` is ``(R, C_in, F, T)``, ``w`` ``(R, C_out, C_in, H, KT)`` (odd
-    ``KT``) and ``b`` ``(R, C_out)``; the output, into ``out`` (a new
-    array when ``None``), is ``(R, C_out, F, T)``.  ``anchor = 1``
-    accesses forward integral harmonics only (the paper's spectrally
-    accurate choice); larger anchors permit fractional ones.
+    ``KT``) and ``b`` ``(R, C_out)``; the output is a new ``(R, C_out,
+    F, T)`` array.  ``anchor = 1`` accesses forward integral harmonics
+    only (the paper's spectrally accurate choice); larger anchors permit
+    fractional ones.
 
     The input is gathered into a harmonic-major ``(R, H, C_in, F, T)``
     buffer that the adjoint reads.  At ``anchor = 1`` harmonic 1 reads
@@ -427,9 +433,8 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
         forward.append(partial(np.matmul, w_fold[:, :, :j * c_in],
                                g_flat[:, :j * c_in, cols], taps[:, :, cols]))
     taps = taps.reshape(n_rec, c_out, kt, n_freq, n_time)
-    if out is None:
-        out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
-    out_flat = _view(out, (n_rec, c_out, n_flat))
+    out = np.empty((n_rec, c_out, n_freq, n_time), dtype=x.dtype)
+    out_flat = reshape_view(out, (n_rec, c_out, n_flat))
     started = False
     for dt, shift in enumerate(_tap_shifts(kt, time_dilation)):
         if abs(shift) >= n_time:
@@ -455,7 +460,7 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
         # Adjoint of the overlap-add: tap ``dt`` sees ``grad`` shifted
         # back onto the input frames it read (one flat copy), zero where
         # it read padding.
-        grad_flat = _view(grad, (n_rec, c_out, n_flat))
+        grad_flat = reshape_view(grad, (n_rec, c_out, n_flat))
         shifted = scratch.take("shifted", (n_rec, c_out, kt, n_freq, n_time),
                                grad.dtype)
         calls = []
@@ -565,7 +570,8 @@ def instance_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     mean = np.empty((n, c, 1, 1), dtype=x.dtype)
     var = np.empty((n, c), dtype=x.dtype)
     inv_std = np.empty((n, c), dtype=x.dtype)
-    scale = _view(weight, (-1, c))
+    scale = reshape_view(weight, (-1, c))
+    shift = reshape_view(bias, (-1, c))
     if out is None:
         out = np.empty(x.shape, dtype=np.result_type(xhat, scale))
     positive = np.empty(out.shape, dtype=bool)
@@ -583,7 +589,7 @@ def instance_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
         partial(np.true_divide, 1.0, inv_std, inv_std),
         partial(np.multiply, xhat, inv_std[:, :, None, None], xhat),
         partial(np.multiply, xhat, scale[:, :, None, None], out),
-        partial(np.add, out, _view(bias, (-1, c))[:, :, None, None], out),
+        partial(np.add, out, shift[:, :, None, None], out),
         partial(np.greater, out, 0, positive),
         # max(u, s*u) is leaky ReLU for 0 <= s < 1, without a masked pass.
         partial(np.multiply, out, negative_slope, slope),

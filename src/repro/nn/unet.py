@@ -256,8 +256,8 @@ class _Plan:
                 # write; :meth:`backward` hands out copies.
                 for param, grad in ((layer.weight, grad_w),
                                     (layer.bias, grad_b)):
-                    grads[id(param)] = np.reshape(grad, param.data.shape,
-                                                  copy=False)
+                    grads[id(param)] = F.reshape_view(grad,
+                                                      param.data.shape)
             elif kind == "down":
                 g, calls = adjoint(g)
                 calls.append(partial(np.add, g, skip_grads.pop(), g))

@@ -223,6 +223,22 @@ class TestHarmonicBandPlan:
         assert edge == n_freq
 
 
+class TestReshapeView:
+    def test_returns_a_view_that_sees_later_writes(self):
+        array = np.zeros((2, 3, 4))
+        strided = array[:, 1:]
+        for source, shape in ((array, (6, 4)), (strided, (2, 8))):
+            view = F.reshape_view(source, shape)
+            assert view.shape == shape
+            source[...] = 7.0
+            assert (view == 7.0).all()
+
+    def test_a_reshape_that_would_copy_raises(self):
+        transposed = np.zeros((3, 4)).T
+        with pytest.raises(ShapeError, match="without copying"):
+            F.reshape_view(transposed, (12,))
+
+
 # --------------------------------------------------------------------- #
 # Convolutions
 # --------------------------------------------------------------------- #
