@@ -72,7 +72,6 @@ PUBLIC_PACKAGES = [
 #: change that renames or undocuments their entry points fails here.
 REQUIRED_DOC_NAMES = [
     ("repro.core", "inpaint_spectrograms"),
-    ("repro.core", "EarlyStopConfig"),
     ("repro.nn", "stack_networks"),
     ("repro.nn", "fit_batched"),
     ("repro.core", "DHFSeparator"),

@@ -45,7 +45,6 @@ from repro.core.inpainting import (
     inpaint_spectrogram,
     inpaint_spectrograms,
 )
-from repro.nn.batchfit import EarlyStopConfig
 from repro.core.results import DHFResult, DHFRound
 from repro.core.dhf import DHFSeparator
 
@@ -61,7 +60,6 @@ __all__ = [
     "PRIOR_KINDS", "InpaintingConfig", "InpaintingResult",
     "auto_time_dilation", "config_for_prior_kind", "inpaint_spectrogram",
     "inpaint_spectrograms",
-    "EarlyStopConfig",
     "DHFResult", "DHFRound",
     "DHFSeparator",
 ]

@@ -21,8 +21,8 @@ the Fig. 3 and ablation runners in-paint the spectrogram it prepares.
 
 A single record is a batch of one: :meth:`DHFSeparator.separate_detailed`
 runs :meth:`DHFSeparator.separate_batch_detailed` on it, so every fit —
-single or stacked — goes through the same engine with the same early
-stop, and starts cold from its round's seed.
+single or stacked — goes through the same engine for the same iteration
+budget, and starts cold from its round's seed.
 
 Batch processing: record sets run through
 :meth:`repro.service.SeparationService.separate_batch` — serially, or
@@ -368,10 +368,9 @@ class DHFSeparator(Separator):
         Rounds advance in lockstep across records: each record's round
         ``k`` is prepared (alignment, STFT, masks), the prepared fits are
         grouped by ``(spectrogram shape, fit config)``, and every group —
-        singletons included — runs as one stacked fit carrying the
-        config's early stop.  Seeding is per record, so a record's
-        result does not depend on the batch it rode in beyond
-        floating-point summation order.
+        singletons included — runs as one stacked fit.  Seeding is per
+        record, so a record's result does not depend on the batch it
+        rode in beyond floating-point summation order.
         """
         if len(mixed_batch) != len(f0_tracks_batch):
             raise ConfigurationError(
@@ -397,7 +396,6 @@ class DHFSeparator(Separator):
 
         if not states:
             return []
-        early_stop = self.spec.early_stop()
         max_rounds = max(len(state.order) for state in states)
         for round_index in range(max_rounds):
             active = [s for s in states if round_index < len(s.order)]
@@ -427,7 +425,6 @@ class DHFSeparator(Separator):
                     [preps[i].masks.visibility for i in indices],
                     preps[indices[0]].inpaint_cfg,
                     rngs=[preps[i].rng for i in indices],
-                    early_stop=early_stop,
                 )
                 for i, fit in zip(indices, batched):
                     fits[i] = fit

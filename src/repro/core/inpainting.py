@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError, ShapeError
-from repro.nn.batchfit import EarlyStopConfig, fit_batched
+from repro.nn.batchfit import fit_batched
 # Not called here.  perfbench/layers.py wraps this name in traced runs,
 # but ``fit_batched`` calls the one bound in ``repro.nn.batchfit``, so
 # that wrapper never fires and the loss lands in no ``nn.*`` row.
@@ -148,9 +148,9 @@ class InpaintingResult:
     output: np.ndarray
     losses: np.ndarray
     concealed_errors: Optional[np.ndarray]
-    #: Best-loss iteration the fit rolled back to when early stopping
-    #: triggered; ``None`` when the fit ran its full iteration budget
-    #: (always the case without an early-stop criterion).
+    #: Always ``None``: every fit runs its full iteration budget.  Kept
+    #: because the repo benchmark (``perfbench/layers.py``) still reads
+    #: it to count a fit's iterations.
     stop_iteration: Optional[int] = None
 
 
@@ -250,12 +250,11 @@ def inpaint_spectrogram(
     config: InpaintingConfig,
     rng=None,
     reference: Optional[np.ndarray] = None,
-    early_stop: Optional[EarlyStopConfig] = None,
 ) -> InpaintingResult:
     """Fit a deep prior to the visible cells and in-paint the rest.
 
-    The one-record case of :func:`inpaint_spectrograms`: the same engine,
-    seeding and early stopping on a stack of one.
+    The one-record case of :func:`inpaint_spectrograms`: the same engine
+    and seeding on a stack of one.
 
     Parameters
     ----------
@@ -270,14 +269,10 @@ def inpaint_spectrogram(
     reference:
         Optional ground-truth magnitude for tracking concealed-region error
         per iteration (Fig. 3 experiment).
-    early_stop:
-        Optional :class:`repro.nn.batchfit.EarlyStopConfig`; the fit then
-        rolls back to its best-loss iteration once it stops improving.
     """
     return inpaint_spectrograms(
         [magnitude], [visibility], config, rngs=[rng],
         references=None if reference is None else [reference],
-        early_stop=early_stop,
     )[0]
 
 
@@ -287,21 +282,17 @@ def inpaint_spectrograms(
     config: InpaintingConfig,
     rngs: Optional[Sequence] = None,
     references: Optional[Sequence[np.ndarray]] = None,
-    early_stop: Optional[EarlyStopConfig] = None,
 ) -> List[InpaintingResult]:
     """Fit K deep priors in one stacked pass (the engine's entry point).
 
     Every record keeps its own network, weights and optimiser trajectory;
     the records merely share one autograd graph per iteration through a
-    network stacked by :func:`repro.nn.unet.stack_networks`.  With
-    ``early_stop=None`` (the default) every record runs the full
-    iteration budget and each :class:`InpaintingResult` matches the
-    one-record fit for the same ``rngs[k]`` up to floating-point
-    summation order (see the "Deep-prior fitting engine" section of
-    ``docs/architecture.md`` for the documented tolerance); with an
-    :class:`repro.nn.batchfit.EarlyStopConfig`, converged records roll
-    back to their best-loss iteration (``stop_iteration``) and drop out
-    of the running stack.
+    network stacked by :func:`repro.nn.unet.stack_networks`.  Every
+    record runs the full iteration budget, and each
+    :class:`InpaintingResult` matches the one-record fit for the same
+    ``rngs[k]`` up to floating-point summation order (see the
+    "Deep-prior fitting engine" section of ``docs/architecture.md`` for
+    the documented tolerance).
 
     Parameters
     ----------
@@ -319,8 +310,6 @@ def inpaint_spectrograms(
     references:
         Optional per-record ground-truth magnitudes enabling the Fig. 3
         concealed-error diagnostic (all K or none).
-    early_stop:
-        Optional per-record convergence criterion.
     """
     magnitudes = list(magnitudes)
     visibilities = list(visibilities)
@@ -400,7 +389,6 @@ def inpaint_spectrograms(
         mask=mask,
         iterations=config.iterations,
         learning_rate=config.learning_rate,
-        early_stop=early_stop,
         reference=ref_stack,
     )
 
@@ -412,7 +400,6 @@ def inpaint_spectrograms(
                 fit.concealed_errors[k] if fit.concealed_errors is not None
                 else None
             ),
-            stop_iteration=fit.stop_iterations[k],
         )
         for k in range(len(pairs))
     ]

@@ -22,7 +22,7 @@ from repro.nn.layers import Conv2d, HarmonicConv2d, InstanceNorm2d, LeakyReLU
 from repro.nn.loss import masked_mse_loss
 from repro.nn.optim import Adam
 from repro.nn.unet import SpAcLUNet, UNetConfig, stack_networks
-from repro.nn.batchfit import BatchFitResult, EarlyStopConfig, fit_batched
+from repro.nn.batchfit import BatchFitResult, fit_batched
 from repro.nn import functional, init
 
 __all__ = [
@@ -31,6 +31,6 @@ __all__ = [
     "Conv2d", "HarmonicConv2d", "InstanceNorm2d", "LeakyReLU",
     "masked_mse_loss", "Adam",
     "SpAcLUNet", "UNetConfig", "stack_networks",
-    "BatchFitResult", "EarlyStopConfig", "fit_batched",
+    "BatchFitResult", "fit_batched",
     "functional", "init",
 ]

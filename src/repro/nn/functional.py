@@ -197,6 +197,11 @@ def reshape_view(array: np.ndarray, shape: tuple) -> np.ndarray:
     return view
 
 
+def _zeroing(view: np.ndarray) -> list:
+    """The call that zeroes ``view``; none when it is empty."""
+    return [partial(view.fill, 0)] if view.size else []
+
+
 def _scatter_add(target: np.ndarray, rows: np.ndarray,
                  source: np.ndarray) -> None:
     """``target[rows] += source`` for duplicate-free ``rows``."""
@@ -441,7 +446,7 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             continue
         tap = taps[:, :, dt]
         edge = tap[..., :shift] if shift > 0 else tap[..., n_time + shift:]
-        forward.append(partial(edge.fill, 0))
+        forward += _zeroing(edge)
         lo, hi = max(-shift, 0), n_flat - max(shift, 0)
         window = tap.reshape(n_rec, c_out, n_flat)[..., lo + shift: hi + shift]
         target = out_flat[..., lo:hi]
@@ -449,8 +454,8 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             forward.append(partial(np.add, target, window, target))
         else:
             forward += [
-                partial(out_flat[..., :lo].fill, 0),
-                partial(out_flat[..., hi:].fill, 0),
+                *_zeroing(out_flat[..., :lo]),
+                *_zeroing(out_flat[..., hi:]),
                 partial(np.copyto, target, window),
             ]
             started = True
@@ -479,7 +484,7 @@ def harmonic_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 calls += [
                     partial(np.copyto, lane_flat[..., :n_flat + shift],
                             grad_flat[..., -shift:]),
-                    partial(lane[..., n_time + shift:].fill, 0),
+                    *_zeroing(lane[..., n_time + shift:]),
                 ]
         s_flat = shifted.reshape(n_rec, c_out * kt, n_flat)
         # Weight gradient: harmonic ``k``'s kernels contract the taps
@@ -721,10 +726,7 @@ def upsample_nearest(x: np.ndarray, scale, scratch: Workspace, size=None,
         partial(np.copyto, out[:, :, up_rows, up_cols], x[:, :, rows, cols])
         for (up_rows, up_cols), (rows, cols) in copies
     ]
-    forward += [
-        partial(out[:, :, sh * h:].fill, 0),
-        partial(out[:, :, :, sw * w:].fill, 0),
-    ]
+    forward += _zeroing(out[:, :, sh * h:]) + _zeroing(out[:, :, :, sw * w:])
 
     def backward(grad: np.ndarray):
         grad_x = scratch.take("upsample", x.shape, grad.dtype)

@@ -28,8 +28,7 @@ class Adam:
     whose ``grad`` is ``None`` keeps its value and moments.
 
     In a record-stacked fit the parameters carry a leading record axis;
-    :meth:`compact` rebuilds the state when records drop out of the
-    stack, so every record's trajectory stays elementwise-identical to a
+    the update is elementwise, so every record's trajectory is that of a
     plain Adam over that record alone.
     """
 
@@ -52,31 +51,20 @@ class Adam:
         self.beta1, self.beta2 = float(beta1), float(beta2)
         self.eps = float(eps)
         self._step_count = 0
-        self._build([p.data for p in self.params], None)
-
-    def _build(self, data, moments) -> None:
-        """Lay ``data`` (and ``moments``, zeros if ``None``) out flat."""
+        data = [p.data for p in self.params]
         sizes = [array.size for array in data]
         ends = np.cumsum(sizes)
-        state = np.zeros((4, int(ends[-1])), dtype=data[0].dtype)
-
-        def views(row):
-            return [
-                row[end - size: end].reshape(array.shape)
-                for array, size, end in zip(data, sizes, ends)
-            ]
-
-        self._state = state
-        self._scratch = np.empty((2, state.shape[1]), dtype=state.dtype)
-        self._data, self._grads, m, v = (views(row) for row in state)
-        for p, view, array in zip(self.params, self._data, data):
-            view[...] = array
+        self._state = np.zeros((4, int(ends[-1])), dtype=data[0].dtype)
+        self._scratch = np.empty((2, self._state.shape[1]),
+                                 dtype=self._state.dtype)
+        self._data, self._grads, self._m, self._v = (
+            [row[end - size: end].reshape(array.shape)
+             for array, size, end in zip(data, sizes, ends)]
+            for row in self._state
+        )
+        for p, view in zip(self.params, self._data):
+            view[...] = p.data
             p.data = view
-        if moments is not None:
-            for views_, arrays in zip((m, v), moments):
-                for view, array in zip(views_, arrays):
-                    view[...] = array
-        self._m, self._v = m, v
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -99,7 +87,7 @@ class Adam:
                 if p.data.shape != data.shape:
                     raise ShapeError(
                         f"parameter {index} changed shape from {data.shape} "
-                        f"to {p.data.shape}; compact() the optimiser"
+                        f"to {p.data.shape}; build a new optimiser for it"
                     )
                 data[...] = p.data
                 p.data = data
@@ -139,15 +127,3 @@ class Adam:
             self._data[i][...] = old_data
             self._m[i][...] = old_m
             self._v[i][...] = old_v
-
-    def compact(self, keep) -> None:
-        """Keep only the records ``keep`` (in order) of every moment.
-
-        The parameters are compacted first (their ``data`` already holds
-        the kept records, as :meth:`repro.nn.unet.SpAcLUNet.compact`
-        leaves it); the flat state is then rebuilt around them.
-        """
-        keep = np.asarray(keep, dtype=np.intp)
-        moments = [[moment[keep] for moment in row]
-                   for row in (self._m, self._v)]
-        self._build([p.data for p in self.params], moments)

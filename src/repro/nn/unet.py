@@ -393,21 +393,6 @@ class SpAcLUNet(Module):
         """Records fitted at once: the stack size, 1 when unstacked."""
         return self.head.weight.data.shape[0] if self.stacked else 1
 
-    def compact(self, keep) -> None:
-        """Keep only the records ``keep`` (in order), dropping the rest.
-
-        Also drops the idle plan, which is built for the old stack, and
-        the cached layer and parameter lists.
-        """
-        keep = np.asarray(keep, dtype=np.intp)
-        self._idle.clear()
-        self._layout = None
-        stacked = self.stacked
-        for param in self.parameters():
-            data = param.data if stacked else param.data[None]
-            param.data = np.ascontiguousarray(data[keep])
-            param.grad = None
-
     # ------------------------------------------------------------------ #
     # Forward: one autograd node for the whole network
     # ------------------------------------------------------------------ #
@@ -455,17 +440,17 @@ class SpAcLUNet(Module):
         dtype and ``requires_grad`` hold and every parameter's ``data``
         is still the array the plan bound; any other call builds a new
         one (after ``Adam`` re-points ``data``, after ``data`` is
-        assigned, after :meth:`compact`, or for a code of another
-        shape).  The code is copied into the plan's own input, so any
-        array may be passed.  The plan belongs to the network while idle
-        or to exactly one node: a recording forward pops it and the
-        node's backward hands it back, so two live nodes, or two threads
-        on one network, never share an array.  A forward that records
-        nothing builds a plan of its own and runs it once.  The output
-        and every gradient are fresh arrays.
+        assigned, or for a code of another shape).  The code is copied
+        into the plan's own input, so any array may be passed.  The plan
+        belongs to the network while idle or to exactly one node: a
+        recording forward pops it and the node's backward hands it back,
+        so two live nodes, or two threads on one network, never share an
+        array.  A forward that records nothing builds a plan of its own
+        and runs it once.  The output and every gradient are fresh
+        arrays.
 
-        The layer and parameter lists are built once and cached until
-        :meth:`compact`.
+        The layer and parameter lists are built by the first call and
+        cached.
         """
         if not isinstance(z, Tensor):
             z = Tensor(z)

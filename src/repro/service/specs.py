@@ -40,11 +40,22 @@ class FrozenSpec:
     :class:`repro.scenarios.Scenario` and
     :class:`repro.gateway.GatewayConfig` are frozen dataclasses whose
     instances serialize to plain dictionaries.  This base carries
-    ``to_dict`` / ``replace``, the one unknown-field rule of
-    :meth:`from_dict`, and the validation helpers that keep
-    int/bool/positivity semantics aligned with
-    :mod:`repro.utils.validation`.
+    ``to_dict`` / ``replace``, the one unknown-field rule, and the
+    validation helpers that keep int/bool/positivity semantics aligned
+    with :mod:`repro.utils.validation`.
     """
+
+    def __new__(cls, *args, **kwargs):
+        # The one unknown-field rule: a keyword naming no field raises
+        # ConfigurationError (with a did-you-mean suggestion), not the
+        # generated __init__'s TypeError, however the spec is built.
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(kwargs) - known)
+        if unknown:
+            raise unknown_name_error(
+                f"{cls.__name__} field", unknown[0], known
+            )
+        return super().__new__(cls)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FrozenSpec":
@@ -52,19 +63,14 @@ class FrozenSpec:
 
         A non-mapping, or a key naming no field of this class, raises
         :class:`ConfigurationError` (the key with a did-you-mean
-        suggestion).  The dispatching families pick their class from
-        their table first, then apply this rule on it.
+        suggestion), as does a constructor keyword naming no field.
+        The dispatching families pick their class from their table
+        first, then apply this rule on it.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"{cls.__name__} data must be a mapping, got "
                 f"{type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise unknown_name_error(
-                f"{cls.__name__} field", unknown[0], known
             )
         return cls(**data)
 
@@ -316,12 +322,6 @@ class DHFSpec(SeparatorSpec):
     base_channels: int = 16
     depth: int = 3
     seed: int = 20240623  # DAC'24 opening day
-    #: Early stopping of every deep-prior fit (:meth:`early_stop`):
-    #: ``early_stop_patience`` > 0 lets a converged fit roll back to its
-    #: best iteration and stop, on every path; 0 runs the full iteration
-    #: budget.
-    early_stop_patience: int = 0
-    early_stop_rel_tol: float = 1e-3
     #: Deep-prior fit dtype, as a JSON-able name (the
     #: :class:`repro.core.inpainting.InpaintingConfig` ``dtype``, which
     #: validates it).  ``"float32"`` (default) is the speed-oriented
@@ -332,22 +332,18 @@ class DHFSpec(SeparatorSpec):
     dtype: str = "float32"
 
     def __post_init__(self):
-        from repro.nn.batchfit import EarlyStopConfig
-
         self._check_positive_int(
             "samples_per_period", "periods_per_window", "hop_periods",
             "n_harmonics", "iterations", "base_channels", "depth",
         )
         self._check_positive("learning_rate", "bandwidth_bins")
-        self._check_nonnegative_int("seed", "early_stop_patience")
+        self._check_nonnegative_int("seed")
         slope = self._check_number("bandwidth_slope_bins")
         if not (math.isfinite(slope) and slope >= 0):
             raise ConfigurationError(
                 f"DHFSpec.bandwidth_slope_bins must be a finite number "
                 f">= 0, got {self.bandwidth_slope_bins!r}"
             )
-        # EarlyStopConfig checks the rel-tol, whatever the patience.
-        EarlyStopConfig(rel_tol=self.early_stop_rel_tol)
         for name, least in (("samples_per_period", 4),
                             ("periods_per_window", 2)):
             if getattr(self, name) < least:
@@ -393,18 +389,6 @@ class DHFSpec(SeparatorSpec):
             depth=self.depth,
             time_dilation=time_dilation,
             dtype=self.dtype,
-        )
-
-    def early_stop(self):
-        """The fits' :class:`repro.nn.batchfit.EarlyStopConfig`, or ``None``
-        when ``early_stop_patience`` is 0."""
-        from repro.nn.batchfit import EarlyStopConfig
-
-        if not self.early_stop_patience:
-            return None
-        return EarlyStopConfig(
-            patience=self.early_stop_patience,
-            rel_tol=self.early_stop_rel_tol,
         )
 
     @classmethod

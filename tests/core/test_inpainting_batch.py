@@ -6,10 +6,9 @@ The contracts pinned here are the ones the fit engine documents
 * seeded determinism — same rngs, same results, one record or a stack;
 * stack-vs-one-record equivalence at a fixed iteration count (float64
   fits agree to ``<= 1e-8`` max absolute output deviation);
-* early stopping rolls each record back to its recorded loss minimum, so
-  no recorded loss after ``stop_iteration`` is below it, and the DHF
-  config's early stop reaches every path (offline, batch, stream,
-  monitor);
+* every fit runs its full iteration budget: one loss per iteration and
+  ``stop_iteration`` ``None``, on every path that hands back an
+  :class:`repro.core.InpaintingResult`;
 * degenerate inputs (all-visible and all-concealed masks, zero-length or
   single-frame spectrograms) raise :class:`repro.errors.DataError`
   instead of silently fitting noise.
@@ -20,16 +19,13 @@ import pytest
 
 from repro.core import (
     DHFSeparator,
-    EarlyStopConfig,
     InpaintingConfig,
     inpaint_spectrogram,
     inpaint_spectrograms,
 )
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.service import DHFSpec
-from repro.streaming import stream_record
 from repro.synth import make_mixture
-from repro.tfo import SpO2Monitor
 
 #: float64 keeps a record's one-record and stacked trajectories
 #: numerically locked for the whole fit (float32 fits decorrelate after
@@ -131,28 +127,49 @@ class TestBatchedSequentialEquivalence:
             )
 
 
-class TestEarlyStoppingMonotonicity:
-    def test_loss_never_below_recorded_stop(self):
-        magnitudes, visibilities = harmonic_batch(3)
-        early = EarlyStopConfig(patience=2, rel_tol=0.5, min_iterations=1)
-        results = inpaint_spectrograms(
-            magnitudes, visibilities, TINY64, rngs=[1, 2, 3],
-            early_stop=early,
-        )
-        for fit in results:
-            assert fit.stop_iteration is not None
-            assert fit.losses.size < TINY64.iterations
-            assert fit.stop_iteration == int(np.argmin(fit.losses))
-            tail = fit.losses[fit.stop_iteration:]
-            assert tail.min() >= fit.losses[fit.stop_iteration]
+class TestEveryFitRunsItsBudget:
+    """What ``perfbench/layers.py`` counts as a fit's iterations: one
+    loss per iteration, and a ``stop_iteration`` that stays ``None``."""
 
-    def test_disabled_early_stop_runs_full_budget(self):
+    @staticmethod
+    def assert_full_budget(results, iterations):
+        assert results
+        for fit in results:
+            assert fit.stop_iteration is None
+            assert fit.losses.size == iterations
+
+    def test_inpaint_spectrogram(self):
         magnitudes, visibilities = harmonic_batch(1, seed=9)
-        # A 1-record batch still exercises the stacked engine directly.
-        fit = inpaint_spectrograms(magnitudes, visibilities, TINY64,
-                                   rngs=[0])[0]
-        assert fit.losses.size == TINY64.iterations
-        assert fit.stop_iteration is None
+        fit = inpaint_spectrogram(magnitudes[0], visibilities[0], TINY64,
+                                  rng=0)
+        self.assert_full_budget([fit], TINY64.iterations)
+
+    def test_inpaint_spectrograms(self):
+        magnitudes, visibilities = harmonic_batch(3)
+        results = inpaint_spectrograms(magnitudes, visibilities, TINY64,
+                                       rngs=[1, 2, 3])
+        self.assert_full_budget(results, TINY64.iterations)
+
+    def test_dhf_round(self, monkeypatch):
+        import repro.core.dhf as dhf_module
+
+        fits = []
+        real = dhf_module.inpaint_spectrograms
+
+        def spy(*args, **kwargs):
+            results = real(*args, **kwargs)
+            fits.extend(results)
+            return results
+
+        monkeypatch.setattr(dhf_module, "inpaint_spectrograms", spy)
+        spec = DHFSpec.from_preset("smoke")
+        m = make_mixture("msig1", duration_s=10.0, seed=1)
+        result = DHFSeparator(spec).separate_detailed(
+            m.mixed, m.sampling_hz, m.f0_tracks
+        )
+        self.assert_full_budget(fits, spec.iterations)
+        assert [r.losses.size for r in result.rounds] \
+            == [spec.iterations] * len(result.rounds)
 
 
 class TestEdgeCases:
@@ -274,91 +291,3 @@ class TestDHFBatchedSeparation:
                 assert round_result.masked_energy_ratio is not None
             total = result.residual + sum(result.estimates.values())
             np.testing.assert_allclose(total, mixture.mixed, atol=1e-9)
-
-    def test_config_knobs_validated(self):
-        with pytest.raises(ConfigurationError):
-            DHFSpec(early_stop_patience=-1)
-        with pytest.raises(ConfigurationError):
-            DHFSpec(early_stop_patience=5, early_stop_rel_tol=2.0)
-        cfg = DHFSpec(early_stop_patience=5)
-        assert cfg.early_stop() == EarlyStopConfig(patience=5, rel_tol=1e-3)
-        assert DHFSpec().early_stop() is None
-
-
-class TestEarlyStopOnEveryPath:
-    """``early_stop_patience`` means the same on every DHF path.
-
-    A criterion demanding a 50% loss drop per iteration stops every fit
-    soon after ``min_iterations``, well inside the smoke budget.
-    """
-
-    CONFIG = DHFSpec.from_preset(
-        "smoke", early_stop_patience=1, early_stop_rel_tol=0.5,
-    )
-
-    @pytest.fixture(scope="class")
-    def mixtures(self):
-        return [
-            make_mixture("msig1", duration_s=10.0, seed=s) for s in (1, 2)
-        ]
-
-    @pytest.fixture
-    def fit_calls(self, monkeypatch):
-        """Spy on DHF's fit entry point: ``(early_stop, results)`` per call."""
-        import repro.core.dhf as dhf_module
-
-        calls = []
-        real = dhf_module.inpaint_spectrograms
-
-        def spy(*args, **kwargs):
-            results = real(*args, **kwargs)
-            calls.append((kwargs.get("early_stop"), results))
-            return results
-
-        monkeypatch.setattr(dhf_module, "inpaint_spectrograms", spy)
-        return calls
-
-    def assert_fits_stopped_early(self, calls):
-        assert calls, "no deep-prior fit went through inpaint_spectrograms"
-        for early_stop, results in calls:
-            assert early_stop == self.CONFIG.early_stop()
-            for fit in results:
-                assert fit.stop_iteration is not None
-
-    def test_separate_and_batch_run_equal_iterations(self, mixtures):
-        dhf = DHFSeparator(self.CONFIG)
-        m = mixtures[0]
-        single = dhf.separate_detailed(m.mixed, m.sampling_hz, m.f0_tracks)
-        # Same tracks, so every round of the two records shares one
-        # geometry and runs as one stacked fit.
-        batch = dhf.separate_batch_detailed(
-            [m.mixed, 1.1 * m.mixed], m.sampling_hz,
-            [m.f0_tracks, m.f0_tracks],
-        )[0]
-        counts = [r.losses.size for r in single.rounds]
-        assert counts == [r.losses.size for r in batch.rounds]
-        assert max(counts) < self.CONFIG.iterations
-
-    def test_separate(self, mixtures, fit_calls):
-        m = mixtures[0]
-        DHFSeparator(self.CONFIG).separate(m.mixed, m.sampling_hz, m.f0_tracks)
-        self.assert_fits_stopped_early(fit_calls)
-
-    def test_streaming_segments(self, mixtures, fit_calls):
-        m = mixtures[0]
-        n = m.mixed.size
-        stream_record(
-            DHFSeparator(self.CONFIG), m.mixed, m.sampling_hz, m.f0_tracks,
-            segment_samples=n, overlap_samples=n // 4, chunk_samples=n // 3,
-        )
-        self.assert_fits_stopped_early(fit_calls)
-
-    def test_spo2_monitor(self, mixtures, fit_calls):
-        m = mixtures[0]
-        n = m.mixed.size
-        dc = np.full(n, 10.0)
-        with SpO2Monitor(DHFSeparator(self.CONFIG), m.sampling_hz,
-                         segment_samples=n, overlap_samples=n // 4) as monitor:
-            monitor.push({740: m.mixed + dc, 850: m.mixed + dc},
-                         {740: dc, 850: dc}, m.f0_tracks)
-        self.assert_fits_stopped_early(fit_calls)

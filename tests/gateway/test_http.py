@@ -245,9 +245,9 @@ class TestJobsOverHTTP:
         {"method": "spectral-masking",
          "records": [{**record_to_wire(make_record()),
                       "name": f8([0.0, 0.0])}]},
-        # A DHF spec whose early stop is malformed.
-        {"spec": {"method": "dhf", "early_stop_patience": 3,
-                  "early_stop_rel_tol": "0.1"},
+        # A DHF spec naming a removed field (every fit runs its full
+        # budget; the early-stop knobs went).
+        {"spec": {"method": "dhf", "early_stop_patience": 3},
          "records": [record_to_wire(make_record())]},
         # Spectral-masking specs with a non-numeric hop fraction or a
         # non-bool exclusive flag.

@@ -249,7 +249,7 @@ class TestCancellation:
 
     def test_queued_dhf_spec_kept_as_submitted(self, stalled):
         registry, gate = stalled
-        spec = resolve_spec({"method": "dhf", "early_stop_patience": 5})
+        spec = resolve_spec({"method": "dhf", "phase_policy": "cyclic"})
         job = registry.submit(spec, "separate", [make_record()])
         assert job.spec == spec
         assert registry.store.read_job(job.job_id)["spec"] == spec.to_dict()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import Adam, SpAcLUNet, Tensor, UNetConfig, stack_networks
-from repro.nn.batchfit import EarlyStopConfig, fit_batched
+from repro.nn.batchfit import fit_batched
 
 TINY_CFG = UNetConfig(
     in_channels=2, base_channels=2, depth=2, n_harmonics=2,
@@ -40,27 +40,21 @@ class TestStackedSpAcLUNet:
             single = net(code[r: r + 1]).data[0]
             np.testing.assert_allclose(out[r], single, atol=1e-12)
 
-    def test_compact_keeps_selected_records(self, rng):
-        nets = make_networks(3)
-        stacked = stack_networks(nets)
-        stacked.compact(np.array([0, 2]))
-        assert stacked.n_records == 2
-        code = rng.uniform(0, 0.1, size=(2, 2, 9, 8))
-        out = stacked(code).data
-        for local, original in enumerate((0, 2)):
-            single = nets[original](code[local: local + 1]).data[0]
-            np.testing.assert_allclose(out[local], single, atol=1e-12)
-
     def test_stacking_leaves_inputs_untouched(self):
         nets = make_networks(2)
-        before = {
-            name: param.data.copy()
-            for name, param in nets[0].named_parameters()
-        }
-        stack_networks(nets).compact(np.array([1]))
-        assert not nets[0].stacked
-        for name, param in nets[0].named_parameters():
-            np.testing.assert_array_equal(param.data, before[name])
+        before = [
+            {name: param.data.copy()
+             for name, param in net.named_parameters()}
+            for net in nets
+        ]
+        # The stack holds copies: writing into its parameters in place
+        # reaches neither input.
+        for param in stack_networks(nets).parameters():
+            param.data += 1.0
+        for net, values in zip(nets, before):
+            assert not net.stacked
+            for name, param in net.named_parameters():
+                np.testing.assert_array_equal(param.data, values[name])
 
     def test_stack_rejections(self):
         other = UNetConfig(in_channels=2, base_channels=4, depth=2,
@@ -86,34 +80,6 @@ class TestStackedSpAcLUNet:
             make_networks(1)[0](rng.uniform(size=(2, 2, 9, 8)))
 
 
-class TestEarlyStopConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            EarlyStopConfig(patience=0)
-        with pytest.raises(ConfigurationError):
-            EarlyStopConfig(rel_tol=1.0)
-        with pytest.raises(ConfigurationError):
-            EarlyStopConfig(min_iterations=-1)
-
-    @pytest.mark.parametrize("bad", [
-        {"patience": 2.5},
-        {"patience": True},
-        {"min_iterations": 1.5},
-        {"min_iterations": True},
-        {"rel_tol": "0.1"},
-    ], ids=["patience-float", "patience-bool", "min-iterations-float",
-            "min-iterations-bool", "rel-tol-str"])
-    def test_wrong_types_raise(self, bad):
-        # A bool is an int and 2.5 compares like one; neither counts.
-        with pytest.raises(ConfigurationError):
-            EarlyStopConfig(**bad)
-
-    def test_boundary_values_accepted(self):
-        config = EarlyStopConfig(patience=1, rel_tol=0.0, min_iterations=0)
-        assert (config.patience, config.rel_tol, config.min_iterations) \
-            == (1, 0.0, 0)
-
-
 class TestFitBatched:
     def _problem(self, n, rng, dtype=np.float64):
         stacked = stack_networks(make_networks(n, dtype=dtype))
@@ -130,7 +96,6 @@ class TestFitBatched:
         for losses in fit.losses:
             assert losses.size == 20
             assert losses[-1] < losses[0]
-        assert fit.stop_iterations == [None, None]
         assert fit.outputs.shape == (2, 9, 8)
 
     def test_unstacked_network_is_a_stack_of_one(self, rng):
@@ -142,61 +107,6 @@ class TestFitBatched:
                         iterations=5, learning_rate=1e-2)
         np.testing.assert_array_equal(a.outputs, b.outputs)
         np.testing.assert_array_equal(a.losses[0], b.losses[0])
-
-    def test_early_stop_rolls_back_to_argmin(self, rng):
-        stacked, code, target, mask = self._problem(3, rng)
-        # A criterion demanding 60% improvement per iteration trips almost
-        # immediately, exercising retirement + compaction.
-        early = EarlyStopConfig(patience=2, rel_tol=0.6, min_iterations=1)
-        fit = fit_batched(stacked, code, target, mask,
-                          iterations=50, learning_rate=1e-2,
-                          early_stop=early)
-        for r in range(3):
-            stop = fit.stop_iterations[r]
-            assert stop is not None
-            losses = fit.losses[r]
-            assert losses.size < 50, "record did not stop early"
-            assert stop == int(np.argmin(losses))
-            assert losses[stop:].min() >= losses[stop]
-
-    def test_early_stopped_output_equals_a_shorter_fit(self, rng):
-        # A one-record stack is never compacted before it retires, so
-        # the rolled-back output must equal, bitwise, that of a fit
-        # given exactly stop + 1 iterations.
-        # A large step makes the loss bounce, so the fit runs on past its
-        # best iteration before patience runs out.
-        _, code, target, mask = self._problem(1, rng)
-        early = EarlyStopConfig(patience=3, rel_tol=0.0, min_iterations=1)
-        stopped = fit_batched(make_networks(1)[0], code, target, mask,
-                              iterations=80, learning_rate=0.3,
-                              early_stop=early)
-        stop = stopped.stop_iterations[0]
-        assert stop is not None and stopped.losses[0].size > stop + 1
-        plain = fit_batched(make_networks(1)[0], code, target, mask,
-                            iterations=stop + 1, learning_rate=0.3)
-        np.testing.assert_array_equal(stopped.outputs, plain.outputs)
-        np.testing.assert_array_equal(stopped.losses[0][: stop + 1],
-                                      plain.losses[0])
-
-    def test_min_iterations_delays_retirement(self, rng):
-        stacked, code, target, mask = self._problem(2, rng)
-        # No iteration improves the loss 99-fold, so patience runs out at
-        # once and only min_iterations holds the records back.
-        early = EarlyStopConfig(patience=1, rel_tol=0.99, min_iterations=7)
-        fit = fit_batched(stacked, code, target, mask,
-                          iterations=30, learning_rate=1e-2,
-                          early_stop=early)
-        assert [losses.size for losses in fit.losses] == [7, 7]
-
-    def test_patience_counts_iterations_without_improvement(self, rng):
-        stacked, code, target, mask = self._problem(2, rng)
-        # The first loss sets the plateau; three more without a 99-fold
-        # improvement exhaust a patience of 3.
-        early = EarlyStopConfig(patience=3, rel_tol=0.99, min_iterations=0)
-        fit = fit_batched(stacked, code, target, mask,
-                          iterations=30, learning_rate=1e-2,
-                          early_stop=early)
-        assert [losses.size for losses in fit.losses] == [4, 4]
 
     def test_concealed_errors_follow_the_reference(self, rng):
         stacked, code, target, mask = self._problem(2, rng)

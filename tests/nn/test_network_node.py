@@ -305,8 +305,6 @@ class TestSavedActivationOwnership:
         assert [name for name, _ in net.named_parameters()] == names
         assert copy.deepcopy(net)._idle == {}
         assert pickle.loads(pickle.dumps(net))._idle == {}
-        net.compact([1])
-        assert net._idle == {}
 
 
 class TestWorkspaceOwnership:
@@ -444,16 +442,13 @@ def _rebind(net, trigger, code, probe, rng):
     elif trigger == "shape":
         code = rng.uniform(0.0, 0.1, size=code.shape[:3] + (9,))
         probe = rng.standard_normal(probe.shape[:3] + (9,))
-    elif trigger == "compact":
-        net.compact([1])
-        code, probe = code[1:], probe[1:]
     else:  # "code_grad": the code's gradient is wanted from now on
         code = Tensor(code, requires_grad=True)
     return code, probe
 
 
 @pytest.mark.parametrize(
-    "trigger", ["assign", "adam", "shape", "compact", "code_grad"]
+    "trigger", ["assign", "adam", "shape", "code_grad"]
 )
 def test_each_rebind_trigger_gives_a_fresh_networks_result(rng, trigger):
     net = _network("spac_dilated", 2)
@@ -495,6 +490,22 @@ def test_plan_views_only_current_workspace_buffers(rng, kind):
             views += 1
             assert any(array.base is buffer for buffer in current)
     assert views
+
+
+@pytest.mark.parametrize("kind,records,dilation", NODE_CASES)
+def test_plan_calls_touch_no_zero_size_array(rng, kind, records, dilation):
+    # A view that holds nothing (the harmonic convolution's shift-0 tap
+    # edge, the crop of an upsample that fits its skip exactly) gets no
+    # call at all.
+    net = _network(kind, records, time_dilation=dilation)
+    _run(net, _code(net, rng).data,
+         np.ones((net.n_records, 1, *CODE_SHAPE[1:])))
+    plan = net._idle["plan"]
+    for call in plan.forward_calls + plan.backward_calls:
+        operands = [*call.args, *call.keywords.values(),
+                    getattr(call.func, "__self__", None)]
+        assert all(array.size for array in operands
+                   if isinstance(array, np.ndarray)), call
 
 
 def test_steady_state_iterations_allocate_no_activations():

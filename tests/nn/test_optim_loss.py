@@ -69,9 +69,9 @@ class TestAdam:
     def test_flat_state_is_the_textbook_update_per_parameter(
             self, rng, dtype):
         # Several record-stacked parameters of mixed shapes share one
-        # flat state.  Across a compaction, and with one parameter left
-        # without a gradient for a step, each stays bitwise equal to the
-        # textbook update of that parameter alone.
+        # flat state.  With one parameter left without a gradient for a
+        # step, each stays bitwise equal to the textbook update of that
+        # parameter alone.
         shapes = [(3, 4, 2, 3, 3), (3, 4), (3, 1, 5, 1, 1), (3, 6)]
         params = [Parameter(rng.standard_normal(s).astype(dtype))
                   for s in shapes]
@@ -79,13 +79,7 @@ class TestAdam:
         beta1, beta2, eps = opt.beta1, opt.beta2, opt.eps
         ref = [(p.data.copy(), np.zeros(s, dtype), np.zeros(s, dtype))
                for p, s in zip(params, shapes)]
-        keep = np.array([0, 2])
         for t in range(1, 6):
-            if t == 3:
-                for p in params:
-                    p.data = np.ascontiguousarray(p.data[keep])
-                opt.compact(keep)
-                ref = [tuple(a[keep] for a in r) for r in ref]
             opt.zero_grad()
             for i, (p, (data, m, v)) in enumerate(zip(params, ref)):
                 if t == 2 and i == 1:
@@ -118,24 +112,6 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             Adam([Parameter(np.zeros(2)),
                   Parameter(np.zeros(2, dtype=np.float32))])
-
-    def test_compact_keeps_each_records_trajectory(self, rng):
-        # Records 0 and 2 of a stacked parameter, compacted after one
-        # step, go on exactly as an Adam over those two records alone.
-        grads = [rng.standard_normal((3, 2)) for _ in range(3)]
-        p = Parameter(rng.standard_normal((3, 2)))
-        ref = Parameter(p.data[[0, 2]].copy())
-        adam, ref_adam = Adam([p], lr=1e-2), Adam([ref], lr=1e-2)
-        p.grad, ref.grad = grads[0], grads[0][[0, 2]]
-        adam.step()
-        ref_adam.step()
-        p.data = p.data[[0, 2]]
-        adam.compact(np.array([0, 2]))
-        for grad in grads[1:]:
-            p.grad = ref.grad = grad[[0, 2]]
-            adam.step()
-            ref_adam.step()
-            np.testing.assert_array_equal(p.data, ref.data)
 
 
 def _problem(rng, shape=(2, 1, 5, 6)):

@@ -17,6 +17,7 @@ from repro.service import (
     available_separators,
     build_separator,
     default_spec,
+    resolve_spec,
 )
 
 ALL_SPEC_CLASSES = (
@@ -122,6 +123,17 @@ class TestFromDictErrors:
                                match=f"unknown DHFSpec field '{field}'"):
                 SeparatorSpec.from_dict({"method": "dhf", field: value})
 
+    @pytest.mark.parametrize("build", [
+        lambda: DHFSpec(early_stop_patience=3),
+        lambda: DHFSpec.from_preset("smoke", early_stop_rel_tol=0.1),
+        lambda: resolve_spec({"method": "dhf", "early_stop_patience": 5}),
+    ], ids=["constructor", "from-preset", "resolve-spec"])
+    def test_removed_early_stop_fields_are_unknown(self, build):
+        # Every fit runs its full budget; the early-stop knobs are gone.
+        with pytest.raises(ConfigurationError,
+                           match="unknown DHFSpec field 'early_stop_"):
+            build()
+
     def test_method_mismatch_on_subclass(self):
         with pytest.raises(ConfigurationError, match="does not match"):
             EMDSpec.from_dict({"method": "vmd"})
@@ -150,13 +162,6 @@ class TestValidation:
         (DHFSpec, {"time_dilation": 0}),
         (DHFSpec, {"time_dilation": True}),
         (DHFSpec, {"iterations": -3}),
-        (DHFSpec, {"early_stop_patience": 2.5}),
-        (DHFSpec, {"early_stop_patience": True}),
-        (DHFSpec, {"early_stop_patience": 3, "early_stop_rel_tol": -0.1}),
-        (DHFSpec, {"early_stop_patience": 3, "early_stop_rel_tol": "0.1"}),
-        # The rel-tol is checked whatever the patience.
-        (DHFSpec, {"early_stop_rel_tol": 5.0}),
-        (DHFSpec, {"early_stop_rel_tol": "junk"}),
         (DHFSpec, {"seed": "x"}),
         (DHFSpec, {"seed": None}),
         (DHFSpec, {"seed": -1}),

@@ -41,6 +41,6 @@ def test_functions_methods_fields_and_the_allowlist_pass(
     assert snake_case_problems(
         check_docs, tmp_path, monkeypatch,
         "`fit_batched`, `stop_iteration`, `named_parameters()`, "
-        "`early_stop_rel_tol` and `repro_error`; `plain` has no "
+        "`bandwidth_slope_bins` and `repro_error`; `plain` has no "
         "underscore.\n",
     ) == []
