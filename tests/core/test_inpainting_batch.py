@@ -25,7 +25,9 @@ from repro.core import (
 )
 from repro.errors import ConfigurationError, DataError, ShapeError
 from repro.service import DHFSpec
+from repro.streaming import stream_record
 from repro.synth import make_mixture
+from repro.tfo import SpO2Monitor
 
 #: float64 keeps a record's one-record and stacked trajectories
 #: numerically locked for the whole fit (float32 fits decorrelate after
@@ -129,7 +131,10 @@ class TestBatchedSequentialEquivalence:
 
 class TestEveryFitRunsItsBudget:
     """What ``perfbench/layers.py`` counts as a fit's iterations: one
-    loss per iteration, and a ``stop_iteration`` that stays ``None``."""
+    loss per iteration, and a ``stop_iteration`` that stays ``None``,
+    on every path (offline, batch, stream, monitor)."""
+
+    SPEC = DHFSpec.from_preset("smoke")
 
     @staticmethod
     def assert_full_budget(results, iterations):
@@ -137,6 +142,26 @@ class TestEveryFitRunsItsBudget:
         for fit in results:
             assert fit.stop_iteration is None
             assert fit.losses.size == iterations
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        return make_mixture("msig1", duration_s=10.0, seed=1)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Every result DHF's fit entry point hands back."""
+        import repro.core.dhf as dhf_module
+
+        fits = []
+        real = dhf_module.inpaint_spectrograms
+
+        def spy(*args, **kwargs):
+            results = real(*args, **kwargs)
+            fits.extend(results)
+            return results
+
+        monkeypatch.setattr(dhf_module, "inpaint_spectrograms", spy)
+        return fits
 
     def test_inpaint_spectrogram(self):
         magnitudes, visibilities = harmonic_batch(1, seed=9)
@@ -150,26 +175,46 @@ class TestEveryFitRunsItsBudget:
                                        rngs=[1, 2, 3])
         self.assert_full_budget(results, TINY64.iterations)
 
-    def test_dhf_round(self, monkeypatch):
-        import repro.core.dhf as dhf_module
-
-        fits = []
-        real = dhf_module.inpaint_spectrograms
-
-        def spy(*args, **kwargs):
-            results = real(*args, **kwargs)
-            fits.extend(results)
-            return results
-
-        monkeypatch.setattr(dhf_module, "inpaint_spectrograms", spy)
-        spec = DHFSpec.from_preset("smoke")
-        m = make_mixture("msig1", duration_s=10.0, seed=1)
-        result = DHFSeparator(spec).separate_detailed(
+    def test_dhf_round(self, mixture, fits):
+        m = mixture
+        result = DHFSeparator(self.SPEC).separate_detailed(
             m.mixed, m.sampling_hz, m.f0_tracks
         )
-        self.assert_full_budget(fits, spec.iterations)
+        self.assert_full_budget(fits, self.SPEC.iterations)
         assert [r.losses.size for r in result.rounds] \
-            == [spec.iterations] * len(result.rounds)
+            == [self.SPEC.iterations] * len(result.rounds)
+
+    def test_separate_batch(self, mixture, fits):
+        m = mixture
+        # Same tracks, so every round of the two records shares one
+        # geometry and runs as one stacked fit.
+        results = DHFSeparator(self.SPEC).separate_batch_detailed(
+            [m.mixed, 1.1 * m.mixed], m.sampling_hz,
+            [m.f0_tracks, m.f0_tracks],
+        )
+        self.assert_full_budget(fits, self.SPEC.iterations)
+        for result in results:
+            assert [r.losses.size for r in result.rounds] \
+                == [self.SPEC.iterations] * len(result.rounds)
+
+    def test_streaming_segments(self, mixture, fits):
+        m = mixture
+        n = m.mixed.size
+        stream_record(
+            DHFSeparator(self.SPEC), m.mixed, m.sampling_hz, m.f0_tracks,
+            segment_samples=n, overlap_samples=n // 4, chunk_samples=n // 3,
+        )
+        self.assert_full_budget(fits, self.SPEC.iterations)
+
+    def test_spo2_monitor(self, mixture, fits):
+        m = mixture
+        n = m.mixed.size
+        dc = np.full(n, 10.0)
+        with SpO2Monitor(DHFSeparator(self.SPEC), m.sampling_hz,
+                         segment_samples=n, overlap_samples=n // 4) as monitor:
+            monitor.push({740: m.mixed + dc, 850: m.mixed + dc},
+                         {740: dc, 850: dc}, m.f0_tracks)
+        self.assert_full_budget(fits, self.SPEC.iterations)
 
 
 class TestEdgeCases:

@@ -108,6 +108,30 @@ class TestFitBatched:
         np.testing.assert_array_equal(a.outputs, b.outputs)
         np.testing.assert_array_equal(a.losses[0], b.losses[0])
 
+    def test_a_shorter_fit_is_a_prefix_of_a_longer_one(self, rng):
+        # Stopping a fit after k iterations is the same, bitwise, as
+        # asking for k iterations: the short fit's losses and concealed
+        # errors open the longer fit's, and its output is that fit's
+        # prediction at iteration k.
+        _, code, target, mask = self._problem(2, rng)
+        reference = rng.uniform(0.2, 0.8, size=(2, 9, 8))
+        short, longer = (
+            fit_batched(stack_networks(make_networks(2)), code, target,
+                        mask, iterations=n, learning_rate=0.3,
+                        reference=reference)
+            for n in (7, 20)
+        )
+        concealed = mask[:, 0] == 0
+        for r in range(2):
+            np.testing.assert_array_equal(short.losses[r],
+                                          longer.losses[r][:7])
+            np.testing.assert_array_equal(short.concealed_errors[r],
+                                          longer.concealed_errors[r][:7])
+            delta = short.outputs[r][concealed[r]] \
+                - reference[r][concealed[r]]
+            assert np.mean(delta ** 2) == longer.concealed_errors[r][6]
+        assert not np.array_equal(short.outputs, longer.outputs)
+
     def test_concealed_errors_follow_the_reference(self, rng):
         stacked, code, target, mask = self._problem(2, rng)
         fit = fit_batched(stacked, code, target, mask,

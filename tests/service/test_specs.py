@@ -134,6 +134,23 @@ class TestFromDictErrors:
                            match="unknown DHFSpec field 'early_stop_"):
             build()
 
+    @pytest.mark.parametrize("spec_cls", ALL_SPEC_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("build", [
+        lambda cls, name: cls(**{name: 1}),
+        lambda cls, name: cls().replace(**{name: 1}),
+    ], ids=["constructor", "replace"])
+    def test_misspelled_keyword_suggests(self, spec_cls, build):
+        # The did-you-mean ConfigurationError of from_dict, not the
+        # generated __init__'s TypeError, however the spec is built.
+        field = dataclasses.fields(spec_cls)[1].name
+        with pytest.raises(
+            ConfigurationError,
+            match=f"unknown {spec_cls.__name__} field '{field}x' "
+                  f"— did you mean '{field}'",
+        ):
+            build(spec_cls, field + "x")
+
     def test_method_mismatch_on_subclass(self):
         with pytest.raises(ConfigurationError, match="does not match"):
             EMDSpec.from_dict({"method": "vmd"})
