@@ -27,7 +27,11 @@ from repro.nn.batchfit import fit_batched
 from repro.nn.loss import masked_mse_loss  # noqa: F401
 from repro.nn.unet import SpAcLUNet, UNetConfig, stack_networks
 from repro.utils.seeding import as_generator, spawn_generators
-from repro.utils.validation import as_2d_float_array
+from repro.utils.validation import (
+    as_2d_float_array,
+    check_positive,
+    check_positive_int,
+)
 
 #: Upper bound of the uniform random code ``z`` each prior is
 #: conditioned on (:meth:`repro.nn.unet.SpAcLUNet.make_input_code`).
@@ -50,7 +54,10 @@ class InpaintingConfig:
     stacked-vs-one-record equivalence to ``<= 1e-8``.  Anything
     :func:`numpy.dtype` maps to one of the two is accepted and stored as
     that numpy scalar type; any other value raises
-    :class:`repro.errors.ConfigurationError`.
+    :class:`repro.errors.ConfigurationError`.  So do an ``iterations``
+    that is not an int >= 1, a ``learning_rate`` that is not a finite
+    number > 0, and network fields that :meth:`network_config`'s
+    :class:`UNetConfig` refuses.
     """
 
     iterations: int = 300
@@ -77,6 +84,9 @@ class InpaintingConfig:
                 f"{self.dtype!r}"
             )
         object.__setattr__(self, "dtype", dtype.type)
+        check_positive_int(self.iterations, "InpaintingConfig.iterations")
+        check_positive(self.learning_rate, "InpaintingConfig.learning_rate")
+        self.network_config()  # UNetConfig validates the network fields
 
     def network_config(self) -> UNetConfig:
         """The corresponding :class:`UNetConfig`."""

@@ -14,7 +14,8 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.module import Parameter
+from repro.nn.tensor import Parameter
+from repro.utils.validation import check_positive
 
 
 class Adam:
@@ -37,8 +38,7 @@ class Adam:
         self.params: List[Parameter] = list(params)
         if not self.params:
             raise ConfigurationError("optimizer received no parameters")
-        if lr <= 0:
-            raise ConfigurationError(f"learning rate must be positive, got {lr}")
+        check_positive(lr, "learning rate")
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigurationError(f"betas must be in [0, 1), got {betas}")

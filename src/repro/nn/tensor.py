@@ -1,14 +1,14 @@
 """The deep prior's graph: leaves and the network's one node.
 
 A :class:`Tensor` holds an array, its gradient and whether it wants one.
-The leaves are the input code and the network's
-:class:`repro.nn.module.Parameter` arrays; the one non-leaf is what a
-:class:`repro.nn.unet.SpAcLUNet` call returns, whose node context holds
-its parents (the code and every parameter) and the network's
-hand-derived backward.  The fit computes the gradient of its loss with
-respect to that output itself (:func:`repro.nn.loss.masked_mse_loss`)
-and hands it to :meth:`Tensor.backward`, which sends it through the
-network into every parent's ``grad``.
+The leaves are the input code and the network's :class:`Parameter`
+arrays; the one non-leaf is what a :class:`repro.nn.unet.SpAcLUNet` call
+returns, whose node context holds its parents (the code and every
+parameter) and the network's hand-derived backward.  The fit computes the
+gradient of its loss with respect to that output itself
+(:func:`repro.nn.loss.masked_mse_loss`) and hands it to
+:meth:`Tensor.backward`, which sends it through the network into every
+parent's ``grad``.
 """
 
 from __future__ import annotations
@@ -54,3 +54,10 @@ class Tensor:
                 continue
             parent.grad = parent_grad if parent.grad is None \
                 else parent.grad + parent_grad
+
+
+class Parameter(Tensor):
+    """A trainable leaf: a :class:`Tensor` that requires grad."""
+
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)

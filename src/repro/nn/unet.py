@@ -3,7 +3,7 @@
 A U-Net [Ronneberger et al. 2015] adapted for pattern-aligned spectrograms:
 
 * standard convolutions are replaced by *dilated harmonic convolutions*
-  (:class:`repro.nn.layers.HarmonicConv2d`);
+  (:func:`repro.nn.functional.harmonic_conv2d`);
 * pooling in the **frequency** dimension is prohibited — the frequency size
   is preserved through the whole network (design principle 1, Sec. 3.2);
 * only **forward** integral harmonic multiples are accessed (anchor = 1,
@@ -15,12 +15,15 @@ harmonic network of Zhang et al. with anchor > 1 and frequency
 max-pooling ("frequency folding").  Their table is
 :func:`repro.core.inpainting.config_for_prior_kind`.
 
+A network is its parameters, one ordered name -> :class:`Parameter`
+table, and its layer list, which names the parameters and
+hyper-parameters of each step; both are built together at construction.
 A call runs the whole network as one graph node, through a *plan*: the
-network's forward and backward, built once per fit from the kernel
-builders of :mod:`repro.nn.functional` as two flat lists of NumPy calls
-with every buffer, view and ``out=`` bound, and replayed on every later
-call.  So an iteration after the first allocates no activation-sized
-memory and rebuilds no view.
+network's forward and backward, built once per fit from the layer list
+by the kernel builders of :mod:`repro.nn.functional` as two flat lists
+of NumPy calls with every buffer, view and ``out=`` bound, and replayed
+on every later call.  So an iteration after the first allocates no
+activation-sized memory and rebuilds no view.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import copy
 from dataclasses import dataclass
 from functools import partial
 from operator import is_
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +42,16 @@ from repro.errors import (
     ShapeError,
 )
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, HarmonicConv2d, InstanceNorm2d, LeakyReLU
-from repro.nn.module import Module, ModuleList
-from repro.nn.tensor import Tensor
+from repro.nn import init
+from repro.nn.tensor import Parameter, Tensor
 from repro.utils.seeding import as_generator, spawn_generators
+from repro.utils.validation import check_positive_int
+
+#: Every instance norm's epsilon, and the slope of the leaky ReLU fused
+#: onto it.
+NORM_EPS = 1e-5
+LEAKY_SLOPE = 0.1
+
 
 @dataclass(frozen=True)
 class UNetConfig:
@@ -86,64 +95,27 @@ class UNetConfig:
             raise ConfigurationError(
                 f"conv_kind must be 'harmonic' or 'standard', got {self.conv_kind!r}"
             )
-        if self.depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {self.depth}")
+        for name in ("in_channels", "base_channels", "depth", "n_harmonics",
+                     "kernel_time", "anchor", "time_dilation"):
+            check_positive_int(getattr(self, name), f"UNetConfig.{name}")
         if self.kernel_time % 2 == 0:
             raise ConfigurationError(
                 f"kernel_time must be odd, got {self.kernel_time}"
             )
 
 
-class ConvBlock(Module):
-    """Two (conv -> instance-norm -> leaky-ReLU) stages.
-
-    A parameter container: :class:`SpAcLUNet` runs its :meth:`stages`
-    inside the network's single graph node.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, cfg: UNetConfig,
-                 rng, dtype=np.float32):
-        super().__init__()
-        rngs = spawn_generators(rng, 2)
-        stages: List[Module] = []
-        channels = in_channels
-        for i in range(2):
-            if cfg.conv_kind == "harmonic":
-                conv = HarmonicConv2d(
-                    channels, out_channels,
-                    n_harmonics=cfg.n_harmonics,
-                    kernel_time=cfg.kernel_time,
-                    anchor=cfg.anchor,
-                    time_dilation=cfg.time_dilation,
-                    rng=rngs[i], dtype=dtype,
-                )
-            else:
-                conv = Conv2d(
-                    channels, out_channels, kernel_size=3, padding=1,
-                    rng=rngs[i], dtype=dtype,
-                )
-            stages += [conv, InstanceNorm2d(out_channels, dtype=dtype), LeakyReLU(0.1)]
-            channels = out_channels
-        self.body = ModuleList(stages)
-
-    def stages(self) -> List[Tuple[Module, InstanceNorm2d, LeakyReLU]]:
-        """The ``(conv, norm, activation)`` triples, in forward order."""
-        body = list(self.body)
-        return list(zip(body[0::3], body[1::3], body[2::3]))
-
-
-def _input_slot(layer: Module, shape: tuple, dtype):
-    """Where the layer before convolution ``layer`` writes its output.
+def _input_slot(step, shape: tuple, dtype):
+    """Where the layer before layer-list entry ``step`` writes its output.
 
     An anchor-1 harmonic convolution reads its input whole as harmonic
     1's lane of its gather buffer (see
     :func:`repro.nn.functional.harmonic_conv2d`), so its producer writes
     straight into that lane: returns ``(lane, buffer)``.  Before any
-    other layer the producer keeps an output array of its own: ``(None,
-    None)``.
+    other layer (or none: ``step`` is ``None``) the producer keeps an
+    output array of its own: ``(None, None)``.
     """
-    if isinstance(layer, HarmonicConv2d) and layer.anchor == 1:
-        n_harm = layer.weight.data.shape[-2]
+    if step is not None and step[0] == "harmonic" and step[3] == 1:
+        n_harm = step[1].data.shape[-2]
         buffer = np.empty((shape[0], n_harm) + tuple(shape[1:]), dtype=dtype)
         return buffer[:, 0], buffer
     return None, None
@@ -178,7 +150,7 @@ class _Plan:
         last = len(layers) - 1
 
         # Forward, remembering each layer's backward builder.
-        x, gathered = _input_slot(layers[0][1], data.shape, dtype)
+        x, gathered = _input_slot(layers[0], data.shape, dtype)
         if x is None:
             x = np.empty(data.shape, dtype=dtype)
         self.code = x
@@ -188,40 +160,35 @@ class _Plan:
         for index, step in enumerate(layers):
             kind = step[0]
             after = layers[index + 1] if index < last else None
-            consumer = after[1] if after and after[0] == "conv" else None
-            if kind == "conv":
-                layer = step[1]
-                w, b = F.record_kernels(layer.weight.data, layer.bias.data)
-                if isinstance(layer, HarmonicConv2d):
+            if kind in ("harmonic", "conv"):
+                w, b = F.record_kernels(step[1].data, step[2].data)
+                if kind == "harmonic":
                     x, calls, adjoint = F.harmonic_conv2d(
-                        x, w, b, scratch, layer.anchor, layer.time_dilation,
-                        gathered=gathered,
+                        x, w, b, scratch, step[3], step[4], gathered=gathered,
                     )
                 else:
-                    x, calls, adjoint = F.conv2d(x, w, b, scratch,
-                                                 layer.padding)
+                    x, calls, adjoint = F.conv2d(x, w, b, scratch, step[3])
                 # A fit's code needs no gradient: the first convolution
                 # then skips its input-gradient GEMM and scatter.
                 adjoint = partial(adjoint,
                                   need_input=index > 0 or code.requires_grad)
             elif kind == "norm":
-                norm = step[1]
-                out, gathered = _input_slot(consumer, x.shape, dtype)
+                out, gathered = _input_slot(after, x.shape, dtype)
                 x, calls, adjoint = F.instance_norm(
-                    x, norm.weight.data, norm.bias.data, norm.eps, step[2],
+                    x, step[1].data, step[2].data, NORM_EPS, LEAKY_SLOPE,
                     scratch, out=out,
                 )
             elif kind == "down":
                 skips.append(x)
                 (kh, kw), (n, c, h, w) = step[1], x.shape
-                out, gathered = _input_slot(consumer, (n, c, h // kh, w // kw),
+                out, gathered = _input_slot(after, (n, c, h // kh, w // kw),
                                             dtype)
                 x, calls, adjoint = F.max_pool2d(x, step[1], scratch, out=out)
             else:  # "up": upsample onto the newest skip, after the skip
                 skip = skips.pop()
                 n_skip = skip.shape[1]
                 shape = (x.shape[0], n_skip + x.shape[1]) + skip.shape[2:]
-                joined, gathered = _input_slot(consumer, shape, dtype)
+                joined, gathered = _input_slot(after, shape, dtype)
                 if joined is None:
                     joined = np.empty(shape, dtype=dtype)
                 _, calls, adjoint = F.upsample_nearest(
@@ -249,13 +216,11 @@ class _Plan:
         skip_grads: List[np.ndarray] = []
         for step, adjoint in zip(reversed(layers), reversed(adjoints)):
             kind = step[0]
-            if kind in ("conv", "norm"):
-                layer = step[1]
+            if kind in ("harmonic", "conv", "norm"):
                 g, grad_w, grad_b, calls = adjoint(g)
                 # Views, shaped like the parameters, of what the calls
                 # write; :meth:`backward` hands out copies.
-                for param, grad in ((layer.weight, grad_w),
-                                    (layer.bias, grad_b)):
+                for param, grad in zip(step[1:3], (grad_w, grad_b)):
                     grads[id(param)] = F.reshape_view(grad,
                                                       param.data.shape)
             elif kind == "down":
@@ -315,7 +280,7 @@ def _build_plan(layers: Sequence[tuple], params: Sequence, code) -> _Plan:
     return _Plan(layers, params, code, scratch)
 
 
-class SpAcLUNet(Module):
+class SpAcLUNet:
     """Spectrally Accurate Light U-Net (paper Sec. 3.2, Fig. 2).
 
     Maps a fixed random code ``z`` of shape ``(1, C_in, F, T)`` to a
@@ -323,6 +288,14 @@ class SpAcLUNet(Module):
     Downsampling acts on the time axis only (frequency pooling is prohibited
     unless ``cfg.freq_pooling`` deliberately re-enables it for the Fig. 3
     baseline variant).
+
+    Each encoder, the bottleneck and each decoder is a block of two
+    (convolution -> instance norm + leaky ReLU) stages; a 1 x 1
+    convolution and a sigmoid close the network.  Parameters are named
+    ``encoders.<i>.body.<j>.weight``/``.bias`` (likewise ``bottleneck``
+    and ``decoders.<i>``), where ``j`` is 0 and 3 for the block's
+    convolutions and 1 and 4 for their norms, and ``head.weight`` /
+    ``head.bias``.
 
     :func:`stack_networks` fuses R same-config networks into one whose
     parameters carry a leading *record* axis.  The stack maps codes
@@ -333,52 +306,81 @@ class SpAcLUNet(Module):
     """
 
     def __init__(self, cfg: UNetConfig, rng=None, dtype=np.float32):
-        super().__init__()
         self.cfg = cfg
-        rng = as_generator(rng)
-        n_blocks = 2 * cfg.depth + 1
-        rngs = spawn_generators(rng, n_blocks + 1)
-
         #: Max-pool kernel of each "down" step, and the scale of the
         #: nearest upsampling of each "up" step.
         self.pool_kernel = (2, 2) if cfg.freq_pooling else (1, 2)
-
-        self.encoders = ModuleList()
+        self._parameters: Dict[str, Parameter] = {}
+        self._layers: List[tuple] = []
+        # One generator per block, in forward order, then the head's.
+        rngs = iter(spawn_generators(as_generator(rng), 2 * cfg.depth + 2))
+        widths = [cfg.base_channels * 2 ** level for level in range(cfg.depth)]
         channels = cfg.in_channels
-        enc_channels: List[int] = []
-        for level in range(cfg.depth):
-            out_ch = cfg.base_channels * (2 ** level)
-            self.encoders.append(ConvBlock(channels, out_ch, cfg, rngs[level], dtype))
-            enc_channels.append(out_ch)
-            channels = out_ch
-        self.bottleneck = ConvBlock(
-            channels, channels * 2, cfg, rngs[cfg.depth], dtype
-        )
+        for level, width in enumerate(widths):
+            self._block(f"encoders.{level}", channels, width, next(rngs),
+                        dtype)
+            self._layers.append(("down", self.pool_kernel))
+            channels = width
+        self._block("bottleneck", channels, 2 * channels, next(rngs), dtype)
         channels *= 2
-
-        self.decoders = ModuleList()
-        for level in reversed(range(cfg.depth)):
-            skip_ch = enc_channels[level]
-            block = ConvBlock(
-                channels + skip_ch, skip_ch, cfg,
-                rngs[cfg.depth + 1 + (cfg.depth - 1 - level)], dtype,
-            )
-            self.decoders.append(block)
-            channels = skip_ch
-
-        self.head = Conv2d(channels, 1, kernel_size=1, rng=rngs[-1], dtype=dtype)
+        for index, width in enumerate(reversed(widths)):
+            self._layers.append(("up", self.pool_kernel))
+            self._block(f"decoders.{index}", channels + width, width,
+                        next(rngs), dtype)
+            channels = width
+        self._layers.append((
+            "conv",
+            self._parameter("head.weight", init.kaiming_uniform(
+                (1, channels, 1, 1), next(rngs), dtype=dtype)),
+            self._parameter("head.bias", init.zeros((1,), dtype=dtype)),
+            (0, 0),
+        ))
         # The plan while no graph node owns it (see :meth:`__call__`).
         # Scratch memory, not state.
         self._idle = {}
-        # ``(layers(), parameters())``, built by the first call.
-        self._layout = None
+
+    def _parameter(self, name: str, data: np.ndarray) -> Parameter:
+        param = self._parameters[name] = Parameter(data)
+        return param
+
+    def _block(self, prefix: str, in_channels: int, out_channels: int,
+               rng, dtype) -> None:
+        """Add a block's two stages, each convolution drawn from its own
+        child of ``rng``."""
+        cfg = self.cfg
+        harmonic = cfg.conv_kind == "harmonic"
+        taps = (cfg.n_harmonics, cfg.kernel_time) if harmonic else (3, 3)
+        for slot, conv_rng in zip((0, 3), spawn_generators(rng, 2)):
+            weight = self._parameter(
+                f"{prefix}.body.{slot}.weight",
+                init.kaiming_uniform((out_channels, in_channels, *taps),
+                                     conv_rng, dtype=dtype),
+            )
+            bias = self._parameter(f"{prefix}.body.{slot}.bias",
+                                   init.zeros((out_channels,), dtype=dtype))
+            self._layers.append(
+                ("harmonic", weight, bias, cfg.anchor, cfg.time_dilation)
+                if harmonic else ("conv", weight, bias, (1, 1))
+            )
+            self._layers.append((
+                "norm",
+                self._parameter(f"{prefix}.body.{slot + 1}.weight",
+                                init.ones((out_channels,), dtype=dtype)),
+                self._parameter(f"{prefix}.body.{slot + 1}.bias",
+                                init.zeros((out_channels,), dtype=dtype)),
+            ))
+            in_channels = out_channels
 
     def __getstate__(self):
         # Copies and pickles start without a plan.
-        state = dict(self.__dict__)
-        state["_idle"] = {}
-        state["_layout"] = None
-        return state
+        return {**self.__dict__, "_idle": {}}
+
+    def named_parameters(self) -> Iterator[Tuple[str, Parameter]]:
+        """``(name, parameter)`` pairs, in construction order."""
+        return iter(self._parameters.items())
+
+    def parameters(self) -> List[Parameter]:
+        return list(self._parameters.values())
 
     # ------------------------------------------------------------------ #
     # Record stacking
@@ -386,12 +388,13 @@ class SpAcLUNet(Module):
     @property
     def stacked(self) -> bool:
         """True when the parameters carry a leading record axis."""
-        return self.head.weight.data.ndim == 5
+        return self._parameters["head.weight"].data.ndim == 5
 
     @property
     def n_records(self) -> int:
         """Records fitted at once: the stack size, 1 when unstacked."""
-        return self.head.weight.data.shape[0] if self.stacked else 1
+        return self._parameters["head.weight"].data.shape[0] \
+            if self.stacked else 1
 
     # ------------------------------------------------------------------ #
     # Forward: one autograd node for the whole network
@@ -399,28 +402,17 @@ class SpAcLUNet(Module):
     def layers(self) -> List[tuple]:
         """The network as a flat layer list, in forward order.
 
-        Entries are ``("conv", layer)``, ``("norm", norm, slope)`` (an
-        instance norm fused with its leaky ReLU), ``("down", kernel)``
-        (keep the skip, then max-pool), ``("up", scale)`` (upsample onto
-        the newest skip's extent and concatenate ``[skip, x]``), closed
-        by the head convolution; the output sigmoid is implicit.
+        Entries are ``("harmonic", weight, bias, anchor, time_dilation)``
+        and ``("conv", weight, bias, padding)`` (the convolutions),
+        ``("norm", weight, bias)`` (an instance norm fused with its leaky
+        ReLU, at :data:`NORM_EPS` and :data:`LEAKY_SLOPE`), ``("down",
+        kernel)`` (keep the skip, then max-pool) and ``("up", scale)``
+        (upsample onto the newest skip's extent and concatenate ``[skip,
+        x]``), closed by the head convolution; the output sigmoid is
+        implicit.  Every ``weight`` and ``bias`` is one of this network's
+        own :class:`Parameter` objects.
         """
-        steps: List[tuple] = []
-
-        def block(conv_block: ConvBlock) -> None:
-            for conv, norm, act in conv_block.stages():
-                steps.append(("conv", conv))
-                steps.append(("norm", norm, act.negative_slope))
-
-        for encoder in self.encoders:
-            block(encoder)
-            steps.append(("down", self.pool_kernel))
-        block(self.bottleneck)
-        for decoder in self.decoders:
-            steps.append(("up", self.pool_kernel))
-            block(decoder)
-        steps.append(("conv", self.head))
-        return steps
+        return list(self._layers)
 
     def __call__(self, z) -> Tensor:
         """Map codes ``(R, C_in, F, T)`` to estimates ``(R, 1, F, T)``.
@@ -448,9 +440,6 @@ class SpAcLUNet(Module):
         array.  A forward that records nothing builds a plan of its own
         and runs it once.  The output and every gradient are fresh
         arrays.
-
-        The layer and parameter lists are built by the first call and
-        cached.
         """
         if not isinstance(z, Tensor):
             z = Tensor(z)
@@ -467,14 +456,12 @@ class SpAcLUNet(Module):
                 f"SpAcLUNet configured for {self.cfg.in_channels} input "
                 f"channels, got {shape[1]}"
             )
-        if self._layout is None:
-            self._layout = (self.layers(), self.parameters())
-        layers, params = self._layout
+        params = self.parameters()
         parents = (z, *params)
         record = any(p.requires_grad for p in parents)
         plan = self._idle.pop("plan", None) if record else None
         if plan is None or not plan.binds(z, params):
-            plan = _build_plan(layers, params, z)
+            plan = _build_plan(self._layers, params, z)
         out_data = plan.forward(z.data)
         out = Tensor(out_data, requires_grad=record)
         if not record:

@@ -124,6 +124,20 @@ class TestPriorKindConfigs:
             config_for_prior_kind("other", TINY)
 
 
+class TestInpaintingConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", 0), ("iterations", 2.5), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("base_channels", 0), ("time_dilation", 0), ("kernel_time", -1),
+        ("kernel_time", 4), ("conv_kind", "fancy"),
+    ])
+    def test_bad_value_raises_when_built(self, field, value):
+        # A NaN rate used to fit an all-NaN map; the network fields used
+        # to fail only when the fit built its network or first ran it.
+        with pytest.raises(ConfigurationError):
+            InpaintingConfig(**{field: value})
+
+
 class TestAutoDilation:
     def test_no_concealment_minimum(self):
         assert auto_time_dilation(np.ones((4, 10), dtype=bool)) == 5

@@ -23,11 +23,17 @@ from repro.core.inpainting import (
     config_for_prior_kind,
 )
 from repro.errors import GraphError
-from repro.nn import Adam, SpAcLUNet, Tensor, masked_mse_loss, stack_networks
+from repro.nn import (
+    Adam,
+    Parameter,
+    SpAcLUNet,
+    Tensor,
+    masked_mse_loss,
+    stack_networks,
+)
 from repro.nn import functional as F
 from repro.nn import unet
 from repro.nn.batchfit import fit_batched
-from repro.nn.layers import HarmonicConv2d
 
 #: Code extent: odd frequency and time extents exercise the decoder's
 #: crop and pad (time pooling, and frequency pooling for the harmonic
@@ -118,18 +124,20 @@ def _forward(built):
     return out
 
 
-def _reference_block(x, block):
-    for conv, norm, act in block.stages():
-        w, b = F.record_kernels(conv.weight.data, conv.bias.data)
-        if isinstance(conv, HarmonicConv2d):
+def _reference_block(x, params, prefix, cfg):
+    """Block ``prefix``'s two stages, its parameters read by name."""
+    for conv, norm in (("0", "1"), ("3", "4")):
+        w, b = F.record_kernels(params[f"{prefix}.body.{conv}.weight"],
+                                params[f"{prefix}.body.{conv}.bias"])
+        if cfg.conv_kind == "harmonic":
             x = _forward(F.harmonic_conv2d(
-                x, w, b, F.Workspace(), conv.anchor, conv.time_dilation,
+                x, w, b, F.Workspace(), cfg.anchor, cfg.time_dilation,
             ))
         else:
-            x = _forward(F.conv2d(x, w, b, F.Workspace(), conv.padding))
+            x = _forward(F.conv2d(x, w, b, F.Workspace(), (1, 1)))
         x = _forward(F.instance_norm(
-            x, norm.weight.data, norm.bias.data, norm.eps,
-            act.negative_slope, F.Workspace(),
+            x, params[f"{prefix}.body.{norm}.weight"],
+            params[f"{prefix}.body.{norm}.bias"], 1e-5, 0.1, F.Workspace(),
         ))
     return x
 
@@ -143,22 +151,27 @@ def _fit_to(x, size):
 
 
 def reference_forward(net, code):
-    """The U-Net of Fig. 2, layer by layer, outside the network's node."""
+    """The U-Net of Fig. 2, layer by layer, outside the network's node:
+    its parameters by name, its hyper-parameters from ``net.cfg``."""
+    params = {name: param.data for name, param in net.named_parameters()}
+    cfg = net.cfg
+    pool = (2, 2) if cfg.freq_pooling else (1, 2)
     skips = []
     x = code
-    for encoder in net.encoders:
-        x = _reference_block(x, encoder)
+    for level in range(cfg.depth):
+        x = _reference_block(x, params, f"encoders.{level}", cfg)
         skips.append(x)
-        x = _forward(F.max_pool2d(x, net.pool_kernel, F.Workspace()))
-    x = _reference_block(x, net.bottleneck)
-    for decoder, skip in zip(net.decoders, reversed(skips)):
+        x = _forward(F.max_pool2d(x, pool, F.Workspace()))
+    x = _reference_block(x, params, "bottleneck", cfg)
+    for index, skip in enumerate(reversed(skips)):
         x = _fit_to(
-            _forward(F.upsample_nearest(x, net.pool_kernel, F.Workspace())),
+            _forward(F.upsample_nearest(x, pool, F.Workspace())),
             skip.shape[2:],
         )
-        x = _reference_block(np.concatenate([skip, x], axis=1), decoder)
-    w, b = F.record_kernels(net.head.weight.data, net.head.bias.data)
-    x = _forward(F.conv2d(x, w, b, F.Workspace(), net.head.padding))
+        x = _reference_block(np.concatenate([skip, x], axis=1), params,
+                             f"decoders.{index}", cfg)
+    w, b = F.record_kernels(params["head.weight"], params["head.bias"])
+    x = _forward(F.conv2d(x, w, b, F.Workspace(), (0, 0)))
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -305,6 +318,24 @@ class TestSavedActivationOwnership:
         assert [name for name, _ in net.named_parameters()] == names
         assert copy.deepcopy(net)._idle == {}
         assert pickle.loads(pickle.dumps(net))._idle == {}
+
+    @pytest.mark.parametrize("make", ["deepcopy", "pickle", "stack"])
+    def test_copies_bind_their_own_parameters(self, rng, make):
+        # A copy's layer list must hold the copy's parameters: a step
+        # still bound to the source's would fit the source's weights.
+        net = _network("spac_dilated", None)
+        _run(net, _code(net, rng).data, np.ones((1, 1, 11, 13)))
+        if make == "deepcopy":
+            other = copy.deepcopy(net)
+        elif make == "pickle":
+            other = pickle.loads(pickle.dumps(net))
+        else:
+            other = stack_networks([net, _network("spac_dilated", None,
+                                                  seed=8)])
+        bound = {id(item) for step in other.layers() for item in step
+                 if isinstance(item, Parameter)}
+        assert bound == {id(param) for param in other.parameters()}
+        assert not bound & {id(param) for param in net.parameters()}
 
 
 class TestWorkspaceOwnership:

@@ -29,9 +29,10 @@ class TestAdam:
         with pytest.raises(ConfigurationError):
             Adam([], lr=0.1)
 
-    def test_bad_lr_raises(self):
+    @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+    def test_bad_lr_raises(self, lr):
         with pytest.raises(ConfigurationError):
-            Adam([Parameter(np.zeros(1))], lr=0.0)
+            Adam([Parameter(np.zeros(1))], lr=lr)
 
     def test_bad_betas_raise(self):
         with pytest.raises(ConfigurationError):

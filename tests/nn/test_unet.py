@@ -40,6 +40,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             UNetConfig(kernel_time=4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("in_channels", 0), ("base_channels", 0), ("n_harmonics", 0),
+        ("kernel_time", -1), ("anchor", 0), ("time_dilation", 0),
+        ("base_channels", 2.5), ("depth", True),
+    ])
+    def test_bad_int_field_raises_when_built(self, field, value):
+        # Each used to pass here and fail later: in the initialiser
+        # (ZeroDivisionError, math domain error) or at the first call.
+        with pytest.raises(ConfigurationError, match=f"UNetConfig.{field}"):
+            UNetConfig(**{field: value})
+
 
 class TestForward:
     def test_output_shape_and_range(self, small_cfg, rng):
